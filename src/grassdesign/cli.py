@@ -115,16 +115,16 @@ def cmd_angles(args) -> tuple:
     return EXIT_OK, result, csv_rows
 
 
-def _verify(config: SubspaceConfiguration, family_spec: str, tol: float, parallel: int):
+def _verify(config: SubspaceConfiguration, family_spec: str, tol: float):
     family = designs.parse_family(family_spec, config.m)
-    report = designs.is_T_design(config, family, tol=tol, parallel=parallel)
+    report = designs.is_T_design(config, family, tol=tol)
     code = EXIT_OK if report.design else EXIT_VERIFY_FAILED
     return code, report
 
 
 def cmd_verify_design(args) -> tuple:
     config = _load_config(args.config)
-    code, report = _verify(config, args.set, args.tol, args.parallel)
+    code, report = _verify(config, args.set, args.tol)
     return code, report.to_json(), _report_rows(report)
 
 
@@ -159,7 +159,7 @@ def cmd_antipodal(args) -> tuple:
     code = EXIT_OK
     csv_rows = None
     if args.verify:
-        code, report = _verify(config, args.verify, args.tol, args.parallel)
+        code, report = _verify(config, args.verify, args.tol)
         result["report"] = report.to_json()
         csv_rows = _report_rows(report)
     return code, result, csv_rows
@@ -176,7 +176,7 @@ def cmd_appendix_b(args) -> tuple:
     code = EXIT_OK
     csv_rows = None
     if args.verify:
-        code, report = _verify(config, args.verify, args.tol, args.parallel)
+        code, report = _verify(config, args.verify, args.tol)
         result["report"] = report.to_json()
         csv_rows = _report_rows(report)
     return code, result, csv_rows
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="seed override (default: GRASSDESIGN_SEED or 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=False, mn=True, verify=False):
+    def common(p, config=False, mn=True, verify=False, tabular=False):
         if config:
             p.add_argument("--config", required=True, help="configuration JSON file")
         if mn:
@@ -214,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, required=True)
         if verify:
             p.add_argument("--tol", type=float, default=designs.DEFAULT_TOL)
-            p.add_argument("--parallel", type=int, default=1, help="worker cap for defect sums")
-        p.add_argument("--emit", choices=("json", "csv"), default="json")
+        if tabular:
+            p.add_argument("--emit", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("zonal", help="kernel expansion in the normalized-Schur basis")
     p.add_argument("--mu", required=True, help="comma-separated parts, e.g. 2,1")
@@ -224,16 +224,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="table of harmonic component dimensions")
     p.add_argument("--max-weight", type=int, default=4)
-    common(p)
+    common(p, tabular=True)
     p.set_defaults(fn=cmd_dims)
 
     p = sub.add_parser("angles", help="pairwise principal-angle matrix of a configuration")
-    common(p, config=True, mn=False)
+    common(p, config=True, mn=False, tabular=True)
     p.set_defaults(fn=cmd_angles)
 
     p = sub.add_parser("verify-design", help="defect report for a configuration file")
     p.add_argument("--set", required=True, help="test set: E, F, E+F or T<t>")
-    common(p, config=True, mn=False, verify=True)
+    common(p, config=True, mn=False, verify=True, tabular=True)
     p.set_defaults(fn=cmd_verify_design)
 
     p = sub.add_parser("bound", help="linear-programming cardinality bound of a certificate")
@@ -243,12 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("antipodal", help="build and optionally verify the coordinate antipodal set")
     p.add_argument("--verify", default=None, help="test set: E, F, E+F or T<t>")
-    common(p, verify=True)
+    common(p, verify=True, tabular=True)
     p.set_defaults(fn=cmd_antipodal)
 
     p = sub.add_parser("appendix-b", help="bundled six-point configuration in G(2,4)")
     p.add_argument("--verify", default=None, help="test set: E, F, E+F or T<t>")
-    common(p, mn=False, verify=True)
+    common(p, mn=False, verify=True, tabular=True)
     p.set_defaults(fn=cmd_appendix_b)
 
     p = sub.add_parser("check-nonneg", help="grid evidence that a certificate is nonnegative")

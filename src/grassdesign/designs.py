@@ -21,7 +21,6 @@ Three certificates are built exactly:
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -144,7 +143,6 @@ def is_T_design(
     config: SubspaceConfiguration,
     family: Sequence[Partition],
     tol: float = DEFAULT_TOL,
-    parallel: int = 1,
 ) -> DesignReport:
     """Check defect vanishing for every shape in the family.
 
@@ -155,9 +153,7 @@ def is_T_design(
     report = DesignReport(
         label=config.label, mode=config.mode, tol=tol, size=len(config)
     )
-    shapes = list(family)
-
-    def one(mu: Partition) -> DefectEntry:
+    for mu in family:
         dim = harmonic_dim(mu, config.n)
         defect = design_defect(config, mu)
         if mu.is_zero():
@@ -166,13 +162,7 @@ def is_T_design(
             passed = not defect
         else:
             passed = abs(defect) <= tol * len(config) ** 2 * dim
-        return DefectEntry(mu=mu, defect=defect, dim=dim, passed=passed)
-
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            report.entries = list(pool.map(one, shapes))
-    else:
-        report.entries = [one(mu) for mu in shapes]
+        report.entries.append(DefectEntry(mu=mu, defect=defect, dim=dim, passed=passed))
     return report
 
 
@@ -283,9 +273,6 @@ def certificate_product(m: int, n: int) -> CoefficientFunction:
     return CoefficientFunction(m, n, coeffs)
 
 
-certificate_E = certificate_product
-
-
 def certificate_antipodal(m: int, n: int) -> CoefficientFunction:
     """Kernel coefficients of B (prod y_i)(sum y_i) + sum y_i (1 - y_i).
 
@@ -369,9 +356,6 @@ def certificate_antipodal(m: int, n: int) -> CoefficientFunction:
     return cert
 
 
-certificate_F = certificate_antipodal
-
-
 def certificate_average(m: int, n: int) -> CoefficientFunction:
     """Kernel coefficients of the coordinate average (sum y_i)/m.
 
@@ -388,9 +372,6 @@ def certificate_average(m: int, n: int) -> CoefficientFunction:
             column_shape(1, m): rational(n - m, n * (n - 1) * (n + 1)),
         },
     )
-
-
-certificate_one_design = certificate_average
 
 
 @dataclass

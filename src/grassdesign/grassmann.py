@@ -8,8 +8,9 @@ basis matrix whose rows span it.  Two modes coexist:
   characteristic polynomial of the Gram-corrected product of projectors,
   and only configurations with rational spectra are representable, which
   covers every bundled configuration;
-* float mode stores complex entries, orthonormalizes through a
-  rank-revealing pivoted QR and reads the angles off singular values.
+* float mode stores complex entries, orthonormalizes once per point
+  through a thin SVD (which also reveals the rank) and reads the angles
+  off singular values.
 
 Principal angles are returned as descending tuples y with entries in
 [0, 1]; the pair (a, b) is antipodal exactly when every entry is 0 or 1.
@@ -21,7 +22,6 @@ from itertools import combinations
 from typing import Iterable, List, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .exactlinalg import charpoly, invert, mat_mul, null_space, rank, rational_roots
 from .scalars import CX_ONE, CX_ZERO, ExactComplex, as_exact_complex, rational, rational_to_str
@@ -51,9 +51,13 @@ class RankDeficiencyError(ValueError):
 
 
 class SubspacePoint:
-    """An m-dimensional subspace of C^n spanned by the rows of ``basis``."""
+    """An m-dimensional subspace of C^n spanned by the rows of ``basis``.
 
-    __slots__ = ("basis", "mode", "m", "n")
+    Float points also keep ``frame``, orthonormal columns spanning the
+    subspace; exact points have ``frame = None``.
+    """
+
+    __slots__ = ("basis", "mode", "m", "n", "frame")
 
     def __init__(self, basis, mode: str = EXACT):
         if mode == EXACT:
@@ -67,6 +71,7 @@ class SubspacePoint:
             if rank([list(r) for r in rows]) != self.m:
                 raise RankDeficiencyError(f"basis rank below {self.m}")
             self.basis = rows
+            self.frame = None
         elif mode == FLOAT:
             if isinstance(basis, np.ndarray):
                 arr = basis.astype(complex)
@@ -80,7 +85,7 @@ class SubspacePoint:
             self.m, self.n = arr.shape
             arr.setflags(write=False)
             self.basis = arr
-            _orthonormal_rows(arr)  # raises on rank deficiency
+            self.frame = _orthonormal_rows(arr)
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
@@ -236,12 +241,15 @@ def _check_pair(a: SubspacePoint, b: SubspacePoint):
 
 
 def _orthonormal_rows(arr: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the row space, via pivoted QR."""
-    q, r, _ = scipy.linalg.qr(arr.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size < arr.shape[0] or diag.min() < RANK_TOL * diag.max():
+    """Orthonormal columns spanning the row space, via the thin SVD.
+
+    Raises when the singular values span a ratio beyond ``RANK_TOL``.
+    """
+    u, s, _ = np.linalg.svd(arr.T, full_matrices=False)
+    if s.size < arr.shape[0] or (s.size and s[-1] <= RANK_TOL * s[0]):
         raise RankDeficiencyError("float basis is numerically rank deficient")
-    return q
+    u.setflags(write=False)
+    return u
 
 
 def principal_angles(a: SubspacePoint, b: SubspacePoint) -> tuple:
@@ -253,9 +261,7 @@ def principal_angles(a: SubspacePoint, b: SubspacePoint) -> tuple:
     """
     _check_pair(a, b)
     if a.mode == FLOAT:
-        qa = _orthonormal_rows(a.basis)
-        qb = _orthonormal_rows(b.basis)
-        s = np.linalg.svd(qa.conj().T @ qb, compute_uv=False)
+        s = np.linalg.svd(a.frame.conj().T @ b.frame, compute_uv=False)
         vals = np.clip(s, 0.0, 1.0) ** 2
         return tuple(float(v) for v in vals)
 
@@ -289,7 +295,7 @@ def symmetry_image(a: SubspacePoint, b: SubspacePoint) -> SubspacePoint:
     """Image of b under the geodesic symmetry at a (reflection 2P_a - I)."""
     _check_pair(a, b)
     if a.mode == FLOAT:
-        qa = _orthonormal_rows(a.basis)
+        qa = a.frame
         cols = b.basis.T
         reflected = 2.0 * (qa @ (qa.conj().T @ cols)) - cols
         return SubspacePoint(reflected.T, mode=FLOAT)

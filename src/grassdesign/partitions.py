@@ -199,6 +199,8 @@ def enumerate_up_to_weight(m: int, t: int) -> list:
     """All partitions of ambient length m with weight <= t, graded lex."""
     if m < 1:
         raise ValueError(f"ambient length must be positive, got {m}")
+    if t < 0:
+        raise ValueError(f"weight cap must be nonnegative, got {t}")
     found = []
 
     def extend(prefix, cap, remaining):

@@ -3,8 +3,7 @@
 All core computations in this package run over exact rationals.  The
 rational backend is chosen once, at import time: gmpy2's compiled ``mpq``
 when available, otherwise the pure-Python ``fractions.Fraction``.  Set
-``GRASSDESIGN_BACKEND=fraction`` (or ``gmpy2``) to force a choice; see
-``benchmarks/bench_backends.py`` for a timing comparison of the two.
+``GRASSDESIGN_BACKEND=fraction`` (or ``gmpy2``) to force a choice.
 
 Gaussian rationals (complex numbers with exact rational real and
 imaginary parts) are provided by :class:`ExactComplex`; they are the
@@ -72,10 +71,13 @@ def as_rational(x):
 
 
 def rational_from_str(s: str):
+    """Parse 'p' or 'p/q'; malformed text or a zero q raises ValueError."""
     s = s.strip()
     if "/" in s:
-        p, q = s.split("/")
-        return rational(int(p), int(q))
+        p, q = (int(v) for v in s.split("/"))
+        if not q:
+            raise ValueError(f"zero denominator in {s!r}")
+        return rational(p, q)
     return rational(int(s))
 
 
@@ -223,4 +225,4 @@ def as_exact_complex(x) -> ExactComplex:
         return ExactComplex(x)
     if isinstance(x, str):
         return ExactComplex.from_str(x)
-    raise TypeError(f"not a Gaussian rational: {x!r}")
+    raise ValueError(f"not a Gaussian rational: {x!r}")

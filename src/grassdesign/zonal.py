@@ -7,8 +7,8 @@ its value at the all-ones point equals the component's dimension.  This
 module builds these kernels exactly:
 
 * the general James-Constantine expansion over normalized Schur
-  polynomials, driven by generalized binomial coefficients obtained by
-  exact interpolation;
+  polynomials, driven by generalized binomial coefficients read off a
+  closed-form binomial determinant;
 * closed-form expansions for single-column, single-row and hook shapes,
   kept as independent cross-checks of the general construction;
 * the change of basis between column-shape normalized Schur polynomials
@@ -21,11 +21,10 @@ highest weight of the unitary group.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 from typing import Dict
 
-from .exactlinalg import SingularMatrixError, solve
+from .exactlinalg import det
 from .partitions import (
     Partition,
     binom,
@@ -39,7 +38,7 @@ from .partitions import (
     row_shape,
 )
 from .scalars import as_rational, rational
-from .symfunc import SchurExpansion, normalized_schur_eval
+from .symfunc import SchurExpansion, schur_norm
 
 
 class PoleError(ArithmeticError):
@@ -77,39 +76,24 @@ def harmonic_dim(mu: Partition, n: int) -> int:
     return weyl_dim(highest_weight(mu, n))
 
 
-def _interpolation_points(m: int, count: int, seed: int) -> list:
-    rng = random.Random((seed << 16) ^ 0x5EED ^ m)
-    pts = []
-    while len(pts) < count:
-        p = tuple(rational(rng.randint(1, 997), rng.randint(1009, 2003)) for _ in range(m))
-        pts.append(p)
-    return pts
-
-
 @lru_cache(maxsize=None)
 def _generalized_binomial_table(kappa: Partition) -> Dict[Partition, object]:
     """Coefficients of X*_sigma(y) in the shifted expansion of X*_kappa(y+1).
 
-    Solved from exact evaluations at as many generic rational points as the
-    down-set of kappa has elements; a singular draw deterministically moves
-    to the next seed.
+    Closed form from s_kappa(1 + x) = sum_sigma d(kappa, sigma) s_sigma(x),
+    d(kappa, sigma) = det[binom(kappa_i + m - i, sigma_j + m - j)]
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3 Ex. 10),
+    rescaled to the normalized basis by s_sigma(1) / s_kappa(1).
     """
-    sigmas = down_set(kappa)
-    count = len(sigmas)
-    for attempt in range(64):
-        pts = _interpolation_points(kappa.m, count, seed=attempt)
-        matrix = [[normalized_schur_eval(s, p) for s in sigmas] for p in pts]
-        rhs = [
-            normalized_schur_eval(kappa, tuple(v + 1 for v in p)) for p in pts
-        ]
-        try:
-            sol = solve(matrix, rhs)
-        except SingularMatrixError:
-            continue
-        return dict(zip(sigmas, sol))
-    raise SingularMatrixError(
-        f"no nonsingular interpolation draw for {kappa} after 64 seeds"
-    )
+    m = kappa.m
+    top = [k + m - i for i, k in enumerate(kappa.parts, start=1)]
+    norm = schur_norm(kappa)
+    table = {}
+    for sigma in down_set(kappa):
+        low = [s + m - j for j, s in enumerate(sigma.parts, start=1)]
+        d = det([[binom(a, b) for b in low] for a in top])
+        table[sigma] = d * schur_norm(sigma) / norm
+    return table
 
 
 def generalized_binomial(kappa: Partition, sigma: Partition):

@@ -144,20 +144,6 @@ def test_result_payload_is_byte_stable(capsys):
     assert first_result == second_result
 
 
-def test_parallel_flag(tmp_path, capsys):
-    config = great_antipodal(2, 5)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config.to_json()))
-    code1, doc1 = run_json(
-        capsys, "verify-design", "--config", str(path), "--set", "E+F", "--parallel", "4"
-    )
-    code2, doc2 = run_json(
-        capsys, "verify-design", "--config", str(path), "--set", "E+F"
-    )
-    assert code1 == code2 == 0
-    assert doc1["result"] == doc2["result"]
-
-
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GRASSDESIGN_SEED", "17")
     code, doc = run_json(capsys, "dims", "--m", "2", "--n", "4")
@@ -166,7 +152,7 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     assert doc["manifest"]["seed"] == 3
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["bound", "--certificate", "bogus", "--m", "2", "--n", "4"])
     assert err.value.code == 2
@@ -176,6 +162,25 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["zonal", "--mu", "1,2", "--m", "2", "--n", "4"])  # not a partition
     assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["dims", "--m", "2", "--n", "4", "--max-weight", "-1"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["zonal", "--mu", "1", "--m", "2", "--n", "4", "--emit", "csv"])  # no table
+    assert err.value.code == 2
+    # a zero denominator and a float entry in an exact configuration
+    for bad in ("1/0", 1.5):
+        config = {
+            "m": 1,
+            "n": 2,
+            "mode": "exact",
+            "points": [{"rows": [[bad, "1"]]}],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as err:
+            main(["angles", "--config", str(path)])
+        assert err.value.code == 2, bad
 
 
 def test_computational_errors_exit_three(tmp_path, capsys):

@@ -118,15 +118,6 @@ class TestIsTDesign:
         for mu in family:
             assert rep.entry(mu).passed
 
-    def test_parallel_matches_serial(self):
-        s = great_antipodal(3, 6)
-        family = column_family(3) + hook_family(3)
-        serial = is_T_design(s, family)
-        threaded = is_T_design(s, family, parallel=4)
-        assert [e.to_json() for e in serial.entries] == [
-            e.to_json() for e in threaded.entries
-        ]
-
     def test_float_mode_tolerance(self):
         s = great_antipodal(2, 4).to_float()
         rep = is_T_design(s, column_family(2), tol=1e-8)

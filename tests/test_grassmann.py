@@ -39,6 +39,18 @@ class TestSubspacePoint:
     def test_rank_validation_float(self):
         with pytest.raises(RankDeficiencyError):
             SubspacePoint([[1.0, 0, 0, 0], [1.0, 1e-14, 0, 0]], mode=FLOAT)
+        with pytest.raises(RankDeficiencyError):
+            SubspacePoint(np.zeros((2, 4)), mode=FLOAT)
+
+    def test_float_frame_is_orthonormal_basis(self):
+        p = random_subspace(3, 7, seed=5)
+        q = p.frame
+        assert q.shape == (7, 3)
+        assert np.allclose(q.conj().T @ q, np.eye(3), atol=1e-12)
+        # every basis row lies in the span of the frame columns
+        rows = p.basis.T
+        assert np.allclose(q @ (q.conj().T @ rows), rows, atol=1e-12)
+        assert coordinate_subspace([0, 1], 4).frame is None
 
     def test_exact_json_round_trip(self):
         p = six_point_config()[4]

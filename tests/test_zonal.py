@@ -124,19 +124,21 @@ class TestGeneralizedBinomial:
                     assert got == rational(i + 1, j + 1) * binom(i - 1, j - 1)
 
     def test_defining_identity_at_points(self):
-        # X*_kappa(y + 1) = sum_sigma [kappa; sigma] X*_sigma(y)
+        # X*_kappa(y + 1) = sum_sigma [kappa; sigma] X*_sigma(y), an oracle
+        # independent of the closed-form determinant behind the table
         from grassdesign.partitions import down_set
 
         rng = random.Random(3)
-        for kappa in (Partition([2, 1]), Partition([2, 2]), Partition([1, 1, 1])):
-            for _ in range(10):
-                pt = tuple(rational(rng.randint(1, 97), 101) for _ in range(kappa.m))
-                shifted = tuple(v + 1 for v in pt)
-                rhs = sum(
-                    generalized_binomial(kappa, s) * normalized_schur_eval(s, pt)
-                    for s in down_set(kappa)
-                )
-                assert normalized_schur_eval(kappa, shifted) == rhs
+        for m in (2, 3, 4):
+            for kappa in enumerate_up_to_weight(m, 5):
+                for _ in range(3):
+                    pt = tuple(rational(rng.randint(1, 97), 101) for _ in range(m))
+                    shifted = tuple(v + 1 for v in pt)
+                    rhs = sum(
+                        generalized_binomial(kappa, s) * normalized_schur_eval(s, pt)
+                        for s in down_set(kappa)
+                    )
+                    assert normalized_schur_eval(kappa, shifted) == rhs, kappa
 
     def test_ambient_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -195,6 +197,12 @@ class TestKernels:
         k = zonal_kernel(Partition([2, 1]), 5)
         for sigma in k.expansion.coeffs:
             assert sigma <= Partition([2, 1])
+
+    def test_large_shape_builds(self):
+        # the constructor checks the dimension at ones and the support
+        k = zonal_kernel(Partition([5, 4, 3]), 9)
+        assert k.dim == harmonic_dim(Partition([5, 4, 3]), 9)
+        assert Partition([5, 4, 3]) in k.expansion.coeffs
 
     def test_closed_forms_match_general_construction(self):
         for m in (1, 2, 3):
