@@ -148,13 +148,10 @@ def cmd_bound(args) -> tuple:
 
 def cmd_antipodal(args) -> tuple:
     config = grassmann.great_antipodal(args.m, args.n)
-    pairwise = all(
-        grassmann.is_antipodal_pair(a, b) for a in config for b in config
-    )
     result = {
         "label": config.label,
         "size": len(config),
-        "pairwise_antipodal": pairwise,
+        "pairwise_antipodal": config.is_antipodal(),
     }
     code = EXIT_OK
     csv_rows = None

@@ -34,6 +34,7 @@ from .partitions import (
     row_shape,
 )
 from .scalars import as_rational, is_exact_real, rational, rational_to_str
+from .symfunc import SchurExpansion
 from .zonal import harmonic_dim, zonal_hook, zonal_kernel, zonal_product_column, schur_in_zonal_basis
 from .grassmann import EXACT, SubspaceConfiguration
 
@@ -169,7 +170,7 @@ def is_T_design(
 class CoefficientFunction:
     """Finitely supported exact coefficients c_mu over shapes of one ambient."""
 
-    __slots__ = ("m", "n", "coeffs")
+    __slots__ = ("m", "n", "coeffs", "_expansion")
 
     def __init__(self, m: int, n: int, coeffs: Dict[Partition, object]):
         self.m = m
@@ -182,6 +183,7 @@ class CoefficientFunction:
             if c:
                 store[mu] = c
         self.coeffs = store
+        self._expansion = None
 
     def coeff(self, mu: Partition):
         return self.coeffs.get(mu, rational(0))
@@ -203,13 +205,13 @@ class CoefficientFunction:
         return total
 
     def evaluate(self, y):
-        """Pointwise value of F = sum c_mu Z_mu."""
-        exact = all(is_exact_real(v) for v in y)
-        total = rational(0) if exact else 0.0
-        for mu, c in self.coeffs.items():
-            cc = c if exact else float(c)
-            total = total + cc * zonal_kernel(mu, self.n).evaluate(y)
-        return total
+        """Pointwise value of F = sum c_mu Z_mu, expanded once in normalized Schurs."""
+        if self._expansion is None:
+            total = SchurExpansion(self.m)
+            for mu, c in self.coeffs.items():
+                total = total + zonal_kernel(mu, self.n).expansion.scaled(c)
+            self._expansion = total
+        return self._expansion.evaluate(y)
 
     def to_json(self) -> dict:
         return {
@@ -469,20 +471,9 @@ def classify_tight_E(
     """
     _require_cardinality(config)
     report = is_T_design(config, column_family(config.m), tol=tol)
-    geometry = True
-    for y, count in config.angle_classes().items():
-        if config.mode == EXACT:
-            diagonal = all(v == 1 for v in y)
-        else:
-            diagonal = all(v > 1 - tol for v in y)
-        if diagonal:
-            if count != len(config):
-                geometry = False  # repeated points masquerading as diagonal
-            continue
-        last = y[-1]
-        ok = (last == 0) if config.mode == EXACT else abs(last) <= tol
-        if not ok:
-            geometry = False
+    slack = 0 if config.mode == EXACT else tol
+    pairs = config.pair_angles().items()
+    geometry = all(abs(y[-1]) <= slack for (i, j), y in pairs if i != j)
     if report.design != geometry:
         raise ArithmeticError(
             "design and geometry verdicts disagree; tolerance too tight?"
@@ -497,16 +488,7 @@ def classify_tight_EF(
     _require_cardinality(config)
     family = column_family(config.m) + hook_family(config.m)
     report = is_T_design(config, family, tol=tol)
-    geometry = True
-    for y in config.angle_classes():
-        for v in y:
-            ok = (
-                (v == 0 or v == 1)
-                if config.mode == EXACT
-                else min(abs(v), abs(1 - v)) <= tol
-            )
-            if not ok:
-                geometry = False
+    geometry = config.is_antipodal(tol)
     if report.design != geometry:
         raise ArithmeticError(
             "design and geometry verdicts disagree; tolerance too tight?"

@@ -4,9 +4,10 @@ A point is an m-dimensional subspace of C^n given by a full-rank m x n
 basis matrix whose rows span it.  Two modes coexist:
 
 * exact mode stores Gaussian-rational entries and never orthonormalizes
-  (that would need square roots); principal angles come from the exact
-  characteristic polynomial of the Gram-corrected product of projectors,
-  and only configurations with rational spectra are representable, which
+  (that would need square roots); each point keeps its Gram inverse, and
+  principal angles come from the exact characteristic polynomial of the
+  Gram-corrected product of projectors, with one cross-Gram per pair;
+  only configurations with rational spectra are representable, which
   covers every bundled configuration;
 * float mode stores complex entries, orthonormalizes once per point
   through a thin SVD (which also reveals the rank) and reads the angles
@@ -14,12 +15,14 @@ basis matrix whose rows span it.  Two modes coexist:
 
 Principal angles are returned as descending tuples y with entries in
 [0, 1]; the pair (a, b) is antipodal exactly when every entry is 0 or 1.
+A configuration computes the angles of each unordered pair once and
+answers every pairwise question from that table.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, List, Sequence
+from itertools import combinations, combinations_with_replacement
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,12 +41,15 @@ class IrrationalAnglesError(ArithmeticError):
 
 def _as_complex_entry(v) -> complex:
     """Float-mode matrix entry: number, [re, im] pair, or exact string."""
-    if isinstance(v, (list, tuple)):
-        re, im = v
-        return complex(float(re), float(im))
-    if isinstance(v, str):
-        return complex(as_exact_complex(v))
-    return complex(v)
+    try:
+        if isinstance(v, (list, tuple)):
+            re, im = v
+            return complex(float(re), float(im))
+        if isinstance(v, str):
+            return complex(as_exact_complex(v))
+        return complex(v)
+    except TypeError:
+        raise ValueError(f"not a float matrix entry: {v!r}") from None
 
 
 class RankDeficiencyError(ValueError):
@@ -54,10 +60,11 @@ class SubspacePoint:
     """An m-dimensional subspace of C^n spanned by the rows of ``basis``.
 
     Float points also keep ``frame``, orthonormal columns spanning the
-    subspace; exact points have ``frame = None``.
+    subspace; exact points have ``frame = None`` and keep ``gram_inv``, the
+    inverse of their Gram matrix, instead.
     """
 
-    __slots__ = ("basis", "mode", "m", "n", "frame")
+    __slots__ = ("basis", "mode", "m", "n", "frame", "gram_inv")
 
     def __init__(self, basis, mode: str = EXACT):
         if mode == EXACT:
@@ -72,6 +79,7 @@ class SubspacePoint:
                 raise RankDeficiencyError(f"basis rank below {self.m}")
             self.basis = rows
             self.frame = None
+            self.gram_inv = invert(self.gram())
         elif mode == FLOAT:
             if isinstance(basis, np.ndarray):
                 arr = basis.astype(complex)
@@ -86,6 +94,7 @@ class SubspacePoint:
             arr.setflags(write=False)
             self.basis = arr
             self.frame = _orthonormal_rows(arr)
+            self.gram_inv = None
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
@@ -147,7 +156,7 @@ class SubspacePoint:
 class SubspaceConfiguration:
     """Ordered list of points sharing one ambient G(m, n) and one mode."""
 
-    __slots__ = ("points", "label", "m", "n", "mode", "_angle_classes")
+    __slots__ = ("points", "label", "m", "n", "mode", "_pairs")
 
     def __init__(self, points: Sequence[SubspacePoint], label: str = ""):
         points = list(points)
@@ -162,7 +171,7 @@ class SubspaceConfiguration:
         self.points = points
         self.label = label
         self.m, self.n, self.mode = first.m, first.n, first.mode
-        self._angle_classes = None
+        self._pairs = None
 
     def __len__(self):
         return len(self.points)
@@ -178,28 +187,30 @@ class SubspaceConfiguration:
             [p.to_float() for p in self.points], label=self.label
         )
 
+    def pair_angles(self) -> dict:
+        """Principal angles keyed by index pair (i, j), i <= j, computed once."""
+        if self._pairs is None:
+            pts = self.points
+            pairs = combinations_with_replacement(range(len(pts)), 2)
+            self._pairs = {(i, j): principal_angles(pts[i], pts[j]) for i, j in pairs}
+        return self._pairs
+
     def angle_matrix(self) -> list:
         """Full pairwise principal-angle matrix, diagonal included."""
+        pairs = self.pair_angles()
         k = len(self.points)
-        mat: List[list] = [[None] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i, k):
-                y = principal_angles(self.points[i], self.points[j])
-                mat[i][j] = y
-                mat[j][i] = y
-        return mat
+        return [[pairs[min(i, j), max(i, j)] for j in range(k)] for i in range(k)]
 
     def angle_classes(self) -> dict:
         """Multiplicities of angle vectors over all ordered pairs."""
-        if self._angle_classes is None:
-            counts: dict = {}
-            k = len(self.points)
-            for i in range(k):
-                for j in range(i, k):
-                    y = principal_angles(self.points[i], self.points[j])
-                    counts[y] = counts.get(y, 0) + (1 if i == j else 2)
-            self._angle_classes = counts
-        return self._angle_classes
+        counts: dict = {}
+        for (i, j), y in self.pair_angles().items():
+            counts[y] = counts.get(y, 0) + (1 if i == j else 2)
+        return counts
+
+    def is_antipodal(self, tol: float = 1e-8) -> bool:
+        """True when every pair of points is antipodal."""
+        return all(antipodal_angles(y, self.mode, tol) for y in self.pair_angles().values())
 
     def to_json(self) -> dict:
         return {
@@ -212,10 +223,23 @@ class SubspaceConfiguration:
 
     @staticmethod
     def from_json(data: dict) -> "SubspaceConfiguration":
+        if not isinstance(data, dict):
+            raise ValueError("configuration must be a JSON object")
+        points = data.get("points")
+        if not isinstance(points, list) or not all(isinstance(p, dict) for p in points):
+            raise ValueError("'points' must be a list of objects")
+        for p in points:
+            rows = p.get("rows")
+            if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+                raise ValueError("each point's 'rows' must be a list of lists")
         mode = data.get("mode", EXACT)
-        pts = [SubspacePoint(p["rows"], mode=mode) for p in data["points"]]
+        pts = [SubspacePoint(p["rows"], mode=mode) for p in points]
         config = SubspaceConfiguration(pts, label=data.get("label", ""))
-        if (config.m, config.n) != (int(data["m"]), int(data["n"])):
+        try:
+            declared = (int(data["m"]), int(data["n"]))
+        except TypeError:
+            raise ValueError("'m' and 'n' must be integers") from None
+        if (config.m, config.n) != declared:
             raise ValueError("declared (m, n) disagree with the point shapes")
         return config
 
@@ -265,12 +289,9 @@ def principal_angles(a: SubspacePoint, b: SubspacePoint) -> tuple:
         vals = np.clip(s, 0.0, 1.0) ** 2
         return tuple(float(v) for v in vals)
 
-    ga_inv = invert([list(r) for r in a.gram()])
-    gb_inv = invert([list(r) for r in b.gram()])
-    product = mat_mul(
-        mat_mul(ga_inv, _cross_gram(a, b)),
-        mat_mul(gb_inv, _cross_gram(b, a)),
-    )
+    cross = _cross_gram(a, b)
+    cross_h = [[v.conjugate() for v in col] for col in zip(*cross)]
+    product = mat_mul(mat_mul(a.gram_inv, cross), mat_mul(b.gram_inv, cross_h))
     poly_cx = charpoly(product)
     poly = []
     for c in poly_cx:
@@ -299,8 +320,7 @@ def symmetry_image(a: SubspacePoint, b: SubspacePoint) -> SubspacePoint:
         cols = b.basis.T
         reflected = 2.0 * (qa @ (qa.conj().T @ cols)) - cols
         return SubspacePoint(reflected.T, mode=FLOAT)
-    ga_inv = invert([list(r) for r in a.gram()])
-    proj = mat_mul(mat_mul(_cross_gram(b, a), ga_inv), [list(r) for r in a.basis])
+    proj = mat_mul(mat_mul(_cross_gram(b, a), a.gram_inv), [list(r) for r in a.basis])
     rows = [
         [2 * proj[i][k] - b.basis[i][k] for k in range(b.n)]
         for i in range(b.m)
@@ -308,12 +328,16 @@ def symmetry_image(a: SubspacePoint, b: SubspacePoint) -> SubspacePoint:
     return SubspacePoint(rows, mode=EXACT)
 
 
-def is_antipodal_pair(a: SubspacePoint, b: SubspacePoint, tol: float = 1e-8) -> bool:
-    """True when every principal angle lies in {0, 1} (within tol in float mode)."""
-    y = principal_angles(a, b)
-    if a.mode == EXACT:
+def antipodal_angles(y: tuple, mode: str, tol: float = 1e-8) -> bool:
+    """True when every angle in y lies in {0, 1} (within tol in float mode)."""
+    if mode == EXACT:
         return all(v == 0 or v == 1 for v in y)
     return all(min(abs(v), abs(1 - v)) <= tol for v in y)
+
+
+def is_antipodal_pair(a: SubspacePoint, b: SubspacePoint, tol: float = 1e-8) -> bool:
+    """True when every principal angle of the pair lies in {0, 1}."""
+    return antipodal_angles(principal_angles(a, b), a.mode, tol)
 
 
 def coordinate_subspace(indices: Iterable[int], n: int) -> SubspacePoint:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from grassdesign import grassmann
 from grassdesign.cli import main
 from grassdesign.grassmann import great_antipodal, random_subspace, SubspaceConfiguration
 
@@ -144,6 +145,28 @@ def test_result_payload_is_byte_stable(capsys):
     assert first_result == second_result
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["antipodal", "--m", "2", "--n", "4", "--verify", "E+F"],
+        ["appendix-b", "--verify", "E+F"],
+    ],
+)
+def test_principal_angles_once_per_pair(argv, capsys, monkeypatch):
+    calls = []
+    original = grassmann.principal_angles
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(grassmann, "principal_angles", counting)
+    main(argv)
+    capsys.readouterr()
+    k = 6
+    assert len(calls) == k * (k + 1) // 2
+
+
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GRASSDESIGN_SEED", "17")
     code, doc = run_json(capsys, "dims", "--m", "2", "--n", "4")
@@ -168,19 +191,26 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["zonal", "--mu", "1", "--m", "2", "--n", "4", "--emit", "csv"])  # no table
     assert err.value.code == 2
-    # a zero denominator and a float entry in an exact configuration
-    for bad in ("1/0", 1.5):
-        config = {
-            "m": 1,
-            "n": 2,
-            "mode": "exact",
-            "points": [{"rows": [[bad, "1"]]}],
-        }
+    # a zero denominator, a float entry in an exact configuration, a
+    # top-level list, rows that are not a list of lists, a non-integer
+    # declared rank and a non-numeric float entry
+    good = {"m": 1, "n": 2, "mode": "exact", "points": [{"rows": [["1", "0"]]}]}
+    bad_configs = [
+        dict(good, points=[{"rows": [["1/0", "1"]]}]),
+        dict(good, points=[{"rows": [[1.5, "1"]]}]),
+        [good],
+        dict(good, points=[{"rows": 5}]),
+        dict(good, points=[{"rows": [5]}]),
+        dict(good, points=[5]),
+        dict(good, m=[1]),
+        dict(good, mode="float", points=[{"rows": [[{"re": 1}, 0]]}]),
+    ]
+    for config in bad_configs:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
         with pytest.raises(SystemExit) as err:
             main(["angles", "--config", str(path)])
-        assert err.value.code == 2, bad
+        assert err.value.code == 2, config
 
 
 def test_computational_errors_exit_three(tmp_path, capsys):

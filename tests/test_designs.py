@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from grassdesign.designs import (
@@ -21,7 +22,9 @@ from grassdesign.designs import (
     weight_family,
 )
 from grassdesign.grassmann import (
+    FLOAT,
     SubspaceConfiguration,
+    SubspacePoint,
     great_antipodal,
     orthogonal_split_config,
     random_subspace,
@@ -274,6 +277,20 @@ class TestTightness:
         config = SubspaceConfiguration(pts, label="random-six")
         v = classify_tight_E(config, tol=1e-8)
         assert not v.design and not v.geometry
+
+    def test_float_unitary_image_tight_both_ways(self):
+        # rounding leaves each diagonal angle vector a little different, so
+        # the diagonal must be told apart by index, not by value
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        q, _ = np.linalg.qr(z)
+        pts = [SubspacePoint(p.basis @ q.T, mode=FLOAT) for p in great_antipodal(2, 4).to_float()]
+        config = SubspaceConfiguration(pts, label="rotated")
+        assert len(config.angle_classes()) > 3
+        v = classify_tight_E(config)
+        assert v.design and v.geometry
+        v2 = classify_tight_EF(config)
+        assert v2.design and v2.geometry
 
     def test_wrong_cardinality_rejected(self):
         o = orthogonal_split_config(2, 4)
