@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import __version__, designs, grassmann, zonal
-from .exactlinalg import SingularMatrixError
+from .exactlinalg import RootSearchLimitError, SingularMatrixError
 from .grassmann import (
     IrrationalAnglesError,
     RankDeficiencyError,
@@ -40,6 +40,7 @@ _ERROR_CODES = {
     PoleError: "pole",
     SingularMatrixError: "singular-matrix",
     RankDeficiencyError: "rank-deficient",
+    RootSearchLimitError: "root-search-limit",
 }
 
 

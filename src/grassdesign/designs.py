@@ -2,7 +2,13 @@
 
 A finite configuration X averages a harmonic component exactly when the
 kernel sum sum_{a,b in X} Z_mu(y(a, b)) vanishes; the component sums are
-the "defects" reported here.  A coefficient function c with positive
+the "defects" reported here.  Defects come from Schur moments
+M_sigma = sum over angle classes y of count(y) * X*_sigma(y), computed once
+per test family for the union of its kernels' supports; each defect is
+its kernel's expansion dotted with the moments.  In float mode all
+moments come from one batched numpy evaluation over the class angle
+vectors; in exact mode the regrouped sums are exactly the per-class ones.
+A coefficient function c with positive
 constant term and pointwise-nonnegative kernel combination F certifies
 the cardinality bound F(1,..,1)/c_(0) for any configuration averaging
 the components where c is positive.
@@ -24,6 +30,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 from .partitions import (
     Partition,
     binom,
@@ -34,7 +42,7 @@ from .partitions import (
     row_shape,
 )
 from .scalars import as_rational, is_exact_real, rational, rational_to_str
-from .symfunc import SchurExpansion
+from .symfunc import SchurExpansion, normalized_schur_batch, normalized_schur_eval
 from .zonal import harmonic_dim, zonal_hook, zonal_kernel, zonal_product_column, schur_in_zonal_basis
 from .grassmann import EXACT, SubspaceConfiguration
 
@@ -70,22 +78,49 @@ def parse_family(spec: str, m: int) -> List[Partition]:
     raise ValueError(f"unknown test set {spec!r} (use E, F, E+F or T<t>)")
 
 
+def schur_moments(config: SubspaceConfiguration, sigmas: Sequence[Partition]) -> dict:
+    """M_sigma = sum over ordered pairs of X*_sigma(y(a, b)), for each sigma.
+
+    Summed over angle classes with their multiplicities; float mode
+    evaluates every sigma at every class in one batched pass.
+    """
+    classes = config.angle_classes()
+    if config.mode == EXACT:
+        return {
+            sigma: sum(
+                (count * normalized_schur_eval(sigma, y) for y, count in classes.items()),
+                rational(0),
+            )
+            for sigma in sigmas
+        }
+    counts = np.array(list(classes.values()), dtype=float)
+    values = (normalized_schur_batch(sigmas, list(classes)) * counts).sum(axis=1)
+    return dict(zip(sigmas, values.tolist()))
+
+
+def _defects(config: SubspaceConfiguration, family: Sequence[Partition]) -> list:
+    """Kernel sums for every shape of the family, from one set of moments."""
+    for mu in family:
+        if mu.m != config.m:
+            raise ValueError(f"partition ambient {mu.m} vs configuration rank {config.m}")
+    expansions = [zonal_kernel(mu, config.n).expansion for mu in family]
+    sigmas = sorted({s for e in expansions for s in e.coeffs}, key=Partition.sort_key)
+    moments = schur_moments(config, sigmas)
+    if config.mode == EXACT:
+        return [
+            sum((c * moments[s] for s, c in e.coeffs.items()), rational(0))
+            for e in expansions
+        ]
+    return [sum(float(c) * moments[s] for s, c in e.coeffs.items()) for e in expansions]
+
+
 def design_defect(config: SubspaceConfiguration, mu: Partition):
     """Kernel sum over all ordered pairs of the configuration, diagonal included.
 
     Exact for exact configurations with rational angles; the diagonal alone
     contributes |X| times the component dimension.
     """
-    if mu.m != config.m:
-        raise ValueError(f"partition ambient {mu.m} vs configuration rank {config.m}")
-    kernel = zonal_kernel(mu, config.n)
-    if config.mode == EXACT:
-        total = rational(0)
-    else:
-        total = 0.0
-    for y, count in config.angle_classes().items():
-        total = total + count * kernel.evaluate(y)
-    return total
+    return _defects(config, [mu])[0]
 
 
 @dataclass
@@ -154,9 +189,8 @@ def is_T_design(
     report = DesignReport(
         label=config.label, mode=config.mode, tol=tol, size=len(config)
     )
-    for mu in family:
+    for mu, defect in zip(family, _defects(config, family)):
         dim = harmonic_dim(mu, config.n)
-        defect = design_defect(config, mu)
         if mu.is_zero():
             passed = True
         elif config.mode == EXACT:

@@ -18,6 +18,16 @@ class SingularMatrixError(ArithmeticError):
     """Exact linear system has no unique solution."""
 
 
+class RootSearchLimitError(ArithmeticError):
+    """Rational-root candidates exceed the search budget; use float mode."""
+
+
+# Budget of the rational-root search: trial division runs up to the square
+# root of each end coefficient, and every candidate costs one deflation.
+ROOT_SEARCH_BITS = 40
+ROOT_SEARCH_CANDIDATES = 4096
+
+
 def det(rows):
     """Determinant by division-free minor expansion (memoized on column sets).
 
@@ -277,6 +287,8 @@ def rational_roots(poly):
     ``poly`` has backend-rational coefficients, ascending in degree.
     Candidates come from the square-free part (rational root theorem on
     its integer form); multiplicities come from repeated exact deflation.
+    End coefficients above ``ROOT_SEARCH_BITS`` bits, or more than
+    ``ROOT_SEARCH_CANDIDATES`` candidates, raise :class:`RootSearchLimitError`.
     Returns ``(roots, leftover_degree)`` with roots sorted descending.
     """
     poly = [as_rational(c) for c in poly_normalize(poly)]
@@ -293,9 +305,20 @@ def rational_roots(poly):
             sf = sf[1:]
     if len(sf) > 1:
         scale = math.lcm(*(int(c.denominator) for c in sf))
-        ints = [int(c * scale) for c in sf]
-        for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
+        ends = [int(sf[0] * scale), int(sf[-1] * scale)]
+        if max(abs(v).bit_length() for v in ends) > ROOT_SEARCH_BITS:
+            raise RootSearchLimitError(
+                f"rational-root search needs end coefficients of at most "
+                f"{ROOT_SEARCH_BITS} bits; use float mode for this configuration"
+            )
+        nums, dens = _divisors(ends[0]), _divisors(ends[1])
+        if 2 * len(nums) * len(dens) > ROOT_SEARCH_CANDIDATES:
+            raise RootSearchLimitError(
+                f"rational-root search exceeds {ROOT_SEARCH_CANDIDATES} candidates; "
+                "use float mode for this configuration"
+            )
+        for p in nums:
+            for q in dens:
                 candidates.add(rational(p, q))
                 candidates.add(rational(-p, q))
 

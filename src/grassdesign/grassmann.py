@@ -11,7 +11,8 @@ basis matrix whose rows span it.  Two modes coexist:
   covers every bundled configuration;
 * float mode stores complex entries, orthonormalizes once per point
   through a thin SVD (which also reveals the rank) and reads the angles
-  off singular values.
+  off singular values, one batched SVD call per point against all later
+  points when a configuration fills its pair table.
 
 Principal angles are returned as descending tuples y with entries in
 [0, 1]; the pair (a, b) is antipodal exactly when every entry is 0 or 1.
@@ -191,8 +192,16 @@ class SubspaceConfiguration:
         """Principal angles keyed by index pair (i, j), i <= j, computed once."""
         if self._pairs is None:
             pts = self.points
-            pairs = combinations_with_replacement(range(len(pts)), 2)
-            self._pairs = {(i, j): principal_angles(pts[i], pts[j]) for i, j in pairs}
+            if self.mode == FLOAT:
+                frames = np.stack([p.frame for p in pts])
+                self._pairs = {
+                    (i, j): y
+                    for i, p in enumerate(pts)
+                    for j, y in enumerate(_float_angles(p.frame, frames[i:]), start=i)
+                }
+            else:
+                pairs = combinations_with_replacement(range(len(pts)), 2)
+                self._pairs = {(i, j): principal_angles(pts[i], pts[j]) for i, j in pairs}
         return self._pairs
 
     def angle_matrix(self) -> list:
@@ -276,6 +285,12 @@ def _orthonormal_rows(arr: np.ndarray) -> np.ndarray:
     return u
 
 
+def _float_angles(frame: np.ndarray, others: np.ndarray) -> list:
+    """Principal angles of one float frame against a stack of frames, batched."""
+    s = np.linalg.svd(frame.conj().T @ others, compute_uv=False)
+    return [tuple(row) for row in (np.clip(s, 0.0, 1.0) ** 2).tolist()]
+
+
 def principal_angles(a: SubspacePoint, b: SubspacePoint) -> tuple:
     """Descending eigenvalues of the composed projectors, m of them.
 
@@ -285,9 +300,7 @@ def principal_angles(a: SubspacePoint, b: SubspacePoint) -> tuple:
     """
     _check_pair(a, b)
     if a.mode == FLOAT:
-        s = np.linalg.svd(a.frame.conj().T @ b.frame, compute_uv=False)
-        vals = np.clip(s, 0.0, 1.0) ** 2
-        return tuple(float(v) for v in vals)
+        return _float_angles(a.frame, b.frame[None])[0]
 
     cross = _cross_gram(a, b)
     cross_h = [[v.conjugate() for v in col] for col in zip(*cross)]

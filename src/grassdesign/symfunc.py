@@ -4,13 +4,17 @@ Evaluation points are plain sequences of scalars.  Exact entries (ints
 or backend rationals) keep every operation exact; a single float entry
 switches the whole evaluation to floating point.  Schur polynomials are
 evaluated through the Jacobi-Trudi determinant, which stays well defined
-at repeated coordinates (the all-ones point matters everywhere here);
-the bialternant quotient is exposed only as a cross-check.
+at repeated coordinates (the all-ones point matters everywhere here).
+:func:`normalized_schur_batch` evaluates many shapes at many float points
+in one numpy pass: the same e/h recurrences run column-wise, and the
+stacked Jacobi-Trudi matrices go through ``numpy.linalg.det``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Sequence, Tuple
+
+import numpy as np
 
 from . import exactlinalg
 from .partitions import Partition, column_shape, hook_shape
@@ -25,10 +29,8 @@ def prepare_point(y: Sequence) -> Tuple[tuple, bool]:
     return tuple(float(v) for v in vals), False
 
 
-def elementary_all(y: Sequence, upto: int) -> list:
-    """e_0 .. e_upto, read off the expanded product prod_j (1 + y_j t)."""
-    vals, exact = prepare_point(y)
-    one = rational(1) if exact else 1.0
+def _elementary_terms(vals, upto: int, one) -> list:
+    """e_0 .. e_upto of the coordinates ``vals``, scalars or numpy columns."""
     e = [one] + [one * 0] * upto
     top = 0
     for v in vals:
@@ -36,6 +38,25 @@ def elementary_all(y: Sequence, upto: int) -> list:
         for j in range(top, 0, -1):
             e[j] = e[j] + v * e[j - 1]
     return e
+
+
+def _complete_terms(e: list, m: int, upto: int, one) -> list:
+    """h_0 .. h_upto from e_0 .. e_min(upto, m) of m coordinates."""
+    h = [one]
+    for k in range(1, upto + 1):
+        acc = one * 0
+        for j in range(1, min(k, m) + 1):
+            term = e[j] * h[k - j]
+            acc = acc + term if j % 2 else acc - term
+        h.append(acc)
+    return h
+
+
+def elementary_all(y: Sequence, upto: int) -> list:
+    """e_0 .. e_upto, read off the expanded product prod_j (1 + y_j t)."""
+    vals, exact = prepare_point(y)
+    return _elementary_terms(vals, upto, rational(1) if exact else 1.0)
+
 
 def elementary_eval(i: int, y: Sequence):
     """Elementary symmetric polynomial e_i(y); zero when i exceeds len(y)."""
@@ -51,16 +72,8 @@ def complete_all(y: Sequence, upto: int) -> list:
     """h_0 .. h_upto via the exact recurrence h_k = sum_j (-1)^{j-1} e_j h_{k-j}."""
     vals, exact = prepare_point(y)
     m = len(vals)
-    e = elementary_all(vals, min(upto, m))
     one = rational(1) if exact else 1.0
-    h = [one]
-    for k in range(1, upto + 1):
-        acc = one * 0
-        for j in range(1, min(k, m) + 1):
-            term = e[j] * h[k - j]
-            acc = acc + term if j % 2 else acc - term
-        h.append(acc)
-    return h
+    return _complete_terms(_elementary_terms(vals, min(upto, m), one), m, upto, one)
 
 
 def complete_eval(i: int, y: Sequence):
@@ -110,19 +123,6 @@ def schur_eval_giambelli(mu: Partition, y: Sequence):
     return exactlinalg.det(rows)
 
 
-def schur_eval_bialternant(mu: Partition, y: Sequence):
-    """Quotient of alternants; requires pairwise distinct coordinates."""
-    vals, exact = prepare_point(y)
-    m = len(vals)
-    if mu.m != m:
-        raise ValueError(f"partition ambient {mu.m} vs point length {m}")
-    if len(set(vals)) != m:
-        raise ValueError("bialternant undefined at repeated coordinates")
-    num = [[vals[i] ** (mu.parts[j] + m - (j + 1)) for j in range(m)] for i in range(m)]
-    den = [[vals[i] ** (m - (j + 1)) for j in range(m)] for i in range(m)]
-    return exactlinalg.det(num) / exactlinalg.det(den)
-
-
 def schur_norm(mu: Partition):
     """Value at the all-ones point, prod_{i<j} (mu_i - mu_j + j - i)/(j - i)."""
     out = rational(1)
@@ -139,6 +139,34 @@ def normalized_schur_eval(mu: Partition, y: Sequence):
     norm = schur_norm(mu)
     val = schur_eval(mu, vals)
     return val / norm if exact else val / float(norm)
+
+
+def normalized_schur_batch(sigmas: Sequence[Partition], points) -> np.ndarray:
+    """X*_sigma at every row of a float (N, m) array, one output row per sigma.
+
+    The float counterpart of :func:`normalized_schur_eval` for many shapes
+    at many points: e_k and h_k are built column-wise once, up to the
+    largest index any Jacobi-Trudi matrix needs.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise ValueError("points must be an (N, m) array")
+    count, m = pts.shape
+    for sigma in sigmas:
+        if sigma.m != m:
+            raise ValueError(f"partition ambient {sigma.m} vs point length {m}")
+    top = max((s.parts[0] + s.length_index() - 1 for s in sigmas if not s.is_zero()), default=0)
+    one = np.ones(count)
+    e = _elementary_terms(pts.T, min(top, m), one)
+    # the appended zero column, index -1, stands for every h_k with k < 0
+    h = np.stack(_complete_terms(e, m, top, one) + [one * 0], axis=1)
+    out = np.ones((len(sigmas), count))
+    for r, sigma in enumerate(sigmas):
+        ell = sigma.length_index()
+        if ell:
+            idx = [[max(sigma.parts[i] - i + j, -1) for j in range(ell)] for i in range(ell)]
+            out[r] = np.linalg.det(h[:, idx]) / float(schur_norm(sigma))
+    return out
 
 
 class SchurExpansion:

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, JSON shape, determinism, file formats."""
 
 import json
+import random
+import time
 
 import pytest
 
@@ -211,6 +213,27 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main(["angles", "--config", str(path)])
         assert err.value.code == 2, config
+
+
+def test_root_search_limit_exits_three_fast(tmp_path, capsys):
+    # seeded integer entries in [-100, 100]: the square-free charpoly's end
+    # coefficients have about 38 and 50 bits, beyond the root-search budget
+    rng = random.Random(1)
+    points = [
+        {"rows": [[str(rng.randint(-100, 100)) for _ in range(4)] for _ in range(2)]}
+        for _ in range(2)
+    ]
+    config = {"m": 2, "n": 4, "mode": "exact", "label": "seeded pair", "points": points}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(config))
+    started = time.perf_counter()
+    code = main(["angles", "--config", str(path)])
+    elapsed = time.perf_counter() - started
+    err = json.loads(capsys.readouterr().err)
+    assert code == 3
+    assert err["error"]["code"] == "root-search-limit"
+    assert "float mode" in err["error"]["message"]
+    assert elapsed < 2
 
 
 def test_computational_errors_exit_three(tmp_path, capsys):

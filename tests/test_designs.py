@@ -1,11 +1,14 @@
 """Design verification, certificates and cardinality bounds."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from grassdesign import designs, symfunc
 from grassdesign.designs import (
+    DEFAULT_TOL,
     CoefficientFunction,
     certificate_antipodal,
     certificate_average,
@@ -22,6 +25,7 @@ from grassdesign.designs import (
     weight_family,
 )
 from grassdesign.grassmann import (
+    EXACT,
     FLOAT,
     SubspaceConfiguration,
     SubspacePoint,
@@ -32,6 +36,7 @@ from grassdesign.grassmann import (
 )
 from grassdesign.partitions import Partition, binom, column_shape, hook_shape, row_shape
 from grassdesign.scalars import rational
+from grassdesign.zonal import zonal_kernel
 
 
 def seeded_range_points(m, count, seed):
@@ -90,6 +95,81 @@ class TestDefects:
         s = great_antipodal(2, 4)
         with pytest.raises(ValueError):
             design_defect(s, Partition([1, 0, 0]))
+
+
+def oracle_defects(config, family):
+    """Per-class kernel sums: sum over angle classes of count * Z_mu(y)."""
+    classes = config.angle_classes()
+    out = []
+    for mu in family:
+        kernel = zonal_kernel(mu, config.n)
+        total = rational(0) if config.mode == EXACT else 0.0
+        for y, count in classes.items():
+            total = total + count * kernel.evaluate(y)
+        out.append(total)
+    return out
+
+
+def random_float_config(m, n, size):
+    return SubspaceConfiguration([random_subspace(m, n, seed=s) for s in range(size)])
+
+
+def rotated_great_antipodal(seed):
+    """A float unitary image of great_antipodal(2, 4)."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    q, _ = np.linalg.qr(z)
+    pts = [SubspacePoint(p.basis @ q.T, mode=FLOAT) for p in great_antipodal(2, 4).to_float()]
+    return SubspaceConfiguration(pts, label="rotated")
+
+
+class TestSchurMoments:
+    @pytest.mark.parametrize(
+        "config, spec",
+        [(random_float_config(2, 6, 30), "T4"), (rotated_great_antipodal(3), "E+F")],
+        ids=["random-2-6", "rotated-great-antipodal"],
+    )
+    def test_float_defects_match_per_class_sums(self, config, spec):
+        family = parse_family(spec, config.m)
+        report = is_T_design(config, family)
+        for entry, want in zip(report.entries, oracle_defects(config, family)):
+            scale = len(config) ** 2 * entry.dim
+            assert abs(entry.defect - want) <= 1e-12 * scale
+            assert entry.passed == (entry.mu.is_zero() or abs(want) <= DEFAULT_TOL * scale)
+
+    @pytest.mark.parametrize(
+        "config",
+        [six_point_config(), great_antipodal(2, 4), great_antipodal(3, 6)],
+        ids=lambda c: c.label,
+    )
+    @pytest.mark.parametrize("spec", ["E+F", "T3"])
+    def test_exact_defects_equal_per_class_sums(self, config, spec):
+        family = parse_family(spec, config.m)
+        want = oracle_defects(config, family)
+        assert [e.defect for e in is_T_design(config, family).entries] == want
+        assert [design_defect(config, mu) for mu in family] == want
+
+    def test_float_design_evaluates_each_sigma_once(self, monkeypatch):
+        config = random_float_config(2, 6, 30)
+        family = weight_family(2, 4)
+        batched, scalar = [], []
+        batch, scalar_eval = designs.normalized_schur_batch, symfunc.normalized_schur_eval
+
+        def counting_batch(sigmas, points):
+            batched.extend(sigmas)
+            return batch(sigmas, points)
+
+        def counting_scalar(mu, y):
+            scalar.append(mu)
+            return scalar_eval(mu, y)
+
+        monkeypatch.setattr(designs, "normalized_schur_batch", counting_batch)
+        monkeypatch.setattr(designs, "normalized_schur_eval", counting_scalar)
+        monkeypatch.setattr(symfunc, "normalized_schur_eval", counting_scalar)
+        is_T_design(config, family)
+        support = {s for mu in family for s in zonal_kernel(mu, config.n).expansion.coeffs}
+        assert Counter(batched) == Counter(support)
+        assert not scalar
 
 
 class TestIsTDesign:

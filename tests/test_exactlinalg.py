@@ -5,6 +5,7 @@ import random
 import pytest
 
 from grassdesign.exactlinalg import (
+    RootSearchLimitError,
     SingularMatrixError,
     charpoly,
     det,
@@ -129,3 +130,12 @@ def test_rational_roots_leaves_irrational_factor():
     roots, leftover = rational_roots(p)
     assert dict(roots) == {rational(1): 1}
     assert leftover == 2
+
+
+def test_rational_roots_search_budget():
+    # an end coefficient above the bit budget
+    with pytest.raises(RootSearchLimitError):
+        rational_roots([rational(-1), rational(2**41)])
+    # 720720 and 17*19*...*41 have 240 and 128 divisors: too many candidates
+    with pytest.raises(RootSearchLimitError):
+        rational_roots([rational(-720720), rational(0), rational(10131543907)])

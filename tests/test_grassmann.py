@@ -132,6 +132,15 @@ class TestPrincipalAngles:
                 yf = principal_angles(xf[i], xf[j])
                 assert max(abs(float(u) - v) for u, v in zip(ye, yf)) < 1e-12
 
+    @pytest.mark.parametrize("m, n", [(2, 6), (3, 8)])
+    def test_float_pair_table_matches_per_pair_angles(self, m, n):
+        config = SubspaceConfiguration([random_subspace(m, n, seed=s) for s in range(12)])
+        table = config.pair_angles()
+        assert len(table) == 12 * 13 // 2
+        for (i, j), y in table.items():
+            want = principal_angles(config[i], config[j])
+            assert len(y) == m and max(abs(a - b) for a, b in zip(y, want)) <= 1e-14
+
 
 class TestSymmetry:
     def test_fixes_base_point(self):

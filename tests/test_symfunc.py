@@ -3,22 +3,38 @@
 import random
 from itertools import combinations, combinations_with_replacement, permutations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from grassdesign.exactlinalg import det
 from grassdesign.partitions import Partition, binom, column_shape, enumerate_up_to_weight, row_shape
 from grassdesign.scalars import rational
 from grassdesign.symfunc import (
     SchurExpansion,
     complete_eval,
     elementary_eval,
+    normalized_schur_batch,
     normalized_schur_eval,
     pieri_e1,
     schur_eval,
-    schur_eval_bialternant,
     schur_eval_giambelli,
     schur_norm,
     prepare_point,
 )
+
+
+def schur_eval_bialternant(mu, y):
+    """Quotient of alternants; requires pairwise distinct coordinates."""
+    vals, _ = prepare_point(y)
+    m = len(vals)
+    if mu.m != m:
+        raise ValueError(f"partition ambient {mu.m} vs point length {m}")
+    if len(set(vals)) != m:
+        raise ValueError("bialternant undefined at repeated coordinates")
+    num = [[vals[i] ** (mu.parts[j] + m - (j + 1)) for j in range(m)] for i in range(m)]
+    den = [[vals[i] ** (m - (j + 1)) for j in range(m)] for i in range(m)]
+    return det(num) / det(den)
 
 
 def prod(vals):
@@ -175,6 +191,35 @@ class TestNormalizedSchur:
     def test_top_column_is_coordinate_product(self):
         for pt in rational_points(3, 5, seed=9):
             assert normalized_schur_eval(column_shape(3, 3), pt) == prod(pt)
+
+
+@st.composite
+def unit_cube_points(draw, m):
+    """Float points of [0, 1]^m with exact 0s and 1s and repeated coordinates."""
+    vals = []
+    for _ in range(m):
+        if vals and draw(st.booleans()):
+            vals.append(draw(st.sampled_from(vals)))
+        else:
+            vals.append(draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))))
+    return tuple(vals)
+
+
+class TestNormalizedSchurBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4))
+    def test_matches_scalar_evaluation(self, data, m):
+        points = data.draw(st.lists(unit_cube_points(m), min_size=1, max_size=6))
+        shapes = enumerate_up_to_weight(m, 5)
+        batch = normalized_schur_batch(shapes, np.array(points))
+        assert batch.shape == (len(shapes), len(points))
+        for r, mu in enumerate(shapes):
+            for c, y in enumerate(points):
+                assert abs(batch[r, c] - normalized_schur_eval(mu, y)) <= 1e-12, (mu, y)
+
+    def test_ambient_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            normalized_schur_batch([Partition([1, 0])], np.zeros((3, 3)))
 
 
 class TestSchurExpansion:
