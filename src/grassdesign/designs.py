@@ -13,15 +13,17 @@ constant term and pointwise-nonnegative kernel combination F certifies
 the cardinality bound F(1,..,1)/c_(0) for any configuration averaging
 the components where c is positive.
 
-Three certificates are built exactly:
+Each certificate is its defining polynomial written in normalized
+Schurs, converted to kernel coefficients by one triangular change of
+basis (:func:`kernel_coefficients`).  Three are built exactly:
 
-* the product of all principal angles (bound binomial(n, m), tight on
-  the maximum antipodal configurations),
+* the product of all principal angles, X*_(1^m) (bound binomial(n, m),
+  tight on the maximum antipodal configurations),
 * a product-plus-concavity combination whose vanishing forces every
   angle into {0, 1} (same bound; tightness characterizes the maximum
   antipodal configurations),
-* the coordinate average (bound n/m for sets averaging all degree-one
-  components).
+* the coordinate average X*_(1) (bound n/m for sets averaging all
+  degree-one components).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .partitions import (
 )
 from .scalars import as_rational, is_exact_real, rational, rational_to_str
 from .symfunc import SchurExpansion, normalized_schur_batch, normalized_schur_eval
-from .zonal import harmonic_dim, zonal_hook, zonal_kernel, zonal_product_column, schur_in_zonal_basis
+from .zonal import harmonic_dim, zonal_kernel
 from .grassmann import EXACT, SubspaceConfiguration
 
 DEFAULT_TOL = 1e-8
@@ -298,15 +300,31 @@ def lp_bound(cert: CoefficientFunction) -> BoundRecord:
     )
 
 
+def kernel_coefficients(poly: SchurExpansion, n: int) -> CoefficientFunction:
+    """Coefficients c_mu with sum c_mu Z_mu = poly, by triangular elimination.
+
+    Z_mu is X*_mu plus shapes of smaller weight, so subtracting from
+    ``poly`` the multiple of Z_mu that cancels its largest shape mu leaves
+    only smaller shapes; repeating empties it.
+    """
+    rest = poly
+    out = {}
+    while rest.coeffs:
+        mu = max(rest.coeffs, key=Partition.sort_key)
+        kernel = zonal_kernel(mu, n).expansion
+        out[mu] = rest.coeffs[mu] / kernel.coeff(mu)
+        rest = rest + kernel.scaled(-out[mu])
+    return CoefficientFunction(poly.m, n, out)
+
+
 def certificate_product(m: int, n: int) -> CoefficientFunction:
     """Kernel coefficients of the product of all principal angles.
 
-    The product equals the top column-shape normalized Schur polynomial,
-    so its coefficients are the column change-of-basis values; they are
-    strictly positive and the bound equals binomial(n, m).
+    The product is the top column-shape normalized Schur polynomial
+    X*_(1^m); its coefficients are strictly positive and the bound equals
+    binomial(n, m).
     """
-    coeffs = dict(schur_in_zonal_basis(m, m, n))
-    return CoefficientFunction(m, n, coeffs)
+    return kernel_coefficients(SchurExpansion(m, {column_shape(m, m): 1}), n)
 
 
 def certificate_antipodal(m: int, n: int) -> CoefficientFunction:
@@ -314,100 +332,46 @@ def certificate_antipodal(m: int, n: int) -> CoefficientFunction:
 
     Here B = binomial(n-2, m-1).  Each summand vanishes exactly on angle
     vectors with entries in {0, 1}, which is what makes the tightness
-    characterization work.  Assembled constructively: the column basis
-    change, the hook kernel of height one, and the product expansion of
-    the degree-one kernel feed a single linear combination; the known
-    values of the constant and single-row coefficients then serve as
-    independent checks.
+    characterization work.  In normalized Schurs the polynomial reads
+    B m X*_(2,1^{m-1}) + m X*_(1) - binom(m+1, 2) X*_(2) + binom(m, 2) X*_(1,1);
+    the closed forms of the constant coefficient, the cancelling Z_(2)
+    coefficient and the positive hook coefficients are checked on the result.
     """
     if m < 2:
         raise ValueError("antipodal certificate needs rank at least 2")
     if n < 2 * m:
         raise ValueError(f"need n >= 2m, got ({m}, {n})")
     big_b = binom(n - 2, m - 1)
-    acc: Dict[Partition, object] = {}
-
-    def add(mu: Partition, c):
-        if c:
-            acc[mu] = acc.get(mu, rational(0)) + c
-
-    d_one = schur_in_zonal_basis(1, m, n)
-    d_top = schur_in_zonal_basis(m, m, n)
-    d11 = d_one[column_shape(1, m)]
-
-    # B * (prod y)(sum y) = B m X*_(1) X*_(top column):
-    # expand the top column over kernels, then multiply each kernel by
-    # X*_(1) = d_0 Z_(0) + d_1 Z_(1) and push Z_(1) Z_(1^j) through the
-    # exact four-term product expansion.
-    front = big_b * m
-    for j in range(m + 1):
-        dj = d_top[column_shape(j, m)]
-        add(column_shape(j, m), front * dj * d_one[column_shape(0, m)])
-        if j == 0:
-            add(column_shape(1, m), front * dj * d11)
-        else:
-            prod = zonal_product_column(j, m, n)
-            for sigma, c in prod.terms().items():
-                add(sigma, front * dj * d11 * c)
-
-    # sum y_i = m X*_(1)
-    for sigma, c in d_one.items():
-        add(sigma, m * c)
-
-    # - sum y_i^2 = -(binom(m+1,2) X*_(2) - binom(m,2) X*_(1,1))
-    # X*_(2) is isolated from the height-one hook kernel expansion.
-    hook1 = zonal_hook(1, m, n)
-    f2 = hook1.coeff(row_shape(2, m))
-    f1 = hook1.coeff(column_shape(1, m))
-    f0 = hook1.coeff(column_shape(0, m))
-    c2 = -binom(m + 1, 2)
-    add(hook_shape(1, m), c2 / f2)
-    scale = -c2 * f1 / f2
-    for sigma, c in d_one.items():
-        add(sigma, scale * c)
-    add(column_shape(0, m), -c2 * f0 / f2)
-    if m >= 2:
-        d_two = schur_in_zonal_basis(2, m, n)
-        for sigma, c in d_two.items():
-            add(sigma, binom(m, 2) * c)
-
-    cert = CoefficientFunction(m, n, acc)
-
-    # independent closed-form checks of the assembled coefficients
+    poly = SchurExpansion(
+        m,
+        [
+            (hook_shape(m, m), big_b * m),
+            (column_shape(1, m), m),
+            (row_shape(2, m), -binom(m + 1, 2)),
+            (column_shape(2, m), binom(m, 2)),
+        ],
+    )
+    cert = kernel_coefficients(poly, n)
     c0 = cert.coeff(column_shape(0, m))
     if c0 != m * big_b / binom(n, m) or c0 != rational(m * m * (n - m), n * (n - 1)):
         raise ArithmeticError(f"constant coefficient {c0} fails its closed form")
     if cert.coeff(hook_shape(1, m)):
         raise ArithmeticError("single-row kernel coefficient should cancel")
     for j in range(2, m + 1):
-        expected = (
-            d_top[column_shape(j, m)]
-            * d11
-            * zonal_product_column(j, m, n).hook
-            * m
-            * big_b
-        )
-        if cert.coeff(hook_shape(j, m)) != expected or not expected > 0:
-            raise ArithmeticError(f"hook coefficient at height {j} fails its closed form")
+        if not cert.coeff(hook_shape(j, m)) > 0:
+            raise ArithmeticError(f"hook coefficient at height {j} is not positive")
     return cert
 
 
 def certificate_average(m: int, n: int) -> CoefficientFunction:
-    """Kernel coefficients of the coordinate average (sum y_i)/m.
+    """Kernel coefficients of the coordinate average (sum y_i)/m = X*_(1).
 
     Certifies the n/m bound for configurations averaging every shape of
     weight one.
     """
     if n < 2 * m:
         raise ValueError(f"need n >= 2m, got ({m}, {n})")
-    return CoefficientFunction(
-        m,
-        n,
-        {
-            column_shape(0, m): rational(m, n),
-            column_shape(1, m): rational(n - m, n * (n - 1) * (n + 1)),
-        },
-    )
+    return kernel_coefficients(SchurExpansion(m, {column_shape(1, m): 1}), n)
 
 
 @dataclass

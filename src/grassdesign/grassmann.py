@@ -27,7 +27,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exactlinalg import charpoly, invert, mat_mul, null_space, rank, rational_roots
+from .exactlinalg import (
+    SingularMatrixError,
+    charpoly,
+    invert,
+    mat_mul,
+    null_space,
+    rank,
+    rational_roots,
+)
 from .scalars import CX_ONE, CX_ZERO, ExactComplex, as_exact_complex, rational, rational_to_str
 
 EXACT = "exact"
@@ -42,6 +50,9 @@ class IrrationalAnglesError(ArithmeticError):
 
 def _as_complex_entry(v) -> complex:
     """Float-mode matrix entry: number, [re, im] pair, or exact string."""
+    parts = v if isinstance(v, (list, tuple)) else (v,)
+    if any(isinstance(p, bool) for p in parts):
+        raise ValueError(f"not a float matrix entry: {v!r}")
     try:
         if isinstance(v, (list, tuple)):
             re, im = v
@@ -76,11 +87,13 @@ class SubspacePoint:
             self.n = len(rows[0]) if rows else 0
             if any(len(r) != self.n for r in rows):
                 raise ValueError("ragged basis matrix")
-            if rank([list(r) for r in rows]) != self.m:
-                raise RankDeficiencyError(f"basis rank below {self.m}")
             self.basis = rows
             self.frame = None
-            self.gram_inv = invert(self.gram())
+            # the Gram matrix is singular exactly when the rows are dependent
+            try:
+                self.gram_inv = invert(self.gram())
+            except SingularMatrixError:
+                raise RankDeficiencyError(f"basis rank below {self.m}") from None
         elif mode == FLOAT:
             if isinstance(basis, np.ndarray):
                 arr = basis.astype(complex)
@@ -244,6 +257,8 @@ class SubspaceConfiguration:
         mode = data.get("mode", EXACT)
         pts = [SubspacePoint(p["rows"], mode=mode) for p in points]
         config = SubspaceConfiguration(pts, label=data.get("label", ""))
+        if isinstance(data.get("m"), bool) or isinstance(data.get("n"), bool):
+            raise ValueError("'m' and 'n' must be integers")
         try:
             declared = (int(data["m"]), int(data["n"]))
         except TypeError:

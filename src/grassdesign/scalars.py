@@ -221,7 +221,7 @@ CX_ONE = ExactComplex(1)
 def as_exact_complex(x) -> ExactComplex:
     if isinstance(x, ExactComplex):
         return x
-    if isinstance(x, EXACT_REAL_TYPES):
+    if isinstance(x, EXACT_REAL_TYPES) and not isinstance(x, bool):
         return ExactComplex(x)
     if isinstance(x, str):
         return ExactComplex.from_str(x)

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Sequence, Tuple
 import numpy as np
 
 from . import exactlinalg
-from .partitions import Partition, column_shape, hook_shape
+from .partitions import Partition
 from .scalars import as_rational, is_exact_real, rational, rational_to_str
 
 
@@ -99,27 +99,6 @@ def schur_eval(mu: Partition, y: Sequence):
         return h[k] if 0 <= k <= top else zero
 
     rows = [[h_at(mu.parts[i] - (i + 1) + (j + 1)) for j in range(ell)] for i in range(ell)]
-    return exactlinalg.det(rows)
-
-
-def schur_eval_giambelli(mu: Partition, y: Sequence):
-    """Dual determinant det(e_{mu'_i - i + j}); cross-check for schur_eval."""
-    vals, exact = prepare_point(y)
-    conj = mu.conjugate()
-    ell = conj.length_index()
-    if ell == 0:
-        return rational(1) if exact else 1.0
-    m = len(vals)
-    top = min(conj.parts[0] + ell - 1, m)
-    e = elementary_all(vals, top)
-    zero = rational(0) if exact else 0.0
-
-    def e_at(k):
-        if k == 0:
-            return e[0]
-        return e[k] if 0 < k <= m else zero
-
-    rows = [[e_at(conj.parts[i] - (i + 1) + (j + 1)) for j in range(ell)] for i in range(ell)]
     return exactlinalg.det(rows)
 
 
@@ -253,17 +232,3 @@ class SchurExpansion:
                 for t in data["terms"]
             ],
         )
-
-
-def pieri_e1(j: int, m: int) -> SchurExpansion:
-    """Expansion of the product X*_(1) X*_(1^j) in the normalized-Schur basis.
-
-    The product splits over the two shapes obtained by adding one box to a
-    height-j column; the taller column drops out at j = m.
-    """
-    if not 1 <= j <= m:
-        raise ValueError(f"column height {j} outside 1..{m}")
-    terms = [(hook_shape(j, m), rational(j * (m + 1), (j + 1) * m))]
-    if j < m:
-        terms.append((column_shape(j + 1, m), rational(m - j, (j + 1) * m)))
-    return SchurExpansion(m, terms)

@@ -10,10 +10,10 @@ module builds these kernels exactly:
   polynomials, driven by generalized binomial coefficients read off a
   closed-form binomial determinant;
 * closed-form expansions for single-column, single-row and hook shapes,
-  kept as independent cross-checks of the general construction;
-* the change of basis between column-shape normalized Schur polynomials
-  and the kernels, and the exact four-term expansion of the product of
-  a column kernel with the degree-one kernel.
+  kept as independent cross-checks of the general construction.
+
+The column change of basis and the four-term product Z_(1) Z_(1^i) live
+in the tests (``tests/closed_forms.py``) as oracles.
 
 Dimensions come from the Weyl product formula applied to the associated
 highest weight of the unitary group.
@@ -106,6 +106,39 @@ def generalized_binomial(kappa: Partition, sigma: Partition):
 
 
 @lru_cache(maxsize=None)
+def _hyper_coeff_table(c, kappa: Partition) -> Dict[Partition, object]:
+    """The weight-gap recursion below kappa, solved bottom-up for every sigma.
+
+    Shapes are visited largest first, so each single-box increment of
+    sigma is known when sigma is reached, and no call nests deeper than
+    one level however large |kappa| - |sigma| gets.  A pole is stored as
+    its ``PoleError`` and passed on to every shape whose recursion meets
+    it first.
+    """
+    k = kappa.weight
+    table: Dict[Partition, object] = {kappa: rational(1)}
+    for sigma in reversed(down_set(kappa)[:-1]):
+        s = sigma.weight
+        shift = c + rational(double_content_sum(kappa) - double_content_sum(sigma), k - s)
+        if not shift:
+            table[sigma] = PoleError(f"pole at c = {c} for pair ({kappa}, {sigma})")
+            continue
+        total = rational(0)
+        for i in increment_set(sigma, kappa):
+            up = increment_part(sigma, i)
+            above = table[up]
+            if isinstance(above, PoleError):
+                total = above
+                break
+            total = total + (
+                generalized_binomial(kappa, up) * generalized_binomial(up, sigma) * above
+            )
+        if not isinstance(total, PoleError):
+            total = total / ((k - s) * generalized_binomial(kappa, sigma) * shift)
+        table[sigma] = total
+    return table
+
+
 def hyper_coeff_pair(c, kappa: Partition, sigma: Partition):
     """Two-partition hypergeometric coefficient, base value 1 at sigma = kappa.
 
@@ -113,25 +146,12 @@ def hyper_coeff_pair(c, kappa: Partition, sigma: Partition):
     of sigma inside kappa.  The base choice rescales the whole family by a
     constant, which drops out after kernel normalization.
     """
-    c = as_rational(c)
     if not sigma <= kappa:
         raise ValueError(f"{sigma} not contained in {kappa}")
-    if sigma == kappa:
-        return rational(1)
-    k = kappa.weight
-    s = sigma.weight
-    shift = c + rational(double_content_sum(kappa) - double_content_sum(sigma), k - s)
-    if not shift:
-        raise PoleError(f"pole at c = {c} for pair ({kappa}, {sigma})")
-    total = rational(0)
-    for i in increment_set(sigma, kappa):
-        up = increment_part(sigma, i)
-        total = total + (
-            generalized_binomial(kappa, up)
-            * generalized_binomial(up, sigma)
-            * hyper_coeff_pair(c, kappa, up)
-        )
-    return total / ((k - s) * generalized_binomial(kappa, sigma) * shift)
+    value = _hyper_coeff_table(as_rational(c), kappa)[sigma]
+    if isinstance(value, PoleError):
+        raise PoleError(*value.args)
+    return value
 
 
 class ZonalPolynomial:
@@ -284,86 +304,3 @@ def zonal_hook(i: int, m: int, n: int) -> ZonalPolynomial:
         terms.append((hook_shape(j, m), c2))
         terms.append((column_shape(j, m), c1))
     return ZonalPolynomial(hook_shape(i, m), n, SchurExpansion(m, terms))
-
-
-def schur_in_zonal_basis(i: int, m: int, n: int) -> Dict[Partition, object]:
-    """Column-shape normalized Schur polynomial as a kernel combination.
-
-    Returns the coefficients d_j of Z_(1^j), j = 0..i, in the expansion of
-    X*_(1^i); all strictly positive in the admissible range.
-    """
-    _require_ambient(m, n)
-    if not 0 <= i <= m:
-        raise ValueError(f"column height {i} outside 0..{m}")
-    out = {}
-    for j in range(i + 1):
-        out[column_shape(j, m)] = (
-            rational(n + 1, n - j + 1)
-            * binom(m - j, i - j)
-            * binom(n - m, j)
-            / (binom(n - j, i) * binom(n + 1, j) ** 2)
-        )
-    return out
-
-
-class ColumnProductExpansion:
-    """Exact four-term kernel expansion of Z_(1) * Z_(1^i).
-
-    Coefficients: ``hook`` on the hook kernel, ``up``/``same``/``down`` on
-    the column kernels of heights i+1, i, i-1.  The ``up`` term does not
-    exist at i = m and the ``same`` coefficient vanishes with the square
-    factor (n - 2m)^2 at n = 2m.
-    """
-
-    __slots__ = ("i", "m", "n", "hook", "up", "same", "down")
-
-    def __init__(self, i, m, n, hook, up, same, down):
-        self.i, self.m, self.n = i, m, n
-        self.hook, self.up, self.same, self.down = hook, up, same, down
-
-    def terms(self) -> Dict[Partition, object]:
-        out = {hook_shape(self.i, self.m): self.hook}
-        if self.i < self.m:
-            out[column_shape(self.i + 1, self.m)] = self.up
-        if self.same:
-            out[column_shape(self.i, self.m)] = self.same
-        out[column_shape(self.i - 1, self.m)] = self.down
-        return out
-
-    def evaluate(self, y):
-        total = rational(0)
-        for sigma, c in self.terms().items():
-            total = total + c * zonal_kernel(sigma, self.n).evaluate(y)
-        return total
-
-
-def zonal_product_column(i: int, m: int, n: int) -> ColumnProductExpansion:
-    """Product of the degree-one kernel with a column kernel, exactly."""
-    _require_ambient(m, n)
-    if not 1 <= i <= m:
-        raise ValueError(f"column height {i} outside 1..{m}")
-    hook_coeff = rational(
-        (i + 1) * (m + 1) * n * (n - 1) * (n - i + 2) * (n - m + 1),
-        i * m * (n + 2) * (n + 3) * (n - i + 1) * (n - m),
-    )
-    if i < m:
-        up = rational(
-            (i + 1) * (m - i) * n * (n - 1) * (n + 1) * (n - m - i),
-            m * (n - i + 1) * (n - 2 * i) * (n - 2 * i - 1) * (n - m),
-        )
-    else:
-        up = rational(0)
-    if n == 2 * m:
-        # the (n - 2m)^2 numerator factor wins against the vanishing
-        # denominator factors at i = m; verified by the product identity
-        same = rational(0)
-    else:
-        same = rational(
-            2 * i * (n - 1) * (n + 1) * (n - i + 1) * (n - 2 * m) ** 2,
-            m * (n + 2) * (n - 2 * i) * (n - 2 * i + 2) * (n - m),
-        )
-    down = rational(
-        (m - i + 1) * n * (n + 1) * (n - 1) * (n - i + 2) * (n - m - i + 1),
-        i * m * (n - 2 * i + 2) * (n - 2 * i + 3) * (n - m),
-    )
-    return ColumnProductExpansion(i, m, n, hook_coeff, up, same, down)

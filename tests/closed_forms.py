@@ -1,0 +1,116 @@
+"""Closed-form kernel identities, kept as oracles for the general code.
+
+The package builds every kernel by James-Constantine and every
+certificate by one triangular change of basis; these closed forms are
+independent formulas the tests check those results against:
+
+* ``schur_in_zonal_basis``: the column-shape normalized Schur
+  polynomial X*_(1^i) as a combination of column kernels;
+* ``zonal_product_column``: the exact four-term kernel expansion of
+  Z_(1) Z_(1^i);
+* ``pieri_e1``: the product X*_(1) X*_(1^j) in normalized Schurs.
+"""
+
+from typing import Dict
+
+from grassdesign.partitions import Partition, binom, column_shape, hook_shape
+from grassdesign.scalars import rational
+from grassdesign.symfunc import SchurExpansion
+from grassdesign.zonal import _require_ambient, zonal_kernel
+
+
+def schur_in_zonal_basis(i: int, m: int, n: int) -> Dict[Partition, object]:
+    """Column-shape normalized Schur polynomial as a kernel combination.
+
+    Returns the coefficients d_j of Z_(1^j), j = 0..i, in the expansion of
+    X*_(1^i); all strictly positive in the admissible range.
+    """
+    _require_ambient(m, n)
+    if not 0 <= i <= m:
+        raise ValueError(f"column height {i} outside 0..{m}")
+    out = {}
+    for j in range(i + 1):
+        out[column_shape(j, m)] = (
+            rational(n + 1, n - j + 1)
+            * binom(m - j, i - j)
+            * binom(n - m, j)
+            / (binom(n - j, i) * binom(n + 1, j) ** 2)
+        )
+    return out
+
+
+class ColumnProductExpansion:
+    """Exact four-term kernel expansion of Z_(1) * Z_(1^i).
+
+    Coefficients: ``hook`` on the hook kernel, ``up``/``same``/``down`` on
+    the column kernels of heights i+1, i, i-1.  The ``up`` term does not
+    exist at i = m and the ``same`` coefficient vanishes with the square
+    factor (n - 2m)^2 at n = 2m.
+    """
+
+    __slots__ = ("i", "m", "n", "hook", "up", "same", "down")
+
+    def __init__(self, i, m, n, hook, up, same, down):
+        self.i, self.m, self.n = i, m, n
+        self.hook, self.up, self.same, self.down = hook, up, same, down
+
+    def terms(self) -> Dict[Partition, object]:
+        out = {hook_shape(self.i, self.m): self.hook}
+        if self.i < self.m:
+            out[column_shape(self.i + 1, self.m)] = self.up
+        if self.same:
+            out[column_shape(self.i, self.m)] = self.same
+        out[column_shape(self.i - 1, self.m)] = self.down
+        return out
+
+    def evaluate(self, y):
+        total = rational(0)
+        for sigma, c in self.terms().items():
+            total = total + c * zonal_kernel(sigma, self.n).evaluate(y)
+        return total
+
+
+def zonal_product_column(i: int, m: int, n: int) -> ColumnProductExpansion:
+    """Product of the degree-one kernel with a column kernel, exactly."""
+    _require_ambient(m, n)
+    if not 1 <= i <= m:
+        raise ValueError(f"column height {i} outside 1..{m}")
+    hook_coeff = rational(
+        (i + 1) * (m + 1) * n * (n - 1) * (n - i + 2) * (n - m + 1),
+        i * m * (n + 2) * (n + 3) * (n - i + 1) * (n - m),
+    )
+    if i < m:
+        up = rational(
+            (i + 1) * (m - i) * n * (n - 1) * (n + 1) * (n - m - i),
+            m * (n - i + 1) * (n - 2 * i) * (n - 2 * i - 1) * (n - m),
+        )
+    else:
+        up = rational(0)
+    if n == 2 * m:
+        # the (n - 2m)^2 numerator factor wins against the vanishing
+        # denominator factors at i = m; verified by the product identity
+        same = rational(0)
+    else:
+        same = rational(
+            2 * i * (n - 1) * (n + 1) * (n - i + 1) * (n - 2 * m) ** 2,
+            m * (n + 2) * (n - 2 * i) * (n - 2 * i + 2) * (n - m),
+        )
+    down = rational(
+        (m - i + 1) * n * (n + 1) * (n - 1) * (n - i + 2) * (n - m - i + 1),
+        i * m * (n - 2 * i + 2) * (n - 2 * i + 3) * (n - m),
+    )
+    return ColumnProductExpansion(i, m, n, hook_coeff, up, same, down)
+
+
+def pieri_e1(j: int, m: int) -> SchurExpansion:
+    """Expansion of the product X*_(1) X*_(1^j) in the normalized-Schur basis.
+
+    The product splits over the two shapes obtained by adding one box to a
+    height-j column; the taller column drops out at j = m.
+    """
+    if not 1 <= j <= m:
+        raise ValueError(f"column height {j} outside 1..{m}")
+    terms = [(hook_shape(j, m), rational(j * (m + 1), (j + 1) * m))]
+    if j < m:
+        terms.append((column_shape(j + 1, m), rational(m - j, (j + 1) * m)))
+    return SchurExpansion(m, terms)

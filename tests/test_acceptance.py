@@ -39,14 +39,14 @@ from grassdesign.partitions import (
 from grassdesign.scalars import rational
 from grassdesign.zonal import (
     harmonic_dim,
-    schur_in_zonal_basis,
     zonal_column,
     zonal_hook,
     zonal_james_constantine,
     zonal_kernel,
-    zonal_product_column,
     zonal_row,
 )
+
+from closed_forms import schur_in_zonal_basis, zonal_product_column
 
 
 def criterion(number, limit_s, description):

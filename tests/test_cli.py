@@ -195,7 +195,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert err.value.code == 2
     # a zero denominator, a float entry in an exact configuration, a
     # top-level list, rows that are not a list of lists, a non-integer
-    # declared rank and a non-numeric float entry
+    # declared rank, a non-numeric float entry, boolean entries in exact
+    # and float mode and a boolean declared rank
     good = {"m": 1, "n": 2, "mode": "exact", "points": [{"rows": [["1", "0"]]}]}
     bad_configs = [
         dict(good, points=[{"rows": [["1/0", "1"]]}]),
@@ -206,6 +207,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         dict(good, points=[5]),
         dict(good, m=[1]),
         dict(good, mode="float", points=[{"rows": [[{"re": 1}, 0]]}]),
+        dict(good, points=[{"rows": [[True, False]]}]),
+        dict(good, mode="float", points=[{"rows": [[True, False]]}]),
+        dict(good, m=True),
     ]
     for config in bad_configs:
         path = tmp_path / "bad.json"

@@ -20,6 +20,7 @@ from grassdesign.designs import (
     design_defect,
     hook_family,
     is_T_design,
+    kernel_coefficients,
     lp_bound,
     parse_family,
     weight_family,
@@ -34,9 +35,18 @@ from grassdesign.grassmann import (
     random_subspace,
     six_point_config,
 )
-from grassdesign.partitions import Partition, binom, column_shape, hook_shape, row_shape
+from grassdesign.partitions import (
+    Partition,
+    binom,
+    column_shape,
+    enumerate_up_to_weight,
+    hook_shape,
+    row_shape,
+)
 from grassdesign.scalars import rational
 from grassdesign.zonal import zonal_kernel
+
+from closed_forms import schur_in_zonal_basis, zonal_product_column
 
 
 def seeded_range_points(m, count, seed):
@@ -243,6 +253,41 @@ class TestLPBound:
         cert = CoefficientFunction(2, 4, {column_shape(1, 2): rational(1)})
         with pytest.raises(ValueError):
             lp_bound(cert)
+
+
+class TestKernelCoefficients:
+    def test_kernel_converts_to_itself(self):
+        for m in (1, 2, 3):
+            for n in (2 * m, 2 * m + 3):
+                for mu in enumerate_up_to_weight(m, 4):
+                    cert = kernel_coefficients(zonal_kernel(mu, n).expansion, n)
+                    assert cert.coeffs == {mu: 1}, (mu, n)
+
+    def test_certificates_match_column_change_of_basis(self):
+        for m in range(1, 5):
+            for n in range(2 * m, 11):
+                assert certificate_product(m, n).coeffs == schur_in_zonal_basis(m, m, n)
+                assert certificate_average(m, n).coeffs == schur_in_zonal_basis(1, m, n)
+
+    def test_antipodal_hook_coefficients_closed_form(self):
+        # B (prod y)(sum y) = B m X*_(1) X*_(1^m): expand X*_(1^m) over column
+        # kernels and Z_(1) Z_(1^j) by the four-term product; the hook kernel
+        # of height j >= 2 appears nowhere else
+        for m in range(2, 5):
+            for n in range(2 * m, 11):
+                cert = certificate_antipodal(m, n)
+                big_b = binom(n - 2, m - 1)
+                d_top = schur_in_zonal_basis(m, m, n)
+                d11 = schur_in_zonal_basis(1, m, n)[column_shape(1, m)]
+                for j in range(2, m + 1):
+                    want = (
+                        d_top[column_shape(j, m)]
+                        * d11
+                        * zonal_product_column(j, m, n).hook
+                        * m
+                        * big_b
+                    )
+                    assert cert.coeff(hook_shape(j, m)) == want, (m, n, j)
 
 
 class TestCertificates:

@@ -13,15 +13,37 @@ from grassdesign.scalars import rational
 from grassdesign.symfunc import (
     SchurExpansion,
     complete_eval,
+    elementary_all,
     elementary_eval,
     normalized_schur_batch,
     normalized_schur_eval,
-    pieri_e1,
     schur_eval,
-    schur_eval_giambelli,
     schur_norm,
     prepare_point,
 )
+
+from closed_forms import pieri_e1
+
+
+def schur_eval_giambelli(mu, y):
+    """Dual determinant det(e_{mu'_i - i + j}); cross-check for schur_eval."""
+    vals, exact = prepare_point(y)
+    conj = mu.conjugate()
+    ell = conj.length_index()
+    if ell == 0:
+        return rational(1) if exact else 1.0
+    m = len(vals)
+    top = min(conj.parts[0] + ell - 1, m)
+    e = elementary_all(vals, top)
+    zero = rational(0) if exact else 0.0
+
+    def e_at(k):
+        if k == 0:
+            return e[0]
+        return e[k] if 0 < k <= m else zero
+
+    rows = [[e_at(conj.parts[i] - (i + 1) + (j + 1)) for j in range(ell)] for i in range(ell)]
+    return det(rows)
 
 
 def schur_eval_bialternant(mu, y):

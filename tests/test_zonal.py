@@ -1,6 +1,8 @@
 """Kernel construction: dimensions, coefficients, closed-form equivalences."""
 
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -20,15 +22,15 @@ from grassdesign.zonal import (
     harmonic_dim,
     highest_weight,
     hyper_coeff_pair,
-    schur_in_zonal_basis,
     weyl_dim,
     zonal_column,
     zonal_hook,
     zonal_james_constantine,
     zonal_kernel,
-    zonal_product_column,
     zonal_row,
 )
+
+from closed_forms import schur_in_zonal_basis, zonal_product_column
 
 
 def closed_dim_column(i, n):
@@ -203,6 +205,18 @@ class TestKernels:
         k = zonal_kernel(Partition([5, 4, 3]), 9)
         assert k.dim == harmonic_dim(Partition([5, 4, 3]), 9)
         assert Partition([5, 4, 3]) in k.expansion.coeffs
+
+    def test_deep_shape_builds_without_recursion(self):
+        # the hypergeometric table is filled bottom-up, so a weight-80 row
+        # builds with only a few dozen frames of stack to spare
+        limit = sys.getrecursionlimit()
+        depth = len(inspect.stack(0))
+        sys.setrecursionlimit(depth + 60)
+        try:
+            kernel = zonal_kernel(row_shape(80, 1), 2)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert kernel == zonal_row(80, 1, 2)
 
     def test_closed_forms_match_general_construction(self):
         for m in (1, 2, 3):
