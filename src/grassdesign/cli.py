@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import __version__, designs, grassmann, zonal
-from .exactlinalg import RootSearchLimitError, SingularMatrixError
+from .exactlinalg import RootSearchLimitError
 from .grassmann import (
     IrrationalAnglesError,
     RankDeficiencyError,
@@ -38,7 +38,6 @@ EXIT_COMPUTE = 3
 _ERROR_CODES = {
     IrrationalAnglesError: "irrational-angles",
     PoleError: "pole",
-    SingularMatrixError: "singular-matrix",
     RankDeficiencyError: "rank-deficient",
     RootSearchLimitError: "root-search-limit",
 }

@@ -1,8 +1,18 @@
-"""Small exact linear-algebra kernels over generic field scalars.
+"""Small exact linear-algebra kernels.
 
-Everything here is written against the minimal scalar protocol
-(+, -, *, /, truthiness as zero test) so the same code runs over backend
-rationals, Gaussian rationals and, where sensible, machine floats.
+Two kinds of scalar are served:
+
+* generic scalars through the minimal protocol (+, -, *, /, truthiness
+  as zero test), so the same code runs over backend rationals, Gaussian
+  rationals and, where sensible, machine floats: determinants, matrix
+  products, polynomial arithmetic and the rational-root search;
+* Gaussian integers stored as ``(re, im)`` pairs of Python ints, the
+  scalars of the exact pair geometry: matrix products, the
+  characteristic polynomial by Berkowitz's division-free recurrence, and
+  the determinant and adjugate it yields by Cayley-Hamilton.  No step
+  divides, so every intermediate is an integer and no fraction is ever
+  formed or reduced.
+
 Matrices are lists of lists; sizes in this package stay in the single
 digits, so clarity wins over asymptotics.
 """
@@ -12,10 +22,6 @@ from __future__ import annotations
 import math
 
 from .scalars import as_rational, rational
-
-
-class SingularMatrixError(ArithmeticError):
-    """Exact linear system has no unique solution."""
 
 
 class RootSearchLimitError(ArithmeticError):
@@ -64,49 +70,6 @@ def det(rows):
     return minor((1 << n) - 1)
 
 
-def solve(rows, rhs):
-    """Solve A x = b by Gaussian elimination over an exact field.
-
-    ``rhs`` may be a vector or a matrix (list of rows); pivots are the
-    first exactly-nonzero entries, so do not use this on floats.
-    """
-    n = len(rows)
-    vector_rhs = rhs and not isinstance(rhs[0], (list, tuple))
-    b = [[v] for v in rhs] if vector_rhs else [list(r) for r in rhs]
-    a = [list(r) for r in rows]
-    if len(b) != n:
-        raise ValueError("right-hand side length mismatch")
-    width = len(b[0]) if n else 0
-
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise SingularMatrixError(f"no pivot in column {col}")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-        inv = a[col][col]
-        for r in range(n):
-            if r == col or not a[r][col]:
-                continue
-            f = a[r][col] / inv
-            for c in range(col, n):
-                a[r][c] = a[r][c] - f * a[col][c]
-            for c in range(width):
-                b[r][c] = b[r][c] - f * b[col][c]
-
-    out = [[b[r][c] / a[r][r] for c in range(width)] for r in range(n)]
-    if vector_rhs:
-        return [row[0] for row in out]
-    return out
-
-
-def invert(rows):
-    n = len(rows)
-    eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    return solve(rows, eye)
-
-
 def mat_mul(a, b):
     n, k = len(a), len(b)
     if k and any(len(r) != k for r in a):
@@ -126,93 +89,71 @@ def mat_mul(a, b):
     return out
 
 
-def rank(rows):
-    """Rank over an exact field by row reduction."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    width = len(a[0]) if n else 0
-    r = 0
-    for col in range(width):
-        piv = next((i for i in range(r, n) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(n):
-            if i != r and a[i][col]:
-                f = a[i][col] / a[r][col]
-                for c in range(col, width):
-                    a[i][c] = a[i][c] - f * a[r][c]
-        r += 1
-        if r == n:
-            break
-    return r
+def _gaussian_dot(u, v):
+    """Sum of u_k v_k over Gaussian integers (no conjugation)."""
+    re = im = 0
+    for (xr, xi), (yr, yi) in zip(u, v):
+        re += xr * yr - xi * yi
+        im += xr * yi + xi * yr
+    return re, im
 
 
-def null_space(rows, zero=0, one=1):
-    """Basis of {x : A x = 0} over an exact field."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    width = len(a[0]) if n else 0
-    pivots = []
-    r = 0
-    for col in range(width):
-        piv = next((i for i in range(r, n) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][col]
-        a[r] = [v / inv for v in a[r]]
-        for i in range(n):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [zero] * width
-        vec[fc] = one
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = -a[prow][fc]
-        basis.append(vec)
-    return basis
+def gaussian_mat_mul(a, b):
+    """Product of two matrices of Gaussian integers as ``(re, im)`` pairs."""
+    cols = list(zip(*b))
+    return [[_gaussian_dot(row, col) for col in cols] for row in a]
 
 
-def charpoly(rows):
-    """Monic characteristic polynomial by the Faddeev-LeVerrier recurrence.
+def gaussian_charpoly(rows):
+    """Characteristic polynomial det(xI - A) of a Gaussian-integer matrix.
 
-    Returns coefficients ascending in degree, ``poly[k]`` multiplying x^k,
-    with ``poly[n] == 1``.  Scalars must support division by Python ints.
+    Berkowitz's division-free recurrence (Inf. Process. Lett. 18, 1984):
+    bordering the leading block A_k by the column S, the row R and the
+    diagonal entry a multiplies its polynomial by the lower-triangular
+    Toeplitz matrix with first column (1, -a, -RS, -R A_k S, ...,
+    -R A_k^(k-1) S).  Only ring operations occur, so the coefficients
+    are Gaussian integers.  Returns ``(re, im)`` pairs ascending in
+    degree, with ``poly[n] == (1, 0)``.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("characteristic polynomial of a non-square matrix")
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    mk = [list(r) for r in rows]
-    for k in range(1, n + 1):
-        trace = 0
-        for i in range(n):
-            trace = trace + mk[i][i]
-        # ints divide exactly through the rational backend
-        ck = -rational(trace, k) if isinstance(trace, int) else -trace / k
-        coeffs[n - k] = ck
-        if k == n:
-            break
-        for i in range(n):
-            mk[i][i] = mk[i][i] + ck
-        mk = mat_mul(rows, mk)
-    return coeffs
+    poly = [(1, 0)]  # descending in degree while it grows
+    for k in range(n):
+        block = [r[:k] for r in rows[:k]]
+        border = rows[k][:k]
+        vec = [r[k] for r in rows[:k]]
+        ar, ai = rows[k][k]
+        col = [(1, 0), (-ar, -ai)]
+        for j in range(k):
+            if j:
+                vec = [_gaussian_dot(r, vec) for r in block]
+            re, im = _gaussian_dot(border, vec)
+            col.append((-re, -im))
+        poly = [_gaussian_dot(col[i::-1], poly) for i in range(k + 2)]
+    return poly[::-1]
 
 
-def poly_eval(poly, x):
-    out = 0
-    for c in reversed(poly):
-        out = out * x + c
-    return out
+def gaussian_adjugate(rows):
+    """Determinant and adjugate of a Gaussian-integer matrix, division-free.
+
+    With det(xI - A) = sum c_k x^k, Cayley-Hamilton gives
+    adj(A) = (-1)^(n-1) (A^(n-1) + c_(n-1) A^(n-2) + ... + c_1 I) and
+    det(A) = (-1)^n c_0; the sum is evaluated by Horner's rule.  Returns
+    ``(det, adj)``, an ``(re, im)`` pair and a matrix of them.
+    """
+    n = len(rows)
+    poly = gaussian_charpoly(rows)
+    sign = -1 if n % 2 else 1
+    acc = [[(int(i == j), 0) for j in range(n)] for i in range(n)]
+    for cr, ci in reversed(poly[1:n]):
+        acc = gaussian_mat_mul(rows, acc)
+        for i in range(n):
+            re, im = acc[i][i]
+            acc[i][i] = (re + cr, im + ci)
+    det = (sign * poly[0][0], sign * poly[0][1])
+    adj = [[(-sign * re, -sign * im) for re, im in row] for row in acc]
+    return det, adj
 
 
 def poly_normalize(poly):

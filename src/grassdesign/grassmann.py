@@ -4,11 +4,15 @@ A point is an m-dimensional subspace of C^n given by a full-rank m x n
 basis matrix whose rows span it.  Two modes coexist:
 
 * exact mode stores Gaussian-rational entries and never orthonormalizes
-  (that would need square roots); each point keeps its Gram inverse, and
-  principal angles come from the exact characteristic polynomial of the
-  Gram-corrected product of projectors, with one cross-Gram per pair;
-  only configurations with rational spectra are representable, which
-  covers every bundled configuration;
+  (that would need square roots).  Each point also keeps its rows scaled
+  by the lcm of their denominators, as Gaussian integers in ``(re, im)``
+  int pairs, and the determinant and adjugate of their integer Gram
+  matrix.  A pair's angles times det G_a det G_b are the eigenvalues of
+  the integer matrix adj(G_a) C adj(G_b) C^H, C the cross-Gram; its
+  characteristic polynomial comes from a division-free recurrence, and
+  its rescaled monic form is factored by rational-root search.  Only
+  configurations with rational spectra are representable, which covers
+  every bundled configuration;
 * float mode stores complex entries, orthonormalizes once per point
   through a thin SVD (which also reveals the rank) and reads the angles
   off singular values, one batched SVD call per point against all later
@@ -22,18 +26,17 @@ answers every pairwise question from that table.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .exactlinalg import (
-    SingularMatrixError,
-    charpoly,
-    invert,
+    gaussian_adjugate,
+    gaussian_charpoly,
+    gaussian_mat_mul,
     mat_mul,
-    null_space,
-    rank,
     rational_roots,
 )
 from .scalars import CX_ONE, CX_ZERO, ExactComplex, as_exact_complex, rational, rational_to_str
@@ -72,11 +75,13 @@ class SubspacePoint:
     """An m-dimensional subspace of C^n spanned by the rows of ``basis``.
 
     Float points also keep ``frame``, orthonormal columns spanning the
-    subspace; exact points have ``frame = None`` and keep ``gram_inv``, the
-    inverse of their Gram matrix, instead.
+    subspace.  Exact points have ``frame = None`` and keep instead
+    ``rows``, each basis row times the lcm of its denominators as
+    ``(re, im)`` int pairs, with the determinant ``gram_det`` (an int) and
+    the adjugate ``gram_adj`` of the Gram matrix of those rows.
     """
 
-    __slots__ = ("basis", "mode", "m", "n", "frame", "gram_inv")
+    __slots__ = ("basis", "mode", "m", "n", "frame", "rows", "gram_det", "gram_adj")
 
     def __init__(self, basis, mode: str = EXACT):
         if mode == EXACT:
@@ -89,11 +94,14 @@ class SubspacePoint:
                 raise ValueError("ragged basis matrix")
             self.basis = rows
             self.frame = None
-            # the Gram matrix is singular exactly when the rows are dependent
-            try:
-                self.gram_inv = invert(self.gram())
-            except SingularMatrixError:
-                raise RankDeficiencyError(f"basis rank below {self.m}") from None
+            self.rows = [_integer_row(r) for r in rows]
+            gram = gaussian_mat_mul(self.rows, _adjoint(self.rows))
+            det, self.gram_adj = gaussian_adjugate(gram)
+            # Hermitian, so the determinant is real; zero exactly when the
+            # rows are dependent
+            self.gram_det = det[0]
+            if not self.gram_det:
+                raise RankDeficiencyError(f"basis rank below {self.m}")
         elif mode == FLOAT:
             if isinstance(basis, np.ndarray):
                 arr = basis.astype(complex)
@@ -108,7 +116,7 @@ class SubspacePoint:
             arr.setflags(write=False)
             self.basis = arr
             self.frame = _orthonormal_rows(arr)
-            self.gram_inv = None
+            self.rows = self.gram_det = self.gram_adj = None
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
@@ -121,14 +129,6 @@ class SubspacePoint:
         arr = [[complex(v) for v in row] for row in self.basis]
         return SubspacePoint(arr, mode=FLOAT)
 
-    def gram(self):
-        """Pairwise Hermitian products of the basis rows (exact mode)."""
-        a = self.basis
-        return [
-            [_row_inner(a[i], a[j]) for j in range(self.m)]
-            for i in range(self.m)
-        ]
-
     def recombined(self, coeffs) -> "SubspacePoint":
         """Same subspace presented by an invertible recombination of rows."""
         if self.mode == EXACT:
@@ -137,22 +137,6 @@ class SubspacePoint:
             return SubspacePoint(rows, mode=EXACT)
         cf = np.array(coeffs, dtype=complex)
         return SubspacePoint(cf @ self.basis, mode=FLOAT)
-
-    def same_subspace(self, other: "SubspacePoint", tol: float = 1e-8) -> bool:
-        _check_pair(self, other)
-        if self.mode == EXACT:
-            stacked = [list(r) for r in self.basis] + [list(r) for r in other.basis]
-            return rank(stacked) == self.m
-        y = principal_angles(self, other)
-        return all(v > 1 - tol for v in y)
-
-    def orthogonal_complement(self) -> "SubspacePoint":
-        """The (n - m)-dimensional orthogonal complement (exact mode only)."""
-        if self.mode != EXACT:
-            raise ValueError("complement helper is exact-mode only")
-        conj_rows = [[v.conjugate() for v in row] for row in self.basis]
-        kernel = null_space(conj_rows, zero=CX_ZERO, one=CX_ONE)
-        return SubspacePoint(kernel, mode=EXACT)
 
     def to_json(self) -> dict:
         if self.mode == EXACT:
@@ -257,12 +241,10 @@ class SubspaceConfiguration:
         mode = data.get("mode", EXACT)
         pts = [SubspacePoint(p["rows"], mode=mode) for p in points]
         config = SubspaceConfiguration(pts, label=data.get("label", ""))
-        if isinstance(data.get("m"), bool) or isinstance(data.get("n"), bool):
+        declared = (data.get("m"), data.get("n"))
+        # JSON integers only: int() would truncate 1.9 and accept true
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in declared):
             raise ValueError("'m' and 'n' must be integers")
-        try:
-            declared = (int(data["m"]), int(data["n"]))
-        except TypeError:
-            raise ValueError("'m' and 'n' must be integers") from None
         if (config.m, config.n) != declared:
             raise ValueError("declared (m, n) disagree with the point shapes")
         return config
@@ -275,10 +257,17 @@ def _row_inner(u, v) -> ExactComplex:
     return total
 
 
-def _cross_gram(a: SubspacePoint, b: SubspacePoint):
-    return [
-        [_row_inner(ra, rb) for rb in b.basis] for ra in a.basis
-    ]
+def _integer_row(row) -> list:
+    """The row times the lcm of its denominators, as (re, im) int pairs."""
+    parts = [x for v in row for x in (v.re, v.im)]
+    scale = math.lcm(*(int(x.denominator) for x in parts))
+    ints = [int(x.numerator) * (scale // int(x.denominator)) for x in parts]
+    return list(zip(ints[::2], ints[1::2]))
+
+
+def _adjoint(rows) -> list:
+    """Conjugate transpose of a matrix of Gaussian-integer pairs."""
+    return [[(re, -im) for re, im in col] for col in zip(*rows)]
 
 
 def _check_pair(a: SubspacePoint, b: SubspacePoint):
@@ -306,27 +295,39 @@ def _float_angles(frame: np.ndarray, others: np.ndarray) -> list:
     return [tuple(row) for row in (np.clip(s, 0.0, 1.0) ** 2).tolist()]
 
 
+def _angle_polynomial(a: SubspacePoint, b: SubspacePoint) -> list:
+    """Monic polynomial of an exact pair's angles, ascending in degree.
+
+    The integer matrix adj(G_a) C adj(G_b) C^H has the angles times
+    D = det G_a det G_b as eigenvalues; from its division-free
+    characteristic polynomial sum p_k x^k this returns the backend
+    rationals p_k / D^(m-k).
+    """
+    cross = gaussian_mat_mul(a.rows, _adjoint(b.rows))
+    product = gaussian_mat_mul(
+        gaussian_mat_mul(a.gram_adj, cross), gaussian_mat_mul(b.gram_adj, _adjoint(cross))
+    )
+    scale = a.gram_det * b.gram_det
+    poly = []
+    for k, (re, im) in enumerate(gaussian_charpoly(product)):
+        if im:
+            raise ArithmeticError("characteristic polynomial not real")
+        poly.append(rational(re, scale ** (a.m - k)))
+    return poly
+
+
 def principal_angles(a: SubspacePoint, b: SubspacePoint) -> tuple:
     """Descending eigenvalues of the composed projectors, m of them.
 
-    Exact mode computes the characteristic polynomial of the m x m
-    Gram-corrected matrix exactly and factors it by rational-root search;
-    an irrational spectrum raises :class:`IrrationalAnglesError`.
+    Exact mode factors the pair's angle polynomial, computed over
+    Gaussian integers without division, by rational-root search; an
+    irrational spectrum raises :class:`IrrationalAnglesError`.
     """
     _check_pair(a, b)
     if a.mode == FLOAT:
         return _float_angles(a.frame, b.frame[None])[0]
 
-    cross = _cross_gram(a, b)
-    cross_h = [[v.conjugate() for v in col] for col in zip(*cross)]
-    product = mat_mul(mat_mul(a.gram_inv, cross), mat_mul(b.gram_inv, cross_h))
-    poly_cx = charpoly(product)
-    poly = []
-    for c in poly_cx:
-        c = as_exact_complex(c) if not isinstance(c, ExactComplex) else c
-        if c.im:
-            raise ArithmeticError("characteristic polynomial not real")
-        poly.append(c.re)
+    poly = _angle_polynomial(a, b)
     roots, leftover = rational_roots(poly)
     if leftover:
         raise IrrationalAnglesError(
@@ -348,11 +349,14 @@ def symmetry_image(a: SubspacePoint, b: SubspacePoint) -> SubspacePoint:
         cols = b.basis.T
         reflected = 2.0 * (qa @ (qa.conj().T @ cols)) - cols
         return SubspacePoint(reflected.T, mode=FLOAT)
-    proj = mat_mul(mat_mul(_cross_gram(b, a), a.gram_inv), [list(r) for r in a.basis])
-    rows = [
-        [2 * proj[i][k] - b.basis[i][k] for k in range(b.n)]
-        for i in range(b.m)
-    ]
+    # P_a = A^H G^-1 A, and A^H adj(G) A / det G is the same for the
+    # integer rows of a
+    a_rows = [[ExactComplex(*v) for v in row] for row in a.rows]
+    adj = [[ExactComplex(*v) for v in row] for row in a.gram_adj]
+    cross = [[_row_inner(rb, ra) for ra in a_rows] for rb in b.basis]
+    proj = mat_mul(mat_mul(cross, adj), a_rows)
+    twice = rational(2, a.gram_det)
+    rows = [[twice * p - v for p, v in zip(pr, br)] for pr, br in zip(proj, b.basis)]
     return SubspacePoint(rows, mode=EXACT)
 
 
@@ -361,11 +365,6 @@ def antipodal_angles(y: tuple, mode: str, tol: float = 1e-8) -> bool:
     if mode == EXACT:
         return all(v == 0 or v == 1 for v in y)
     return all(min(abs(v), abs(1 - v)) <= tol for v in y)
-
-
-def is_antipodal_pair(a: SubspacePoint, b: SubspacePoint, tol: float = 1e-8) -> bool:
-    """True when every principal angle of the pair lies in {0, 1}."""
-    return antipodal_angles(principal_angles(a, b), a.mode, tol)
 
 
 def coordinate_subspace(indices: Iterable[int], n: int) -> SubspacePoint:

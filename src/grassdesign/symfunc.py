@@ -52,35 +52,12 @@ def _complete_terms(e: list, m: int, upto: int, one) -> list:
     return h
 
 
-def elementary_all(y: Sequence, upto: int) -> list:
-    """e_0 .. e_upto, read off the expanded product prod_j (1 + y_j t)."""
-    vals, exact = prepare_point(y)
-    return _elementary_terms(vals, upto, rational(1) if exact else 1.0)
-
-
-def elementary_eval(i: int, y: Sequence):
-    """Elementary symmetric polynomial e_i(y); zero when i exceeds len(y)."""
-    if i < 0:
-        raise ValueError(f"negative index {i}")
-    vals, exact = prepare_point(y)
-    if i > len(vals):
-        return rational(0) if exact else 0.0
-    return elementary_all(vals, i)[i]
-
-
 def complete_all(y: Sequence, upto: int) -> list:
     """h_0 .. h_upto via the exact recurrence h_k = sum_j (-1)^{j-1} e_j h_{k-j}."""
     vals, exact = prepare_point(y)
     m = len(vals)
     one = rational(1) if exact else 1.0
     return _complete_terms(_elementary_terms(vals, min(upto, m), one), m, upto, one)
-
-
-def complete_eval(i: int, y: Sequence):
-    """Complete homogeneous symmetric polynomial h_i(y)."""
-    if i < 0:
-        raise ValueError(f"negative index {i}")
-    return complete_all(y, i)[i]
 
 
 def schur_eval(mu: Partition, y: Sequence):

@@ -1,0 +1,237 @@
+"""Field-arithmetic helpers kept as oracles for the package's exact code.
+
+The package computes exact pair geometry over Gaussian integers without
+dividing; these helpers are the older, independent routes through
+Gaussian-rational elimination and the Faddeev-LeVerrier recurrence that
+the tests check it against:
+
+* ``solve``, ``invert``, ``rank``, ``null_space``: Gaussian elimination
+  over an exact field;
+* ``charpoly``: the monic characteristic polynomial by Faddeev-LeVerrier,
+  and ``angle_polynomial``, the polynomial of a pair's principal angles
+  built from Gram inverses;
+* ``same_subspace``, ``orthogonal_complement``, ``is_antipodal_pair``:
+  point-level questions answered from the basis rows;
+* ``elementary_all``, ``elementary_eval``, ``complete_eval``: scalar
+  symmetric-function evaluators.
+"""
+
+from grassdesign.exactlinalg import mat_mul
+from grassdesign.grassmann import (
+    EXACT,
+    SubspacePoint,
+    _check_pair,
+    antipodal_angles,
+    principal_angles,
+)
+from grassdesign.scalars import CX_ONE, CX_ZERO, ExactComplex, rational
+from grassdesign.symfunc import _elementary_terms, complete_all, prepare_point
+
+
+class SingularMatrixError(ArithmeticError):
+    """Exact linear system has no unique solution."""
+
+
+def solve(rows, rhs):
+    """Solve A x = b by Gaussian elimination over an exact field.
+
+    ``rhs`` may be a vector or a matrix (list of rows); pivots are the
+    first exactly-nonzero entries, so do not use this on floats.
+    """
+    n = len(rows)
+    vector_rhs = rhs and not isinstance(rhs[0], (list, tuple))
+    b = [[v] for v in rhs] if vector_rhs else [list(r) for r in rhs]
+    a = [list(r) for r in rows]
+    if len(b) != n:
+        raise ValueError("right-hand side length mismatch")
+    width = len(b[0]) if n else 0
+
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            raise SingularMatrixError(f"no pivot in column {col}")
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            b[col], b[piv] = b[piv], b[col]
+        inv = a[col][col]
+        for r in range(n):
+            if r == col or not a[r][col]:
+                continue
+            f = a[r][col] / inv
+            for c in range(col, n):
+                a[r][c] = a[r][c] - f * a[col][c]
+            for c in range(width):
+                b[r][c] = b[r][c] - f * b[col][c]
+
+    out = [[b[r][c] / a[r][r] for c in range(width)] for r in range(n)]
+    if vector_rhs:
+        return [row[0] for row in out]
+    return out
+
+
+def invert(rows):
+    n = len(rows)
+    eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return solve(rows, eye)
+
+
+def rank(rows):
+    """Rank over an exact field by row reduction."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    width = len(a[0]) if n else 0
+    r = 0
+    for col in range(width):
+        piv = next((i for i in range(r, n) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(n):
+            if i != r and a[i][col]:
+                f = a[i][col] / a[r][col]
+                for c in range(col, width):
+                    a[i][c] = a[i][c] - f * a[r][c]
+        r += 1
+        if r == n:
+            break
+    return r
+
+
+def null_space(rows, zero=0, one=1):
+    """Basis of {x : A x = 0} over an exact field."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    width = len(a[0]) if n else 0
+    pivots = []
+    r = 0
+    for col in range(width):
+        piv = next((i for i in range(r, n) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = a[r][col]
+        a[r] = [v / inv for v in a[r]]
+        for i in range(n):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+        if r == n:
+            break
+    free = [c for c in range(width) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [zero] * width
+        vec[fc] = one
+        for prow, pcol in enumerate(pivots):
+            vec[pcol] = -a[prow][fc]
+        basis.append(vec)
+    return basis
+
+
+def charpoly(rows):
+    """Monic characteristic polynomial by the Faddeev-LeVerrier recurrence.
+
+    Returns coefficients ascending in degree, ``poly[k]`` multiplying x^k,
+    with ``poly[n] == 1``.  Scalars must support division by Python ints.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    mk = [list(r) for r in rows]
+    for k in range(1, n + 1):
+        trace = 0
+        for i in range(n):
+            trace = trace + mk[i][i]
+        # ints divide exactly through the rational backend
+        ck = -rational(trace, k) if isinstance(trace, int) else -trace / k
+        coeffs[n - k] = ck
+        if k == n:
+            break
+        for i in range(n):
+            mk[i][i] = mk[i][i] + ck
+        mk = mat_mul(rows, mk)
+    return coeffs
+
+
+def poly_eval(poly, x):
+    out = 0
+    for c in reversed(poly):
+        out = out * x + c
+    return out
+
+
+def _hermitian_products(a_rows, b_rows):
+    return [
+        [sum((x * y.conjugate() for x, y in zip(u, v)), CX_ZERO) for v in b_rows]
+        for u in a_rows
+    ]
+
+
+def angle_polynomial(a: SubspacePoint, b: SubspacePoint) -> list:
+    """Monic polynomial of the pair's angles, from the Gaussian-rational bases.
+
+    The Faddeev-LeVerrier polynomial of G_a^-1 C G_b^-1 C^H, with G the
+    Gram matrices and C the cross-Gram of the rows as given; returns
+    backend rationals ascending in degree.
+    """
+    cross = _hermitian_products(a.basis, b.basis)
+    cross_h = [[v.conjugate() for v in col] for col in zip(*cross)]
+    gram_inv_a = invert(_hermitian_products(a.basis, a.basis))
+    gram_inv_b = invert(_hermitian_products(b.basis, b.basis))
+    product = mat_mul(mat_mul(gram_inv_a, cross), mat_mul(gram_inv_b, cross_h))
+    poly = []
+    for c in charpoly(product):
+        c = c if isinstance(c, ExactComplex) else ExactComplex(c)
+        assert not c.im
+        poly.append(c.re)
+    return poly
+
+
+def same_subspace(p: SubspacePoint, q: SubspacePoint, tol: float = 1e-8) -> bool:
+    _check_pair(p, q)
+    if p.mode == EXACT:
+        stacked = [list(r) for r in p.basis] + [list(r) for r in q.basis]
+        return rank(stacked) == p.m
+    y = principal_angles(p, q)
+    return all(v > 1 - tol for v in y)
+
+
+def orthogonal_complement(p: SubspacePoint) -> SubspacePoint:
+    """The (n - m)-dimensional orthogonal complement (exact mode only)."""
+    if p.mode != EXACT:
+        raise ValueError("complement helper is exact-mode only")
+    conj_rows = [[v.conjugate() for v in row] for row in p.basis]
+    kernel = null_space(conj_rows, zero=CX_ZERO, one=CX_ONE)
+    return SubspacePoint(kernel, mode=EXACT)
+
+
+def is_antipodal_pair(a: SubspacePoint, b: SubspacePoint, tol: float = 1e-8) -> bool:
+    """True when every principal angle of the pair lies in {0, 1}."""
+    return antipodal_angles(principal_angles(a, b), a.mode, tol)
+
+
+def elementary_all(y, upto: int) -> list:
+    """e_0 .. e_upto, read off the expanded product prod_j (1 + y_j t)."""
+    vals, exact = prepare_point(y)
+    return _elementary_terms(vals, upto, rational(1) if exact else 1.0)
+
+
+def elementary_eval(i: int, y):
+    """Elementary symmetric polynomial e_i(y); zero when i exceeds len(y)."""
+    if i < 0:
+        raise ValueError(f"negative index {i}")
+    vals, exact = prepare_point(y)
+    if i > len(vals):
+        return rational(0) if exact else 0.0
+    return elementary_all(vals, i)[i]
+
+
+def complete_eval(i: int, y):
+    """Complete homogeneous symmetric polynomial h_i(y)."""
+    if i < 0:
+        raise ValueError(f"negative index {i}")
+    return complete_all(y, i)[i]

@@ -23,7 +23,6 @@ from grassdesign.designs import (
 from grassdesign.grassmann import (
     SubspaceConfiguration,
     great_antipodal,
-    is_antipodal_pair,
     orthogonal_split_config,
     random_subspace,
     six_point_config,
@@ -47,6 +46,7 @@ from grassdesign.zonal import (
 )
 
 from closed_forms import schur_in_zonal_basis, zonal_product_column
+from exact_oracles import is_antipodal_pair
 
 
 def criterion(number, limit_s, description):

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, JSON shape, determinism, file formats."""
 
+import hashlib
 import json
 import random
 import time
@@ -50,6 +51,18 @@ def test_antipodal_verified(capsys):
     entries = doc["result"]["report"]["entries"]
     constrained = [e for e in entries if any(e["mu"])]
     assert constrained and all(e["defect"] == "0" for e in constrained)
+
+
+def test_largest_exact_antipodal_result_is_pinned(capsys):
+    # G(4, 8): 70 points, 2485 pair angles; SHA-256 of the canonical JSON
+    # of the result, recorded before the pair layer moved to Gaussian integers
+    code, doc = run_json(capsys, "antipodal", "--m", "4", "--n", "8", "--verify", "E+F")
+    assert code == 0
+    text = json.dumps(doc["result"], sort_keys=True, separators=(",", ":"))
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "c8383a2fe30bd018f9b43f97d84aeb1c6831dfb1802bff7990b000142915baa7"
+    )
 
 
 def test_six_point_command_split_verdicts(capsys):
@@ -196,7 +209,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     # a zero denominator, a float entry in an exact configuration, a
     # top-level list, rows that are not a list of lists, a non-integer
     # declared rank, a non-numeric float entry, boolean entries in exact
-    # and float mode and a boolean declared rank
+    # and float mode, a boolean declared rank and non-integral declared
+    # m and n
     good = {"m": 1, "n": 2, "mode": "exact", "points": [{"rows": [["1", "0"]]}]}
     bad_configs = [
         dict(good, points=[{"rows": [["1/0", "1"]]}]),
@@ -210,6 +224,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         dict(good, points=[{"rows": [[True, False]]}]),
         dict(good, mode="float", points=[{"rows": [[True, False]]}]),
         dict(good, m=True),
+        dict(good, m=1.9),
+        dict(good, n=2.5),
     ]
     for config in bad_configs:
         path = tmp_path / "bad.json"

@@ -6,21 +6,26 @@ import pytest
 
 from grassdesign.exactlinalg import (
     RootSearchLimitError,
-    SingularMatrixError,
-    charpoly,
     det,
-    invert,
+    gaussian_adjugate,
+    gaussian_charpoly,
     mat_mul,
-    null_space,
     poly_divmod,
-    poly_eval,
     poly_gcd,
-    rank,
     rational_roots,
-    solve,
     square_free_part,
 )
 from grassdesign.scalars import ExactComplex, rational
+
+from exact_oracles import (
+    SingularMatrixError,
+    charpoly,
+    invert,
+    null_space,
+    poly_eval,
+    rank,
+    solve,
+)
 
 
 def random_rational_matrix(n, seed, lo=-5, hi=5):
@@ -83,14 +88,42 @@ def test_rank_and_null_space():
             assert sum(c * v for c, v in zip(row, vec)) == 0
 
 
+def random_gaussian_int_matrix(n, seed, lo=-6, hi=6):
+    rng = random.Random(seed)
+    return [[(rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(n)] for _ in range(n)]
+
+
+def as_gaussian_rationals(rows):
+    return [[ExactComplex(re, im) for re, im in row] for row in rows]
+
+
 def test_charpoly_matches_det_of_shifted_matrix():
-    for seed in range(6):
-        n = 2 + seed % 3
-        m = random_rational_matrix(n, 100 + seed)
-        poly = charpoly(m)
-        for x in (rational(0), rational(1), rational(-2), rational(1, 2)):
-            shifted = [[x * (1 if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
+    points = [ExactComplex(0), ExactComplex(1), ExactComplex(-2), ExactComplex(3, -1), ExactComplex(0, 2)]
+    for seed in range(10):
+        n = 1 + seed % 5
+        m = random_gaussian_int_matrix(n, 100 + seed)
+        poly = [ExactComplex(re, im) for re, im in gaussian_charpoly(m)]
+        assert len(poly) == n + 1 and poly[n] == 1
+        exact = as_gaussian_rationals(m)
+        for x in points:
+            shifted = [[x * (1 if i == j else 0) - exact[i][j] for j in range(n)] for i in range(n)]
             assert poly_eval(poly, x) == det(shifted)
+    assert gaussian_charpoly([]) == [(1, 0)]
+
+
+def test_gaussian_adjugate():
+    for seed in range(10):
+        n = 1 + seed % 5
+        m = random_gaussian_int_matrix(n, 300 + seed)
+        (dr, di), adj = gaussian_adjugate(m)
+        exact = as_gaussian_rationals(m)
+        assert ExactComplex(dr, di) == det(exact)
+        scalar = [[ExactComplex(dr, di) if i == j else 0 for j in range(n)] for i in range(n)]
+        assert mat_mul(exact, as_gaussian_rationals(adj)) == scalar
+        assert mat_mul(as_gaussian_rationals(adj), exact) == scalar
+    # a singular matrix has determinant 0 and a nonzero adjugate of rank one
+    det_pair, adj = gaussian_adjugate([[(1, 1), (2, 2)], [(1, 0), (2, 0)]])
+    assert det_pair == (0, 0) and adj == [[(2, 0), (-2, -2)], [(-1, 0), (1, 1)]]
 
 
 def test_charpoly_over_gaussian_rationals():

@@ -1,6 +1,7 @@
 """Subspace geometry: angles, symmetries, antipodality, configurations."""
 
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from grassdesign.grassmann import (
     SubspacePoint,
     coordinate_subspace,
     great_antipodal,
-    is_antipodal_pair,
     orthogonal_split_config,
     principal_angles,
     random_subspace,
@@ -23,6 +23,8 @@ from grassdesign.grassmann import (
 )
 from grassdesign.partitions import binom
 from grassdesign.scalars import rational
+
+from exact_oracles import is_antipodal_pair, orthogonal_complement, same_subspace
 
 HALF = rational(1, 2)
 
@@ -57,7 +59,7 @@ class TestSubspacePoint:
         data = p.to_json()
         assert data["rows"][0][1] == "0+1*i"
         q = SubspacePoint(data["rows"], mode=EXACT)
-        assert q.same_subspace(p)
+        assert same_subspace(q, p)
 
     def test_mode_mismatch_rejected(self):
         a = coordinate_subspace([0, 1], 4)
@@ -145,37 +147,37 @@ class TestPrincipalAngles:
 class TestSymmetry:
     def test_fixes_base_point(self):
         a = coordinate_subspace([0, 3], 5)
-        assert symmetry_image(a, a).same_subspace(a)
+        assert same_subspace(symmetry_image(a, a), a)
 
     def test_fixes_coordinate_subspaces(self):
         pts = great_antipodal(2, 5)
         for a in pts:
             for b in pts:
-                assert symmetry_image(a, b).same_subspace(b)
+                assert same_subspace(symmetry_image(a, b), b)
 
     def test_involution(self):
         a = coordinate_subspace([0, 1], 4)
         b = six_point_config()[4]
         image = symmetry_image(a, b)
-        assert symmetry_image(a, image).same_subspace(b)
+        assert same_subspace(symmetry_image(a, image), b)
 
     def test_moves_non_antipodal_pairs(self):
         x = six_point_config()
-        assert not symmetry_image(x[2], x[4]).same_subspace(x[4])
+        assert not same_subspace(symmetry_image(x[2], x[4]), x[4])
 
     def test_float_mode(self):
         a = random_subspace(2, 4, seed=11)
         b = random_subspace(2, 4, seed=12)
         image = symmetry_image(a, b)
         back = symmetry_image(a, image)
-        assert back.same_subspace(b)
+        assert same_subspace(back, b)
 
     def test_complement_is_fixed_and_orthogonal(self):
         a = coordinate_subspace([0, 1], 4)
-        comp = a.orthogonal_complement()
+        comp = orthogonal_complement(a)
         assert comp.m == 2
         assert principal_angles(a, comp) == (0, 0)
-        assert symmetry_image(a, comp).same_subspace(comp)
+        assert same_subspace(symmetry_image(a, comp), comp)
 
 
 class TestAntipodality:
@@ -203,6 +205,23 @@ class TestConfigurations:
         with pytest.raises(ValueError):
             great_antipodal(2, 3)
 
+    @pytest.mark.parametrize(
+        "m, n", [(m, n) for m in (1, 2, 3) for n in range(2 * m, 2 * m + 3)] + [(4, 8)]
+    )
+    def test_great_antipodal_pair_table_is_johnson_scheme(self, m, n):
+        # coordinate sets I, J with |I & J| = k have angles (1^k, 0^(m-k)),
+        # and C(n,m) C(m,k) C(n-m,m-k) ordered pairs meet in k coordinates
+        s = great_antipodal(m, n)
+        subsets = [set(c) for c in combinations(range(n), m)]
+        for (i, j), y in s.pair_angles().items():
+            k = len(subsets[i] & subsets[j])
+            assert y == (1,) * k + (0,) * (m - k)
+        expected = {
+            (1,) * k + (0,) * (m - k): binom(n, m) * binom(m, k) * binom(n - m, m - k)
+            for k in range(m + 1)
+        }
+        assert s.angle_classes() == expected
+
     def test_great_antipodal_on_projective_line(self):
         s = great_antipodal(1, 2)
         assert len(s) == 2
@@ -212,7 +231,7 @@ class TestConfigurations:
         o = orthogonal_split_config(2, 4)
         assert len(o) == 2
         assert principal_angles(o[0], o[1]) == (0, 0)
-        assert o[0].same_subspace(coordinate_subspace([0, 1], 4))
+        assert same_subspace(o[0], coordinate_subspace([0, 1], 4))
         with pytest.raises(ValueError):
             orthogonal_split_config(2, 5)
 

@@ -12,9 +12,6 @@ from grassdesign.partitions import Partition, binom, column_shape, enumerate_up_
 from grassdesign.scalars import rational
 from grassdesign.symfunc import (
     SchurExpansion,
-    complete_eval,
-    elementary_all,
-    elementary_eval,
     normalized_schur_batch,
     normalized_schur_eval,
     schur_eval,
@@ -23,6 +20,7 @@ from grassdesign.symfunc import (
 )
 
 from closed_forms import pieri_e1
+from exact_oracles import complete_eval, elementary_all, elementary_eval
 
 
 def schur_eval_giambelli(mu, y):
