@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -42,9 +43,22 @@ _ERROR_CODES = {
     RootSearchLimitError: "root-search-limit",
 }
 
+CERTIFICATES = {
+    "E": designs.certificate_product,
+    "F": designs.certificate_antipodal,
+    "one": designs.certificate_average,
+}
+
 
 def _default_seed() -> int:
     return int(os.environ.get("GRASSDESIGN_SEED", "0"))
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
 
 
 def _parse_mu(text: str, m: int) -> Partition:
@@ -129,12 +143,7 @@ def cmd_verify_design(args) -> tuple:
 
 
 def cmd_bound(args) -> tuple:
-    builders = {
-        "E": designs.certificate_product,
-        "F": designs.certificate_antipodal,
-        "one": designs.certificate_average,
-    }
-    cert = builders[args.certificate](args.m, args.n)
+    cert = CERTIFICATES[args.certificate](args.m, args.n)
     record = designs.lp_bound(cert)
     result = {
         "certificate": args.certificate,
@@ -180,12 +189,7 @@ def cmd_appendix_b(args) -> tuple:
 
 
 def cmd_check_nonneg(args) -> tuple:
-    builders = {
-        "E": designs.certificate_product,
-        "F": designs.certificate_antipodal,
-        "one": designs.certificate_average,
-    }
-    cert = builders[args.certificate](args.m, args.n)
+    cert = CERTIFICATES[args.certificate](args.m, args.n)
     report = designs.check_nonnegativity(
         cert, grid_depth=args.depth, samples=args.samples, seed=args.seed
     )
@@ -210,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--m", type=int, required=True)
             p.add_argument("--n", type=int, required=True)
         if verify:
-            p.add_argument("--tol", type=float, default=designs.DEFAULT_TOL)
+            p.add_argument("--tol", type=_tolerance, default=designs.DEFAULT_TOL)
         if tabular:
             p.add_argument("--emit", choices=("json", "csv"), default="json")
 
@@ -234,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_design)
 
     p = sub.add_parser("bound", help="linear-programming cardinality bound of a certificate")
-    p.add_argument("--certificate", choices=("E", "F", "one"), required=True)
+    p.add_argument("--certificate", choices=CERTIFICATES, required=True)
     common(p)
     p.set_defaults(fn=cmd_bound)
 
@@ -249,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_appendix_b)
 
     p = sub.add_parser("check-nonneg", help="grid evidence that a certificate is nonnegative")
-    p.add_argument("--certificate", choices=("E", "F", "one"), required=True)
+    p.add_argument("--certificate", choices=CERTIFICATES, required=True)
     p.add_argument("--depth", type=int, default=20)
     p.add_argument("--samples", type=int, default=0)
     common(p)

@@ -5,10 +5,10 @@ kernel sum sum_{a,b in X} Z_mu(y(a, b)) vanishes; the component sums are
 the "defects" reported here.  Defects come from Schur moments
 M_sigma = sum over angle classes y of count(y) * X*_sigma(y), computed once
 per test family for the union of its kernels' supports; each defect is
-its kernel's expansion dotted with the moments.  In float mode all
-moments come from one batched numpy evaluation over the class angle
-vectors; in exact mode the regrouped sums are exactly the per-class ones.
-A coefficient function c with positive
+its kernel's expansion dotted with the moments.  All moments come from
+one batched evaluation over the class angle vectors, exact rationals for
+exact configurations and one numpy pass for float ones; the same code
+serves both modes.  A coefficient function c with positive
 constant term and pointwise-nonnegative kernel combination F certifies
 the cardinality bound F(1,..,1)/c_(0) for any configuration averaging
 the components where c is positive.
@@ -44,7 +44,7 @@ from .partitions import (
     row_shape,
 )
 from .scalars import as_rational, is_exact_real, rational, rational_to_str
-from .symfunc import SchurExpansion, normalized_schur_batch, normalized_schur_eval
+from .symfunc import SchurExpansion, normalized_schur_batch
 from .zonal import harmonic_dim, zonal_kernel
 from .grassmann import EXACT, SubspaceConfiguration
 
@@ -83,19 +83,12 @@ def parse_family(spec: str, m: int) -> List[Partition]:
 def schur_moments(config: SubspaceConfiguration, sigmas: Sequence[Partition]) -> dict:
     """M_sigma = sum over ordered pairs of X*_sigma(y(a, b)), for each sigma.
 
-    Summed over angle classes with their multiplicities; float mode
-    evaluates every sigma at every class in one batched pass.
+    Summed over angle classes with their multiplicities, every sigma at
+    every class in one batched evaluation.  The counts stay integers, so
+    exact moments stay backend rationals.
     """
     classes = config.angle_classes()
-    if config.mode == EXACT:
-        return {
-            sigma: sum(
-                (count * normalized_schur_eval(sigma, y) for y, count in classes.items()),
-                rational(0),
-            )
-            for sigma in sigmas
-        }
-    counts = np.array(list(classes.values()), dtype=float)
+    counts = np.array(list(classes.values()), dtype=int)
     values = (normalized_schur_batch(sigmas, list(classes)) * counts).sum(axis=1)
     return dict(zip(sigmas, values.tolist()))
 
@@ -108,12 +101,10 @@ def _defects(config: SubspaceConfiguration, family: Sequence[Partition]) -> list
     expansions = [zonal_kernel(mu, config.n).expansion for mu in family]
     sigmas = sorted({s for e in expansions for s in e.coeffs}, key=Partition.sort_key)
     moments = schur_moments(config, sigmas)
-    if config.mode == EXACT:
-        return [
-            sum((c * moments[s] for s, c in e.coeffs.items()), rational(0))
-            for e in expansions
-        ]
-    return [sum(float(c) * moments[s] for s, c in e.coeffs.items()) for e in expansions]
+    return [
+        sum((c * moments[s] for s, c in e.coeffs.items()), rational(0))
+        for e in expansions
+    ]
 
 
 def design_defect(config: SubspaceConfiguration, mu: Partition):

@@ -71,6 +71,11 @@ class RankDeficiencyError(ValueError):
     """Basis rows do not span an m-dimensional subspace."""
 
 
+def _check_shape(m: int, n: int):
+    if m < 1 or n < m:
+        raise ValueError(f"bad shape ({m}, {n}): need 1 <= m <= n")
+
+
 class SubspacePoint:
     """An m-dimensional subspace of C^n spanned by the rows of ``basis``.
 
@@ -92,6 +97,7 @@ class SubspacePoint:
             self.n = len(rows[0]) if rows else 0
             if any(len(r) != self.n for r in rows):
                 raise ValueError("ragged basis matrix")
+            _check_shape(self.m, self.n)
             self.basis = rows
             self.frame = None
             self.rows = [_integer_row(r) for r in rows]
@@ -113,6 +119,7 @@ class SubspacePoint:
             if arr.ndim != 2:
                 raise ValueError("basis must be a matrix")
             self.m, self.n = arr.shape
+            _check_shape(self.m, self.n)
             arr.setflags(write=False)
             self.basis = arr
             self.frame = _orthonormal_rows(arr)
@@ -120,8 +127,6 @@ class SubspacePoint:
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
-        if self.m < 1 or self.n < self.m:
-            raise ValueError(f"bad shape ({self.m}, {self.n})")
 
     def to_float(self) -> "SubspacePoint":
         if self.mode == FLOAT:

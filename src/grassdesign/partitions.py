@@ -8,10 +8,11 @@ the Schur-polynomial bases used throughout the package.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations_with_replacement
 from typing import Iterable, Optional
 
-from .scalars import ONE, rational
+from .scalars import rational
 
 
 class Partition:
@@ -139,16 +140,15 @@ def hook_shape(i: int, m: int) -> Partition:
 def binom(k: int, r: int):
     """Exact binomial coefficient for any integer k and r >= 0.
 
-    Defined as prod_{i=0}^{r-1} (k-i)/(r-i); returns a backend rational
-    (always integer-valued for integer k).  Vanishes for 0 <= k < r and
-    satisfies binom(-k, r) = (-1)^r binom(k+r-1, r).
+    Equals prod_{i=0}^{r-1} (k-i)/(r-i), returned as a backend rational.
+    Vanishes for 0 <= k < r; negative k reduces to nonnegative through
+    binom(k, r) = (-1)^r binom(r-k-1, r).
     """
     if r < 0:
         raise ValueError(f"lower index must be nonnegative, got {r}")
-    out = ONE
-    for i in range(r):
-        out = out * (k - i) / (r - i)
-    return out
+    if k >= 0:
+        return rational(math.comb(k, r))
+    return rational((-1) ** r * math.comb(r - k - 1, r))
 
 
 def ascending(c, s: int):

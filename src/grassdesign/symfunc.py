@@ -5,28 +5,23 @@ or backend rationals) keep every operation exact; a single float entry
 switches the whole evaluation to floating point.  Schur polynomials are
 evaluated through the Jacobi-Trudi determinant, which stays well defined
 at repeated coordinates (the all-ones point matters everywhere here).
-:func:`normalized_schur_batch` evaluates many shapes at many float points
-in one numpy pass: the same e/h recurrences run column-wise, and the
-stacked Jacobi-Trudi matrices go through ``numpy.linalg.det``.
+One evaluator, :func:`normalized_schur_batch`, serves both modes: it
+decides the mode once per call, builds e_k and h_k once per point (one
+numpy column per k in float mode) and each shape's Jacobi-Trudi index
+matrix once, then takes exact determinants through
+:func:`exactlinalg.det` or stacked float ones through
+``numpy.linalg.det``.  The scalar evaluators delegate to it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
 from . import exactlinalg
 from .partitions import Partition
 from .scalars import as_rational, is_exact_real, rational, rational_to_str
-
-
-def prepare_point(y: Sequence) -> Tuple[tuple, bool]:
-    """Coerce an evaluation point, returning (values, exact_flag)."""
-    vals = tuple(y)
-    if all(is_exact_real(v) for v in vals):
-        return tuple(as_rational(v) for v in vals), True
-    return tuple(float(v) for v in vals), False
 
 
 def _elementary_terms(vals, upto: int, one) -> list:
@@ -52,33 +47,6 @@ def _complete_terms(e: list, m: int, upto: int, one) -> list:
     return h
 
 
-def complete_all(y: Sequence, upto: int) -> list:
-    """h_0 .. h_upto via the exact recurrence h_k = sum_j (-1)^{j-1} e_j h_{k-j}."""
-    vals, exact = prepare_point(y)
-    m = len(vals)
-    one = rational(1) if exact else 1.0
-    return _complete_terms(_elementary_terms(vals, min(upto, m), one), m, upto, one)
-
-
-def schur_eval(mu: Partition, y: Sequence):
-    """Schur polynomial via the Jacobi-Trudi determinant det(h_{mu_i - i + j})."""
-    vals, exact = prepare_point(y)
-    if mu.m != len(vals):
-        raise ValueError(f"partition ambient {mu.m} vs point length {len(vals)}")
-    ell = mu.length_index()
-    if ell == 0:
-        return rational(1) if exact else 1.0
-    top = mu.parts[0] + ell - 1
-    h = complete_all(vals, top)
-    zero = rational(0) if exact else 0.0
-
-    def h_at(k):
-        return h[k] if 0 <= k <= top else zero
-
-    rows = [[h_at(mu.parts[i] - (i + 1) + (j + 1)) for j in range(ell)] for i in range(ell)]
-    return exactlinalg.det(rows)
-
-
 def schur_norm(mu: Partition):
     """Value at the all-ones point, prod_{i<j} (mu_i - mu_j + j - i)/(j - i)."""
     out = rational(1)
@@ -89,40 +57,61 @@ def schur_norm(mu: Partition):
     return out
 
 
-def normalized_schur_eval(mu: Partition, y: Sequence):
-    """Schur polynomial scaled to equal 1 at the all-ones point."""
-    vals, exact = prepare_point(y)
-    norm = schur_norm(mu)
-    val = schur_eval(mu, vals)
-    return val / norm if exact else val / float(norm)
-
-
 def normalized_schur_batch(sigmas: Sequence[Partition], points) -> np.ndarray:
-    """X*_sigma at every row of a float (N, m) array, one output row per sigma.
+    """X*_sigma at every point of an (N, m) sequence, one output row per sigma.
 
-    The float counterpart of :func:`normalized_schur_eval` for many shapes
-    at many points: e_k and h_k are built column-wise once, up to the
-    largest index any Jacobi-Trudi matrix needs.
+    When every coordinate is exact the result is an object array of
+    backend rationals, otherwise a float array.  h_k with k < 0 is read
+    from an appended zero at index -1 of each point's h list or array.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be an (N, m) array")
-    count, m = pts.shape
-    for sigma in sigmas:
+    top = max((s.parts[0] + s.length_index() - 1 for s in sigmas if not s.is_zero()), default=0)
+    if all(is_exact_real(v) for y in points for v in y):
+        pts = [tuple(as_rational(v) for v in y) for y in points]
+        widths = {len(y) for y in pts}
+        if len(widths) != 1:
+            raise ValueError("points must be an (N, m) array")
+        (m,) = widths
+        one = rational(1)
+        hs = [
+            _complete_terms(_elementary_terms(y, min(top, m), one), m, top, one) + [one * 0]
+            for y in pts
+        ]
+        out = np.full((len(sigmas), len(pts)), one, dtype=object)
+
+        def jacobi_trudi(idx, norm):
+            return [exactlinalg.det([[hy[k] for k in row] for row in idx]) / norm for hy in hs]
+
+    else:
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2:
+            raise ValueError("points must be an (N, m) array")
+        m = pts.shape[1]
+        one = np.ones(len(pts))
+        e = _elementary_terms(pts.T, min(top, m), one)
+        h = np.stack(_complete_terms(e, m, top, one) + [one * 0], axis=1)
+        out = np.ones((len(sigmas), len(pts)))
+
+        def jacobi_trudi(idx, norm):
+            return np.linalg.det(h[:, idx]) / float(norm)
+
+    for r, sigma in enumerate(sigmas):
         if sigma.m != m:
             raise ValueError(f"partition ambient {sigma.m} vs point length {m}")
-    top = max((s.parts[0] + s.length_index() - 1 for s in sigmas if not s.is_zero()), default=0)
-    one = np.ones(count)
-    e = _elementary_terms(pts.T, min(top, m), one)
-    # the appended zero column, index -1, stands for every h_k with k < 0
-    h = np.stack(_complete_terms(e, m, top, one) + [one * 0], axis=1)
-    out = np.ones((len(sigmas), count))
-    for r, sigma in enumerate(sigmas):
         ell = sigma.length_index()
         if ell:
             idx = [[max(sigma.parts[i] - i + j, -1) for j in range(ell)] for i in range(ell)]
-            out[r] = np.linalg.det(h[:, idx]) / float(schur_norm(sigma))
+            out[r] = jacobi_trudi(idx, schur_norm(sigma))
     return out
+
+
+def normalized_schur_eval(mu: Partition, y: Sequence):
+    """Schur polynomial scaled to equal 1 at the all-ones point."""
+    return normalized_schur_batch([mu], [tuple(y)])[0, 0]
+
+
+def schur_eval(mu: Partition, y: Sequence):
+    """Schur polynomial s_mu(y), i.e. X*_mu(y) times :func:`schur_norm`."""
+    return schur_norm(mu) * normalized_schur_eval(mu, y)
 
 
 class SchurExpansion:
@@ -158,14 +147,11 @@ class SchurExpansion:
         return [(sigma, self.coeffs[sigma]) for sigma in self.support()]
 
     def evaluate(self, y: Sequence):
-        vals, exact = prepare_point(y)
-        if len(vals) != self.m:
-            raise ValueError(f"point length {len(vals)} vs ambient {self.m}")
-        total = rational(0) if exact else 0.0
-        for sigma, c in self.coeffs.items():
-            coeff = c if exact else float(c)
-            total = total + coeff * normalized_schur_eval(sigma, vals)
-        return total
+        y = tuple(y)
+        if len(y) != self.m:
+            raise ValueError(f"point length {len(y)} vs ambient {self.m}")
+        column = normalized_schur_batch(list(self.coeffs), [y])[:, 0]
+        return sum((c * v for c, v in zip(self.coeffs.values(), column)), rational(0))
 
     def at_ones(self):
         return sum(self.coeffs.values(), rational(0))

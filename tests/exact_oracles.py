@@ -12,8 +12,9 @@ the tests check it against:
   built from Gram inverses;
 * ``same_subspace``, ``orthogonal_complement``, ``is_antipodal_pair``:
   point-level questions answered from the basis rows;
-* ``elementary_all``, ``elementary_eval``, ``complete_eval``: scalar
-  symmetric-function evaluators.
+* ``prepare_point``, ``elementary_all``, ``complete_all``,
+  ``elementary_eval``, ``complete_eval``: scalar symmetric-function
+  evaluators, one point at a time.
 """
 
 from grassdesign.exactlinalg import mat_mul
@@ -24,8 +25,15 @@ from grassdesign.grassmann import (
     antipodal_angles,
     principal_angles,
 )
-from grassdesign.scalars import CX_ONE, CX_ZERO, ExactComplex, rational
-from grassdesign.symfunc import _elementary_terms, complete_all, prepare_point
+from grassdesign.scalars import (
+    CX_ONE,
+    CX_ZERO,
+    ExactComplex,
+    as_rational,
+    is_exact_real,
+    rational,
+)
+from grassdesign.symfunc import _complete_terms, _elementary_terms
 
 
 class SingularMatrixError(ArithmeticError):
@@ -214,10 +222,26 @@ def is_antipodal_pair(a: SubspacePoint, b: SubspacePoint, tol: float = 1e-8) -> 
     return antipodal_angles(principal_angles(a, b), a.mode, tol)
 
 
+def prepare_point(y):
+    """Coerce an evaluation point, returning (values, exact_flag)."""
+    vals = tuple(y)
+    if all(is_exact_real(v) for v in vals):
+        return tuple(as_rational(v) for v in vals), True
+    return tuple(float(v) for v in vals), False
+
+
 def elementary_all(y, upto: int) -> list:
     """e_0 .. e_upto, read off the expanded product prod_j (1 + y_j t)."""
     vals, exact = prepare_point(y)
     return _elementary_terms(vals, upto, rational(1) if exact else 1.0)
+
+
+def complete_all(y, upto: int) -> list:
+    """h_0 .. h_upto via the recurrence h_k = sum_j (-1)^{j-1} e_j h_{k-j}."""
+    vals, exact = prepare_point(y)
+    m = len(vals)
+    one = rational(1) if exact else 1.0
+    return _complete_terms(_elementary_terms(vals, min(upto, m), one), m, upto, one)
 
 
 def elementary_eval(i: int, y):

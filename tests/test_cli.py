@@ -233,6 +233,27 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main(["angles", "--config", str(path)])
         assert err.value.code == 2, config
+    # an empty basis row in exact mode: the message names the bad shape
+    path.write_text(json.dumps(dict(good, points=[{"rows": [[]]}])))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["angles", "--config", str(path)])
+    assert err.value.code == 2
+    assert "bad shape (1, 0)" in capsys.readouterr().err
+    # tolerances that are infinite, not a number or negative, on a float
+    # G(1, 2) pair that is not a design
+    pair = {
+        "m": 1,
+        "n": 2,
+        "mode": "float",
+        "points": [{"rows": [[1, 0]]}, {"rows": [[0.6, 0.8]]}],
+    }
+    path.write_text(json.dumps(pair))
+    assert main(["verify-design", "--config", str(path), "--set", "E"]) == 1
+    for tol in ("inf", "nan", "-1"):
+        with pytest.raises(SystemExit) as err:
+            main(["verify-design", "--config", str(path), "--set", "E", "--tol", tol])
+        assert err.value.code == 2, tol
 
 
 def test_root_search_limit_exits_three_fast(tmp_path, capsys):

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from grassdesign import designs, symfunc
+from grassdesign import designs
 from grassdesign.designs import (
     DEFAULT_TOL,
     CoefficientFunction,
@@ -156,30 +156,29 @@ class TestSchurMoments:
     def test_exact_defects_equal_per_class_sums(self, config, spec):
         family = parse_family(spec, config.m)
         want = oracle_defects(config, family)
-        assert [e.defect for e in is_T_design(config, family).entries] == want
+        defects = [e.defect for e in is_T_design(config, family).entries]
+        assert defects == want
+        assert all(type(d) is type(rational(0)) for d in defects)
         assert [design_defect(config, mu) for mu in family] == want
 
-    def test_float_design_evaluates_each_sigma_once(self, monkeypatch):
-        config = random_float_config(2, 6, 30)
-        family = weight_family(2, 4)
-        batched, scalar = [], []
-        batch, scalar_eval = designs.normalized_schur_batch, symfunc.normalized_schur_eval
+    @pytest.mark.parametrize(
+        "config, spec",
+        [(random_float_config(2, 6, 30), "T4"), (six_point_config(), "T3")],
+        ids=["float-random-2-6", "exact-six-point"],
+    )
+    def test_design_evaluates_each_sigma_once(self, monkeypatch, config, spec):
+        family = parse_family(spec, config.m)
+        batched = []
+        batch = designs.normalized_schur_batch
 
         def counting_batch(sigmas, points):
             batched.extend(sigmas)
             return batch(sigmas, points)
 
-        def counting_scalar(mu, y):
-            scalar.append(mu)
-            return scalar_eval(mu, y)
-
         monkeypatch.setattr(designs, "normalized_schur_batch", counting_batch)
-        monkeypatch.setattr(designs, "normalized_schur_eval", counting_scalar)
-        monkeypatch.setattr(symfunc, "normalized_schur_eval", counting_scalar)
         is_T_design(config, family)
         support = {s for mu in family for s in zonal_kernel(mu, config.n).expansion.coeffs}
         assert Counter(batched) == Counter(support)
-        assert not scalar
 
 
 class TestIsTDesign:

@@ -1,6 +1,7 @@
 """Partition combinatorics: shapes, coefficients, binomial identity suite."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from grassdesign.partitions import (
     Partition,
@@ -17,7 +18,7 @@ from grassdesign.partitions import (
     increment_set,
     row_shape,
 )
-from grassdesign.scalars import rational
+from grassdesign.scalars import ZERO, rational
 
 
 def brute_binom(k: int, r: int):
@@ -97,6 +98,12 @@ class TestBinom:
         for k in range(-8, 9):
             for r in range(0, 7):
                 assert binom(k, r) == brute_binom(k, r)
+
+    @given(k=st.integers(-30, 30), r=st.integers(0, 12))
+    def test_matches_product_definition_property(self, k, r):
+        got = binom(k, r)
+        assert got == brute_binom(k, r)
+        assert type(got) is type(ZERO)
 
     def test_negation_rule(self):
         for k in range(0, 11):

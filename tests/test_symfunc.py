@@ -16,11 +16,11 @@ from grassdesign.symfunc import (
     normalized_schur_eval,
     schur_eval,
     schur_norm,
-    prepare_point,
 )
+from grassdesign.scalars import ZERO
 
 from closed_forms import pieri_e1
-from exact_oracles import complete_eval, elementary_all, elementary_eval
+from exact_oracles import complete_eval, elementary_all, elementary_eval, prepare_point
 
 
 def schur_eval_giambelli(mu, y):
@@ -214,28 +214,63 @@ class TestNormalizedSchur:
 
 
 @st.composite
-def unit_cube_points(draw, m):
-    """Float points of [0, 1]^m with exact 0s and 1s and repeated coordinates."""
+def unit_cube_points(draw, m, coordinate):
+    """Points of [0, 1]^m with exact 0s and 1s and repeated coordinates."""
     vals = []
     for _ in range(m):
         if vals and draw(st.booleans()):
             vals.append(draw(st.sampled_from(vals)))
         else:
-            vals.append(draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))))
+            vals.append(draw(st.one_of(st.sampled_from([0, 1]), coordinate)))
     return tuple(vals)
 
 
+FLOAT_COORDINATES = st.floats(0.0, 1.0)
+EXACT_COORDINATES = st.integers(1, 60).flatmap(
+    lambda q: st.integers(0, q).map(lambda p: rational(p, q))
+)
+
+
 class TestNormalizedSchurBatch:
+    """The one evaluator against the dual Jacobi-Trudi (Giambelli) oracle."""
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), m=st.integers(1, 4))
     def test_matches_scalar_evaluation(self, data, m):
-        points = data.draw(st.lists(unit_cube_points(m), min_size=1, max_size=6))
+        points = data.draw(
+            st.lists(unit_cube_points(m, FLOAT_COORDINATES), min_size=1, max_size=6)
+        )
+        points = [tuple(float(v) for v in y) for y in points]
         shapes = enumerate_up_to_weight(m, 5)
         batch = normalized_schur_batch(shapes, np.array(points))
         assert batch.shape == (len(shapes), len(points))
+        assert batch.dtype == float
         for r, mu in enumerate(shapes):
             for c, y in enumerate(points):
-                assert abs(batch[r, c] - normalized_schur_eval(mu, y)) <= 1e-12, (mu, y)
+                want = schur_eval_giambelli(mu, y) / float(schur_norm(mu))
+                assert abs(batch[r, c] - want) <= 1e-12, (mu, y)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4))
+    def test_exact_points_match_exactly(self, data, m):
+        points = data.draw(
+            st.lists(unit_cube_points(m, EXACT_COORDINATES), min_size=1, max_size=4)
+        )
+        shapes = enumerate_up_to_weight(m, 5)
+        batch = normalized_schur_batch(shapes, points)
+        assert batch.shape == (len(shapes), len(points))
+        assert batch.dtype == object
+        for r, mu in enumerate(shapes):
+            for c, y in enumerate(points):
+                assert type(batch[r, c]) is type(ZERO)
+                assert batch[r, c] == schur_eval_giambelli(mu, y) / schur_norm(mu), (mu, y)
+
+    def test_one_float_coordinate_switches_the_call_to_float(self):
+        shapes = enumerate_up_to_weight(2, 3)
+        exact = normalized_schur_batch(shapes, [(1, rational(1, 2)), (0, 1)])
+        mixed = normalized_schur_batch(shapes, [(1, rational(1, 2)), (0, 1.0)])
+        assert exact.dtype == object and mixed.dtype == float
+        assert np.allclose(mixed, exact.astype(float), rtol=0, atol=1e-15)
 
     def test_ambient_mismatch_rejected(self):
         with pytest.raises(ValueError):
