@@ -41,6 +41,7 @@ _ERROR_CODES = {
     PoleError: "pole",
     RankDeficiencyError: "rank-deficient",
     RootSearchLimitError: "root-search-limit",
+    designs.GridLimitError: "grid-limit",
 }
 
 CERTIFICATES = {

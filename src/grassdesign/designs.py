@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from math import comb
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -49,6 +51,18 @@ from .zonal import harmonic_dim, zonal_kernel
 from .grassmann import EXACT, SubspaceConfiguration
 
 DEFAULT_TOL = 1e-8
+
+# Points per batched evaluation in check_nonnegativity.
+NONNEG_CHUNK = 4096
+
+# Largest grid-plus-samples count check_nonnegativity accepts; exact
+# evaluation of the certificates at rank 6 runs at a few thousand points
+# a second, so the budget is about a minute of work.
+GRID_POINT_BUDGET = 250_000
+
+
+class GridLimitError(ArithmeticError):
+    """The nonnegativity grid and samples exceed the point budget."""
 
 
 def column_family(m: int) -> List[Partition]:
@@ -232,13 +246,17 @@ class CoefficientFunction:
         return total
 
     def evaluate(self, y):
-        """Pointwise value of F = sum c_mu Z_mu, expanded once in normalized Schurs."""
+        """Pointwise value of F = sum c_mu Z_mu."""
+        return self.evaluate_batch([y])[0]
+
+    def evaluate_batch(self, points) -> list:
+        """Values of F at every point, expanded once in normalized Schurs."""
         if self._expansion is None:
             total = SchurExpansion(self.m)
             for mu, c in self.coeffs.items():
                 total = total + zonal_kernel(mu, self.n).expansion.scaled(c)
             self._expansion = total
-        return self._expansion.evaluate(y)
+        return self._expansion.evaluate_batch(points)
 
     def to_json(self) -> dict:
         return {
@@ -400,26 +418,44 @@ def check_nonnegativity(
     samples: int = 0,
     seed: int = 0,
 ) -> NonnegativityReport:
-    """Evaluate the certificate on a simplex grid plus seeded random points."""
+    """Evaluate the certificate on a simplex grid plus seeded random points.
+
+    Points stream through the certificate in chunks of NONNEG_CHUNK, one
+    batched evaluation each, so memory stays flat in the grid size; the
+    minimum reported is the first one in point order.
+    """
+    if grid_depth < 1 or samples < 0:
+        raise ValueError(
+            f"need grid depth >= 1 and samples >= 0, got {grid_depth} and {samples}"
+        )
+    total = comb(grid_depth + cert.m, cert.m) + samples
+    if total > GRID_POINT_BUDGET:
+        raise GridLimitError(
+            f"{total} points exceed the budget of {GRID_POINT_BUDGET}; "
+            "lower the grid depth or the sample count"
+        )
+
+    def sampled():
+        rng = random.Random(seed)
+        for _ in range(samples):
+            ys = sorted(
+                (rational(rng.randint(0, 10_000), 10_000) for _ in range(cert.m)),
+                reverse=True,
+            )
+            yield tuple(ys)
+
+    points = chain(descending_grid(cert.m, grid_depth), sampled())
     best = None
     best_at = None
     violations = []
     count = 0
-    points = list(descending_grid(cert.m, grid_depth))
-    rng = random.Random(seed)
-    for _ in range(samples):
-        ys = sorted(
-            (rational(rng.randint(0, 10_000), 10_000) for _ in range(cert.m)),
-            reverse=True,
-        )
-        points.append(tuple(ys))
-    for y in points:
-        val = cert.evaluate(y)
-        count += 1
-        if best is None or val < best:
-            best, best_at = val, y
-        if val < 0:
-            violations.append(y)
+    while chunk := list(islice(points, NONNEG_CHUNK)):
+        for y, val in zip(chunk, cert.evaluate_batch(chunk)):
+            count += 1
+            if best is None or val < best:
+                best, best_at = val, y
+            if val < 0:
+                violations.append(y)
     return NonnegativityReport(
         minimum=best, argmin=best_at, points_checked=count, violations=violations
     )

@@ -8,13 +8,20 @@ at repeated coordinates (the all-ones point matters everywhere here).
 One evaluator, :func:`normalized_schur_batch`, serves both modes: it
 decides the mode once per call, builds e_k and h_k once per point (one
 numpy column per k in float mode) and each shape's Jacobi-Trudi index
-matrix once, then takes exact determinants through
-:func:`exactlinalg.det` or stacked float ones through
-``numpy.linalg.det``.  The scalar evaluators delegate to it.
+matrix once, then takes stacked float determinants through
+``numpy.linalg.det`` or exact ones through :func:`exactlinalg.det`.
+Exact values are fraction-free up to one division: a point y is written
+a/d with d the lcm of its denominators, the determinant runs on the
+integers a and gives the integer s_sigma(a), and s_sigma is homogeneous,
+so X*_sigma(y) is that integer over d^|sigma| and the normalization,
+formed as one backend rational.  The scalar evaluators delegate to the
+batch.
 """
 
 from __future__ import annotations
 
+import math
+from itertools import combinations
 from typing import Dict, Iterable, Sequence
 
 import numpy as np
@@ -49,12 +56,10 @@ def _complete_terms(e: list, m: int, upto: int, one) -> list:
 
 def schur_norm(mu: Partition):
     """Value at the all-ones point, prod_{i<j} (mu_i - mu_j + j - i)/(j - i)."""
-    out = rational(1)
     parts = mu.parts
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            out = out * (parts[i] - parts[j] + j - i) / (j - i)
-    return out
+    pairs = list(combinations(range(len(parts)), 2))
+    num = math.prod(parts[i] - parts[j] + j - i for i, j in pairs)
+    return rational(num, math.prod(j - i for i, j in pairs))
 
 
 def normalized_schur_batch(sigmas: Sequence[Partition], points) -> np.ndarray:
@@ -66,20 +71,30 @@ def normalized_schur_batch(sigmas: Sequence[Partition], points) -> np.ndarray:
     """
     top = max((s.parts[0] + s.length_index() - 1 for s in sigmas if not s.is_zero()), default=0)
     if all(is_exact_real(v) for y in points for v in y):
-        pts = [tuple(as_rational(v) for v in y) for y in points]
-        widths = {len(y) for y in pts}
+        widths = {len(y) for y in points}
         if len(widths) != 1:
             raise ValueError("points must be an (N, m) array")
         (m,) = widths
-        one = rational(1)
-        hs = [
-            _complete_terms(_elementary_terms(y, min(top, m), one), m, top, one) + [one * 0]
-            for y in pts
-        ]
-        out = np.full((len(sigmas), len(pts)), one, dtype=object)
+        scaled = []  # (h_0(a) .. h_top(a) and h_-1 = 0, d) with y = a/d
+        for y in points:
+            nums = [int(v.numerator) for v in y]
+            dens = [int(v.denominator) for v in y]
+            d = math.lcm(*dens)
+            a = [p * (d // q) for p, q in zip(nums, dens)]
+            h = _complete_terms(_elementary_terms(a, min(top, m), 1), m, top, 1)
+            scaled.append((h + [0], d))
+        out = np.full((len(sigmas), len(points)), rational(1), dtype=object)
 
-        def jacobi_trudi(idx, norm):
-            return [exactlinalg.det([[hy[k] for k in row] for row in idx]) / norm for hy in hs]
+        def jacobi_trudi(idx, sigma):
+            norm = schur_norm(sigma)
+            num, den = int(norm.numerator), int(norm.denominator)
+            return [
+                rational(
+                    exactlinalg.det([[h[k] for k in row] for row in idx]) * den,
+                    d**sigma.weight * num,
+                )
+                for h, d in scaled
+            ]
 
     else:
         pts = np.asarray(points, dtype=float)
@@ -91,8 +106,8 @@ def normalized_schur_batch(sigmas: Sequence[Partition], points) -> np.ndarray:
         h = np.stack(_complete_terms(e, m, top, one) + [one * 0], axis=1)
         out = np.ones((len(sigmas), len(pts)))
 
-        def jacobi_trudi(idx, norm):
-            return np.linalg.det(h[:, idx]) / float(norm)
+        def jacobi_trudi(idx, sigma):
+            return np.linalg.det(h[:, idx]) / float(schur_norm(sigma))
 
     for r, sigma in enumerate(sigmas):
         if sigma.m != m:
@@ -100,7 +115,7 @@ def normalized_schur_batch(sigmas: Sequence[Partition], points) -> np.ndarray:
         ell = sigma.length_index()
         if ell:
             idx = [[max(sigma.parts[i] - i + j, -1) for j in range(ell)] for i in range(ell)]
-            out[r] = jacobi_trudi(idx, schur_norm(sigma))
+            out[r] = jacobi_trudi(idx, sigma)
     return out
 
 
@@ -147,11 +162,17 @@ class SchurExpansion:
         return [(sigma, self.coeffs[sigma]) for sigma in self.support()]
 
     def evaluate(self, y: Sequence):
-        y = tuple(y)
-        if len(y) != self.m:
-            raise ValueError(f"point length {len(y)} vs ambient {self.m}")
-        column = normalized_schur_batch(list(self.coeffs), [y])[:, 0]
-        return sum((c * v for c, v in zip(self.coeffs.values(), column)), rational(0))
+        return self.evaluate_batch([y])[0]
+
+    def evaluate_batch(self, points) -> list:
+        """Values at every point of an (N, m) sequence, from one batched evaluation."""
+        points = [tuple(y) for y in points]
+        for y in points:
+            if len(y) != self.m:
+                raise ValueError(f"point length {len(y)} vs ambient {self.m}")
+        columns = normalized_schur_batch(list(self.coeffs), points).T
+        coeffs = list(self.coeffs.values())
+        return [sum((c * v for c, v in zip(coeffs, column)), rational(0)) for column in columns]
 
     def at_ones(self):
         return sum(self.coeffs.values(), rational(0))

@@ -21,7 +21,9 @@ highest weight of the unitary group.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from itertools import combinations
 from typing import Dict
 
 from .exactlinalg import det
@@ -61,14 +63,12 @@ def highest_weight(mu: Partition, n: int) -> tuple:
 
 def weyl_dim(signature: tuple) -> int:
     """Dimension of the unitary-group irrep with the given signature."""
-    n = len(signature)
-    out = rational(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out = out * (signature[i] - signature[j] + j - i) / (j - i)
-    if out.denominator != 1:
+    pairs = list(combinations(range(len(signature)), 2))
+    num = math.prod(signature[i] - signature[j] + j - i for i, j in pairs)
+    den = math.prod(j - i for i, j in pairs)
+    if num % den:
         raise ArithmeticError(f"non-integral Weyl product for {signature}")
-    return int(out)
+    return num // den
 
 
 def harmonic_dim(mu: Partition, n: int) -> int:

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from grassdesign import grassmann
+from grassdesign import designs, grassmann
 from grassdesign.cli import main
 from grassdesign.grassmann import great_antipodal, random_subspace, SubspaceConfiguration
 
@@ -62,6 +62,23 @@ def test_largest_exact_antipodal_result_is_pinned(capsys):
     assert (
         hashlib.sha256(text.encode()).hexdigest()
         == "c8383a2fe30bd018f9b43f97d84aeb1c6831dfb1802bff7990b000142915baa7"
+    )
+
+
+def test_check_nonneg_result_is_pinned(capsys):
+    # F at (3, 7): 455 grid points and 100 seeded samples; SHA-256 of the
+    # canonical JSON of the result, recorded before exact evaluation moved
+    # to integer Jacobi-Trudi numerators
+    code, doc = run_json(
+        capsys,
+        "--seed", "1", "check-nonneg", "--certificate", "F", "--m", "3", "--n", "7",
+        "--depth", "12", "--samples", "100",
+    )
+    assert code == 0
+    text = json.dumps(doc["result"], sort_keys=True, separators=(",", ":"))
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "d12d91d815a8d74f8eb43151151e4148d6c090fb93828f23965ba7bfba0c0c33"
     )
 
 
@@ -206,6 +223,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["zonal", "--mu", "1", "--m", "2", "--n", "4", "--emit", "csv"])  # no table
     assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["check-nonneg", "--certificate", "one", "--m", "1", "--n", "2", "--depth", "3",
+              "--samples", "-4"])
+    assert err.value.code == 2
     # a zero denominator, a float entry in an exact configuration, a
     # top-level list, rows that are not a list of lists, a non-integer
     # declared rank, a non-numeric float entry, boolean entries in exact
@@ -274,6 +295,22 @@ def test_root_search_limit_exits_three_fast(tmp_path, capsys):
     assert code == 3
     assert err["error"]["code"] == "root-search-limit"
     assert "float mode" in err["error"]["message"]
+    assert elapsed < 2
+
+
+def test_grid_limit_exits_three_before_building_points(capsys, monkeypatch):
+    def no_grid(m, depth):
+        raise AssertionError("grid built past the point budget")
+
+    monkeypatch.setattr(designs, "descending_grid", no_grid)
+    started = time.perf_counter()
+    code = main(["check-nonneg", "--certificate", "E", "--m", "2", "--n", "4",
+                 "--depth", "100000000"])
+    elapsed = time.perf_counter() - started
+    err = json.loads(capsys.readouterr().err)
+    assert code == 3
+    assert err["error"]["code"] == "grid-limit"
+    assert str(designs.GRID_POINT_BUDGET) in err["error"]["message"]
     assert elapsed < 2
 
 

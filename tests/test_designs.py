@@ -39,6 +39,7 @@ from grassdesign.partitions import (
     Partition,
     binom,
     column_shape,
+    descending_grid,
     enumerate_up_to_weight,
     hook_shape,
     row_shape,
@@ -350,6 +351,18 @@ class TestCertificates:
         assert data["terms"][0] == {"partition": [0, 0], "coeff": "1/2"}
 
 
+def count_batches(monkeypatch) -> list:
+    """Record the size of every CoefficientFunction.evaluate_batch call."""
+    sizes = []
+    batch = CoefficientFunction.evaluate_batch
+    monkeypatch.setattr(
+        CoefficientFunction,
+        "evaluate_batch",
+        lambda self, points: sizes.append(len(points)) or batch(self, points),
+    )
+    return sizes
+
+
 class TestNonnegativity:
     def test_product_certificate_grid(self):
         rep = check_nonnegativity(certificate_product(2, 4), grid_depth=20)
@@ -367,8 +380,6 @@ class TestNonnegativity:
         assert all(v == 0 for v in rep.argmin)
 
     def test_sampled_points_and_violation_reporting(self):
-        from grassdesign.partitions import descending_grid
-
         rep = check_nonnegativity(certificate_product(2, 4), grid_depth=5, samples=40, seed=3)
         assert rep.points_checked == len(list(descending_grid(2, 5))) + 40
         assert rep.nonnegative_on_grid
@@ -379,6 +390,40 @@ class TestNonnegativity:
         rep_bad = check_nonnegativity(bad, grid_depth=6)
         assert not rep_bad.nonnegative_on_grid
         assert rep_bad.violations
+
+    def test_streamed_chunks_match_pointwise_loop(self, monkeypatch):
+        # F vanishes at the {0, 1} vertices with a zero coordinate, so
+        # F - eps Z_(0) ties at -eps there; the first in point order wins
+        eps = rational(1, 1000)
+        coeffs = dict(certificate_antipodal(2, 5).coeffs)
+        coeffs[column_shape(0, 2)] -= eps
+        cert = CoefficientFunction(2, 5, coeffs)
+        depth, samples, seed = 90, 30, 4
+        batches = count_batches(monkeypatch)
+        rep = check_nonnegativity(cert, grid_depth=depth, samples=samples, seed=seed)
+        points = list(descending_grid(2, depth))
+        assert len(points) > designs.NONNEG_CHUNK
+        rng = random.Random(seed)
+        for _ in range(samples):
+            ys = sorted((rational(rng.randint(0, 10_000), 10_000) for _ in range(2)), reverse=True)
+            points.append(tuple(ys))
+        assert batches == [designs.NONNEG_CHUNK, len(points) - designs.NONNEG_CHUNK]
+        values = [cert.evaluate(y) for y in points]
+        best = min(values)
+        assert rep.minimum == best == -eps
+        assert rep.argmin == points[values.index(best)] == (1, 0)
+        assert rep.violations == [y for y, v in zip(points, values) if v < 0]
+        assert rep.points_checked == len(points)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 31, 40])
+    def test_one_batch_call_per_chunk(self, monkeypatch, chunk):
+        monkeypatch.setattr(designs, "NONNEG_CHUNK", chunk)
+        batches = count_batches(monkeypatch)
+        rep = check_nonnegativity(certificate_product(2, 4), grid_depth=7, samples=4, seed=1)
+        total = len(list(descending_grid(2, 7))) + 4
+        assert rep.points_checked == total == 40
+        assert len(batches) == -(-total // chunk)
+        assert sum(batches) == total and max(batches) == chunk
 
 
 class TestTightness:

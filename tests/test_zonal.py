@@ -73,6 +73,10 @@ class TestDimensions:
         assert harmonic_dim(Partition([2, 0]), 4) == 84
         assert weyl_dim((1, 0, -1)) == 8  # adjoint of the rank-three unitary group
 
+    def test_non_integral_weyl_product_rejected(self):
+        with pytest.raises(ArithmeticError):
+            weyl_dim((rational(1, 2), 0))  # (1/2 - 0 + 1) / 1
+
     def test_weyl_product_matches_closed_families(self):
         for m in (1, 2, 3):
             for n in range(2 * m, 9):
