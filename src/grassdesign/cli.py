@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 
@@ -49,10 +48,6 @@ CERTIFICATES = {
     "F": designs.certificate_antipodal,
     "one": designs.certificate_average,
 }
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("GRASSDESIGN_SEED", "0"))
 
 
 def _tolerance(text: str) -> float:
@@ -137,6 +132,19 @@ def _verify(config: SubspaceConfiguration, family_spec: str, tol: float):
     return code, report
 
 
+def _with_report(config: SubspaceConfiguration, family_spec: str | None, result: dict) -> tuple:
+    """Add the defect report of a bundled configuration when one is asked for.
+
+    The bundled configurations are exact, so a design is decided by
+    vanishing defects; the report names the default tolerance.
+    """
+    if not family_spec:
+        return EXIT_OK, result, None
+    code, report = _verify(config, family_spec, designs.DEFAULT_TOL)
+    result["report"] = report.to_json()
+    return code, result, _report_rows(report)
+
+
 def cmd_verify_design(args) -> tuple:
     config = _load_config(args.config)
     code, report = _verify(config, args.set, args.tol)
@@ -163,13 +171,7 @@ def cmd_antipodal(args) -> tuple:
         "size": len(config),
         "pairwise_antipodal": config.is_antipodal(),
     }
-    code = EXIT_OK
-    csv_rows = None
-    if args.verify:
-        code, report = _verify(config, args.verify, args.tol)
-        result["report"] = report.to_json()
-        csv_rows = _report_rows(report)
-    return code, result, csv_rows
+    return _with_report(config, args.verify, result)
 
 
 def cmd_appendix_b(args) -> tuple:
@@ -180,13 +182,7 @@ def cmd_appendix_b(args) -> tuple:
         "size": len(config),
         "angles": [[angles_to_json(y) for y in row] for row in matrix],
     }
-    code = EXIT_OK
-    csv_rows = None
-    if args.verify:
-        code, report = _verify(config, args.verify, args.tol)
-        result["report"] = report.to_json()
-        csv_rows = _report_rows(report)
-    return code, result, csv_rows
+    return _with_report(config, args.verify, result)
 
 
 def cmd_check_nonneg(args) -> tuple:
@@ -205,17 +201,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="grassdesign",
         description="Exact design verification and bounds on complex Grassmannians",
     )
-    parser.add_argument("--seed", type=int, default=None, help="seed override (default: GRASSDESIGN_SEED or 0)")
+    parser.add_argument("--seed", type=int, default=0, help="seed for sampled points (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=False, mn=True, verify=False, tabular=False):
+    def common(p, config=False, mn=True, tabular=False):
         if config:
             p.add_argument("--config", required=True, help="configuration JSON file")
         if mn:
             p.add_argument("--m", type=int, required=True)
             p.add_argument("--n", type=int, required=True)
-        if verify:
-            p.add_argument("--tol", type=_tolerance, default=designs.DEFAULT_TOL)
         if tabular:
             p.add_argument("--emit", choices=("json", "csv"), default="json")
 
@@ -235,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-design", help="defect report for a configuration file")
     p.add_argument("--set", required=True, help="test set: E, F, E+F or T<t>")
-    common(p, config=True, mn=False, verify=True, tabular=True)
+    p.add_argument("--tol", type=_tolerance, default=designs.DEFAULT_TOL)
+    common(p, config=True, mn=False, tabular=True)
     p.set_defaults(fn=cmd_verify_design)
 
     p = sub.add_parser("bound", help="linear-programming cardinality bound of a certificate")
@@ -245,12 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("antipodal", help="build and optionally verify the coordinate antipodal set")
     p.add_argument("--verify", default=None, help="test set: E, F, E+F or T<t>")
-    common(p, verify=True, tabular=True)
+    common(p, tabular=True)
     p.set_defaults(fn=cmd_antipodal)
 
     p = sub.add_parser("appendix-b", help="bundled six-point configuration in G(2,4)")
     p.add_argument("--verify", default=None, help="test set: E, F, E+F or T<t>")
-    common(p, mn=False, verify=True, tabular=True)
+    common(p, mn=False, tabular=True)
     p.set_defaults(fn=cmd_appendix_b)
 
     p = sub.add_parser("check-nonneg", help="grid evidence that a certificate is nonnegative")
@@ -266,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = _default_seed()
     params = {
         k: v
         for k, v in sorted(vars(args).items())

@@ -99,7 +99,7 @@ def schur_moments(config: SubspaceConfiguration, sigmas: Sequence[Partition]) ->
 
     Summed over angle classes with their multiplicities, every sigma at
     every class in one batched evaluation.  The counts stay integers, so
-    exact moments stay backend rationals.
+    exact moments stay ``Fraction`` values.
     """
     classes = config.angle_classes()
     counts = np.array(list(classes.values()), dtype=int)

@@ -3,7 +3,7 @@
 Two kinds of scalar are served:
 
 * generic scalars through the minimal protocol (+, -, *, /, truthiness
-  as zero test), so the same code runs over backend rationals, Gaussian
+  as zero test), so the same code runs over ``Fraction``, Gaussian
   rationals and, where sensible, machine floats: determinants, matrix
   products, polynomial arithmetic and the rational-root search;
 * Gaussian integers stored as ``(re, im)`` pairs of Python ints, the
@@ -225,7 +225,7 @@ def _divisors(n: int):
 def rational_roots(poly):
     """All rational roots with multiplicity, plus the unfactored degree.
 
-    ``poly`` has backend-rational coefficients, ascending in degree.
+    ``poly`` has ``Fraction`` coefficients, ascending in degree.
     Candidates come from the square-free part (rational root theorem on
     its integer form); multiplicities come from repeated exact deflation.
     End coefficients above ``ROOT_SEARCH_BITS`` bits, or more than
@@ -245,7 +245,7 @@ def rational_roots(poly):
         while not sf[0]:
             sf = sf[1:]
     if len(sf) > 1:
-        scale = math.lcm(*(int(c.denominator) for c in sf))
+        scale = math.lcm(*(c.denominator for c in sf))
         ends = [int(sf[0] * scale), int(sf[-1] * scale)]
         if max(abs(v).bit_length() for v in ends) > ROOT_SEARCH_BITS:
             raise RootSearchLimitError(

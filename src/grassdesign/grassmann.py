@@ -59,12 +59,18 @@ def _as_complex_entry(v) -> complex:
     try:
         if isinstance(v, (list, tuple)):
             re, im = v
-            return complex(float(re), float(im))
-        if isinstance(v, str):
-            return complex(as_exact_complex(v))
-        return complex(v)
+            z = complex(float(re), float(im))
+        elif isinstance(v, str):
+            z = complex(as_exact_complex(v))
+        else:
+            z = complex(v)
     except TypeError:
         raise ValueError(f"not a float matrix entry: {v!r}") from None
+    except OverflowError:
+        raise ValueError(f"float matrix entry too large for a float: {v!r}") from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"float matrix entry is not finite: {v!r}")
+    return z
 
 
 class RankDeficiencyError(ValueError):
@@ -243,9 +249,12 @@ class SubspaceConfiguration:
             rows = p.get("rows")
             if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
                 raise ValueError("each point's 'rows' must be a list of lists")
+        label = data.get("label", "")
+        if not isinstance(label, str):
+            raise ValueError("'label' must be a string")
         mode = data.get("mode", EXACT)
         pts = [SubspacePoint(p["rows"], mode=mode) for p in points]
-        config = SubspaceConfiguration(pts, label=data.get("label", ""))
+        config = SubspaceConfiguration(pts, label=label)
         declared = (data.get("m"), data.get("n"))
         # JSON integers only: int() would truncate 1.9 and accept true
         if any(isinstance(v, bool) or not isinstance(v, int) for v in declared):
@@ -265,8 +274,8 @@ def _row_inner(u, v) -> ExactComplex:
 def _integer_row(row) -> list:
     """The row times the lcm of its denominators, as (re, im) int pairs."""
     parts = [x for v in row for x in (v.re, v.im)]
-    scale = math.lcm(*(int(x.denominator) for x in parts))
-    ints = [int(x.numerator) * (scale // int(x.denominator)) for x in parts]
+    scale = math.lcm(*(x.denominator for x in parts))
+    ints = [x.numerator * (scale // x.denominator) for x in parts]
     return list(zip(ints[::2], ints[1::2]))
 
 
@@ -305,8 +314,8 @@ def _angle_polynomial(a: SubspacePoint, b: SubspacePoint) -> list:
 
     The integer matrix adj(G_a) C adj(G_b) C^H has the angles times
     D = det G_a det G_b as eigenvalues; from its division-free
-    characteristic polynomial sum p_k x^k this returns the backend
-    rationals p_k / D^(m-k).
+    characteristic polynomial sum p_k x^k this returns the
+    ``Fraction`` values p_k / D^(m-k).
     """
     cross = gaussian_mat_mul(a.rows, _adjoint(b.rows))
     product = gaussian_mat_mul(

@@ -140,7 +140,7 @@ def hook_shape(i: int, m: int) -> Partition:
 def binom(k: int, r: int):
     """Exact binomial coefficient for any integer k and r >= 0.
 
-    Equals prod_{i=0}^{r-1} (k-i)/(r-i), returned as a backend rational.
+    Equals prod_{i=0}^{r-1} (k-i)/(r-i), returned as a ``Fraction``.
     Vanishes for 0 <= k < r; negative k reduces to nonnegative through
     binom(k, r) = (-1)^r binom(r-k-1, r).
     """

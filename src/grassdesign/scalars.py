@@ -1,55 +1,29 @@
 """Exact scalar arithmetic: rationals and Gaussian rationals.
 
-All core computations in this package run over exact rationals.  The
-rational backend is chosen once, at import time: gmpy2's compiled ``mpq``
-when available, otherwise the pure-Python ``fractions.Fraction``.  Set
-``GRASSDESIGN_BACKEND=fraction`` (or ``gmpy2``) to force a choice.
-
-Gaussian rationals (complex numbers with exact rational real and
-imaginary parts) are provided by :class:`ExactComplex`; they are the
-entry type for exact subspace bases.
+All core computations in this package run over exact rationals, which
+are the standard library's ``fractions.Fraction``.  Gaussian rationals
+(complex numbers with exact rational real and imaginary parts) are
+provided by :class:`ExactComplex`; they are the entry type for exact
+subspace bases.
 """
 
 from __future__ import annotations
 
-import os
+from fractions import Fraction
 
-_FORCED = os.environ.get("GRASSDESIGN_BACKEND", "").strip().lower()
-
-if _FORCED == "fraction":
-    from fractions import Fraction as _Rational
-
-    BACKEND = "fraction"
-elif _FORCED in ("", "gmpy2"):
-    try:
-        from gmpy2 import mpq as _Rational  # type: ignore[no-redef]
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _FORCED == "gmpy2":
-            raise
-        from fractions import Fraction as _Rational  # type: ignore[no-redef]
-
-        BACKEND = "fraction"
-else:
-    raise RuntimeError(
-        f"GRASSDESIGN_BACKEND must be 'gmpy2' or 'fraction', got {_FORCED!r}"
-    )
+#: The rational type's name.  Nothing in the package reads it; it stays
+#: only because ``perfbench/worker.py`` writes it into every benchmark
+#: record, and goes when the benchmark drops that field.
+BACKEND = "fraction"
 
 
-def rational(p=0, q=1):
-    """Exact rational p/q in the selected backend."""
-    return _Rational(p, q)
+def rational(p=0, q=1) -> Fraction:
+    """Exact rational p/q."""
+    return Fraction(p, q)
 
-
-ZERO = rational(0)
-ONE = rational(1)
 
 #: Types accepted wherever an exact real scalar is expected.
-EXACT_REAL_TYPES = (int, type(ZERO))
-
-#: Inexact types that switch evaluation to floating point.
-FLOAT_TYPES = (float, complex)
+EXACT_REAL_TYPES = (int, Fraction)
 
 
 def is_exact_real(x) -> bool:
@@ -57,21 +31,23 @@ def is_exact_real(x) -> bool:
 
 
 def as_rational(x):
-    """Coerce an int, backend rational or 'p/q' string to a backend rational.
+    """Coerce an int, Fraction or 'p/q' string to a Fraction.
 
     Floats are rejected: exact code paths must never absorb rounding.
     """
-    if isinstance(x, type(ZERO)):
+    if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return rational(x)
+        return Fraction(x)
     if isinstance(x, str):
         return rational_from_str(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
 def rational_from_str(s: str):
-    """Parse 'p' or 'p/q'; malformed text or a zero q raises ValueError."""
+    """Parse 'p' or 'p/q'; malformed text, a non-string or a zero q raises ValueError."""
+    if not isinstance(s, str):
+        raise ValueError(f"not a rational string: {s!r}")
     s = s.strip()
     if "/" in s:
         p, q = (int(v) for v in s.split("/"))

@@ -1,7 +1,7 @@
 """Symmetric polynomial evaluation and the normalized-Schur basis.
 
 Evaluation points are plain sequences of scalars.  Exact entries (ints
-or backend rationals) keep every operation exact; a single float entry
+or ``Fraction``) keep every operation exact; a single float entry
 switches the whole evaluation to floating point.  Schur polynomials are
 evaluated through the Jacobi-Trudi determinant, which stays well defined
 at repeated coordinates (the all-ones point matters everywhere here).
@@ -14,7 +14,7 @@ Exact values are fraction-free up to one division: a point y is written
 a/d with d the lcm of its denominators, the determinant runs on the
 integers a and gives the integer s_sigma(a), and s_sigma is homogeneous,
 so X*_sigma(y) is that integer over d^|sigma| and the normalization,
-formed as one backend rational.  The scalar evaluators delegate to the
+formed as one ``Fraction``.  The scalar evaluators delegate to the
 batch.
 """
 
@@ -66,7 +66,7 @@ def normalized_schur_batch(sigmas: Sequence[Partition], points) -> np.ndarray:
     """X*_sigma at every point of an (N, m) sequence, one output row per sigma.
 
     When every coordinate is exact the result is an object array of
-    backend rationals, otherwise a float array.  h_k with k < 0 is read
+    ``Fraction``, otherwise a float array.  h_k with k < 0 is read
     from an appended zero at index -1 of each point's h list or array.
     """
     top = max((s.parts[0] + s.length_index() - 1 for s in sigmas if not s.is_zero()), default=0)
@@ -77,8 +77,8 @@ def normalized_schur_batch(sigmas: Sequence[Partition], points) -> np.ndarray:
         (m,) = widths
         scaled = []  # (h_0(a) .. h_top(a) and h_-1 = 0, d) with y = a/d
         for y in points:
-            nums = [int(v.numerator) for v in y]
-            dens = [int(v.denominator) for v in y]
+            nums = [v.numerator for v in y]
+            dens = [v.denominator for v in y]
             d = math.lcm(*dens)
             a = [p * (d // q) for p, q in zip(nums, dens)]
             h = _complete_terms(_elementary_terms(a, min(top, m), 1), m, top, 1)
@@ -87,7 +87,7 @@ def normalized_schur_batch(sigmas: Sequence[Partition], points) -> np.ndarray:
 
         def jacobi_trudi(idx, sigma):
             norm = schur_norm(sigma)
-            num, den = int(norm.numerator), int(norm.denominator)
+            num, den = norm.numerator, norm.denominator
             return [
                 rational(
                     exactlinalg.det([[h[k] for k in row] for row in idx]) * den,

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import grassdesign
 from grassdesign import designs, grassmann
 from grassdesign.cli import main
 from grassdesign.grassmann import great_antipodal, random_subspace, SubspaceConfiguration
@@ -200,11 +205,37 @@ def test_principal_angles_once_per_pair(argv, capsys, monkeypatch):
 
 
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GRASSDESIGN_SEED", "17")
-    code, doc = run_json(capsys, "dims", "--m", "2", "--n", "4")
-    assert doc["manifest"]["seed"] == 17
+    # --seed is the only way to set the seed
     code, doc = run_json(capsys, "--seed", "3", "dims", "--m", "2", "--n", "4")
     assert doc["manifest"]["seed"] == 3
+
+
+@pytest.mark.parametrize(
+    "variable, value", [("GRASSDESIGN_BACKEND", "gmpy2"), ("GRASSDESIGN_SEED", "abc")]
+)
+def test_environment_changes_nothing(variable, value):
+    src = Path(grassdesign.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), **{variable: value})
+    proc = subprocess.run(
+        [sys.executable, "-m", "grassdesign", "dims", "--m", "1", "--n", "2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["manifest"]["seed"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["antipodal", "--m", "2", "--n", "4", "--verify", "E", "--tol", "0.5"],
+        ["appendix-b", "--tol", "0.5"],
+    ],
+)
+def test_tolerance_only_on_verify_design(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -230,8 +261,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     # a zero denominator, a float entry in an exact configuration, a
     # top-level list, rows that are not a list of lists, a non-integer
     # declared rank, a non-numeric float entry, boolean entries in exact
-    # and float mode, a boolean declared rank and non-integral declared
-    # m and n
+    # and float mode, a boolean declared rank, non-integral declared m
+    # and n, a non-string label, and float entries too large for a float
+    # (a number, inside an [re, im] pair and as a string)
+    huge = 10**400
     good = {"m": 1, "n": 2, "mode": "exact", "points": [{"rows": [["1", "0"]]}]}
     bad_configs = [
         dict(good, points=[{"rows": [["1/0", "1"]]}]),
@@ -247,6 +280,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         dict(good, m=True),
         dict(good, m=1.9),
         dict(good, n=2.5),
+        dict(good, label=[1]),
+        dict(good, mode="float", points=[{"rows": [[huge, 0]]}]),
+        dict(good, mode="float", points=[{"rows": [[[huge, 0], 0]]}]),
+        dict(good, mode="float", points=[{"rows": [[str(huge), 0]]}]),
     ]
     for config in bad_configs:
         path = tmp_path / "bad.json"
@@ -261,6 +298,13 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         main(["angles", "--config", str(path)])
     assert err.value.code == 2
     assert "bad shape (1, 0)" in capsys.readouterr().err
+    # NaN and infinite float entries: named, not left to fail in the SVD
+    for entry in (float("nan"), [0, float("-inf")]):
+        path.write_text(json.dumps(dict(good, mode="float", points=[{"rows": [[1, entry]]}])))
+        with pytest.raises(SystemExit) as err:
+            main(["angles", "--config", str(path)])
+        assert err.value.code == 2
+        assert "not finite" in capsys.readouterr().err
     # tolerances that are infinite, not a number or negative, on a float
     # G(1, 2) pair that is not a design
     pair = {
