@@ -23,6 +23,7 @@ from .grassmann import (
     SubspacePoint,
     great_antipodal,
     orthogonal_split_config,
+    pair_invariant,
     principal_angles,
     random_subspace,
     six_point_config,
@@ -74,6 +75,7 @@ __all__ = [
     "lp_bound",
     "normalized_schur_eval",
     "orthogonal_split_config",
+    "pair_invariant",
     "principal_angles",
     "random_subspace",
     "rational",

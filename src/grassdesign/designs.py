@@ -3,15 +3,18 @@
 A finite configuration X averages a harmonic component exactly when the
 kernel sum sum_{a,b in X} Z_mu(y(a, b)) vanishes; the component sums are
 the "defects" reported here.  Defects come from Schur moments
-M_sigma = sum over angle classes y of count(y) * X*_sigma(y), computed once
+M_sigma = sum over pair classes y of count(y) * X*_sigma(y), computed once
 per test family for the union of its kernels' supports; each defect is
 its kernel's expansion dotted with the moments.  All moments come from
-one batched evaluation over the class angle vectors, exact rationals for
-exact configurations and one numpy pass for float ones; the same code
-serves both modes.  A coefficient function c with positive
-constant term and pointwise-nonnegative kernel combination F certifies
-the cardinality bound F(1,..,1)/c_(0) for any configuration averaging
-the components where c is positive.
+one batched evaluation over the classes: exact classes are keyed by the
+elementary symmetric values of their angles, read off each pair's
+characteristic polynomial, and give exact rationals with no root found,
+so exact configurations with irrational angles get exact defects too;
+float classes are angle vectors, evaluated in one numpy pass.  A
+coefficient function c with positive constant term and
+pointwise-nonnegative kernel combination F certifies the cardinality
+bound F(1,..,1)/c_(0) for any configuration averaging the components
+where c is positive.
 
 Each certificate is its defining polynomial written in normalized
 Schurs, converted to kernel coefficients by one triangular change of
@@ -46,7 +49,7 @@ from .partitions import (
     row_shape,
 )
 from .scalars import as_rational, is_exact_real, rational, rational_to_str
-from .symfunc import SchurExpansion, normalized_schur_batch
+from .symfunc import SchurExpansion, normalized_schur_at_invariants, normalized_schur_batch
 from .zonal import harmonic_dim, zonal_kernel
 from .grassmann import EXACT, SubspaceConfiguration
 
@@ -97,13 +100,20 @@ def parse_family(spec: str, m: int) -> List[Partition]:
 def schur_moments(config: SubspaceConfiguration, sigmas: Sequence[Partition]) -> dict:
     """M_sigma = sum over ordered pairs of X*_sigma(y(a, b)), for each sigma.
 
-    Summed over angle classes with their multiplicities, every sigma at
-    every class in one batched evaluation.  The counts stay integers, so
-    exact moments stay ``Fraction`` values.
+    Summed over pair classes with their multiplicities, every sigma at
+    every class in one batched evaluation.  Exact classes are keyed by
+    their angle invariants (e_1, .., e_m), which X*_sigma needs in place
+    of the angles, so no root is found; float classes by their angles.
+    The counts stay integers, so exact moments stay ``Fraction`` values.
     """
-    classes = config.angle_classes()
+    if config.mode == EXACT:
+        classes = config.invariant_classes()
+        values = normalized_schur_at_invariants(sigmas, list(classes))
+    else:
+        classes = config.angle_classes()
+        values = normalized_schur_batch(sigmas, list(classes))
     counts = np.array(list(classes.values()), dtype=int)
-    values = (normalized_schur_batch(sigmas, list(classes)) * counts).sum(axis=1)
+    values = (values * counts).sum(axis=1)
     return dict(zip(sigmas, values.tolist()))
 
 
@@ -124,8 +134,8 @@ def _defects(config: SubspaceConfiguration, family: Sequence[Partition]) -> list
 def design_defect(config: SubspaceConfiguration, mu: Partition):
     """Kernel sum over all ordered pairs of the configuration, diagonal included.
 
-    Exact for exact configurations with rational angles; the diagonal alone
-    contributes |X| times the component dimension.
+    Exact for every exact configuration, rational angles or not; the
+    diagonal alone contributes |X| times the component dimension.
     """
     return _defects(config, [mu])[0]
 
@@ -496,9 +506,13 @@ def classify_tight_E(
     """
     _require_cardinality(config)
     report = is_T_design(config, column_family(config.m), tol=tol)
-    slack = 0 if config.mode == EXACT else tol
-    pairs = config.pair_angles().items()
-    geometry = all(abs(y[-1]) <= slack for (i, j), y in pairs if i != j)
+    if config.mode == EXACT:
+        # the last angle vanishes exactly when the angle product e_m does
+        pairs = config.pair_invariants().items()
+        geometry = all(not e[-1] for (i, j), e in pairs if i != j)
+    else:
+        pairs = config.pair_angles().items()
+        geometry = all(abs(y[-1]) <= tol for (i, j), y in pairs if i != j)
     if report.design != geometry:
         raise ArithmeticError(
             "design and geometry verdicts disagree; tolerance too tight?"

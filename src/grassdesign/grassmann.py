@@ -9,19 +9,24 @@ basis matrix whose rows span it.  Two modes coexist:
   int pairs, and the determinant and adjugate of their integer Gram
   matrix.  A pair's angles times det G_a det G_b are the eigenvalues of
   the integer matrix adj(G_a) C adj(G_b) C^H, C the cross-Gram; its
-  characteristic polynomial comes from a division-free recurrence, and
-  its rescaled monic form is factored by rational-root search.  Only
-  configurations with rational spectra are representable, which covers
-  every bundled configuration;
+  characteristic polynomial comes from a division-free recurrence and
+  gives the pair invariant (e_1, .., e_m), the elementary symmetric
+  values of the angles, with no root found.  Defects, antipodality and
+  the tightness tests read only invariants, so they hold for any exact
+  configuration.  Angles themselves, for display, come from factoring
+  each distinct invariant once by rational-root search, which succeeds
+  only on rational spectra; every bundled configuration has one;
 * float mode stores complex entries, orthonormalizes once per point
   through a thin SVD (which also reveals the rank) and reads the angles
   off singular values, one batched SVD call per point against all later
   points when a configuration fills its pair table.
 
 Principal angles are returned as descending tuples y with entries in
-[0, 1]; the pair (a, b) is antipodal exactly when every entry is 0 or 1.
-A configuration computes the angles of each unordered pair once and
-answers every pairwise question from that table.
+[0, 1]; the pair (a, b) is antipodal exactly when every entry is 0 or 1,
+that is, when e_1 is an integer r and e_k = C(r, k) for every k.  A
+configuration computes the invariant (exact) or the angles (float) of
+each unordered pair once and answers every pairwise question from that
+table.
 """
 
 from __future__ import annotations
@@ -165,7 +170,7 @@ class SubspacePoint:
 class SubspaceConfiguration:
     """Ordered list of points sharing one ambient G(m, n) and one mode."""
 
-    __slots__ = ("points", "label", "m", "n", "mode", "_pairs")
+    __slots__ = ("points", "label", "m", "n", "mode", "_pairs", "_invariants")
 
     def __init__(self, points: Sequence[SubspacePoint], label: str = ""):
         points = list(points)
@@ -180,7 +185,7 @@ class SubspaceConfiguration:
         self.points = points
         self.label = label
         self.m, self.n, self.mode = first.m, first.n, first.mode
-        self._pairs = None
+        self._pairs = self._invariants = None
 
     def __len__(self):
         return len(self.points)
@@ -196,8 +201,28 @@ class SubspaceConfiguration:
             [p.to_float() for p in self.points], label=self.label
         )
 
+    def pair_invariants(self) -> dict:
+        """Angle invariants (e_1, .., e_m) keyed by index pair (i, j), i <= j.
+
+        Exact mode only; each unordered pair is computed once.
+        """
+        if self.mode != EXACT:
+            raise ValueError("angle invariants are exact-mode only")
+        if self._invariants is None:
+            pts = self.points
+            pairs = combinations_with_replacement(range(len(pts)), 2)
+            self._invariants = {(i, j): pair_invariant(pts[i], pts[j]) for i, j in pairs}
+        return self._invariants
+
+    def invariant_classes(self) -> dict:
+        """Multiplicities of angle invariants over all ordered pairs (exact mode)."""
+        return _ordered_counts(self.pair_invariants())
+
     def pair_angles(self) -> dict:
-        """Principal angles keyed by index pair (i, j), i <= j, computed once."""
+        """Principal angles keyed by index pair (i, j), i <= j, computed once.
+
+        Exact angles factor each distinct pair invariant once.
+        """
         if self._pairs is None:
             pts = self.points
             if self.mode == FLOAT:
@@ -208,8 +233,11 @@ class SubspaceConfiguration:
                     for j, y in enumerate(_float_angles(p.frame, frames[i:]), start=i)
                 }
             else:
-                pairs = combinations_with_replacement(range(len(pts)), 2)
-                self._pairs = {(i, j): principal_angles(pts[i], pts[j]) for i, j in pairs}
+                invariants = self.pair_invariants()
+                # first-seen order, so the first pair that cannot be
+                # factored is the one reported
+                angles = {e: invariant_angles(e) for e in dict.fromkeys(invariants.values())}
+                self._pairs = {pair: angles[e] for pair, e in invariants.items()}
         return self._pairs
 
     def angle_matrix(self) -> list:
@@ -220,13 +248,16 @@ class SubspaceConfiguration:
 
     def angle_classes(self) -> dict:
         """Multiplicities of angle vectors over all ordered pairs."""
-        counts: dict = {}
-        for (i, j), y in self.pair_angles().items():
-            counts[y] = counts.get(y, 0) + (1 if i == j else 2)
-        return counts
+        return _ordered_counts(self.pair_angles())
 
     def is_antipodal(self, tol: float = 1e-8) -> bool:
-        """True when every pair of points is antipodal."""
+        """True when every pair of points is antipodal.
+
+        Exact configurations decide it from the pair invariants, with no
+        root search.
+        """
+        if self.mode == EXACT:
+            return all(antipodal_invariant(e) for e in self.invariant_classes())
         return all(antipodal_angles(y, self.mode, tol) for y in self.pair_angles().values())
 
     def to_json(self) -> dict:
@@ -262,6 +293,14 @@ class SubspaceConfiguration:
         if (config.m, config.n) != declared:
             raise ValueError("declared (m, n) disagree with the point shapes")
         return config
+
+
+def _ordered_counts(table: dict) -> dict:
+    """Multiplicities of the values of an (i, j), i <= j pair table over ordered pairs."""
+    counts: dict = {}
+    for (i, j), v in table.items():
+        counts[v] = counts.get(v, 0) + (1 if i == j else 2)
+    return counts
 
 
 def _row_inner(u, v) -> ExactComplex:
@@ -309,40 +348,45 @@ def _float_angles(frame: np.ndarray, others: np.ndarray) -> list:
     return [tuple(row) for row in (np.clip(s, 0.0, 1.0) ** 2).tolist()]
 
 
-def _angle_polynomial(a: SubspacePoint, b: SubspacePoint) -> list:
-    """Monic polynomial of an exact pair's angles, ascending in degree.
+def pair_invariant(a: SubspacePoint, b: SubspacePoint) -> tuple:
+    """Elementary symmetric values (e_1, .., e_m) of an exact pair's angles.
 
     The integer matrix adj(G_a) C adj(G_b) C^H has the angles times
     D = det G_a det G_b as eigenvalues; from its division-free
-    characteristic polynomial sum p_k x^k this returns the
-    ``Fraction`` values p_k / D^(m-k).
+    characteristic polynomial sum c_k x^k this returns the ``Fraction``
+    values e_k = (-1)^k c_(m-k) / D^k.  No root is found, so the
+    invariant exists whether or not the angles are rational.
     """
+    _check_pair(a, b)
+    if a.mode != EXACT:
+        raise ValueError("angle invariants are exact-mode only")
     cross = gaussian_mat_mul(a.rows, _adjoint(b.rows))
     product = gaussian_mat_mul(
         gaussian_mat_mul(a.gram_adj, cross), gaussian_mat_mul(b.gram_adj, _adjoint(cross))
     )
     scale = a.gram_det * b.gram_det
-    poly = []
-    for k, (re, im) in enumerate(gaussian_charpoly(product)):
+    poly = gaussian_charpoly(product)
+    out = []
+    for k in range(1, a.m + 1):
+        re, im = poly[a.m - k]
         if im:
             raise ArithmeticError("characteristic polynomial not real")
-        poly.append(rational(re, scale ** (a.m - k)))
-    return poly
+        out.append(rational((-1) ** k * re, scale**k))
+    return tuple(out)
 
 
-def principal_angles(a: SubspacePoint, b: SubspacePoint) -> tuple:
-    """Descending eigenvalues of the composed projectors, m of them.
+def invariant_polynomial(e: tuple) -> list:
+    """Monic polynomial prod (x - y_i) of angles with invariant e, ascending in degree."""
+    descending = [rational(1)] + [(-1) ** k * v for k, v in enumerate(e, 1)]
+    return descending[::-1]
 
-    Exact mode factors the pair's angle polynomial, computed over
-    Gaussian integers without division, by rational-root search; an
-    irrational spectrum raises :class:`IrrationalAnglesError`.
+
+def invariant_angles(e: tuple) -> tuple:
+    """Descending angles with elementary symmetric values e, by rational-root search.
+
+    An irrational spectrum raises :class:`IrrationalAnglesError`.
     """
-    _check_pair(a, b)
-    if a.mode == FLOAT:
-        return _float_angles(a.frame, b.frame[None])[0]
-
-    poly = _angle_polynomial(a, b)
-    roots, leftover = rational_roots(poly)
+    roots, leftover = rational_roots(invariant_polynomial(e))
     if leftover:
         raise IrrationalAnglesError(
             "exact spectrum has irrational principal angles; "
@@ -353,6 +397,33 @@ def principal_angles(a: SubspacePoint, b: SubspacePoint) -> tuple:
         vals.extend([root] * mult)
     vals.sort(reverse=True)
     return tuple(vals)
+
+
+def antipodal_invariant(e: tuple) -> bool:
+    """True when the angles with invariant e all lie in {0, 1}.
+
+    That happens exactly when e_1 is an integer r and e_k = C(r, k) for
+    every k: the angle polynomial is then x^(m-r) (x - 1)^r.
+    """
+    r = e[0]
+    return (
+        r.denominator == 1
+        and 0 <= r <= len(e)
+        and all(v == math.comb(int(r), k) for k, v in enumerate(e, 1))
+    )
+
+
+def principal_angles(a: SubspacePoint, b: SubspacePoint) -> tuple:
+    """Descending eigenvalues of the composed projectors, m of them.
+
+    Exact mode factors the pair's angle polynomial, read off
+    :func:`pair_invariant`, by rational-root search; an irrational
+    spectrum raises :class:`IrrationalAnglesError`.
+    """
+    _check_pair(a, b)
+    if a.mode == FLOAT:
+        return _float_angles(a.frame, b.frame[None])[0]
+    return invariant_angles(pair_invariant(a, b))
 
 
 def symmetry_image(a: SubspacePoint, b: SubspacePoint) -> SubspacePoint:

@@ -9,6 +9,7 @@ subspace bases.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 #: The rational type's name.  Nothing in the package reads it; it stays
@@ -44,17 +45,25 @@ def as_rational(x):
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+# Text forms of exact scalars, over ASCII digits only.  A rational is
+# "p" or "p/q" with an optional sign on p; a Gaussian rational is
+# "re", "re+im*i", "re-im*i", "re+i" or "re-i", or a pure imaginary
+# "im*i", "-im*i", "i" or "-i", where im is an unsigned rational.
+_UNSIGNED = r"[0-9]+(?:/[0-9]+)?"
+_RATIONAL = re.compile(rf"[+-]?{_UNSIGNED}")
+_COMPLEX = re.compile(rf"([+-]?{_UNSIGNED})(?:([+-])(?:({_UNSIGNED})\*)?i)?")
+_IMAGINARY = re.compile(rf"([+-]?)(?:({_UNSIGNED})\*)?i")
+
+
 def rational_from_str(s: str):
     """Parse 'p' or 'p/q'; malformed text, a non-string or a zero q raises ValueError."""
-    if not isinstance(s, str):
+    text = s.strip() if isinstance(s, str) else ""
+    if not _RATIONAL.fullmatch(text):
         raise ValueError(f"not a rational string: {s!r}")
-    s = s.strip()
-    if "/" in s:
-        p, q = (int(v) for v in s.split("/"))
-        if not q:
-            raise ValueError(f"zero denominator in {s!r}")
-        return rational(p, q)
-    return rational(int(s))
+    p, _, q = text.partition("/")
+    if q and not int(q):
+        raise ValueError(f"zero denominator in {s!r}")
+    return rational(int(p), int(q or 1))
 
 
 def rational_to_str(x) -> str:
@@ -166,28 +175,24 @@ class ExactComplex:
 
     @staticmethod
     def from_str(s: str) -> "ExactComplex":
-        """Parse 're', 're+im*i' or 're-im*i' with rational parts 'p/q'."""
-        s = s.strip().replace(" ", "")
-        if "i" not in s:
-            return ExactComplex(rational_from_str(s))
-        body = s[:-1]
-        if body.endswith("*"):
-            body = body[:-1]
-        # split at the sign separating real and imaginary parts, skipping
-        # a leading sign and signs inside the rational slashes
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "+-/":
-                re_part, sign, im_part = body[:k], body[k], body[k + 1 :]
-                im = rational_from_str(im_part or "1")
-                if sign == "-":
-                    im = -im
-                return ExactComplex(rational_from_str(re_part), im)
-        # pure imaginary, e.g. '1/2*i', 'i' or '-i'
-        if body in ("", "+"):
-            return ExactComplex(0, 1)
-        if body == "-":
-            return ExactComplex(0, -1)
-        return ExactComplex(0, rational_from_str(body))
+        """Parse 're', 're+im*i', 're-im*i' or 'im*i' with rational parts 'p/q'.
+
+        A missing im reads as 1, as in 'i', '-i' and '1+i'; any other text
+        raises ValueError.
+        """
+        text = s.strip() if isinstance(s, str) else ""
+        if match := _COMPLEX.fullmatch(text):
+            real, sign, im = match.groups()
+        elif match := _IMAGINARY.fullmatch(text):
+            real = None
+            sign, im = match.groups()
+        else:
+            raise ValueError(f"not a Gaussian rational: {s!r}")
+        real = rational_from_str(real) if real else rational(0)
+        if sign is None:
+            return ExactComplex(real)
+        im = rational_from_str(im) if im else rational(1)
+        return ExactComplex(real, -im if sign == "-" else im)
 
 
 CX_ZERO = ExactComplex(0)

@@ -11,11 +11,16 @@ numpy column per k in float mode) and each shape's Jacobi-Trudi index
 matrix once, then takes stacked float determinants through
 ``numpy.linalg.det`` or exact ones through :func:`exactlinalg.det`.
 Exact values are fraction-free up to one division: a point y is written
-a/d with d the lcm of its denominators, the determinant runs on the
-integers a and gives the integer s_sigma(a), and s_sigma is homogeneous,
-so X*_sigma(y) is that integer over d^|sigma| and the normalization,
-formed as one ``Fraction``.  The scalar evaluators delegate to the
-batch.
+a/d, the determinant runs on integers and gives s_sigma(a), and s_sigma
+is homogeneous, so X*_sigma(y) is that integer over d^|sigma| and the
+normalization, formed as one ``Fraction``.  The exact core starts from
+the integers e_k(a) = d^k e_k(y) and d, so a point enters either by its
+coordinates (d the lcm of their denominators) or, through
+:func:`normalized_schur_at_invariants`, by its e_k alone (d the lcm of
+their denominators), which is how exact pair classes enter without
+their angles.  The scalar evaluators delegate to the batch, and
+:meth:`SchurExpansion.evaluate_batch` sums an expansion over one common
+denominator per point.
 """
 
 from __future__ import annotations
@@ -62,6 +67,83 @@ def schur_norm(mu: Partition):
     return rational(num, math.prod(j - i for i, j in pairs))
 
 
+def _top_index(sigmas) -> int:
+    """Largest h_k index the Jacobi-Trudi matrices of the shapes read."""
+    return max((s.parts[0] + s.length_index() - 1 for s in sigmas if not s.is_zero()), default=0)
+
+
+def _jacobi_trudi_index(sigma: Partition) -> list:
+    """h indices of the Jacobi-Trudi matrix of sigma; -1 reads an appended zero."""
+    ell = sigma.length_index()
+    return [[max(sigma.parts[i] - i + j, -1) for j in range(ell)] for i in range(ell)]
+
+
+def _scaled_points(points, upto: int):
+    """Exact points y = a/d as (e_0(a) .. e_upto(a), d), d the lcm of y's denominators.
+
+    Returns None when some coordinate is a float.
+    """
+    if not all(is_exact_real(v) for y in points for v in y):
+        return None
+    widths = {len(y) for y in points}
+    if len(widths) != 1:
+        raise ValueError("points must be an (N, m) array")
+    (m,) = widths
+    scaled = []
+    for y in points:
+        d = math.lcm(*(v.denominator for v in y))
+        a = [v.numerator * (d // v.denominator) for v in y]
+        scaled.append((_elementary_terms(a, min(upto, m), 1), d))
+    return scaled
+
+
+def _scaled_invariants(invariants) -> list:
+    """Points given by (e_1, .., e_m) of their coordinates, as (d^k e_k, d).
+
+    d is the lcm of the denominators of the e_k; every d^k e_k is then an
+    integer, and a point of coordinates y with these e_k is y = a/d with
+    e_k(a) = d^k e_k.
+    """
+    scaled = []
+    for e in invariants:
+        d = math.lcm(*(v.denominator for v in e))
+        ints = [v.numerator * (d // v.denominator) * d ** (k - 1) for k, v in enumerate(e, 1)]
+        scaled.append(([1] + ints, d))
+    return scaled
+
+
+def _schur_numerators(sigmas: Sequence[Partition], scaled: list, m: int) -> list:
+    """Integers s_sigma(a) = d^|sigma| s_sigma(y), one row per sigma, at scaled points.
+
+    ``scaled`` holds (e_0(a) .. e_k(a), d) per point, with k at least
+    min(top, m) for the largest h index top the shapes read.
+    """
+    top = _top_index(sigmas)
+    hs = [_complete_terms(e, m, top, 1) + [0] for e, _ in scaled]
+    rows = []
+    for sigma in sigmas:
+        if sigma.m != m:
+            raise ValueError(f"partition ambient {sigma.m} vs point length {m}")
+        idx = _jacobi_trudi_index(sigma)
+        if idx:
+            rows.append([exactlinalg.det([[h[k] for k in row] for row in idx]) for h in hs])
+        else:
+            rows.append([1] * len(hs))
+    return rows
+
+
+def _normalized_exact(sigmas: Sequence[Partition], scaled: list, m: int) -> np.ndarray:
+    """X*_sigma at scaled exact points: s_sigma(a) over d^|sigma| and the normalization."""
+    out = np.empty((len(sigmas), len(scaled)), dtype=object)
+    for r, (sigma, nums) in enumerate(zip(sigmas, _schur_numerators(sigmas, scaled, m))):
+        norm = schur_norm(sigma)
+        out[r] = [
+            rational(s * norm.denominator, d**sigma.weight * norm.numerator)
+            for s, (_, d) in zip(nums, scaled)
+        ]
+    return out
+
+
 def normalized_schur_batch(sigmas: Sequence[Partition], points) -> np.ndarray:
     """X*_sigma at every point of an (N, m) sequence, one output row per sigma.
 
@@ -69,54 +151,40 @@ def normalized_schur_batch(sigmas: Sequence[Partition], points) -> np.ndarray:
     ``Fraction``, otherwise a float array.  h_k with k < 0 is read
     from an appended zero at index -1 of each point's h list or array.
     """
-    top = max((s.parts[0] + s.length_index() - 1 for s in sigmas if not s.is_zero()), default=0)
-    if all(is_exact_real(v) for y in points for v in y):
-        widths = {len(y) for y in points}
-        if len(widths) != 1:
-            raise ValueError("points must be an (N, m) array")
-        (m,) = widths
-        scaled = []  # (h_0(a) .. h_top(a) and h_-1 = 0, d) with y = a/d
-        for y in points:
-            nums = [v.numerator for v in y]
-            dens = [v.denominator for v in y]
-            d = math.lcm(*dens)
-            a = [p * (d // q) for p, q in zip(nums, dens)]
-            h = _complete_terms(_elementary_terms(a, min(top, m), 1), m, top, 1)
-            scaled.append((h + [0], d))
-        out = np.full((len(sigmas), len(points)), rational(1), dtype=object)
+    top = _top_index(sigmas)
+    scaled = _scaled_points(points, top)
+    if scaled is not None:
+        return _normalized_exact(sigmas, scaled, len(points[0]))
 
-        def jacobi_trudi(idx, sigma):
-            norm = schur_norm(sigma)
-            num, den = norm.numerator, norm.denominator
-            return [
-                rational(
-                    exactlinalg.det([[h[k] for k in row] for row in idx]) * den,
-                    d**sigma.weight * num,
-                )
-                for h, d in scaled
-            ]
-
-    else:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2:
-            raise ValueError("points must be an (N, m) array")
-        m = pts.shape[1]
-        one = np.ones(len(pts))
-        e = _elementary_terms(pts.T, min(top, m), one)
-        h = np.stack(_complete_terms(e, m, top, one) + [one * 0], axis=1)
-        out = np.ones((len(sigmas), len(pts)))
-
-        def jacobi_trudi(idx, sigma):
-            return np.linalg.det(h[:, idx]) / float(schur_norm(sigma))
-
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise ValueError("points must be an (N, m) array")
+    m = pts.shape[1]
+    one = np.ones(len(pts))
+    e = _elementary_terms(pts.T, min(top, m), one)
+    h = np.stack(_complete_terms(e, m, top, one) + [one * 0], axis=1)
+    out = np.ones((len(sigmas), len(pts)))
     for r, sigma in enumerate(sigmas):
         if sigma.m != m:
             raise ValueError(f"partition ambient {sigma.m} vs point length {m}")
-        ell = sigma.length_index()
-        if ell:
-            idx = [[max(sigma.parts[i] - i + j, -1) for j in range(ell)] for i in range(ell)]
-            out[r] = jacobi_trudi(idx, sigma)
+        idx = _jacobi_trudi_index(sigma)
+        if idx:
+            out[r] = np.linalg.det(h[:, idx]) / float(schur_norm(sigma))
     return out
+
+
+def normalized_schur_at_invariants(sigmas: Sequence[Partition], invariants) -> np.ndarray:
+    """X*_sigma at exact points given by the tuples (e_1, .., e_m) of ``Fraction``.
+
+    X*_sigma is symmetric, so the e_k of a point determine its value: no
+    coordinate, and no root, is needed.  Same object array as
+    :func:`normalized_schur_batch` at the points themselves.
+    """
+    invariants = [tuple(e) for e in invariants]
+    widths = {len(e) for e in invariants}
+    if len(widths) != 1:
+        raise ValueError("invariants must be an (N, m) array")
+    return _normalized_exact(sigmas, _scaled_invariants(invariants), widths.pop())
 
 
 def normalized_schur_eval(mu: Partition, y: Sequence):
@@ -170,9 +238,29 @@ class SchurExpansion:
         for y in points:
             if len(y) != self.m:
                 raise ValueError(f"point length {len(y)} vs ambient {self.m}")
-        columns = normalized_schur_batch(list(self.coeffs), points).T
-        coeffs = list(self.coeffs.values())
-        return [sum((c * v for c, v in zip(coeffs, column)), rational(0)) for column in columns]
+        sigmas = list(self.coeffs)
+        scaled = _scaled_points(points, _top_index(sigmas))
+        if scaled is None:
+            columns = normalized_schur_batch(sigmas, points).T
+            coeffs = list(self.coeffs.values())
+            return [
+                sum((c * v for c, v in zip(coeffs, column)), rational(0)) for column in columns
+            ]
+        # c_sigma X*_sigma(y) = (c_sigma / norm_sigma) s_sigma(a) / d^|sigma|: over
+        # the common denominator L d^w of the shapes, with w the largest
+        # weight, each value is one integer sum
+        weights = [c / schur_norm(s) for s, c in self.coeffs.items()]
+        common = math.lcm(*(w.denominator for w in weights))
+        ints = [w.numerator * (common // w.denominator) for w in weights]
+        top = max((s.weight for s in sigmas), default=0)
+        lifts = [top - s.weight for s in sigmas]
+        rows = _schur_numerators(sigmas, scaled, self.m)
+        values = []
+        for p, (_, d) in enumerate(scaled):
+            powers = [d**k for k in range(top + 1)]
+            total = sum(k * row[p] * powers[j] for k, row, j in zip(ints, rows, lifts))
+            values.append(rational(total, common * powers[top]))
+        return values
 
     def at_ones(self):
         return sum(self.coeffs.values(), rational(0))

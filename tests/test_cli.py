@@ -190,18 +190,78 @@ def test_result_payload_is_byte_stable(capsys):
     ],
 )
 def test_principal_angles_once_per_pair(argv, capsys, monkeypatch):
-    calls = []
-    original = grassmann.principal_angles
+    # every unordered pair, diagonal included, gets its invariant once;
+    # roots are found only to display angles, once per distinct class
+    invariants, factored = [], []
+    original_invariant = grassmann.pair_invariant
+    original_roots = grassmann.rational_roots
 
-    def counting(a, b):
-        calls.append((a, b))
-        return original(a, b)
+    def counting_invariant(a, b):
+        invariants.append((a, b))
+        return original_invariant(a, b)
 
-    monkeypatch.setattr(grassmann, "principal_angles", counting)
+    def counting_roots(poly):
+        factored.append(tuple(poly))
+        return original_roots(poly)
+
+    monkeypatch.setattr(grassmann, "pair_invariant", counting_invariant)
+    monkeypatch.setattr(grassmann, "rational_roots", counting_roots)
     main(argv)
     capsys.readouterr()
     k = 6
-    assert len(calls) == k * (k + 1) // 2
+    assert len(invariants) == k * (k + 1) // 2
+    if argv[0] == "antipodal":
+        assert factored == []
+    else:
+        classes = grassmann.six_point_config().invariant_classes()
+        assert len(factored) == len(set(factored)) == len(classes)
+
+
+def disguised_great_antipodal(m, n):
+    """great_antipodal(m, n) under an exact dense unitary, rows recombined.
+
+    The unitary is a Gaussian phase (3 + 4i)/5 on the first coordinate
+    followed by rotations with cosine 3/5 and sine 4/5 on each pair of
+    adjacent coordinates; each point's rows are then mixed by a fixed
+    invertible Gaussian-integer matrix.
+    """
+    from grassdesign.exactlinalg import mat_mul
+    from grassdesign.scalars import ExactComplex, rational
+
+    unitary = [[ExactComplex(int(i == j)) for j in range(n)] for i in range(n)]
+    unitary[0][0] = ExactComplex(rational(3, 5), rational(4, 5))
+    for k in range(n - 1):
+        rot = [[ExactComplex(int(i == j)) for j in range(n)] for i in range(n)]
+        rot[k][k] = rot[k + 1][k + 1] = ExactComplex(rational(3, 5))
+        rot[k][k + 1], rot[k + 1][k] = ExactComplex(rational(4, 5)), ExactComplex(rational(-4, 5))
+        unitary = mat_mul(unitary, rot)
+    mix = [[ExactComplex(1 + (i == j), i - j) for j in range(m)] for i in range(m)]
+    points = [
+        grassmann.SubspacePoint(mat_mul(mix, mat_mul([list(r) for r in p.basis], unitary)))
+        for p in great_antipodal(m, n)
+    ]
+    return SubspaceConfiguration(points, label=f"disguised({m},{n})")
+
+
+def test_design_path_finds_no_roots(tmp_path, capsys, monkeypatch):
+    from grassdesign import exactlinalg
+
+    def no_roots(poly):
+        raise AssertionError("root search on the design path")
+
+    monkeypatch.setattr(exactlinalg, "rational_roots", no_roots)
+    monkeypatch.setattr(grassmann, "rational_roots", no_roots)
+    for m in range(1, 5):
+        code, doc = run_json(capsys, "antipodal", "--m", str(m), "--n", str(2 * m), "--verify", "E+F")
+        assert code == 0 and doc["result"]["pairwise_antipodal"] is True
+    config = disguised_great_antipodal(3, 6)
+    path = tmp_path / "disguised.json"
+    path.write_text(json.dumps(config.to_json()))
+    code, doc = run_json(capsys, "verify-design", "--config", str(path), "--set", "E+F")
+    assert code == 0
+    _, want = run_json(capsys, "antipodal", "--m", "3", "--n", "6", "--verify", "E+F")
+    assert doc["result"]["entries"] == want["result"]["report"]["entries"]
+    assert config.is_antipodal()
 
 
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
@@ -321,6 +381,19 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert err.value.code == 2, tol
 
 
+def test_malformed_exact_entries_exit_two(tmp_path, capsys):
+    # one config per entry outside the scalar grammar
+    for entry in ["1++2*i", "1+*i", "1-+2*i", "2i", "1/+2", "1_000", "\u0661", "1 + 2*i"]:
+        config = {"m": 1, "n": 2, "mode": "exact", "points": [{"rows": [[entry, "1"]]}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        for argv in (["angles"], ["verify-design", "--set", "E"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv + ["--config", str(path)])
+            assert err.value.code == 2, (entry, argv)
+            assert "not a" in capsys.readouterr().err
+
+
 def test_root_search_limit_exits_three_fast(tmp_path, capsys):
     # seeded integer entries in [-100, 100]: the square-free charpoly's end
     # coefficients have about 38 and 50 bits, beyond the root-search budget
@@ -376,3 +449,32 @@ def test_computational_errors_exit_three(tmp_path, capsys):
     assert code == 3
     err = json.loads(captured.err)
     assert err["error"]["code"] == "irrational-angles"
+
+
+def test_irrational_angles_get_exact_defects(tmp_path, capsys):
+    # the pair of test_computational_errors_exit_three: its cross angles
+    # are (2 +- sqrt 2)/4, yet its defects need only their sum and product
+    config = {
+        "m": 2,
+        "n": 4,
+        "mode": "exact",
+        "label": "irrational pair",
+        "points": [
+            {"rows": [["1", "0", "0", "0"], ["0", "1", "1", "0"]]},
+            {"rows": [["1", "1", "0", "0"], ["0", "0", "1", "1"]]},
+        ],
+    }
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(config))
+    code, doc = run_json(capsys, "verify-design", "--config", str(path), "--set", "T2")
+    assert code == 1
+    exact = doc["result"]["entries"]
+    assert [e["defect"] for e in exact] == ["4", "30", "35", "161"]
+    path.write_text(json.dumps(dict(config, mode="float")))
+    code, doc = run_json(capsys, "verify-design", "--config", str(path), "--set", "T2")
+    assert code == 1
+    for e, f in zip(exact, doc["result"]["entries"]):
+        assert abs(int(e["defect"]) - f["defect"]) <= 1e-13 * 4 * e["dim"]
+    path.write_text(json.dumps(config))
+    assert main(["angles", "--config", str(path)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "irrational-angles"

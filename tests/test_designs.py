@@ -169,15 +169,18 @@ class TestSchurMoments:
         ids=["float-random-2-6", "exact-six-point"],
     )
     def test_design_evaluates_each_sigma_once(self, monkeypatch, config, spec):
+        # exact classes enter the evaluator by their angle invariants,
+        # float classes by their angles
         family = parse_family(spec, config.m)
         batched = []
-        batch = designs.normalized_schur_batch
+        name = "normalized_schur_batch" if config.mode == FLOAT else "normalized_schur_at_invariants"
+        batch = getattr(designs, name)
 
         def counting_batch(sigmas, points):
             batched.extend(sigmas)
             return batch(sigmas, points)
 
-        monkeypatch.setattr(designs, "normalized_schur_batch", counting_batch)
+        monkeypatch.setattr(designs, name, counting_batch)
         is_T_design(config, family)
         support = {s for mu in family for s in zonal_kernel(mu, config.n).expansion.coeffs}
         assert Counter(batched) == Counter(support)

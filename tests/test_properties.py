@@ -1,20 +1,29 @@
 """Property tests: exact pair geometry does not depend on how points are presented."""
 
+import math
+from itertools import combinations
+
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from grassdesign.designs import column_family, hook_family, is_T_design
+from grassdesign.designs import column_family, hook_family, is_T_design, weight_family
 from grassdesign.exactlinalg import det, mat_mul
 from grassdesign.grassmann import (
     EXACT,
     RankDeficiencyError,
     SubspaceConfiguration,
     SubspacePoint,
-    _angle_polynomial,
+    antipodal_angles,
+    antipodal_invariant,
     great_antipodal,
+    invariant_polynomial,
+    orthogonal_split_config,
+    pair_invariant,
     six_point_config,
 )
 from grassdesign.scalars import ExactComplex, rational
+from grassdesign.zonal import zonal_kernel
 
 from exact_oracles import angle_polynomial
 
@@ -125,4 +134,77 @@ def test_angle_polynomial_matches_gram_inverse_oracle(pair):
     # most drawn pairs have irrational spectra, so this compares the
     # polynomials, not the roots
     a, b = pair
-    assert _angle_polynomial(a, b) == angle_polynomial(a, b)
+    assert invariant_polynomial(pair_invariant(a, b)) == angle_polynomial(a, b)
+
+
+@st.composite
+def graph_configurations(draw):
+    """Exact configurations of G(m, n), m <= 3, each basis [I | B] with B Gaussian rational.
+
+    Every basis has full rank, and its condition number is bounded by the
+    entry bound of B.  Almost every drawn pair has irrational angles.
+    """
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(2 * m, 2 * m + 1))
+    tail = st.lists(st.lists(gaussian_rationals(6, 6), min_size=n - m, max_size=n - m),
+                    min_size=m, max_size=m)
+    points = []
+    for _ in range(draw(st.integers(2, 5))):
+        b = draw(tail)
+        rows = [[ExactComplex(int(i == j)) for j in range(m)] + b[i] for i in range(m)]
+        points.append(SubspacePoint(rows, mode=EXACT))
+    return SubspaceConfiguration(points, label="graphs")
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=graph_configurations())
+def test_exact_defects_match_float_defects(config):
+    # Per ordered pair the float kernel value Z_mu = sum c_sigma X*_sigma
+    # is off by two kinds of error.  Each |X*_sigma| <= 1 on [0, 1]^m, so
+    # rounding in evaluating and summing the terms costs at most
+    # 16 eps sum |c_sigma|.  The angles carry errors of a few eps from the
+    # orthonormalizing SVDs of well-conditioned bases, and Z_mu, a
+    # polynomial of degree w = |mu| in each angle bounded by dim on
+    # [0, 1]^m, has partial derivatives at most 2 w^2 dim there
+    # (Markov's inequality), so those cost at most 16 eps 2 m w^2 dim.
+    # Summed over |X|^2 ordered pairs: c eps |X|^2 dim, with
+    # c = 16 (sum |c_sigma| / dim + 2 m w^2).
+    family = weight_family(config.m, 3 if config.m < 3 else 2)
+    exact = is_T_design(config, family).entries
+    approx = is_T_design(config.to_float(), family).entries
+    eps = np.finfo(float).eps
+    for e, f in zip(exact, approx):
+        assert e.mu == f.mu
+        spread = sum(abs(c) for c in zonal_kernel(e.mu, config.n).expansion.coeffs.values())
+        c = 16 * (float(spread) / e.dim + 2 * config.m * e.mu.weight**2)
+        assert abs(float(e.defect) - f.defect) <= c * eps * len(config) ** 2 * e.dim
+
+
+BUNDLED = (
+    [great_antipodal(m, n) for m, n in ((1, 2), (1, 3), (2, 4), (2, 5), (2, 6), (3, 6), (3, 7))]
+    + [orthogonal_split_config(m, n) for m, n in ((1, 2), (2, 4), (2, 6), (3, 6))]
+    + [six_point_config(), rotated(six_point_config()), rotated(great_antipodal(2, 4))]
+)
+
+
+@pytest.mark.parametrize("config", BUNDLED, ids=lambda c: c.label)
+def test_invariant_antipodality_matches_angles(config):
+    angles = config.pair_angles()
+    for pair, e in config.pair_invariants().items():
+        assert antipodal_invariant(e) == antipodal_angles(angles[pair], EXACT)
+    assert config.is_antipodal() == all(antipodal_angles(y, EXACT) for y in angles.values())
+
+
+# angles outside [0, 1] too, so the test holds for any multiset
+angle_values = st.sampled_from(
+    [rational(v) for v in (0, 1, 2, -1)] + [rational(1, 2), rational(1, 3), rational(2, 3)]
+)
+
+
+@given(st.lists(angle_values, min_size=1, max_size=5))
+def test_antipodal_invariant_decides_zero_one_angles(angles):
+    e = tuple(
+        sum((math.prod(c) for c in combinations(angles, k)), rational(0))
+        for k in range(1, len(angles) + 1)
+    )
+    assert antipodal_invariant(e) == all(v in (0, 1) for v in angles)

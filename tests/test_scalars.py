@@ -39,6 +39,39 @@ def test_malformed_scalars_raise_value_error(text):
         as_exact_complex(text)
 
 
+# outside the grammar "p/q", "re+im*i", "re-im*i" over ASCII digits
+MALFORMED = ["1++2*i", "1+*i", "1-+2*i", "2i", "1/+2", "1/-2", "1_000", "\u0661\u0662",
+             "1 + 2*i", "*i", "+", "-", "1+2*i+3*i", "1+2*j"]
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_scalar_grammar_is_strict(text):
+    with pytest.raises(ValueError):
+        ExactComplex.from_str(text)
+    if "i" not in text:
+        with pytest.raises(ValueError):
+            rational_from_str(text)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("-3/5-4/25*i", ExactComplex(Fraction(-3, 5), Fraction(-4, 25))),
+        ("0+1*i", ExactComplex(0, 1)),
+        (" 2+3*i ", ExactComplex(2, 3)),
+        ("1+i", ExactComplex(1, 1)),
+        ("1-i", ExactComplex(1, -1)),
+        ("i", ExactComplex(0, 1)),
+        ("-i", ExactComplex(0, -1)),
+        ("-1/2*i", ExactComplex(0, Fraction(-1, 2))),
+        ("+3", ExactComplex(3)),
+        ("-7/2", ExactComplex(Fraction(-7, 2))),
+    ],
+)
+def test_scalar_grammar_forms(text, want):
+    assert ExactComplex.from_str(text) == want
+
+
 def test_rationals_are_fractions():
     assert type(rational(1, 2)) is Fraction
     assert type(as_rational(3)) is Fraction

@@ -13,6 +13,7 @@ from grassdesign.partitions import Partition, binom, column_shape, enumerate_up_
 from grassdesign.scalars import rational
 from grassdesign.symfunc import (
     SchurExpansion,
+    normalized_schur_at_invariants,
     normalized_schur_batch,
     normalized_schur_eval,
     schur_eval,
@@ -26,19 +27,21 @@ from exact_oracles import complete_eval, elementary_all, elementary_eval, prepar
 def schur_eval_giambelli(mu, y):
     """Dual determinant det(e_{mu'_i - i + j}); cross-check for schur_eval."""
     vals, exact = prepare_point(y)
+    m = len(vals)
+    conj = mu.conjugate()
+    top = min(conj.parts[0] + conj.length_index() - 1, m)
+    return dual_jacobi_trudi(mu, elementary_all(vals, top), rational(0) if exact else 0.0)
+
+
+def dual_jacobi_trudi(mu, e, zero):
+    """det(e_{mu'_i - i + j}) from e = (e_0, e_1, ..); e_k is zero past mu.m."""
     conj = mu.conjugate()
     ell = conj.length_index()
     if ell == 0:
-        return rational(1) if exact else 1.0
-    m = len(vals)
-    top = min(conj.parts[0] + ell - 1, m)
-    e = elementary_all(vals, top)
-    zero = rational(0) if exact else 0.0
+        return e[0]
 
     def e_at(k):
-        if k == 0:
-            return e[0]
-        return e[k] if 0 < k <= m else zero
+        return e[k] if 0 <= k <= mu.m else zero
 
     rows = [[e_at(conj.parts[i] - (i + 1) + (j + 1)) for j in range(ell)] for i in range(ell)]
     return det(rows)
@@ -233,6 +236,12 @@ EXACT_COORDINATES = st.one_of(
 )
 
 
+# values of e_k, with denominators up to 60 drawn independently
+INVARIANT_VALUES = st.integers(1, 60).flatmap(
+    lambda q: st.integers(-3 * q, 3 * q).map(lambda p: rational(p, q))
+)
+
+
 class TestNormalizedSchurBatch:
     """The one evaluator against the dual Jacobi-Trudi (Giambelli) oracle."""
 
@@ -267,6 +276,29 @@ class TestNormalizedSchurBatch:
                 assert type(batch[r, c]) is Fraction
                 assert batch[r, c] == schur_eval_giambelli(mu, y) / schur_norm(mu), (mu, y)
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4))
+    def test_invariants_match_dual_jacobi_trudi(self, data, m):
+        # arbitrary e-vectors, most of them the e_k of no rational point,
+        # with denominators drawn independently of each other
+        invariants = data.draw(st.lists(st.tuples(*[INVARIANT_VALUES] * m), min_size=1, max_size=4))
+        shapes = enumerate_up_to_weight(m, 5)
+        batch = normalized_schur_at_invariants(shapes, invariants)
+        assert batch.shape == (len(shapes), len(invariants))
+        for r, mu in enumerate(shapes):
+            for c, e in enumerate(invariants):
+                assert type(batch[r, c]) is Fraction
+                want = dual_jacobi_trudi(mu, (rational(1),) + e, rational(0)) / schur_norm(mu)
+                assert batch[r, c] == want, (mu, e)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4))
+    def test_invariants_of_points_match_points(self, data, m):
+        points = data.draw(st.lists(mixed_points(m, EXACT_COORDINATES), min_size=1, max_size=4))
+        invariants = [tuple(elementary_all(y, m)[1:]) for y in points]
+        shapes = enumerate_up_to_weight(m, 5)
+        assert (normalized_schur_at_invariants(shapes, invariants) == normalized_schur_batch(shapes, points)).all()
+
     def test_one_float_coordinate_switches_the_call_to_float(self):
         shapes = enumerate_up_to_weight(2, 3)
         exact = normalized_schur_batch(shapes, [(1, rational(1, 2)), (0, 1)])
@@ -277,6 +309,9 @@ class TestNormalizedSchurBatch:
     def test_ambient_mismatch_rejected(self):
         with pytest.raises(ValueError):
             normalized_schur_batch([Partition([1, 0])], np.zeros((3, 3)))
+
+
+COEFFICIENTS = st.builds(rational, st.integers(-50, 50), st.integers(1, 30))
 
 
 class TestSchurExpansion:
@@ -296,6 +331,23 @@ class TestSchurExpansion:
     def test_ambient_mismatch_rejected(self):
         with pytest.raises(ValueError):
             SchurExpansion(3, [(Partition([1, 0]), rational(1))])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4))
+    def test_evaluate_batch_matches_term_sum(self, data, m):
+        # shapes of every weight up to 4, so the common denominator lifts
+        # each term by its own power of d
+        shapes = enumerate_up_to_weight(m, 4)
+        coeffs = data.draw(st.lists(COEFFICIENTS, min_size=len(shapes), max_size=len(shapes)))
+        expansion = SchurExpansion(m, zip(shapes, coeffs))
+        points = data.draw(st.lists(mixed_points(m, EXACT_COORDINATES), min_size=1, max_size=4))
+        values = expansion.evaluate_batch(points)
+        for y, value in zip(points, values):
+            want = sum(
+                (c * schur_eval_giambelli(s, y) / schur_norm(s) for s, c in expansion.coeffs.items()),
+                rational(0),
+            )
+            assert type(value) is Fraction and value == want, y
 
     def test_json_round_trip(self):
         e = SchurExpansion(
