@@ -11,13 +11,7 @@ __version__ = "0.1.0"
 from .partitions import Partition, binom, column_shape, hook_shape, row_shape
 from .scalars import ExactComplex, rational
 from .symfunc import SchurExpansion, normalized_schur_eval, schur_eval
-from .zonal import (
-    ZonalPolynomial,
-    harmonic_dim,
-    highest_weight,
-    zonal_james_constantine,
-    zonal_kernel,
-)
+from .zonal import ZonalPolynomial, harmonic_dim, highest_weight, zonal_kernel
 from .grassmann import (
     SubspaceConfiguration,
     SubspacePoint,
@@ -84,6 +78,5 @@ __all__ = [
     "six_point_config",
     "symmetry_image",
     "weight_family",
-    "zonal_james_constantine",
     "zonal_kernel",
 ]

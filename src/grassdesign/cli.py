@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from functools import lru_cache
 
 from . import __version__, designs, grassmann, zonal
 from .exactlinalg import RootSearchLimitError
@@ -26,9 +27,8 @@ from .grassmann import (
     SubspaceConfiguration,
     angles_to_json,
 )
-from .partitions import Partition
+from .partitions import Partition, ShapeLimitError
 from .scalars import rational_to_str
-from .zonal import PoleError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -37,9 +37,9 @@ EXIT_COMPUTE = 3
 
 _ERROR_CODES = {
     IrrationalAnglesError: "irrational-angles",
-    PoleError: "pole",
     RankDeficiencyError: "rank-deficient",
     RootSearchLimitError: "root-search-limit",
+    ShapeLimitError: "shape-limit",
     designs.GridLimitError: "grid-limit",
 }
 
@@ -258,8 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process: parsing leaves no state in it, so it is built once."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     params = {
         k: v

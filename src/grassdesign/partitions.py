@@ -12,7 +12,17 @@ import math
 from itertools import combinations_with_replacement
 from typing import Iterable, Optional
 
+from .exactlinalg import det
 from .scalars import rational
+
+# Most shapes a down-set or a weight-capped enumeration may hold.  A kernel
+# costs one small determinant per shape of its down-set: the largest
+# down-sets inside the budget at ranks 2 to 5 build in about a second.
+SHAPE_BUDGET = 10_000
+
+
+class ShapeLimitError(ArithmeticError):
+    """A shape enumeration would exceed SHAPE_BUDGET."""
 
 
 class Partition:
@@ -151,50 +161,6 @@ def binom(k: int, r: int):
     return rational((-1) ** r * math.comb(r - k - 1, r))
 
 
-def ascending(c, s: int):
-    """Rising product c (c+1) ... (c+s-1), empty product 1."""
-    if s < 0:
-        raise ValueError(f"length must be nonnegative, got {s}")
-    out = 1
-    for i in range(s):
-        out = out * (c + i)
-    return out
-
-
-def hyper_coeff(c, sigma: Partition):
-    """Hypergeometric coefficient prod_i (c - i + 1)_{sigma_i}."""
-    out = 1
-    for i, p in enumerate(sigma.parts, start=1):
-        out = out * ascending(c - i + 1, p)
-    return out
-
-
-def double_content_sum(sigma: Partition) -> int:
-    """sum_i sigma_i (sigma_i - 2i + 1), i.e. twice the cell-content sum."""
-    return sum(p * (p - 2 * i + 1) for i, p in enumerate(sigma.parts, start=1))
-
-
-def increment_part(sigma: Partition, i: int) -> Optional[Partition]:
-    """Increase part i (1-based) by one if the result is still a partition."""
-    if not 1 <= i <= sigma.m:
-        raise IndexError(f"part index {i} outside 1..{sigma.m}")
-    parts = list(sigma.parts)
-    parts[i - 1] += 1
-    if i > 1 and parts[i - 2] < parts[i - 1]:
-        return None
-    return Partition(parts)
-
-
-def increment_set(sigma: Partition, kappa: Partition) -> list:
-    """Indices i whose increment keeps sigma a partition inside kappa."""
-    out = []
-    for i in range(1, sigma.m + 1):
-        up = increment_part(sigma, i)
-        if up is not None and up <= kappa:
-            out.append(i)
-    return out
-
-
 def enumerate_up_to_weight(m: int, t: int) -> list:
     """All partitions of ambient length m with weight <= t, graded lex."""
     if m < 1:
@@ -205,6 +171,10 @@ def enumerate_up_to_weight(m: int, t: int) -> list:
 
     def extend(prefix, cap, remaining):
         if len(prefix) == m:
+            if len(found) == SHAPE_BUDGET:
+                raise ShapeLimitError(
+                    f"more than {SHAPE_BUDGET} shapes of weight <= {t} with at most {m} parts"
+                )
             found.append(Partition(prefix))
             return
         for p in range(min(cap, remaining) + 1):
@@ -215,8 +185,27 @@ def enumerate_up_to_weight(m: int, t: int) -> list:
     return found
 
 
+def down_set_size(kappa: Partition) -> int:
+    """Number of partitions sigma <= kappa, det[binom(kappa_i + 1, i - j + 1)]."""
+    m = kappa.m
+    return det(
+        [
+            [math.comb(kappa.parts[i] + 1, i - j + 1) if j <= i + 1 else 0 for j in range(m)]
+            for i in range(m)
+        ]
+    )
+
+
 def down_set(kappa: Partition) -> list:
-    """All partitions sigma <= kappa (same ambient length), graded lex."""
+    """All partitions sigma <= kappa (same ambient length), graded lex.
+
+    The size is checked against SHAPE_BUDGET before any shape is built.
+    """
+    size = down_set_size(kappa)
+    if size > SHAPE_BUDGET:
+        raise ShapeLimitError(
+            f"{size} shapes below {kappa.parts} exceed the budget of {SHAPE_BUDGET}"
+        )
     found = []
 
     def extend(prefix, i):

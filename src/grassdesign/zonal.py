@@ -6,14 +6,15 @@ symmetric polynomial Z_mu in the m principal angles, normalized so that
 its value at the all-ones point equals the component's dimension.  This
 module builds these kernels exactly:
 
-* the general James-Constantine expansion over normalized Schur
-  polynomials, driven by generalized binomial coefficients read off a
-  closed-form binomial determinant;
+* ``zonal_kernel``, the general construction: each coefficient over the
+  normalized Schur polynomials is one m x m integer determinant of
+  one-variable Jacobi-polynomial coefficients (the bialternant form);
 * closed-form expansions for single-column, single-row and hook shapes,
   kept as independent cross-checks of the general construction.
 
-The column change of basis and the four-term product Z_(1) Z_(1^i) live
-in the tests (``tests/closed_forms.py``) as oracles.
+The James-Constantine recursion, the column change of basis and the
+four-term product Z_(1) Z_(1^i) live in the tests
+(``tests/james_constantine.py``, ``tests/closed_forms.py``) as oracles.
 
 Dimensions come from the Weyl product formula applied to the associated
 highest weight of the unitary group.
@@ -24,27 +25,11 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict
 
 from .exactlinalg import det
-from .partitions import (
-    Partition,
-    binom,
-    column_shape,
-    down_set,
-    double_content_sum,
-    hook_shape,
-    hyper_coeff,
-    increment_part,
-    increment_set,
-    row_shape,
-)
-from .scalars import as_rational, rational
-from .symfunc import SchurExpansion, schur_norm
-
-
-class PoleError(ArithmeticError):
-    """A coefficient recursion hit a pole at the requested parameter."""
+from .partitions import Partition, binom, column_shape, down_set, hook_shape, row_shape
+from .scalars import rational
+from .symfunc import SchurExpansion
 
 
 def _require_ambient(m: int, n: int):
@@ -74,84 +59,6 @@ def weyl_dim(signature: tuple) -> int:
 def harmonic_dim(mu: Partition, n: int) -> int:
     """Dimension of the harmonic component indexed by mu on G(m, n)."""
     return weyl_dim(highest_weight(mu, n))
-
-
-@lru_cache(maxsize=None)
-def _generalized_binomial_table(kappa: Partition) -> Dict[Partition, object]:
-    """Coefficients of X*_sigma(y) in the shifted expansion of X*_kappa(y+1).
-
-    Closed form from s_kappa(1 + x) = sum_sigma d(kappa, sigma) s_sigma(x),
-    d(kappa, sigma) = det[binom(kappa_i + m - i, sigma_j + m - j)]
-    (Macdonald, Symmetric Functions and Hall Polynomials, I.3 Ex. 10),
-    rescaled to the normalized basis by s_sigma(1) / s_kappa(1).
-    """
-    m = kappa.m
-    top = [k + m - i for i, k in enumerate(kappa.parts, start=1)]
-    norm = schur_norm(kappa)
-    table = {}
-    for sigma in down_set(kappa):
-        low = [s + m - j for j, s in enumerate(sigma.parts, start=1)]
-        d = det([[binom(a, b) for b in low] for a in top])
-        table[sigma] = d * schur_norm(sigma) / norm
-    return table
-
-
-def generalized_binomial(kappa: Partition, sigma: Partition):
-    """Generalized binomial coefficient of the shifted-argument expansion."""
-    if kappa.m != sigma.m:
-        raise ValueError(f"ambient mismatch: {kappa} vs {sigma}")
-    if not sigma <= kappa:
-        return rational(0)
-    return _generalized_binomial_table(kappa)[sigma]
-
-
-@lru_cache(maxsize=None)
-def _hyper_coeff_table(c, kappa: Partition) -> Dict[Partition, object]:
-    """The weight-gap recursion below kappa, solved bottom-up for every sigma.
-
-    Shapes are visited largest first, so each single-box increment of
-    sigma is known when sigma is reached, and no call nests deeper than
-    one level however large |kappa| - |sigma| gets.  A pole is stored as
-    its ``PoleError`` and passed on to every shape whose recursion meets
-    it first.
-    """
-    k = kappa.weight
-    table: Dict[Partition, object] = {kappa: rational(1)}
-    for sigma in reversed(down_set(kappa)[:-1]):
-        s = sigma.weight
-        shift = c + rational(double_content_sum(kappa) - double_content_sum(sigma), k - s)
-        if not shift:
-            table[sigma] = PoleError(f"pole at c = {c} for pair ({kappa}, {sigma})")
-            continue
-        total = rational(0)
-        for i in increment_set(sigma, kappa):
-            up = increment_part(sigma, i)
-            above = table[up]
-            if isinstance(above, PoleError):
-                total = above
-                break
-            total = total + (
-                generalized_binomial(kappa, up) * generalized_binomial(up, sigma) * above
-            )
-        if not isinstance(total, PoleError):
-            total = total / ((k - s) * generalized_binomial(kappa, sigma) * shift)
-        table[sigma] = total
-    return table
-
-
-def hyper_coeff_pair(c, kappa: Partition, sigma: Partition):
-    """Two-partition hypergeometric coefficient, base value 1 at sigma = kappa.
-
-    Defined by the weight-gap recursion summing over single-box increments
-    of sigma inside kappa.  The base choice rescales the whole family by a
-    constant, which drops out after kernel normalization.
-    """
-    if not sigma <= kappa:
-        raise ValueError(f"{sigma} not contained in {kappa}")
-    value = _hyper_coeff_table(as_rational(c), kappa)[sigma]
-    if isinstance(value, PoleError):
-        raise PoleError(*value.args)
-    return value
 
 
 class ZonalPolynomial:
@@ -211,37 +118,33 @@ class ZonalPolynomial:
 
 
 @lru_cache(maxsize=None)
-def zonal_james_constantine(mu: Partition, n: int) -> ZonalPolynomial:
-    """General kernel construction from generalized binomial coefficients.
+def zonal_kernel(mu: Partition, n: int) -> ZonalPolynomial:
+    """Kernel of the component mu on G(m, n), the one cached construction.
 
-    Builds the unnormalized expansion
-    sum_{sigma <= mu} (-1)^{|sigma|} [mu; sigma] pair(n) / hyper(m, sigma)
-    over X*_sigma and rescales it to meet the dimension at the all-ones
-    point.
+    Bialternant form of the complex kernels (Roy, Bounds for codes and
+    designs in complex subspaces, J. Algebraic Combin. 2010): with
+    alpha = n - 2m, k_i = mu_i + m - i and l_j = sigma_j + m - j, the
+    coefficient of X*_sigma is proportional to
+    (-1)^{|sigma|} s_sigma(1) det[binom(k_i + alpha + l_j, l_j) binom(k_i, l_j)],
+    where (-1)^{k - l} binom(k + alpha + l, l) binom(k, l) is the y^l
+    coefficient of the Jacobi polynomial P_k^{(alpha, 0)}(2y - 1).  Every
+    coefficient is an integer until the expansion is scaled to meet the
+    dimension at the all-ones point.
     """
     m = mu.m
     _require_ambient(m, n)
-    c = rational(n)
+    shapes = down_set(mu)  # checks the shape budget before the rows below are built
+    alpha = n - 2 * m
+    ks = [p + m - i for i, p in enumerate(mu.parts, start=1)]
+    jacobi = [[math.comb(k + alpha + l, l) * math.comb(k, l) for l in range(ks[0] + 1)] for k in ks]
     terms = []
-    for sigma in down_set(mu):
-        val = (
-            generalized_binomial(mu, sigma)
-            * hyper_coeff_pair(c, mu, sigma)
-            / hyper_coeff(m, sigma)
-        )
-        if sigma.weight % 2:
-            val = -val
-        terms.append((sigma, val))
-    tilde = SchurExpansion(m, terms)
-    total = tilde.at_ones()
-    if not total:
-        raise PoleError(f"degenerate unnormalized kernel for {mu} at n = {n}")
-    return ZonalPolynomial(mu, n, tilde.scaled(rational(harmonic_dim(mu, n)) / total))
-
-
-def zonal_kernel(mu: Partition, n: int) -> ZonalPolynomial:
-    """Canonical cached kernel used by design verification."""
-    return zonal_james_constantine(mu, n)
+    for sigma in shapes:
+        ls = [s + m - j for j, s in enumerate(sigma.parts, start=1)]
+        # the Weyl product of sigma's parts is s_sigma(1, ..., 1)
+        c = weyl_dim(sigma.parts) * det([[row[l] for l in ls] for row in jacobi])
+        terms.append((sigma, -c if sigma.weight % 2 else c))
+    scale = rational(harmonic_dim(mu, n), sum(c for _, c in terms))
+    return ZonalPolynomial(mu, n, SchurExpansion(m, [(s, c * scale) for s, c in terms]))
 
 
 def zonal_column(i: int, m: int, n: int) -> ZonalPolynomial:

@@ -1,8 +1,9 @@
 """Closed-form kernel identities, kept as oracles for the general code.
 
-The package builds every kernel by James-Constantine and every
-certificate by one triangular change of basis; these closed forms are
-independent formulas the tests check those results against:
+The package builds every kernel from one integer determinant per term
+(``zonal_kernel``) and every certificate by one triangular change of
+basis; these closed forms are independent formulas the tests check
+those results against:
 
 * ``schur_in_zonal_basis``: the column-shape normalized Schur
   polynomial X*_(1^i) as a combination of column kernels;

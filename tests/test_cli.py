@@ -13,8 +13,9 @@ import pytest
 
 import grassdesign
 from grassdesign import designs, grassmann
-from grassdesign.cli import main
+from grassdesign.cli import build_parser, main
 from grassdesign.grassmann import great_antipodal, random_subspace, SubspaceConfiguration
+from grassdesign.partitions import SHAPE_BUDGET
 
 
 def run(capsys, *argv):
@@ -429,6 +430,57 @@ def test_grid_limit_exits_three_before_building_points(capsys, monkeypatch):
     assert err["error"]["code"] == "grid-limit"
     assert str(designs.GRID_POINT_BUDGET) in err["error"]["message"]
     assert elapsed < 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zonal", "--mu", "99999999999999999999", "--m", "1", "--n", "2"],
+        ["dims", "--m", "2", "--n", "4", "--max-weight", "100000000"],
+        ["verify-design", "--config", "CONFIG", "--set", "T100000000"],
+    ],
+)
+def test_shape_limit_exits_three_fast(argv, tmp_path, capsys):
+    path = tmp_path / "point.json"
+    point = {"m": 1, "n": 2, "mode": "exact", "points": [{"rows": [["1", "0"]]}]}
+    path.write_text(json.dumps(point))
+    started = time.perf_counter()
+    code = main([str(path) if a == "CONFIG" else a for a in argv])
+    elapsed = time.perf_counter() - started
+    err = json.loads(capsys.readouterr().err)
+    assert code == 3
+    assert err["error"]["code"] == "shape-limit"
+    assert str(SHAPE_BUDGET) in err["error"]["message"]
+    assert elapsed < 2
+
+
+def test_long_row_stays_under_the_shape_budget(capsys):
+    code, doc = run_json(capsys, "zonal", "--mu", "600", "--m", "1", "--n", "2")
+    assert code == 0
+    assert len(doc["result"]["terms"]) == 601
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    argv = ["check-nonneg", "--certificate", "E", "--m", "2", "--n", "4", "--depth", "3",
+            "--samples", "2"]
+    code, doc = run_json(capsys, "--seed", "3", *argv)
+    assert code == 0 and doc["manifest"]["seed"] == 3
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and doc["manifest"]["seed"] == doc["manifest"]["params"]["seed"] == 0
+    with pytest.raises(SystemExit) as err:
+        main(["bound", "--certificate", "bogus", "--m", "2", "--n", "4"])
+    assert err.value.code == 2
+
+
+def test_help_text_is_that_of_a_fresh_parser(capsys):
+    want = build_parser().format_help()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out == want
+        main(["dims", "--m", "1", "--n", "2"])
+        capsys.readouterr()
 
 
 def test_computational_errors_exit_three(tmp_path, capsys):

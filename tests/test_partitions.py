@@ -6,21 +6,27 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grassdesign.partitions import (
+    SHAPE_BUDGET,
     Partition,
-    ascending,
+    ShapeLimitError,
     binom,
     column_shape,
     descending_grid,
-    double_content_sum,
     down_set,
+    down_set_size,
     enumerate_up_to_weight,
     hook_shape,
-    hyper_coeff,
-    increment_part,
-    increment_set,
     row_shape,
 )
 from grassdesign.scalars import rational
+
+from james_constantine import (
+    ascending,
+    double_content_sum,
+    hyper_coeff,
+    increment_part,
+    increment_set,
+)
 
 
 def brute_binom(k: int, r: int):
@@ -243,6 +249,23 @@ class TestEnumeration:
             (2, 1, 1),
         ]
         assert [p.parts for p in down_set(Partition([0, 0]))] == [(0, 0)]
+
+    def test_down_set_size_matches_enumeration(self):
+        for m in range(1, 5):
+            for mu in enumerate_up_to_weight(m, 7):
+                assert down_set_size(mu) == len(down_set(mu)), mu
+
+    def test_shape_budget(self):
+        # a row of length r has r + 1 shapes below it; the count is taken
+        # before any shape is built, so a 20-digit row fails at once
+        assert len(down_set(row_shape(SHAPE_BUDGET - 1, 1))) == SHAPE_BUDGET
+        assert len(enumerate_up_to_weight(1, SHAPE_BUDGET - 1)) == SHAPE_BUDGET
+        for kappa in (row_shape(SHAPE_BUDGET, 1), row_shape(10**20, 1), Partition([60, 50, 40])):
+            with pytest.raises(ShapeLimitError):
+                down_set(kappa)
+        for m, t in ((1, SHAPE_BUDGET), (2, 10**8), (4, 10**8)):
+            with pytest.raises(ShapeLimitError):
+                enumerate_up_to_weight(m, t)
 
     def test_containment_partial_order(self):
         shapes = enumerate_up_to_weight(3, 4)

@@ -5,6 +5,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grassdesign.partitions import (
     Partition,
@@ -17,20 +18,22 @@ from grassdesign.partitions import (
 from grassdesign.scalars import rational
 from grassdesign.symfunc import normalized_schur_eval
 from grassdesign.zonal import (
-    PoleError,
-    generalized_binomial,
     harmonic_dim,
     highest_weight,
-    hyper_coeff_pair,
     weyl_dim,
     zonal_column,
     zonal_hook,
-    zonal_james_constantine,
     zonal_kernel,
     zonal_row,
 )
 
 from closed_forms import schur_in_zonal_basis, zonal_product_column
+from james_constantine import (
+    PoleError,
+    generalized_binomial,
+    hyper_coeff_pair,
+    zonal_james_constantine,
+)
 
 
 def closed_dim_column(i, n):
@@ -211,8 +214,8 @@ class TestKernels:
         assert Partition([5, 4, 3]) in k.expansion.coeffs
 
     def test_deep_shape_builds_without_recursion(self):
-        # the hypergeometric table is filled bottom-up, so a weight-80 row
-        # builds with only a few dozen frames of stack to spare
+        # no step of the construction recurses on the shape, so a weight-80
+        # row builds with only a few dozen frames of stack to spare
         limit = sys.getrecursionlimit()
         depth = len(inspect.stack(0))
         sys.setrecursionlimit(depth + 60)
@@ -231,6 +234,13 @@ class TestKernels:
                     assert zonal_row(i, m, n) == zonal_james_constantine(row_shape(i, m), n)
                 for i in range(1, m + 1):
                     assert zonal_hook(i, m, n) == zonal_james_constantine(hook_shape(i, m), n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4), gap=st.integers(0, 6))
+    def test_determinantal_kernel_matches_james_constantine(self, data, m, gap):
+        mu = data.draw(st.sampled_from(enumerate_up_to_weight(m, 7)))
+        n = 2 * m + gap
+        assert zonal_kernel(mu, n) == zonal_james_constantine(mu, n)
 
     def test_row_and_column_coincide_at_height_one(self):
         for m in (1, 2, 3):
