@@ -6,6 +6,8 @@ command, its full parameter set, the seed, the library version and the
 wall-clock duration; given identical parameters the ``result`` payload is
 byte-identical across runs in exact mode.  Exit codes: 0 success or
 verified, 1 verification failed, 2 usage error, 3 computational error.
+A computational error prints ``{"error": {"code": ..., "message": ...}}``
+to stderr; an exception no code names is reported as ``internal``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 import sys
 import time
 from functools import lru_cache
+from pathlib import Path
 
 from . import __version__, designs, grassmann, zonal
 from .exactlinalg import RootSearchLimitError
@@ -264,6 +267,12 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _compute_error(code: str, message: str) -> int:
+    json.dump({"error": {"code": code, "message": message}}, sys.stderr, indent=2)
+    sys.stderr.write("\n")
+    return EXIT_COMPUTE
+
+
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
@@ -276,12 +285,19 @@ def main(argv=None) -> int:
     try:
         code, result, csv_rows = args.fn(args)
     except tuple(_ERROR_CODES) as exc:
-        err = {"error": {"code": _ERROR_CODES[type(exc)], "message": str(exc)}}
-        json.dump(err, sys.stderr, indent=2)
-        sys.stderr.write("\n")
-        return EXIT_COMPUTE
+        return _compute_error(_ERROR_CODES[type(exc)], str(exc))
     except (ValueError, OSError, KeyError) as exc:
         parser.exit(EXIT_USAGE, f"error: {exc}\n")
+    except Exception as exc:
+        # exit 1 is a negative verdict only, so a fault of the program
+        # exits 3 like any other computation that did not finish, naming
+        # the frame that raised in place of a traceback
+        tb = exc.__traceback__
+        while tb.tb_next:
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        where = f"{Path(code.co_filename).name}:{tb.tb_lineno} in {code.co_name}"
+        return _compute_error("internal", f"{type(exc).__name__}: {exc} ({where})")
     manifest = {
         "command": args.command,
         "params": params,

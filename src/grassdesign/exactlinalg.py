@@ -5,7 +5,10 @@ Two kinds of scalar are served:
 * generic scalars through the minimal protocol (+, -, *, /, truthiness
   as zero test), so the same code runs over ``Fraction``, Gaussian
   rationals and, where sensible, machine floats: determinants, matrix
-  products, polynomial arithmetic and the rational-root search;
+  products, polynomial arithmetic and the rational-root search.  The
+  determinant serves one production path, the m x m integer
+  determinant of each term of :func:`zonal.zonal_kernel`; exact Schur
+  values take none (see :func:`symfunc.schur_e_polynomial`);
 * Gaussian integers stored as ``(re, im)`` pairs of Python ints, the
   scalars of the exact pair geometry: matrix products, the
   characteristic polynomial by Berkowitz's division-free recurrence, and
@@ -38,7 +41,8 @@ def det(rows):
     """Determinant by division-free minor expansion (memoized on column sets).
 
     Valid for any commutative-ring scalars; cost O(n * 2^n), fine for the
-    tiny matrices used here.
+    tiny matrices used here: the m x m integer determinant of each term
+    of a zonal kernel, built once per kernel.
     """
     n = len(rows)
     if n == 0:

@@ -2,36 +2,42 @@
 
 Evaluation points are plain sequences of scalars.  Exact entries (ints
 or ``Fraction``) keep every operation exact; a single float entry
-switches the whole evaluation to floating point.  Schur polynomials are
-evaluated through the Jacobi-Trudi determinant, which stays well defined
-at repeated coordinates (the all-ones point matters everywhere here).
-One evaluator, :func:`normalized_schur_batch`, serves both modes: it
-decides the mode once per call, builds e_k and h_k once per point (one
-numpy column per k in float mode) and each shape's Jacobi-Trudi index
-matrix once, then takes stacked float determinants through
-``numpy.linalg.det`` or exact ones through :func:`exactlinalg.det`.
-Exact values are fraction-free up to one division: a point y is written
-a/d, the determinant runs on integers and gives s_sigma(a), and s_sigma
-is homogeneous, so X*_sigma(y) is that integer over d^|sigma| and the
-normalization, formed as one ``Fraction``.  The exact core starts from
-the integers e_k(a) = d^k e_k(y) and d, so a point enters either by its
-coordinates (d the lcm of their denominators) or, through
+switches the whole evaluation to floating point.  One evaluator,
+:func:`normalized_schur_batch`, serves both modes and decides the mode
+once per call.
+
+Exact mode works in the e-basis.  Each s_sigma is expanded once, and
+cached, as an integer polynomial in e_1 .. e_m
+(:func:`schur_e_polynomial`): the dual Jacobi-Trudi determinant
+det(e_(sigma'_i - i + j)) over monomial entries.  A point y is written
+a/d and enters as its homogeneous e-coordinates (d, e_1(a) .. e_m(a)),
+e_k(a) = d^k e_k(y); s_sigma is homogeneous, so its polynomial at e(a)
+is the integer s_sigma(a) = d^|sigma| s_sigma(y), and X*_sigma(y) is
+that integer over d^|sigma| and the normalization, formed as one
+``Fraction``.  No determinant is taken per point, and repeated
+coordinates need no care.  A point enters either by its coordinates
+(d the lcm of their denominators) or, through
 :func:`normalized_schur_at_invariants`, by its e_k alone (d the lcm of
 their denominators), which is how exact pair classes enter without
-their angles.  The scalar evaluators delegate to the batch, and
-:meth:`SchurExpansion.evaluate_batch` sums an expansion over one common
-denominator per point.
+their angles.  :meth:`SchurExpansion.evaluate_batch` folds its shapes
+into one e-polynomial, each s_sigma lifted by a power of d, and
+evaluates that once per point over one common denominator.
+
+Float mode builds e_k and h_k once per point (one numpy column per k)
+and each shape's Jacobi-Trudi index matrix once, then takes stacked
+determinants det(h_(sigma_i - i + j)) through ``numpy.linalg.det``.
+The scalar evaluators delegate to the batch.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
-from . import exactlinalg
 from .partitions import Partition
 from .scalars import as_rational, is_exact_real, rational, rational_to_str
 
@@ -68,7 +74,11 @@ def schur_norm(mu: Partition):
 
 
 def _top_index(sigmas) -> int:
-    """Largest h_k index the Jacobi-Trudi matrices of the shapes read."""
+    """Largest index sigma_1 + l(sigma) - 1 that a Jacobi-Trudi matrix of the shapes reads.
+
+    It bounds both h_k in det(h_(sigma_i - i + j)) and e_k in the dual
+    det(e_(sigma'_i - i + j)).
+    """
     return max((s.parts[0] + s.length_index() - 1 for s in sigmas if not s.is_zero()), default=0)
 
 
@@ -78,8 +88,51 @@ def _jacobi_trudi_index(sigma: Partition) -> list:
     return [[max(sigma.parts[i] - i + j, -1) for j in range(ell)] for i in range(ell)]
 
 
+@lru_cache(maxsize=None)
+def schur_e_polynomial(sigma: Partition) -> tuple:
+    """s_sigma as an integer polynomial in e_1 .. e_m, as ((exponents, coefficient), ..).
+
+    The dual Jacobi-Trudi determinant det(e_(sigma'_i - i + j)), of size
+    sigma_1, expanded row by row.  Every entry is one monomial (e_0 = 1,
+    e_k = 0 outside 0 .. m), so a partial expansion is one polynomial per
+    set S of used columns, and taking column j next multiplies it by the
+    entry and by (-1)^#{s in S : s > j}.  An exponent tuple has m + 1
+    slots, for e_0 .. e_m; slot 0 stays 0 here and holds a power of d
+    once shapes of different weights are folded together.
+    """
+    conj = sigma.conjugate().parts
+    m = sigma.m
+    layer = {0: {(0,) * (m + 1): 1}}
+    for i, c in enumerate(conj):
+        grown = {}
+        for used, poly in layer.items():
+            # the entries e_0 .. e_m of row i sit in columns i - c .. i - c + m
+            for j in range(max(i - c, 0), min(i - c + m + 1, len(conj))):
+                k = c - i + j
+                if used >> j & 1:
+                    continue
+                sign = -1 if bin(used >> j).count("1") % 2 else 1
+                target = grown.setdefault(used | 1 << j, {})
+                for mono, coeff in poly.items():
+                    if k:
+                        mono = mono[:k] + (mono[k] + 1,) + mono[k + 1 :]
+                    target[mono] = target.get(mono, 0) + sign * coeff
+        layer = grown
+    (poly,) = layer.values()
+    return tuple((mono, coeff) for mono, coeff in poly.items() if coeff)
+
+
+def _evaluate(poly, vectors) -> list:
+    """Values of an e-polynomial at each vector v, v[k] standing for e_k."""
+    terms = [(c, [(k, x) for k, x in enumerate(mono) if x]) for mono, c in poly]
+    return [
+        sum(c * math.prod([v[k] ** x for k, x in factors]) for c, factors in terms)
+        for v in vectors
+    ]
+
+
 def _scaled_points(points, upto: int):
-    """Exact points y = a/d as (e_0(a) .. e_upto(a), d), d the lcm of y's denominators.
+    """Exact points y = a/d as (d, e_1(a) .. e_upto(a)), d the lcm of y's denominators.
 
     Returns None when some coordinate is a float.
     """
@@ -93,12 +146,14 @@ def _scaled_points(points, upto: int):
     for y in points:
         d = math.lcm(*(v.denominator for v in y))
         a = [v.numerator * (d // v.denominator) for v in y]
-        scaled.append((_elementary_terms(a, min(upto, m), 1), d))
+        e = _elementary_terms(a, min(upto, m), 1)
+        e[0] = d
+        scaled.append(e)
     return scaled
 
 
 def _scaled_invariants(invariants) -> list:
-    """Points given by (e_1, .., e_m) of their coordinates, as (d^k e_k, d).
+    """Points given by (e_1, .., e_m) of their coordinates, as (d, d e_1, .., d^m e_m).
 
     d is the lcm of the denominators of the e_k; every d^k e_k is then an
     integer, and a point of coordinates y with these e_k is y = a/d with
@@ -108,28 +163,20 @@ def _scaled_invariants(invariants) -> list:
     for e in invariants:
         d = math.lcm(*(v.denominator for v in e))
         ints = [v.numerator * (d // v.denominator) * d ** (k - 1) for k, v in enumerate(e, 1)]
-        scaled.append(([1] + ints, d))
+        scaled.append([d] + ints)
     return scaled
 
 
 def _schur_numerators(sigmas: Sequence[Partition], scaled: list, m: int) -> list:
     """Integers s_sigma(a) = d^|sigma| s_sigma(y), one row per sigma, at scaled points.
 
-    ``scaled`` holds (e_0(a) .. e_k(a), d) per point, with k at least
-    min(top, m) for the largest h index top the shapes read.
+    ``scaled`` holds (d, e_1(a) .. e_k(a)) per point, with k at least
+    min(top, m) for the largest Jacobi-Trudi index top of the shapes.
     """
-    top = _top_index(sigmas)
-    hs = [_complete_terms(e, m, top, 1) + [0] for e, _ in scaled]
-    rows = []
     for sigma in sigmas:
         if sigma.m != m:
             raise ValueError(f"partition ambient {sigma.m} vs point length {m}")
-        idx = _jacobi_trudi_index(sigma)
-        if idx:
-            rows.append([exactlinalg.det([[h[k] for k in row] for row in idx]) for h in hs])
-        else:
-            rows.append([1] * len(hs))
-    return rows
+    return [_evaluate(schur_e_polynomial(sigma), scaled) for sigma in sigmas]
 
 
 def _normalized_exact(sigmas: Sequence[Partition], scaled: list, m: int) -> np.ndarray:
@@ -138,8 +185,8 @@ def _normalized_exact(sigmas: Sequence[Partition], scaled: list, m: int) -> np.n
     for r, (sigma, nums) in enumerate(zip(sigmas, _schur_numerators(sigmas, scaled, m))):
         norm = schur_norm(sigma)
         out[r] = [
-            rational(s * norm.denominator, d**sigma.weight * norm.numerator)
-            for s, (_, d) in zip(nums, scaled)
+            rational(s * norm.denominator, v[0] ** sigma.weight * norm.numerator)
+            for s, v in zip(nums, scaled)
         ]
     return out
 
@@ -148,8 +195,8 @@ def normalized_schur_batch(sigmas: Sequence[Partition], points) -> np.ndarray:
     """X*_sigma at every point of an (N, m) sequence, one output row per sigma.
 
     When every coordinate is exact the result is an object array of
-    ``Fraction``, otherwise a float array.  h_k with k < 0 is read
-    from an appended zero at index -1 of each point's h list or array.
+    ``Fraction``, otherwise a float array.  In float mode h_k with k < 0
+    is read from an appended zero at index -1 of each point's h array.
     """
     top = _top_index(sigmas)
     scaled = _scaled_points(points, top)
@@ -247,20 +294,20 @@ class SchurExpansion:
                 sum((c * v for c, v in zip(coeffs, column)), rational(0)) for column in columns
             ]
         # c_sigma X*_sigma(y) = (c_sigma / norm_sigma) s_sigma(a) / d^|sigma|: over
-        # the common denominator L d^w of the shapes, with w the largest
-        # weight, each value is one integer sum
+        # the common denominator L d^w, with w the largest weight, the sum is
+        # one integer polynomial in (d, e_1(a), ..), each s_sigma lifted by
+        # d^(w - |sigma|) in the slot of e_0
         weights = [c / schur_norm(s) for s, c in self.coeffs.items()]
         common = math.lcm(*(w.denominator for w in weights))
-        ints = [w.numerator * (common // w.denominator) for w in weights]
         top = max((s.weight for s in sigmas), default=0)
-        lifts = [top - s.weight for s in sigmas]
-        rows = _schur_numerators(sigmas, scaled, self.m)
-        values = []
-        for p, (_, d) in enumerate(scaled):
-            powers = [d**k for k in range(top + 1)]
-            total = sum(k * row[p] * powers[j] for k, row, j in zip(ints, rows, lifts))
-            values.append(rational(total, common * powers[top]))
-        return values
+        folded = {}
+        for sigma, w in zip(sigmas, weights):
+            k = w.numerator * (common // w.denominator)
+            for mono, c in schur_e_polynomial(sigma):
+                mono = (mono[0] + top - sigma.weight,) + mono[1:]
+                folded[mono] = folded.get(mono, 0) + k * c
+        totals = _evaluate([(mono, c) for mono, c in folded.items() if c], scaled)
+        return [rational(t, common * v[0] ** top) for t, v in zip(totals, scaled)]
 
     def at_ones(self):
         return sum(self.coeffs.values(), rational(0))

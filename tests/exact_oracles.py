@@ -14,10 +14,13 @@ the tests check it against:
   point-level questions answered from the basis rows;
 * ``prepare_point``, ``elementary_all``, ``complete_all``,
   ``elementary_eval``, ``complete_eval``: scalar symmetric-function
-  evaluators, one point at a time.
+  evaluators, one point at a time;
+* ``schur_jacobi_trudi``: s_sigma by the h-form Jacobi-Trudi
+  determinant det(h_(sigma_i - i + j)), against which the package's
+  e-polynomials are checked.
 """
 
-from grassdesign.exactlinalg import mat_mul
+from grassdesign.exactlinalg import det, mat_mul
 from grassdesign.grassmann import (
     EXACT,
     SubspacePoint,
@@ -33,7 +36,7 @@ from grassdesign.scalars import (
     is_exact_real,
     rational,
 )
-from grassdesign.symfunc import _complete_terms, _elementary_terms
+from grassdesign.symfunc import _complete_terms, _elementary_terms, _jacobi_trudi_index, _top_index
 
 
 class SingularMatrixError(ArithmeticError):
@@ -259,3 +262,17 @@ def complete_eval(i: int, y):
     if i < 0:
         raise ValueError(f"negative index {i}")
     return complete_all(y, i)[i]
+
+
+def schur_jacobi_trudi(sigma, e):
+    """s_sigma from e = (e_0, e_1, .., e_m) by det(h_(sigma_i - i + j)).
+
+    The h_k come from the e_k by h_k = sum_j (-1)^(j-1) e_j h_(k-j);
+    h_k with k < 0 is read from an appended zero at index -1.
+    """
+    m = len(e) - 1
+    if sigma.m != m:
+        raise ValueError(f"partition ambient {sigma.m} vs {m} variables")
+    one = e[0]
+    h = _complete_terms(list(e), m, _top_index([sigma]), one) + [one * 0]
+    return det([[h[k] for k in row] for row in _jacobi_trudi_index(sigma)])

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import grassdesign
-from grassdesign import designs, grassmann
+from grassdesign import designs, exactlinalg, grassmann, symfunc, zonal
 from grassdesign.cli import build_parser, main
 from grassdesign.grassmann import great_antipodal, random_subspace, SubspaceConfiguration
 from grassdesign.partitions import SHAPE_BUDGET
@@ -501,6 +501,55 @@ def test_computational_errors_exit_three(tmp_path, capsys):
     assert code == 3
     err = json.loads(captured.err)
     assert err["error"]["code"] == "irrational-angles"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "--m", "2000", "--n", "4000", "--max-weight", "0"],
+        ["zonal", "--mu", "1", "--m", "2000", "--n", "4000"],
+    ],
+)
+def test_internal_errors_exit_three_without_traceback(argv):
+    # both overflow Python's recursion limit; exit 1 stays a negative verdict
+    src = Path(grassdesign.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "grassdesign", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    err = json.loads(proc.stderr)
+    assert err["error"]["code"] == "internal"
+    assert err["error"]["message"].startswith("RecursionError")
+
+
+def test_check_nonneg_takes_no_determinant_per_point(monkeypatch, capsys):
+    argv = ["check-nonneg", "--certificate", "F", "--m", "3", "--n", "7"]
+    run(capsys, *argv, "--depth", "1")  # builds the kernels, so only evaluation is counted
+    cert = designs.certificate_antipodal(3, 7)
+    shapes = {s for mu in cert.coeffs for s in zonal.zonal_kernel(mu, 7).expansion.coeffs}
+    calls = []
+    real_det = exactlinalg.det
+
+    def counting_det(rows):
+        calls.append(len(rows))
+        return real_det(rows)
+
+    monkeypatch.setattr(exactlinalg, "det", counting_det)
+    monkeypatch.setattr(zonal, "det", counting_det)
+    seen = []
+    for depth in ("4", "12"):
+        symfunc.schur_e_polynomial.cache_clear()
+        calls.clear()
+        code, doc = run_json(capsys, *argv, "--depth", depth)
+        assert code == 0
+        expanded = symfunc.schur_e_polynomial.cache_info().misses
+        seen.append((doc["result"]["points_checked"], len(calls), expanded))
+    (points4, dets4, expanded4), (points12, dets12, expanded12) = seen
+    assert points12 > 10 * points4
+    assert dets4 == dets12 <= len(shapes)
+    assert 0 < expanded4 == expanded12 <= len(shapes)
 
 
 def test_irrational_angles_get_exact_defects(tmp_path, capsys):

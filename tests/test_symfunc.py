@@ -13,15 +13,27 @@ from grassdesign.partitions import Partition, binom, column_shape, enumerate_up_
 from grassdesign.scalars import rational
 from grassdesign.symfunc import (
     SchurExpansion,
+    _evaluate,
+    _scaled_invariants,
+    _scaled_points,
+    _schur_numerators,
+    _top_index,
     normalized_schur_at_invariants,
     normalized_schur_batch,
     normalized_schur_eval,
+    schur_e_polynomial,
     schur_eval,
     schur_norm,
 )
 
 from closed_forms import pieri_e1
-from exact_oracles import complete_eval, elementary_all, elementary_eval, prepare_point
+from exact_oracles import (
+    complete_eval,
+    elementary_all,
+    elementary_eval,
+    prepare_point,
+    schur_jacobi_trudi,
+)
 
 
 def schur_eval_giambelli(mu, y):
@@ -309,6 +321,60 @@ class TestNormalizedSchurBatch:
     def test_ambient_mismatch_rejected(self):
         with pytest.raises(ValueError):
             normalized_schur_batch([Partition([1, 0])], np.zeros((3, 3)))
+
+
+SHAPES = st.integers(1, 5).flatmap(lambda m: st.sampled_from(enumerate_up_to_weight(m, 8)))
+
+
+class TestSchurEPolynomial:
+    """Each s_sigma expanded once in e_1 .. e_m, against both Jacobi-Trudi determinants."""
+
+    @staticmethod
+    def check(sigma, e):
+        # e = (e_0, .., e_m) with e_0 = 1, rational entries
+        value = _evaluate(schur_e_polynomial(sigma), [e])[0]
+        assert value == schur_jacobi_trudi(sigma, e), (sigma, e)
+        assert value == dual_jacobi_trudi(sigma, e, rational(0)), (sigma, e)
+        return value
+
+    @settings(max_examples=150, deadline=None)
+    @given(sigma=SHAPES, data=st.data())
+    def test_matches_jacobi_trudi_at_points(self, sigma, data):
+        y = data.draw(mixed_points(sigma.m, EXACT_COORDINATES))
+        value = self.check(sigma, elementary_all(y, sigma.m))
+        # the integer core: s_sigma(a) = d^|sigma| s_sigma(y) at y = a/d
+        scaled = _scaled_points([y], _top_index([sigma]))
+        (d, *_), = scaled
+        assert _schur_numerators([sigma], scaled, sigma.m) == [[d**sigma.weight * value]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(sigma=SHAPES, data=st.data())
+    def test_matches_jacobi_trudi_at_invariants(self, sigma, data):
+        invariant = data.draw(st.tuples(*[INVARIANT_VALUES] * sigma.m))
+        value = self.check(sigma, (rational(1),) + invariant)
+        scaled = _scaled_invariants([invariant])
+        (d, *_), = scaled
+        assert _schur_numerators([sigma], scaled, sigma.m) == [[d**sigma.weight * value]]
+
+    def test_all_ones_gives_the_weyl_product(self):
+        for m in range(1, 6):
+            ones = [binom(m, k) for k in range(m + 1)]
+            for sigma in enumerate_up_to_weight(m, 8):
+                assert _evaluate(schur_e_polynomial(sigma), [ones]) == [schur_norm(sigma)], sigma
+
+    def test_homogeneous_of_the_shape_weight(self):
+        for m in range(1, 6):
+            for sigma in enumerate_up_to_weight(m, 8):
+                for mono, c in schur_e_polynomial(sigma):
+                    assert c and mono[0] == 0 and len(mono) == m + 1
+                    assert sum(k * x for k, x in enumerate(mono)) == sigma.weight
+
+    def test_small_expansions(self):
+        # s_(2) = e_1^2 - e_2, s_(2,1) = e_1 e_2 - e_3, s_(2,1,1) = e_1 e_3
+        assert dict(schur_e_polynomial(row_shape(2, 3))) == {(0, 2, 0, 0): 1, (0, 0, 1, 0): -1}
+        assert dict(schur_e_polynomial(Partition([2, 1, 0]))) == {(0, 1, 1, 0): 1, (0, 0, 0, 1): -1}
+        assert dict(schur_e_polynomial(Partition([2, 1, 1]))) == {(0, 1, 0, 1): 1}
+        assert dict(schur_e_polynomial(Partition([0, 0]))) == {(0, 0, 0): 1}
 
 
 COEFFICIENTS = st.builds(rational, st.integers(-50, 50), st.integers(1, 30))
