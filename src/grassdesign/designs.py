@@ -49,7 +49,13 @@ from .partitions import (
     row_shape,
 )
 from .scalars import as_rational, is_exact_real, rational, rational_to_str
-from .symfunc import SchurExpansion, normalized_schur_at_invariants, normalized_schur_batch
+from .symfunc import (
+    SchurExpansion,
+    ScaledPoints,
+    normalized_schur_at_invariants,
+    normalized_schur_batch,
+    scaled_point,
+)
 from .zonal import harmonic_dim, zonal_kernel
 from .grassmann import EXACT, SubspaceConfiguration
 
@@ -452,20 +458,22 @@ def check_nonnegativity(
                 (rational(rng.randint(0, 10_000), 10_000) for _ in range(cert.m)),
                 reverse=True,
             )
-            yield tuple(ys)
+            yield scaled_point(ys)
 
-    points = chain(descending_grid(cert.m, grid_depth), sampled())
+    # grid points enter as integers over the grid depth
+    grid = ((ks, grid_depth) for ks in descending_grid(cert.m, grid_depth))
+    points = chain(grid, sampled())
     best = None
     best_at = None
     violations = []
     count = 0
-    while chunk := list(islice(points, NONNEG_CHUNK)):
-        for y, val in zip(chunk, cert.evaluate_batch(chunk)):
+    while chunk := ScaledPoints(islice(points, NONNEG_CHUNK)):
+        for i, val in enumerate(cert.evaluate_batch(chunk)):
             count += 1
             if best is None or val < best:
-                best, best_at = val, y
+                best, best_at = val, chunk.point(i)
             if val < 0:
-                violations.append(y)
+                violations.append(chunk.point(i))
     return NonnegativityReport(
         minimum=best, argmin=best_at, points_checked=count, violations=violations
     )

@@ -1,28 +1,38 @@
 """Small exact linear-algebra kernels.
 
-Two kinds of scalar are served:
+Three kinds of scalar are served:
 
 * generic scalars through the minimal protocol (+, -, *, /, truthiness
   as zero test), so the same code runs over ``Fraction``, Gaussian
   rationals and, where sensible, machine floats: determinants, matrix
   products, polynomial arithmetic and the rational-root search.  The
-  determinant serves one production path, the m x m integer
-  determinant of each term of :func:`zonal.zonal_kernel`; exact Schur
-  values take none (see :func:`symfunc.schur_e_polynomial`);
+  determinant, by fraction-free elimination, serves the m x m integer
+  determinant of each term of :func:`zonal.zonal_kernel` and the size of
+  a down-set; exact Schur values take none (see
+  :func:`symfunc.schur_e_polynomial`);
 * Gaussian integers stored as ``(re, im)`` pairs of Python ints, the
   scalars of the exact pair geometry: matrix products, the
   characteristic polynomial by Berkowitz's division-free recurrence, and
-  the determinant and adjugate it yields by Cayley-Hamilton.  No step
-  divides, so every intermediate is an integer and no fraction is ever
-  formed or reduced.
+  the determinant and adjugate it yields by Cayley-Hamilton (each exact
+  point's Gram inverse).  No step divides, so every intermediate is an
+  integer and no fraction is ever formed or reduced;
+* int64 residues modulo word-size primes, numpy arrays with the primes
+  as a leading batch axis: residues of big integers, products of stacked
+  Gaussian residue matrices, the elementary symmetric values of their
+  spectra by Newton's identities, and Garner's Chinese remaindering back
+  to integers.  Every sum stays below 2^63 by the choice of the prime
+  width, so the arithmetic is exact.
 
-Matrices are lists of lists; sizes in this package stay in the single
-digits, so clarity wins over asymptotics.
+Matrices are lists of lists outside the modular kernels; their sizes in
+this package stay in the single digits, so clarity wins over asymptotics.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+
+import numpy as np
 
 from .scalars import as_rational, rational
 
@@ -38,40 +48,36 @@ ROOT_SEARCH_CANDIDATES = 4096
 
 
 def det(rows):
-    """Determinant by division-free minor expansion (memoized on column sets).
+    """Determinant by Bareiss's fraction-free elimination (Math. Comp. 22, 1968).
 
-    Valid for any commutative-ring scalars; cost O(n * 2^n), fine for the
-    tiny matrices used here: the m x m integer determinant of each term
-    of a zonal kernel, built once per kernel.
+    Each step replaces a_ij by (a_kk a_ij - a_ik a_kj) / p, p the previous
+    pivot; the division is exact, so integer input stays integer (floor
+    division on ints, true division on field scalars), and a zero pivot is
+    swapped for a lower row with a nonzero entry in its column.  O(n^3)
+    ring operations: the m x m integer determinant of each term of a zonal
+    kernel, built once per kernel.
     """
     n = len(rows)
-    if n == 0:
-        return 1
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    cache = {}
-
-    def minor(mask):
-        if not mask:
-            return 1
-        got = cache.get(mask)
-        if got is not None:
-            return got
-        r = n - bin(mask).count("1")
-        total = 0
-        sign = 1
-        for j in range(n):
-            bit = 1 << j
-            if not mask & bit:
-                continue
-            a = rows[r][j]
-            if a:
-                total = total + sign * a * minor(mask & ~bit)
+    a = [list(r) for r in rows]
+    exact = all(type(v) is int for r in a for v in r)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        cache[mask] = total
-        return total
-
-    return minor((1 << n) - 1)
+        pivot, top = a[k][k], a[k]
+        for row in a[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                t = pivot * row[j] - lead * top[j]
+                row[j] = t // prev if exact else t / prev
+        prev = pivot
+    return sign * a[-1][-1] if n else 1
 
 
 def mat_mul(a, b):
@@ -158,6 +164,170 @@ def gaussian_adjugate(rows):
     det = (sign * poly[0][0], sign * poly[0][1])
     adj = [[(-sign * re, -sign * im) for re, im in row] for row in acc]
     return det, adj
+
+
+# Deterministic Miller-Rabin witnesses for every integer below 2^64.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Primes below 2^bits, largest first, keyed by bits; a list grows on demand.
+_PRIMES: dict = {}
+
+
+def _is_prime(q: int) -> bool:
+    if q < 2:
+        return False
+    for w in _WITNESSES:
+        if q % w == 0:
+            return q == w
+    d, s = q - 1, 0
+    while not d % 2:
+        d, s = d // 2, s + 1
+    for w in _WITNESSES:
+        x = pow(w, d, q)
+        if x in (1, q - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def modulus_bits(terms: int) -> int:
+    """Widest prime moduli for which a sum of ``terms`` products of residues fits in int64."""
+    bits = (63 - (terms - 1).bit_length()) // 2
+    if 1 << bits <= terms:
+        raise ValueError(f"sums of {terms} products are too long for word-size moduli")
+    return bits
+
+
+def moduli(bits: int, bound: int) -> list:
+    """The largest primes below 2^bits, as few as make their product exceed ``bound``."""
+    found = _PRIMES.setdefault(bits, [])
+    product, count = 1, 0
+    while product <= bound:
+        if count == len(found):
+            q = (found[-1] if found else 1 << bits) - 1
+            q -= 1 - q % 2
+            while not _is_prime(q):
+                q -= 2
+            found.append(q)
+        product *= found[count]
+        count += 1
+    return found[:count]
+
+
+def residues(values: list, primes: list) -> np.ndarray:
+    """Python ints modulo each prime, an int64 array of shape (len(primes), len(values)).
+
+    Each int is cut into the 24-bit limbs of its two's complement, and the
+    limb array times the weights 2^(24 j) mod p is one int64 product, taken
+    in blocks of 256 limbs so that no sum overflows.
+    """
+    limbs = (max((v.bit_length() for v in values), default=0) + 24) // 24
+    raw = b"".join(v.to_bytes(3 * limbs, "little", signed=True) for v in values)
+    octets = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), limbs, 3).astype(np.int64)
+    digits = octets @ np.array([1, 1 << 8, 1 << 16])
+    q = np.array(primes, dtype=np.int64)
+    weights = np.array([[pow(2, 24 * j, p) for p in primes] for j in range(limbs + 1)])
+    out = np.zeros((len(values), len(primes)), dtype=np.int64)
+    for lo in range(0, limbs, 256):
+        out = (out + digits[:, lo : lo + 256] @ weights[lo : min(lo + 256, limbs)]) % q
+    # a negative value reads as value + 2^(24 limbs)
+    negative = np.array([[v < 0] for v in values], dtype=np.int64)
+    return ((out - negative * weights[limbs]) % q).T
+
+
+def gaussian_mul_mod(x, y, q):
+    """Products of stacked Gaussian residue matrices, each given as an (re, im) pair.
+
+    Entries may be negative but stay below each prime in absolute value;
+    an inner dimension k needs sums of 2k products of residues to fit.
+    """
+    (xr, xi), (yr, yi) = x, y
+    return (xr @ yr - xi @ yi) % q, (xr @ yi + xi @ yr) % q
+
+
+def _trace_mod(x, y, q):
+    """tr(x y), or tr(x) when y is None, of stacked Gaussian residue matrices."""
+    if y is None:
+        parts = [t.diagonal(axis1=-2, axis2=-1).sum(axis=-1) for t in x]
+    else:
+        (xr, xi), (yr, yi) = x, (t.swapaxes(-1, -2) for t in y)
+        # reduced before the m^2 entries are summed
+        parts = [((xr * yr - xi * yi) % q).sum(axis=(-2, -1)), ((xr * yi + xi * yr) % q).sum(axis=(-2, -1))]
+    return [t % q[..., 0, 0] for t in parts]
+
+
+@lru_cache(maxsize=None)
+def _inverses(primes: tuple, m: int) -> np.ndarray:
+    """k^-1 mod p for k = 1 .. m, shape (m, P, 1)."""
+    return np.array([[pow(k, -1, p) for p in primes] for k in range(1, m + 1)])[..., None]
+
+
+def elementary_mod(mats, q) -> np.ndarray:
+    """e_1 .. e_m of the spectrum of each Gaussian residue matrix, which must be real.
+
+    ``mats`` is an (re, im) pair of int64 stacks of shape (P, N, m, m) and
+    ``q`` the P primes, shaped (P, 1, 1, 1), each above m.  The power sums
+    tr(M^k), k <= m, come from the powers up to ceil(m / 2); a nonzero
+    imaginary residue raises.  Newton's identities
+    k e_k = sum_i (-1)^(i-1) e_(k-i) tr(M^i) then give e_k with k^-1 mod p;
+    each sum has at most m products of residues, so it fits in int64
+    whenever the products of the matrices do.  Returns shape (P, N, m).
+    """
+    m = mats[0].shape[-1]
+    half = (m + 1) // 2
+    powers = [mats]
+    while len(powers) < half:
+        powers.append(gaussian_mul_mod(powers[-1], mats, q))
+    primes = q[..., 0, 0]
+    inverses = _inverses(tuple(primes.ravel().tolist()), m)
+    # row k - 1 holds (-1)^(k-1) tr(M^k)
+    sums = np.empty((m,) + primes.shape[:1] + mats[0].shape[1:-2], dtype=np.int64)
+    for k in range(1, m + 1):
+        i = min(k, half)
+        re, im = _trace_mod(powers[i - 1], powers[k - i - 1] if k > i else None, q)
+        if np.count_nonzero(im):
+            raise ArithmeticError("spectrum not real: nonzero imaginary residue")
+        sums[k - 1] = re if k % 2 else -re % primes
+    e = np.empty((m + 1,) + sums.shape[1:], dtype=np.int64)
+    e[0] = 1
+    for k in range(1, m + 1):
+        e[k] = (e[k - 1 :: -1] * sums[:k]).sum(axis=0) % primes * inverses[k - 1] % primes
+    return np.moveaxis(e[1:], 0, -1)
+
+
+@lru_cache(maxsize=None)
+def _garner_constants(primes: tuple) -> tuple:
+    """Mixed-radix weights p_0 .. p_(i-1) and their inverses modulo p_i."""
+    weights = [math.prod(primes[:i]) for i in range(len(primes))]
+    return weights, [pow(w % p, -1, p) for w, p in zip(weights, primes)]
+
+
+def crt_lift(res: np.ndarray, primes: list) -> list:
+    """Integers of the symmetric range |x| < Q / 2, Q the product of the primes, with these residues.
+
+    ``res`` has shape (N, P).  Garner's mixed-radix digits are formed in
+    int64 across all N rows at once; only their weighted sum is taken in
+    Python integers.
+    """
+    weights, inverses = _garner_constants(tuple(primes))
+    digits = [res[:, 0]]
+    for i in range(1, len(primes)):
+        p = primes[i]
+        acc = digits[i - 1] % p
+        for j in range(i - 2, -1, -1):
+            acc = (acc * primes[j] + digits[j]) % p
+        digits.append((res[:, i] - acc) % p * inverses[i] % p)
+    total = weights[-1] * primes[-1]
+    out = []
+    for row in np.stack(digits, axis=-1):
+        x = sum(v * w for v, w in zip(row.tolist(), weights))
+        out.append(x - total if 2 * x > total else x)
+    return out
 
 
 def poly_normalize(poly):

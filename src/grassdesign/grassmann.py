@@ -6,16 +6,20 @@ basis matrix whose rows span it.  Two modes coexist:
 * exact mode stores Gaussian-rational entries and never orthonormalizes
   (that would need square roots).  Each point also keeps its rows scaled
   by the lcm of their denominators, as Gaussian integers in ``(re, im)``
-  int pairs, and the determinant and adjugate of their integer Gram
-  matrix.  A pair's angles times det G_a det G_b are the eigenvalues of
-  the integer matrix adj(G_a) C adj(G_b) C^H, C the cross-Gram; its
-  characteristic polynomial comes from a division-free recurrence and
-  gives the pair invariant (e_1, .., e_m), the elementary symmetric
-  values of the angles, with no root found.  Defects, antipodality and
-  the tightness tests read only invariants, so they hold for any exact
-  configuration.  Angles themselves, for display, come from factoring
-  each distinct invariant once by rational-root search, which succeeds
-  only on rational spectra; every bundled configuration has one;
+  int pairs, and the inverse of their integer Gram matrix in lowest
+  terms, G^-1 = N / D.  A pair's angles times D_a D_b are the
+  eigenvalues of the integer matrix N_a C N_b C^H, C the cross-Gram,
+  whose elementary symmetric values give the pair invariant
+  (e_1, .., e_m) of the angles with no root found.  A configuration
+  evaluates every pair in one multi-modular batch
+  (:func:`pairbatch.invariant_batch`: int64 residues modulo word-size
+  primes, Chinese remaindering once per distinct class) and counts its
+  classes from the batch without a per-pair table.  Defects,
+  antipodality and the tightness tests read only invariants, so they
+  hold for any exact configuration.  Angles themselves, for display,
+  come from factoring each distinct invariant once by rational-root
+  search, which succeeds only on rational spectra; every bundled
+  configuration has one;
 * float mode stores complex entries, orthonormalizes once per point
   through a thin SVD (which also reveals the rank) and reads the angles
   off singular values, one batched SVD call per point against all later
@@ -32,18 +36,13 @@ table.
 from __future__ import annotations
 
 import math
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exactlinalg import (
-    gaussian_adjugate,
-    gaussian_charpoly,
-    gaussian_mat_mul,
-    mat_mul,
-    rational_roots,
-)
+from .exactlinalg import gaussian_adjugate, gaussian_mat_mul, mat_mul, rational_roots
+from .pairbatch import invariant_batch
 from .scalars import CX_ONE, CX_ZERO, ExactComplex, as_exact_complex, rational, rational_to_str
 
 EXACT = "exact"
@@ -93,11 +92,12 @@ class SubspacePoint:
     Float points also keep ``frame``, orthonormal columns spanning the
     subspace.  Exact points have ``frame = None`` and keep instead
     ``rows``, each basis row times the lcm of its denominators as
-    ``(re, im)`` int pairs, with the determinant ``gram_det`` (an int) and
-    the adjugate ``gram_adj`` of the Gram matrix of those rows.
+    ``(re, im)`` int pairs, and the inverse of the Gram matrix G of those
+    rows in lowest terms, G^-1 = ``inv_num`` / ``inv_den``: the adjugate
+    and the determinant of G divided by the gcd of all their parts.
     """
 
-    __slots__ = ("basis", "mode", "m", "n", "frame", "rows", "gram_det", "gram_adj")
+    __slots__ = ("basis", "mode", "m", "n", "frame", "rows", "inv_num", "inv_den")
 
     def __init__(self, basis, mode: str = EXACT):
         if mode == EXACT:
@@ -113,12 +113,14 @@ class SubspacePoint:
             self.frame = None
             self.rows = [_integer_row(r) for r in rows]
             gram = gaussian_mat_mul(self.rows, _adjoint(self.rows))
-            det, self.gram_adj = gaussian_adjugate(gram)
-            # Hermitian, so the determinant is real; zero exactly when the
-            # rows are dependent
-            self.gram_det = det[0]
-            if not self.gram_det:
+            (det, _), adj = gaussian_adjugate(gram)
+            # Hermitian positive semidefinite, so the determinant is a
+            # nonnegative integer; zero exactly when the rows are dependent
+            if not det:
                 raise RankDeficiencyError(f"basis rank below {self.m}")
+            g = math.gcd(det, *(x for row in adj for v in row for x in v))
+            self.inv_den = det // g
+            self.inv_num = [[(re // g, im // g) for re, im in row] for row in adj]
         elif mode == FLOAT:
             if isinstance(basis, np.ndarray):
                 arr = basis.astype(complex)
@@ -134,7 +136,7 @@ class SubspacePoint:
             arr.setflags(write=False)
             self.basis = arr
             self.frame = _orthonormal_rows(arr)
-            self.rows = self.gram_det = self.gram_adj = None
+            self.rows = self.inv_num = self.inv_den = None
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
@@ -201,22 +203,43 @@ class SubspaceConfiguration:
             [p.to_float() for p in self.points], label=self.label
         )
 
-    def pair_invariants(self) -> dict:
-        """Angle invariants (e_1, .., e_m) keyed by index pair (i, j), i <= j.
-
-        Exact mode only; each unordered pair is computed once.
-        """
+    def _invariant_table(self) -> tuple:
+        """Distinct invariants and each unordered pair's index into them, from one batch."""
         if self.mode != EXACT:
             raise ValueError("angle invariants are exact-mode only")
         if self._invariants is None:
-            pts = self.points
-            pairs = combinations_with_replacement(range(len(pts)), 2)
-            self._invariants = {(i, j): pair_invariant(pts[i], pts[j]) for i, j in pairs}
+            k = len(self.points)
+            first = np.fromiter((i for i in range(k) for _ in range(i, k)), np.int64)
+            second = np.fromiter((j for i in range(k) for j in range(i, k)), np.int64)
+            invariants, classes = invariant_batch(self.points, first, second)
+            self._invariants = (first, second, invariants, classes)
         return self._invariants
 
+    def _per_pair(self, values: list) -> dict:
+        """values[c] for each unordered pair (i, j) of invariant class c."""
+        first, second, _, classes = self._invariant_table()
+        pairs = zip(first.tolist(), second.tolist(), classes.tolist())
+        return {(i, j): values[c] for i, j, c in pairs}
+
+    def pair_invariants(self) -> dict:
+        """Angle invariants (e_1, .., e_m) keyed by index pair (i, j), i <= j.
+
+        Exact mode only; every unordered pair is in one batch, computed once.
+        """
+        return self._per_pair(self._invariant_table()[2])
+
     def invariant_classes(self) -> dict:
-        """Multiplicities of angle invariants over all ordered pairs (exact mode)."""
-        return _ordered_counts(self.pair_invariants())
+        """Multiplicities of angle invariants over all ordered pairs (exact mode).
+
+        Counted from the batch's classes; no per-pair table is built.
+        """
+        _, _, invariants, classes = self._invariant_table()
+        k = len(self.points)
+        # (i, i) sits at i k - i (i - 1) / 2 in the pair order
+        diagonal = np.take(classes, [i * k - i * (i - 1) // 2 for i in range(k)])
+        size = len(invariants)
+        counts = 2 * np.bincount(classes, minlength=size) - np.bincount(diagonal, minlength=size)
+        return dict(zip(invariants, counts.tolist()))
 
     def pair_angles(self) -> dict:
         """Principal angles keyed by index pair (i, j), i <= j, computed once.
@@ -233,11 +256,10 @@ class SubspaceConfiguration:
                     for j, y in enumerate(_float_angles(p.frame, frames[i:]), start=i)
                 }
             else:
-                invariants = self.pair_invariants()
-                # first-seen order, so the first pair that cannot be
-                # factored is the one reported
-                angles = {e: invariant_angles(e) for e in dict.fromkeys(invariants.values())}
-                self._pairs = {pair: angles[e] for pair, e in invariants.items()}
+                # classes come in first-pair order, so the first pair that
+                # cannot be factored is the one reported
+                invariants = self._invariant_table()[2]
+                self._pairs = self._per_pair([invariant_angles(e) for e in invariants])
         return self._pairs
 
     def angle_matrix(self) -> list:
@@ -351,28 +373,14 @@ def _float_angles(frame: np.ndarray, others: np.ndarray) -> list:
 def pair_invariant(a: SubspacePoint, b: SubspacePoint) -> tuple:
     """Elementary symmetric values (e_1, .., e_m) of an exact pair's angles.
 
-    The integer matrix adj(G_a) C adj(G_b) C^H has the angles times
-    D = det G_a det G_b as eigenvalues; from its division-free
-    characteristic polynomial sum c_k x^k this returns the ``Fraction``
-    values e_k = (-1)^k c_(m-k) / D^k.  No root is found, so the
-    invariant exists whether or not the angles are rational.
+    A batch of one pair through :func:`invariant_batch`.  No root is
+    found, so the invariant exists whether or not the angles are rational.
     """
     _check_pair(a, b)
     if a.mode != EXACT:
         raise ValueError("angle invariants are exact-mode only")
-    cross = gaussian_mat_mul(a.rows, _adjoint(b.rows))
-    product = gaussian_mat_mul(
-        gaussian_mat_mul(a.gram_adj, cross), gaussian_mat_mul(b.gram_adj, _adjoint(cross))
-    )
-    scale = a.gram_det * b.gram_det
-    poly = gaussian_charpoly(product)
-    out = []
-    for k in range(1, a.m + 1):
-        re, im = poly[a.m - k]
-        if im:
-            raise ArithmeticError("characteristic polynomial not real")
-        out.append(rational((-1) ** k * re, scale**k))
-    return tuple(out)
+    invariants, _ = invariant_batch([a, b], [0], [1])
+    return invariants[0]
 
 
 def invariant_polynomial(e: tuple) -> list:
@@ -434,13 +442,12 @@ def symmetry_image(a: SubspacePoint, b: SubspacePoint) -> SubspacePoint:
         cols = b.basis.T
         reflected = 2.0 * (qa @ (qa.conj().T @ cols)) - cols
         return SubspacePoint(reflected.T, mode=FLOAT)
-    # P_a = A^H G^-1 A, and A^H adj(G) A / det G is the same for the
-    # integer rows of a
+    # P_a = A^H G^-1 A for the integer rows A of a
     a_rows = [[ExactComplex(*v) for v in row] for row in a.rows]
-    adj = [[ExactComplex(*v) for v in row] for row in a.gram_adj]
+    inv = [[ExactComplex(*v) for v in row] for row in a.inv_num]
     cross = [[_row_inner(rb, ra) for ra in a_rows] for rb in b.basis]
-    proj = mat_mul(mat_mul(cross, adj), a_rows)
-    twice = rational(2, a.gram_det)
+    proj = mat_mul(mat_mul(cross, inv), a_rows)
+    twice = rational(2, a.inv_den)
     rows = [[twice * p - v for p, v in zip(pr, br)] for pr, br in zip(proj, b.basis)]
     return SubspacePoint(rows, mode=EXACT)
 

@@ -1,0 +1,120 @@
+"""Pair invariants of exact points of G(m, n), all pairs of a batch at once.
+
+Each exact point holds Gaussian-integer rows A and its Gram inverse in
+lowest terms, G^-1 = N / D.  For a pair (a, b) with cross-Gram
+C = A_a A_b^H, the matrix M = N_a C N_b C^H has the principal angles
+times D = D_a D_b as eigenvalues, so its elementary symmetric values
+e_k(M) = D^k e_k are integers in [0, C(m, k) D^k].  They are found
+modulo word-size primes, whose product exceeds twice that range for the
+largest D of the batch, in int64 arithmetic with the primes as a batch
+axis; the prime width follows from n so that no sum overflows.  Pairs
+are processed in chunks of at most PAIR_CHUNK_ELEMENTS array entries,
+grouped by (D, residues), and every group is lifted once by Chinese
+remaindering, so the Python-integer work grows with the number of
+distinct invariants, not of pairs.  A lifted value outside its range,
+or a nonzero imaginary residue of a power sum, raises.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from .exactlinalg import crt_lift, elementary_mod, gaussian_mul_mod, moduli, modulus_bits, residues
+from .scalars import rational
+
+# Most int64 entries one array of a pair chunk holds, over all primes:
+# memory stays flat in the number of pairs.
+PAIR_CHUNK_ELEMENTS = 1 << 15
+
+
+def _gaussian_residues(matrices, primes, shape) -> tuple:
+    """Residues of Gaussian-integer matrices as an (re, im) pair of (P,) + shape arrays."""
+    flat = [x for mat in matrices for row in mat for v in row for x in v]
+    res = residues(flat, primes).reshape(len(primes), *shape, 2)
+    return res[..., 0], res[..., 1]
+
+
+class _PairBatch:
+    """Residues of the points of a batch, modulo primes enough for every pair invariant."""
+
+    def __init__(self, points: Sequence):
+        m, n, k = points[0].m, points[0].n, len(points)
+        self.m = m
+        where = {}
+        self.den_index = np.array([where.setdefault(p.inv_den, len(where)) for p in points], dtype=np.int64)
+        self.dens = list(where)
+        # e_k(M) = D^k e_k lies in [0, C(m, k) D^k] with D = D_a D_b, so
+        # a product of primes above twice that tells every e_k(M) apart
+        top = max(self.dens) ** 2
+        bound = max(math.comb(m, j) * top**j for j in range(1, m + 1))
+        self.primes = moduli(modulus_bits(2 * n), 2 * bound + 1)
+        self.q = np.array(self.primes, dtype=np.int64).reshape(-1, 1, 1, 1)
+        re, im = _gaussian_residues([p.rows for p in points], self.primes, (k, m, n))
+        self.inv = _gaussian_residues([p.inv_num for p in points], self.primes, (k, m, m))
+        # C = A_a A_b^H in one product: [re_a, im_a; im_a, -re_a] [re_b, im_b]^T
+        # holds its real part on top of its imaginary part
+        self.right = np.concatenate([re, im], axis=-1)
+        self.left = np.concatenate([self.right, np.concatenate([im, -re], axis=-1)], axis=-2)
+
+    def keys(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        """Per pair: its denominator pair, then e_1(M) .. e_m(M) modulo each prime."""
+        m, q = self.m, self.q
+        c = (np.take(self.left, first, axis=1) @ np.take(self.right, second, axis=1).swapaxes(-1, -2)) % q
+        cross = c[..., :m, :], c[..., m:, :]
+        adjoint = cross[0].swapaxes(-1, -2), -cross[1].swapaxes(-1, -2)
+        left = gaussian_mul_mod([np.take(x, first, axis=1) for x in self.inv], cross, q)
+        right = gaussian_mul_mod([np.take(x, second, axis=1) for x in self.inv], adjoint, q)
+        e = elementary_mod(gaussian_mul_mod(left, right, q), q)
+        dkey = np.take(self.den_index, first) * len(self.dens) + np.take(self.den_index, second)
+        return np.concatenate([dkey[:, None], e.transpose(1, 0, 2).reshape(len(first), -1)], axis=1)
+
+    def invariants(self, keys: np.ndarray) -> list:
+        """The invariant of each key, lifted by Chinese remaindering and range-checked."""
+        m, size = self.m, len(self.dens)
+        res = keys[:, 1:].reshape(len(keys), len(self.primes), m).transpose(0, 2, 1)
+        lifted = crt_lift(res.reshape(-1, len(self.primes)), self.primes)
+        out = []
+        for t, key in enumerate(keys[:, 0].tolist()):
+            d = self.dens[key // size] * self.dens[key % size]
+            values = lifted[t * m : (t + 1) * m]
+            if not all(0 <= x <= math.comb(m, k) * d**k for k, x in enumerate(values, 1)):
+                raise ArithmeticError("lifted pair invariant outside its range")
+            out.append(tuple(rational(x, d**k) for k, x in enumerate(values, 1)))
+        return out
+
+
+def invariant_batch(points: Sequence, first, second) -> tuple:
+    """Pair invariants of the exact pairs (points[first[t]], points[second[t]]).
+
+    Multi-modular: the matrix M = N_a C N_b C^H of a pair, C the
+    cross-Gram of the integer rows and G^-1 = N / D the reduced Gram
+    inverses, has the angles times D = D_a D_b as eigenvalues.  It is
+    formed modulo word-size primes in int64, all primes and a chunk of
+    pairs at once, and its e_k(M) = D^k e_k come from the power sums by
+    Newton's identities.  Pairs are grouped by (D, residues) and each
+    group is lifted once by Chinese remaindering, exact because the
+    primes exceed twice the range of every e_k(M).  Returns
+    ``(invariants, classes)``: the distinct invariants in order of their
+    first pair, and each pair's index into them as an int array.
+    """
+    first = np.asarray(first, dtype=np.int64)
+    second = np.asarray(second, dtype=np.int64)
+    if not len(first):
+        return [], first
+    batch = _PairBatch(points)
+    step = max(1, PAIR_CHUNK_ELEMENTS // (4 * len(batch.primes) * points[0].m * points[0].n))
+    groups: dict = {}  # key bytes -> group, in order of first pair
+    labels = []
+    for lo in range(0, len(first), step):
+        chunk = batch.keys(first[lo : lo + step], second[lo : lo + step])
+        data, width = chunk.tobytes(), chunk.itemsize * chunk.shape[1]
+        rows = (data[at : at + width] for at in range(0, len(data), width))
+        labels.append(np.fromiter((groups.setdefault(r, len(groups)) for r in rows), np.int64, len(chunk)))
+    keys = np.frombuffer(b"".join(groups), dtype=np.int64).reshape(len(groups), -1)
+    # groups of different D may share an invariant
+    classes: dict = {}
+    merge = [classes.setdefault(e, len(classes)) for e in batch.invariants(keys)]
+    return list(classes), np.take(np.array(merge, dtype=np.int64), np.concatenate(labels))

@@ -20,9 +20,19 @@ from .scalars import rational
 # down-sets inside the budget at ranks 2 to 5 build in about a second.
 SHAPE_BUDGET = 10_000
 
+# Largest rank m a shape enumeration takes.  Each shape of a kernel costs
+# one m x m determinant of integers that grow with m: at the budget the
+# two-term kernel of (1) builds in about a second.
+RANK_BUDGET = 64
+
 
 class ShapeLimitError(ArithmeticError):
-    """A shape enumeration would exceed SHAPE_BUDGET."""
+    """A shape enumeration would exceed SHAPE_BUDGET or RANK_BUDGET."""
+
+
+def _check_rank(m: int):
+    if m > RANK_BUDGET:
+        raise ShapeLimitError(f"rank {m} exceeds the budget of {RANK_BUDGET}")
 
 
 class Partition:
@@ -167,6 +177,7 @@ def enumerate_up_to_weight(m: int, t: int) -> list:
         raise ValueError(f"ambient length must be positive, got {m}")
     if t < 0:
         raise ValueError(f"weight cap must be nonnegative, got {t}")
+    _check_rank(m)
     found = []
 
     def extend(prefix, cap, remaining):
@@ -199,8 +210,10 @@ def down_set_size(kappa: Partition) -> int:
 def down_set(kappa: Partition) -> list:
     """All partitions sigma <= kappa (same ambient length), graded lex.
 
-    The size is checked against SHAPE_BUDGET before any shape is built.
+    The rank is checked against RANK_BUDGET, and the size against
+    SHAPE_BUDGET, before any shape is built.
     """
+    _check_rank(kappa.m)
     size = down_set_size(kappa)
     if size > SHAPE_BUDGET:
         raise ShapeLimitError(
@@ -222,8 +235,11 @@ def down_set(kappa: Partition) -> list:
 
 
 def descending_grid(m: int, depth: int):
-    """Rational grid of the simplex 1 >= y_1 >= ... >= y_m >= 0, step 1/depth."""
+    """Grid of the simplex 1 >= y_1 >= ... >= y_m >= 0, step 1/depth.
+
+    Yields the integer tuples k = depth * y, depth >= k_1 >= ... >= k_m >= 0,
+    with the first coordinate slowest and descending.
+    """
     if depth < 1:
         raise ValueError(f"grid depth must be positive, got {depth}")
-    for ks in combinations_with_replacement(range(depth, -1, -1), m):
-        yield tuple(rational(k, depth) for k in ks)
+    return combinations_with_replacement(range(depth, -1, -1), m)

@@ -16,7 +16,8 @@ is the integer s_sigma(a) = d^|sigma| s_sigma(y), and X*_sigma(y) is
 that integer over d^|sigma| and the normalization, formed as one
 ``Fraction``.  No determinant is taken per point, and repeated
 coordinates need no care.  A point enters either by its coordinates
-(d the lcm of their denominators) or, through
+(d the lcm of their denominators, or d as given with integer numerators
+in :class:`ScaledPoints`) or, through
 :func:`normalized_schur_at_invariants`, by its e_k alone (d the lcm of
 their denominators), which is how exact pair classes enter without
 their angles.  :meth:`SchurExpansion.evaluate_batch` folds its shapes
@@ -131,21 +132,41 @@ def _evaluate(poly, vectors) -> list:
     ]
 
 
-def _scaled_points(points, upto: int):
-    """Exact points y = a/d as (d, e_1(a) .. e_upto(a)), d the lcm of y's denominators.
+class ScaledPoints(list):
+    """Exact points y = a / d as (a, d) pairs: integer numerators a, positive d.
 
-    Returns None when some coordinate is a float.
+    The batched evaluators take it in place of ``Fraction`` tuples and use
+    each d as given, with no lcm of the coordinates' denominators.
     """
-    if not all(is_exact_real(v) for y in points for v in y):
-        return None
-    widths = {len(y) for y in points}
+
+    def point(self, i: int) -> tuple:
+        """Point i as a ``Fraction`` tuple."""
+        a, d = self[i]
+        return tuple(rational(k, d) for k in a)
+
+
+def scaled_point(y) -> tuple:
+    """(a, d) with y = a / d for an exact point y, d the lcm of its denominators."""
+    d = math.lcm(*(v.denominator for v in y))
+    return [v.numerator * (d // v.denominator) for v in y], d
+
+
+def _scaled_points(points, upto: int):
+    """Exact points y = a/d as (d, e_1(a) .. e_upto(a)).
+
+    d is the one a :class:`ScaledPoints` gives, else the lcm of y's
+    denominators.  Returns None when some coordinate is a float.
+    """
+    if not isinstance(points, ScaledPoints):
+        if not all(is_exact_real(v) for y in points for v in y):
+            return None
+        points = [scaled_point(y) for y in points]
+    widths = {len(a) for a, _ in points}
     if len(widths) != 1:
         raise ValueError("points must be an (N, m) array")
     (m,) = widths
     scaled = []
-    for y in points:
-        d = math.lcm(*(v.denominator for v in y))
-        a = [v.numerator * (d // v.denominator) for v in y]
+    for a, d in points:
         e = _elementary_terms(a, min(upto, m), 1)
         e[0] = d
         scaled.append(e)
@@ -280,11 +301,15 @@ class SchurExpansion:
         return self.evaluate_batch([y])[0]
 
     def evaluate_batch(self, points) -> list:
-        """Values at every point of an (N, m) sequence, from one batched evaluation."""
-        points = [tuple(y) for y in points]
-        for y in points:
-            if len(y) != self.m:
-                raise ValueError(f"point length {len(y)} vs ambient {self.m}")
+        """Values at every point of an (N, m) sequence or :class:`ScaledPoints`, from one batched evaluation."""
+        if isinstance(points, ScaledPoints):
+            lengths = [len(a) for a, _ in points]
+        else:
+            points = [tuple(y) for y in points]
+            lengths = [len(y) for y in points]
+        for k in lengths:
+            if k != self.m:
+                raise ValueError(f"point length {k} vs ambient {self.m}")
         sigmas = list(self.coeffs)
         scaled = _scaled_points(points, _top_index(sigmas))
         if scaled is None:

@@ -10,6 +10,9 @@ the tests check it against:
 * ``charpoly``: the monic characteristic polynomial by Faddeev-LeVerrier,
   and ``angle_polynomial``, the polynomial of a pair's principal angles
   built from Gram inverses;
+* ``pair_invariant_oracle``: a pair's invariant (e_1, .., e_m) one pair
+  at a time over the integers, against which the multi-modular batch is
+  checked;
 * ``same_subspace``, ``orthogonal_complement``, ``is_antipodal_pair``:
   point-level questions answered from the basis rows;
 * ``prepare_point``, ``elementary_all``, ``complete_all``,
@@ -20,10 +23,17 @@ the tests check it against:
   e-polynomials are checked.
 """
 
-from grassdesign.exactlinalg import det, mat_mul
+from grassdesign.exactlinalg import (
+    det,
+    gaussian_adjugate,
+    gaussian_charpoly,
+    gaussian_mat_mul,
+    mat_mul,
+)
 from grassdesign.grassmann import (
     EXACT,
     SubspacePoint,
+    _adjoint,
     _check_pair,
     antipodal_angles,
     principal_angles,
@@ -200,6 +210,33 @@ def angle_polynomial(a: SubspacePoint, b: SubspacePoint) -> list:
         assert not c.im
         poly.append(c.re)
     return poly
+
+
+def pair_invariant_oracle(a: SubspacePoint, b: SubspacePoint) -> tuple:
+    """(e_1, .., e_m) of a pair one at a time, over the integers, with no modulus.
+
+    The per-pair route the package replaced by its multi-modular batch:
+    the integer matrix adj(G_a) C adj(G_b) C^H, with unreduced Gram
+    adjugates, has the angles times det G_a det G_b as eigenvalues, and
+    Berkowitz's division-free polynomial gives e_k = (-1)^k c_(m-k) / D^k.
+    """
+    def adjugate(p):
+        (det_re, _), adj = gaussian_adjugate(gaussian_mat_mul(p.rows, _adjoint(p.rows)))
+        return det_re, adj
+
+    (det_a, adj_a), (det_b, adj_b) = adjugate(a), adjugate(b)
+    cross = gaussian_mat_mul(a.rows, _adjoint(b.rows))
+    product = gaussian_mat_mul(
+        gaussian_mat_mul(adj_a, cross), gaussian_mat_mul(adj_b, _adjoint(cross))
+    )
+    poly = gaussian_charpoly(product)
+    scale = det_a * det_b
+    out = []
+    for k in range(1, a.m + 1):
+        re, im = poly[a.m - k]
+        assert not im
+        out.append(rational((-1) ** k * re, scale**k))
+    return tuple(out)
 
 
 def same_subspace(p: SubspacePoint, q: SubspacePoint, tol: float = 1e-8) -> bool:

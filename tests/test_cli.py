@@ -15,7 +15,7 @@ import grassdesign
 from grassdesign import designs, exactlinalg, grassmann, symfunc, zonal
 from grassdesign.cli import build_parser, main
 from grassdesign.grassmann import great_antipodal, random_subspace, SubspaceConfiguration
-from grassdesign.partitions import SHAPE_BUDGET
+from grassdesign.partitions import RANK_BUDGET, SHAPE_BUDGET
 
 
 def run(capsys, *argv):
@@ -191,31 +191,46 @@ def test_result_payload_is_byte_stable(capsys):
     ],
 )
 def test_principal_angles_once_per_pair(argv, capsys, monkeypatch):
-    # every unordered pair, diagonal included, gets its invariant once;
-    # roots are found only to display angles, once per distinct class
-    invariants, factored = [], []
-    original_invariant = grassmann.pair_invariant
+    # one batch per configuration covers every unordered pair, diagonal
+    # included, exactly once; roots are found only to display angles,
+    # once per distinct class
+    batches, factored = [], []
+    original_batch = grassmann.invariant_batch
     original_roots = grassmann.rational_roots
 
-    def counting_invariant(a, b):
-        invariants.append((a, b))
-        return original_invariant(a, b)
+    def counting_batch(points, first, second):
+        batches.append(sorted(zip(list(first), list(second))))
+        return original_batch(points, first, second)
 
     def counting_roots(poly):
         factored.append(tuple(poly))
         return original_roots(poly)
 
-    monkeypatch.setattr(grassmann, "pair_invariant", counting_invariant)
+    monkeypatch.setattr(grassmann, "invariant_batch", counting_batch)
     monkeypatch.setattr(grassmann, "rational_roots", counting_roots)
     main(argv)
     capsys.readouterr()
     k = 6
-    assert len(invariants) == k * (k + 1) // 2
+    assert len(batches) == 1
+    assert batches[0] == [(i, j) for i in range(k) for j in range(i, k)]
+    assert len(batches[0]) == k * (k + 1) // 2
     if argv[0] == "antipodal":
         assert factored == []
     else:
         classes = grassmann.six_point_config().invariant_classes()
         assert len(factored) == len(set(factored)) == len(classes)
+
+
+def test_design_path_builds_no_per_pair_table(capsys, monkeypatch):
+    # defects and antipodality read the batch's classes alone
+    def no_table(self):
+        raise AssertionError("per-pair table built on the design path")
+
+    monkeypatch.setattr(SubspaceConfiguration, "pair_invariants", no_table)
+    monkeypatch.setattr(SubspaceConfiguration, "pair_angles", no_table)
+    assert main(["antipodal", "--m", "3", "--n", "6", "--verify", "E+F"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["result"]["pairwise_antipodal"] is True
 
 
 def disguised_great_antipodal(m, n):
@@ -511,17 +526,37 @@ def test_computational_errors_exit_three(tmp_path, capsys):
     ],
 )
 def test_internal_errors_exit_three_without_traceback(argv):
-    # both overflow Python's recursion limit; exit 1 stays a negative verdict
+    # ranks past the budget stop before any enumeration or determinant
+    # starts; exit 1 stays a negative verdict
     src = Path(grassdesign.__file__).resolve().parents[1]
+    started = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "grassdesign", *argv],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
     )
+    assert time.perf_counter() - started < 10
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr and proc.stdout == ""
     err = json.loads(proc.stderr)
+    assert err["error"]["code"] == "shape-limit"
+    assert str(RANK_BUDGET) in err["error"]["message"]
+
+
+def test_unexpected_errors_exit_three_as_internal(capsys, monkeypatch):
+    # a fault no error code names exits 3 with the raising frame, not a traceback
+    def broken(m, n):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(grassmann, "great_antipodal", broken)
+    code = main(["antipodal", "--m", "2", "--n", "4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "Traceback" not in captured.err and captured.out == ""
+    err = json.loads(captured.err)
     assert err["error"]["code"] == "internal"
-    assert err["error"]["message"].startswith("RecursionError")
+    message = err["error"]["message"]
+    assert message.startswith("RecursionError: maximum recursion depth exceeded")
+    assert message.endswith("in broken)") and "test_cli.py:" in message
 
 
 def test_check_nonneg_takes_no_determinant_per_point(monkeypatch, capsys):

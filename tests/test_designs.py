@@ -405,7 +405,7 @@ class TestNonnegativity:
         depth, samples, seed = 90, 30, 4
         batches = count_batches(monkeypatch)
         rep = check_nonnegativity(cert, grid_depth=depth, samples=samples, seed=seed)
-        points = list(descending_grid(2, depth))
+        points = [tuple(rational(k, depth) for k in ks) for ks in descending_grid(2, depth)]
         assert len(points) > designs.NONNEG_CHUNK
         rng = random.Random(seed)
         for _ in range(samples):

@@ -1,8 +1,10 @@
 """Exact linear-algebra kernels: determinants, solves, spectra."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grassdesign.exactlinalg import (
     RootSearchLimitError,
@@ -64,6 +66,31 @@ def test_det_matches_leibniz():
         n = 1 + seed % 4
         m = random_rational_matrix(n, seed)
         assert det(m) == brute_det(m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7, 10**12]), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_bareiss_det_matches_leibniz_on_sparse_integers(rows):
+    # zeros on and below the diagonal force row swaps; integers stay integers
+    value = det(rows)
+    assert type(value) is int
+    assert value == brute_det(rows)
+
+
+def test_det_is_polynomial_at_large_rank():
+    # a minor expansion would take 2^120 steps here
+    n = 120
+    rows = [[(i + 1) * (i == j) + (j > i) for j in range(n)] for i in range(n)]
+    rows[0], rows[1] = rows[1], rows[0]
+    assert det(rows) == -math.factorial(n)
 
 
 def test_solve_and_invert():

@@ -1,0 +1,183 @@
+"""The multi-modular pair batch against the per-pair integer oracle."""
+
+import math
+import random
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from grassdesign import pairbatch
+from grassdesign.exactlinalg import (
+    crt_lift,
+    gaussian_adjugate,
+    gaussian_mat_mul,
+    modulus_bits,
+    moduli,
+    residues,
+)
+from grassdesign.grassmann import (
+    EXACT,
+    _adjoint,
+    RankDeficiencyError,
+    SubspaceConfiguration,
+    SubspacePoint,
+    great_antipodal,
+    invariant_batch,
+    pair_invariant,
+    six_point_config,
+)
+from grassdesign.scalars import ExactComplex, rational
+
+from exact_oracles import pair_invariant_oracle
+
+BIG_PRIME = 10**9 + 7
+
+# numerators up to 10^6 over denominators that include a large prime, so
+# that reduced Gram denominators run to hundreds of bits
+parts = st.builds(
+    rational, st.integers(-(10**6), 10**6), st.sampled_from([1, 2, 3, 7, BIG_PRIME])
+)
+entries = st.builds(ExactComplex, parts, parts)
+
+
+def all_pairs(k):
+    return [(i, j) for i in range(k) for j in range(i, k)]
+
+
+def unitary_image(config, seed):
+    """An exact unitary image of a configuration, rows recombined, denominators mixed.
+
+    Rotations by Pythagorean triples on random coordinate pairs (dense in
+    every coordinate), then each point's rows mixed by a random invertible
+    upper-triangular Gaussian-rational matrix; every principal angle is kept.
+    """
+    rng = random.Random(seed)
+    n = config.n
+    unitary = [[ExactComplex(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        a, b = rng.sample(range(n), 2)
+        (p, q, r) = rng.choice([(3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29)])
+        c, s = rational(p, r), rational(q, r)
+        for row in unitary:
+            row[a], row[b] = row[a] * c - row[b] * s, row[a] * s + row[b] * c
+    points = []
+    for pt in config:
+        rows = [[sum((v * unitary[k][j] for k, v in enumerate(row)), ExactComplex(0)) for j in range(n)]
+                for row in pt.basis]
+        mixed = []
+        for i in range(config.m):
+            scale = ExactComplex(rational(rng.randint(1, 9), rng.choice([1, 5, BIG_PRIME])), rng.randint(0, 3))
+            mix = [scale * v for v in rows[i]]
+            for j in range(i + 1, config.m):
+                c = ExactComplex(rational(rng.randint(-3, 3), rng.choice([1, 2, 7])))
+                mix = [x + c * y for x, y in zip(mix, rows[j])]
+            mixed.append(mix)
+        points.append(SubspacePoint(mixed, mode=EXACT))
+    return SubspaceConfiguration(points, label=config.label)
+
+
+@st.composite
+def exact_configurations(draw):
+    """Dense random exact points of G(m, n), m <= 4, or a disguised bundled configuration.
+
+    Random points almost always have irrational angles; the disguised
+    copies have rational ones and many equal invariants.
+    """
+    if draw(st.booleans()):
+        base = draw(st.sampled_from([(1, 3), (2, 4), (2, 5), (3, 6), "six"]))
+        config = six_point_config() if base == "six" else great_antipodal(*base)
+        if len(config) > 10:
+            config = SubspaceConfiguration(config.points[:10], label=config.label)
+        return unitary_image(config, draw(st.integers(0, 2**32)))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(2 * m, 2 * m + 1))
+    points = []
+    for _ in range(draw(st.integers(2, 4))):
+        rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+        try:
+            points.append(SubspacePoint(rows, mode=EXACT))
+        except RankDeficiencyError:
+            assume(False)
+    return SubspaceConfiguration(points, label="random")
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=exact_configurations())
+def test_batch_matches_per_pair_oracle(config):
+    pairs = all_pairs(len(config))
+    invariants, classes = invariant_batch(config.points, *zip(*pairs))
+    assert len(classes) == len(pairs)
+    expected = {(i, j): pair_invariant_oracle(config[i], config[j]) for i, j in pairs}
+    assert {pair: invariants[c] for pair, c in zip(pairs, classes.tolist())} == expected
+    # classes are distinct, in order of first pair
+    assert invariants == list(dict.fromkeys(expected.values()))
+    counts = {}
+    for (i, j), e in expected.items():
+        counts[e] = counts.get(e, 0) + (1 if i == j else 2)
+    assert config.invariant_classes() == counts
+    assert config.pair_invariants() == expected
+
+
+def test_gram_inverse_in_lowest_terms():
+    config = unitary_image(great_antipodal(2, 4), 5)
+    for p in config:
+        (det, _), adj = gaussian_adjugate(gaussian_mat_mul(p.rows, _adjoint(p.rows)))
+        # N / D = adj(G) / det(G) with no common factor left
+        assert det * p.inv_den > 0 and det % p.inv_den == 0
+        assert p.inv_num == [[(re * p.inv_den // det, im * p.inv_den // det) for re, im in row] for row in adj]
+        assert math.gcd(p.inv_den, *(x for row in p.inv_num for v in row for x in v)) == 1
+    assert pair_invariant(config[0], config[1]) == pair_invariant_oracle(config[0], config[1])
+
+
+def test_int64_sums_at_large_n():
+    # at n = 1100 a cross-Gram entry sums 2200 products of residues; the
+    # prime width of 25 bits keeps them below 2^63, where 29-bit primes
+    # (the width at n <= 11) would overflow
+    n = 1100
+    assert modulus_bits(2 * n) == 25 and modulus_bits(2 * 11) == 29
+    rng = random.Random(3)
+    points = [
+        SubspacePoint(
+            [[ExactComplex(rng.randint(-(10**30), 10**30), rng.randint(-(10**30), 10**30)) for _ in range(n)]],
+            mode=EXACT,
+        )
+        for _ in range(3)
+    ]
+    batch = pairbatch._PairBatch(points)
+    assert max(batch.primes) < 2**25 and len(batch.primes) > 1
+    pairs = all_pairs(3)
+    invariants, classes = invariant_batch(points, *zip(*pairs))
+    for (i, j), c in zip(pairs, classes.tolist()):
+        assert invariants[c] == pair_invariant_oracle(points[i], points[j])
+
+
+def test_out_of_range_lift_raises():
+    # tripling N_a triples every angle: e_1 = 3 m > m lies outside [0, m]
+    a = great_antipodal(2, 4)[0]
+    b = SubspacePoint(a.basis, mode=EXACT)
+    b.inv_num = [[(3 * re, 3 * im) for re, im in row] for row in b.inv_num]
+    with pytest.raises(ArithmeticError, match="outside its range"):
+        invariant_batch([a, b], [0], [1])
+
+
+def test_nonzero_imaginary_residue_raises():
+    # i N_a makes the pair matrix i M: its power sums are imaginary
+    a = great_antipodal(2, 4)[0]
+    b = SubspacePoint(a.basis, mode=EXACT)
+    b.inv_num = [[(-im, re) for re, im in row] for row in b.inv_num]
+    with pytest.raises(ArithmeticError, match="imaginary residue"):
+        invariant_batch([b, a], [0], [1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=8),
+    bound_bits=st.integers(1, 420),
+)
+def test_residues_and_lift_round_trip(values, bound_bits):
+    bound = 2**bound_bits
+    values = [v % (2 * bound) - bound for v in values]
+    primes = moduli(modulus_bits(24), 2 * bound + 1)
+    res = residues(values, primes)
+    assert res.tolist() == [[v % p for v in values] for p in primes]
+    assert crt_lift(res.T, primes) == values

@@ -279,7 +279,10 @@ class TestEnumeration:
                         assert a <= c
 
     def test_descending_grid(self):
+        # integer numerators over the depth: y = k / 4
         pts = list(descending_grid(2, 4))
-        assert len(pts) == 15  # multisets of size 2 from 5 levels
-        for y in pts:
-            assert 1 >= y[0] >= y[1] >= 0
+        assert len(pts) == len(set(pts)) == 15  # multisets of size 2 from 5 levels
+        for k in pts:
+            assert all(type(v) is int for v in k)
+            assert 4 >= k[0] >= k[1] >= 0
+        assert pts[0] == (4, 4) and pts[-1] == (0, 0)

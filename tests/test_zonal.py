@@ -3,12 +3,15 @@
 import inspect
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassdesign.partitions import (
+    RANK_BUDGET,
     Partition,
+    ShapeLimitError,
     binom,
     column_shape,
     enumerate_up_to_weight,
@@ -224,6 +227,20 @@ class TestKernels:
         finally:
             sys.setrecursionlimit(limit)
         assert kernel == zonal_row(80, 1, 2)
+
+    def test_rank_forty_kernel_builds(self):
+        # one 40 x 40 integer determinant per term, by elimination
+        started = time.perf_counter()
+        kernel = zonal_kernel(row_shape(1, 40), 80)
+        assert time.perf_counter() - started < 5
+        assert kernel == zonal_row(1, 40, 80)
+
+    def test_rank_past_the_budget_is_refused(self):
+        with pytest.raises(ShapeLimitError, match=str(RANK_BUDGET)):
+            zonal_kernel(row_shape(1, RANK_BUDGET + 1), 2 * RANK_BUDGET + 2)
+        with pytest.raises(ShapeLimitError, match=str(RANK_BUDGET)):
+            enumerate_up_to_weight(RANK_BUDGET + 1, 0)
+        assert len(enumerate_up_to_weight(RANK_BUDGET, 1)) == 2
 
     def test_closed_forms_match_general_construction(self):
         for m in (1, 2, 3):
