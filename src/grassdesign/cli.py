@@ -78,9 +78,8 @@ def _emit(args, manifest: dict, result: dict, csv_rows=None) -> None:
             writer.writerow(row)
         sys.stdout.write(buf.getvalue())
         return
-    doc = {"manifest": manifest, "result": result}
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # one write: streaming json.dump makes a write per token
+    sys.stdout.write(json.dumps({"manifest": manifest, "result": result}, indent=2) + "\n")
 
 
 def _report_rows(report: designs.DesignReport):
@@ -268,8 +267,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _compute_error(code: str, message: str) -> int:
-    json.dump({"error": {"code": code, "message": message}}, sys.stderr, indent=2)
-    sys.stderr.write("\n")
+    sys.stderr.write(json.dumps({"error": {"code": code, "message": message}}, indent=2) + "\n")
     return EXIT_COMPUTE
 
 

@@ -6,11 +6,12 @@ the "defects" reported here.  Defects come from Schur moments
 M_sigma = sum over pair classes y of count(y) * X*_sigma(y), computed once
 per test family for the union of its kernels' supports; each defect is
 its kernel's expansion dotted with the moments.  All moments come from
-one batched evaluation over the classes: exact classes are keyed by the
-elementary symmetric values of their angles, read off each pair's
-characteristic polynomial, and give exact rationals with no root found,
-so exact configurations with irrational angles get exact defects too;
-float classes are angle vectors, evaluated in one numpy pass.  A
+one batched evaluation at the elementary symmetric values of the pair
+angles, with no root found: exact pairs are grouped into classes by
+those values, read off each pair's characteristic polynomial, and give
+exact rationals, so exact configurations with irrational angles get
+exact defects too; float pairs enter as rows of one array of values,
+evaluated in one numpy pass.  A
 coefficient function c with positive constant term and
 pointwise-nonnegative kernel combination F certifies the cardinality
 bound F(1,..,1)/c_(0) for any configuration averaging the components
@@ -37,8 +38,6 @@ from itertools import chain, islice
 from math import comb
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from .partitions import (
     Partition,
     binom,
@@ -53,7 +52,6 @@ from .symfunc import (
     SchurExpansion,
     ScaledPoints,
     normalized_schur_at_invariants,
-    normalized_schur_batch,
     scaled_point,
 )
 from .zonal import harmonic_dim, zonal_kernel
@@ -106,21 +104,16 @@ def parse_family(spec: str, m: int) -> List[Partition]:
 def schur_moments(config: SubspaceConfiguration, sigmas: Sequence[Partition]) -> dict:
     """M_sigma = sum over ordered pairs of X*_sigma(y(a, b)), for each sigma.
 
-    Summed over pair classes with their multiplicities, every sigma at
-    every class in one batched evaluation.  Exact classes are keyed by
-    their angle invariants (e_1, .., e_m), which X*_sigma needs in place
-    of the angles, so no root is found; float classes by their angles.
-    The counts stay integers, so exact moments stay ``Fraction`` values.
+    Every sigma at every pair invariant (e_1, .., e_m), which X*_sigma
+    needs in place of the angles, in one batched evaluation, weighted by
+    the number of ordered pairs each invariant stands for: exact
+    invariants are distinct classes with their counts, float ones single
+    pairs of weight 1 or 2.  No root is found.  The weights stay
+    integers, so exact moments stay ``Fraction`` values.
     """
-    if config.mode == EXACT:
-        classes = config.invariant_classes()
-        values = normalized_schur_at_invariants(sigmas, list(classes))
-    else:
-        classes = config.angle_classes()
-        values = normalized_schur_batch(sigmas, list(classes))
-    counts = np.array(list(classes.values()), dtype=int)
-    values = (values * counts).sum(axis=1)
-    return dict(zip(sigmas, values.tolist()))
+    invariants, weights = config.invariant_weights()
+    values = normalized_schur_at_invariants(sigmas, invariants)
+    return dict(zip(sigmas, (values * weights).sum(axis=1).tolist()))
 
 
 def _defects(config: SubspaceConfiguration, family: Sequence[Partition]) -> list:

@@ -2,11 +2,12 @@
 
 Evaluation points are plain sequences of scalars.  Exact entries (ints
 or ``Fraction``) keep every operation exact; a single float entry
-switches the whole evaluation to floating point.  One evaluator,
-:func:`normalized_schur_batch`, serves both modes and decides the mode
-once per call.
+switches the whole evaluation to floating point.  The evaluators,
+:func:`normalized_schur_batch` at coordinates and
+:func:`normalized_schur_at_invariants` at e-vectors, serve both modes and
+decide the mode once per call.
 
-Exact mode works in the e-basis.  Each s_sigma is expanded once, and
+Both modes work in the e-basis.  Each s_sigma is expanded once, and
 cached, as an integer polynomial in e_1 .. e_m
 (:func:`schur_e_polynomial`): the dual Jacobi-Trudi determinant
 det(e_(sigma'_i - i + j)) over monomial entries.  A point y is written
@@ -24,9 +25,12 @@ their angles.  :meth:`SchurExpansion.evaluate_batch` folds its shapes
 into one e-polynomial, each s_sigma lifted by a power of d, and
 evaluates that once per point over one common denominator.
 
-Float mode builds e_k and h_k once per point (one numpy column per k)
-and each shape's Jacobi-Trudi index matrix once, then takes stacked
-determinants det(h_(sigma_i - i + j)) through ``numpy.linalg.det``.
+Float mode evaluates the same cached polynomials on numpy columns, one
+column per e_k holding its value at every point: the e_k of the
+coordinates, or the e_k as given (float pair invariants enter so).  On
+[0, 1]^m, where |e_k| <= C(m, k), the rounding error of X*_sigma is at
+most a few eps times the number of terms times
+R_sigma = sum |coefficient| prod C(m, k)^(exponent) / s_sigma(1, .., 1).
 The scalar evaluators delegate to the batch.
 """
 
@@ -54,18 +58,6 @@ def _elementary_terms(vals, upto: int, one) -> list:
     return e
 
 
-def _complete_terms(e: list, m: int, upto: int, one) -> list:
-    """h_0 .. h_upto from e_0 .. e_min(upto, m) of m coordinates."""
-    h = [one]
-    for k in range(1, upto + 1):
-        acc = one * 0
-        for j in range(1, min(k, m) + 1):
-            term = e[j] * h[k - j]
-            acc = acc + term if j % 2 else acc - term
-        h.append(acc)
-    return h
-
-
 def schur_norm(mu: Partition):
     """Value at the all-ones point, prod_{i<j} (mu_i - mu_j + j - i)/(j - i)."""
     parts = mu.parts
@@ -78,15 +70,10 @@ def _top_index(sigmas) -> int:
     """Largest index sigma_1 + l(sigma) - 1 that a Jacobi-Trudi matrix of the shapes reads.
 
     It bounds both h_k in det(h_(sigma_i - i + j)) and e_k in the dual
-    det(e_(sigma'_i - i + j)).
+    det(e_(sigma'_i - i + j)), so the e-polynomials of the shapes read no
+    e_k past it.
     """
     return max((s.parts[0] + s.length_index() - 1 for s in sigmas if not s.is_zero()), default=0)
-
-
-def _jacobi_trudi_index(sigma: Partition) -> list:
-    """h indices of the Jacobi-Trudi matrix of sigma; -1 reads an appended zero."""
-    ell = sigma.length_index()
-    return [[max(sigma.parts[i] - i + j, -1) for j in range(ell)] for i in range(ell)]
 
 
 @lru_cache(maxsize=None)
@@ -212,12 +199,22 @@ def _normalized_exact(sigmas: Sequence[Partition], scaled: list, m: int) -> np.n
     return out
 
 
+def _normalized_float(sigmas: Sequence[Partition], columns: list, m: int) -> np.ndarray:
+    """X*_sigma at float points given by e-columns, columns[k] the e_k of every point."""
+    out = np.empty((len(sigmas), len(columns[0])))
+    for r, sigma in enumerate(sigmas):
+        if sigma.m != m:
+            raise ValueError(f"partition ambient {sigma.m} vs point length {m}")
+        (out[r],) = _evaluate(schur_e_polynomial(sigma), [columns])
+        out[r] /= float(schur_norm(sigma))
+    return out
+
+
 def normalized_schur_batch(sigmas: Sequence[Partition], points) -> np.ndarray:
     """X*_sigma at every point of an (N, m) sequence, one output row per sigma.
 
     When every coordinate is exact the result is an object array of
-    ``Fraction``, otherwise a float array.  In float mode h_k with k < 0
-    is read from an appended zero at index -1 of each point's h array.
+    ``Fraction``, otherwise a float array.
     """
     top = _top_index(sigmas)
     scaled = _scaled_points(points, top)
@@ -228,31 +225,29 @@ def normalized_schur_batch(sigmas: Sequence[Partition], points) -> np.ndarray:
     if pts.ndim != 2:
         raise ValueError("points must be an (N, m) array")
     m = pts.shape[1]
-    one = np.ones(len(pts))
-    e = _elementary_terms(pts.T, min(top, m), one)
-    h = np.stack(_complete_terms(e, m, top, one) + [one * 0], axis=1)
-    out = np.ones((len(sigmas), len(pts)))
-    for r, sigma in enumerate(sigmas):
-        if sigma.m != m:
-            raise ValueError(f"partition ambient {sigma.m} vs point length {m}")
-        idx = _jacobi_trudi_index(sigma)
-        if idx:
-            out[r] = np.linalg.det(h[:, idx]) / float(schur_norm(sigma))
-    return out
+    return _normalized_float(sigmas, _elementary_terms(pts.T, min(top, m), np.ones(len(pts))), m)
 
 
 def normalized_schur_at_invariants(sigmas: Sequence[Partition], invariants) -> np.ndarray:
-    """X*_sigma at exact points given by the tuples (e_1, .., e_m) of ``Fraction``.
+    """X*_sigma at points given by their invariants (e_1, .., e_m), one output row per sigma.
 
     X*_sigma is symmetric, so the e_k of a point determine its value: no
-    coordinate, and no root, is needed.  Same object array as
-    :func:`normalized_schur_batch` at the points themselves.
+    coordinate, and no root, is needed.  Tuples of exact values give the
+    same object array of ``Fraction`` as :func:`normalized_schur_batch`
+    at the points themselves; a float (N, m) array, or any float entry,
+    gives a float array.
     """
-    invariants = [tuple(e) for e in invariants]
-    widths = {len(e) for e in invariants}
-    if len(widths) != 1:
+    if not (isinstance(invariants, np.ndarray) and invariants.dtype.kind == "f"):
+        invariants = [tuple(e) for e in invariants]
+        if all(is_exact_real(v) for e in invariants for v in e):
+            widths = {len(e) for e in invariants}
+            if len(widths) != 1:
+                raise ValueError("invariants must be an (N, m) array")
+            return _normalized_exact(sigmas, _scaled_invariants(invariants), widths.pop())
+    e = np.asarray(invariants, dtype=float)
+    if e.ndim != 2:
         raise ValueError("invariants must be an (N, m) array")
-    return _normalized_exact(sigmas, _scaled_invariants(invariants), widths.pop())
+    return _normalized_float(sigmas, [np.ones(len(e)), *e.T], e.shape[1])
 
 
 def normalized_schur_eval(mu: Partition, y: Sequence):

@@ -46,7 +46,7 @@ from grassdesign.scalars import (
     is_exact_real,
     rational,
 )
-from grassdesign.symfunc import _complete_terms, _elementary_terms, _jacobi_trudi_index, _top_index
+from grassdesign.symfunc import _elementary_terms, _top_index
 
 
 class SingularMatrixError(ArithmeticError):
@@ -260,6 +260,24 @@ def orthogonal_complement(p: SubspacePoint) -> SubspacePoint:
 def is_antipodal_pair(a: SubspacePoint, b: SubspacePoint, tol: float = 1e-8) -> bool:
     """True when every principal angle of the pair lies in {0, 1}."""
     return antipodal_angles(principal_angles(a, b), a.mode, tol)
+
+
+def _complete_terms(e: list, m: int, upto: int, one) -> list:
+    """h_0 .. h_upto from e_0 .. e_min(upto, m) of m coordinates."""
+    h = [one]
+    for k in range(1, upto + 1):
+        acc = one * 0
+        for j in range(1, min(k, m) + 1):
+            term = e[j] * h[k - j]
+            acc = acc + term if j % 2 else acc - term
+        h.append(acc)
+    return h
+
+
+def _jacobi_trudi_index(sigma) -> list:
+    """h indices of the Jacobi-Trudi matrix of sigma; -1 reads an appended zero."""
+    ell = sigma.length_index()
+    return [[max(sigma.parts[i] - i + j, -1) for j in range(ell)] for i in range(ell)]
 
 
 def prepare_point(y):

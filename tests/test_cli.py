@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, JSON shape, determinism, file formats."""
 
 import hashlib
+import io
 import json
 import os
 import random
@@ -231,6 +232,66 @@ def test_design_path_builds_no_per_pair_table(capsys, monkeypatch):
     assert main(["antipodal", "--m", "3", "--n", "6", "--verify", "E+F"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["result"]["pairwise_antipodal"] is True
+
+
+def test_float_design_path_builds_no_per_pair_table(tmp_path, capsys, monkeypatch):
+    # float defects read the invariants of chunked cross-Grams alone
+    def no_table(self):
+        raise AssertionError("per-pair table built on the float design path")
+
+    config = SubspaceConfiguration([random_subspace(3, 8, seed=s) for s in range(12)])
+    path = tmp_path / "random.json"
+    path.write_text(json.dumps(config.to_json()))
+    monkeypatch.setattr(SubspaceConfiguration, "pair_angles", no_table)
+    monkeypatch.setattr(SubspaceConfiguration, "angle_classes", no_table)
+    code, doc = run_json(capsys, "verify-design", "--config", str(path), "--set", "T4")
+    assert code == 1 and doc["result"]["mode"] == "float"
+    assert doc["result"]["entries"][0]["defect"] == pytest.approx(144, rel=1e-12)
+
+
+class WriteCounter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def streamed(text):
+    """The document in ``text`` as json.dump streams it, with its newline."""
+    buf = io.StringIO()
+    json.dump(json.loads(text), buf, indent=2)
+    return buf.getvalue() + "\n"
+
+
+def test_documents_are_written_once_as_streamed(tmp_path, monkeypatch):
+    config = SubspaceConfiguration([random_subspace(2, 5, seed=s) for s in range(4)], label="ünï")
+    path = tmp_path / "random.json"
+    path.write_text(json.dumps(config.to_json()))
+    irrational = tmp_path / "irrational.json"
+    irrational.write_text(json.dumps({
+        "m": 2, "n": 4, "points": [
+            {"rows": [["1", "0", "0", "0"], ["0", "1", "1", "0"]]},
+            {"rows": [["1", "1", "0", "0"], ["0", "0", "1", "1"]]},
+        ],
+    }))
+    for argv, stream in (
+        (["verify-design", "--config", str(path), "--set", "T3"], "stdout"),
+        (["antipodal", "--m", "2", "--n", "5", "--verify", "E+F"], "stdout"),
+        (["zonal", "--mu", "3,1", "--m", "2", "--n", "6"], "stdout"),
+        (["angles", "--config", str(irrational)], "stderr"),
+    ):
+        written = {"stdout": WriteCounter(), "stderr": WriteCounter()}
+        monkeypatch.setattr(sys, "stdout", written["stdout"])
+        monkeypatch.setattr(sys, "stderr", written["stderr"])
+        main(argv)
+        document = written.pop(stream)
+        assert document.writes == 1
+        assert document.getvalue() == streamed(document.getvalue())
+        (other,) = written.values()
+        assert other.getvalue() == ""
 
 
 def disguised_great_antipodal(m, n):

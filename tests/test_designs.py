@@ -169,18 +169,17 @@ class TestSchurMoments:
         ids=["float-random-2-6", "exact-six-point"],
     )
     def test_design_evaluates_each_sigma_once(self, monkeypatch, config, spec):
-        # exact classes enter the evaluator by their angle invariants,
-        # float classes by their angles
+        # both modes enter the evaluator by their angle invariants: exact
+        # pairs as classes, float pairs as the rows of one array
         family = parse_family(spec, config.m)
         batched = []
-        name = "normalized_schur_batch" if config.mode == FLOAT else "normalized_schur_at_invariants"
-        batch = getattr(designs, name)
+        batch = designs.normalized_schur_at_invariants
 
-        def counting_batch(sigmas, points):
+        def counting_batch(sigmas, invariants):
             batched.extend(sigmas)
-            return batch(sigmas, points)
+            return batch(sigmas, invariants)
 
-        monkeypatch.setattr(designs, name, counting_batch)
+        monkeypatch.setattr(designs, "normalized_schur_at_invariants", counting_batch)
         is_T_design(config, family)
         support = {s for mu in family for s in zonal_kernel(mu, config.n).expansion.coeffs}
         assert Counter(batched) == Counter(support)

@@ -1,11 +1,14 @@
 """Subspace geometry: angles, symmetries, antipodality, configurations."""
 
 import json
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from grassdesign import pairbatch
+from grassdesign.designs import is_T_design, parse_family
 from grassdesign.grassmann import (
     EXACT,
     FLOAT,
@@ -25,6 +28,7 @@ from grassdesign.partitions import binom
 from grassdesign.scalars import rational
 
 from exact_oracles import is_antipodal_pair, orthogonal_complement, same_subspace
+from test_cli import disguised_great_antipodal
 
 HALF = rational(1, 2)
 
@@ -298,6 +302,68 @@ class TestConfigurations:
         for i in range(3):
             for j in range(3):
                 assert max(abs(u - v) for u, v in zip(ya[i][j], yb[i][j])) < 1e-12
+
+
+def float_random_config(m, n, size):
+    return SubspaceConfiguration([random_subspace(m, n, seed=s) for s in range(size)])
+
+
+class TestFloatPairLayer:
+    """Float pairs from chunked cross-Grams: invariants by Newton's identities, angles by SVD."""
+
+    @pytest.mark.parametrize("m, n", [(2, 6), (3, 8)])
+    def test_results_identical_across_chunk_sizes(self, monkeypatch, m, n):
+        size = 15
+        config = float_random_config(m, n, size)
+        family = parse_family("T4", m)
+        defects = [e.defect for e in is_T_design(config, family).entries]
+        invariants, weights = config.invariant_weights()
+        angles = config.pair_angles()
+        # one point per chunk, blocks of 3 to 5 points, and all at once
+        for elements, chunks in ((1, size), (m * m * size * 3, 4), (m * m * size * size, 1)):
+            monkeypatch.setattr(pairbatch, "PAIR_CHUNK_ELEMENTS", elements)
+            again = float_random_config(m, n, size)
+            assert len(list(again._float_grams(*np.triu_indices(size)))) == chunks
+            assert [e.defect for e in is_T_design(again, family).entries] == defects
+            got, got_weights = again.invariant_weights()
+            assert np.array_equal(got, invariants) and np.array_equal(got_weights, weights)
+            assert again.pair_angles() == angles
+
+    def test_weights_count_ordered_pairs(self):
+        config = float_random_config(2, 5, 7)
+        invariants, weights = config.invariant_weights()
+        assert invariants.shape == (28, 2) and weights.sum() == 49
+        first, second = np.triu_indices(7)
+        assert np.array_equal(weights == 1, first == second)
+
+    @pytest.mark.parametrize(
+        "config",
+        [great_antipodal(m, n) for m, n in ((1, 2), (2, 4), (2, 5), (3, 6), (4, 8))]
+        + [orthogonal_split_config(2, 4), six_point_config()]
+        + [disguised_great_antipodal(m, n) for m, n in ((2, 4), (2, 5), (3, 6), (4, 8))],
+        ids=lambda c: c.label,
+    )
+    def test_float_invariants_match_exact(self, config):
+        # Each frame is orthonormal, and spans its subspace, to a few eps
+        # (these bases are well conditioned), so each angle lambda is off
+        # by a few eps and p_i = sum lambda^i by i m times that.  Newton's
+        # identity k e_k = sum_i (-1)^(i-1) e_(k-i) p_i has terms of size at
+        # most C(m, k-i) m, each off by a few eps of its size, so e_k is
+        # off by at most c eps sum_i C(m, k-i) m, c a small constant: 16.
+        exact = config.pair_invariants()
+        floats, weights = config.to_float().invariant_weights()
+        m, eps = config.m, np.finfo(float).eps
+        tol = [16 * eps * sum(math.comb(m, k - i) * m for i in range(1, k + 1)) for k in range(1, m + 1)]
+        first, second = np.triu_indices(len(config))
+        assert floats.shape == (len(exact), m)
+        for pair, row in zip(zip(first.tolist(), second.tolist()), floats.tolist()):
+            for want, got, bound in zip(exact[pair], row, tol):
+                assert abs(float(want) - got) <= bound, (pair, exact[pair], row)
+
+    def test_float_antipodality_from_chunks(self):
+        assert great_antipodal(3, 6).to_float().is_antipodal()
+        assert disguised_great_antipodal(2, 5).to_float().is_antipodal(tol=1e-12)
+        assert not six_point_config().to_float().is_antipodal()
 
 
 class TestRandomSubspace:

@@ -1,12 +1,19 @@
 """Property tests: exact pair geometry does not depend on how points are presented."""
 
+import contextlib
+import copy
+import io
+import json
 import math
+import tempfile
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from grassdesign.cli import main
 from grassdesign.designs import column_family, hook_family, is_T_design, weight_family
 from grassdesign.exactlinalg import det, mat_mul
 from grassdesign.grassmann import (
@@ -208,3 +215,97 @@ def test_antipodal_invariant_decides_zero_one_angles(angles):
         for k in range(1, len(angles) + 1)
     )
     assert antipodal_invariant(e) == all(v in (0, 1) for v in angles)
+
+
+def round_trip(config):
+    return SubspaceConfiguration.from_json(json.loads(json.dumps(config.to_json())))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    drawn=st.one_of(
+        graph_configurations().map(lambda c: (c, False)),
+        st.sampled_from(BUNDLED).map(lambda c: (c, True)),
+    )
+)
+def test_json_round_trip_keeps_invariants_and_angles(drawn):
+    # exact angles only where they are rational: the bundled configurations
+    config, rational_angles = drawn
+    back = round_trip(config)
+    assert (back.m, back.n, back.mode, back.label, len(back)) == (config.m, config.n, EXACT, config.label, len(config))
+    assert back.pair_invariants() == config.pair_invariants()
+    if rational_angles:
+        assert back.pair_angles() == config.pair_angles()
+    # floats are written by repr, so a float copy comes back bit for bit
+    floats = config.to_float()
+    back = round_trip(floats)
+    assert back.mode == floats.mode and len(back) == len(floats)
+    for got, want in zip(back.invariant_weights(), floats.invariant_weights()):
+        assert np.array_equal(got, want)
+    assert back.pair_angles() == floats.pair_angles()
+
+
+VALID_CONFIGS = [six_point_config().to_json(), great_antipodal(1, 2).to_float().to_json()]
+# text that no scalar parser, mode name or JSON keyword reads: no digits,
+# no "i", "e", "f" or "n"
+JUNK_TEXT = st.text(alphabet="abcdxyz{}[]#@!? ", max_size=6)
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    JUNK_TEXT,
+    st.lists(st.integers(-3, 3), min_size=3, max_size=4),
+    st.dictionaries(JUNK_TEXT, st.integers(), max_size=2),
+)
+
+
+@st.composite
+def malformed_configs(draw):
+    """Configuration file bytes with one defect that makes them invalid."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_CONFIGS)))
+    points = doc["points"]
+    where = draw(st.integers(0, len(points) - 1))
+    rows = points[where]["rows"]
+    row = draw(st.integers(0, len(rows) - 1))
+    kind = draw(st.sampled_from(
+        ["bytes", "document", "points", "point", "rows", "entry", "ragged", "shape", "mode", "label"]
+    ))
+    if kind == "bytes":
+        # too short for any valid configuration
+        return draw(st.binary(max_size=30))
+    if kind == "document":
+        doc = draw(st.one_of(JUNK, st.integers(), st.just([])))
+    elif kind == "points":
+        doc["points"] = draw(st.one_of(JUNK, st.just([]), st.lists(JUNK, min_size=1, max_size=3)))
+    elif kind == "point":
+        points[where] = draw(st.one_of(JUNK.filter(lambda v: not isinstance(v, dict)), st.just({})))
+    elif kind == "rows":
+        not_a_row = JUNK.filter(lambda v: not isinstance(v, list))
+        points[where]["rows"] = draw(st.one_of(JUNK, st.just([]), st.lists(not_a_row, min_size=1, max_size=2)))
+    elif kind == "entry":
+        rows[row][draw(st.integers(0, len(rows[row]) - 1))] = draw(JUNK)
+    elif kind == "ragged":
+        rows[row].pop()
+    elif kind == "shape":
+        key = draw(st.sampled_from(["m", "n"]))
+        doc[key] = draw(st.one_of(JUNK, st.floats(allow_nan=False), st.integers().filter(lambda v: v != doc[key])))
+    elif kind == "mode":
+        doc["mode"] = draw(st.one_of(JUNK, st.integers()))
+    else:
+        doc["label"] = draw(st.one_of(JUNK.filter(lambda v: not isinstance(v, str)), st.integers()))
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=malformed_configs(), spec=st.sampled_from(["E+F", "T2"]))
+def test_malformed_configs_exit_two_or_three_without_traceback(data, spec):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_bytes(data)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["verify-design", "--config", str(path), "--set", spec])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (2, 3), (code, err.getvalue())
+    assert out.getvalue() == "" and "Traceback" not in err.getvalue()

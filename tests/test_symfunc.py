@@ -1,5 +1,6 @@
 """Symmetric polynomial evaluation against brute-force oracles."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
@@ -317,6 +318,33 @@ class TestNormalizedSchurBatch:
         mixed = normalized_schur_batch(shapes, [(1, rational(1, 2)), (0, 1.0)])
         assert exact.dtype == object and mixed.dtype == float
         assert np.allclose(mixed, exact.astype(float), rtol=0, atol=1e-15)
+        # the same at the points' invariants (3/2, 1/2) and (1, 0)
+        for invariants in ([(rational(3, 2), rational(1, 2)), (1, 0.0)], np.array([[1.5, 0.5], [1, 0]])):
+            floats = normalized_schur_at_invariants(shapes, invariants)
+            assert floats.dtype == float
+            assert np.allclose(floats, exact.astype(float), rtol=0, atol=1e-15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sigma=st.integers(1, 5).flatmap(lambda m: st.sampled_from(enumerate_up_to_weight(m, 6))), data=st.data())
+    def test_float_e_form_within_its_rounding_bound(self, sigma, data):
+        # Dyadic coordinates are exact floats, so the exact h-form
+        # determinant is the true value.  On [0, 1]^m, |e_k| <= C(m, k), so
+        # the T terms c prod e_k^x of the e-polynomial are at most
+        # R s_sigma(1) in total size, R = sum |c| prod C(m, k)^x / s_sigma(1).
+        # Each e_k is a sum of nonnegative products, off by at most m eps
+        # relatively; a monomial of degree d <= |sigma| by d (m + 1) eps;
+        # the sum adds T eps of the term sizes and the normalization eps.
+        m = sigma.m
+        dyadic = st.integers(0, 1024).map(lambda p: rational(p, 1024))
+        points = data.draw(st.lists(mixed_points(m, dyadic), min_size=1, max_size=40))
+        got = normalized_schur_batch([sigma], np.array(points, dtype=float))[0]
+        poly = schur_e_polynomial(sigma)
+        norm = schur_norm(sigma)
+        r = sum(abs(c) * math.prod(binom(m, k) ** x for k, x in enumerate(mono)) for mono, c in poly) / norm
+        tol = float(r) * (len(poly) + sigma.weight * (m + 1) + 1) * np.finfo(float).eps
+        for value, y in zip(got, points):
+            want = schur_jacobi_trudi(sigma, elementary_all(y, m)) / norm
+            assert abs(value - float(want)) <= tol, (sigma, y)
 
     def test_ambient_mismatch_rejected(self):
         with pytest.raises(ValueError):
