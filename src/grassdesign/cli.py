@@ -23,7 +23,6 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import __version__, designs, grassmann, zonal
-from .exactlinalg import RootSearchLimitError
 from .grassmann import (
     IrrationalAnglesError,
     RankDeficiencyError,
@@ -41,7 +40,6 @@ EXIT_COMPUTE = 3
 _ERROR_CODES = {
     IrrationalAnglesError: "irrational-angles",
     RankDeficiencyError: "rank-deficient",
-    RootSearchLimitError: "root-search-limit",
     ShapeLimitError: "shape-limit",
     designs.GridLimitError: "grid-limit",
 }
@@ -67,7 +65,11 @@ def _parse_mu(text: str, m: int) -> Partition:
 
 def _load_config(path: str) -> SubspaceConfiguration:
     with open(path, "r", encoding="utf-8") as fh:
-        return SubspaceConfiguration.from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    return SubspaceConfiguration.from_json(data)
 
 
 def _emit(args, manifest: dict, result: dict, csv_rows=None) -> None:

@@ -4,11 +4,10 @@ Three kinds of scalar are served:
 
 * generic scalars through the minimal protocol (+, -, *, /, truthiness
   as zero test), so the same code runs over ``Fraction``, Gaussian
-  rationals and, where sensible, machine floats: determinants, matrix
-  products, polynomial arithmetic and the rational-root search.  The
-  determinant, by fraction-free elimination, serves the m x m integer
-  determinant of each term of :func:`zonal.zonal_kernel` and the size of
-  a down-set; exact Schur values take none (see
+  rationals and, where sensible, machine floats: determinants and matrix
+  products.  The determinant, by fraction-free elimination, serves the
+  m x m integer determinant of each term of :func:`zonal.zonal_kernel`
+  and the size of a down-set; exact Schur values take none (see
   :func:`symfunc.schur_e_polynomial`);
 * Gaussian integers stored as ``(re, im)`` pairs of Python ints, the
   scalars of the exact pair geometry: matrix products, the
@@ -33,18 +32,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-
-from .scalars import as_rational, rational
-
-
-class RootSearchLimitError(ArithmeticError):
-    """Rational-root candidates exceed the search budget; use float mode."""
-
-
-# Budget of the rational-root search: trial division runs up to the square
-# root of each end coefficient, and every candidate costs one deflation.
-ROOT_SEARCH_BITS = 40
-ROOT_SEARCH_CANDIDATES = 4096
 
 
 def det(rows):
@@ -328,125 +315,3 @@ def crt_lift(res: np.ndarray, primes: list) -> list:
         x = sum(v * w for v, w in zip(row.tolist(), weights))
         out.append(x - total if 2 * x > total else x)
     return out
-
-
-def poly_normalize(poly):
-    k = len(poly)
-    while k > 1 and not poly[k - 1]:
-        k -= 1
-    return list(poly[:k])
-
-
-def poly_degree(poly):
-    poly = poly_normalize(poly)
-    return len(poly) - 1 if any(poly) else -1
-
-
-def poly_derivative(poly):
-    return [k * c for k, c in enumerate(poly)][1:] or [0]
-
-
-def poly_divmod(num, den):
-    num = [as_rational(c) for c in poly_normalize(num)]
-    den = [as_rational(c) for c in poly_normalize(den)]
-    if not any(den):
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [rational(0)] * max(len(num) - len(den) + 1, 1)
-    r = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    while len(r) - 1 >= dd and any(r):
-        shift = len(r) - 1 - dd
-        f = r[-1] / lead
-        q[shift] = f
-        for i, c in enumerate(den):
-            r[shift + i] = r[shift + i] - f * c
-        r = poly_normalize(r)
-        if len(r) == 1 and not r[0]:
-            break
-    return poly_normalize(q), poly_normalize(r)
-
-
-def poly_gcd(a, b):
-    a = poly_normalize(a)
-    b = poly_normalize(b)
-    while any(b):
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if not any(a):
-        return [rational(1)]
-    lead = as_rational(a[-1])
-    return [as_rational(c) / lead for c in a]
-
-
-def square_free_part(poly):
-    return poly_divmod(poly, poly_gcd(poly, poly_derivative(poly)))[0]
-
-
-def _divisors(n: int):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def rational_roots(poly):
-    """All rational roots with multiplicity, plus the unfactored degree.
-
-    ``poly`` has ``Fraction`` coefficients, ascending in degree.
-    Candidates come from the square-free part (rational root theorem on
-    its integer form); multiplicities come from repeated exact deflation.
-    End coefficients above ``ROOT_SEARCH_BITS`` bits, or more than
-    ``ROOT_SEARCH_CANDIDATES`` candidates, raise :class:`RootSearchLimitError`.
-    Returns ``(roots, leftover_degree)`` with roots sorted descending.
-    """
-    poly = [as_rational(c) for c in poly_normalize(poly)]
-    degree = poly_degree(poly)
-    if degree <= 0:
-        return [], 0
-
-    candidates = set()
-    sf = square_free_part(poly)
-    # roots at zero show up as a vanishing constant term
-    if not sf[0]:
-        candidates.add(rational(0))
-        while not sf[0]:
-            sf = sf[1:]
-    if len(sf) > 1:
-        scale = math.lcm(*(c.denominator for c in sf))
-        ends = [int(sf[0] * scale), int(sf[-1] * scale)]
-        if max(abs(v).bit_length() for v in ends) > ROOT_SEARCH_BITS:
-            raise RootSearchLimitError(
-                f"rational-root search needs end coefficients of at most "
-                f"{ROOT_SEARCH_BITS} bits; use float mode for this configuration"
-            )
-        nums, dens = _divisors(ends[0]), _divisors(ends[1])
-        if 2 * len(nums) * len(dens) > ROOT_SEARCH_CANDIDATES:
-            raise RootSearchLimitError(
-                f"rational-root search exceeds {ROOT_SEARCH_CANDIDATES} candidates; "
-                "use float mode for this configuration"
-            )
-        for p in nums:
-            for q in dens:
-                candidates.add(rational(p, q))
-                candidates.add(rational(-p, q))
-
-    roots = []
-    current = poly
-    for cand in sorted(candidates, reverse=True):
-        mult = 0
-        while poly_degree(current) >= 1:
-            q, r = poly_divmod(current, [-cand, rational(1)])
-            if any(r):
-                break
-            current = q
-            mult += 1
-        if mult:
-            roots.append((cand, mult))
-    return roots, poly_degree(current)

@@ -17,9 +17,11 @@ basis matrix whose rows span it.  Two modes coexist:
   classes from the batch without a per-pair table.  Defects,
   antipodality and the tightness tests read only invariants, so they
   hold for any exact configuration.  Angles themselves, for display,
-  come from factoring each distinct invariant once by rational-root
-  search, which succeeds only on rational spectra; every bundled
-  configuration has one;
+  are read off each distinct invariant once (:func:`invariant_angles`:
+  the angles times the lcm d of its denominators are the integer roots
+  of an integer polynomial, found by bisection and divided out exactly),
+  which succeeds only on rational spectra; every bundled configuration
+  has one;
 * float mode stores complex entries and orthonormalizes once per point
   through a thin SVD (which also reveals the rank).  A configuration
   forms the cross-Grams G = F_a^H F_b of the orthonormal frames of all
@@ -43,7 +45,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import pairbatch
-from .exactlinalg import gaussian_adjugate, gaussian_mat_mul, mat_mul, rational_roots
+from .exactlinalg import gaussian_adjugate, gaussian_mat_mul, mat_mul
 from .pairbatch import invariant_batch
 from .scalars import CX_ONE, CX_ZERO, ExactComplex, as_exact_complex, rational, rational_to_str
 
@@ -125,7 +127,12 @@ class SubspacePoint:
             self.inv_num = [[(re // g, im // g) for re, im in row] for row in adj]
         elif mode == FLOAT:
             if isinstance(basis, np.ndarray):
+                # the checks that _as_complex_entry makes per entry
+                if basis.dtype.kind not in "iufc":
+                    raise ValueError(f"not a float basis dtype: {basis.dtype}")
                 arr = basis.astype(complex)
+                if not np.isfinite(arr).all():
+                    raise ValueError("float basis entries are not all finite")
             else:
                 arr = np.array(
                     [[_as_complex_entry(v) for v in row] for row in basis],
@@ -280,7 +287,7 @@ class SubspaceConfiguration:
     def pair_angles(self) -> dict:
         """Principal angles keyed by index pair (i, j), i <= j, computed once.
 
-        Exact angles factor each distinct pair invariant once; float angles
+        Exact angles are read off each distinct pair invariant once; float angles
         are read off the singular values of the chunked cross-Grams.
         """
         if self._pairs is None:
@@ -290,7 +297,7 @@ class SubspaceConfiguration:
                 self._pairs = dict(zip(zip(first.tolist(), second.tolist()), map(tuple, angles.tolist())))
             else:
                 # classes come in first-pair order, so the first pair that
-                # cannot be factored is the one reported
+                # has an irrational angle is the one reported
                 invariants = self._invariant_table()[2]
                 self._pairs = self._per_pair([invariant_angles(e) for e in invariants])
         return self._pairs
@@ -309,7 +316,7 @@ class SubspaceConfiguration:
         """True when every pair of points is antipodal.
 
         Exact configurations decide it from the pair invariants, with no
-        root search.
+        angle found.
         """
         if self.mode == EXACT:
             return all(antipodal_invariant(e) for e in self.invariant_classes())
@@ -458,28 +465,53 @@ def pair_invariant(a: SubspacePoint, b: SubspacePoint) -> tuple:
     return invariants[0]
 
 
-def invariant_polynomial(e: tuple) -> list:
-    """Monic polynomial prod (x - y_i) of angles with invariant e, ascending in degree."""
-    descending = [rational(1)] + [(-1) ** k * v for k, v in enumerate(e, 1)]
-    return descending[::-1]
+def _taylor_shift(q: list, z: int) -> list:
+    """Coefficients of q(x + z), descending in degree like q's, by repeated synthetic division."""
+    a = list(q)
+    for top in range(len(a) - 1, 0, -1):
+        for j in range(1, top + 1):
+            a[j] += z * a[j - 1]
+    return a
 
 
 def invariant_angles(e: tuple) -> tuple:
-    """Descending angles with elementary symmetric values e, by rational-root search.
+    """Descending angles with elementary symmetric values e, by integer bisection.
 
-    An irrational spectrum raises :class:`IrrationalAnglesError`.
+    With d the lcm of the denominators of e, q(x) = prod (x - d y_i) has
+    the integer coefficients (-1)^k d^k e_k and its roots in [0, d], so a
+    rational angle is an integer over d.  The roots are real, so by
+    Descartes' rule of signs q(x + z) has only positive coefficients
+    exactly when z exceeds the largest root; bisection over the integers
+    finds its floor r.  It is the root when q(x + r) has no negative
+    coefficient, and its multiplicity is the number of vanishing low
+    coefficients; it is divided out of q exactly, by shifting back, and
+    the search goes on below r.  Any other outcome, an irrational angle,
+    raises :class:`IrrationalAnglesError`.
     """
-    roots, leftover = rational_roots(invariant_polynomial(e))
-    if leftover:
-        raise IrrationalAnglesError(
-            "exact spectrum has irrational principal angles; "
-            "convert the points to float mode"
-        )
-    vals = []
-    for root, mult in roots:
-        vals.extend([root] * mult)
-    vals.sort(reverse=True)
-    return tuple(vals)
+    d = math.lcm(*(v.denominator for v in e))
+    q = [1] + [(-1) ** k * v.numerator * (d**k // v.denominator) for k, v in enumerate(e, 1)]
+    angles = []
+    hi = d
+    while len(q) > 1:
+        lo, up = 0, hi + 1
+        while up - lo > 1:
+            mid = (lo + up) // 2
+            if all(c > 0 for c in _taylor_shift(q, mid)):
+                up = mid
+            else:
+                lo = mid
+        shifted = _taylor_shift(q, lo)
+        mult = next(k for k, c in enumerate(reversed(shifted)) if c)
+        if not mult or any(c < 0 for c in shifted):
+            raise IrrationalAnglesError(
+                "exact spectrum has irrational principal angles; "
+                "convert the points to float mode"
+            )
+        # q(x + r) = x^mult s(x), so q(x) / (x - r)^mult = s(x - r)
+        q = _taylor_shift(shifted[:-mult], -lo)
+        angles.extend([rational(lo, d)] * mult)
+        hi = lo
+    return tuple(angles)
 
 
 def antipodal_invariant(e: tuple) -> bool:
@@ -499,9 +531,9 @@ def antipodal_invariant(e: tuple) -> bool:
 def principal_angles(a: SubspacePoint, b: SubspacePoint) -> tuple:
     """Descending eigenvalues of the composed projectors, m of them.
 
-    Exact mode factors the pair's angle polynomial, read off
-    :func:`pair_invariant`, by rational-root search; an irrational
-    spectrum raises :class:`IrrationalAnglesError`.
+    Exact mode reads them off :func:`pair_invariant` by
+    :func:`invariant_angles`; an irrational spectrum raises
+    :class:`IrrationalAnglesError`.
     """
     _check_pair(a, b)
     if a.mode == FLOAT:

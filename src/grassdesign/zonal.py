@@ -57,8 +57,27 @@ def weyl_dim(signature: tuple) -> int:
 
 
 def harmonic_dim(mu: Partition, n: int) -> int:
-    """Dimension of the harmonic component indexed by mu on G(m, n)."""
-    return weyl_dim(highest_weight(mu, n))
+    """Dimension of the harmonic component indexed by mu on G(m, n).
+
+    The Weyl product of :func:`highest_weight` in O(m^2) factors: pairs
+    inside the block of n - 2m zeros give 1, the pairs among the 2m outer
+    entries are taken one by one, and part s of row i against the zero
+    block gives C(s + n - m - i, s) / C(s + m - i, s), as does its mirror -s.
+    """
+    _require_ambient(mu.m, n)
+    m = mu.m
+    # the outer entries with their positions 1..m and n - m + 1..n
+    outer = list(enumerate(mu.parts, 1)) + [(n + 1 - i, -mu.parts[i - 1]) for i in range(m, 0, -1)]
+    num = den = 1
+    for (i, a), (j, b) in combinations(outer, 2):
+        num *= a - b + j - i
+        den *= j - i
+    for i, s in enumerate(mu.parts, 1):
+        num *= math.comb(s + n - m - i, s) ** 2
+        den *= math.comb(s + m - i, s) ** 2
+    if num % den:
+        raise ArithmeticError(f"non-integral Weyl product for {mu.parts} at n = {n}")
+    return num // den
 
 
 class ZonalPolynomial:

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -37,6 +38,16 @@ def test_dims_table(capsys):
     assert table == {(0, 0): 1, (1, 0): 15, (1, 1): 20, (2, 0): 84}
     assert doc["manifest"]["command"] == "dims"
     assert doc["manifest"]["version"]
+
+
+def test_dims_at_large_n_is_fast(capsys):
+    # the Weyl product takes O(m^2) factors, not one per pair of the
+    # length-n signature
+    started = time.perf_counter()
+    code, doc = run_json(capsys, "dims", "--m", "1", "--n", "100000", "--max-weight", "1")
+    assert time.perf_counter() - started < 1
+    assert code == 0
+    assert [r["dim"] for r in doc["result"]["table"]] == [1, 9999999999]
 
 
 def test_zonal_expansion(capsys):
@@ -193,22 +204,22 @@ def test_result_payload_is_byte_stable(capsys):
 )
 def test_principal_angles_once_per_pair(argv, capsys, monkeypatch):
     # one batch per configuration covers every unordered pair, diagonal
-    # included, exactly once; roots are found only to display angles,
-    # once per distinct class
+    # included, exactly once; angles are read off invariants only to
+    # display them, once per distinct class
     batches, factored = [], []
     original_batch = grassmann.invariant_batch
-    original_roots = grassmann.rational_roots
+    original_angles = grassmann.invariant_angles
 
     def counting_batch(points, first, second):
         batches.append(sorted(zip(list(first), list(second))))
         return original_batch(points, first, second)
 
-    def counting_roots(poly):
-        factored.append(tuple(poly))
-        return original_roots(poly)
+    def counting_angles(e):
+        factored.append(tuple(e))
+        return original_angles(e)
 
     monkeypatch.setattr(grassmann, "invariant_batch", counting_batch)
-    monkeypatch.setattr(grassmann, "rational_roots", counting_roots)
+    monkeypatch.setattr(grassmann, "invariant_angles", counting_angles)
     main(argv)
     capsys.readouterr()
     k = 6
@@ -321,13 +332,10 @@ def disguised_great_antipodal(m, n):
 
 
 def test_design_path_finds_no_roots(tmp_path, capsys, monkeypatch):
-    from grassdesign import exactlinalg
+    def no_roots(e):
+        raise AssertionError("angles found on the design path")
 
-    def no_roots(poly):
-        raise AssertionError("root search on the design path")
-
-    monkeypatch.setattr(exactlinalg, "rational_roots", no_roots)
-    monkeypatch.setattr(grassmann, "rational_roots", no_roots)
+    monkeypatch.setattr(grassmann, "invariant_angles", no_roots)
     for m in range(1, 5):
         code, doc = run_json(capsys, "antipodal", "--m", str(m), "--n", str(2 * m), "--verify", "E+F")
         assert code == 0 and doc["result"]["pairwise_antipodal"] is True
@@ -471,9 +479,30 @@ def test_malformed_exact_entries_exit_two(tmp_path, capsys):
             assert "not a" in capsys.readouterr().err
 
 
+def test_deeply_nested_config_exits_two(tmp_path, capsys):
+    # the JSON decoder runs out of recursion depth; that is malformed
+    # input, not a fault of the program
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth)
+    for argv in (["angles"], ["verify-design", "--set", "E"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--config", str(path)])
+        assert err.value.code == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_readme_names_every_error_code():
+    from grassdesign.cli import _ERROR_CODES
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = set(re.findall(r"code\s+`([a-z-]+)`", readme))
+    assert documented == set(_ERROR_CODES.values()) | {"internal"}
+
+
 def test_root_search_limit_exits_three_fast(tmp_path, capsys):
-    # seeded integer entries in [-100, 100]: the square-free charpoly's end
-    # coefficients have about 38 and 50 bits, beyond the root-search budget
+    # seeded integer entries in [-100, 100] give an irrational spectrum,
+    # which the integer bisection reports without a candidate search
     rng = random.Random(1)
     points = [
         {"rows": [[str(rng.randint(-100, 100)) for _ in range(4)] for _ in range(2)]}
@@ -487,9 +516,21 @@ def test_root_search_limit_exits_three_fast(tmp_path, capsys):
     elapsed = time.perf_counter() - started
     err = json.loads(capsys.readouterr().err)
     assert code == 3
-    assert err["error"]["code"] == "root-search-limit"
+    assert err["error"]["code"] == "irrational-angles"
     assert "float mode" in err["error"]["message"]
     assert elapsed < 2
+
+
+def test_wide_rational_angle_is_displayed(tmp_path, capsys):
+    # one rational angle a^2 / (a^2 + b^2) with a 62-bit denominator
+    a, b = 2**30 + 3, 2**31 + 5
+    points = [{"rows": [["1", "0"]]}, {"rows": [[str(a), str(b)]]}]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"m": 1, "n": 2, "mode": "exact", "points": points}))
+    code, doc = run_json(capsys, "angles", "--config", str(path))
+    assert code == 0
+    y = f"{a * a}/{a * a + b * b}"
+    assert doc["result"]["angles"] == [[["1"], [y]], [[y], ["1"]]]
 
 
 def test_grid_limit_exits_three_before_building_points(capsys, monkeypatch):

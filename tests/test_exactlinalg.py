@@ -7,15 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassdesign.exactlinalg import (
-    RootSearchLimitError,
     det,
     gaussian_adjugate,
     gaussian_charpoly,
     mat_mul,
-    poly_divmod,
-    poly_gcd,
-    rational_roots,
-    square_free_part,
 )
 from grassdesign.scalars import ExactComplex, rational
 
@@ -156,46 +151,4 @@ def test_gaussian_adjugate():
 def test_charpoly_over_gaussian_rationals():
     i = ExactComplex(0, 1)
     m = [[ExactComplex(0), i], [-i, ExactComplex(0)]]  # Pauli-like, eigenvalues +-1
-    poly = charpoly(m)
-    roots, leftover = rational_roots([c.re if isinstance(c, ExactComplex) else rational(c) for c in poly])
-    assert leftover == 0
-    assert sorted((float(r), mult) for r, mult in roots) == [(-1.0, 1), (1.0, 1)]
-
-
-def test_poly_division_and_gcd():
-    # (x - 1)^2 (x + 2) = x^3 - 3x + 2
-    p = [rational(2), rational(-3), rational(0), rational(1)]
-    q, r = poly_divmod(p, [rational(-1), rational(1)])
-    assert r == [] or not any(r)
-    assert poly_eval(q, rational(1)) == 0
-    g = poly_gcd(p, [rational(-1), rational(1)])
-    assert g == [rational(-1), rational(1)]
-    sf = square_free_part(p)
-    roots, leftover = rational_roots(sf)
-    assert leftover == 0 and sorted(float(x) for x, _ in roots) == [-2.0, 1.0]
-    assert all(mult == 1 for _, mult in roots)
-
-
-def test_rational_roots_with_multiplicity():
-    # x^2 (x - 1/2)^3
-    p = [rational(0), rational(0), rational(-1, 8), rational(3, 4), rational(-3, 2), rational(1)]
-    roots, leftover = rational_roots(p)
-    assert leftover == 0
-    assert dict(roots) == {rational(0): 2, rational(1, 2): 3}
-
-
-def test_rational_roots_leaves_irrational_factor():
-    # (x^2 - 2)(x - 1)
-    p = [rational(2), rational(-2), rational(-1), rational(1)]
-    roots, leftover = rational_roots(p)
-    assert dict(roots) == {rational(1): 1}
-    assert leftover == 2
-
-
-def test_rational_roots_search_budget():
-    # an end coefficient above the bit budget
-    with pytest.raises(RootSearchLimitError):
-        rational_roots([rational(-1), rational(2**41)])
-    # 720720 and 17*19*...*41 have 240 and 128 divisors: too many candidates
-    with pytest.raises(RootSearchLimitError):
-        rational_roots([rational(-720720), rational(0), rational(10131543907)])
+    assert charpoly(m) == [-1, 0, 1]  # x^2 - 1

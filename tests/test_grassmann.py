@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grassdesign import pairbatch
 from grassdesign.designs import is_T_design, parse_family
@@ -18,6 +19,7 @@ from grassdesign.grassmann import (
     SubspacePoint,
     coordinate_subspace,
     great_antipodal,
+    invariant_angles,
     orthogonal_split_config,
     principal_angles,
     random_subspace,
@@ -27,7 +29,7 @@ from grassdesign.grassmann import (
 from grassdesign.partitions import binom
 from grassdesign.scalars import rational
 
-from exact_oracles import is_antipodal_pair, orthogonal_complement, same_subspace
+from exact_oracles import elementary_all, is_antipodal_pair, orthogonal_complement, same_subspace
 from test_cli import disguised_great_antipodal
 
 HALF = rational(1, 2)
@@ -47,6 +49,19 @@ class TestSubspacePoint:
             SubspacePoint([[1.0, 0, 0, 0], [1.0, 1e-14, 0, 0]], mode=FLOAT)
         with pytest.raises(RankDeficiencyError):
             SubspacePoint(np.zeros((2, 4)), mode=FLOAT)
+
+    def test_float_array_input_is_validated(self):
+        # the checks of list input: finite entries, numbers only
+        for bad in (np.inf, np.nan):
+            basis = np.array([[1.0, bad, 0.0, 0.0]])
+            with pytest.raises(ValueError, match="not all finite"):
+                SubspacePoint(basis, mode=FLOAT)
+        with pytest.raises(ValueError, match="dtype"):
+            SubspacePoint(np.array([[True, False, False, False]]), mode=FLOAT)
+        point = random_subspace(2, 4, seed=3)
+        with pytest.raises(ValueError, match="not all finite"):
+            point.recombined([[np.nan, 0], [0, 1]])
+        assert point.recombined(np.array([[1, 2], [0, 1]])).m == 2
 
     def test_float_frame_is_orthonormal_basis(self):
         p = random_subspace(3, 7, seed=5)
@@ -128,6 +143,24 @@ class TestPrincipalAngles:
         b = exact_point([["1", "1", "0", "0"], ["0", "0", "1", "1"]])
         with pytest.raises(IrrationalAnglesError):
             principal_angles(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_invariant_angles_recover_rational_spectra(self, data):
+        den = data.draw(st.integers(1, 2**64))
+        values = data.draw(st.lists(st.integers(0, den), min_size=1, max_size=6))
+        values += data.draw(st.lists(st.sampled_from(values), max_size=6 - len(values)))
+        angles = [rational(k, den) for k in values]
+        e = elementary_all(angles, len(angles))
+        assert invariant_angles(tuple(e[1:])) == tuple(sorted(angles, reverse=True))
+        # a factor x^2 - x + 1/5, of the irrational roots (1 +- 5^(-1/2)) / 2
+        descending = [(-1) ** k * v for k, v in enumerate(e)]
+        product = [0] * (len(descending) + 2)
+        for i, c in enumerate(descending):
+            for j, f in enumerate((1, -1, rational(1, 5))):
+                product[i + j] += c * f
+        with pytest.raises(IrrationalAnglesError):
+            invariant_angles(tuple((-1) ** k * v for k, v in enumerate(product[1:], 1)))
 
     def test_float_agrees_with_exact_on_six_points(self):
         x = six_point_config()

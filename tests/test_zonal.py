@@ -83,6 +83,14 @@ class TestDimensions:
         with pytest.raises(ArithmeticError):
             weyl_dim((rational(1, 2), 0))  # (1/2 - 0 + 1) / 1
 
+    def test_matches_the_full_weyl_product(self):
+        # the O(m^2) factorisation against the product over all C(n, 2)
+        # pairs of the signature
+        for m in range(1, 5):
+            for n in range(2 * m, 2 * m + 7):
+                for mu in enumerate_up_to_weight(m, 7):
+                    assert harmonic_dim(mu, n) == weyl_dim(highest_weight(mu, n)), (mu, n)
+
     def test_weyl_product_matches_closed_families(self):
         for m in (1, 2, 3):
             for n in range(2 * m, 9):
