@@ -22,7 +22,7 @@ basis matrix whose rows span it.  Two modes coexist:
   of an integer polynomial, found by bisection and divided out exactly),
   which succeeds only on rational spectra; every bundled configuration
   has one;
-* float mode stores complex entries and orthonormalizes once per point
+* float mode stores complex entries and orthonormalizes each point
   through a thin SVD (which also reveals the rank).  A configuration
   forms the cross-Grams G = F_a^H F_b of the orthonormal frames of all
   unordered pairs in chunks of stacked products.  The angles are the
@@ -30,6 +30,18 @@ basis matrix whose rows span it.  Two modes coexist:
   the power sums tr(W^k) by Newton's identities, with no per-pair table
   and no SVD, and the display path reads the angles themselves off the
   singular values of the same stacks.
+
+A configuration file is read in one load pass (:func:`_load_points`),
+after its header (m, n, mode, label) is checked and with each point's
+shape checked against the declared (m, n) as it is decoded.  Exact
+entry strings are parsed straight into lowest-terms int pairs and
+scaled into the Gaussian-integer rows, with no ``Fraction`` made; the
+``ExactComplex`` basis is derived from the rows only when asked for.
+Float bases are decoded into one (N, m, n) stack, by a single
+``np.array`` call when every entry is an [re, im] pair of JSON numbers,
+and orthonormalized by one stacked SVD; each point keeps read-only
+views into the stacks.  A single :class:`SubspacePoint` runs the same
+decoders with N = 1.
 
 Principal angles are returned as descending tuples y with entries in
 [0, 1]; the pair (a, b) is antipodal exactly when every entry is 0 or 1,
@@ -39,7 +51,7 @@ that is, when e_1 is an integer r and e_k = C(r, k) for every k.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -47,7 +59,7 @@ import numpy as np
 from . import pairbatch
 from .exactlinalg import gaussian_adjugate, gaussian_mat_mul, mat_mul
 from .pairbatch import invariant_batch
-from .scalars import CX_ONE, CX_ZERO, ExactComplex, as_exact_complex, rational, rational_to_str
+from .scalars import CX_ZERO, EXACT_REAL_TYPES, ExactComplex, as_exact_complex, gaussian_parts, rational, rational_to_str
 
 EXACT = "exact"
 FLOAT = "float"
@@ -62,7 +74,7 @@ class IrrationalAnglesError(ArithmeticError):
 def _as_complex_entry(v) -> complex:
     """Float-mode matrix entry: number, [re, im] pair, or exact string."""
     parts = v if isinstance(v, (list, tuple)) else (v,)
-    if any(isinstance(p, bool) for p in parts):
+    if any(isinstance(p, bool) for p in parts) or isinstance(v, (list, tuple)) and len(v) != 2:
         raise ValueError(f"not a float matrix entry: {v!r}")
     try:
         if isinstance(v, (list, tuple)):
@@ -90,65 +102,88 @@ def _check_shape(m: int, n: int):
         raise ValueError(f"bad shape ({m}, {n}): need 1 <= m <= n")
 
 
+def _check_point_shape(m: int, n: int, declared):
+    """A point's (m, n) is a valid shape and, when one is declared, equals it."""
+    _check_shape(m, n)
+    if declared is not None and (m, n) != declared:
+        raise ValueError("declared (m, n) disagree with the point shapes")
+
+
 class SubspacePoint:
     """An m-dimensional subspace of C^n spanned by the rows of ``basis``.
 
     Float points also keep ``frame``, orthonormal columns spanning the
     subspace.  Exact points have ``frame = None`` and keep instead
-    ``rows``, each basis row times the lcm of its denominators as
-    ``(re, im)`` int pairs, and the inverse of the Gram matrix G of those
-    rows in lowest terms, G^-1 = ``inv_num`` / ``inv_den``: the adjugate
-    and the determinant of G divided by the gcd of all their parts.
+    ``rows``, the Gaussian-integer rows as ``(re, im)`` int pairs, with
+    ``scales``, so that basis row i is rows[i] / scales[i] and scales[i]
+    is the lcm of its denominators, and the inverse of the Gram matrix G
+    of those rows in lowest terms, G^-1 = ``inv_num`` / ``inv_den``: the
+    adjugate and the determinant of G divided by the gcd of all their
+    parts.
+
+    The constructor runs the decoders of :meth:`SubspaceConfiguration.from_json`
+    on a single basis.
     """
 
-    __slots__ = ("basis", "mode", "m", "n", "frame", "rows", "inv_num", "inv_den")
+    __slots__ = ("_basis", "mode", "m", "n", "frame", "rows", "scales", "inv_num", "inv_den")
 
     def __init__(self, basis, mode: str = EXACT):
         if mode == EXACT:
-            rows = tuple(
-                tuple(as_exact_complex(v) for v in row) for row in basis
-            )
-            self.m = len(rows)
-            self.n = len(rows[0]) if rows else 0
-            if any(len(r) != self.n for r in rows):
-                raise ValueError("ragged basis matrix")
-            _check_shape(self.m, self.n)
-            self.basis = rows
-            self.frame = None
-            self.rows = [_integer_row(r) for r in rows]
-            gram = gaussian_mat_mul(self.rows, _adjoint(self.rows))
-            (det, _), adj = gaussian_adjugate(gram)
-            # Hermitian positive semidefinite, so the determinant is a
-            # nonnegative integer; zero exactly when the rows are dependent
-            if not det:
-                raise RankDeficiencyError(f"basis rank below {self.m}")
-            g = math.gcd(det, *(x for row in adj for v in row for x in v))
-            self.inv_den = det // g
-            self.inv_num = [[(re // g, im // g) for re, im in row] for row in adj]
+            self._set_exact(*_exact_rows(basis))
         elif mode == FLOAT:
-            if isinstance(basis, np.ndarray):
-                # the checks that _as_complex_entry makes per entry
-                if basis.dtype.kind not in "iufc":
-                    raise ValueError(f"not a float basis dtype: {basis.dtype}")
-                arr = basis.astype(complex)
-                if not np.isfinite(arr).all():
-                    raise ValueError("float basis entries are not all finite")
-            else:
-                arr = np.array(
-                    [[_as_complex_entry(v) for v in row] for row in basis],
-                    dtype=complex,
-                )
-            if arr.ndim != 2:
-                raise ValueError("basis must be a matrix")
-            self.m, self.n = arr.shape
-            _check_shape(self.m, self.n)
-            arr.setflags(write=False)
-            self.basis = arr
-            self.frame = _orthonormal_rows(arr)
-            self.rows = self.inv_num = self.inv_den = None
+            stack = _float_stack([basis])
+            self._set_float(stack[0], _orthonormal_frames(stack)[0])
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        self.mode = mode
+
+    @classmethod
+    def _exact(cls, rows: list, scales: list) -> "SubspacePoint":
+        """Exact point from decoded Gaussian-integer rows and their scales."""
+        point = cls.__new__(cls)
+        point._set_exact(rows, scales)
+        return point
+
+    @classmethod
+    def _float(cls, basis: np.ndarray, frame: np.ndarray) -> "SubspacePoint":
+        """Float point from a decoded basis and its orthonormal frame."""
+        point = cls.__new__(cls)
+        point._set_float(basis, frame)
+        return point
+
+    def _set_exact(self, rows: list, scales: list):
+        self.mode = EXACT
+        self.m, self.n = len(rows), len(rows[0])
+        self.rows, self.scales = rows, scales
+        self._basis = self.frame = None
+        gram = gaussian_mat_mul(rows, _adjoint(rows))
+        (det, _), adj = gaussian_adjugate(gram)
+        # Hermitian positive semidefinite, so the determinant is a
+        # nonnegative integer; zero exactly when the rows are dependent
+        if not det:
+            raise RankDeficiencyError(f"basis rank below {self.m}")
+        g = math.gcd(det, *(x for row in adj for v in row for x in v))
+        self.inv_den = det // g
+        self.inv_num = [[(re // g, im // g) for re, im in row] for row in adj]
+
+    def _set_float(self, basis: np.ndarray, frame: np.ndarray):
+        self.mode = FLOAT
+        self.m, self.n = basis.shape
+        self._basis, self.frame = basis, frame
+        self.rows = self.scales = self.inv_num = self.inv_den = None
+
+    @property
+    def basis(self):
+        """The basis rows: a read-only complex matrix in float mode.
+
+        In exact mode a tuple of ``ExactComplex`` tuples, row i equal to
+        rows[i] / scales[i], derived on first use.
+        """
+        if self._basis is None:
+            self._basis = tuple(
+                tuple(ExactComplex(rational(re, s), rational(im, s)) for re, im in row)
+                for row, s in zip(self.rows, self.scales)
+            )
+        return self._basis
 
     def to_float(self) -> "SubspacePoint":
         if self.mode == FLOAT:
@@ -178,10 +213,126 @@ class SubspacePoint:
         return f"SubspacePoint(m={self.m}, n={self.n}, mode={self.mode})"
 
 
+def _exact_entry(v) -> tuple:
+    """An exact entry as lowest-terms int pairs ((p, q), (r, t)), the value p/q + (r/t) i."""
+    if isinstance(v, str):
+        return gaussian_parts(v)
+    if isinstance(v, ExactComplex):
+        return (v.re.numerator, v.re.denominator), (v.im.numerator, v.im.denominator)
+    if isinstance(v, EXACT_REAL_TYPES) and not isinstance(v, bool):
+        return (v.numerator, v.denominator), (0, 1)
+    raise ValueError(f"not a Gaussian rational: {v!r}")
+
+
+def _exact_rows(basis, declared=None) -> tuple:
+    """Gaussian-integer rows of an exact basis, each scaled by the lcm of its denominators, and the scales."""
+    rows, scales = [], []
+    for row in basis:
+        parts = [_exact_entry(v) for v in row]
+        scale = math.lcm(*(d for (_, q), (_, t) in parts for d in (q, t)))
+        rows.append([(p * (scale // q), r * (scale // t)) for (p, q), (r, t) in parts])
+        scales.append(scale)
+    n = len(rows[0]) if rows else 0
+    if any(len(r) != n for r in rows):
+        raise ValueError("ragged basis matrix")
+    _check_point_shape(len(rows), n, declared)
+    return rows, scales
+
+
+def _pair_stack(bases: list):
+    """The (N, m, n) complex array of the bases, when every entry is an [re, im] pair of JSON numbers.
+
+    One ``np.array`` call decodes them all.  Returns None for any other
+    entry form (bools are neither int nor float by type), for ragged
+    rows or points, and for an int beyond the float range.
+    """
+    if not all(type(b) is list for b in bases):
+        return None
+    rows = list(chain.from_iterable(bases))
+    if set(map(type, rows)) != {list}:
+        return None
+    entries = list(chain.from_iterable(rows))
+    m, n = len(bases[0]), len(rows[0])
+    if set(map(len, bases)) != {m} or set(map(len, rows)) != {n}:
+        return None
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    flat = list(chain.from_iterable(entries))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        pairs = np.array(flat, dtype=float)
+    except OverflowError:
+        return None
+    return pairs.view(complex).reshape(len(bases), m, n)
+
+
+def _float_basis(basis, declared) -> np.ndarray:
+    """One float basis as a complex matrix, checked entry by entry so that errors name the entry."""
+    if isinstance(basis, np.ndarray):
+        # the checks that _as_complex_entry makes per entry
+        if basis.dtype.kind not in "iufc":
+            raise ValueError(f"not a float basis dtype: {basis.dtype}")
+        arr = basis.astype(complex)
+        if not np.isfinite(arr).all():
+            raise ValueError("float basis entries are not all finite")
+    else:
+        arr = np.array([[_as_complex_entry(v) for v in row] for row in basis], dtype=complex)
+    if arr.ndim != 2:
+        raise ValueError("basis must be a matrix")
+    _check_point_shape(*arr.shape, declared)
+    return arr
+
+
+def _float_stack(bases: list, declared=None) -> np.ndarray:
+    """The float bases as one read-only (N, m, n) complex array.
+
+    [re, im] pairs of JSON numbers take one decode and one finiteness
+    check for the whole stack; any other entry form, or a failed check,
+    goes basis by basis through :func:`_float_basis`.
+    """
+    stack = _pair_stack(bases)
+    if stack is not None and np.isfinite(stack).all():
+        _check_point_shape(*stack.shape[1:], declared)
+    else:
+        stack = np.stack([_float_basis(b, declared) for b in bases])
+    stack.setflags(write=False)
+    return stack
+
+
+def _orthonormal_frames(stack: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning each basis's row space, by one stacked thin SVD.
+
+    Returns a read-only (N, n, m) array; raises when the singular values
+    of a basis span a ratio beyond ``RANK_TOL``.
+    """
+    u, s, _ = np.linalg.svd(stack.transpose(0, 2, 1), full_matrices=False)
+    if (s[:, -1] <= RANK_TOL * s[:, 0]).any():
+        raise RankDeficiencyError("float basis is numerically rank deficient")
+    u.setflags(write=False)
+    return u
+
+
+def _load_points(bases: list, mode: str, declared) -> tuple:
+    """The load pass of a configuration of a checked mode: its points, and in float mode their (N, n, m) frames.
+
+    Exact entries become Gaussian-integer rows with no ``Fraction`` made;
+    float bases are decoded into one stack and orthonormalized by one
+    SVD, each point keeping read-only views into both stacks.
+    """
+    if not bases:
+        return [], None
+    if mode == EXACT:
+        return [SubspacePoint._exact(*_exact_rows(b, declared)) for b in bases], None
+    stack = _float_stack(bases, declared)
+    frames = _orthonormal_frames(stack)
+    return [SubspacePoint._float(b, f) for b, f in zip(stack, frames)], frames
+
+
 class SubspaceConfiguration:
     """Ordered list of points sharing one ambient G(m, n) and one mode."""
 
-    __slots__ = ("points", "label", "m", "n", "mode", "_pairs", "_invariants")
+    __slots__ = ("points", "label", "m", "n", "mode", "_pairs", "_invariants", "_frames")
 
     def __init__(self, points: Sequence[SubspacePoint], label: str = ""):
         points = list(points)
@@ -196,7 +347,7 @@ class SubspaceConfiguration:
         self.points = points
         self.label = label
         self.m, self.n, self.mode = first.m, first.n, first.mode
-        self._pairs = self._invariants = None
+        self._pairs = self._invariants = self._frames = None
 
     def __len__(self):
         return len(self.points)
@@ -248,6 +399,12 @@ class SubspaceConfiguration:
         counts = 2 * np.bincount(classes, minlength=size) - np.bincount(diagonal, minlength=size)
         return dict(zip(invariants, counts.tolist()))
 
+    def _frame_stack(self) -> np.ndarray:
+        """The (k, n, m) stack of the float points' frames: the load pass's, or stacked once."""
+        if self._frames is None:
+            self._frames = np.stack([p.frame for p in self.points])
+        return self._frames
+
     def _float_grams(self, first: np.ndarray, second: np.ndarray) -> Iterator[np.ndarray]:
         """Cross-Grams of the float pairs (first[t], second[t]), every i <= j in pair order, in chunks.
 
@@ -257,7 +414,7 @@ class SubspaceConfiguration:
         """
         k, m = len(self.points), self.m
         # columns a m .. a m + m - 1 hold the frame of point a
-        frames = np.concatenate([p.frame for p in self.points], axis=1)
+        frames = self._frame_stack().transpose(1, 0, 2).reshape(self.n, k * m)
         adjoint = frames.conj()
         lo = start = 0
         while lo < k:
@@ -334,6 +491,7 @@ class SubspaceConfiguration:
 
     @staticmethod
     def from_json(data: dict) -> "SubspaceConfiguration":
+        """Configuration from its JSON document: the header is checked first, then one load pass."""
         if not isinstance(data, dict):
             raise ValueError("configuration must be a JSON object")
         points = data.get("points")
@@ -346,15 +504,16 @@ class SubspaceConfiguration:
         label = data.get("label", "")
         if not isinstance(label, str):
             raise ValueError("'label' must be a string")
-        mode = data.get("mode", EXACT)
-        pts = [SubspacePoint(p["rows"], mode=mode) for p in points]
-        config = SubspaceConfiguration(pts, label=label)
         declared = (data.get("m"), data.get("n"))
         # JSON integers only: int() would truncate 1.9 and accept true
         if any(isinstance(v, bool) or not isinstance(v, int) for v in declared):
             raise ValueError("'m' and 'n' must be integers")
-        if (config.m, config.n) != declared:
-            raise ValueError("declared (m, n) disagree with the point shapes")
+        mode = data.get("mode", EXACT)
+        if mode not in (EXACT, FLOAT):
+            raise ValueError(f"unknown mode {mode!r}")
+        pts, frames = _load_points([p["rows"] for p in points], mode, declared)
+        config = SubspaceConfiguration(pts, label=label)
+        config._frames = frames
         return config
 
 
@@ -380,14 +539,6 @@ def _row_inner(u, v) -> ExactComplex:
     return total
 
 
-def _integer_row(row) -> list:
-    """The row times the lcm of its denominators, as (re, im) int pairs."""
-    parts = [x for v in row for x in (v.re, v.im)]
-    scale = math.lcm(*(x.denominator for x in parts))
-    ints = [x.numerator * (scale // x.denominator) for x in parts]
-    return list(zip(ints[::2], ints[1::2]))
-
-
 def _adjoint(rows) -> list:
     """Conjugate transpose of a matrix of Gaussian-integer pairs."""
     return [[(re, -im) for re, im in col] for col in zip(*rows)]
@@ -398,18 +549,6 @@ def _check_pair(a: SubspacePoint, b: SubspacePoint):
         raise ValueError(f"ambient mismatch: ({a.m},{a.n}) vs ({b.m},{b.n})")
     if a.mode != b.mode:
         raise ValueError(f"mode mismatch: {a.mode} vs {b.mode}")
-
-
-def _orthonormal_rows(arr: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the row space, via the thin SVD.
-
-    Raises when the singular values span a ratio beyond ``RANK_TOL``.
-    """
-    u, s, _ = np.linalg.svd(arr.T, full_matrices=False)
-    if s.size < arr.shape[0] or (s.size and s[-1] <= RANK_TOL * s[0]):
-        raise RankDeficiencyError("float basis is numerically rank deficient")
-    u.setflags(write=False)
-    return u
 
 
 def _cross_grams(adjoint: np.ndarray, frames: np.ndarray) -> np.ndarray:
@@ -570,10 +709,11 @@ def coordinate_subspace(indices: Iterable[int], n: int) -> SubspacePoint:
     """Exact span of the standard basis vectors with the given 0-based indices."""
     rows = []
     for i in indices:
-        row = [CX_ZERO] * n
-        row[i] = CX_ONE
+        row = [(0, 0)] * n
+        row[i] = (1, 0)
         rows.append(row)
-    return SubspacePoint(rows, mode=EXACT)
+    _check_shape(len(rows), n)
+    return SubspacePoint._exact(rows, [1] * len(rows))
 
 
 def great_antipodal(m: int, n: int) -> SubspaceConfiguration:
@@ -606,16 +746,14 @@ def six_point_config() -> SubspaceConfiguration:
     equal 1/2, so the set fails the antipodality test while meeting the
     design bound.
     """
-    i_unit = ExactComplex(0, 1)
+    e3 = [(0, 0), (0, 0), (1, 0), (0, 0)]
     pts = [
         coordinate_subspace([0, 1], 4),
         coordinate_subspace([2, 3], 4),
         coordinate_subspace([0, 3], 4),
         coordinate_subspace([1, 3], 4),
-        SubspacePoint([[CX_ONE, i_unit, CX_ZERO, CX_ZERO],
-                       [CX_ZERO, CX_ZERO, CX_ONE, CX_ZERO]], mode=EXACT),
-        SubspacePoint([[CX_ONE, -i_unit, CX_ZERO, CX_ZERO],
-                       [CX_ZERO, CX_ZERO, CX_ONE, CX_ZERO]], mode=EXACT),
+        SubspacePoint._exact([[(1, 0), (0, 1), (0, 0), (0, 0)], e3], [1, 1]),
+        SubspacePoint._exact([[(1, 0), (0, -1), (0, 0), (0, 0)], e3], [1, 1]),
     ]
     return SubspaceConfiguration(pts, label="six-point(2,4)")
 

@@ -9,6 +9,7 @@ subspace bases.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -55,15 +56,22 @@ _COMPLEX = re.compile(rf"([+-]?{_UNSIGNED})(?:([+-])(?:({_UNSIGNED})\*)?i)?")
 _IMAGINARY = re.compile(rf"([+-]?)(?:({_UNSIGNED})\*)?i")
 
 
+def _reduced(text: str) -> tuple:
+    """Lowest-terms (p, q), q > 0, of a matched 'p' or 'p/q'; a zero q raises ValueError."""
+    p, _, q = text.partition("/")
+    p, q = int(p), int(q or 1)
+    if not q:
+        raise ValueError(f"zero denominator in {text!r}")
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
 def rational_from_str(s: str):
     """Parse 'p' or 'p/q'; malformed text, a non-string or a zero q raises ValueError."""
     text = s.strip() if isinstance(s, str) else ""
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"not a rational string: {s!r}")
-    p, _, q = text.partition("/")
-    if q and not int(q):
-        raise ValueError(f"zero denominator in {s!r}")
-    return rational(int(p), int(q or 1))
+    return rational(*_reduced(text))
 
 
 def rational_to_str(x) -> str:
@@ -180,19 +188,30 @@ class ExactComplex:
         A missing im reads as 1, as in 'i', '-i' and '1+i'; any other text
         raises ValueError.
         """
-        text = s.strip() if isinstance(s, str) else ""
-        if match := _COMPLEX.fullmatch(text):
-            real, sign, im = match.groups()
-        elif match := _IMAGINARY.fullmatch(text):
-            real = None
-            sign, im = match.groups()
-        else:
-            raise ValueError(f"not a Gaussian rational: {s!r}")
-        real = rational_from_str(real) if real else rational(0)
-        if sign is None:
-            return ExactComplex(real)
-        im = rational_from_str(im) if im else rational(1)
-        return ExactComplex(real, -im if sign == "-" else im)
+        (p, q), (r, t) = gaussian_parts(s)
+        return ExactComplex(Fraction(p, q), Fraction(r, t))
+
+
+def gaussian_parts(s: str) -> tuple:
+    """The text form of a Gaussian rational as lowest-terms int pairs ((p, q), (r, t)).
+
+    The value is p/q + (r/t) i; the grammar is that of
+    :meth:`ExactComplex.from_str`, surrounding whitespace stripped, and
+    no ``Fraction`` is made.
+    """
+    text = s.strip() if isinstance(s, str) else ""
+    if match := _COMPLEX.fullmatch(text):
+        real, sign, im = match.groups()
+    elif match := _IMAGINARY.fullmatch(text):
+        real = None
+        sign, im = match.groups()
+    else:
+        raise ValueError(f"not a Gaussian rational: {s!r}")
+    re_part = _reduced(real) if real else (0, 1)
+    if sign is None:
+        return re_part, (0, 1)
+    r, t = _reduced(im) if im else (1, 1)
+    return re_part, (-r if sign == "-" else r, t)
 
 
 CX_ZERO = ExactComplex(0)

@@ -13,6 +13,8 @@ the tests check it against:
 * ``pair_invariant_oracle``: a pair's invariant (e_1, .., e_m) one pair
   at a time over the integers, against which the multi-modular batch is
   checked;
+* ``per_entry_point``: an exact point built entry by entry through
+  ``ExactComplex`` and ``Fraction``, the route the load pass replaced;
 * ``same_subspace``, ``orthogonal_complement``, ``is_antipodal_pair``:
   point-level questions answered from the basis rows;
 * ``prepare_point``, ``elementary_all``, ``complete_all``,
@@ -22,6 +24,8 @@ the tests check it against:
   determinant det(h_(sigma_i - i + j)), against which the package's
   e-polynomials are checked.
 """
+
+import math
 
 from grassdesign.exactlinalg import (
     det,
@@ -42,6 +46,7 @@ from grassdesign.scalars import (
     CX_ONE,
     CX_ZERO,
     ExactComplex,
+    as_exact_complex,
     as_rational,
     is_exact_real,
     rational,
@@ -237,6 +242,32 @@ def pair_invariant_oracle(a: SubspacePoint, b: SubspacePoint) -> tuple:
         assert not im
         out.append(rational((-1) ** k * re, scale**k))
     return tuple(out)
+
+
+def per_entry_point(basis) -> dict:
+    """``basis``, ``rows``, ``inv_num``, ``inv_den`` and ``to_json`` of an exact point, entry by entry.
+
+    Every entry becomes an ``ExactComplex`` of two ``Fraction`` parts;
+    each row is then scaled back to Gaussian integers by the lcm of its
+    denominators, and the Gram inverse is the reduced Berkowitz adjugate.
+    """
+    exact = tuple(tuple(as_exact_complex(v) for v in row) for row in basis)
+    rows = []
+    for row in exact:
+        parts = [x for v in row for x in (v.re, v.im)]
+        scale = math.lcm(*(x.denominator for x in parts))
+        ints = [x.numerator * (scale // x.denominator) for x in parts]
+        rows.append(list(zip(ints[::2], ints[1::2])))
+    (det, _), adj = gaussian_adjugate(gaussian_mat_mul(rows, _adjoint(rows)))
+    # inv_den 0: the rows are dependent
+    g = math.gcd(det, *(x for row in adj for v in row for x in v)) or 1
+    return {
+        "basis": exact,
+        "rows": rows,
+        "inv_num": [[(re // g, im // g) for re, im in row] for row in adj],
+        "inv_den": det // g,
+        "to_json": {"rows": [[str(v) for v in row] for row in exact]},
+    }
 
 
 def same_subspace(p: SubspacePoint, q: SubspacePoint, tol: float = 1e-8) -> bool:

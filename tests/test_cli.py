@@ -19,6 +19,8 @@ from grassdesign.cli import build_parser, main
 from grassdesign.grassmann import great_antipodal, random_subspace, SubspaceConfiguration
 from grassdesign.partitions import RANK_BUDGET, SHAPE_BUDGET
 
+from seeded_configs import disguised_points, exact_document
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -81,6 +83,41 @@ def test_largest_exact_antipodal_result_is_pinned(capsys):
         hashlib.sha256(text.encode()).hexdigest()
         == "c8383a2fe30bd018f9b43f97d84aeb1c6831dfb1802bff7990b000142915baa7"
     )
+
+
+def test_disguised_exact_design_result_is_pinned(tmp_path, capsys):
+    # verify-design on a seeded disguise of G(3, 6): 20 dense points, each
+    # loaded from Gaussian-rational text; SHA-256 of the canonical JSON of
+    # the result, recorded before exact entries were parsed straight into
+    # Gaussian-integer rows
+    path = tmp_path / "disguised.json"
+    path.write_text(json.dumps(exact_document(disguised_points(3, 6, 3), "disguised-3-6")))
+    code, doc = run_json(capsys, "verify-design", "--config", str(path), "--set", "E+F")
+    assert code == 0
+    text = json.dumps(doc["result"], sort_keys=True, separators=(",", ":"))
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "6fd15d331bdacb3fc95e289f0bf25108eb0f4c10464b06fa1f9d305a59fdf404"
+    )
+
+
+def test_header_is_checked_before_any_point(tmp_path, capsys, monkeypatch):
+    # a rank-deficient point under a bad header exits 2 for the header
+    rank_one = {"m": 2, "n": 4, "mode": "exact", "points": [{"rows": [["1", "0", "0", "0"]] * 2}]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(rank_one))
+    assert main(["angles", "--config", str(path)]) == 3
+    assert "rank-deficient" in capsys.readouterr().err
+
+    def no_points(*args):
+        raise AssertionError("points decoded under a bad header")
+
+    monkeypatch.setattr(grassmann, "_load_points", no_points)
+    for header in ({"m": True}, {"n": 4.0}, {"mode": "fast"}, {"label": 7}):
+        path.write_text(json.dumps(dict(rank_one, **header)))
+        with pytest.raises(SystemExit) as err:
+            main(["angles", "--config", str(path)])
+        assert err.value.code == 2, header
 
 
 def test_check_nonneg_result_is_pinned(capsys):
@@ -407,10 +444,15 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     # top-level list, rows that are not a list of lists, a non-integer
     # declared rank, a non-numeric float entry, boolean entries in exact
     # and float mode, a boolean declared rank, non-integral declared m
-    # and n, a non-string label, and float entries too large for a float
-    # (a number, inside an [re, im] pair and as a string)
+    # and n, a non-string label, float entries too large for a float
+    # (a number, inside an [re, im] pair and as a string), and float
+    # pairs of the wrong length, which the message names
     huge = 10**400
     good = {"m": 1, "n": 2, "mode": "exact", "points": [{"rows": [["1", "0"]]}]}
+    named = {
+        "not a float matrix entry: [1, 2, 3]": dict(good, mode="float", points=[{"rows": [[[1, 2, 3], 0]]}]),
+        "not a float matrix entry: [1]": dict(good, mode="float", points=[{"rows": [[[1], 0]]}]),
+    }
     bad_configs = [
         dict(good, points=[{"rows": [["1/0", "1"]]}]),
         dict(good, points=[{"rows": [[1.5, "1"]]}]),
@@ -429,13 +471,17 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         dict(good, mode="float", points=[{"rows": [[huge, 0]]}]),
         dict(good, mode="float", points=[{"rows": [[[huge, 0], 0]]}]),
         dict(good, mode="float", points=[{"rows": [[str(huge), 0]]}]),
+        *named.values(),
     ]
     for config in bad_configs:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
+        capsys.readouterr()
         with pytest.raises(SystemExit) as err:
             main(["angles", "--config", str(path)])
         assert err.value.code == 2, config
+        message = next((text for text, c in named.items() if c is config), "")
+        assert message in capsys.readouterr().err
     # an empty basis row in exact mode: the message names the bad shape
     path.write_text(json.dumps(dict(good, points=[{"rows": [[]]}])))
     capsys.readouterr()

@@ -1,0 +1,136 @@
+"""The load pass of configuration files against point-by-point construction."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from grassdesign import grassmann
+from grassdesign.grassmann import (
+    EXACT,
+    FLOAT,
+    RANK_TOL,
+    RankDeficiencyError,
+    SubspaceConfiguration,
+    SubspacePoint,
+    _as_complex_entry,
+)
+from grassdesign.scalars import ExactComplex
+
+from exact_oracles import per_entry_point
+from seeded_configs import disguised_points, exact_document, float_document
+
+SMALL = st.integers(-4, 4)
+PADDING = st.sampled_from(["", " ", "\t", "  \n"])
+
+
+@st.composite
+def exact_texts(draw):
+    """An exact entry string, whitespace-padded: rational, Gaussian or pure imaginary."""
+    p, r = draw(SMALL), draw(st.integers(0, 4))
+    q, t = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    text = draw(st.sampled_from([
+        f"{p}/{q}",
+        f"{p}",
+        f"{p}/{q}+{r}/{t}*i",
+        f"{p}-{r}*i",
+        f"{p}+i",
+        f"-{r}/{t}*i",
+        "i",
+        "-i",
+    ]))
+    return draw(PADDING) + text + draw(PADDING)
+
+
+EXACT_ENTRIES = st.one_of(SMALL, exact_texts())
+NUMBERS = st.one_of(SMALL, st.floats(-4, 4, allow_nan=False))
+PAIRS = st.lists(NUMBERS, min_size=2, max_size=2)
+MIXED_FLOAT_ENTRIES = st.one_of(NUMBERS, PAIRS, exact_texts())
+
+
+@st.composite
+def documents(draw, mode, entries):
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(2 * m, 2 * m + 2))
+    k = draw(st.integers(1, 4))
+    points = [
+        {"rows": [[draw(entries) for _ in range(n)] for _ in range(m)]} for _ in range(k)
+    ]
+    # through JSON text, as a file would be read
+    return json.loads(json.dumps({"m": m, "n": n, "mode": mode, "points": points}))
+
+
+def per_point_frame(rows):
+    """The orthonormal frame of one float basis, entry by entry and one SVD of its own."""
+    arr = np.array([[_as_complex_entry(v) for v in row] for row in rows], dtype=complex)
+    u, s, _ = np.linalg.svd(arr.T, full_matrices=False)
+    return arr, (u if s[-1] > RANK_TOL * s[0] else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=st.one_of(documents(FLOAT, PAIRS), documents(FLOAT, MIXED_FLOAT_ENTRIES)))
+def test_float_load_matches_point_by_point(doc):
+    oracle = [per_point_frame(p["rows"]) for p in doc["points"]]
+    if any(frame is None for _, frame in oracle):
+        with pytest.raises(RankDeficiencyError):
+            SubspaceConfiguration.from_json(doc)
+        return
+    config = SubspaceConfiguration.from_json(doc)
+    for point, (basis, frame), p in zip(config, oracle, doc["points"]):
+        alone = SubspacePoint(p["rows"], mode=FLOAT)
+        # bit for bit: same decode, same LAPACK call per matrix
+        assert point.basis.tobytes() == basis.tobytes() == alone.basis.tobytes()
+        assert point.frame.tobytes() == frame.tobytes() == alone.frame.tobytes()
+        assert not point.basis.flags.writeable and not point.frame.flags.writeable
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=documents(EXACT, EXACT_ENTRIES))
+def test_exact_load_matches_per_entry_route(doc):
+    oracle = [per_entry_point(p["rows"]) for p in doc["points"]]
+    if any(not o["inv_den"] for o in oracle):
+        with pytest.raises(RankDeficiencyError):
+            SubspaceConfiguration.from_json(doc)
+        return
+    config = SubspaceConfiguration.from_json(doc)
+    for point, want in zip(config, oracle):
+        assert point.rows == want["rows"]
+        assert (point.inv_num, point.inv_den) == (want["inv_num"], want["inv_den"])
+        assert point.basis == want["basis"]
+        assert point.to_json() == want["to_json"]
+
+
+def test_float_load_makes_one_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    doc = json.loads(json.dumps(float_document(disguised_points(2, 5, 4), "float")))
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    config = SubspaceConfiguration.from_json(doc)
+    assert len(config) == 10
+    assert calls == [(10, 5, 2)]
+
+
+def test_exact_load_parses_no_exact_complex(monkeypatch):
+    def no_parse(s):
+        raise AssertionError("an ExactComplex was parsed")
+
+    doc = json.loads(json.dumps(exact_document(disguised_points(2, 5, 4), "exact")))
+    monkeypatch.setattr(ExactComplex, "from_str", staticmethod(no_parse))
+    config = SubspaceConfiguration.from_json(doc)
+    assert config.is_antipodal()
+    assert all(p._basis is None for p in config)
+
+
+def test_coordinate_points_take_integer_rows():
+    point = grassmann.coordinate_subspace([0, 2], 4)
+    assert point.rows == [[(1, 0), (0, 0), (0, 0), (0, 0)], [(0, 0), (0, 0), (1, 0), (0, 0)]]
+    assert point.scales == [1, 1]
+    assert point.basis == per_entry_point([["1", "0", "0", "0"], ["0", "0", "1", "0"]])["basis"]
+    with pytest.raises(ValueError, match="bad shape"):
+        grassmann.coordinate_subspace([], 4)
