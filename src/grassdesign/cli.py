@@ -286,7 +286,7 @@ def main(argv=None) -> int:
         code, result, csv_rows = args.fn(args)
     except tuple(_ERROR_CODES) as exc:
         return _compute_error(_ERROR_CODES[type(exc)], str(exc))
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         parser.exit(EXIT_USAGE, f"error: {exc}\n")
     except Exception as exc:
         # exit 1 is a negative verdict only, so a fault of the program

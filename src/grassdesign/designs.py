@@ -55,9 +55,7 @@ from .symfunc import (
     scaled_point,
 )
 from .zonal import harmonic_dim, zonal_kernel
-from .grassmann import EXACT, SubspaceConfiguration
-
-DEFAULT_TOL = 1e-8
+from .grassmann import DEFAULT_TOL, EXACT, SubspaceConfiguration
 
 # Points per batched evaluation in check_nonnegativity.
 NONNEG_CHUNK = 4096

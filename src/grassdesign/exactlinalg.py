@@ -16,11 +16,11 @@ Three kinds of scalar are served:
   point's Gram inverse).  No step divides, so every intermediate is an
   integer and no fraction is ever formed or reduced;
 * int64 residues modulo word-size primes, numpy arrays with the primes
-  as a leading batch axis: residues of big integers, products of stacked
-  Gaussian residue matrices, the elementary symmetric values of their
-  spectra by Newton's identities, and Garner's Chinese remaindering back
-  to integers.  Every sum stays below 2^63 by the choice of the prime
-  width, so the arithmetic is exact.
+  as a leading batch axis: products of stacked Gaussian residue
+  matrices and the elementary symmetric values of their spectra by
+  Newton's identities.  Every sum stays below 2^63 by the choice of the
+  prime width, so the arithmetic is exact.  Big integers enter by ``%``
+  and leave by the textbook Chinese remainder sum, in Python integers.
 
 Matrices are lists of lists outside the modular kernels; their sizes in
 this package stay in the single digits, so clarity wins over asymptotics.
@@ -207,24 +207,9 @@ def moduli(bits: int, bound: int) -> list:
 
 
 def residues(values: list, primes: list) -> np.ndarray:
-    """Python ints modulo each prime, an int64 array of shape (len(primes), len(values)).
-
-    Each int is cut into the 24-bit limbs of its two's complement, and the
-    limb array times the weights 2^(24 j) mod p is one int64 product, taken
-    in blocks of 256 limbs so that no sum overflows.
-    """
-    limbs = (max((v.bit_length() for v in values), default=0) + 24) // 24
-    raw = b"".join(v.to_bytes(3 * limbs, "little", signed=True) for v in values)
-    octets = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), limbs, 3).astype(np.int64)
-    digits = octets @ np.array([1, 1 << 8, 1 << 16])
-    q = np.array(primes, dtype=np.int64)
-    weights = np.array([[pow(2, 24 * j, p) for p in primes] for j in range(limbs + 1)])
-    out = np.zeros((len(values), len(primes)), dtype=np.int64)
-    for lo in range(0, limbs, 256):
-        out = (out + digits[:, lo : lo + 256] @ weights[lo : min(lo + 256, limbs)]) % q
-    # a negative value reads as value + 2^(24 limbs)
-    negative = np.array([[v < 0] for v in values], dtype=np.int64)
-    return ((out - negative * weights[limbs]) % q).T
+    """Python ints modulo each prime, an int64 array of shape (len(primes), len(values))."""
+    # streamed row by row, so no P x V list of Python ints is ever held
+    return np.stack([np.fromiter((v % p for v in values), np.int64, len(values)) for p in primes])
 
 
 def gaussian_mul_mod(x, y, q):
@@ -288,30 +273,20 @@ def elementary_mod(mats, q) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _garner_constants(primes: tuple) -> tuple:
-    """Mixed-radix weights p_0 .. p_(i-1) and their inverses modulo p_i."""
-    weights = [math.prod(primes[:i]) for i in range(len(primes))]
-    return weights, [pow(w % p, -1, p) for w, p in zip(weights, primes)]
+def _crt_weights(primes: tuple) -> tuple:
+    """The product Q of the primes and w_i = (Q / p_i) ((Q / p_i)^-1 mod p_i), 1 mod p_i and 0 mod the rest."""
+    total = math.prod(primes)
+    return total, [total // p * pow(total // p, -1, p) for p in primes]
 
 
 def crt_lift(res: np.ndarray, primes: list) -> list:
     """Integers of the symmetric range |x| < Q / 2, Q the product of the primes, with these residues.
 
-    ``res`` has shape (N, P).  Garner's mixed-radix digits are formed in
-    int64 across all N rows at once; only their weighted sum is taken in
-    Python integers.
+    ``res`` has shape (N, P); each row is lifted by x = sum_i r_i w_i mod Q.
     """
-    weights, inverses = _garner_constants(tuple(primes))
-    digits = [res[:, 0]]
-    for i in range(1, len(primes)):
-        p = primes[i]
-        acc = digits[i - 1] % p
-        for j in range(i - 2, -1, -1):
-            acc = (acc * primes[j] + digits[j]) % p
-        digits.append((res[:, i] - acc) % p * inverses[i] % p)
-    total = weights[-1] * primes[-1]
+    total, weights = _crt_weights(tuple(primes))
     out = []
-    for row in np.stack(digits, axis=-1):
-        x = sum(v * w for v, w in zip(row.tolist(), weights))
+    for row in res:
+        x = sum(r * w for r, w in zip(row.tolist(), weights)) % total
         out.append(x - total if 2 * x > total else x)
     return out

@@ -65,6 +65,7 @@ EXACT = "exact"
 FLOAT = "float"
 
 RANK_TOL = 1e-10
+DEFAULT_TOL = 1e-8  # float tolerance of antipodality tests and design defects
 
 
 class IrrationalAnglesError(ArithmeticError):
@@ -391,10 +392,8 @@ class SubspaceConfiguration:
 
         Counted from the batch's classes; no per-pair table is built.
         """
-        _, _, invariants, classes = self._invariant_table()
-        k = len(self.points)
-        # (i, i) sits at i k - i (i - 1) / 2 in the pair order
-        diagonal = np.take(classes, [i * k - i * (i - 1) // 2 for i in range(k)])
+        first, second, invariants, classes = self._invariant_table()
+        diagonal = classes[first == second]
         size = len(invariants)
         counts = 2 * np.bincount(classes, minlength=size) - np.bincount(diagonal, minlength=size)
         return dict(zip(invariants, counts.tolist()))
@@ -469,7 +468,7 @@ class SubspaceConfiguration:
         """Multiplicities of angle vectors over all ordered pairs."""
         return _ordered_counts(self.pair_angles())
 
-    def is_antipodal(self, tol: float = 1e-8) -> bool:
+    def is_antipodal(self, tol: float = DEFAULT_TOL) -> bool:
         """True when every pair of points is antipodal.
 
         Exact configurations decide it from the pair invariants, with no
@@ -698,7 +697,7 @@ def symmetry_image(a: SubspacePoint, b: SubspacePoint) -> SubspacePoint:
     return SubspacePoint(rows, mode=EXACT)
 
 
-def antipodal_angles(y: tuple, mode: str, tol: float = 1e-8) -> bool:
+def antipodal_angles(y: tuple, mode: str, tol: float = DEFAULT_TOL) -> bool:
     """True when every angle in y lies in {0, 1} (within tol in float mode)."""
     if mode == EXACT:
         return all(v == 0 or v == 1 for v in y)

@@ -9,8 +9,8 @@ modulo word-size primes, whose product exceeds twice that range for the
 largest D of the batch, in int64 arithmetic with the primes as a batch
 axis; the prime width follows from n so that no sum overflows.  Pairs
 are processed in chunks of at most PAIR_CHUNK_ELEMENTS array entries,
-grouped by (D, residues), and every group is lifted once by Chinese
-remaindering, so the Python-integer work grows with the number of
+grouped by (D, residues), and every group is lifted once by the Chinese
+remainder sum, so the Python-integer work grows with the number of
 distinct invariants, not of pairs.  A lifted value outside its range,
 or a nonzero imaginary residue of a power sum, raises.
 """
@@ -32,9 +32,11 @@ PAIR_CHUNK_ELEMENTS = 1 << 15
 
 def _gaussian_residues(matrices, primes, shape) -> tuple:
     """Residues of Gaussian-integer matrices as an (re, im) pair of (P,) + shape arrays."""
-    flat = [x for mat in matrices for row in mat for v in row for x in v]
-    res = residues(flat, primes).reshape(len(primes), *shape, 2)
-    return res[..., 0], res[..., 1]
+    flat = [v for mat in matrices for row in mat for v in row]
+    # all real parts, then all imaginary parts: each part is contiguous
+    # per prime, which np.take reads about 4x faster than interleaved pairs
+    res = residues([re for re, _ in flat] + [im for _, im in flat], primes).reshape(len(primes), 2, *shape)
+    return res[:, 0], res[:, 1]
 
 
 class _PairBatch:
@@ -52,18 +54,15 @@ class _PairBatch:
         bound = max(math.comb(m, j) * top**j for j in range(1, m + 1))
         self.primes = moduli(modulus_bits(2 * n), 2 * bound + 1)
         self.q = np.array(self.primes, dtype=np.int64).reshape(-1, 1, 1, 1)
-        re, im = _gaussian_residues([p.rows for p in points], self.primes, (k, m, n))
+        self.rows = _gaussian_residues([p.rows for p in points], self.primes, (k, m, n))
         self.inv = _gaussian_residues([p.inv_num for p in points], self.primes, (k, m, m))
-        # C = A_a A_b^H in one product: [re_a, im_a; im_a, -re_a] [re_b, im_b]^T
-        # holds its real part on top of its imaginary part
-        self.right = np.concatenate([re, im], axis=-1)
-        self.left = np.concatenate([self.right, np.concatenate([im, -re], axis=-1)], axis=-2)
 
     def keys(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         """Per pair: its denominator pair, then e_1(M) .. e_m(M) modulo each prime."""
-        m, q = self.m, self.q
-        c = (np.take(self.left, first, axis=1) @ np.take(self.right, second, axis=1).swapaxes(-1, -2)) % q
-        cross = c[..., :m, :], c[..., m:, :]
+        q = self.q
+        # C = A_a A_b^H, with A_b^H = re_b^T - i im_b^T
+        re_b, im_b = (np.take(x, second, axis=1).swapaxes(-1, -2) for x in self.rows)
+        cross = gaussian_mul_mod([np.take(x, first, axis=1) for x in self.rows], (re_b, -im_b), q)
         adjoint = cross[0].swapaxes(-1, -2), -cross[1].swapaxes(-1, -2)
         left = gaussian_mul_mod([np.take(x, first, axis=1) for x in self.inv], cross, q)
         right = gaussian_mul_mod([np.take(x, second, axis=1) for x in self.inv], adjoint, q)

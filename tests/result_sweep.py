@@ -6,13 +6,16 @@ Usage (from the repository root):
 
 The hash is the SHA-256 of the canonical JSON of the command's
 ``result`` payload (sorted keys, no spaces), or of its empty stdout.
-The list covers ``antipodal --verify`` with E+F and T2..T4 on the
-coordinate sets G(m, n), 2 <= m <= 4, 2m <= n <= 8; ``appendix-b``; and
-``verify-design`` and ``angles`` on seeded disguised configurations and
-their float copies, written to a temporary directory and named in the
-output by file name only.  Two checkouts whose sweeps ``diff`` equal give
-byte-identical results on the whole list.  The file is not collected by
-pytest.
+The list covers every subcommand: ``antipodal --verify`` with E+F and
+T2..T4 on the coordinate sets G(m, n), 2 <= m <= 4, 2m <= n <= 8;
+``zonal`` on a few shapes at m = 2, 3, 4; ``dims``; ``bound`` and
+seeded ``check-nonneg`` for the certificates; ``appendix-b``; ``angles``
+on coordinate sets; and ``verify-design`` and ``angles`` on seeded
+disguised configurations and their float copies, with ``verify-design``
+on a disguised G(4, 8) whose pair batch runs on 20 primes.  Files are
+written to a temporary directory and named in the output by file name
+only.  Two checkouts whose sweeps ``diff`` equal give byte-identical
+results on the whole list.  The file is not collected by pytest.
 """
 
 import contextlib
@@ -21,6 +24,7 @@ import io
 import json
 import sys
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -33,6 +37,16 @@ COORDINATE_SETS = [(m, n) for m in range(2, 5) for n in range(2 * m, 9)]
 FAMILIES = ["E+F", "T2", "T3", "T4"]
 # (m, n, seed) of the disguised configurations
 DISGUISED = [(2, 4, 1), (2, 6, 2), (3, 6, 3)]
+# (m, n, mu) of the zonal kernels
+ZONAL = [(2, 4, "2,1"), (2, 5, "3,3"), (3, 6, "1,1,1"), (3, 7, "3,2"), (4, 8, "2,1,1"), (4, 9, "2,2,1,1")]
+SHAPES = [(2, 4), (3, 6), (3, 7), (4, 8)]
+CERTIFICATES = ["E", "F", "one"]
+
+
+def write(workdir: Path, name: str, doc: dict) -> str:
+    path = workdir / name
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 def commands(workdir: Path) -> list:
@@ -41,17 +55,30 @@ def commands(workdir: Path) -> list:
         for m, n in COORDINATE_SETS
         for family in FAMILIES
     ]
+    out += [["zonal", "--mu", mu, "--m", str(m), "--n", str(n)] for m, n, mu in ZONAL]
+    out += [["dims", "--m", str(m), "--n", str(n)] for m, n in SHAPES]
+    out += [["bound", "--certificate", c, "--m", str(m), "--n", str(n)] for m, n in SHAPES for c in CERTIFICATES]
+    out += [
+        ["--seed", "5", "check-nonneg", "--certificate", c, "--m", str(m), "--n", str(n), "--samples", "50"]
+        for m, n in SHAPES[:2]
+        for c in ("E", "F")
+    ]
     out += [["appendix-b"], ["appendix-b", "--verify", "E+F"]]
+    for m, n in SHAPES[:2]:
+        rows = [[[(1, 0) if j == i else (0, 0) for j in range(n)] for i in idx] for idx in combinations(range(n), m)]
+        path = write(workdir, f"coordinate-{m}-{n}.json", exact_document(rows, f"coordinate-{m}-{n}"))
+        out.append(["angles", "--config", path])
     for m, n, seed in DISGUISED:
         points = disguised_points(m, n, seed)
         for name, doc in (
             (f"disguised-{m}-{n}.json", exact_document(points, f"disguised-{m}-{n}")),
             (f"disguised-{m}-{n}-float.json", float_document(points, f"disguised-{m}-{n}-float")),
         ):
-            path = workdir / name
-            path.write_text(json.dumps(doc))
-            out += [["verify-design", "--config", str(path), "--set", family] for family in ("E+F", "T2")]
-            out.append(["angles", "--config", str(path)])
+            path = write(workdir, name, doc)
+            out += [["verify-design", "--config", path, "--set", family] for family in ("E+F", "T2")]
+            out.append(["angles", "--config", path])
+    doc = exact_document(disguised_points(4, 8, 5), "disguised-4-8")
+    out.append(["verify-design", "--config", write(workdir, "disguised-4-8.json", doc), "--set", "E+F"])
     return out
 
 

@@ -690,20 +690,29 @@ def test_internal_errors_exit_three_without_traceback(argv):
     assert str(RANK_BUDGET) in err["error"]["message"]
 
 
-def test_unexpected_errors_exit_three_as_internal(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "module, name, exc, argv",
+    [
+        (grassmann, "great_antipodal", RecursionError("maximum recursion depth exceeded"), []),
+        # no input path raises KeyError, so one is a fault, not a usage error
+        (designs, "parse_family", KeyError("sigma"), ["--verify", "E"]),
+    ],
+    ids=["RecursionError", "KeyError"],
+)
+def test_unexpected_errors_exit_three_as_internal(capsys, monkeypatch, module, name, exc, argv):
     # a fault no error code names exits 3 with the raising frame, not a traceback
-    def broken(m, n):
-        raise RecursionError("maximum recursion depth exceeded")
+    def broken(*args):
+        raise exc
 
-    monkeypatch.setattr(grassmann, "great_antipodal", broken)
-    code = main(["antipodal", "--m", "2", "--n", "4"])
+    monkeypatch.setattr(module, name, broken)
+    code = main(["antipodal", "--m", "2", "--n", "4", *argv])
     captured = capsys.readouterr()
     assert code == 3
     assert "Traceback" not in captured.err and captured.out == ""
     err = json.loads(captured.err)
     assert err["error"]["code"] == "internal"
     message = err["error"]["message"]
-    assert message.startswith("RecursionError: maximum recursion depth exceeded")
+    assert message.startswith(f"{type(exc).__name__}: {exc}")
     assert message.endswith("in broken)") and "test_cli.py:" in message
 
 

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -29,6 +30,7 @@ from grassdesign.grassmann import (
 from grassdesign.scalars import ExactComplex, rational
 
 from exact_oracles import pair_invariant_oracle
+from seeded_configs import disguised_points, exact_document
 
 BIG_PRIME = 10**9 + 7
 
@@ -129,6 +131,30 @@ def test_gram_inverse_in_lowest_terms():
     assert pair_invariant(config[0], config[1]) == pair_invariant_oracle(config[0], config[1])
 
 
+def test_results_identical_across_chunk_sizes(monkeypatch):
+    doc = exact_document(disguised_points(3, 6, 3), "disguised-3-6")
+    points = SubspaceConfiguration.from_json(doc).points
+    primes = pairbatch._PairBatch(points).primes
+    assert len(primes) >= 8
+    first, second = (np.array(x) for x in zip(*all_pairs(len(points))))
+    invariants, classes = invariant_batch(points, first, second)
+    counts = SubspaceConfiguration.from_json(doc).invariant_classes()
+    calls = []
+    keys = pairbatch._PairBatch.keys
+    monkeypatch.setattr(pairbatch._PairBatch, "keys", lambda self, a, b: calls.append(len(a)) or keys(self, a, b))
+    # one pair per chunk, three pairs per chunk, and the default; the few
+    # classes of G(3, 6) each hold pairs of many chunks
+    per_pair = 4 * len(primes) * 3 * 6
+    for elements, chunks in ((1, 210), (3 * per_pair, 70), (pairbatch.PAIR_CHUNK_ELEMENTS, 5)):
+        monkeypatch.setattr(pairbatch, "PAIR_CHUNK_ELEMENTS", elements)
+        calls.clear()
+        got, got_classes = invariant_batch(points, first, second)
+        assert len(calls) == chunks
+        assert got == invariants and np.array_equal(got_classes, classes)
+        assert SubspaceConfiguration.from_json(doc).invariant_classes() == counts
+    assert len(invariants) == 4 and sum(counts.values()) == 20 * 20
+
+
 def test_int64_sums_at_large_n():
     # at n = 1100 a cross-Gram entry sums 2200 products of residues; the
     # prime width of 25 bits keeps them below 2^63, where 29-bit primes
@@ -178,6 +204,9 @@ def test_residues_and_lift_round_trip(values, bound_bits):
     bound = 2**bound_bits
     values = [v % (2 * bound) - bound for v in values]
     primes = moduli(modulus_bits(24), 2 * bound + 1)
+    # the middle and both ends of the symmetric range |x| < Q / 2
+    half = (math.prod(primes) - 1) // 2
+    values += [0, half, -half]
     res = residues(values, primes)
     assert res.tolist() == [[v % p for v in values] for p in primes]
     assert crt_lift(res.T, primes) == values
