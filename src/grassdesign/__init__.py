@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .partitions import Partition, binom, column_shape, hook_shape, row_shape
 from .scalars import ExactComplex, rational
 from .symfunc import SchurExpansion, normalized_schur_eval, schur_eval
-from .zonal import ZonalPolynomial, harmonic_dim, highest_weight, zonal_kernel
+from .zonal import ZonalPolynomial, harmonic_dim, zonal_kernel
 from .grassmann import (
     SubspaceConfiguration,
     SubspacePoint,
@@ -62,7 +62,6 @@ __all__ = [
     "design_defect",
     "great_antipodal",
     "harmonic_dim",
-    "highest_weight",
     "hook_family",
     "hook_shape",
     "is_T_design",

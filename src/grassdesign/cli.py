@@ -1,9 +1,12 @@
 """Command-line interface: machine-readable reports for every verification.
 
 Every subcommand prints one JSON document to stdout of the form
-``{"manifest": {...}, "result": {...}}``.  The manifest records the
-command, its full parameter set, the seed, the library version and the
-wall-clock duration; given identical parameters the ``result`` payload is
+``{"manifest": {...}, "result": {...}}``, whose text is exactly
+``json.dumps(document, indent=2)`` plus a newline (written by
+:func:`_json_text`, which is faster than the stdlib's pure-Python
+indenting encoder).  The manifest records the command, its full
+parameter set, the seed, the library version and the wall-clock
+duration; given identical parameters the ``result`` payload is
 byte-identical across runs in exact mode.  Exit codes: 0 success or
 verified, 1 verification failed, 2 usage error, 3 computational error.
 A computational error prints ``{"error": {"code": ..., "message": ...}}``
@@ -25,6 +28,7 @@ from pathlib import Path
 from . import __version__, designs, grassmann, zonal
 from .grassmann import (
     IrrationalAnglesError,
+    PointLimitError,
     RankDeficiencyError,
     SubspaceConfiguration,
     angles_to_json,
@@ -40,6 +44,7 @@ EXIT_COMPUTE = 3
 _ERROR_CODES = {
     IrrationalAnglesError: "irrational-angles",
     RankDeficiencyError: "rank-deficient",
+    PointLimitError: "point-limit",
     ShapeLimitError: "shape-limit",
     designs.GridLimitError: "grid-limit",
 }
@@ -72,6 +77,73 @@ def _load_config(path: str) -> SubspaceConfiguration:
     return SubspaceConfiguration.from_json(data)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    """A float as ``json`` writes it, with NaN and the infinities spelled as JavaScript does."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json`` writes it: converted to a string, then encoded."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, float):
+        return '"' + _float_text(key) + '"'
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return '"' + int.__repr__(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """Exactly ``json.dumps(value, indent=2)``, built by joining strings.
+
+    ``indent`` turns off the C encoder, and the pure-Python one yields a
+    token at a time; this takes the same type tests in the same order and
+    returns each container's text whole.  ``pad`` is the newline and
+    indentation of the enclosing level.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        body = ("," + inner).join([_json_text(v, inner) for v in value])
+        return "[" + inner + body + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        body = ("," + inner).join([_key_text(k) + ": " + _json_text(v, inner) for k, v in value.items()])
+        return "{" + inner + body + pad + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def _emit(args, manifest: dict, result: dict, csv_rows=None) -> None:
     if getattr(args, "emit", "json") == "csv" and csv_rows is not None:
         buf = io.StringIO()
@@ -80,8 +152,7 @@ def _emit(args, manifest: dict, result: dict, csv_rows=None) -> None:
             writer.writerow(row)
         sys.stdout.write(buf.getvalue())
         return
-    # one write: streaming json.dump makes a write per token
-    sys.stdout.write(json.dumps({"manifest": manifest, "result": result}, indent=2) + "\n")
+    sys.stdout.write(_json_text({"manifest": manifest, "result": result}) + "\n")
 
 
 def _report_rows(report: designs.DesignReport):
@@ -269,7 +340,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _compute_error(code: str, message: str) -> int:
-    sys.stderr.write(json.dumps({"error": {"code": code, "message": message}}, indent=2) + "\n")
+    sys.stderr.write(_json_text({"error": {"code": code, "message": message}}) + "\n")
     return EXIT_COMPUTE
 
 

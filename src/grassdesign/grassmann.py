@@ -67,6 +67,14 @@ FLOAT = "float"
 RANK_TOL = 1e-10
 DEFAULT_TOL = 1e-8  # float tolerance of antipodality tests and design defects
 
+# Most points great_antipodal builds: C(16, 8), the set G(8, 16).  Its
+# C(n, m) points are counted before any is built.
+ANTIPODAL_POINT_BUDGET = 12_870
+
+
+class PointLimitError(ArithmeticError):
+    """A coordinate configuration would exceed ANTIPODAL_POINT_BUDGET points."""
+
 
 class IrrationalAnglesError(ArithmeticError):
     """Exact spectrum does not split over the rationals; use float mode."""
@@ -719,10 +727,17 @@ def great_antipodal(m: int, n: int) -> SubspaceConfiguration:
     """All coordinate m-subspaces of C^n, in lexicographic subset order.
 
     This is the standard maximum antipodal configuration; its cardinality
-    binomial(n, m) is the largest any antipodal set can reach.
+    binomial(n, m) is the largest any antipodal set can reach.  A count
+    over ANTIPODAL_POINT_BUDGET raises :class:`PointLimitError` before
+    any point is built.
     """
     if m < 1 or n < 2 * m:
         raise ValueError(f"need 1 <= m and 2m <= n, got ({m}, {n})")
+    size = math.comb(n, m)
+    if size > ANTIPODAL_POINT_BUDGET:
+        raise PointLimitError(
+            f"C({n}, {m}) = {size} points exceed the budget of {ANTIPODAL_POINT_BUDGET}"
+        )
     pts = [coordinate_subspace(idx, n) for idx in combinations(range(n), m)]
     return SubspaceConfiguration(pts, label=f"great-antipodal({m},{n})")
 

@@ -9,6 +9,7 @@ the Schur-polynomial bases used throughout the package.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import combinations_with_replacement
 from typing import Iterable, Optional
 
@@ -46,14 +47,14 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int], m: Optional[int] = None):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(int, parts))
         if m is not None:
             if len(parts) > m:
                 raise ValueError(f"{len(parts)} parts exceed ambient length {m}")
             parts = parts + (0,) * (m - len(parts))
-        if any(p < 0 for p in parts):
+        if parts and min(parts) < 0:
             raise ValueError(f"negative part in {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if parts != tuple(sorted(parts, reverse=True)):
             raise ValueError(f"parts not weakly decreasing: {parts}")
         self.parts = parts
 
@@ -95,10 +96,12 @@ class Partition:
 
     def contains(self, other: "Partition") -> bool:
         """Componentwise ``other <= self`` after zero-padding."""
-        k = max(len(self.parts), len(other.parts))
-        a = self.parts + (0,) * (k - len(self.parts))
-        b = other.parts + (0,) * (k - len(other.parts))
-        return all(x >= y for x, y in zip(a, b))
+        a, b = self.parts, other.parts
+        if len(a) != len(b):
+            k = max(len(a), len(b))
+            a += (0,) * (k - len(a))
+            b += (0,) * (k - len(b))
+        return all(map(operator.ge, a, b))
 
     def __le__(self, other):
         return other.contains(self)

@@ -58,8 +58,12 @@ def _elementary_terms(vals, upto: int, one) -> list:
     return e
 
 
+@lru_cache(maxsize=None)
 def schur_norm(mu: Partition):
-    """Value at the all-ones point, prod_{i<j} (mu_i - mu_j + j - i)/(j - i)."""
+    """Value at the all-ones point, prod_{i<j} (mu_i - mu_j + j - i)/(j - i).
+
+    An integer, s_mu(1, .., 1), returned as a ``Fraction`` and cached per shape.
+    """
     parts = mu.parts
     pairs = list(combinations(range(len(parts)), 2))
     num = math.prod(parts[i] - parts[j] + j - i for i, j in pairs)
@@ -276,10 +280,16 @@ class SchurExpansion:
             if sigma.m != m:
                 raise ValueError(f"ambient mismatch: {sigma} in expansion over {m} variables")
             c = as_rational(c)
-            if c:
-                store[sigma] = store.get(sigma, rational(0)) + c
-                if not store[sigma]:
+            if not c:
+                continue
+            if sigma in store:
+                # a sum that cancels is dropped, and the shape re-enters at the
+                # end: float evaluation sums the terms in this order
+                c += store[sigma]
+                if not c:
                     del store[sigma]
+                    continue
+            store[sigma] = c
         self.m = m
         self.coeffs = store
 
@@ -330,7 +340,10 @@ class SchurExpansion:
         return [rational(t, common * v[0] ** top) for t, v in zip(totals, scaled)]
 
     def at_ones(self):
-        return sum(self.coeffs.values(), rational(0))
+        """Sum of the coefficients, over their one common denominator."""
+        coeffs = self.coeffs.values()
+        common = math.lcm(*(c.denominator for c in coeffs))
+        return rational(sum(c.numerator * (common // c.denominator) for c in coeffs), common)
 
     def scaled(self, factor) -> "SchurExpansion":
         factor = as_rational(factor)

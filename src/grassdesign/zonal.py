@@ -12,12 +12,17 @@ module builds these kernels exactly:
 * closed-form expansions for single-column, single-row and hook shapes,
   kept as independent cross-checks of the general construction.
 
-The James-Constantine recursion, the column change of basis and the
-four-term product Z_(1) Z_(1^i) live in the tests
-(``tests/james_constantine.py``, ``tests/closed_forms.py``) as oracles.
+The James-Constantine recursion, the column change of basis, the
+four-term product Z_(1) Z_(1^i) and the full Weyl dimension formula live
+in the tests (``tests/james_constantine.py``, ``tests/closed_forms.py``)
+as oracles.
 
 Dimensions come from the Weyl product formula applied to the associated
-highest weight of the unitary group.
+highest weight of the unitary group, in O(m^2) factors.  A kernel's
+terms are scaled in one ``Fraction`` each, and the two products it
+reads more than once, s_sigma(1, .., 1) per shape (the cached
+:func:`symfunc.schur_norm`) and the dimension per (mu, n), are cached
+per process.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from itertools import combinations
 from .exactlinalg import det
 from .partitions import Partition, binom, column_shape, down_set, hook_shape, row_shape
 from .scalars import rational
-from .symfunc import SchurExpansion
+from .symfunc import SchurExpansion, schur_norm
 
 
 def _require_ambient(m: int, n: int):
@@ -39,27 +44,12 @@ def _require_ambient(m: int, n: int):
         raise ValueError(f"need n >= 2m, got (m, n) = ({m}, {n})")
 
 
-def highest_weight(mu: Partition, n: int) -> tuple:
-    """Length-n signature (mu_1..mu_m, 0.., -mu_m..-mu_1) of the component."""
-    _require_ambient(mu.m, n)
-    m = mu.m
-    return mu.parts + (0,) * (n - 2 * m) + tuple(-p for p in reversed(mu.parts))
-
-
-def weyl_dim(signature: tuple) -> int:
-    """Dimension of the unitary-group irrep with the given signature."""
-    pairs = list(combinations(range(len(signature)), 2))
-    num = math.prod(signature[i] - signature[j] + j - i for i, j in pairs)
-    den = math.prod(j - i for i, j in pairs)
-    if num % den:
-        raise ArithmeticError(f"non-integral Weyl product for {signature}")
-    return num // den
-
-
+@lru_cache(maxsize=None)
 def harmonic_dim(mu: Partition, n: int) -> int:
-    """Dimension of the harmonic component indexed by mu on G(m, n).
+    """Dimension of the harmonic component indexed by mu on G(m, n), cached.
 
-    The Weyl product of :func:`highest_weight` in O(m^2) factors: pairs
+    The Weyl product of the unitary-group highest weight
+    (mu_1..mu_m, 0.., -mu_m..-mu_1) of length n in O(m^2) factors: pairs
     inside the block of n - 2m zeros give 1, the pairs among the 2m outer
     entries are taken one by one, and part s of row i against the zero
     block gives C(s + n - m - i, s) / C(s + m - i, s), as does its mirror -s.
@@ -159,11 +149,12 @@ def zonal_kernel(mu: Partition, n: int) -> ZonalPolynomial:
     terms = []
     for sigma in shapes:
         ls = [s + m - j for j, s in enumerate(sigma.parts, start=1)]
-        # the Weyl product of sigma's parts is s_sigma(1, ..., 1)
-        c = weyl_dim(sigma.parts) * det([[row[l] for l in ls] for row in jacobi])
+        # s_sigma(1, ..., 1), an integer
+        c = schur_norm(sigma).numerator * det([[row[l] for l in ls] for row in jacobi])
         terms.append((sigma, -c if sigma.weight % 2 else c))
-    scale = rational(harmonic_dim(mu, n), sum(c for _, c in terms))
-    return ZonalPolynomial(mu, n, SchurExpansion(m, [(s, c * scale) for s, c in terms]))
+    dim = harmonic_dim(mu, n)
+    total = sum(c for _, c in terms)
+    return ZonalPolynomial(mu, n, SchurExpansion(m, [(s, rational(c * dim, total)) for s, c in terms]))
 
 
 def zonal_column(i: int, m: int, n: int) -> ZonalPolynomial:

@@ -9,9 +9,14 @@ those results against:
   polynomial X*_(1^i) as a combination of column kernels;
 * ``zonal_product_column``: the exact four-term kernel expansion of
   Z_(1) Z_(1^i);
-* ``pieri_e1``: the product X*_(1) X*_(1^j) in normalized Schurs.
+* ``pieri_e1``: the product X*_(1) X*_(1^j) in normalized Schurs;
+* ``weyl_dim`` of ``highest_weight``: the Weyl dimension formula over
+  all C(n, 2) pairs of the length-n signature, the oracle for the
+  O(m^2) product of ``harmonic_dim``.
 """
 
+import math
+from itertools import combinations
 from typing import Dict
 
 from grassdesign.partitions import Partition, binom, column_shape, hook_shape
@@ -115,3 +120,20 @@ def pieri_e1(j: int, m: int) -> SchurExpansion:
     if j < m:
         terms.append((column_shape(j + 1, m), rational(m - j, (j + 1) * m)))
     return SchurExpansion(m, terms)
+
+
+def highest_weight(mu: Partition, n: int) -> tuple:
+    """Length-n signature (mu_1..mu_m, 0.., -mu_m..-mu_1) of the component."""
+    _require_ambient(mu.m, n)
+    m = mu.m
+    return mu.parts + (0,) * (n - 2 * m) + tuple(-p for p in reversed(mu.parts))
+
+
+def weyl_dim(signature: tuple) -> int:
+    """Dimension of the unitary-group irrep with the given signature."""
+    pairs = list(combinations(range(len(signature)), 2))
+    num = math.prod(signature[i] - signature[j] + j - i for i, j in pairs)
+    den = math.prod(j - i for i, j in pairs)
+    if num % den:
+        raise ArithmeticError(f"non-integral Weyl product for {signature}")
+    return num // den

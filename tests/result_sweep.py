@@ -1,11 +1,14 @@
-"""Print one ``sha256 exit argv`` line per command of a fixed list.
+"""Print one ``result-sha256 stdout-sha256 exit argv`` line per command of a fixed list.
 
 Usage (from the repository root):
 
     PYTHONPATH=src python tests/result_sweep.py > sweep.txt
 
-The hash is the SHA-256 of the canonical JSON of the command's
+The first hash is the SHA-256 of the canonical JSON of the command's
 ``result`` payload (sorted keys, no spaces), or of its empty stdout.
+The second is the SHA-256 of the whole stdout as written, with the
+value of ``duration_s`` and the temporary directory masked, so that the
+emitted bytes are covered too.
 The list covers every subcommand: ``antipodal --verify`` with E+F and
 T2..T4 on the coordinate sets G(m, n), 2 <= m <= 4, 2m <= n <= 8;
 ``zonal`` on a few shapes at m = 2, 3, 4; ``dims``; ``bound`` and
@@ -22,6 +25,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 from itertools import combinations
@@ -82,8 +86,15 @@ def commands(workdir: Path) -> list:
     return out
 
 
-def run(argv: list) -> tuple:
-    """Exit code and result hash of one command, run in this process."""
+DURATION = re.compile(r'"duration_s": [^,\n}]+')
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run(argv: list, tmp: str) -> tuple:
+    """Exit code, result hash and masked stdout hash of one command, run in this process."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -91,17 +102,19 @@ def run(argv: list) -> tuple:
         except SystemExit as exc:
             code = exc.code
     text = stdout.getvalue()
+    result = text
     if text:
-        text = json.dumps(json.loads(text)["result"], sort_keys=True, separators=(",", ":"))
-    return code, hashlib.sha256(text.encode()).hexdigest()
+        result = json.dumps(json.loads(text)["result"], sort_keys=True, separators=(",", ":"))
+    masked = DURATION.sub('"duration_s": 0', text.replace(tmp, "TMP"))
+    return code, sha256(result), sha256(masked)
 
 
 def main_sweep() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for argv in commands(Path(tmp)):
-            code, digest = run(argv)
+            code, result, stdout = run(argv, tmp)
             shown = [Path(a).name if a.startswith(tmp) else a for a in argv]
-            print(digest, code, " ".join(shown), flush=True)
+            print(result, stdout, code, " ".join(shown), flush=True)
 
 
 if __name__ == "__main__":

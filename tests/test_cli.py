@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -12,10 +13,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import grassdesign
 from grassdesign import designs, exactlinalg, grassmann, symfunc, zonal
-from grassdesign.cli import build_parser, main
+from grassdesign.cli import _json_text, build_parser, main
 from grassdesign.grassmann import great_antipodal, random_subspace, SubspaceConfiguration
 from grassdesign.partitions import RANK_BUDGET, SHAPE_BUDGET
 
@@ -342,6 +344,53 @@ def test_documents_are_written_once_as_streamed(tmp_path, monkeypatch):
         assert other.getvalue() == ""
 
 
+JSON_SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324])
+JSON_SPECIAL_TEXT = st.sampled_from(["", "ünï", "\x00\x1f\n\t\"\\/", "\u2028\ud800", "😀", "\x7f"])
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    st.floats(),
+    JSON_SPECIAL_FLOATS,
+    st.text(),
+    JSON_SPECIAL_TEXT,
+)
+JSON_KEYS = st.one_of(st.text(), JSON_SPECIAL_TEXT, st.integers(), st.floats(), JSON_SPECIAL_FLOATS, st.booleans(), st.none())
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(JSON_KEYS, inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_emitter_text_is_that_of_json_dumps_indent_2(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ({1, 2}, "Object of type set is not JSON serializable"),
+        ([1, {"a": object()}], "Object of type object is not JSON serializable"),
+        ({(1, 2): 0}, "keys must be str, int, float, bool or None, not tuple"),
+        ({"a": {b"k": 0}}, "keys must be str, int, float, bool or None, not bytes"),
+    ],
+)
+def test_emitter_rejects_what_json_rejects(value, message):
+    with pytest.raises(TypeError) as stdlib:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError, match=re.escape(message)) as ours:
+        _json_text(value)
+    assert str(ours.value) == str(stdlib.value)
+
+
 def disguised_great_antipodal(m, n):
     """great_antipodal(m, n) under an exact dense unitary, rows recombined.
 
@@ -593,6 +642,27 @@ def test_grid_limit_exits_three_before_building_points(capsys, monkeypatch):
     assert err["error"]["code"] == "grid-limit"
     assert str(designs.GRID_POINT_BUDGET) in err["error"]["message"]
     assert elapsed < 2
+
+
+def test_point_limit_exits_three_before_building_points(capsys, monkeypatch):
+    def no_point(indices, n):
+        raise AssertionError("point built past the point budget")
+
+    monkeypatch.setattr(grassmann, "coordinate_subspace", no_point)
+    started = time.perf_counter()
+    code = main(["antipodal", "--m", "30", "--n", "60"])
+    elapsed = time.perf_counter() - started
+    err = json.loads(capsys.readouterr().err)
+    assert code == 3
+    assert err["error"]["code"] == "point-limit"
+    assert str(grassmann.ANTIPODAL_POINT_BUDGET) in err["error"]["message"]
+    assert elapsed < 1
+
+
+def test_largest_antipodal_set_is_inside_the_point_budget():
+    assert grassmann.ANTIPODAL_POINT_BUDGET == math.comb(16, 8)
+    with pytest.raises(grassmann.PointLimitError):
+        great_antipodal(8, 17)
 
 
 @pytest.mark.parametrize(

@@ -55,6 +55,32 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition([1, 1, 1], m=2)
 
+    @pytest.mark.parametrize(
+        "parts, m, message",
+        [
+            # an excess over the ambient length is reported first, then a
+            # negative part, then the order
+            ([-1, 2, 3], 2, "3 parts exceed ambient length 2"),
+            ([-1, 0], None, "negative part in (-1, 0)"),
+            ([0, -1], None, "negative part in (0, -1)"),
+            ([1, 2, -1], None, "negative part in (1, 2, -1)"),
+            ([-2], 3, "negative part in (-2, 0, 0)"),
+            ([1, 2], None, "parts not weakly decreasing: (1, 2)"),
+            ([0, 1], 3, "parts not weakly decreasing: (0, 1, 0)"),
+        ],
+    )
+    def test_errors_keep_their_messages_and_precedence(self, parts, m, message):
+        with pytest.raises(ValueError) as err:
+            Partition(parts, m=m)
+        assert str(err.value) == message
+
+    def test_containment_pads_with_zeros(self):
+        assert Partition([2, 1]).contains(Partition([2]))
+        assert not Partition([2]).contains(Partition([2, 1]))
+        assert Partition([2, 1, 0]).contains(Partition([1, 1]))
+        assert Partition([]).contains(Partition([0, 0]))
+        assert not Partition([1, 1]).contains(Partition([2, 0]))
+
     def test_strict_equality_and_trim(self):
         assert Partition([1, 0]) != Partition([1])
         assert Partition([1, 0]).trimmed() == Partition([1]).trimmed()

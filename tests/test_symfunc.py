@@ -455,6 +455,32 @@ class TestSchurExpansion:
         b = SchurExpansion(2, [(Partition([1, 0]), rational(-1, 2))])
         assert not (a + b).coeffs
 
+    def test_repeated_shapes_keep_first_seen_order_and_drop_zero_sums(self):
+        # float evaluation sums the terms in this order
+        one, two, pair, top = (Partition(p) for p in ([1, 0], [2, 0], [1, 1], [2, 1]))
+        e = SchurExpansion(
+            2,
+            [
+                (one, rational(1, 2)),
+                (two, rational(1, 3)),
+                (pair, rational(1)),
+                (one, rational(1, 6)),  # sums to 2/3, keeps its place
+                (two, rational(-1, 3)),  # cancels, so (2, 0) is dropped
+                (top, 2),
+                (pair, rational(-1)),  # cancels too
+                (two, rational(5)),  # enters again, after (2, 1)
+                (pair, rational(0)),  # a zero coefficient is never stored
+            ],
+        )
+        assert list(e.coeffs.items()) == [(one, rational(2, 3)), (top, rational(2)), (two, rational(5))]
+        assert all(type(c) is Fraction for c in e.coeffs.values())
+
+    def test_at_ones_is_the_coefficient_sum(self):
+        e = SchurExpansion(2, [(Partition([1, 0]), rational(1, 6)), (Partition([1, 1]), rational(-3, 4)), (Partition([2, 1]), 2)])
+        assert e.at_ones() == rational(1, 6) - rational(3, 4) + 2
+        assert type(e.at_ones()) is Fraction
+        assert SchurExpansion(2).at_ones() == 0
+
 
 class TestPieri:
     def test_two_variable_coefficients(self):

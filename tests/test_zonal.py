@@ -22,15 +22,13 @@ from grassdesign.scalars import rational
 from grassdesign.symfunc import normalized_schur_eval
 from grassdesign.zonal import (
     harmonic_dim,
-    highest_weight,
-    weyl_dim,
     zonal_column,
     zonal_hook,
     zonal_kernel,
     zonal_row,
 )
 
-from closed_forms import schur_in_zonal_basis, zonal_product_column
+from closed_forms import highest_weight, schur_in_zonal_basis, weyl_dim, zonal_product_column
 from james_constantine import (
     PoleError,
     generalized_binomial,
