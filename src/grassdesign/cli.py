@@ -144,15 +144,14 @@ def _json_text(value, pad: str = "\n") -> str:
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
-def _emit(args, manifest: dict, result: dict, csv_rows=None) -> None:
+def _document_text(args, manifest: dict, result: dict, csv_rows=None) -> str:
     if getattr(args, "emit", "json") == "csv" and csv_rows is not None:
         buf = io.StringIO()
         writer = csv.writer(buf)
         for row in csv_rows:
             writer.writerow(row)
-        sys.stdout.write(buf.getvalue())
-        return
-    sys.stdout.write(_json_text({"manifest": manifest, "result": result}) + "\n")
+        return buf.getvalue()
+    return _json_text({"manifest": manifest, "result": result}) + "\n"
 
 
 def _report_rows(report: designs.DesignReport):
@@ -355,6 +354,16 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code, result, csv_rows = args.fn(args)
+        manifest = {
+            "command": args.command,
+            "params": params,
+            "seed": args.seed,
+            "version": __version__,
+            "duration_s": round(time.perf_counter() - started, 6),
+        }
+        # built under the handlers: an integer too long for str() is a
+        # usage error here as anywhere else
+        text = _document_text(args, manifest, result, csv_rows)
     except tuple(_ERROR_CODES) as exc:
         return _compute_error(_ERROR_CODES[type(exc)], str(exc))
     except (ValueError, OSError) as exc:
@@ -369,14 +378,7 @@ def main(argv=None) -> int:
         code = tb.tb_frame.f_code
         where = f"{Path(code.co_filename).name}:{tb.tb_lineno} in {code.co_name}"
         return _compute_error("internal", f"{type(exc).__name__}: {exc} ({where})")
-    manifest = {
-        "command": args.command,
-        "params": params,
-        "seed": args.seed,
-        "version": __version__,
-        "duration_s": round(time.perf_counter() - started, 6),
-    }
-    _emit(args, manifest, result, csv_rows)
+    sys.stdout.write(text)
     return code
 
 

@@ -438,8 +438,8 @@ def check_nonnegativity(
     total = comb(grid_depth + cert.m, cert.m) + samples
     if total > GRID_POINT_BUDGET:
         raise GridLimitError(
-            f"{total} points exceed the budget of {GRID_POINT_BUDGET}; "
-            "lower the grid depth or the sample count"
+            f"a depth-{grid_depth} grid at m = {cert.m} and {samples} samples exceed "
+            f"the budget of {GRID_POINT_BUDGET} points; lower the grid depth or the sample count"
         )
 
     def sampled():
@@ -506,9 +506,11 @@ def classify_tight_E(
     _require_cardinality(config)
     report = is_T_design(config, column_family(config.m), tol=tol)
     if config.mode == EXACT:
-        # the last angle vanishes exactly when the angle product e_m does
-        pairs = config.pair_invariants().items()
-        geometry = all(not e[-1] for (i, j), e in pairs if i != j)
+        # the last angle vanishes exactly when the angle product e_m does;
+        # the |X| diagonal pairs have every angle 1, so they must be the
+        # only ordered pairs with e_m != 0
+        classes = config.invariant_classes().items()
+        geometry = sum(c for e, c in classes if e[-1]) == len(config)
     else:
         pairs = config.pair_angles().items()
         geometry = all(abs(y[-1]) <= tol for (i, j), y in pairs if i != j)

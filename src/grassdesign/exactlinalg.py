@@ -10,11 +10,10 @@ Three kinds of scalar are served:
   and the size of a down-set; exact Schur values take none (see
   :func:`symfunc.schur_e_polynomial`);
 * Gaussian integers stored as ``(re, im)`` pairs of Python ints, the
-  scalars of the exact pair geometry: matrix products, the
-  characteristic polynomial by Berkowitz's division-free recurrence, and
-  the determinant and adjugate it yields by Cayley-Hamilton (each exact
-  point's Gram inverse).  No step divides, so every intermediate is an
-  integer and no fraction is ever formed or reduced;
+  scalars of the exact pair geometry: the determinant and adjugate of a
+  point's Gram matrix (its Gram inverse), by the same fraction-free
+  elimination run as Gauss-Jordan.  Every division is exact, so every
+  intermediate is an integer and no fraction is ever formed or reduced;
 * int64 residues modulo word-size primes, numpy arrays with the primes
   as a leading batch axis: products of stacked Gaussian residue
   matrices and the elementary symmetric values of their spectra by
@@ -86,71 +85,43 @@ def mat_mul(a, b):
     return out
 
 
-def _gaussian_dot(u, v):
-    """Sum of u_k v_k over Gaussian integers (no conjugation)."""
-    re = im = 0
-    for (xr, xi), (yr, yi) in zip(u, v):
-        re += xr * yr - xi * yi
-        im += xr * yi + xi * yr
-    return re, im
+def gram_adjugate(rows):
+    """Determinant and adjugate of the Gram matrix G = A A^H of Gaussian-integer rows.
 
-
-def gaussian_mat_mul(a, b):
-    """Product of two matrices of Gaussian integers as ``(re, im)`` pairs."""
-    cols = list(zip(*b))
-    return [[_gaussian_dot(row, col) for col in cols] for row in a]
-
-
-def gaussian_charpoly(rows):
-    """Characteristic polynomial det(xI - A) of a Gaussian-integer matrix.
-
-    Berkowitz's division-free recurrence (Inf. Process. Lett. 18, 1984):
-    bordering the leading block A_k by the column S, the row R and the
-    diagonal entry a multiplies its polynomial by the lower-triangular
-    Toeplitz matrix with first column (1, -a, -RS, -R A_k S, ...,
-    -R A_k^(k-1) S).  Only ring operations occur, so the coefficients
-    are Gaussian integers.  Returns ``(re, im)`` pairs ascending in
-    degree, with ``poly[n] == (1, 0)``.
+    ``rows`` are the rows of A as lists of ``(re, im)`` int pairs.  G's
+    Hermitian inner products are formed, then fraction-free Gauss-Jordan
+    elimination (Bareiss, Math. Comp. 22, 1968) runs on [G | I]: step k
+    sets each row i != k to (p_k row_i - a_ik row_k) / p_(k-1), which
+    leaves det(G) I | adj(G).  G is Hermitian positive semidefinite, so
+    each pivot p_k is a leading principal minor, a nonnegative integer:
+    no pivoting is needed and every division is exact in both parts.  A
+    zero pivot means the rows are dependent.  Returns ``(det, adj)``, an
+    int and a matrix of ``(re, im)`` pairs, or ``(0, None)`` for
+    dependent rows.
     """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    poly = [(1, 0)]  # descending in degree while it grows
-    for k in range(n):
-        block = [r[:k] for r in rows[:k]]
-        border = rows[k][:k]
-        vec = [r[k] for r in rows[:k]]
-        ar, ai = rows[k][k]
-        col = [(1, 0), (-ar, -ai)]
-        for j in range(k):
-            if j:
-                vec = [_gaussian_dot(r, vec) for r in block]
-            re, im = _gaussian_dot(border, vec)
-            col.append((-re, -im))
-        poly = [_gaussian_dot(col[i::-1], poly) for i in range(k + 2)]
-    return poly[::-1]
-
-
-def gaussian_adjugate(rows):
-    """Determinant and adjugate of a Gaussian-integer matrix, division-free.
-
-    With det(xI - A) = sum c_k x^k, Cayley-Hamilton gives
-    adj(A) = (-1)^(n-1) (A^(n-1) + c_(n-1) A^(n-2) + ... + c_1 I) and
-    det(A) = (-1)^n c_0; the sum is evaluated by Horner's rule.  Returns
-    ``(det, adj)``, an ``(re, im)`` pair and a matrix of them.
-    """
-    n = len(rows)
-    poly = gaussian_charpoly(rows)
-    sign = -1 if n % 2 else 1
-    acc = [[(int(i == j), 0) for j in range(n)] for i in range(n)]
-    for cr, ci in reversed(poly[1:n]):
-        acc = gaussian_mat_mul(rows, acc)
-        for i in range(n):
-            re, im = acc[i][i]
-            acc[i][i] = (re + cr, im + ci)
-    det = (sign * poly[0][0], sign * poly[0][1])
-    adj = [[(-sign * re, -sign * im) for re, im in row] for row in acc]
-    return det, adj
+    m = len(rows)
+    aug = [[(0, 0)] * m + [(int(i == j), 0) for j in range(m)] for i in range(m)]
+    for i, u in enumerate(rows):
+        for j in range(i, m):
+            re = im = 0
+            for (xr, xi), (yr, yi) in zip(u, rows[j]):
+                re += xr * yr + xi * yi
+                im += xi * yr - xr * yi
+            aug[i][j], aug[j][i] = (re, im), (re, -im)
+    prev = 1
+    for k, top in enumerate(aug):
+        pivot = top[k][0]
+        if not pivot:
+            return 0, None
+        for i, row in enumerate(aug):
+            if i != k:
+                lr, li = row[k]
+                aug[i] = [
+                    ((pivot * xr - lr * tr + li * ti) // prev, (pivot * xi - lr * ti - li * tr) // prev)
+                    for (xr, xi), (tr, ti) in zip(row, top)
+                ]
+        prev = pivot
+    return prev, [row[m:] for row in aug]
 
 
 # Deterministic Miller-Rabin witnesses for every integer below 2^64.

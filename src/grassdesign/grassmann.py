@@ -57,7 +57,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import pairbatch
-from .exactlinalg import gaussian_adjugate, gaussian_mat_mul, mat_mul
+from .exactlinalg import gram_adjugate, mat_mul
 from .pairbatch import invariant_batch
 from .scalars import CX_ZERO, EXACT_REAL_TYPES, ExactComplex, as_exact_complex, gaussian_parts, rational, rational_to_str
 
@@ -127,8 +127,10 @@ class SubspacePoint:
     ``scales``, so that basis row i is rows[i] / scales[i] and scales[i]
     is the lcm of its denominators, and the inverse of the Gram matrix G
     of those rows in lowest terms, G^-1 = ``inv_num`` / ``inv_den``: the
-    adjugate and the determinant of G divided by the gcd of all their
-    parts.
+    adjugate and the determinant of G, both from one fraction-free
+    Gauss-Jordan elimination (:func:`exactlinalg.gram_adjugate`), divided
+    by the gcd of all their parts.  A zero pivot of that elimination
+    means the rows are dependent and raises :class:`RankDeficiencyError`.
 
     The constructor runs the decoders of :meth:`SubspaceConfiguration.from_json`
     on a single basis.
@@ -164,10 +166,7 @@ class SubspacePoint:
         self.m, self.n = len(rows), len(rows[0])
         self.rows, self.scales = rows, scales
         self._basis = self.frame = None
-        gram = gaussian_mat_mul(rows, _adjoint(rows))
-        (det, _), adj = gaussian_adjugate(gram)
-        # Hermitian positive semidefinite, so the determinant is a
-        # nonnegative integer; zero exactly when the rows are dependent
+        det, adj = gram_adjugate(rows)
         if not det:
             raise RankDeficiencyError(f"basis rank below {self.m}")
         g = math.gcd(det, *(x for row in adj for v in row for x in v))
@@ -546,11 +545,6 @@ def _row_inner(u, v) -> ExactComplex:
     return total
 
 
-def _adjoint(rows) -> list:
-    """Conjugate transpose of a matrix of Gaussian-integer pairs."""
-    return [[(re, -im) for re, im in col] for col in zip(*rows)]
-
-
 def _check_pair(a: SubspacePoint, b: SubspacePoint):
     if (a.m, a.n) != (b.m, b.n):
         raise ValueError(f"ambient mismatch: ({a.m},{a.n}) vs ({b.m},{b.n})")
@@ -733,11 +727,15 @@ def great_antipodal(m: int, n: int) -> SubspaceConfiguration:
     """
     if m < 1 or n < 2 * m:
         raise ValueError(f"need 1 <= m and 2m <= n, got ({m}, {n})")
-    size = math.comb(n, m)
-    if size > ANTIPODAL_POINT_BUDGET:
-        raise PointLimitError(
-            f"C({n}, {m}) = {size} points exceed the budget of {ANTIPODAL_POINT_BUDGET}"
-        )
+    # C(n, k) increases in k <= m since n >= 2m, so it is counted up
+    # only until it passes the budget, never to a huge C(n, m)
+    size = 1
+    for k in range(1, m + 1):
+        size = size * (n - k + 1) // k
+        if size > ANTIPODAL_POINT_BUDGET:
+            raise PointLimitError(
+                f"C({n}, {m}) points exceed the budget of {ANTIPODAL_POINT_BUDGET}"
+            )
     pts = [coordinate_subspace(idx, n) for idx in combinations(range(n), m)]
     return SubspaceConfiguration(pts, label=f"great-antipodal({m},{n})")
 

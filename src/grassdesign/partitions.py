@@ -220,7 +220,7 @@ def down_set(kappa: Partition) -> list:
     size = down_set_size(kappa)
     if size > SHAPE_BUDGET:
         raise ShapeLimitError(
-            f"{size} shapes below {kappa.parts} exceed the budget of {SHAPE_BUDGET}"
+            f"the shapes below {kappa.parts} exceed the budget of {SHAPE_BUDGET}"
         )
     found = []
 

@@ -1,15 +1,20 @@
 """Field-arithmetic helpers kept as oracles for the package's exact code.
 
-The package computes exact pair geometry over Gaussian integers without
-dividing; these helpers are the older, independent routes through
-Gaussian-rational elimination and the Faddeev-LeVerrier recurrence that
-the tests check it against:
+The package computes exact pair geometry over Gaussian integers with no
+fraction formed; these helpers are the older, independent routes through
+Gaussian-rational elimination and the Faddeev-LeVerrier and Berkowitz
+recurrences that the tests check it against:
 
 * ``solve``, ``invert``, ``rank``, ``null_space``: Gaussian elimination
   over an exact field;
 * ``charpoly``: the monic characteristic polynomial by Faddeev-LeVerrier,
   and ``angle_polynomial``, the polynomial of a pair's principal angles
   built from Gram inverses;
+* ``gaussian_charpoly``, ``gaussian_adjugate``: the characteristic
+  polynomial of a Gaussian-integer matrix by Berkowitz's division-free
+  recurrence, and the determinant and adjugate it yields by
+  Cayley-Hamilton, with ``gaussian_mat_mul`` and ``_adjoint``, against
+  which the package's Gram adjugate by elimination is checked;
 * ``pair_invariant_oracle``: a pair's invariant (e_1, .., e_m) one pair
   at a time over the integers, against which the multi-modular batch is
   checked;
@@ -27,17 +32,10 @@ the tests check it against:
 
 import math
 
-from grassdesign.exactlinalg import (
-    det,
-    gaussian_adjugate,
-    gaussian_charpoly,
-    gaussian_mat_mul,
-    mat_mul,
-)
+from grassdesign.exactlinalg import det, mat_mul
 from grassdesign.grassmann import (
     EXACT,
     SubspacePoint,
-    _adjoint,
     _check_pair,
     antipodal_angles,
     principal_angles,
@@ -188,6 +186,78 @@ def poly_eval(poly, x):
     for c in reversed(poly):
         out = out * x + c
     return out
+
+
+def _gaussian_dot(u, v):
+    """Sum of u_k v_k over Gaussian integers (no conjugation)."""
+    re = im = 0
+    for (xr, xi), (yr, yi) in zip(u, v):
+        re += xr * yr - xi * yi
+        im += xr * yi + xi * yr
+    return re, im
+
+
+def gaussian_mat_mul(a, b):
+    """Product of two matrices of Gaussian integers as ``(re, im)`` pairs."""
+    cols = list(zip(*b))
+    return [[_gaussian_dot(row, col) for col in cols] for row in a]
+
+
+def gaussian_charpoly(rows):
+    """Characteristic polynomial det(xI - A) of a Gaussian-integer matrix.
+
+    Berkowitz's division-free recurrence (Inf. Process. Lett. 18, 1984):
+    bordering the leading block A_k by the column S, the row R and the
+    diagonal entry a multiplies its polynomial by the lower-triangular
+    Toeplitz matrix with first column (1, -a, -RS, -R A_k S, ...,
+    -R A_k^(k-1) S).  Only ring operations occur, so the coefficients
+    are Gaussian integers.  Returns ``(re, im)`` pairs ascending in
+    degree, with ``poly[n] == (1, 0)``.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    poly = [(1, 0)]  # descending in degree while it grows
+    for k in range(n):
+        block = [r[:k] for r in rows[:k]]
+        border = rows[k][:k]
+        vec = [r[k] for r in rows[:k]]
+        ar, ai = rows[k][k]
+        col = [(1, 0), (-ar, -ai)]
+        for j in range(k):
+            if j:
+                vec = [_gaussian_dot(r, vec) for r in block]
+            re, im = _gaussian_dot(border, vec)
+            col.append((-re, -im))
+        poly = [_gaussian_dot(col[i::-1], poly) for i in range(k + 2)]
+    return poly[::-1]
+
+
+def gaussian_adjugate(rows):
+    """Determinant and adjugate of a Gaussian-integer matrix, division-free.
+
+    With det(xI - A) = sum c_k x^k, Cayley-Hamilton gives
+    adj(A) = (-1)^(n-1) (A^(n-1) + c_(n-1) A^(n-2) + ... + c_1 I) and
+    det(A) = (-1)^n c_0; the sum is evaluated by Horner's rule.  Returns
+    ``(det, adj)``, an ``(re, im)`` pair and a matrix of them.
+    """
+    n = len(rows)
+    poly = gaussian_charpoly(rows)
+    sign = -1 if n % 2 else 1
+    acc = [[(int(i == j), 0) for j in range(n)] for i in range(n)]
+    for cr, ci in reversed(poly[1:n]):
+        acc = gaussian_mat_mul(rows, acc)
+        for i in range(n):
+            re, im = acc[i][i]
+            acc[i][i] = (re + cr, im + ci)
+    det = (sign * poly[0][0], sign * poly[0][1])
+    adj = [[(-sign * re, -sign * im) for re, im in row] for row in acc]
+    return det, adj
+
+
+def _adjoint(rows) -> list:
+    """Conjugate transpose of a matrix of Gaussian-integer pairs."""
+    return [[(re, -im) for re, im in col] for col in zip(*rows)]
 
 
 def _hermitian_products(a_rows, b_rows):

@@ -659,6 +659,46 @@ def test_point_limit_exits_three_before_building_points(capsys, monkeypatch):
     assert elapsed < 1
 
 
+HUGE = str(10**2200)
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        # C(2000000, 1000000) has 600,000 digits: counted only until it
+        # passes the budget, and never formatted
+        (["antipodal", "--m", "1000000", "--n", "2000000"], "point-limit"),
+        (["check-nonneg", "--certificate", "E", "--m", "2", "--n", "4", "--depth", HUGE], "grid-limit"),
+        (["zonal", "--mu", f"{HUGE},{HUGE}", "--m", "2", "--n", "4"], "shape-limit"),
+    ],
+    ids=["point-limit", "grid-limit", "shape-limit"],
+)
+def test_budget_errors_name_inputs_not_huge_counts(argv, error, capsys):
+    started = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - started
+    err = json.loads(capsys.readouterr().err)
+    assert code == 3
+    assert err["error"]["code"] == error
+    assert elapsed < 1
+
+
+def test_document_too_long_to_format_is_a_usage_error():
+    # a harmonic dimension past str()'s digit limit fails while the
+    # document is built, under the same handlers as the computation
+    src = Path(grassdesign.__file__).resolve().parents[1]
+    n = str(10**3000)
+    codes = []
+    for argv in (["dims", "--m", "1", "--n", n, "--max-weight", "2"], ["zonal", "--mu", "2", "--m", "1", "--n", n]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "grassdesign", *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+        )
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        codes.append(proc.returncode)
+    assert codes == [2, 2]
+
+
 def test_largest_antipodal_set_is_inside_the_point_budget():
     assert grassmann.ANTIPODAL_POINT_BUDGET == math.comb(16, 8)
     with pytest.raises(grassmann.PointLimitError):

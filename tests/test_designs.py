@@ -444,6 +444,14 @@ class TestTightness:
         v2 = classify_tight_EF(x)
         assert not v2.design and not v2.geometry
 
+    def test_exact_repeated_point_fails_both_sides(self):
+        # the repeated pair has every angle 1, so an off-diagonal pair
+        # has e_m != 0 even though the size is binomial(4, 2)
+        pts = list(great_antipodal(2, 4))
+        config = SubspaceConfiguration(pts[:5] + pts[:1], label="repeated")
+        v = classify_tight_E(config)
+        assert not v.design and not v.geometry
+
     def test_random_floats_fail_both_sides(self):
         pts = [random_subspace(2, 4, seed=500 + k) for k in range(6)]
         config = SubspaceConfiguration(pts, label="random-six")

@@ -6,17 +6,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grassdesign.exactlinalg import (
-    det,
-    gaussian_adjugate,
-    gaussian_charpoly,
-    mat_mul,
-)
+from grassdesign.exactlinalg import det, gram_adjugate, mat_mul
 from grassdesign.scalars import ExactComplex, rational
 
 from exact_oracles import (
     SingularMatrixError,
+    _adjoint,
     charpoly,
+    gaussian_adjugate,
+    gaussian_charpoly,
+    gaussian_mat_mul,
     invert,
     null_space,
     poly_eval,
@@ -146,6 +145,48 @@ def test_gaussian_adjugate():
     # a singular matrix has determinant 0 and a nonzero adjugate of rank one
     det_pair, adj = gaussian_adjugate([[(1, 1), (2, 2)], [(1, 0), (2, 0)]])
     assert det_pair == (0, 0) and adj == [[(2, 0), (-2, -2)], [(-1, 0), (1, 1)]]
+
+
+GAUSSIAN = st.tuples(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6))
+
+
+@st.composite
+def gram_rows(draw):
+    """Gaussian-integer rows, m <= 6 and m <= n <= 2m + 3, a share made dependent.
+
+    A dependent case zeroes a row j >= 1, repeats an earlier row as row
+    j, or makes an earlier row a Gaussian multiple of row j, so that
+    for generic rows the first zero pivot comes at step k = j > 0.
+    """
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(m, 2 * m + 3))
+    rows = draw(st.lists(st.lists(GAUSSIAN, min_size=n, max_size=n), min_size=m, max_size=m))
+    kind = draw(st.sampled_from(["random"] * 3 + ["zero", "repeat", "multiple"] if m > 1 else ["random"]))
+    if kind != "random":
+        j = draw(st.integers(1, m - 1))
+        i = draw(st.integers(0, j - 1))
+        if kind == "zero":
+            rows[j] = [(0, 0)] * n
+        elif kind == "repeat":
+            rows[j] = list(rows[i])
+        else:
+            cr, ci = draw(GAUSSIAN.filter(lambda c: c != (0, 0)))
+            rows[i] = [(cr * xr - ci * xi, cr * xi + ci * xr) for xr, xi in rows[j]]
+    return kind, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(gram_rows())
+def test_gram_adjugate_matches_berkowitz(case):
+    kind, rows = case
+    (want_det, want_im), want_adj = gaussian_adjugate(gaussian_mat_mul(rows, _adjoint(rows)))
+    value, adj = gram_adjugate(rows)
+    assert type(value) is int and want_im == 0
+    assert value == want_det >= 0
+    # a zero determinant, forced or drawn, comes with no adjugate
+    assert adj == (want_adj if value else None)
+    if kind != "random":
+        assert value == 0
 
 
 def test_charpoly_over_gaussian_rationals():

@@ -10,15 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 from grassdesign import pairbatch
 from grassdesign.exactlinalg import (
     crt_lift,
-    gaussian_adjugate,
-    gaussian_mat_mul,
     modulus_bits,
     moduli,
     residues,
 )
 from grassdesign.grassmann import (
     EXACT,
-    _adjoint,
     RankDeficiencyError,
     SubspaceConfiguration,
     SubspacePoint,
@@ -29,7 +26,7 @@ from grassdesign.grassmann import (
 )
 from grassdesign.scalars import ExactComplex, rational
 
-from exact_oracles import pair_invariant_oracle
+from exact_oracles import _adjoint, gaussian_adjugate, gaussian_mat_mul, pair_invariant_oracle
 from seeded_configs import disguised_points, exact_document
 
 BIG_PRIME = 10**9 + 7
