@@ -6,8 +6,8 @@ Three kinds of scalar are served:
   as zero test), so the same code runs over ``Fraction``, Gaussian
   rationals and, where sensible, machine floats: determinants and matrix
   products.  The determinant, by fraction-free elimination, serves the
-  m x m integer determinant of each term of :func:`zonal.zonal_kernel`
-  and the size of a down-set; exact Schur values take none (see
+  m x m integer determinant of each term of :func:`zonal.zonal_kernel`;
+  exact Schur values take none (see
   :func:`symfunc.schur_e_polynomial`);
 * Gaussian integers stored as ``(re, im)`` pairs of Python ints, the
   scalars of the exact pair geometry: the determinant and adjugate of a

@@ -13,12 +13,13 @@ import operator
 from itertools import combinations_with_replacement
 from typing import Iterable, Optional
 
-from .exactlinalg import det
 from .scalars import rational
 
-# Most shapes a down-set or a weight-capped enumeration may hold.  A kernel
-# costs one small determinant per shape of its down-set: the largest
-# down-sets inside the budget at ranks 2 to 5 build in about a second.
+# Most shapes a down-set or a weight-capped enumeration may hold; shapes
+# are counted as they are built, so a set past the budget stops after
+# building this many.  A kernel costs one small determinant per shape of
+# its down-set: the largest down-sets inside the budget at ranks 2 to 5
+# build in about a second.
 SHAPE_BUDGET = 10_000
 
 # Largest rank m a shape enumeration takes.  Each shape of a kernel costs
@@ -69,18 +70,14 @@ class Partition:
 
     @property
     def length(self) -> int:
-        """Number of nonzero parts."""
-        return sum(1 for p in self.parts if p)
+        """Number of nonzero parts, which is also the index past the last one."""
+        return len(self.parts) - self.parts.count(0)
 
     def trimmed(self) -> tuple:
-        k = self.length_index()
-        return self.parts[:k]
+        return self.parts[: self.length]
 
     def length_index(self) -> int:
-        k = len(self.parts)
-        while k and not self.parts[k - 1]:
-            k -= 1
-        return k
+        return self.length
 
     def is_zero(self) -> bool:
         return not self.parts or not self.parts[0]
@@ -174,67 +171,45 @@ def binom(k: int, r: int):
     return rational((-1) ** r * math.comb(r - k - 1, r))
 
 
+def _shapes(caps: tuple, weight: int, message: str) -> list:
+    """Weakly decreasing p with p_i <= caps[i] and |p| <= weight, graded lex.
+
+    caps is weakly decreasing.  The rank len(caps) is checked against
+    RANK_BUDGET first; shapes are built depth first and counted as they
+    are built, and the one past SHAPE_BUDGET raises ShapeLimitError(message).
+    """
+    m = len(caps)
+    _check_rank(m)
+    found = []
+
+    def extend(prefix, cap, remaining):
+        i = len(prefix)
+        top = min(cap, caps[i], remaining) if i < m else 0
+        if not top:  # every later part is 0 as well
+            if len(found) == SHAPE_BUDGET:
+                raise ShapeLimitError(message)
+            found.append(Partition(prefix + (0,) * (m - i)))
+            return
+        for p in range(top + 1):
+            extend(prefix + (p,), p, remaining - p)
+
+    extend((), weight, weight)
+    found.sort(key=Partition.sort_key)
+    return found
+
+
 def enumerate_up_to_weight(m: int, t: int) -> list:
     """All partitions of ambient length m with weight <= t, graded lex."""
     if m < 1:
         raise ValueError(f"ambient length must be positive, got {m}")
     if t < 0:
         raise ValueError(f"weight cap must be nonnegative, got {t}")
-    _check_rank(m)
-    found = []
-
-    def extend(prefix, cap, remaining):
-        if len(prefix) == m:
-            if len(found) == SHAPE_BUDGET:
-                raise ShapeLimitError(
-                    f"more than {SHAPE_BUDGET} shapes of weight <= {t} with at most {m} parts"
-                )
-            found.append(Partition(prefix))
-            return
-        for p in range(min(cap, remaining) + 1):
-            extend(prefix + (p,), p, remaining - p)
-
-    extend((), t, t)
-    found.sort(key=Partition.sort_key)
-    return found
-
-
-def down_set_size(kappa: Partition) -> int:
-    """Number of partitions sigma <= kappa, det[binom(kappa_i + 1, i - j + 1)]."""
-    m = kappa.m
-    return det(
-        [
-            [math.comb(kappa.parts[i] + 1, i - j + 1) if j <= i + 1 else 0 for j in range(m)]
-            for i in range(m)
-        ]
-    )
+    return _shapes((t,) * m, t, f"more than {SHAPE_BUDGET} shapes of weight <= {t} with at most {m} parts")
 
 
 def down_set(kappa: Partition) -> list:
-    """All partitions sigma <= kappa (same ambient length), graded lex.
-
-    The rank is checked against RANK_BUDGET, and the size against
-    SHAPE_BUDGET, before any shape is built.
-    """
-    _check_rank(kappa.m)
-    size = down_set_size(kappa)
-    if size > SHAPE_BUDGET:
-        raise ShapeLimitError(
-            f"the shapes below {kappa.parts} exceed the budget of {SHAPE_BUDGET}"
-        )
-    found = []
-
-    def extend(prefix, i):
-        if i == kappa.m:
-            found.append(Partition(prefix))
-            return
-        cap = kappa.parts[i] if i == 0 else min(prefix[-1], kappa.parts[i])
-        for p in range(cap + 1):
-            extend(prefix + (p,), i + 1)
-
-    extend((), 0)
-    found.sort(key=Partition.sort_key)
-    return found
+    """All partitions sigma <= kappa (same ambient length), graded lex."""
+    return _shapes(kappa.parts, kappa.weight, f"the shapes below {kappa.parts} exceed the budget of {SHAPE_BUDGET}")
 
 
 def descending_grid(m: int, depth: int):

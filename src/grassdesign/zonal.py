@@ -145,7 +145,14 @@ def zonal_kernel(mu: Partition, n: int) -> ZonalPolynomial:
     shapes = down_set(mu)  # checks the shape budget before the rows below are built
     alpha = n - 2 * m
     ks = [p + m - i for i, p in enumerate(mu.parts, start=1)]
-    jacobi = [[math.comb(k + alpha + l, l) * math.comb(k, l) for l in range(ks[0] + 1)] for k in ks]
+    # row k holds C(k + alpha + l, l) C(k, l) for l = 0..k_1, each entry the
+    # last times (k + alpha + l + 1)(k - l) / (l + 1)^2, an exact division
+    jacobi = []
+    for k in ks:
+        row = [1]
+        for l in range(ks[0]):
+            row.append(row[-1] * (k + alpha + l + 1) * (k - l) // (l + 1) ** 2)
+        jacobi.append(row)
     terms = []
     for sigma in shapes:
         ls = [s + m - j for j, s in enumerate(sigma.parts, start=1)]

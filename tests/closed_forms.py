@@ -12,13 +12,16 @@ those results against:
 * ``pieri_e1``: the product X*_(1) X*_(1^j) in normalized Schurs;
 * ``weyl_dim`` of ``highest_weight``: the Weyl dimension formula over
   all C(n, 2) pairs of the length-n signature, the oracle for the
-  O(m^2) product of ``harmonic_dim``.
+  O(m^2) product of ``harmonic_dim``;
+* ``down_set_size``: the number of shapes below kappa as a lattice-path
+  determinant, the oracle for the length of ``partitions.down_set``.
 """
 
 import math
 from itertools import combinations
 from typing import Dict
 
+from grassdesign.exactlinalg import det
 from grassdesign.partitions import Partition, binom, column_shape, hook_shape
 from grassdesign.scalars import rational
 from grassdesign.symfunc import SchurExpansion
@@ -137,3 +140,14 @@ def weyl_dim(signature: tuple) -> int:
     if num % den:
         raise ArithmeticError(f"non-integral Weyl product for {signature}")
     return num // den
+
+
+def down_set_size(kappa: Partition) -> int:
+    """Number of partitions sigma <= kappa, det[binom(kappa_i + 1, i - j + 1)]."""
+    m = kappa.m
+    return det(
+        [
+            [math.comb(kappa.parts[i] + 1, i - j + 1) if j <= i + 1 else 0 for j in range(m)]
+            for i in range(m)
+        ]
+    )

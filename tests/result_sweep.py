@@ -10,8 +10,10 @@ The second is the SHA-256 of the whole stdout as written, with the
 value of ``duration_s`` and the temporary directory masked, so that the
 emitted bytes are covered too.
 The list covers every subcommand: ``antipodal --verify`` with E+F and
-T2..T4 on the coordinate sets G(m, n), 2 <= m <= 4, 2m <= n <= 8;
-``zonal`` on a few shapes at m = 2, 3, 4; ``dims``; ``bound`` and
+T2..T4 on the coordinate sets G(m, n), 2 <= m <= 4, 2m <= n <= 8, and
+T5 on G(3, 6); ``zonal`` on a few shapes at m = 2, 3, 4 and on the
+row (600) at m = 1, whose down-set has 601 shapes; ``dims``, once with
+``--max-weight`` at m = 5; ``bound`` and
 seeded ``check-nonneg`` for the certificates; ``appendix-b``; ``angles``
 on coordinate sets; and ``verify-design`` and ``angles`` on seeded
 disguised configurations and their float copies, with ``verify-design``
@@ -42,7 +44,16 @@ FAMILIES = ["E+F", "T2", "T3", "T4"]
 # (m, n, seed) of the disguised configurations
 DISGUISED = [(2, 4, 1), (2, 6, 2), (3, 6, 3)]
 # (m, n, mu) of the zonal kernels
-ZONAL = [(2, 4, "2,1"), (2, 5, "3,3"), (3, 6, "1,1,1"), (3, 7, "3,2"), (4, 8, "2,1,1"), (4, 9, "2,2,1,1")]
+ZONAL = [
+    (1, 2, "600"),
+    (2, 4, "2,1"),
+    (2, 5, "3,3"),
+    (3, 6, "1,1,1"),
+    (3, 7, "3,2"),
+    (3, 8, "3,2,1"),
+    (4, 8, "2,1,1"),
+    (4, 9, "2,2,1,1"),
+]
 SHAPES = [(2, 4), (3, 6), (3, 7), (4, 8)]
 CERTIFICATES = ["E", "F", "one"]
 
@@ -59,8 +70,10 @@ def commands(workdir: Path) -> list:
         for m, n in COORDINATE_SETS
         for family in FAMILIES
     ]
+    out.append(["antipodal", "--m", "3", "--n", "6", "--verify", "T5"])
     out += [["zonal", "--mu", mu, "--m", str(m), "--n", str(n)] for m, n, mu in ZONAL]
     out += [["dims", "--m", str(m), "--n", str(n)] for m, n in SHAPES]
+    out.append(["dims", "--m", "5", "--n", "11", "--max-weight", "8"])
     out += [["bound", "--certificate", c, "--m", str(m), "--n", str(n)] for m, n in SHAPES for c in CERTIFICATES]
     out += [
         ["--seed", "5", "check-nonneg", "--certificate", c, "--m", str(m), "--n", str(n), "--samples", "50"]

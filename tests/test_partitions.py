@@ -1,6 +1,8 @@
 """Partition combinatorics: shapes, coefficients, binomial identity suite."""
 
+import time
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,13 +15,13 @@ from grassdesign.partitions import (
     column_shape,
     descending_grid,
     down_set,
-    down_set_size,
     enumerate_up_to_weight,
     hook_shape,
     row_shape,
 )
 from grassdesign.scalars import rational
 
+from closed_forms import down_set_size
 from james_constantine import (
     ascending,
     double_content_sum,
@@ -282,8 +284,8 @@ class TestEnumeration:
                 assert down_set_size(mu) == len(down_set(mu)), mu
 
     def test_shape_budget(self):
-        # a row of length r has r + 1 shapes below it; the count is taken
-        # before any shape is built, so a 20-digit row fails at once
+        # a row of length r has r + 1 shapes below it; shapes are counted
+        # as they are built, so a 20-digit row fails after SHAPE_BUDGET shapes
         assert len(down_set(row_shape(SHAPE_BUDGET - 1, 1))) == SHAPE_BUDGET
         assert len(enumerate_up_to_weight(1, SHAPE_BUDGET - 1)) == SHAPE_BUDGET
         for kappa in (row_shape(SHAPE_BUDGET, 1), row_shape(10**20, 1), Partition([60, 50, 40])):
@@ -292,6 +294,40 @@ class TestEnumeration:
         for m, t in ((1, SHAPE_BUDGET), (2, 10**8), (4, 10**8)):
             with pytest.raises(ShapeLimitError):
                 enumerate_up_to_weight(m, t)
+
+    @given(st.lists(st.integers(0, 7), min_size=1, max_size=5))
+    def test_down_set_is_the_shapes_below(self, parts):
+        kappa = Partition(sorted(parts, reverse=True))
+        below = [s for s in enumerate_up_to_weight(kappa.m, kappa.weight) if s <= kappa]
+        ds = down_set(kappa)
+        assert ds == below
+        assert len(ds) == down_set_size(kappa)
+
+    @given(st.integers(1, 5), st.integers(0, 9))
+    def test_enumeration_matches_brute_force(self, m, t):
+        brute = [Partition(p) for p in combinations_with_replacement(range(t, -1, -1), m) if sum(p) <= t]
+        brute.sort(key=Partition.sort_key)
+        assert enumerate_up_to_weight(m, t) == brute
+
+    @pytest.mark.parametrize(
+        "parts",
+        [(10**2200, 10**2200), (100,) * 64, (3,) * 64, (SHAPE_BUDGET,)],
+        ids=["two-huge-parts", "hundreds-at-rank-64", "threes-at-rank-64", "row-past-budget"],
+    )
+    def test_budget_exit_is_quick(self, parts):
+        # the builder stops at the shape past the budget, whatever the
+        # size of the whole down-set
+        kappa = Partition(parts)
+        started = time.perf_counter()
+        with pytest.raises(ShapeLimitError) as err:
+            down_set(kappa)
+        assert time.perf_counter() - started < 1
+        assert str(err.value) == f"the shapes below {parts} exceed the budget of {SHAPE_BUDGET}"
+
+    def test_enumeration_budget_message(self):
+        with pytest.raises(ShapeLimitError) as err:
+            enumerate_up_to_weight(2, 10**8)
+        assert str(err.value) == f"more than {SHAPE_BUDGET} shapes of weight <= {10**8} with at most 2 parts"
 
     def test_containment_partial_order(self):
         shapes = enumerate_up_to_weight(3, 4)

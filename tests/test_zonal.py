@@ -234,6 +234,15 @@ class TestKernels:
             sys.setrecursionlimit(limit)
         assert kernel == zonal_row(80, 1, 2)
 
+    def test_deep_row_kernel_builds(self):
+        # each Jacobi row comes from a ratio recurrence, one small-integer
+        # multiply and exact divide per entry, so the table is not the
+        # bottleneck of a 4001-term kernel
+        started = time.perf_counter()
+        kernel = zonal_kernel.__wrapped__(row_shape(4000, 1), 2)
+        assert time.perf_counter() - started < 2
+        assert len(kernel.expansion.coeffs) == 4001
+
     def test_rank_forty_kernel_builds(self):
         # one 40 x 40 integer determinant per term, by elimination
         started = time.perf_counter()
