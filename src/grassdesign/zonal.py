@@ -7,8 +7,9 @@ its value at the all-ones point equals the component's dimension.  This
 module builds these kernels exactly:
 
 * ``zonal_kernel``, the general construction: each coefficient over the
-  normalized Schur polynomials is one m x m integer determinant of
-  one-variable Jacobi-polynomial coefficients (the bialternant form);
+  normalized Schur polynomials is one l(mu) x l(mu) integer minor of
+  one-variable Jacobi-polynomial coefficients (the bialternant form,
+  whose full m x m determinants are kept in ``tests/closed_forms.py``);
 * closed-form expansions for single-column, single-row and hook shapes,
   kept as independent cross-checks of the general construction.
 
@@ -136,7 +137,11 @@ def zonal_kernel(mu: Partition, n: int) -> ZonalPolynomial:
     coefficient of X*_sigma is proportional to
     (-1)^{|sigma|} s_sigma(1) det[binom(k_i + alpha + l_j, l_j) binom(k_i, l_j)],
     where (-1)^{k - l} binom(k + alpha + l, l) binom(k, l) is the y^l
-    coefficient of the Jacobi polynomial P_k^{(alpha, 0)}(2y - 1).  Every
+    coefficient of the Jacobi polynomial P_k^{(alpha, 0)}(2y - 1).  With
+    L = l(mu), rows i > L have k_i = m - i and vanish past l = k_i, so
+    the m x m matrix is block upper triangular: its lower-right block is
+    triangular with a diagonal that no sigma changes, and the scaling
+    cancels it.  Only the top-left L x L minor is taken.  Every
     coefficient is an integer until the expansion is scaled to meet the
     dimension at the all-ones point.
     """
@@ -144,7 +149,8 @@ def zonal_kernel(mu: Partition, n: int) -> ZonalPolynomial:
     _require_ambient(m, n)
     shapes = down_set(mu)  # checks the shape budget before the rows below are built
     alpha = n - 2 * m
-    ks = [p + m - i for i, p in enumerate(mu.parts, start=1)]
+    length = mu.length
+    ks = [p + m - i for i, p in enumerate(mu.parts[:length], start=1)]
     # row k holds C(k + alpha + l, l) C(k, l) for l = 0..k_1, each entry the
     # last times (k + alpha + l + 1)(k - l) / (l + 1)^2, an exact division
     jacobi = []
@@ -155,7 +161,7 @@ def zonal_kernel(mu: Partition, n: int) -> ZonalPolynomial:
         jacobi.append(row)
     terms = []
     for sigma in shapes:
-        ls = [s + m - j for j, s in enumerate(sigma.parts, start=1)]
+        ls = [s + m - j for j, s in enumerate(sigma.parts[:length], start=1)]
         # s_sigma(1, ..., 1), an integer
         c = schur_norm(sigma).numerator * det([[row[l] for l in ls] for row in jacobi])
         terms.append((sigma, -c if sigma.weight % 2 else c))

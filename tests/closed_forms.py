@@ -14,7 +14,9 @@ those results against:
   all C(n, 2) pairs of the length-n signature, the oracle for the
   O(m^2) product of ``harmonic_dim``;
 * ``down_set_size``: the number of shapes below kappa as a lattice-path
-  determinant, the oracle for the length of ``partitions.down_set``.
+  determinant, the oracle for the length of ``partitions.down_set``;
+* ``bialternant_kernel``: the kernel from one full m x m determinant per
+  term, the oracle for the l(mu) x l(mu) minors of ``zonal_kernel``.
 """
 
 import math
@@ -22,10 +24,10 @@ from itertools import combinations
 from typing import Dict
 
 from grassdesign.exactlinalg import det
-from grassdesign.partitions import Partition, binom, column_shape, hook_shape
+from grassdesign.partitions import Partition, binom, column_shape, down_set, hook_shape
 from grassdesign.scalars import rational
-from grassdesign.symfunc import SchurExpansion
-from grassdesign.zonal import _require_ambient, zonal_kernel
+from grassdesign.symfunc import SchurExpansion, schur_norm
+from grassdesign.zonal import ZonalPolynomial, _require_ambient, harmonic_dim, zonal_kernel
 
 
 def schur_in_zonal_basis(i: int, m: int, n: int) -> Dict[Partition, object]:
@@ -151,3 +153,27 @@ def down_set_size(kappa: Partition) -> int:
             for i in range(m)
         ]
     )
+
+
+def bialternant_kernel(mu: Partition, n: int) -> ZonalPolynomial:
+    """Kernel of mu on G(m, n) from the full m x m bialternant determinant of each term.
+
+    With alpha = n - 2m, k_i = mu_i + m - i and l_j = sigma_j + m - j, the
+    coefficient of X*_sigma is proportional to
+    (-1)^{|sigma|} s_sigma(1) det[binom(k_i + alpha + l_j, l_j) binom(k_i, l_j)]
+    (Roy, J. Algebraic Combin. 2010), scaled to the dimension at ones.
+    """
+    m = mu.m
+    _require_ambient(m, n)
+    alpha = n - 2 * m
+    ks = [p + m - i for i, p in enumerate(mu.parts, start=1)]
+    terms = []
+    for sigma in down_set(mu):
+        ls = [s + m - j for j, s in enumerate(sigma.parts, start=1)]
+        c = schur_norm(sigma).numerator * det(
+            [[math.comb(k + alpha + l, l) * math.comb(k, l) for l in ls] for k in ks]
+        )
+        terms.append((sigma, -c if sigma.weight % 2 else c))
+    total = sum(c for _, c in terms)
+    dim = harmonic_dim(mu, n)
+    return ZonalPolynomial(mu, n, SchurExpansion(m, [(s, rational(c * dim, total)) for s, c in terms]))

@@ -1,13 +1,16 @@
 """Seeded configuration documents for the tests and the result sweep.
 
-:func:`disguised_points` maps the coordinate m-subspaces of C^n through
-a seeded exact unitary, chains of (3, 4, 5) Givens rotations over
-shuffled coordinate orders followed by Gaussian phases such as
-(3 + 4i)/5, and recombines each point's rows by a seeded unimodular
-Gaussian-integer matrix.  Angles and defects are those of the coordinate
-set; the entries are dense Gaussian rationals.  Values are (re, im)
-pairs of ``Fraction`` and nothing here calls the package, so a document
-is the same bytes whatever the package does.
+:func:`disguise` maps points of C^n through a seeded exact unitary,
+chains of (3, 4, 5) Givens rotations over shuffled coordinate orders
+followed by Gaussian phases such as (3 + 4i)/5, and recombines each
+point's rows by a seeded unimodular Gaussian-integer matrix.  Angles and
+defects are those of the original points; the entries are dense
+Gaussian rationals.  :func:`disguised_points` disguises the coordinate
+m-subspaces of C^n, :func:`dense_point` draws a seeded point with small
+Gaussian-integer entries, and :func:`complement_closed_points` takes
+each V and V^perp from the rows of one seeded unitary.  Values are
+(re, im) pairs of ``Fraction`` and nothing here calls the package, so a
+document is the same bytes whatever the package does.
 """
 
 import random
@@ -59,15 +62,50 @@ def _unimodular(m: int, rng: random.Random) -> list:
     return [[_dot(row, col) for col in zip(*upper)] for row in lower]
 
 
+def disguise(points: list, seed: int) -> list:
+    """The points, each a list of rows of (re, im) pairs, disguised from ``seed``."""
+    rng = random.Random(seed)
+    unitary = _unitary(len(points[0][0]), rng)
+    out = []
+    for rows in points:
+        moved = [[_dot(row, col) for col in zip(*unitary)] for row in rows]
+        mix = _unimodular(len(rows), rng)
+        out.append([[_dot(row, col) for col in zip(*moved)] for row in mix])
+    return out
+
+
+def coordinate_points(m: int, n: int) -> list:
+    """Bases of the coordinate m-subspaces of C^n, in lexicographic subset order."""
+    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    return [[[one if j == i else zero for j in range(n)] for i in idx] for idx in combinations(range(n), m)]
+
+
 def disguised_points(m: int, n: int, seed: int) -> list:
     """Bases of the coordinate m-subspaces of C^n, disguised from ``seed``."""
+    return disguise(coordinate_points(m, n), seed)
+
+
+def six_points() -> list:
+    """The six planes of C^4 that meet the design bound without being antipodal."""
+    coordinate = coordinate_points(2, 4)
+    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    e3 = [zero, zero, one, zero]
+    tilted = [[[one, (Fraction(0), Fraction(s)), zero, zero], e3] for s in (1, -1)]
+    return [coordinate[0], coordinate[5], coordinate[2], coordinate[4]] + tilted
+
+
+def dense_point(m: int, n: int, seed: int) -> list:
+    """A seeded m x n basis with Gaussian-integer entries of parts in -3..3."""
     rng = random.Random(seed)
-    unitary = _unitary(n, rng)
+    return [[(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))) for _ in range(n)] for _ in range(m)]
+
+
+def complement_closed_points(m: int, seeds: list) -> list:
+    """V and V^perp in G(m, 2m) for each seed: the first and last m rows of one seeded unitary."""
     points = []
-    for idx in combinations(range(n), m):
-        rows = [unitary[i] for i in idx]
-        mix = _unimodular(m, rng)
-        points.append([[_dot(row, col) for col in zip(*rows)] for row in mix])
+    for seed in seeds:
+        unitary = _unitary(2 * m, random.Random(seed))
+        points += [unitary[:m], unitary[m:]]
     return points
 
 

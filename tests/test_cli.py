@@ -733,6 +733,17 @@ def test_long_row_stays_under_the_shape_budget(capsys):
     assert len(doc["result"]["terms"]) == 601
 
 
+def test_short_shape_at_the_rank_budget_builds_fast(capsys):
+    # three 3 x 3 minors per term: the cost of a kernel follows l(mu), not m
+    for cached in (zonal.zonal_kernel, zonal.harmonic_dim, symfunc.schur_norm):
+        cached.cache_clear()
+    started = time.perf_counter()
+    code, doc = run_json(capsys, "zonal", "--mu", "3,3,2", "--m", str(RANK_BUDGET), "--n", str(2 * RANK_BUDGET))
+    assert time.perf_counter() - started < 1
+    assert code == 0
+    assert len(doc["result"]["terms"]) == 19
+
+
 def test_parser_keeps_no_state_between_calls(capsys):
     argv = ["check-nonneg", "--certificate", "E", "--m", "2", "--n", "4", "--depth", "3",
             "--samples", "2"]

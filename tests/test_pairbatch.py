@@ -1,7 +1,14 @@
-"""The multi-modular pair batch against the per-pair integer oracle."""
+"""The multi-modular pair batch against the per-pair integer oracle.
 
+Antipodal pairs are certified by the trace identity D tr M = tr M^2 and
+never reach Newton's identities or the Chinese remainder lift; the
+tests below count both calls.
+"""
+
+import contextlib
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -115,6 +122,134 @@ def test_batch_matches_per_pair_oracle(config):
         counts[e] = counts.get(e, 0) + (1 if i == j else 2)
     assert config.invariant_classes() == counts
     assert config.pair_invariants() == expected
+
+
+def binomial_invariant(e) -> bool:
+    """Whether (e_1, .., e_m) is (C(w, 1), .., C(w, m)) for some w, i.e. every angle is 0 or 1."""
+    return any(e == tuple(math.comb(w, k) for k in range(1, len(e) + 1)) for w in range(len(e) + 1))
+
+
+@contextlib.contextmanager
+def recorded(name):
+    """Record the first argument of every call of pairbatch.<name> inside the block."""
+    calls = []
+    original = getattr(pairbatch, name)
+    with mock.patch.object(pairbatch, name, lambda values, *rest: calls.append(values) or original(values, *rest)):
+        yield calls
+
+
+def newton_pairs(calls) -> int:
+    """The number of pair matrices that reached Newton's identities."""
+    return sum(mats[0].shape[1] for mats in calls)
+
+
+@st.composite
+def mixed_configurations(draw):
+    """An antipodal set, or the six-point set, possibly disguised, with one random exact point among them.
+
+    The pairs of the random point are generic, so antipodal and generic
+    pairs share every chunk; m = 1 is included.
+    """
+    base = draw(st.sampled_from([(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), "six"]))
+    config = six_point_config() if base == "six" else great_antipodal(*base)
+    points = config.points[:8]
+    if draw(st.booleans()):
+        points = unitary_image(SubspaceConfiguration(points), draw(st.integers(0, 2**32))).points
+    m, n = config.m, config.n
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    try:
+        extra = SubspacePoint(rows, mode=EXACT)
+    except RankDeficiencyError:
+        assume(False)
+    points.insert(draw(st.integers(0, len(points))), extra)
+    return SubspaceConfiguration(points, label="mixed")
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=mixed_configurations())
+def test_certificate_splits_mixed_batches_exactly(config):
+    pairs = all_pairs(len(config))
+    expected = [pair_invariant_oracle(config[i], config[j]) for i, j in pairs]
+    with recorded("elementary_mod") as newton:
+        invariants, classes = invariant_batch(config.points, *zip(*pairs))
+    assert [invariants[c] for c in classes.tolist()] == expected
+    assert invariants == list(dict.fromkeys(expected))
+    # exactly the pairs with an angle off {0, 1} go on to Newton's identities
+    assert newton_pairs(newton) == sum(not binomial_invariant(e) for e in expected)
+
+
+def test_antipodal_sets_skip_newton_and_lifting():
+    disguised = SubspaceConfiguration.from_json(exact_document(disguised_points(3, 6, 3), "disguised-3-6"))
+    for config in (great_antipodal(4, 8), disguised):
+        pairs = all_pairs(len(config))
+        with recorded("elementary_mod") as newton, recorded("crt_lift") as lifts:
+            invariants, classes = invariant_batch(config.points, *zip(*pairs))
+        assert newton == lifts == []
+        assert invariants == [tuple(rational(math.comb(w, k)) for k in range(1, config.m + 1)) for w in range(config.m, -1, -1)]
+        assert len(classes) == len(pairs)
+    # the six-point set: only its four pairs with angles (1/2, 0) go on
+    config = six_point_config()
+    pairs = all_pairs(len(config))
+    expected = [pair_invariant_oracle(config[i], config[j]) for i, j in pairs]
+    with recorded("elementary_mod") as newton, recorded("crt_lift") as lifts:
+        invariants, classes = invariant_batch(config.points, *zip(*pairs))
+    assert [invariants[c] for c in classes.tolist()] == expected
+    assert newton_pairs(newton) == sum(not binomial_invariant(e) for e in expected) == 4
+    assert len(lifts) == 1
+
+
+def parent_primes(points) -> list:
+    """The primes of the batch without the certificate's range: twice the range of every e_k(M)."""
+    m, n = points[0].m, points[0].n
+    top = max(p.inv_den for p in points) ** 2
+    return moduli(modulus_bits(2 * n), 2 * max(math.comb(m, j) * top**j for j in range(1, m + 1)) + 1)
+
+
+def test_certificate_needs_no_extra_prime_past_rank_one():
+    doc = exact_document(disguised_points(3, 6, 3), "disguised-3-6")
+    for config in (
+        great_antipodal(2, 4),
+        six_point_config(),
+        SubspaceConfiguration.from_json(doc),
+        unitary_image(great_antipodal(2, 5), 7),
+        unitary_image(great_antipodal(3, 6), 8),
+    ):
+        assert pairbatch._PairBatch(config.points).primes == parent_primes(config.points)
+
+
+def line(k) -> SubspacePoint:
+    """The line through (k, 0) of G(1, 2), whose Gram inverse is 1 / k^2."""
+    return SubspacePoint([[ExactComplex(k), ExactComplex(0)]], mode=EXACT)
+
+
+def test_rank_one_bound_covers_the_certificate():
+    # at m = 1, D^2 y (1 - y) <= D^2 / 4 passes twice the range [0, D] of
+    # e_1(M): the primes grow with D^2, not with D
+    for k in (1, 3, 2**10, 2**40, BIG_PRIME):
+        points = [line(k), line(1)]
+        batch = pairbatch._PairBatch(points)
+        d = max(p.inv_den for p in points) ** 2
+        assert math.prod(batch.primes) > d * d // 4
+        assert len(batch.primes) >= len(parent_primes(points))
+    assert len(pairbatch._PairBatch([line(2**40), line(1)]).primes) > len(parent_primes([line(2**40), line(1)]))
+    points = unitary_image(great_antipodal(1, 3), 4).points
+    pairs = all_pairs(len(points))
+    invariants, classes = invariant_batch(points, *zip(*pairs))
+    assert [invariants[c] for c in classes.tolist()] == [pair_invariant_oracle(points[i], points[j]) for i, j in pairs]
+
+
+def test_certified_pair_with_no_weight_raises():
+    # M = c D with c = 1 modulo the first prime and 0 modulo the others:
+    # D tr M = tr M^2 holds modulo every prime, yet tr M is no w D
+    a = line(2**20)
+    primes = pairbatch._PairBatch([a, a]).primes
+    assert len(primes) > 1
+    total = math.prod(primes)
+    c = total // primes[0] * pow(total // primes[0], -1, primes[0])
+    b = SubspacePoint(a.basis, mode=EXACT)
+    b.inv_num = [[(c, 0)]]
+    with pytest.raises(ArithmeticError, match="outside its range"):
+        invariant_batch([a, b], [0], [1])
 
 
 def test_gram_inverse_in_lowest_terms():

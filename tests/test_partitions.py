@@ -309,6 +309,19 @@ class TestEnumeration:
         brute.sort(key=Partition.sort_key)
         assert enumerate_up_to_weight(m, t) == brute
 
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=6))
+    def test_built_shapes_equal_validated_ones(self, parts):
+        # the builder's shapes skip validation; each is the shape that
+        # public construction makes of the same parts
+        for shape in down_set(Partition(sorted(parts, reverse=True))):
+            checked = Partition(shape.parts)
+            assert shape == checked and hash(shape) == hash(checked)
+            assert type(shape.parts) is tuple and all(type(p) is int for p in shape.parts)
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            Partition(sorted(parts) + [6])
+        with pytest.raises(ValueError, match="negative"):
+            Partition(parts + [-1])
+
     @pytest.mark.parametrize(
         "parts",
         [(10**2200, 10**2200), (100,) * 64, (3,) * 64, (SHAPE_BUDGET,)],

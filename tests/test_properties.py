@@ -31,7 +31,7 @@ from grassdesign.grassmann import (
 from grassdesign.scalars import ExactComplex, rational
 from grassdesign.zonal import zonal_kernel
 
-from exact_oracles import angle_polynomial
+from exact_oracles import angle_polynomial, orthogonal_complement
 
 CONFIGS = {"six-point": six_point_config(), "great-antipodal": great_antipodal(2, 4)}
 
@@ -218,6 +218,33 @@ def test_antipodal_invariant_decides_zero_one_angles(angles):
         for k in range(1, len(angles) + 1)
     )
     assert antipodal_invariant(e) == all(v in (0, 1) for v in angles)
+
+
+@st.composite
+def complement_closed_sets(draw):
+    """{V_i, V_i^perp} for one to three random exact points V_i of G(m, 2m), m <= 3."""
+    m = draw(st.integers(1, 3))
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(st.lists(st.lists(gaussian_ints, min_size=2 * m, max_size=2 * m), min_size=m, max_size=m))
+        try:
+            point = SubspacePoint(rows, mode=EXACT)
+        except RankDeficiencyError:
+            assume(False)
+        points += [point, orthogonal_complement(point)]
+    return SubspaceConfiguration(points, label="complement-closed")
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=complement_closed_sets())
+def test_complement_closed_sets_average_every_odd_component(config):
+    # V -> V^perp maps the angles y to 1 - y, and at n = 2m the Jacobi
+    # parameter is 0, so Z_mu(1 - y) = (-1)^|mu| Z_mu(y): the pairs of an
+    # odd-weight defect cancel two by two
+    odd = [mu for mu in weight_family(config.m, 5) if mu.weight % 2]
+    assert [entry.defect for entry in is_T_design(config, odd).entries] == [0] * len(odd)
+    # every (V, V^perp) is an antipodal pair with no angle 1
+    assert config.invariant_classes()[(0,) * config.m] >= len(config)
 
 
 def round_trip(config):

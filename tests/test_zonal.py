@@ -28,7 +28,7 @@ from grassdesign.zonal import (
     zonal_row,
 )
 
-from closed_forms import highest_weight, schur_in_zonal_basis, weyl_dim, zonal_product_column
+from closed_forms import bialternant_kernel, highest_weight, schur_in_zonal_basis, weyl_dim, zonal_product_column
 from james_constantine import (
     PoleError,
     generalized_binomial,
@@ -244,11 +244,18 @@ class TestKernels:
         assert len(kernel.expansion.coeffs) == 4001
 
     def test_rank_forty_kernel_builds(self):
-        # one 40 x 40 integer determinant per term, by elimination
+        # one 1 x 1 minor per term: l((1)) = 1 whatever the rank
         started = time.perf_counter()
         kernel = zonal_kernel(row_shape(1, 40), 80)
         assert time.perf_counter() - started < 5
         assert kernel == zonal_row(1, 40, 80)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 6), gap=st.integers(0, 3))
+    def test_minors_match_the_full_bialternant(self, data, m, gap):
+        parts = sorted(data.draw(st.lists(st.integers(0, 6), min_size=m, max_size=m)), reverse=True)
+        mu, n = Partition(parts), 2 * m + gap
+        assert zonal_kernel.__wrapped__(mu, n) == bialternant_kernel(mu, n)
 
     def test_rank_past_the_budget_is_refused(self):
         with pytest.raises(ShapeLimitError, match=str(RANK_BUDGET)):
