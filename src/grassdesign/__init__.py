@@ -21,7 +21,6 @@ from .grassmann import (
     principal_angles,
     random_subspace,
     six_point_config,
-    symmetry_image,
 )
 from .designs import (
     CoefficientFunction,
@@ -75,7 +74,6 @@ __all__ = [
     "row_shape",
     "schur_eval",
     "six_point_config",
-    "symmetry_image",
     "weight_family",
     "zonal_kernel",
 ]

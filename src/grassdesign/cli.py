@@ -7,7 +7,11 @@ Every subcommand prints one JSON document to stdout of the form
 indenting encoder).  The manifest records the command, its full
 parameter set, the seed, the library version and the wall-clock
 duration; given identical parameters the ``result`` payload is
-byte-identical across runs in exact mode.  Exit codes: 0 success or
+byte-identical across runs in exact mode.  Exact integers are written
+whole, however many digits they have: Python's limit on int/str
+conversion is lifted while the document is built and written, and the
+caller's limit is put back after it; inputs are read under the default
+limit of 4,300 digits.  Exit codes: 0 success or
 verified, 1 verification failed, 2 usage error, 3 computational error.
 A computational error prints ``{"error": {"code": ..., "message": ...}}``
 to stderr; an exception no code names is reported as ``internal``.
@@ -63,18 +67,45 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+# main writes exact integers of any size, so it lifts Python's limit on
+# int/str conversion while the document is built and written; inputs
+# are still read under the default limit of 4,300 digits.
+_INPUT_DIGITS = sys.int_info.default_max_str_digits
+
+
+class _DigitLimit:
+    """Python's int/str conversion limit set to ``limit`` (0: none) inside a ``with`` block.
+
+    A class: a ``contextlib.contextmanager`` generator added about 10 us
+    to each small command, which enters three of these.
+    """
+
+    __slots__ = ("limit", "previous")
+
+    def __init__(self, limit: int):
+        self.limit = limit
+
+    def __enter__(self):
+        self.previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(self.limit)
+
+    def __exit__(self, *exc):
+        sys.set_int_max_str_digits(self.previous)
+
+
 def _parse_mu(text: str, m: int) -> Partition:
-    parts = [int(v) for v in text.split(",") if v.strip() != ""]
+    with _DigitLimit(_INPUT_DIGITS):
+        parts = [int(v) for v in text.split(",") if v.strip() != ""]
     return Partition(parts, m=m)
 
 
 def _load_config(path: str) -> SubspaceConfiguration:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _DigitLimit(_INPUT_DIGITS), open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
-    return SubspaceConfiguration.from_json(data)
+        return SubspaceConfiguration.from_json(data)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -200,7 +231,8 @@ def cmd_angles(args) -> tuple:
 
 
 def _verify(config: SubspaceConfiguration, family_spec: str, tol: float):
-    family = designs.parse_family(family_spec, config.m)
+    with _DigitLimit(_INPUT_DIGITS):
+        family = designs.parse_family(family_spec, config.m)
     report = designs.is_T_design(config, family, tol=tol)
     code = EXIT_OK if report.design else EXIT_VERIFY_FAILED
     return code, report
@@ -345,40 +377,40 @@ def _compute_error(code: str, message: str) -> int:
 
 def main(argv=None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    with _DigitLimit(_INPUT_DIGITS):
+        args = parser.parse_args(argv)
     params = {
         k: v
         for k, v in sorted(vars(args).items())
         if k not in ("fn", "command") and v is not None
     }
     started = time.perf_counter()
-    try:
-        code, result, csv_rows = args.fn(args)
-        manifest = {
-            "command": args.command,
-            "params": params,
-            "seed": args.seed,
-            "version": __version__,
-            "duration_s": round(time.perf_counter() - started, 6),
-        }
-        # built under the handlers: an integer too long for str() is a
-        # usage error here as anywhere else
-        text = _document_text(args, manifest, result, csv_rows)
-    except tuple(_ERROR_CODES) as exc:
-        return _compute_error(_ERROR_CODES[type(exc)], str(exc))
-    except (ValueError, OSError) as exc:
-        parser.exit(EXIT_USAGE, f"error: {exc}\n")
-    except Exception as exc:
-        # exit 1 is a negative verdict only, so a fault of the program
-        # exits 3 like any other computation that did not finish, naming
-        # the frame that raised in place of a traceback
-        tb = exc.__traceback__
-        while tb.tb_next:
-            tb = tb.tb_next
-        code = tb.tb_frame.f_code
-        where = f"{Path(code.co_filename).name}:{tb.tb_lineno} in {code.co_name}"
-        return _compute_error("internal", f"{type(exc).__name__}: {exc} ({where})")
-    sys.stdout.write(text)
+    with _DigitLimit(0):
+        try:
+            code, result, csv_rows = args.fn(args)
+            manifest = {
+                "command": args.command,
+                "params": params,
+                "seed": args.seed,
+                "version": __version__,
+                "duration_s": round(time.perf_counter() - started, 6),
+            }
+            text = _document_text(args, manifest, result, csv_rows)
+        except tuple(_ERROR_CODES) as exc:
+            return _compute_error(_ERROR_CODES[type(exc)], str(exc))
+        except (ValueError, OSError) as exc:
+            parser.exit(EXIT_USAGE, f"error: {exc}\n")
+        except Exception as exc:
+            # exit 1 is a negative verdict only, so a fault of the program
+            # exits 3 like any other computation that did not finish, naming
+            # the frame that raised in place of a traceback
+            tb = exc.__traceback__
+            while tb.tb_next:
+                tb = tb.tb_next
+            code = tb.tb_frame.f_code
+            where = f"{Path(code.co_filename).name}:{tb.tb_lineno} in {code.co_name}"
+            return _compute_error("internal", f"{type(exc).__name__}: {exc} ({where})")
+        sys.stdout.write(text)
     return code
 
 

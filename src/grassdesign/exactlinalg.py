@@ -20,7 +20,9 @@ Three kinds of scalar are served:
   Newton's identities.  Every sum stays below 2^63 by the choice of the
   prime width, so the arithmetic is exact.  Integers enter by ``%``, in
   one int64 array when they fit in a word, and leave by the textbook
-  Chinese remainder sum, in Python integers.
+  Chinese remainder sum, in Python integers.  Primes that are 1 mod 4
+  (:func:`split_moduli`) come with a square root s of -1, so that
+  i -> s maps a Gaussian-integer matrix to a single residue matrix.
 
 Matrices are lists of lists outside the modular kernels; their sizes in
 this package stay in the single digits, so clarity wins over asymptotics.
@@ -128,7 +130,8 @@ def gram_adjugate(rows):
 # Deterministic Miller-Rabin witnesses for every integer below 2^64.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Primes below 2^bits, largest first, keyed by bits; a list grows on demand.
+# Primes below 2^bits, largest first, keyed by (bits, step): step 2 lists
+# the odd primes, step 4 those that are 1 mod 4; a list grows on demand.
 _PRIMES: dict = {}
 
 
@@ -162,20 +165,46 @@ def modulus_bits(terms: int) -> int:
     return bits
 
 
-def moduli(bits: int, bound: int) -> list:
-    """The largest primes below 2^bits, as few as make their product exceed ``bound``."""
-    found = _PRIMES.setdefault(bits, [])
+def _largest_primes(bits: int, bound: int, step: int) -> list:
+    """The largest primes below 2^bits that are 1 mod ``step``, as few as make their product exceed ``bound``."""
+    found = _PRIMES.setdefault((bits, step), [])
     product, count = 1, 0
     while product <= bound:
         if count == len(found):
-            q = (found[-1] if found else 1 << bits) - 1
-            q -= 1 - q % 2
+            q = found[-1] - step if found else (1 << bits) - step + 1
             while not _is_prime(q):
-                q -= 2
+                q -= step
             found.append(q)
         product *= found[count]
         count += 1
     return found[:count]
+
+
+def moduli(bits: int, bound: int) -> list:
+    """The largest primes below 2^bits, as few as make their product exceed ``bound``."""
+    return _largest_primes(bits, bound, 2)
+
+
+@lru_cache(maxsize=None)
+def _root_of_minus_one(p: int) -> int:
+    """s with s^2 = -1 mod a prime p that is 1 mod 4."""
+    g = 2
+    while pow(g, (p - 1) // 2, p) != p - 1:
+        g += 1
+    # g is a non-residue, so g^((p - 1) / 4) squares to g^((p - 1) / 2) = -1
+    return pow(g, (p - 1) // 4, p)
+
+
+def split_moduli(bits: int, bound: int) -> list:
+    """Pairs (p, s): the largest primes p = 1 mod 4 below 2^bits, as few as make their product exceed ``bound``.
+
+    Such a prime splits in Z[i]: with s^2 = -1 mod p, i -> s is a ring
+    map Z[i] -> F_p, which takes a Gaussian-integer matrix to one residue
+    matrix.  Its kernel is an ideal of norm p, so a Gaussian integer x
+    that maps to 0 for every p has a norm |x|^2 divisible by their
+    product: when that product exceeds |x|^2, x = 0.
+    """
+    return [(p, _root_of_minus_one(p)) for p in _largest_primes(bits, bound, 4)]
 
 
 def residues(values: list, primes: list) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Points of G(m, n), principal angles, geodesic symmetries, antipodality.
+"""Points of G(m, n), principal angles, antipodality.
 
 A point is an m-dimensional subspace of C^n given by a full-rank m x n
 basis matrix whose rows span it.  Two modes coexist:
@@ -11,12 +11,17 @@ basis matrix whose rows span it.  Two modes coexist:
   eigenvalues of the integer matrix N_a C N_b C^H, C the cross-Gram,
   whose elementary symmetric values give the pair invariant
   (e_1, .., e_m) of the angles with no root found.  A configuration
+  counts its classes first from its atoms
+  (:func:`pairbatch.atom_classes`): pairwise antipodal points are sums
+  of orthogonal atoms of C^n, certified exactly, and a pair's invariant
+  follows from the total rank of the atoms it shares, with no pair
+  product.  Any failed check, and any request for the pairs themselves,
   evaluates every pair in one multi-modular batch
   (:func:`pairbatch.invariant_batch`: int64 residues modulo word-size
   primes; antipodal pairs certified by the trace identity
   D tr M = tr M^2 and read off tr M, the others lifted by Chinese
-  remaindering once per distinct class) and counts its classes from the
-  batch without a per-pair table.  Defects,
+  remaindering once per distinct class), whose classes are counted
+  without a per-pair table.  Defects,
   antipodality and the tightness tests read only invariants, so they
   hold for any exact configuration.  Angles themselves, for display,
   are read off each distinct invariant once (:func:`invariant_angles`:
@@ -60,8 +65,8 @@ import numpy as np
 
 from . import pairbatch
 from .exactlinalg import gram_adjugate, mat_mul
-from .pairbatch import invariant_batch
-from .scalars import CX_ZERO, EXACT_REAL_TYPES, ExactComplex, as_exact_complex, gaussian_parts, rational, rational_to_str
+from .pairbatch import atom_classes, invariant_batch
+from .scalars import EXACT_REAL_TYPES, ExactComplex, as_exact_complex, gaussian_parts, rational, rational_to_str
 
 EXACT = "exact"
 FLOAT = "float"
@@ -342,7 +347,7 @@ def _load_points(bases: list, mode: str, declared) -> tuple:
 class SubspaceConfiguration:
     """Ordered list of points sharing one ambient G(m, n) and one mode."""
 
-    __slots__ = ("points", "label", "m", "n", "mode", "_pairs", "_invariants", "_frames")
+    __slots__ = ("points", "label", "m", "n", "mode", "_pairs", "_invariants", "_classes", "_frames")
 
     def __init__(self, points: Sequence[SubspacePoint], label: str = ""):
         points = list(points)
@@ -357,7 +362,7 @@ class SubspaceConfiguration:
         self.points = points
         self.label = label
         self.m, self.n, self.mode = first.m, first.n, first.mode
-        self._pairs = self._invariants = self._frames = None
+        self._pairs = self._invariants = self._classes = self._frames = None
 
     def __len__(self):
         return len(self.points)
@@ -397,15 +402,25 @@ class SubspaceConfiguration:
         return self._per_pair(self._invariant_table()[2])
 
     def invariant_classes(self) -> dict:
-        """Multiplicities of angle invariants over all ordered pairs (exact mode).
+        """Multiplicities of angle invariants over all ordered pairs (exact mode), in order of first pair.
 
-        Counted from the batch's classes; no per-pair table is built.
+        Counted once, from the atoms of an antipodal set
+        (:func:`pairbatch.atom_classes`) when no pair batch has run yet and
+        every exact check passes; otherwise from the batch's classes.
+        Neither builds a per-pair table.
         """
-        first, second, invariants, classes = self._invariant_table()
-        diagonal = classes[first == second]
-        size = len(invariants)
-        counts = 2 * np.bincount(classes, minlength=size) - np.bincount(diagonal, minlength=size)
-        return dict(zip(invariants, counts.tolist()))
+        if self._classes is None:
+            if self.mode != EXACT:
+                raise ValueError("angle invariants are exact-mode only")
+            if self._invariants is None:
+                self._classes = atom_classes(self.points)
+            if self._classes is None:
+                first, second, invariants, classes = self._invariant_table()
+                diagonal = classes[first == second]
+                size = len(invariants)
+                counts = 2 * np.bincount(classes, minlength=size) - np.bincount(diagonal, minlength=size)
+                self._classes = dict(zip(invariants, counts.tolist()))
+        return dict(self._classes)
 
     def _frame_stack(self) -> np.ndarray:
         """The (k, n, m) stack of the float points' frames: the load pass's, or stacked once."""
@@ -538,13 +553,6 @@ def _ordered_counts(table: dict) -> dict:
     for (i, j), v in table.items():
         counts[v] = counts.get(v, 0) + (1 if i == j else 2)
     return counts
-
-
-def _row_inner(u, v) -> ExactComplex:
-    total = CX_ZERO
-    for x, y in zip(u, v):
-        total = total + x * y.conjugate()
-    return total
 
 
 def _check_pair(a: SubspacePoint, b: SubspacePoint):
@@ -681,24 +689,6 @@ def principal_angles(a: SubspacePoint, b: SubspacePoint) -> tuple:
     if a.mode == FLOAT:
         return tuple(_gram_angles(_cross_grams(a.frame.conj(), b.frame)[None])[0].tolist())
     return invariant_angles(pair_invariant(a, b))
-
-
-def symmetry_image(a: SubspacePoint, b: SubspacePoint) -> SubspacePoint:
-    """Image of b under the geodesic symmetry at a (reflection 2P_a - I)."""
-    _check_pair(a, b)
-    if a.mode == FLOAT:
-        qa = a.frame
-        cols = b.basis.T
-        reflected = 2.0 * (qa @ (qa.conj().T @ cols)) - cols
-        return SubspacePoint(reflected.T, mode=FLOAT)
-    # P_a = A^H G^-1 A for the integer rows A of a
-    a_rows = [[ExactComplex(*v) for v in row] for row in a.rows]
-    inv = [[ExactComplex(*v) for v in row] for row in a.inv_num]
-    cross = [[_row_inner(rb, ra) for ra in a_rows] for rb in b.basis]
-    proj = mat_mul(mat_mul(cross, inv), a_rows)
-    twice = rational(2, a.inv_den)
-    rows = [[twice * p - v for p, v in zip(pr, br)] for pr, br in zip(proj, b.basis)]
-    return SubspacePoint(rows, mode=EXACT)
 
 
 def antipodal_angles(y: tuple, mode: str, tol: float = DEFAULT_TOL) -> bool:

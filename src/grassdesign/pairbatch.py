@@ -22,16 +22,41 @@ sum, so the Python-integer work grows with the number of distinct
 invariants, not of pairs.  A lifted value outside its range, a
 certified pair with no w, or a nonzero imaginary residue of a power sum
 raises.
+
+A whole configuration is first tried through its atoms
+(:func:`atom_classes`).  Its points are pairwise antipodal exactly when
+their projectors commute, and then C^n splits into orthogonal atoms
+W_1 .. W_k with each point the sum V_a of the atoms in a set J_a; a
+pair's invariant is (C(w, 1), .., C(w, m)) with w the total rank of
+J_a & J_b (Chen-Nagano, Trans. AMS 308, 1988).  The atoms are refined
+point by point: every split is decided on images modulo one word prime
+p = 1 mod 4, under the ring map Z[i] -> F_p that sends i to a square
+root of -1, and made in Python integers.  They are then certified
+exactly, the orthogonality in Python integers and each point's atoms
+by one residue product modulo primes enough for an exact zero test,
+and the classes are counted from the membership matrix in row chunks.
+Any failed check returns None, and the configuration goes to
+:func:`invariant_batch` instead.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from .exactlinalg import crt_lift, elementary_mod, gaussian_mul_mod, moduli, modulus_bits, residues, trace_mod
+from .exactlinalg import (
+    crt_lift,
+    elementary_mod,
+    gaussian_mul_mod,
+    moduli,
+    modulus_bits,
+    residues,
+    split_moduli,
+    trace_mod,
+)
 from .scalars import rational
 
 # Most int64 entries one array of a pair chunk holds, over all primes:
@@ -163,3 +188,233 @@ def invariant_batch(points: Sequence, first, second) -> tuple:
     for at in np.argsort(first_at).tolist():
         merge[at] = classes.setdefault(values[labels[at]], len(classes))
     return list(classes), np.take(merge, inverse)
+
+
+def _inner(u, v) -> tuple:
+    """sum_t u_t conj(v_t) of two Gaussian-integer vectors of (re, im) pairs."""
+    re = im = 0
+    for (ur, ui), (vr, vi) in zip(u, v):
+        re += ur * vr + ui * vi
+        im += ui * vr - ur * vi
+    return re, im
+
+
+def _combination(coeffs, vectors) -> list:
+    """sum_i c_i v_i of Gaussian-integer vectors."""
+    out = [(0, 0)] * len(vectors[0])
+    for (cr, ci), v in zip(coeffs, vectors):
+        out = [(sr + cr * xr - ci * xi, si + cr * xi + ci * xr) for (sr, si), (xr, xi) in zip(out, v)]
+    return out
+
+
+class _Independent:
+    """Gaussian-integer vectors kept while their images under Z[i] -> F_p, i -> s, stay independent.
+
+    A nonzero minor of the images is a nonzero minor of the vectors, so
+    the kept vectors are independent over Q(i).
+    """
+
+    def __init__(self, p: int, s: int):
+        self.p, self.s = p, s
+        self.echelon: dict = {}  # pivot column -> a row that is 1 there and 0 at every earlier pivot
+        self.kept: list = []
+
+    def add(self, v):
+        p = self.p
+        x = [(re + self.s * im) % p for re, im in v]
+        for col, row in self.echelon.items():
+            if x[col]:
+                f = x[col]
+                x = [(a - f * b) % p for a, b in zip(x, row)]
+        lead = next((col for col, a in enumerate(x) if a), None)
+        if lead is not None:
+            inv = pow(x[lead], -1, p)
+            self.echelon[lead] = [a * inv % p for a in x]
+            self.kept.append(v)
+
+
+def _primitive(v) -> list:
+    """A Gaussian-integer vector divided by the gcd of its parts."""
+    g = math.gcd(*[x for pair in v for x in pair])
+    return [(re // g, im // g) for re, im in v]
+
+
+def _split(point, atom: list, images: list, p: int, s: int):
+    """The atom's parts in V_a and in its complement, or None when their ranks do not add up to its rank r.
+
+    ``images`` tells for each basis vector b whether the image of
+    u = D b P_a is 0 (b is taken to lie in the complement), that of D b
+    (b is taken to lie in V_a), or neither; only then are u = ((b A^H) N) A
+    and v = D b - u formed, in Python integers.  Vectors are taken in
+    order until the parts have rank r: when V_a reduces the atom they
+    then span its two pieces.  A rank above r means it does not; ranks
+    are taken in F_p, and a shortfall there is refused too.  A wrong
+    guess only makes atoms that fail certification.
+    """
+    d, rows, r = point.inv_den, point.rows, len(atom)
+    inside, outside = _Independent(p, s), _Independent(p, s)
+    rank = 0
+    for b, image in zip(atom, images):
+        if image == 0:
+            outside.add(b)
+        elif image == 1:
+            inside.add(b)
+        else:
+            x = [_inner(b, row) for row in rows]
+            # (x N)_j = sum_i x_i conj(N_ji), N being Hermitian
+            u = _combination([_inner(x, row) for row in point.inv_num], rows)
+            inside.add(u)
+            outside.add([(d * br - ur, d * bi - ui) for (br, bi), (ur, ui) in zip(b, u)])
+        rank = len(inside.kept) + len(outside.kept)
+        if rank >= r:
+            break
+    if rank != r:
+        return None
+    return [[_primitive(v) for v in part.kept] for part in (inside, outside) if part.kept]
+
+
+def _refine(points, p: int, s: int, projectors, dens: np.ndarray):
+    """Atoms of C^n refined by the points in order, or None at a split that is not invariant.
+
+    Starts from C^n and stops once the points run out, or once the
+    atoms are n lines and the chunk in hand is scanned.  Over F_p,
+    through Z[i] -> F_p, i -> s, the images of
+    u = D b P_a decide for a chunk of points and every atom whether it
+    lies in V_a (u = D b for all its b), is orthogonal to it (u = 0) or
+    must split; an image that differs is an exact difference, so a line
+    flagged to split is not invariant.  The first point that splits an
+    atom splits it exactly (:func:`_split`), and the scan resumes after
+    it.  ``projectors(lo, hi)`` gives the images of D P_a for the points
+    lo .. hi - 1, and ``dens`` the images of D.
+    """
+    n, total = points[0].n, len(points)
+    atoms = [[[(int(i == j), 0) for j in range(n)] for i in range(n)]]
+    step = max(1, PAIR_CHUNK_ELEMENTS // (n * n))
+    at = lo = hi = 0
+    # once the atoms are lines, only the rest of the chunk in hand is scanned
+    while at < total and (len(atoms) < n or at < hi):
+        if at >= hi:
+            lo, hi = at, min(total, at + step)
+            chunk = projectors(lo, hi)
+        starts = [0, *accumulate(len(atom) for atom in atoms[:-1])]
+        b = np.array([[(re + s * im) % p for re, im in v] for atom in atoms for v in atom], dtype=np.int64)
+        u = b @ chunk[at - lo :] % p
+        # per point and vector: 0 when u = 0, 1 when u = D b, 2 otherwise
+        images = np.where(u.any(axis=-1), 2, 0)
+        images[(u == dens[at:hi, None, None] * b % p).all(axis=-1)] = 1
+        # an atom stays whole when all its vectors lie in V_a, or all are orthogonal to it
+        lowest = np.minimum.reduceat(images, starts, axis=1)
+        whole = (lowest == np.maximum.reduceat(images, starts, axis=1)) & (lowest < 2)
+        hits = np.flatnonzero(~whole.all(axis=1))
+        if not len(hits):
+            at = hi
+            continue
+        a = at + int(hits[0])
+        refined = []
+        for atom, keep, start in zip(atoms, whole[hits[0]].tolist(), starts):
+            parts = [atom] if keep else _split(points[a], atom, images[hits[0], start : start + len(atom)].tolist(), p, s)
+            if parts is None:
+                return None
+            refined += parts
+        atoms, at = refined, a + 1
+    return atoms
+
+
+def _images(values: list, pairs: list, shape: tuple) -> tuple:
+    """Images of x and of conj(x) under Z[i] -> F_p, i -> s, for each (p, s), stacked on a leading axis.
+
+    ``values`` are the flat (re, im) parts of Gaussian integers, read as
+    an array of the given shape.
+    """
+    primes, roots = (np.array(v, dtype=np.int64).reshape(-1, *[1] * len(shape)) for v in zip(*pairs))
+    res = residues(values, [p for p, _ in pairs]).reshape(len(pairs), *shape, 2)
+    re, im = res[..., 0], res[..., 1] * roots % primes
+    return (re + im) % primes, (re - im) % primes
+
+
+def _membership(atoms: list, rows: np.ndarray, pairs: list) -> np.ndarray:
+    """J_a for every point: the atoms that some row meets with an inner product whose image is nonzero, (N, k) bool.
+
+    ``rows`` holds the images of the points' rows, shape (P, N, m, n),
+    one per (p, s) of ``pairs``; the points are taken in chunks.
+    """
+    n, m = rows.shape[-1], rows.shape[-2]
+    vectors = [x for atom in atoms for v in atom for pair in v for x in pair]
+    adjoint = _images(vectors, pairs, (n, n))[1].swapaxes(-1, -2)[:, None]
+    q = np.array([p for p, _ in pairs], dtype=np.int64).reshape(-1, 1, 1, 1)
+    starts = [0, *accumulate(len(atom) for atom in atoms[:-1])]
+    step = max(1, PAIR_CHUNK_ELEMENTS // (len(pairs) * m * n))
+    out = []
+    for lo in range(0, rows.shape[1], step):
+        touched = (rows[:, lo : lo + step] @ adjoint % q).any(axis=(0, 2))
+        out.append(np.logical_or.reduceat(touched, starts, axis=1))
+    return np.concatenate(out)
+
+
+def _count(member: np.ndarray, ranks: np.ndarray, m: int) -> dict:
+    """Invariant counts over ordered pairs from w = H diag(r) H^T, in order of first pair.
+
+    Rows are taken in chunks, so no N x N array is formed.  The first
+    occurrence of a w in row-major order of the symmetric w matrix lies
+    on or above the diagonal, so it is the value's first pair.
+    """
+    size = len(member)
+    member = member.astype(np.int64)
+    weighted = (member * ranks).T
+    counts = np.zeros(m + 1, dtype=np.int64)
+    first: dict = {}
+    step = max(1, PAIR_CHUNK_ELEMENTS // size)
+    for lo in range(0, size, step):
+        w = (member[lo : lo + step] @ weighted).ravel()
+        found = np.bincount(w, minlength=m + 1)
+        counts += found
+        for v in np.flatnonzero(found).tolist():
+            if v not in first:
+                first[v] = lo * size + int(np.argmax(w == v))
+    return {
+        tuple(rational(math.comb(w, j)) for j in range(1, m + 1)): int(counts[w])
+        for w in sorted(first, key=first.get)
+    }
+
+
+def atom_classes(points: Sequence):
+    """Invariant counts over ordered pairs of exact points, from their atoms; None when a check fails.
+
+    The counts, keys and order are those of the classes of
+    :func:`invariant_batch` over all pairs i <= j.  The atoms come from
+    :func:`_refine`, modulo the first of the primes of
+    :func:`exactlinalg.split_moduli`.  They are certified when vectors of
+    different atoms are orthogonal (Python integers) and every point
+    meets atoms of total rank m.  A row a and an atom vector b have an
+    inner product with parts of size at most L = 2 n max|a| max|b|, so
+    one whose image vanishes modulo primes of product above 2 L^2 is 0.
+    With the ranks summing to n, the atoms span C^n; so V_a, orthogonal
+    to every atom outside J_a, is the sum of the atoms in J_a, and every
+    pair is antipodal with w = sum of r_j over J_a & J_b.
+    """
+    size, m, n = len(points), points[0].m, points[0].n
+    bits = modulus_bits(n)
+    values = [x for pt in points for row in pt.rows for pair in row for x in pair]
+    shape, first = (size, m, n), split_moduli(bits, 1)
+    p, s = first[0]
+    image, conj = _images(values, first, shape)
+    inv = _images([x for pt in points for row in pt.inv_num for pair in row for x in pair], first, (size, m, m))[0][0]
+
+    def projectors(lo, hi):
+        # D P_a = A^H N A, with A^H the transposed image of conj(A)
+        return conj[0, lo:hi].swapaxes(-1, -2) @ inv[lo:hi] % p @ image[0, lo:hi] % p
+
+    atoms = _refine(points, p, s, projectors, residues([pt.inv_den for pt in points], [p])[0])
+    if atoms is None:
+        return None
+    labelled = [(j, v) for j, atom in enumerate(atoms) for v in atom]
+    for at, (j, u) in enumerate(labelled):
+        if any(k != j and _inner(u, v) != (0, 0) for k, v in labelled[at + 1 :]):
+            return None
+    top_b = max(abs(x) for _, v in labelled for pair in v for x in pair)
+    pairs = split_moduli(bits, 2 * (2 * n * max(max(values), -min(values)) * top_b) ** 2)
+    member = _membership(atoms, image if pairs == first else _images(values, pairs, shape)[0], pairs)
+    ranks = np.array([len(atom) for atom in atoms], dtype=np.int64)
+    if not (member @ ranks == m).all():
+        return None
+    return _count(member, ranks, m)

@@ -22,6 +22,10 @@ recurrences that the tests check it against:
   ``ExactComplex`` and ``Fraction``, the route the load pass replaced;
 * ``same_subspace``, ``orthogonal_complement``, ``is_antipodal_pair``:
   point-level questions answered from the basis rows;
+* ``symmetry_image``: the image of a point under the geodesic symmetry
+  2 P_a - I at another, in both modes; "s_a(b) = b for every pair" is
+  the antipodality of an exact set, which the atom path of
+  ``pairbatch.atom_classes`` certifies;
 * ``prepare_point``, ``elementary_all``, ``complete_all``,
   ``elementary_eval``, ``complete_eval``: scalar symmetric-function
   evaluators, one point at a time;
@@ -35,6 +39,7 @@ import math
 from grassdesign.exactlinalg import det, mat_mul
 from grassdesign.grassmann import (
     EXACT,
+    FLOAT,
     SubspacePoint,
     _check_pair,
     antipodal_angles,
@@ -361,6 +366,31 @@ def orthogonal_complement(p: SubspacePoint) -> SubspacePoint:
 def is_antipodal_pair(a: SubspacePoint, b: SubspacePoint, tol: float = 1e-8) -> bool:
     """True when every principal angle of the pair lies in {0, 1}."""
     return antipodal_angles(principal_angles(a, b), a.mode, tol)
+
+
+def _row_inner(u, v) -> ExactComplex:
+    total = CX_ZERO
+    for x, y in zip(u, v):
+        total = total + x * y.conjugate()
+    return total
+
+
+def symmetry_image(a: SubspacePoint, b: SubspacePoint) -> SubspacePoint:
+    """Image of b under the geodesic symmetry at a (reflection 2P_a - I)."""
+    _check_pair(a, b)
+    if a.mode == FLOAT:
+        qa = a.frame
+        cols = b.basis.T
+        reflected = 2.0 * (qa @ (qa.conj().T @ cols)) - cols
+        return SubspacePoint(reflected.T, mode=FLOAT)
+    # P_a = A^H G^-1 A for the integer rows A of a
+    a_rows = [[ExactComplex(*v) for v in row] for row in a.rows]
+    inv = [[ExactComplex(*v) for v in row] for row in a.inv_num]
+    cross = [[_row_inner(rb, ra) for ra in a_rows] for rb in b.basis]
+    proj = mat_mul(mat_mul(cross, inv), a_rows)
+    twice = rational(2, a.inv_den)
+    rows = [[twice * p - v for p, v in zip(pr, br)] for pr, br in zip(proj, b.basis)]
+    return SubspacePoint(rows, mode=EXACT)
 
 
 def _complete_terms(e: list, m: int, upto: int, one) -> list:

@@ -17,12 +17,14 @@ row (600) at m = 1, whose down-set has 601 shapes; ``dims``, once with
 seeded ``check-nonneg`` for the certificates; ``appendix-b``; ``angles``
 on coordinate sets; and ``verify-design`` and ``angles`` on seeded
 disguised configurations and their float copies, with ``verify-design``
-on a disguised G(4, 8) whose pair batch runs on 20 primes.  Batches that
-mix antipodal and generic pairs are ``verify-design`` and ``angles`` on
-G(3, 6) with one seeded dense point, exact and disguised, on a disguised
-six-point set and on a complement-closed set {V_i, V_i^perp} in G(3, 6);
-``antipodal --verify E+F`` at (5, 10) and ``zonal`` on (3, 3, 2) at
-m = 64 end the list.  Files are
+on two disguised G(4, 8), the first one's pair batch running on 20
+primes.  Batches that mix antipodal and generic pairs are
+``verify-design`` and ``angles`` on G(3, 6) with one seeded dense point,
+exact and disguised, on a disguised six-point set and on a
+complement-closed set {V_i, V_i^perp} in G(3, 6); the same commands run
+on the six spans of two of the blocks {e_2i, e_2i+1} of C^8, whose atoms
+have rank 2, exact and disguised.  ``antipodal --verify E+F`` at
+(5, 10) and (6, 12) and ``zonal`` on (3, 3, 2) at m = 64 end the list.  Files are
 written to a temporary directory and named in the output by file name
 only.  Two checkouts whose sweeps ``diff`` equal give byte-identical
 results on the whole list.  The file is not collected by pytest.
@@ -41,6 +43,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from seeded_configs import (  # noqa: E402
+    block_points,
     complement_closed_points,
     coordinate_points,
     dense_point,
@@ -69,6 +72,8 @@ ZONAL = [
     (4, 9, "2,2,1,1"),
 ]
 SHAPES = [(2, 4), (3, 6), (3, 7), (4, 8)]
+# the spans of two of the blocks {e_2i, e_2i+1} of C^8: atoms of rank 2
+BLOCKS = block_points([[0, 1], [2, 3], [4, 5], [6, 7]], list(combinations(range(4), 2)))
 CERTIFICATES = ["E", "F", "one"]
 
 
@@ -110,17 +115,22 @@ def commands(workdir: Path) -> list:
             out.append(["angles", "--config", path])
     doc = exact_document(disguised_points(4, 8, 5), "disguised-4-8")
     out.append(["verify-design", "--config", write(workdir, "disguised-4-8.json", doc), "--set", "E+F"])
+    doc = exact_document(disguised_points(4, 8, 6), "disguised-4-8-b")
+    out.append(["verify-design", "--config", write(workdir, "disguised-4-8-b.json", doc), "--set", "E+F"])
     mixed = coordinate_points(3, 6) + [dense_point(3, 6, 11)]
     for name, points in (
         ("mixed-3-6", mixed),
         ("disguised-mixed-3-6", disguise(mixed, 12)),
         ("disguised-six", disguise(six_points(), 13)),
         ("complement-closed-3-6", complement_closed_points(3, [14, 15, 16])),
+        ("blocks-4-8", BLOCKS),
+        ("disguised-blocks-4-8", disguise(BLOCKS, 17)),
     ):
         path = write(workdir, f"{name}.json", exact_document(points, name))
         out += [["verify-design", "--config", path, "--set", family] for family in ("E+F", "T3")]
         out.append(["angles", "--config", path])
     out.append(["antipodal", "--m", "5", "--n", "10", "--verify", "E+F"])
+    out.append(["antipodal", "--m", "6", "--n", "12", "--verify", "E+F"])
     out.append(["zonal", "--mu", "3,3,2", "--m", "64", "--n", "128"])
     return out
 

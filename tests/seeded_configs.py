@@ -6,7 +6,8 @@ followed by Gaussian phases such as (3 + 4i)/5, and recombines each
 point's rows by a seeded unimodular Gaussian-integer matrix.  Angles and
 defects are those of the original points; the entries are dense
 Gaussian rationals.  :func:`disguised_points` disguises the coordinate
-m-subspaces of C^n, :func:`dense_point` draws a seeded point with small
+m-subspaces of C^n, :func:`block_points` spans unions of coordinate
+blocks, :func:`dense_point` draws a seeded point with small
 Gaussian-integer entries, and :func:`complement_closed_points` takes
 each V and V^perp from the rows of one seeded unitary.  Values are
 (re, im) pairs of ``Fraction`` and nothing here calls the package, so a
@@ -78,6 +79,16 @@ def coordinate_points(m: int, n: int) -> list:
     """Bases of the coordinate m-subspaces of C^n, in lexicographic subset order."""
     zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
     return [[[one if j == i else zero for j in range(n)] for i in idx] for idx in combinations(range(n), m)]
+
+
+def block_points(blocks: list, subsets: list) -> list:
+    """Bases of the spans of unions of coordinate blocks of C^n, one point per subset of block indices.
+
+    Blocks that no point separates are atoms of rank above 1.
+    """
+    n = sum(len(b) for b in blocks)
+    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    return [[[one if j == i else zero for j in range(n)] for k in subset for i in blocks[k]] for subset in subsets]
 
 
 def disguised_points(m: int, n: int, seed: int) -> list:

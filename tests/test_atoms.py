@@ -1,0 +1,245 @@
+"""Antipodal configurations counted through their atoms, against the pair batch.
+
+Pairwise antipodal points are sums of orthogonal atoms of C^n, and a
+pair's invariant follows from the total rank of the atoms they share
+(:func:`pairbatch.atom_classes`).  Every configuration that fails one of
+the exact checks goes to the pair batch instead, once.
+"""
+
+import math
+import random
+from contextlib import contextmanager
+from fractions import Fraction
+from itertools import combinations
+from unittest import mock
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from grassdesign import grassmann, pairbatch
+from grassdesign.exactlinalg import _is_prime, split_moduli
+from grassdesign.grassmann import (
+    RankDeficiencyError,
+    SubspaceConfiguration,
+    great_antipodal,
+    orthogonal_split_config,
+    six_point_config,
+)
+from grassdesign.scalars import rational
+
+from exact_oracles import same_subspace, symmetry_image
+from seeded_configs import (
+    block_points,
+    coordinate_points,
+    dense_point,
+    disguise,
+    disguised_points,
+    exact_document,
+    six_points,
+)
+
+ZERO, ONE = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+
+
+def configuration(points, label="test") -> SubspaceConfiguration:
+    return SubspaceConfiguration.from_json(exact_document(points, label))
+
+
+def batch_classes(config) -> dict:
+    """Ordered-pair counts of the batch's classes over all pairs i <= j, in order of first pair."""
+    first, second = grassmann._pair_indices(len(config))
+    invariants, classes = pairbatch.invariant_batch(config.points, first, second)
+    counts = {e: 0 for e in invariants}
+    for i, j, c in zip(first.tolist(), second.tolist(), classes.tolist()):
+        counts[invariants[c]] += 1 if i == j else 2
+    return counts
+
+
+@contextmanager
+def counted_batches():
+    """The number of pair batches that configurations run inside the block."""
+    calls = []
+    original = grassmann.invariant_batch
+    with mock.patch.object(grassmann, "invariant_batch", lambda *args: calls.append(1) or original(*args)):
+        yield calls
+
+
+def as_points(config) -> list:
+    """The bases of exact points as rows of (re, im) Fraction pairs."""
+    return [[[(Fraction(re, s), Fraction(im, s)) for re, im in row] for row, s in zip(p.rows, p.scales)] for p in config]
+
+
+def direct_sum(a: list, b: list) -> list:
+    """The basis of V + W in C^(n1 + n2) for bases of V in C^n1 and W in C^n2."""
+    left, right = len(a[0]), len(b[0])
+    return [row + [ZERO] * right for row in a] + [[ZERO] * left + row for row in b]
+
+
+@st.composite
+def block_unions(draw, max_blocks: int) -> list:
+    """Unions of coordinate blocks of ranks 1 to 3 with m coordinates each; blocks no point separates stay one atom."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=max_blocks))
+    blocks, at = [], 0
+    for size in sizes:
+        blocks.append(list(range(at, at + size)))
+        at += size
+    m = draw(st.integers(1, at // 2))
+    subsets = [s for r in range(1, len(blocks) + 1) for s in combinations(range(len(blocks)), r) if sum(sizes[k] for k in s) == m]
+    assume(subsets)
+    return block_points(blocks, draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=6)))
+
+
+@st.composite
+def atom_unions(draw) -> list:
+    """An antipodal set: unions of blocks, a subset of an orthogonal split, or direct sums of two block sets."""
+    kind = draw(st.sampled_from(["blocks", "split", "sum"]))
+    if kind == "blocks":
+        return draw(block_unions(5))
+    if kind == "split":
+        m, count = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+        split = as_points(orthogonal_split_config(m, m * count))
+        return [split[k] for k in draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=6))]
+    left, right = draw(block_unions(3)), draw(block_unions(3))
+    return [direct_sum(a, b) for a, b in zip(left, right)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=atom_unions(), disguised=st.booleans(), seed=st.integers(0, 2**32))
+def test_atom_counts_equal_batch_counts_on_unions_of_atoms(points, disguised, seed):
+    if disguised:
+        points = disguise(points, seed)
+    config = configuration(points)
+    assert pairbatch.atom_classes(config.points) is not None
+    with counted_batches() as batches:
+        got = config.invariant_classes()
+    assert batches == []
+    want = batch_classes(config)
+    assert list(got.items()) == list(want.items())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    base=st.sampled_from([(1, 2), (1, 3), (2, 4), (2, 5), "six"]),
+    disguised=st.booleans(),
+    seed=st.integers(0, 2**32),
+    extra=st.integers(0, 2**32),
+)
+def test_non_antipodal_and_mixed_sets_fall_back_once(base, disguised, seed, extra):
+    if base == "six":
+        points = six_points()
+    else:
+        # a point with no zero entry is no coordinate subspace, so it does
+        # not commute with every coordinate projector
+        m, n = base
+        dense = dense_point(m, n, extra)
+        assume(all(v != ZERO for row in dense for v in row))
+        points = coordinate_points(m, n)
+        points.insert(random.Random(extra).randint(0, len(points)), dense)
+    if disguised:
+        points = disguise(points, seed)
+    try:
+        config = configuration(points)
+    except RankDeficiencyError:
+        assume(False)
+    assert pairbatch.atom_classes(config.points) is None
+    with counted_batches() as batches:
+        got = config.invariant_classes()
+        assert config.invariant_classes() == got
+    assert len(batches) == 1
+    assert list(got.items()) == list(batch_classes(config).items())
+
+
+def test_counts_are_the_johnson_scheme_relations():
+    # ordered pairs of m-subsets of n with w in common number
+    # C(n, m) C(m, w) C(n - m, m - w), first met at w = m, m - 1, .., 0
+    for m, n in ((1, 2), (2, 4), (2, 6), (3, 6), (3, 7), (4, 8)):
+        got = pairbatch.atom_classes(great_antipodal(m, n).points)
+        assert list(got.items()) == [
+            (tuple(rational(math.comb(w, k)) for k in range(1, m + 1)), math.comb(n, m) * math.comb(m, w) * math.comb(n - m, m - w))
+            for w in range(m, -1, -1)
+        ]
+
+
+def test_counts_identical_across_chunk_sizes(monkeypatch):
+    config = configuration(disguised_points(3, 6, 3))
+    want = pairbatch.atom_classes(config.points)
+    for elements in (1, 7, 100, pairbatch.PAIR_CHUNK_ELEMENTS):
+        monkeypatch.setattr(pairbatch, "PAIR_CHUNK_ELEMENTS", elements)
+        got = pairbatch.atom_classes(config.points)
+        assert list(got.items()) == list(want.items())
+
+
+def test_refinement_splits_where_points_reduce_atoms_and_stops_at_lines(monkeypatch):
+    # great_antipodal(2, 6) in lexicographic order: {0,1} splits C^6,
+    # {0,2} both parts, then {0,3} and {0,4} leave six lines; with one
+    # point per chunk, no point after {0,4} is reached
+    config = great_antipodal(2, 6)
+    monkeypatch.setattr(pairbatch, "PAIR_CHUNK_ELEMENTS", 6 * 6)
+    splits, chunks = [], []
+    split, refine = pairbatch._split, pairbatch._refine
+
+    def counting_refine(points, p, s, projectors, dens):
+        return refine(points, p, s, lambda lo, hi: chunks.append((lo, hi)) or projectors(lo, hi), dens)
+
+    monkeypatch.setattr(pairbatch, "_split", lambda point, *rest: splits.append(point) or split(point, *rest))
+    monkeypatch.setattr(pairbatch, "_refine", counting_refine)
+    assert pairbatch.atom_classes(config.points) is not None
+    assert [config.points.index(p) for p in splits] == [0, 1, 1, 2, 3]
+    assert chunks == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+
+def test_a_split_that_is_not_invariant_fails_before_certification():
+    # the dense second point meets the atom span{e_0, e_1} of the first
+    # without reducing it: the parts in V_a and in its complement have
+    # ranks adding up to more than 2
+    points = coordinate_points(2, 4)[:1] + [dense_point(2, 4, 5)] + coordinate_points(2, 4)[1:]
+    config = configuration(points)
+    with mock.patch.object(pairbatch, "_membership", side_effect=AssertionError("certified")):
+        assert pairbatch.atom_classes(config.points) is None
+
+
+def test_split_moduli():
+    for bits, bound in ((30, 1), (29, 10**30), (25, 2**200)):
+        pairs = split_moduli(bits, bound)
+        primes = [p for p, _ in pairs]
+        assert math.prod(primes) > bound and math.prod(primes[:-1]) <= bound
+        assert primes == sorted(primes, reverse=True) and primes[0] < 2**bits
+        for p, s in pairs:
+            assert _is_prime(p) and p % 4 == 1 and s * s % p == p - 1
+        # no prime 1 mod 4 is skipped between them
+        assert not any(_is_prime(q) for q in range(primes[-1] + 4, 2**bits, 4) if q not in primes)
+
+
+def test_atoms_of_rank_above_one_are_found():
+    # blocks {0, 1}, {2, 3}, {4, 5} of C^6: no point separates a block, so
+    # the three atoms have rank 2
+    points = block_points([[0, 1], [2, 3], [4, 5]], [[0], [1], [2], [0]])
+    calls = []
+    count = pairbatch._count
+    with mock.patch.object(pairbatch, "_count", lambda member, ranks, m: calls.append(ranks.tolist()) or count(member, ranks, m)):
+        got = pairbatch.atom_classes(configuration(points).points)
+    assert calls == [[2, 2, 2]]
+    assert list(got.items()) == [((rational(2), rational(1)), 6), ((rational(0), rational(0)), 10)]
+
+
+EXACT_SETS = {
+    "great-1-2": lambda: great_antipodal(1, 2),
+    "great-2-4": lambda: great_antipodal(2, 4),
+    "great-2-5": lambda: great_antipodal(2, 5),
+    "great-3-6": lambda: great_antipodal(3, 6),
+    "disguised-2-4": lambda: configuration(disguised_points(2, 4, 1)),
+    "disguised-2-5": lambda: configuration(disguised_points(2, 5, 2)),
+    "six": six_point_config,
+    "disguised-six": lambda: configuration(disguise(six_points(), 13)),
+    "mixed-2-4": lambda: configuration(coordinate_points(2, 4) + [dense_point(2, 4, 11)]),
+    "rank-two-atoms": lambda: configuration(block_points([[0, 1], [2, 3], [4, 5], [6, 7]], [[0, 1], [1, 2], [0, 3]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_SETS))
+def test_geodesic_symmetries_fix_every_point_exactly_when_the_atoms_certify(name):
+    # s_a(b) = b, for s_a = 2 P_a - I, holds when P_a and P_b commute
+    config = EXACT_SETS[name]()
+    fixed = all(same_subspace(symmetry_image(a, b), b) for i, a in enumerate(config) for b in config.points[i + 1 :])
+    assert fixed == (pairbatch.atom_classes(config.points) is not None)
+    assert fixed == (name.startswith(("great", "disguised-2", "rank")))

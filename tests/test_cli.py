@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ import grassdesign
 from grassdesign import designs, exactlinalg, grassmann, symfunc, zonal
 from grassdesign.cli import _json_text, build_parser, main
 from grassdesign.grassmann import great_antipodal, random_subspace, SubspaceConfiguration
-from grassdesign.partitions import RANK_BUDGET, SHAPE_BUDGET
+from grassdesign.partitions import RANK_BUDGET, SHAPE_BUDGET, Partition
 
 from seeded_configs import disguised_points, exact_document
 
@@ -242,9 +243,10 @@ def test_result_payload_is_byte_stable(capsys):
     ],
 )
 def test_principal_angles_once_per_pair(argv, capsys, monkeypatch):
-    # one batch per configuration covers every unordered pair, diagonal
-    # included, exactly once; angles are read off invariants only to
-    # display them, once per distinct class
+    # the antipodal set is counted from its atoms, with no pair batch; the
+    # six-point set fails the atom certification, and one batch covers
+    # every unordered pair, diagonal included, exactly once; angles are
+    # read off invariants only to display them, once per distinct class
     batches, factored = [], []
     original_batch = grassmann.invariant_batch
     original_angles = grassmann.invariant_angles
@@ -262,14 +264,26 @@ def test_principal_angles_once_per_pair(argv, capsys, monkeypatch):
     main(argv)
     capsys.readouterr()
     k = 6
-    assert len(batches) == 1
-    assert batches[0] == [(i, j) for i in range(k) for j in range(i, k)]
-    assert len(batches[0]) == k * (k + 1) // 2
     if argv[0] == "antipodal":
+        assert batches == []
         assert factored == []
     else:
+        assert len(batches) == 1
+        assert batches[0] == [(i, j) for i in range(k) for j in range(i, k)]
+        assert len(batches[0]) == k * (k + 1) // 2 == 21
         classes = grassmann.six_point_config().invariant_classes()
         assert len(factored) == len(set(factored)) == len(classes)
+
+
+def test_antipodal_six_twelve_in_time(capsys):
+    # 924 points, 426,426 unordered pairs: counted from the atoms of C^12
+    # with no pair batch
+    started = time.perf_counter()
+    code, doc = run_json(capsys, "antipodal", "--m", "6", "--n", "12", "--verify", "E+F")
+    elapsed = time.perf_counter() - started
+    assert code == 0 and doc["result"]["pairwise_antipodal"] is True
+    assert doc["result"]["size"] == 924
+    assert elapsed < 1.5
 
 
 def test_design_path_builds_no_per_pair_table(capsys, monkeypatch):
@@ -683,20 +697,67 @@ def test_budget_errors_name_inputs_not_huge_counts(argv, error, capsys):
     assert elapsed < 1
 
 
-def test_document_too_long_to_format_is_a_usage_error():
-    # a harmonic dimension past str()'s digit limit fails while the
-    # document is built, under the same handlers as the computation
-    src = Path(grassdesign.__file__).resolve().parents[1]
-    n = str(10**3000)
-    codes = []
-    for argv in (["dims", "--m", "1", "--n", n, "--max-weight", "2"], ["zonal", "--mu", "2", "--m", "1", "--n", n]):
-        proc = subprocess.run(
-            [sys.executable, "-m", "grassdesign", *argv],
-            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
-        )
-        assert "Traceback" not in proc.stderr and proc.stdout == ""
-        codes.append(proc.returncode)
-    assert codes == [2, 2]
+def test_integers_past_the_digit_limit_are_written(capsys):
+    # harmonic dimensions and kernel coefficients at n = 10^3000 pass
+    # str()'s 4,300-digit limit; main lifts it while the document is built
+    # and written, restores the caller's limit, and every integer parses
+    # back to the value the library computes
+    n = 10**3000
+    mu = Partition([2], m=1)
+    limit = sys.get_int_max_str_digits()
+    outputs = []
+    for argv in (["dims", "--m", "1", "--n", str(n), "--max-weight", "2"], ["zonal", "--mu", "2", "--m", "1", "--n", str(n)]):
+        started = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - started
+        assert code == 0 and elapsed < 1
+        assert sys.get_int_max_str_digits() == limit
+        outputs.append(capsys.readouterr().out)
+    sys.set_int_max_str_digits(0)
+    try:
+        dims, kernel = (json.loads(out)["result"] for out in outputs)
+        want = zonal.zonal_kernel(mu, n)
+        assert [row["dim"] for row in dims["table"]] == [zonal.harmonic_dim(Partition([k], m=1), n) for k in range(3)]
+        assert len(str(dims["table"][2]["dim"])) > 4300
+        assert kernel["dim"] == want.dim
+        assert [Fraction(t["coeff"]) for t in kernel["terms"]] == [c for _, c in want.expansion.terms()]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("command", ["dims", "zonal", "verify-design"])
+def test_input_integer_past_the_digit_limit_is_a_usage_error(command, tmp_path, capsys):
+    huge = "1" + "0" * 4400
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"m": 1, "n": 2, "mode": "exact", "points": [{"rows": [[huge, "0"]]}]}))
+    argv = {
+        "dims": ["dims", "--m", "1", "--n", huge],
+        "zonal": ["zonal", "--mu", huge, "--m", "1", "--n", "2"],
+        "verify-design": ["verify-design", "--config", str(path), "--set", "E"],
+    }[command]
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("caller", [0, 5000])
+def test_caller_digit_limit_is_restored(caller, capsys):
+    # inputs are read under the default limit whatever the caller's is
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(caller)
+    try:
+        assert main(["zonal", "--mu", "2", "--m", "1", "--n", str(10**3000)]) == 0
+        assert sys.get_int_max_str_digits() == caller
+        with pytest.raises(SystemExit) as exc:
+            main(["dims", "--m", "1", "--n", "1" + "0" * 4400, "--max-weight", "0"])
+        assert exc.value.code == 2
+        assert sys.get_int_max_str_digits() == caller
+    finally:
+        sys.set_int_max_str_digits(limit)
+    capsys.readouterr()
 
 
 def test_largest_antipodal_set_is_inside_the_point_budget():

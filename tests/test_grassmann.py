@@ -24,12 +24,11 @@ from grassdesign.grassmann import (
     principal_angles,
     random_subspace,
     six_point_config,
-    symmetry_image,
 )
 from grassdesign.partitions import binom
 from grassdesign.scalars import rational
 
-from exact_oracles import elementary_all, is_antipodal_pair, orthogonal_complement, same_subspace
+from exact_oracles import elementary_all, is_antipodal_pair, orthogonal_complement, same_subspace, symmetry_image
 from test_cli import disguised_great_antipodal
 
 HALF = rational(1, 2)
