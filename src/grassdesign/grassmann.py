@@ -58,6 +58,7 @@ that is, when e_1 is an integer r and e_k = C(r, k) for every k.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -138,6 +139,10 @@ class SubspacePoint:
     Gauss-Jordan elimination (:func:`exactlinalg.gram_adjugate`), divided
     by the gcd of all their parts.  A zero pivot of that elimination
     means the rows are dependent and raises :class:`RankDeficiencyError`.
+    Coordinate points (:func:`coordinate_subspace`) run no elimination:
+    their rows are distinct unit vectors, so G = I and they carry
+    ``inv_den = 1`` and ``inv_num = I``, one identity list shared by
+    every coordinate point of the same m and never modified.
 
     The constructor runs the decoders of :meth:`SubspaceConfiguration.from_json`
     on a single basis.
@@ -155,10 +160,14 @@ class SubspacePoint:
             raise ValueError(f"unknown mode {mode!r}")
 
     @classmethod
-    def _exact(cls, rows: list, scales: list) -> "SubspacePoint":
-        """Exact point from decoded Gaussian-integer rows and their scales."""
+    def _exact(cls, rows: list, scales: list, inverse: tuple | None = None) -> "SubspacePoint":
+        """Exact point from decoded Gaussian-integer rows and their scales.
+
+        ``inverse``, when given, is the rows' Gram inverse in lowest terms
+        as ``(inv_num, inv_den)``, trusted as is; otherwise it is computed.
+        """
         point = cls.__new__(cls)
-        point._set_exact(rows, scales)
+        point._set_exact(rows, scales, inverse)
         return point
 
     @classmethod
@@ -168,11 +177,14 @@ class SubspacePoint:
         point._set_float(basis, frame)
         return point
 
-    def _set_exact(self, rows: list, scales: list):
+    def _set_exact(self, rows: list, scales: list, inverse: tuple | None = None):
         self.mode = EXACT
         self.m, self.n = len(rows), len(rows[0])
         self.rows, self.scales = rows, scales
         self._basis = self.frame = None
+        if inverse is not None:
+            self.inv_num, self.inv_den = inverse
+            return
         det, adj = gram_adjugate(rows)
         if not det:
             raise RankDeficiencyError(f"basis rank below {self.m}")
@@ -698,15 +710,35 @@ def antipodal_angles(y: tuple, mode: str, tol: float = DEFAULT_TOL) -> bool:
     return all(min(abs(v), abs(1 - v)) <= tol for v in y)
 
 
+@lru_cache(maxsize=None)
+def _identity(m: int) -> list:
+    """The m x m identity as rows of (re, im) pairs, shared by the coordinate points of that m."""
+    return [[(int(i == j), 0) for j in range(m)] for i in range(m)]
+
+
 def coordinate_subspace(indices: Iterable[int], n: int) -> SubspacePoint:
-    """Exact span of the standard basis vectors with the given 0-based indices."""
+    """Exact span of the standard basis vectors with the given 0-based indices.
+
+    Its rows are those distinct unit vectors, so their Gram matrix is the
+    identity and the point carries ``inv_num = I``, ``inv_den = 1`` with
+    no elimination.  That inverse rests on the indices, so each must be
+    an int in 0 .. n - 1 (else :class:`ValueError`), and a repeated one
+    raises :class:`RankDeficiencyError`.
+    """
+    indices = list(indices)
+    for i in indices:
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < n:
+            raise ValueError(f"coordinate index {i!r} is not an int in 0..{n - 1}")
+    m = len(indices)
+    _check_shape(m, n)
+    if len(set(indices)) < m:
+        raise RankDeficiencyError(f"basis rank below {m}")
     rows = []
     for i in indices:
         row = [(0, 0)] * n
         row[i] = (1, 0)
         rows.append(row)
-    _check_shape(len(rows), n)
-    return SubspacePoint._exact(rows, [1] * len(rows))
+    return SubspacePoint._exact(rows, [1] * m, (_identity(m), 1))
 
 
 def great_antipodal(m: int, n: int) -> SubspaceConfiguration:

@@ -29,9 +29,15 @@ their projectors commute, and then C^n splits into orthogonal atoms
 W_1 .. W_k with each point the sum V_a of the atoms in a set J_a; a
 pair's invariant is (C(w, 1), .., C(w, m)) with w the total rank of
 J_a & J_b (Chen-Nagano, Trans. AMS 308, 1988).  The atoms are refined
-point by point: every split is decided on images modulo one word prime
-p = 1 mod 4, under the ring map Z[i] -> F_p that sends i to a square
-root of -1, and made in Python integers.  They are then certified
+by the points in order, every decision taken on images modulo one word
+prime p = 1 mod 4, under the ring map Z[i] -> F_p that sends i to a
+square root of -1.  Per chunk of points, each atom vector gets a code
+per point: orthogonal to V_a, in V_a, or neither.  An atom with no
+"neither" is regrouped by its vectors' code signatures, with no
+arithmetic on the vectors; this is every atom of a coordinate-aligned
+set, whose standard basis vectors are common eigenvectors of all its
+projectors.  Any other atom is split in Python integers at the first
+point where it is not whole.  The atoms are then certified
 exactly, the orthogonality in Python integers and each point's atoms
 by one residue product modulo primes enough for an exact zero test,
 and the classes are counted from the membership matrix in row chunks.
@@ -278,13 +284,20 @@ def _refine(points, p: int, s: int, projectors, dens: np.ndarray):
 
     Starts from C^n and stops once the points run out, or once the
     atoms are n lines and the chunk in hand is scanned.  Over F_p,
-    through Z[i] -> F_p, i -> s, the images of
-    u = D b P_a decide for a chunk of points and every atom whether it
-    lies in V_a (u = D b for all its b), is orthogonal to it (u = 0) or
-    must split; an image that differs is an exact difference, so a line
-    flagged to split is not invariant.  The first point that splits an
-    atom splits it exactly (:func:`_split`), and the scan resumes after
-    it.  ``projectors(lo, hi)`` gives the images of D P_a for the points
+    through Z[i] -> F_p, i -> s, the images of u = D b P_a give for a
+    chunk of points and every atom vector b a code: 0 when b is taken
+    to be orthogonal to V_a (u = 0), 1 when it is taken to lie in V_a
+    (u = D b), 2 when it splits; an image that differs is an exact
+    difference, so a line coded 2 is not invariant.  An atom none of
+    whose vectors is coded 2 at a scanned point is regrouped by its
+    vectors' codes at all of them, since its vectors are then taken to
+    be common eigenvectors of those projectors; it stays whole when
+    they share one signature, and needs no split.  An atom with a
+    code-2 vector is split exactly (:func:`_split`) at the first point
+    where it is not whole, and the scan of all atoms resumes after that
+    point.  A coordinate-aligned set, coded 0 or 1 throughout, thus
+    takes one scan per chunk and no split.
+    ``projectors(lo, hi)`` gives the images of D P_a for the points
     lo .. hi - 1, and ``dens`` the images of D.
     """
     n, total = points[0].n, len(points)
@@ -302,21 +315,30 @@ def _refine(points, p: int, s: int, projectors, dens: np.ndarray):
         # per point and vector: 0 when u = 0, 1 when u = D b, 2 otherwise
         images = np.where(u.any(axis=-1), 2, 0)
         images[(u == dens[at:hi, None, None] * b % p).all(axis=-1)] = 1
-        # an atom stays whole when all its vectors lie in V_a, or all are orthogonal to it
-        lowest = np.minimum.reduceat(images, starts, axis=1)
-        whole = (lowest == np.maximum.reduceat(images, starts, axis=1)) & (lowest < 2)
-        hits = np.flatnonzero(~whole.all(axis=1))
-        if not len(hits):
-            at = hi
-            continue
-        a = at + int(hits[0])
+        # an atom is whole at a point when all its vectors lie in V_a, or all are orthogonal to it
+        highest = np.maximum.reduceat(images, starts, axis=1)
+        whole = (np.minimum.reduceat(images, starts, axis=1) == highest) & (highest < 2)
+        # an atom with no vector coded 2 is clean; the first point where a
+        # dirty atom is not whole splits it
+        clean = (highest < 2).all(axis=0)
+        hits = np.flatnonzero(~whole[:, ~clean].all(axis=1))
+        a = int(hits[0]) if len(hits) else None
+        signatures = images.T
         refined = []
-        for atom, keep, start in zip(atoms, whole[hits[0]].tolist(), starts):
-            parts = [atom] if keep else _split(points[a], atom, images[hits[0], start : start + len(atom)].tolist(), p, s)
-            if parts is None:
-                return None
-            refined += parts
-        atoms, at = refined, a + 1
+        for j, (atom, start) in enumerate(zip(atoms, starts)):
+            if clean[j]:
+                groups: dict = {}
+                for v, signature in zip(atom, signatures[start : start + len(atom)]):
+                    groups.setdefault(signature.tobytes(), []).append(v)
+                refined += groups.values()
+            elif whole[a, j]:
+                refined.append(atom)
+            else:
+                parts = _split(points[at + a], atom, images[a, start : start + len(atom)].tolist(), p, s)
+                if parts is None:
+                    return None
+                refined += parts
+        atoms, at = refined, hi if a is None else at + a + 1
     return atoms
 
 

@@ -24,10 +24,11 @@ exact and disguised, on a disguised six-point set and on a
 complement-closed set {V_i, V_i^perp} in G(3, 6); the same commands run
 on the six spans of two of the blocks {e_2i, e_2i+1} of C^8, whose atoms
 have rank 2, exact and disguised.  ``antipodal --verify E+F`` at
-(5, 10) and (6, 12) and ``zonal`` on (3, 3, 2) at m = 64 end the list.  Files are
-written to a temporary directory and named in the output by file name
-only.  Two checkouts whose sweeps ``diff`` equal give byte-identical
-results on the whole list.  The file is not collected by pytest.
+(5, 10), (6, 12) and (7, 14) and ``zonal`` on (3, 3, 2) at m = 64 end
+the list.  Files are written to a temporary directory and named in the
+output by file name only.  Two checkouts whose sweeps ``diff`` equal
+give byte-identical results on the whole list.  The file is not
+collected by pytest.
 """
 
 import contextlib
@@ -131,6 +132,7 @@ def commands(workdir: Path) -> list:
         out.append(["angles", "--config", path])
     out.append(["antipodal", "--m", "5", "--n", "10", "--verify", "E+F"])
     out.append(["antipodal", "--m", "6", "--n", "12", "--verify", "E+F"])
+    out.append(["antipodal", "--m", "7", "--n", "14", "--verify", "E+F"])
     out.append(["zonal", "--mu", "3,3,2", "--m", "64", "--n", "128"])
     return out
 

@@ -161,20 +161,20 @@ def test_counts_are_the_johnson_scheme_relations():
 
 
 def test_counts_identical_across_chunk_sizes(monkeypatch):
-    config = configuration(disguised_points(3, 6, 3))
-    want = pairbatch.atom_classes(config.points)
-    for elements in (1, 7, 100, pairbatch.PAIR_CHUNK_ELEMENTS):
-        monkeypatch.setattr(pairbatch, "PAIR_CHUNK_ELEMENTS", elements)
-        got = pairbatch.atom_classes(config.points)
-        assert list(got.items()) == list(want.items())
+    # a disguised set splits its atoms, a coordinate set regroups them
+    default = pairbatch.PAIR_CHUNK_ELEMENTS
+    for config in (configuration(disguised_points(3, 6, 3)), great_antipodal(3, 6)):
+        monkeypatch.setattr(pairbatch, "PAIR_CHUNK_ELEMENTS", default)
+        want = pairbatch.atom_classes(config.points)
+        for elements in (1, 7, 100, default):
+            monkeypatch.setattr(pairbatch, "PAIR_CHUNK_ELEMENTS", elements)
+            got = pairbatch.atom_classes(config.points)
+            assert list(got.items()) == list(want.items())
 
 
-def test_refinement_splits_where_points_reduce_atoms_and_stops_at_lines(monkeypatch):
-    # great_antipodal(2, 6) in lexicographic order: {0,1} splits C^6,
-    # {0,2} both parts, then {0,3} and {0,4} leave six lines; with one
-    # point per chunk, no point after {0,4} is reached
-    config = great_antipodal(2, 6)
-    monkeypatch.setattr(pairbatch, "PAIR_CHUNK_ELEMENTS", 6 * 6)
+def refinement_trace(monkeypatch, config) -> tuple:
+    """The points that ``_split`` is called at and the chunks scanned, with one point per chunk."""
+    monkeypatch.setattr(pairbatch, "PAIR_CHUNK_ELEMENTS", config.n * config.n)
     splits, chunks = [], []
     split, refine = pairbatch._split, pairbatch._refine
 
@@ -184,7 +184,25 @@ def test_refinement_splits_where_points_reduce_atoms_and_stops_at_lines(monkeypa
     monkeypatch.setattr(pairbatch, "_split", lambda point, *rest: splits.append(point) or split(point, *rest))
     monkeypatch.setattr(pairbatch, "_refine", counting_refine)
     assert pairbatch.atom_classes(config.points) is not None
-    assert [config.points.index(p) for p in splits] == [0, 1, 1, 2, 3]
+    return [config.points.index(p) for p in splits], chunks
+
+
+def test_refinement_regroups_coordinate_atoms_and_stops_at_lines(monkeypatch):
+    # great_antipodal(2, 6) in lexicographic order: every standard basis
+    # vector is a common eigenvector, so {0,1}, {0,2}, {0,3} and {0,4}
+    # regroup the atoms into six lines with no split; with one point per
+    # chunk, no point after {0,4} is reached
+    splits, chunks = refinement_trace(monkeypatch, great_antipodal(2, 6))
+    assert splits == []
+    assert chunks == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+
+def test_refinement_splits_where_points_reduce_atoms_and_stops_at_lines(monkeypatch):
+    # a disguised G(2, 6): no standard basis vector is an eigenvector of
+    # its projectors, so the first point splits C^6, the second both
+    # parts, then the third and fourth leave six lines
+    splits, chunks = refinement_trace(monkeypatch, configuration(disguised_points(2, 6, 2)))
+    assert splits == [0, 1, 1, 2, 3]
     assert chunks == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
 

@@ -1,6 +1,7 @@
 """The load pass of configuration files against point-by-point construction."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -134,3 +135,43 @@ def test_coordinate_points_take_integer_rows():
     assert point.basis == per_entry_point([["1", "0", "0", "0"], ["0", "0", "1", "0"]])["basis"]
     with pytest.raises(ValueError, match="bad shape"):
         grassmann.coordinate_subspace([], 4)
+
+
+def counted_adjugates(monkeypatch) -> list:
+    """The row lists that exact points pass to ``gram_adjugate`` after this call."""
+    calls = []
+    adjugate = grassmann.gram_adjugate
+    monkeypatch.setattr(grassmann, "gram_adjugate", lambda rows: calls.append(rows) or adjugate(rows))
+    return calls
+
+
+def test_coordinate_points_run_no_elimination(monkeypatch):
+    calls = counted_adjugates(monkeypatch)
+    for m, n in ((1, 2), (2, 4), (2, 6), (3, 6), (3, 7), (4, 8)):
+        config = grassmann.great_antipodal(m, n)
+        assert config.is_antipodal()
+    assert calls == []
+    # the six-point set eliminates only for its two points off the coordinates
+    six = grassmann.six_point_config()
+    assert calls == [p.rows for p in six.points[4:]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 9))
+def test_coordinate_inverse_is_the_reduced_adjugate(data, n):
+    indices = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    point = grassmann.coordinate_subspace(indices, n)
+    det, adj = grassmann.gram_adjugate(point.rows)
+    g = math.gcd(det, *(x for row in adj for v in row for x in v))
+    assert (point.inv_num, point.inv_den) == ([[(re // g, im // g) for re, im in row] for row in adj], det // g)
+    assert point.inv_num is grassmann.coordinate_subspace(indices[::-1], n).inv_num
+
+
+def test_coordinate_indices_are_checked():
+    for bad in ([0, 4], [3, -1], [0, 1.0], [0, True], ["1"]):
+        with pytest.raises(ValueError, match="coordinate index"):
+            grassmann.coordinate_subspace(bad, 4)
+    with pytest.raises(RankDeficiencyError, match="basis rank below 2"):
+        grassmann.coordinate_subspace([1, 1], 4)
+    with pytest.raises(ValueError, match="bad shape"):
+        grassmann.coordinate_subspace([0, 0, 1], 2)
