@@ -14,16 +14,25 @@ det(e_(sigma'_i - i + j)) over monomial entries.  A point y is written
 a/d and enters as its homogeneous e-coordinates (d, e_1(a) .. e_m(a)),
 e_k(a) = d^k e_k(y); s_sigma is homogeneous, so its polynomial at e(a)
 is the integer s_sigma(a) = d^|sigma| s_sigma(y), and X*_sigma(y) is
-that integer over d^|sigma| and the normalization, formed as one
-``Fraction``.  No determinant is taken per point, and repeated
-coordinates need no care.  A point enters either by its coordinates
-(d the lcm of their denominators, or d as given with integer numerators
-in :class:`ScaledPoints`) or, through
-:func:`normalized_schur_at_invariants`, by its e_k alone (d the lcm of
-their denominators), which is how exact pair classes enter without
-their angles.  :meth:`SchurExpansion.evaluate_batch` folds its shapes
-into one e-polynomial, each s_sigma lifted by a power of d, and
-evaluates that once per point over one common denominator.
+that integer over d^|sigma| and the normalization.  No determinant is
+taken per point, and repeated coordinates need no care.
+
+Points given by their coordinates (d the lcm of their denominators, or
+d as given with integer numerators in :class:`ScaledPoints`) enter as
+columns: numpy object arrays of Python ints, one for d and one per
+e_k(a), each holding its value at every point.  The same
+:func:`_elementary_terms` that float mode runs on float columns builds
+them, and the one evaluator :func:`_evaluate` takes the column stack as
+one vector.  Points given by their e_k alone, through
+:func:`normalized_schur_at_invariants` (d the lcm of the denominators of
+the e_k), stay one vector of ints each: that is how exact pair classes
+enter without their angles, a few dozen classes per configuration at
+most, too few for columns to pay.  :meth:`SchurExpansion.numerators`
+folds its shapes into one e-polynomial, each s_sigma lifted by a power
+of d, evaluates it once on the columns and lifts every point to one
+denominator q: the values are an integer column t over q, with no
+``Fraction`` built.  :meth:`SchurExpansion.evaluate_batch` turns them
+into ``Fraction`` values.
 
 Float mode evaluates the same cached polynomials on numpy columns, one
 column per e_k holding its value at every point: the e_k of the
@@ -143,10 +152,11 @@ def scaled_point(y) -> tuple:
 
 
 def _scaled_points(points, upto: int):
-    """Exact points y = a/d as (d, e_1(a) .. e_upto(a)).
+    """Exact points y = a/d as columns (d, e_1(a) .. e_upto(a)), object arrays of ints.
 
     d is the one a :class:`ScaledPoints` gives, else the lcm of y's
-    denominators.  Returns None when some coordinate is a float.
+    denominators; entry i of every column belongs to point i.  Returns
+    None when some coordinate is a float.
     """
     if not isinstance(points, ScaledPoints):
         if not all(is_exact_real(v) for y in points for v in y):
@@ -156,12 +166,22 @@ def _scaled_points(points, upto: int):
     if len(widths) != 1:
         raise ValueError("points must be an (N, m) array")
     (m,) = widths
-    scaled = []
-    for a, d in points:
-        e = _elementary_terms(a, min(upto, m), 1)
-        e[0] = d
-        scaled.append(e)
-    return scaled
+    numerators = np.empty((len(points), m), dtype=object)
+    numerators[:] = [a for a, _ in points]
+    e = _elementary_terms(numerators.T, min(upto, m), 1)
+    e[0] = np.array([d for _, d in points], dtype=object)
+    return e
+
+
+def _broadcast(value, like):
+    """``value`` as a column the length of ``like`` when ``like`` is a column.
+
+    An e-polynomial that is a bare constant evaluates to one scalar even
+    at a column stack.
+    """
+    if isinstance(like, np.ndarray) and not isinstance(value, np.ndarray):
+        return np.full(len(like), value, dtype=object)
+    return value
 
 
 def _scaled_invariants(invariants) -> list:
@@ -179,26 +199,37 @@ def _scaled_invariants(invariants) -> list:
     return scaled
 
 
-def _schur_numerators(sigmas: Sequence[Partition], scaled: list, m: int) -> list:
-    """Integers s_sigma(a) = d^|sigma| s_sigma(y), one row per sigma, at scaled points.
+def _schur_numerators(sigmas: Sequence[Partition], vectors: list, m: int) -> list:
+    """Integers s_sigma(a) = d^|sigma| s_sigma(y), one row per sigma, one entry per vector.
 
-    ``scaled`` holds (d, e_1(a) .. e_k(a)) per point, with k at least
-    min(top, m) for the largest Jacobi-Trudi index top of the shapes.
+    Each vector is (d, e_1(a) .. e_k(a)), with k at least min(top, m) for
+    the largest Jacobi-Trudi index top of the shapes: one invariant class
+    of :func:`_scaled_invariants`, or the column stack of
+    :func:`_scaled_points`, whose entry is then a column.
     """
     for sigma in sigmas:
         if sigma.m != m:
             raise ValueError(f"partition ambient {sigma.m} vs point length {m}")
-    return [_evaluate(schur_e_polynomial(sigma), scaled) for sigma in sigmas]
+    return [
+        [_broadcast(s, v[0]) for s, v in zip(_evaluate(schur_e_polynomial(sigma), vectors), vectors)]
+        for sigma in sigmas
+    ]
 
 
-def _normalized_exact(sigmas: Sequence[Partition], scaled: list, m: int) -> np.ndarray:
+def _entries(value) -> Iterable:
+    """The points' values in one evaluator entry: a column, or a scalar for one point."""
+    return value if isinstance(value, np.ndarray) else (value,)
+
+
+def _normalized_exact(sigmas: Sequence[Partition], vectors: list, m: int) -> np.ndarray:
     """X*_sigma at scaled exact points: s_sigma(a) over d^|sigma| and the normalization."""
-    out = np.empty((len(sigmas), len(scaled)), dtype=object)
-    for r, (sigma, nums) in enumerate(zip(sigmas, _schur_numerators(sigmas, scaled, m))):
+    out = np.empty((len(sigmas), sum(len(_entries(v[0])) for v in vectors)), dtype=object)
+    for r, (sigma, nums) in enumerate(zip(sigmas, _schur_numerators(sigmas, vectors, m))):
         norm = schur_norm(sigma)
         out[r] = [
-            rational(s * norm.denominator, v[0] ** sigma.weight * norm.numerator)
-            for s, v in zip(nums, scaled)
+            rational(s * norm.denominator, d ** sigma.weight * norm.numerator)
+            for values, v in zip(nums, vectors)
+            for s, d in zip(_entries(values), _entries(v[0]))
         ]
     return out
 
@@ -223,7 +254,7 @@ def normalized_schur_batch(sigmas: Sequence[Partition], points) -> np.ndarray:
     top = _top_index(sigmas)
     scaled = _scaled_points(points, top)
     if scaled is not None:
-        return _normalized_exact(sigmas, scaled, len(points[0]))
+        return _normalized_exact(sigmas, [scaled], len(points[0]))
 
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -307,14 +338,7 @@ class SchurExpansion:
 
     def evaluate_batch(self, points) -> list:
         """Values at every point of an (N, m) sequence or :class:`ScaledPoints`, from one batched evaluation."""
-        if isinstance(points, ScaledPoints):
-            lengths = [len(a) for a, _ in points]
-        else:
-            points = [tuple(y) for y in points]
-            lengths = [len(y) for y in points]
-        for k in lengths:
-            if k != self.m:
-                raise ValueError(f"point length {k} vs ambient {self.m}")
+        points = self._checked(points)
         sigmas = list(self.coeffs)
         scaled = _scaled_points(points, _top_index(sigmas))
         if scaled is None:
@@ -323,10 +347,40 @@ class SchurExpansion:
             return [
                 sum((c * v for c, v in zip(coeffs, column)), rational(0)) for column in columns
             ]
+        t, q = self._numerators(scaled)
+        return [rational(x, q) for x in t]
+
+    def numerators(self, points) -> tuple:
+        """Values at exact points as (t, q): an object column of integers t over one q > 0.
+
+        The value at point i is t[i] / q, not reduced; no ``Fraction`` is
+        built.  Points are an (N, m) sequence of exact values or
+        :class:`ScaledPoints`.
+        """
+        points = self._checked(points)
+        scaled = _scaled_points(points, _top_index(list(self.coeffs)))
+        if scaled is None:
+            raise ValueError("integer numerators need exact points")
+        return self._numerators(scaled)
+
+    def _checked(self, points):
+        if isinstance(points, ScaledPoints):
+            lengths = [len(a) for a, _ in points]
+        else:
+            points = [tuple(y) for y in points]
+            lengths = [len(y) for y in points]
+        for k in lengths:
+            if k != self.m:
+                raise ValueError(f"point length {k} vs ambient {self.m}")
+        return points
+
+    def _numerators(self, scaled: list) -> tuple:
+        """(t, q) at the columns (d, e_1(a), ..) of :func:`_scaled_points`."""
         # c_sigma X*_sigma(y) = (c_sigma / norm_sigma) s_sigma(a) / d^|sigma|: over
         # the common denominator L d^w, with w the largest weight, the sum is
         # one integer polynomial in (d, e_1(a), ..), each s_sigma lifted by
         # d^(w - |sigma|) in the slot of e_0
+        sigmas = list(self.coeffs)
         weights = [c / schur_norm(s) for s, c in self.coeffs.items()]
         common = math.lcm(*(w.denominator for w in weights))
         top = max((s.weight for s in sigmas), default=0)
@@ -336,8 +390,15 @@ class SchurExpansion:
             for mono, c in schur_e_polynomial(sigma):
                 mono = (mono[0] + top - sigma.weight,) + mono[1:]
                 folded[mono] = folded.get(mono, 0) + k * c
-        totals = _evaluate([(mono, c) for mono, c in folded.items() if c], scaled)
-        return [rational(t, common * v[0] ** top) for t, v in zip(totals, scaled)]
+        (totals,) = _evaluate([(mono, c) for mono, c in folded.items() if c], [scaled])
+        d = scaled[0]
+        t = _broadcast(totals, d)
+        # point i sits over common d_i^top; lift every point to the lcm of those
+        powers = {x**top for x in set(d)}
+        scale = math.lcm(*powers)
+        if len(powers) > 1:
+            t = t * (scale // d**top)
+        return t, common * scale
 
     def at_ones(self):
         """Sum of the coefficients, over their one common denominator."""

@@ -31,7 +31,11 @@ recurrences that the tests check it against:
   evaluators, one point at a time;
 * ``schur_jacobi_trudi``: s_sigma by the h-form Jacobi-Trudi
   determinant det(h_(sigma_i - i + j)), against which the package's
-  e-polynomials are checked.
+  e-polynomials are checked;
+* ``scaled_rows``, ``row_values``, ``expansion_values``: exact points
+  as one row (d, e_1(a), .., e_k(a)) each and e-polynomials evaluated
+  row by row, the per-point layout that the package's object-int
+  columns replaced.
 """
 
 import math
@@ -54,7 +58,14 @@ from grassdesign.scalars import (
     is_exact_real,
     rational,
 )
-from grassdesign.symfunc import _elementary_terms, _top_index
+from grassdesign.symfunc import (
+    ScaledPoints,
+    _elementary_terms,
+    _top_index,
+    scaled_point,
+    schur_e_polynomial,
+    schur_norm,
+)
 
 
 class SingularMatrixError(ArithmeticError):
@@ -462,3 +473,37 @@ def schur_jacobi_trudi(sigma, e):
     one = e[0]
     h = _complete_terms(list(e), m, _top_index([sigma]), one) + [one * 0]
     return det([[h[k] for k in row] for row in _jacobi_trudi_index(sigma)])
+
+
+def scaled_rows(points, upto: int) -> list:
+    """Exact points y = a/d as one row (d, e_1(a) .. e_upto(a)) each.
+
+    d is the one a ``ScaledPoints`` gives, else the lcm of y's denominators.
+    """
+    if not isinstance(points, ScaledPoints):
+        points = [scaled_point(y) for y in points]
+    rows = []
+    for a, d in points:
+        e = _elementary_terms(a, min(upto, len(a)), 1)
+        e[0] = d
+        rows.append(e)
+    return rows
+
+
+def row_values(poly, rows) -> list:
+    """An e-polynomial at each row, one point at a time, row[k] standing for e_k."""
+    return [
+        sum(c * math.prod(v[k] ** x for k, x in enumerate(mono) if x) for mono, c in poly)
+        for v in rows
+    ]
+
+
+def expansion_values(expansion, points) -> list:
+    """A SchurExpansion at exact points, term by term: c_sigma s_sigma(a) / (norm d^|sigma|)."""
+    rows = scaled_rows(points, _top_index(list(expansion.coeffs)))
+    values = [rational(0)] * len(rows)
+    for sigma, c in expansion.coeffs.items():
+        nums = row_values(schur_e_polynomial(sigma), rows)
+        scale = c / schur_norm(sigma)
+        values = [v + scale * rational(s, row[0] ** sigma.weight) for v, s, row in zip(values, nums, rows)]
+    return values

@@ -14,7 +14,8 @@ T2..T4 on the coordinate sets G(m, n), 2 <= m <= 4, 2m <= n <= 8, and
 T5 on G(3, 6); ``zonal`` on a few shapes at m = 2, 3, 4 and on the
 row (600) at m = 1, whose down-set has 601 shapes; ``dims``, once with
 ``--max-weight`` at m = 5; ``bound`` and
-seeded ``check-nonneg`` for the certificates; ``appendix-b``; ``angles``
+seeded ``check-nonneg`` for the certificates, with a depth-24 grid and
+2,000 samples at m = 4 and a depth-14 grid at m = 6; ``appendix-b``; ``angles``
 on coordinate sets; and ``verify-design`` and ``angles`` on seeded
 disguised configurations and their float copies, with ``verify-design``
 on two disguised G(4, 8), the first one's pair batch running on 20
@@ -100,6 +101,9 @@ def commands(workdir: Path) -> list:
         for m, n in SHAPES[:2]
         for c in ("E", "F")
     ]
+    # 22,475 points in six chunks, one of which mixes grid and sample denominators
+    out.append(["check-nonneg", "--certificate", "F", "--m", "4", "--n", "9", "--depth", "24", "--samples", "2000"])
+    out.append(["check-nonneg", "--certificate", "F", "--m", "6", "--n", "12", "--depth", "14"])
     out += [["appendix-b"], ["appendix-b", "--verify", "E+F"]]
     for m, n in SHAPES[:2]:
         rows = [[[(1, 0) if j == i else (0, 0) for j in range(n)] for i in idx] for idx in combinations(range(n), m)]

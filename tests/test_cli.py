@@ -805,6 +805,17 @@ def test_short_shape_at_the_rank_budget_builds_fast(capsys):
     assert len(doc["result"]["terms"]) == 19
 
 
+def test_rank_six_nonnegativity_grid_is_fast(capsys):
+    # 38,760 grid points decided on integer numerators, with no Fraction
+    # built per point
+    started = time.perf_counter()
+    code, doc = run_json(capsys, "check-nonneg", "--certificate", "F", "--m", "6", "--n", "12", "--depth", "14")
+    assert time.perf_counter() - started < 0.3
+    assert code == 0
+    assert doc["result"]["points_checked"] == math.comb(20, 6)
+    assert doc["result"]["nonnegative_on_grid"] is True
+
+
 def test_parser_keeps_no_state_between_calls(capsys):
     argv = ["check-nonneg", "--certificate", "E", "--m", "2", "--n", "4", "--depth", "3",
             "--samples", "2"]

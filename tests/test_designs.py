@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grassdesign import designs
 from grassdesign.designs import (
@@ -46,9 +47,13 @@ from grassdesign.partitions import (
     row_shape,
 )
 from grassdesign.scalars import rational
+from grassdesign.symfunc import SchurExpansion, ScaledPoints
 from grassdesign.zonal import zonal_kernel
 
 from closed_forms import schur_in_zonal_basis, zonal_product_column
+from exact_oracles import expansion_values
+
+COEFFICIENTS = st.builds(rational, st.integers(-50, 50), st.integers(1, 30))
 
 
 def seeded_range_points(m, count, seed):
@@ -355,15 +360,42 @@ class TestCertificates:
 
 
 def count_batches(monkeypatch) -> list:
-    """Record the size of every CoefficientFunction.evaluate_batch call."""
+    """Record the size of every SchurExpansion.numerators call."""
     sizes = []
-    batch = CoefficientFunction.evaluate_batch
+    batch = SchurExpansion.numerators
     monkeypatch.setattr(
-        CoefficientFunction,
-        "evaluate_batch",
+        SchurExpansion,
+        "numerators",
         lambda self, points: sizes.append(len(points)) or batch(self, points),
     )
     return sizes
+
+
+def pointwise_nonnegativity(cert, depth, samples, seed) -> tuple:
+    """Minimum, argmin, violations and count of a point-by-point loop over the row oracle.
+
+    Grid points over d = depth, then samples over d = 10,000 from the
+    seeded draws, in the order check_nonnegativity takes them.
+    """
+    points = ScaledPoints((ks, depth) for ks in descending_grid(cert.m, depth))
+    rng = random.Random(seed)
+    for _ in range(samples):
+        points.append((sorted((rng.randint(0, 10_000) for _ in range(cert.m)), reverse=True), 10_000))
+    best = None
+    violations = []
+    for i, value in enumerate(expansion_values(cert.expansion, points)):
+        if best is None or value < best:
+            best, best_at = value, points.point(i)
+        if value < 0:
+            violations.append(points.point(i))
+    return best, best_at, violations, len(points)
+
+
+def report_tuple(rep) -> tuple:
+    return rep.minimum, rep.argmin, rep.violations, rep.points_checked
+
+
+CHUNKS = [1, 7, designs.NONNEG_CHUNK]
 
 
 class TestNonnegativity:
@@ -417,6 +449,55 @@ class TestNonnegativity:
         assert rep.argmin == points[values.index(best)] == (1, 0)
         assert rep.violations == [y for y, v in zip(points, values) if v < 0]
         assert rep.points_checked == len(points)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 4),
+        depth=st.integers(1, 6),
+        samples=st.integers(0, 12),
+        seed=st.integers(0, 1000),
+        chunk=st.sampled_from(CHUNKS),
+    )
+    def test_integer_decisions_match_pointwise_loop(self, data, m, depth, samples, seed, chunk):
+        # certificates over shapes of weight at most 4, the empty and the
+        # constant-only one among them; with every point tied, the first wins
+        shapes = enumerate_up_to_weight(m, 4)
+        coeffs = data.draw(
+            st.one_of(
+                st.just({}),
+                COEFFICIENTS.map(lambda c: {column_shape(0, m): c}),
+                st.dictionaries(st.sampled_from(shapes), COEFFICIENTS, max_size=6),
+            )
+        )
+        cert = CoefficientFunction(m, 2 * m + 1, coeffs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(designs, "NONNEG_CHUNK", chunk)
+            rep = check_nonnegativity(cert, grid_depth=depth, samples=samples, seed=seed)
+        assert report_tuple(rep) == pointwise_nonnegativity(cert, depth, samples, seed)
+        assert all(type(v) is Fraction for v in (rep.minimum, *rep.argmin))
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_minimum_tied_across_denominators_keeps_the_grid_point(self, monkeypatch, chunk):
+        # F = ((y - 3/7)(y - c))^2 - eps at m = 1, with c the first sample
+        # k / 10,000, off the depth-7 grid: the grid point 3/7 and the sample
+        # tie at -eps over different denominators, and the grid point comes
+        # first in point order
+        depth, samples, seed = 7, 20, 11
+        c = rational(random.Random(seed).randint(0, 10_000), 10_000)
+        assert c * depth != int(c * depth)
+        eps = rational(1, 10**6)
+        s, p = rational(3, 7) + c, rational(3, 7) * c
+        # y^4 - 2s y^3 + (s^2 + 2p) y^2 - 2sp y + p^2 - eps; X*_(k) = y^k at m = 1
+        power = [p * p - eps, -2 * s * p, s * s + 2 * p, -2 * s, rational(1)]
+        poly = SchurExpansion(1, [(Partition([k], m=1), a) for k, a in enumerate(power)])
+        cert = kernel_coefficients(poly, 2)
+        assert cert.expansion == poly
+        monkeypatch.setattr(designs, "NONNEG_CHUNK", chunk)
+        rep = check_nonnegativity(cert, grid_depth=depth, samples=samples, seed=seed)
+        assert report_tuple(rep) == pointwise_nonnegativity(cert, depth, samples, seed)
+        assert rep.minimum == -eps and rep.argmin == (rational(3, 7),)
+        assert rep.violations[:2] == [(rational(3, 7),), (c,)]
 
     @pytest.mark.parametrize("chunk", [1, 7, 31, 40])
     def test_one_batch_call_per_chunk(self, monkeypatch, chunk):

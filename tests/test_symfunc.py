@@ -14,6 +14,7 @@ from grassdesign.partitions import Partition, binom, column_shape, enumerate_up_
 from grassdesign.scalars import rational
 from grassdesign.symfunc import (
     SchurExpansion,
+    ScaledPoints,
     _evaluate,
     _scaled_invariants,
     _scaled_points,
@@ -32,7 +33,10 @@ from exact_oracles import (
     complete_eval,
     elementary_all,
     elementary_eval,
+    expansion_values,
     prepare_point,
+    row_values,
+    scaled_rows,
     schur_jacobi_trudi,
 )
 
@@ -284,6 +288,7 @@ class TestNormalizedSchurBatch:
         batch = normalized_schur_batch(shapes, points)
         assert batch.shape == (len(shapes), len(points))
         assert batch.dtype == object
+        assert normalized_schur_batch([], points).shape == (0, len(points))
         for r, mu in enumerate(shapes):
             for c, y in enumerate(points):
                 assert type(batch[r, c]) is Fraction
@@ -298,6 +303,7 @@ class TestNormalizedSchurBatch:
         shapes = enumerate_up_to_weight(m, 5)
         batch = normalized_schur_at_invariants(shapes, invariants)
         assert batch.shape == (len(shapes), len(invariants))
+        assert normalized_schur_at_invariants([], invariants).shape == (0, len(invariants))
         for r, mu in enumerate(shapes):
             for c, e in enumerate(invariants):
                 assert type(batch[r, c]) is Fraction
@@ -370,10 +376,16 @@ class TestSchurEPolynomial:
     def test_matches_jacobi_trudi_at_points(self, sigma, data):
         y = data.draw(mixed_points(sigma.m, EXACT_COORDINATES))
         value = self.check(sigma, elementary_all(y, sigma.m))
-        # the integer core: s_sigma(a) = d^|sigma| s_sigma(y) at y = a/d
-        scaled = _scaled_points([y], _top_index([sigma]))
-        (d, *_), = scaled
-        assert _schur_numerators([sigma], scaled, sigma.m) == [[d**sigma.weight * value]]
+        # the integer core: s_sigma(a) = d^|sigma| s_sigma(y) at y = a/d, on
+        # object-int columns (d, e_1(a), ..) that hold one entry per point
+        top = _top_index([sigma])
+        columns = _scaled_points([y], top)
+        (row,) = scaled_rows([y], top)
+        assert [c.tolist() for c in columns] == [[x] for x in row]
+        ((nums,),) = _schur_numerators([sigma], [columns], sigma.m)
+        assert nums.dtype == object and len(nums) == 1
+        assert nums.tolist() == row_values(schur_e_polynomial(sigma), [row])
+        assert nums.tolist() == [row[0] ** sigma.weight * value]
 
     @settings(max_examples=150, deadline=None)
     @given(sigma=SHAPES, data=st.data())
@@ -406,6 +418,23 @@ class TestSchurEPolynomial:
 
 
 COEFFICIENTS = st.builds(rational, st.integers(-50, 50), st.integers(1, 30))
+
+
+def expansions(m):
+    """Expansions over shapes of weight at most 4: empty, constant-only or drawn."""
+    shapes = enumerate_up_to_weight(m, 4)
+    return st.one_of(
+        st.just(SchurExpansion(m)),
+        COEFFICIENTS.map(lambda c: SchurExpansion(m, [(column_shape(0, m), c)])),
+        st.lists(st.tuples(st.sampled_from(shapes), COEFFICIENTS), max_size=8).map(
+            lambda terms: SchurExpansion(m, terms)
+        ),
+    )
+
+
+def scaled_draws(m, d):
+    """Descending integer points over d, as (a, d) entries of ScaledPoints."""
+    return st.lists(st.integers(0, d), min_size=m, max_size=m).map(lambda a: (sorted(a, reverse=True), d))
 
 
 class TestSchurExpansion:
@@ -442,6 +471,32 @@ class TestSchurExpansion:
                 rational(0),
             )
             assert type(value) is Fraction and value == want, y
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4), depth=st.integers(1, 12))
+    def test_numerators_over_mixed_denominators_match_row_oracle(self, data, m, depth):
+        # grid points over d = depth and samples over d = 10,000 in one chunk:
+        # each point is lifted to the lcm of the chunk's denominators
+        expansion = data.draw(expansions(m))
+        chunk = data.draw(st.lists(st.one_of(scaled_draws(m, depth), scaled_draws(m, 10_000)), min_size=1, max_size=12))
+        chunk = ScaledPoints(chunk)
+        top = _top_index(list(expansion.coeffs))
+        columns = _scaled_points(chunk, top)
+        assert [c.tolist() for c in columns] == [list(col) for col in zip(*scaled_rows(chunk, top))]
+        t, q = expansion.numerators(chunk)
+        assert type(q) is int and q > 0
+        assert t.dtype == object and len(t) == len(chunk)
+        assert all(type(x) is int for x in t)
+        want = expansion_values(expansion, chunk)
+        assert [rational(x, q) for x in t] == want
+        assert expansion.evaluate_batch(chunk) == want
+        # the same points as Fraction tuples, d the lcm of each point's denominators
+        t, q = expansion.numerators([chunk.point(i) for i in range(len(chunk))])
+        assert [rational(x, q) for x in t] == want
+
+    def test_numerators_need_exact_points(self):
+        with pytest.raises(ValueError):
+            SchurExpansion(2, {Partition([1, 0]): 1}).numerators([(0.5, 0.25)])
 
     def test_json_round_trip(self):
         e = SchurExpansion(
