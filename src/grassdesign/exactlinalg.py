@@ -14,15 +14,18 @@ Three kinds of scalar are served:
   point's Gram matrix (its Gram inverse), by the same fraction-free
   elimination run as Gauss-Jordan.  Every division is exact, so every
   intermediate is an integer and no fraction is ever formed or reduced;
-* int64 residues modulo word-size primes, numpy arrays with the primes
-  as a leading batch axis: products of stacked Gaussian residue
-  matrices and the elementary symmetric values of their spectra by
-  Newton's identities.  Every sum stays below 2^63 by the choice of the
-  prime width, so the arithmetic is exact.  Integers enter by ``%``, in
-  one int64 array when they fit in a word, and leave by the textbook
-  Chinese remainder sum, in Python integers.  Primes that are 1 mod 4
-  (:func:`split_moduli`) come with a square root s of -1, so that
-  i -> s maps a Gaussian-integer matrix to a single residue matrix.
+* int64 residues modulo word-size primes p = 1 mod 4
+  (:func:`split_moduli`), numpy arrays with the primes as a leading
+  batch axis.  With s^2 = -1 mod p, a Gaussian integer is held as its
+  two images under i -> s and i -> -s (:func:`gaussian_images`), which
+  together are Z[i]/p = F_p x F_p: a product of Gaussian-integer
+  matrices is one int64 product of the image stacks, a conjugate is the
+  stack reversed, and a value is real mod p exactly when its two images
+  agree.  Traces and the elementary symmetric values of spectra, by
+  Newton's identities, are taken on the stacks.  Every sum stays below
+  2^63 by the choice of the prime width, so the arithmetic is exact.
+  Integers enter by ``%``, in one int64 array when they fit in a word,
+  and leave by the textbook Chinese remainder sum, in Python integers.
 
 Matrices are lists of lists outside the modular kernels; their sizes in
 this package stay in the single digits, so clarity wins over asymptotics.
@@ -130,9 +133,9 @@ def gram_adjugate(rows):
 # Deterministic Miller-Rabin witnesses for every integer below 2^64.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Primes below 2^bits, largest first, keyed by (bits, step): step 2 lists
-# the odd primes, step 4 those that are 1 mod 4; a list grows on demand.
-_PRIMES: dict = {}
+# Pairs (p, s) of the primes p = 1 mod 4 below 2^bits, largest first, and
+# a square root s of -1 mod p, keyed by bits; a list grows on demand.
+_SPLIT: dict = {}
 
 
 def _is_prime(q: int) -> bool:
@@ -165,27 +168,6 @@ def modulus_bits(terms: int) -> int:
     return bits
 
 
-def _largest_primes(bits: int, bound: int, step: int) -> list:
-    """The largest primes below 2^bits that are 1 mod ``step``, as few as make their product exceed ``bound``."""
-    found = _PRIMES.setdefault((bits, step), [])
-    product, count = 1, 0
-    while product <= bound:
-        if count == len(found):
-            q = found[-1] - step if found else (1 << bits) - step + 1
-            while not _is_prime(q):
-                q -= step
-            found.append(q)
-        product *= found[count]
-        count += 1
-    return found[:count]
-
-
-def moduli(bits: int, bound: int) -> list:
-    """The largest primes below 2^bits, as few as make their product exceed ``bound``."""
-    return _largest_primes(bits, bound, 2)
-
-
-@lru_cache(maxsize=None)
 def _root_of_minus_one(p: int) -> int:
     """s with s^2 = -1 mod a prime p that is 1 mod 4."""
     g = 2
@@ -204,7 +186,17 @@ def split_moduli(bits: int, bound: int) -> list:
     that maps to 0 for every p has a norm |x|^2 divisible by their
     product: when that product exceeds |x|^2, x = 0.
     """
-    return [(p, _root_of_minus_one(p)) for p in _largest_primes(bits, bound, 4)]
+    found = _SPLIT.setdefault(bits, [])
+    product, count = 1, 0
+    while product <= bound:
+        if count == len(found):
+            p = found[-1][0] - 4 if found else (1 << bits) - 3
+            while not _is_prime(p):
+                p -= 4
+            found.append((p, _root_of_minus_one(p)))
+        product *= found[count][0]
+        count += 1
+    return found[:count]
 
 
 def residues(values: list, primes: list) -> np.ndarray:
@@ -217,25 +209,31 @@ def residues(values: list, primes: list) -> np.ndarray:
         return np.stack([np.fromiter((v % p for v in values), np.int64, len(values)) for p in primes])
 
 
-def gaussian_mul_mod(x, y, q):
-    """Products of stacked Gaussian residue matrices, each given as an (re, im) pair.
+def gaussian_images(values: list, pairs: list, shape: tuple) -> np.ndarray:
+    """Images of Gaussian integers under Z[i] -> F_p, i -> s and i -> -s, for each (p, s) of ``pairs``.
 
-    Entries may be negative but stay below each prime in absolute value;
-    an inner dimension k needs sums of 2k products of residues to fit.
+    ``values`` are the flat (re, im) parts, read as an array of the given
+    shape.  Returns an int64 stack of shape (2, P) + shape: index 0 holds
+    the images under i -> s, index 1 those under i -> -s.  Together they
+    are the isomorphism Z[i]/p = F_p x F_p, so x = 0 mod p exactly when
+    both vanish, and they agree exactly when im(x) = 0 mod p, since they
+    differ by 2 s im(x).  conj(x) maps to the stack reversed on its first
+    axis.
     """
-    (xr, xi), (yr, yi) = x, y
-    return (xr @ yr - xi @ yi) % q, (xr @ yi + xi @ yr) % q
+    primes, roots = (np.array(v, dtype=np.int64).reshape(-1, *[1] * len(shape)) for v in zip(*pairs))
+    res = residues(values, [p for p, _ in pairs]).reshape(len(pairs), *shape, 2)
+    re, im = res[..., 0], res[..., 1] * roots % primes
+    return np.stack(((re + im) % primes, (re - im) % primes))
 
 
 def trace_mod(x, y, q):
-    """tr(x y), or tr(x) when y is None, of stacked Gaussian residue matrices."""
+    """tr(x y), or tr(x) when y is None, of stacked residue matrices, modulo ``q`` shaped (P, 1, 1, 1)."""
     if y is None:
-        parts = [t.diagonal(axis1=-2, axis2=-1).sum(axis=-1) for t in x]
+        t = x.diagonal(axis1=-2, axis2=-1).sum(axis=-1)
     else:
-        (xr, xi), (yr, yi) = x, (t.swapaxes(-1, -2) for t in y)
         # reduced before the m^2 entries are summed
-        parts = [((xr * yr - xi * yi) % q).sum(axis=(-2, -1)), ((xr * yi + xi * yr) % q).sum(axis=(-2, -1))]
-    return [t % q[..., 0, 0] for t in parts]
+        t = (x * y.swapaxes(-1, -2) % q).sum(axis=(-2, -1))
+    return t % q[..., 0, 0]
 
 
 @lru_cache(maxsize=None)
@@ -244,32 +242,33 @@ def _inverses(primes: tuple, m: int) -> np.ndarray:
     return np.array([[pow(k, -1, p) for p in primes] for k in range(1, m + 1)])[..., None]
 
 
-def elementary_mod(mats, q) -> np.ndarray:
-    """e_1 .. e_m of the spectrum of each Gaussian residue matrix, which must be real.
+def elementary_mod(mats: np.ndarray, q) -> np.ndarray:
+    """e_1 .. e_m of the spectrum of each Gaussian-integer matrix, which must be real, from its images.
 
-    ``mats`` is an (re, im) pair of int64 stacks of shape (P, N, m, m) and
-    ``q`` the P primes, shaped (P, 1, 1, 1), each above m.  The power sums
-    tr(M^k), k <= m, come from the powers up to ceil(m / 2); a nonzero
-    imaginary residue raises.  Newton's identities
+    ``mats`` is a stack of :func:`gaussian_images`, shape (2, P, N, m, m),
+    and ``q`` the P primes, shaped (P, 1, 1, 1), each above m.  The power
+    sums tr(M^k), k <= m, come from the powers up to ceil(m / 2); two
+    images of a power sum that differ mean a nonzero imaginary residue,
+    which raises.  Newton's identities
     k e_k = sum_i (-1)^(i-1) e_(k-i) tr(M^i) then give e_k with k^-1 mod p;
     each sum has at most m products of residues, so it fits in int64
     whenever the products of the matrices do.  Returns shape (P, N, m).
     """
-    m = mats[0].shape[-1]
+    m = mats.shape[-1]
     half = (m + 1) // 2
     powers = [mats]
     while len(powers) < half:
-        powers.append(gaussian_mul_mod(powers[-1], mats, q))
+        powers.append(powers[-1] @ mats % q)
     primes = q[..., 0, 0]
     inverses = _inverses(tuple(primes.ravel().tolist()), m)
     # row k - 1 holds (-1)^(k-1) tr(M^k)
-    sums = np.empty((m,) + primes.shape[:1] + mats[0].shape[1:-2], dtype=np.int64)
+    sums = np.empty((m,) + mats.shape[1:-2], dtype=np.int64)
     for k in range(1, m + 1):
         i = min(k, half)
-        re, im = trace_mod(powers[i - 1], powers[k - i - 1] if k > i else None, q)
-        if np.count_nonzero(im):
+        image, other = trace_mod(powers[i - 1], powers[k - i - 1] if k > i else None, q)
+        if not np.array_equal(image, other):
             raise ArithmeticError("spectrum not real: nonzero imaginary residue")
-        sums[k - 1] = re if k % 2 else -re % primes
+        sums[k - 1] = image if k % 2 else -image % primes
     e = np.empty((m + 1,) + sums.shape[1:], dtype=np.int64)
     e[0] = 1
     for k in range(1, m + 1):

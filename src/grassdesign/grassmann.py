@@ -17,11 +17,12 @@ basis matrix whose rows span it.  Two modes coexist:
   follows from the total rank of the atoms it shares, with no pair
   product.  Any failed check, and any request for the pairs themselves,
   evaluates every pair in one multi-modular batch
-  (:func:`pairbatch.invariant_batch`: int64 residues modulo word-size
-  primes; antipodal pairs certified by the trace identity
-  D tr M = tr M^2 and read off tr M, the others lifted by Chinese
-  remaindering once per distinct class), whose classes are counted
-  without a per-pair table.  Defects,
+  (:func:`pairbatch.invariant_batch`: the int64 images of the points
+  under the two maps Z[i] -> F_p, i -> s and i -> -s, modulo word-size
+  primes p = 1 mod 4, the form the atoms use too; antipodal pairs
+  certified by the trace identity D tr M = tr M^2 and read off tr M,
+  the others lifted by Chinese remaindering once per distinct class),
+  whose classes are counted without a per-pair table.  Defects,
   antipodality and the tightness tests read only invariants, so they
   hold for any exact configuration.  Angles themselves, for display,
   are read off each distinct invariant once (:func:`invariant_angles`:

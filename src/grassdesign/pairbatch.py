@@ -5,10 +5,15 @@ lowest terms, G^-1 = N / D.  For a pair (a, b) with cross-Gram
 C = A_a A_b^H, the matrix M = N_a C N_b C^H has the principal angles
 times D = D_a D_b as eigenvalues, so its elementary symmetric values
 e_k(M) = D^k e_k are integers in [0, C(m, k) D^k].  They are found
-modulo word-size primes, whose product exceeds twice that range for the
-largest D of the batch, in int64 arithmetic with the primes as a batch
-axis; the prime width follows from n so that no sum overflows.  Pairs
-are processed in chunks of at most PAIR_CHUNK_ELEMENTS array entries.
+modulo word-size primes p = 1 mod 4, whose product exceeds twice that
+range for the largest D of the batch, in int64 arithmetic with the
+primes as a batch axis; the prime width follows from n so that no sum
+overflows.  As in the atoms below, a Gaussian integer is held as its
+two images under Z[i] -> F_p, i -> s and i -> -s with s^2 = -1
+(:func:`exactlinalg.gaussian_images`): a complex product is one int64
+product of the image stacks, a conjugate is the stack reversed, and a
+value is real mod p exactly when its two images agree.  Pairs are
+processed in chunks of at most PAIR_CHUNK_ELEMENTS entries per array.
 
 Antipodal pairs, whose angles are all 0 or 1, are certified first by
 one trace identity: the angles y_i lie in [0, 1], so
@@ -20,8 +25,8 @@ Newton's identities or lifting.  The other pairs are grouped by
 (D, residues), and every group is lifted once by the Chinese remainder
 sum, so the Python-integer work grows with the number of distinct
 invariants, not of pairs.  A lifted value outside its range, a
-certified pair with no w, or a nonzero imaginary residue of a power sum
-raises.
+certified pair with no w, or a trace or power sum whose two images
+differ (a nonzero imaginary residue) raises.
 
 A whole configuration is first tried through its atoms
 (:func:`atom_classes`).  Its points are pairwise antipodal exactly when
@@ -56,8 +61,7 @@ import numpy as np
 from .exactlinalg import (
     crt_lift,
     elementary_mod,
-    gaussian_mul_mod,
-    moduli,
+    gaussian_images,
     modulus_bits,
     residues,
     split_moduli,
@@ -70,17 +74,13 @@ from .scalars import rational
 PAIR_CHUNK_ELEMENTS = 1 << 15
 
 
-def _gaussian_residues(matrices, primes, shape) -> tuple:
-    """Residues of Gaussian-integer matrices as an (re, im) pair of (P,) + shape arrays."""
-    flat = [v for mat in matrices for row in mat for v in row]
-    # all real parts, then all imaginary parts: each part is contiguous
-    # per prime, which np.take reads about 4x faster than interleaved pairs
-    res = residues([re for re, _ in flat] + [im for _, im in flat], primes).reshape(len(primes), 2, *shape)
-    return res[:, 0], res[:, 1]
+def _parts(matrices) -> list:
+    """The (re, im) parts of the entries of Gaussian-integer matrices, flat."""
+    return [x for mat in matrices for row in mat for pair in row for x in pair]
 
 
 class _PairBatch:
-    """Residues of the points of a batch, modulo primes enough for every pair invariant."""
+    """Images of the points of a batch, modulo split primes enough for every pair invariant."""
 
     def __init__(self, points: Sequence):
         m, n, k = points[0].m, points[0].n, len(points)
@@ -94,11 +94,12 @@ class _PairBatch:
         # only at m = 1
         top = max(self.dens) ** 2
         bound = max([m * top**2 // 4] + [math.comb(m, j) * top**j for j in range(1, m + 1)])
-        self.primes = moduli(modulus_bits(2 * n), 2 * bound + 1)
+        pairs = split_moduli(modulus_bits(n), 2 * bound + 1)
+        self.primes = [p for p, _ in pairs]
         self.q = np.array(self.primes, dtype=np.int64).reshape(-1, 1, 1, 1)
         self.den_res = residues([p.inv_den for p in points], self.primes)
-        self.rows = _gaussian_residues([p.rows for p in points], self.primes, (k, m, n))
-        self.inv = _gaussian_residues([p.inv_num for p in points], self.primes, (k, m, m))
+        self.rows = gaussian_images(_parts(p.rows for p in points), pairs, (k, m, n))
+        self.inv = gaussian_images(_parts(p.inv_num for p in points), pairs, (k, m, m))
 
     def keys(self, first: np.ndarray, second: np.ndarray) -> tuple:
         """Per pair its w when certified antipodal, else -1; and the key rows of the other pairs.
@@ -107,15 +108,15 @@ class _PairBatch:
         modulo each prime.
         """
         q, primes = self.q, self.q[:, :, 0, 0]
-        # C = A_a A_b^H, with A_b^H = re_b^T - i im_b^T
-        re_b, im_b = (np.take(x, second, axis=1).swapaxes(-1, -2) for x in self.rows)
-        cross = gaussian_mul_mod([np.take(x, first, axis=1) for x in self.rows], (re_b, -im_b), q)
-        adjoint = cross[0].swapaxes(-1, -2), -cross[1].swapaxes(-1, -2)
-        left = gaussian_mul_mod([np.take(x, first, axis=1) for x in self.inv], cross, q)
-        right = gaussian_mul_mod([np.take(x, second, axis=1) for x in self.inv], adjoint, q)
-        mats = gaussian_mul_mod(left, right, q)
-        (p1, im1), (p2, im2) = trace_mod(mats, None, q), trace_mod(mats, mats, q)
-        if np.count_nonzero(im1) or np.count_nonzero(im2):
+        rows_a, rows_b = (np.take(self.rows, x, axis=2) for x in (first, second))
+        # C = A_a A_b^H, the image of a conjugate being the stack reversed
+        cross = rows_a @ rows_b[::-1].swapaxes(-1, -2) % q
+        left = np.take(self.inv, first, axis=2) @ cross % q
+        right = np.take(self.inv, second, axis=2) @ cross[::-1].swapaxes(-1, -2) % q
+        mats = left @ right % q
+        (p1, other1), (p2, other2) = trace_mod(mats, None, q), trace_mod(mats, mats, q)
+        # the images of a trace differ by 2 s times its imaginary part
+        if not (np.array_equal(p1, other1) and np.array_equal(p2, other2)):
             raise ArithmeticError("spectrum not real: nonzero imaginary residue")
         d = np.take(self.den_res, first, axis=1) * np.take(self.den_res, second, axis=1) % primes
         antipodal = (d * p1 % primes == p2).all(axis=0)
@@ -130,7 +131,7 @@ class _PairBatch:
         rest = np.flatnonzero(~antipodal)
         keys = np.empty((len(rest), 1 + len(self.primes) * self.m), dtype=np.int64)
         if len(rest):
-            e = elementary_mod(tuple(np.take(x, rest, axis=1) for x in mats), q)
+            e = elementary_mod(np.take(mats, rest, axis=2), q)
             keys[:, 0] = np.take(self.den_index, first[rest]) * len(self.dens) + np.take(self.den_index, second[rest])
             keys[:, 1:] = e.transpose(1, 0, 2).reshape(len(rest), -1)
         return labels, keys
@@ -156,9 +157,10 @@ def invariant_batch(points: Sequence, first, second) -> tuple:
     Multi-modular: the matrix M = N_a C N_b C^H of a pair, C the
     cross-Gram of the integer rows and G^-1 = N / D the reduced Gram
     inverses, has the angles times D = D_a D_b as eigenvalues.  It is
-    formed modulo word-size primes in int64, all primes and a chunk of
-    pairs at once.  A pair with D tr M = tr M^2 is antipodal, and its
-    invariant is read off w = tr M / D.  For the other pairs,
+    formed from the images of the points modulo word-size primes
+    p = 1 mod 4 in int64, all primes and a chunk of pairs at once.  A
+    pair with D tr M = tr M^2 is antipodal, and its invariant is read
+    off w = tr M / D.  For the other pairs,
     e_k(M) = D^k e_k come from the power sums by Newton's identities;
     they are grouped by (D, residues) and each group is lifted once by
     Chinese remaindering, exact because the primes exceed twice the
@@ -172,7 +174,7 @@ def invariant_batch(points: Sequence, first, second) -> tuple:
         return [], first
     batch = _PairBatch(points)
     m = batch.m
-    step = max(1, PAIR_CHUNK_ELEMENTS // (4 * len(batch.primes) * m * points[0].n))
+    step = max(1, PAIR_CHUNK_ELEMENTS // (2 * len(batch.primes) * m * points[0].n))
     groups: dict = {}  # key bytes -> group, in order of first pair
     labels = []
     for lo in range(0, len(first), step):
@@ -342,18 +344,6 @@ def _refine(points, p: int, s: int, projectors, dens: np.ndarray):
     return atoms
 
 
-def _images(values: list, pairs: list, shape: tuple) -> tuple:
-    """Images of x and of conj(x) under Z[i] -> F_p, i -> s, for each (p, s), stacked on a leading axis.
-
-    ``values`` are the flat (re, im) parts of Gaussian integers, read as
-    an array of the given shape.
-    """
-    primes, roots = (np.array(v, dtype=np.int64).reshape(-1, *[1] * len(shape)) for v in zip(*pairs))
-    res = residues(values, [p for p, _ in pairs]).reshape(len(pairs), *shape, 2)
-    re, im = res[..., 0], res[..., 1] * roots % primes
-    return (re + im) % primes, (re - im) % primes
-
-
 def _membership(atoms: list, rows: np.ndarray, pairs: list) -> np.ndarray:
     """J_a for every point: the atoms that some row meets with an inner product whose image is nonzero, (N, k) bool.
 
@@ -361,8 +351,7 @@ def _membership(atoms: list, rows: np.ndarray, pairs: list) -> np.ndarray:
     one per (p, s) of ``pairs``; the points are taken in chunks.
     """
     n, m = rows.shape[-1], rows.shape[-2]
-    vectors = [x for atom in atoms for v in atom for pair in v for x in pair]
-    adjoint = _images(vectors, pairs, (n, n))[1].swapaxes(-1, -2)[:, None]
+    adjoint = gaussian_images(_parts(atoms), pairs, (n, n))[1].swapaxes(-1, -2)[:, None]
     q = np.array([p for p, _ in pairs], dtype=np.int64).reshape(-1, 1, 1, 1)
     starts = [0, *accumulate(len(atom) for atom in atoms[:-1])]
     step = max(1, PAIR_CHUNK_ELEMENTS // (len(pairs) * m * n))
@@ -416,11 +405,11 @@ def atom_classes(points: Sequence):
     """
     size, m, n = len(points), points[0].m, points[0].n
     bits = modulus_bits(n)
-    values = [x for pt in points for row in pt.rows for pair in row for x in pair]
+    values = _parts(pt.rows for pt in points)
     shape, first = (size, m, n), split_moduli(bits, 1)
     p, s = first[0]
-    image, conj = _images(values, first, shape)
-    inv = _images([x for pt in points for row in pt.inv_num for pair in row for x in pair], first, (size, m, m))[0][0]
+    image, conj = gaussian_images(values, first, shape)
+    inv = gaussian_images(_parts(pt.inv_num for pt in points), first, (size, m, m))[0, 0]
 
     def projectors(lo, hi):
         # D P_a = A^H N A, with A^H the transposed image of conj(A)
@@ -435,7 +424,7 @@ def atom_classes(points: Sequence):
             return None
     top_b = max(abs(x) for _, v in labelled for pair in v for x in pair)
     pairs = split_moduli(bits, 2 * (2 * n * max(max(values), -min(values)) * top_b) ** 2)
-    member = _membership(atoms, image if pairs == first else _images(values, pairs, shape)[0], pairs)
+    member = _membership(atoms, image if pairs == first else gaussian_images(values, pairs, shape)[0], pairs)
     ranks = np.array([len(atom) for atom in atoms], dtype=np.int64)
     if not (member @ ranks == m).all():
         return None

@@ -151,26 +151,38 @@ def scaled_point(y) -> tuple:
     return [v.numerator * (d // v.denominator) for v in y], d
 
 
-def _scaled_points(points, upto: int):
+def _scaled_points(points, upto: int, m: int | None = None):
     """Exact points y = a/d as columns (d, e_1(a) .. e_upto(a)), object arrays of ints.
 
     d is the one a :class:`ScaledPoints` gives, else the lcm of y's
-    denominators; entry i of every column belongs to point i.  Returns
-    None when some coordinate is a float.
+    denominators; entry i of every column belongs to point i.  One walk
+    over the points, floats included, checks that they share a length,
+    which must be ``m`` when it is given.  Returns None when some
+    coordinate is a float.
     """
-    if not isinstance(points, ScaledPoints):
+    given = isinstance(points, ScaledPoints)
+    widths = {len(a) for a, _ in points} if given else {len(y) for y in points}
+    if m is not None and widths - {m}:
+        raise ValueError(f"point length {min(widths - {m})} vs ambient {m}")
+    if len(widths) != 1:
+        raise ValueError("points must be an (N, m) array")
+    if not given:
         if not all(is_exact_real(v) for y in points for v in y):
             return None
         points = [scaled_point(y) for y in points]
-    widths = {len(a) for a, _ in points}
-    if len(widths) != 1:
-        raise ValueError("points must be an (N, m) array")
-    (m,) = widths
-    numerators = np.empty((len(points), m), dtype=object)
+    numerators = np.empty((len(points), widths.pop()), dtype=object)
     numerators[:] = [a for a, _ in points]
-    e = _elementary_terms(numerators.T, min(upto, m), 1)
+    e = _elementary_terms(numerators.T, min(upto, numerators.shape[1]), 1)
     e[0] = np.array([d for _, d in points], dtype=object)
     return e
+
+
+def _float_columns(points, upto: int) -> list:
+    """Float points y as columns (1, e_1(y) .. e_upto(y))."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise ValueError("points must be an (N, m) array")
+    return _elementary_terms(pts.T, min(upto, pts.shape[1]), np.ones(len(pts)))
 
 
 def _broadcast(value, like):
@@ -255,12 +267,7 @@ def normalized_schur_batch(sigmas: Sequence[Partition], points) -> np.ndarray:
     scaled = _scaled_points(points, top)
     if scaled is not None:
         return _normalized_exact(sigmas, [scaled], len(points[0]))
-
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be an (N, m) array")
-    m = pts.shape[1]
-    return _normalized_float(sigmas, _elementary_terms(pts.T, min(top, m), np.ones(len(pts))), m)
+    return _normalized_float(sigmas, _float_columns(points, top), len(points[0]))
 
 
 def normalized_schur_at_invariants(sigmas: Sequence[Partition], invariants) -> np.ndarray:
@@ -338,11 +345,11 @@ class SchurExpansion:
 
     def evaluate_batch(self, points) -> list:
         """Values at every point of an (N, m) sequence or :class:`ScaledPoints`, from one batched evaluation."""
-        points = self._checked(points)
         sigmas = list(self.coeffs)
-        scaled = _scaled_points(points, _top_index(sigmas))
+        top = _top_index(sigmas)
+        scaled = _scaled_points(points, top, self.m)
         if scaled is None:
-            columns = normalized_schur_batch(sigmas, points).T
+            columns = _normalized_float(sigmas, _float_columns(points, top), self.m).T
             coeffs = list(self.coeffs.values())
             return [
                 sum((c * v for c, v in zip(coeffs, column)), rational(0)) for column in columns
@@ -357,22 +364,10 @@ class SchurExpansion:
         built.  Points are an (N, m) sequence of exact values or
         :class:`ScaledPoints`.
         """
-        points = self._checked(points)
-        scaled = _scaled_points(points, _top_index(list(self.coeffs)))
+        scaled = _scaled_points(points, _top_index(list(self.coeffs)), self.m)
         if scaled is None:
             raise ValueError("integer numerators need exact points")
         return self._numerators(scaled)
-
-    def _checked(self, points):
-        if isinstance(points, ScaledPoints):
-            lengths = [len(a) for a, _ in points]
-        else:
-            points = [tuple(y) for y in points]
-            lengths = [len(y) for y in points]
-        for k in lengths:
-            if k != self.m:
-                raise ValueError(f"point length {k} vs ambient {self.m}")
-        return points
 
     def _numerators(self, scaled: list) -> tuple:
         """(t, q) at the columns (d, e_1(a), ..) of :func:`_scaled_points`."""

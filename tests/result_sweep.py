@@ -18,8 +18,8 @@ seeded ``check-nonneg`` for the certificates, with a depth-24 grid and
 2,000 samples at m = 4 and a depth-14 grid at m = 6; ``appendix-b``; ``angles``
 on coordinate sets; and ``verify-design`` and ``angles`` on seeded
 disguised configurations and their float copies, with ``verify-design``
-on two disguised G(4, 8), the first one's pair batch running on 20
-primes.  Batches that mix antipodal and generic pairs are
+on two disguised G(4, 8), the first one's pair batch running on 19
+split primes.  Batches that mix antipodal and generic pairs are
 ``verify-design`` and ``angles`` on G(3, 6) with one seeded dense point,
 exact and disguised, on a disguised six-point set and on a
 complement-closed set {V_i, V_i^perp} in G(3, 6); the same commands run

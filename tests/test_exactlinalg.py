@@ -3,10 +3,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grassdesign.exactlinalg import det, gram_adjugate, mat_mul
+from grassdesign.exactlinalg import det, gaussian_images, gram_adjugate, mat_mul, modulus_bits, split_moduli
 from grassdesign.scalars import ExactComplex, rational
 
 from exact_oracles import (
@@ -193,3 +194,41 @@ def test_charpoly_over_gaussian_rationals():
     i = ExactComplex(0, 1)
     m = [[ExactComplex(0), i], [-i, ExactComplex(0)]]  # Pauli-like, eigenvalues +-1
     assert charpoly(m) == [-1, 0, 1]  # x^2 - 1
+
+
+def flat_parts(rows) -> list:
+    return [x for row in rows for pair in row for x in pair]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), count=st.integers(1, 3), shape=st.tuples(*[st.integers(1, 4)] * 3), big=st.booleans())
+def test_gaussian_images_are_ring_maps(data, count, shape, big):
+    # entries past int64 take the Python-% path of the residues; imaginary
+    # parts that are 0 or a multiple of the first prime make the two
+    # images agree there
+    k, r, c = shape
+    bits = modulus_bits(r)
+    pairs = split_moduli(bits, 2 ** (bits * (count - 1)))
+    primes = [p for p, _ in pairs]
+    assert len(primes) == count
+    size = 2**100 if big else 2**20
+    parts = st.integers(-size, size)
+    imaginary = st.one_of(st.just(0), parts, st.builds(lambda t: t * primes[0], st.integers(-size, size)))
+
+    def matrix(rows, cols):
+        row = st.lists(st.tuples(parts, imaginary), min_size=cols, max_size=cols)
+        return data.draw(st.lists(row, min_size=rows, max_size=rows))
+
+    a, b = matrix(k, r), matrix(r, c)
+    q = np.array(primes, dtype=np.int64).reshape(-1, 1, 1)
+    image_a, image_b = gaussian_images(flat_parts(a), pairs, (k, r)), gaussian_images(flat_parts(b), pairs, (r, c))
+    assert image_a.shape == (2, count, k, r) and image_a.dtype == np.int64
+    for (p, s), image in zip(pairs, image_a.swapaxes(0, 1)):
+        assert image.tolist() == [[[(re + t * s * im) % p for re, im in row] for row in a] for t in (1, -1)]
+    # a ring map: the image of A B is the product of the images
+    assert np.array_equal(gaussian_images(flat_parts(gaussian_mat_mul(a, b)), pairs, (k, c)), image_a @ image_b % q)
+    # conjugation swaps the two images, so A^H maps to the reversed stack, transposed
+    assert np.array_equal(gaussian_images(flat_parts(_adjoint(a)), pairs, (r, k)), image_a[::-1].swapaxes(-1, -2))
+    # the images differ by 2 s im, so they agree exactly when im = 0 mod p
+    agree = [[[im % p == 0 for _, im in row] for row in a] for p in primes]
+    assert (image_a[0] == image_a[1]).tolist() == agree

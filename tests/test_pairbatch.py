@@ -18,8 +18,8 @@ from grassdesign import pairbatch
 from grassdesign.exactlinalg import (
     crt_lift,
     modulus_bits,
-    moduli,
     residues,
+    split_moduli,
 )
 from grassdesign.grassmann import (
     EXACT,
@@ -202,7 +202,8 @@ def parent_primes(points) -> list:
     """The primes of the batch without the certificate's range: twice the range of every e_k(M)."""
     m, n = points[0].m, points[0].n
     top = max(p.inv_den for p in points) ** 2
-    return moduli(modulus_bits(2 * n), 2 * max(math.comb(m, j) * top**j for j in range(1, m + 1)) + 1)
+    bound = 2 * max(math.comb(m, j) * top**j for j in range(1, m + 1)) + 1
+    return [p for p, _ in split_moduli(modulus_bits(n), bound)]
 
 
 def test_certificate_needs_no_extra_prime_past_rank_one():
@@ -276,8 +277,8 @@ def test_results_identical_across_chunk_sizes(monkeypatch):
     monkeypatch.setattr(pairbatch._PairBatch, "keys", lambda self, a, b: calls.append(len(a)) or keys(self, a, b))
     # one pair per chunk, three pairs per chunk, and the default; the few
     # classes of G(3, 6) each hold pairs of many chunks
-    per_pair = 4 * len(primes) * 3 * 6
-    for elements, chunks in ((1, 210), (3 * per_pair, 70), (pairbatch.PAIR_CHUNK_ELEMENTS, 5)):
+    per_pair = 2 * len(primes) * 3 * 6
+    for elements, chunks in ((1, 210), (3 * per_pair, 70), (pairbatch.PAIR_CHUNK_ELEMENTS, 3)):
         monkeypatch.setattr(pairbatch, "PAIR_CHUNK_ELEMENTS", elements)
         calls.clear()
         got, got_classes = invariant_batch(points, first, second)
@@ -288,11 +289,13 @@ def test_results_identical_across_chunk_sizes(monkeypatch):
 
 
 def test_int64_sums_at_large_n():
-    # at n = 1100 a cross-Gram entry sums 2200 products of residues; the
-    # prime width of 25 bits keeps them below 2^63, where 29-bit primes
-    # (the width at n <= 11) would overflow
+    # at n = 1100 a cross-Gram entry sums 1100 products of residues; the
+    # prime width of 26 bits keeps them below 2^63, where 27-bit primes
+    # would overflow, and so would 30-bit ones (the width at n <= 8)
     n = 1100
-    assert modulus_bits(2 * n) == 25 and modulus_bits(2 * 11) == 29
+    bits = modulus_bits(n)
+    assert bits == 26 and modulus_bits(8) == 30
+    assert n * (2**bits) ** 2 < 2**63 <= n * (2 ** (bits + 1)) ** 2
     rng = random.Random(3)
     points = [
         SubspacePoint(
@@ -302,7 +305,7 @@ def test_int64_sums_at_large_n():
         for _ in range(3)
     ]
     batch = pairbatch._PairBatch(points)
-    assert max(batch.primes) < 2**25 and len(batch.primes) > 1
+    assert max(batch.primes) < 2**bits and len(batch.primes) > 1
     pairs = all_pairs(3)
     invariants, classes = invariant_batch(points, *zip(*pairs))
     for (i, j), c in zip(pairs, classes.tolist()):
@@ -327,6 +330,22 @@ def test_nonzero_imaginary_residue_raises():
         invariant_batch([b, a], [0], [1])
 
 
+def test_certified_pair_with_a_nonreal_trace_raises():
+    # N_b = c N_a with c = A + i and A = 1 - s modulo each prime: under
+    # i -> s, c maps to 1 and the pair passes the certificate with w = 2;
+    # only the images under i -> -s, where c maps to 1 - 2s, show that
+    # tr M is not real, and no power sum is taken for a certified pair
+    a = great_antipodal(2, 4)[0]
+    primes = pairbatch._PairBatch([a, a]).primes
+    roots = dict(split_moduli(modulus_bits(a.n), math.prod(primes)))
+    (shift,) = crt_lift(np.array([[(1 - roots[p]) % p for p in primes]]), primes)
+    b = SubspacePoint(a.basis, mode=EXACT)
+    b.inv_num = [[(shift * re - im, shift * im + re) for re, im in row] for row in a.inv_num]
+    with recorded("elementary_mod") as newton, pytest.raises(ArithmeticError, match="imaginary residue"):
+        invariant_batch([b, a], [0], [1])
+    assert newton == []
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     values=st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=8),
@@ -335,7 +354,7 @@ def test_nonzero_imaginary_residue_raises():
 def test_residues_and_lift_round_trip(values, bound_bits):
     bound = 2**bound_bits
     values = [v % (2 * bound) - bound for v in values]
-    primes = moduli(modulus_bits(24), 2 * bound + 1)
+    primes = [p for p, _ in split_moduli(modulus_bits(24), 2 * bound + 1)]
     # the middle and both ends of the symmetric range |x| < Q / 2
     half = (math.prod(primes) - 1) // 2
     values += [0, half, -half]

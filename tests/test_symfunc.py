@@ -494,6 +494,26 @@ class TestSchurExpansion:
         t, q = expansion.numerators([chunk.point(i) for i in range(len(chunk))])
         assert [rational(x, q) for x in t] == want
 
+    @pytest.mark.parametrize("kind", ["exact", "scaled", "float"])
+    def test_wrong_length_and_ragged_points_raise(self, kind):
+        expansion = SchurExpansion(2, {Partition([1, 0]): 1, Partition([1, 1]): rational(1, 3)})
+
+        def points(*rows):
+            if kind == "scaled":
+                return ScaledPoints([([3 * x for x in row], 3) for row in rows])
+            return [tuple(rational(x, 3) if kind == "exact" else x / 3 for x in row) for row in rows]
+
+        wrong, ragged = points((1, 2, 1), (2, 1, 1)), points((1, 2), (2, 1, 1), (1, 1))
+        for call in (expansion.evaluate_batch, expansion.numerators):
+            for bad in (wrong, ragged):
+                with pytest.raises(ValueError, match="point length 3 vs ambient 2"):
+                    call(bad)
+        # with no ambient to compare against, ragged points are no (N, m) array
+        with pytest.raises(ValueError, match=r"points must be an \(N, m\) array"):
+            normalized_schur_batch([Partition([1, 0])], ragged)
+        # points of the ambient length pass
+        assert len(expansion.evaluate_batch(points((1, 2), (2, 1)))) == 2
+
     def test_numerators_need_exact_points(self):
         with pytest.raises(ValueError):
             SchurExpansion(2, {Partition([1, 0]): 1}).numerators([(0.5, 0.25)])
