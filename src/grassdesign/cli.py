@@ -11,23 +11,35 @@ byte-identical across runs in exact mode.  Exact integers are written
 whole, however many digits they have: Python's limit on int/str
 conversion is lifted while the document is built and written, and the
 caller's limit is put back after it; inputs are read under the default
-limit of 4,300 digits.  Exit codes: 0 success or
-verified, 1 verification failed, 2 usage error, 3 computational error.
+limit of 4,300 digits.
+
+Argv is read by :func:`read_args` from the command table ``COMMANDS``
+(each subcommand's handler, help line and options), with no parser
+library.  ``--seed N`` goes before the subcommand and every other option
+after it, as ``--opt value`` or ``--opt=value``; a long name may be cut
+to any prefix no other name of the subcommand shares, an exact name
+winning; the last occurrence of an option wins; and a negative number
+such as ``-4`` is a value.  ``-h`` or ``--help``, before the subcommand
+or after it, prints help built from the table.
+
+Exit codes: 0 success or verified (and help), 1 verification failed,
+2 usage error (a bad argv prints ``grassdesign: error: ...`` naming the
+argument), 3 computational error.
 A computational error prints ``{"error": {"code": ..., "message": ...}}``
 to stderr; an exception no code names is reported as ``internal``.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import math
+import re
 import sys
 import time
-from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__, designs, grassmann, zonal
 from .grassmann import (
@@ -63,7 +75,7 @@ CERTIFICATES = {
 def _tolerance(text: str) -> float:
     tol = float(text)
     if not (math.isfinite(tol) and tol >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+        raise ValueError(f"must be a finite number >= 0, got {text!r}")
     return tol
 
 
@@ -164,6 +176,16 @@ def _json_text(value, pad: str = "\n") -> str:
         if not value:
             return "[]"
         inner = pad + "  "
+        if type(value[0]) is int:
+            # a list of exact ints (a partition, say) in one pass; a bool
+            # is an int too, but writes as true or false
+            parts = []
+            for v in value:
+                if type(v) is not int:
+                    break
+                parts.append(int.__repr__(v))
+            else:
+                return "[" + inner + ("," + inner).join(parts) + pad + "]"
         body = ("," + inner).join([_json_text(v, inner) for v in value])
         return "[" + inner + body + pad + "]"
     if isinstance(value, dict):
@@ -302,72 +324,274 @@ def cmd_check_nonneg(args) -> tuple:
     return code, result, None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="grassdesign",
-        description="Exact design verification and bounds on complex Grassmannians",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled points (default 0)")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Option:
+    """One option of the command table, read into ``args.<dest>``.
 
-    def common(p, config=False, mn=True, tabular=False):
-        if config:
-            p.add_argument("--config", required=True, help="configuration JSON file")
-        if mn:
-            p.add_argument("--m", type=int, required=True)
-            p.add_argument("--n", type=int, required=True)
-        if tabular:
-            p.add_argument("--emit", choices=("json", "csv"), default="json")
+    ``convert`` turns the option's text into its value and raises
+    ValueError, with the reason, when it cannot; a value outside
+    ``choices`` is refused; an option not given keeps ``default`` unless
+    it is ``required``.
+    """
 
-    p = sub.add_parser("zonal", help="kernel expansion in the normalized-Schur basis")
-    p.add_argument("--mu", required=True, help="comma-separated parts, e.g. 2,1")
-    common(p)
-    p.set_defaults(fn=cmd_zonal)
+    __slots__ = ("name", "dest", "help", "convert", "choices", "default", "required")
 
-    p = sub.add_parser("dims", help="table of harmonic component dimensions")
-    p.add_argument("--max-weight", type=int, default=4)
-    common(p, tabular=True)
-    p.set_defaults(fn=cmd_dims)
+    def __init__(self, name, help, convert=str, choices=None, default=None, required=False):
+        self.name = name
+        self.dest = name.lstrip("-").replace("-", "_")
+        self.help = help
+        self.convert = convert
+        self.choices = choices
+        self.default = default
+        self.required = required
 
-    p = sub.add_parser("angles", help="pairwise principal-angle matrix of a configuration")
-    common(p, config=True, mn=False, tabular=True)
-    p.set_defaults(fn=cmd_angles)
-
-    p = sub.add_parser("verify-design", help="defect report for a configuration file")
-    p.add_argument("--set", required=True, help="test set: E, F, E+F or T<t>")
-    p.add_argument("--tol", type=_tolerance, default=designs.DEFAULT_TOL)
-    common(p, config=True, mn=False, tabular=True)
-    p.set_defaults(fn=cmd_verify_design)
-
-    p = sub.add_parser("bound", help="linear-programming cardinality bound of a certificate")
-    p.add_argument("--certificate", choices=CERTIFICATES, required=True)
-    common(p)
-    p.set_defaults(fn=cmd_bound)
-
-    p = sub.add_parser("antipodal", help="build and optionally verify the coordinate antipodal set")
-    p.add_argument("--verify", default=None, help="test set: E, F, E+F or T<t>")
-    common(p, tabular=True)
-    p.set_defaults(fn=cmd_antipodal)
-
-    p = sub.add_parser("appendix-b", help="bundled six-point configuration in G(2,4)")
-    p.add_argument("--verify", default=None, help="test set: E, F, E+F or T<t>")
-    common(p, mn=False, tabular=True)
-    p.set_defaults(fn=cmd_appendix_b)
-
-    p = sub.add_parser("check-nonneg", help="grid evidence that a certificate is nonnegative")
-    p.add_argument("--certificate", choices=CERTIFICATES, required=True)
-    p.add_argument("--depth", type=int, default=20)
-    p.add_argument("--samples", type=int, default=0)
-    common(p)
-    p.set_defaults(fn=cmd_check_nonneg)
-
-    return parser
+    def spelling(self) -> str:
+        """``--name VALUE``, with the choices in braces where there are choices."""
+        if self is _HELP:
+            return "-h, --help"
+        value = "{" + ",".join(self.choices) + "}" if self.choices else self.dest.upper()
+        return f"{self.name} {value}"
 
 
-@lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process: parsing leaves no state in it, so it is built once."""
-    return build_parser()
+class _Command:
+    """A row of the command table: handler, help line and options.
+
+    ``lookup`` maps every option name, ``-h`` and ``--help`` included,
+    to its option.
+    """
+
+    __slots__ = ("fn", "help", "options", "lookup")
+
+    def __init__(self, fn, help, options):
+        self.fn = fn
+        self.help = help
+        self.options = options
+        self.lookup = {"-h": _HELP, "--help": _HELP, **{o.name: o for o in options}}
+
+
+_HELP = _Option("--help", "show this help message and exit")
+_FAMILY = "test set: E, F, E+F or T<t>"
+_M = _Option("--m", "rank m of the subspaces", int, required=True)
+_N = _Option("--n", "dimension n of the ambient space", int, required=True)
+_EMIT = _Option("--emit", "output format (default json)", choices=("json", "csv"), default="json")
+_CONFIG = _Option("--config", "configuration JSON file", required=True)
+_VERIFY = _Option("--verify", _FAMILY)
+_CERTIFICATE = _Option("--certificate", "certificate to evaluate", choices=CERTIFICATES, required=True)
+
+_SEED = _Option("--seed", "seed for sampled points (default 0)", int, default=0)
+_TOP = _Command(None, "Exact design verification and bounds on complex Grassmannians", (_SEED,))
+COMMANDS = {
+    "zonal": _Command(
+        cmd_zonal,
+        "kernel expansion in the normalized-Schur basis",
+        (_Option("--mu", "comma-separated parts, e.g. 2,1", required=True), _M, _N),
+    ),
+    "dims": _Command(
+        cmd_dims,
+        "table of harmonic component dimensions",
+        (_Option("--max-weight", "largest weight listed (default 4)", int, default=4), _M, _N, _EMIT),
+    ),
+    "angles": _Command(
+        cmd_angles, "pairwise principal-angle matrix of a configuration", (_CONFIG, _EMIT)
+    ),
+    "verify-design": _Command(
+        cmd_verify_design,
+        "defect report for a configuration file",
+        (
+            _Option("--set", _FAMILY, required=True),
+            _Option(
+                "--tol",
+                f"slack of float-mode verdicts (default {designs.DEFAULT_TOL})",
+                _tolerance,
+                default=designs.DEFAULT_TOL,
+            ),
+            _CONFIG,
+            _EMIT,
+        ),
+    ),
+    "bound": _Command(
+        cmd_bound, "linear-programming cardinality bound of a certificate", (_CERTIFICATE, _M, _N)
+    ),
+    "antipodal": _Command(
+        cmd_antipodal,
+        "build and optionally verify the coordinate antipodal set",
+        (_VERIFY, _M, _N, _EMIT),
+    ),
+    "appendix-b": _Command(
+        cmd_appendix_b, "bundled six-point configuration in G(2,4)", (_VERIFY, _EMIT)
+    ),
+    "check-nonneg": _Command(
+        cmd_check_nonneg,
+        "grid evidence that a certificate is nonnegative",
+        (
+            _CERTIFICATE,
+            _Option("--depth", "depth of the simplex grid (default 20)", int, default=20),
+            _Option("--samples", "seeded random points added to the grid (default 0)", int, default=0),
+            _M,
+            _N,
+        ),
+    ),
+}
+
+
+def _usage(name: str | None) -> str:
+    if name is None:
+        return "usage: grassdesign [-h] [--seed SEED] COMMAND [OPTION ...]\n"
+    spellings = [
+        o.spelling() if o.required else f"[{o.spelling()}]" for o in COMMANDS[name].options
+    ]
+    return f"usage: grassdesign {name} [-h] {' '.join(spellings)}\n"
+
+
+def _option_rows(options) -> str:
+    return "".join(f"  {o.spelling():<26}{o.help}\n" for o in options)
+
+
+def _help_text(name: str | None) -> str:
+    """``--help`` of the program (``name`` None) or of one command, from the table."""
+    command = _TOP if name is None else COMMANDS[name]
+    text = f"{_usage(name)}\n{command.help}\n\noptions:\n{_option_rows((_HELP, *command.options))}"
+    if name is None:
+        text += "\ncommands, each with -h, --help too:\n"
+        for key, command in COMMANDS.items():
+            text += f"\n{key}: {command.help}\n{_option_rows(command.options)}"
+    return text
+
+
+def _exit_usage(text: str):
+    sys.stderr.write(text)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _fail(message: str, name: str | None = None):
+    _exit_usage(f"{_usage(name)}grassdesign: error: {message}\n")
+
+
+# a negative number is read as a value, not as an unknown option
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _token(token: str, lookup: dict, name: str | None):
+    """What one argv item is: None for a value, else ``(option, spelling, joined text)``.
+
+    An exact option name wins, then ``--name=text``, then the one long
+    name that starts with ``--prefix`` (``--prefix=text`` too) or ``-h``
+    with text joined to it.  A negative number or an item with a space
+    is a value; any other item that starts with ``-`` is an unknown
+    option, whose option is None.
+    """
+    if token[:1] != "-":
+        return None
+    if token in lookup:
+        return lookup[token], token, None
+    if len(token) == 1:
+        return None
+    prefix, eq, text = token.partition("=")
+    if eq and prefix in lookup:
+        return lookup[prefix], prefix, text
+    if token[1] == "-":
+        matches = [key for key in lookup if key.startswith(prefix)]
+        if len(matches) > 1:
+            _fail(f"ambiguous option: {token} could match {', '.join(matches)}", name)
+        if matches:
+            return lookup[matches[0]], matches[0], text if eq else None
+    elif token[:2] in lookup:
+        return lookup[token[:2]], token[:2], token[2:]
+    if " " in token or _NEGATIVE_NUMBER.match(token):
+        return None
+    return None, token, None
+
+
+def _scan(tokens: list, lookup: dict, name: str | None) -> list:
+    """Each item as :func:`_token` reads it, but the first ``--`` is ``"--"`` and every later item a value."""
+    kinds = []
+    for token in tokens:
+        if token == "--":
+            kinds.append("--")
+            kinds += [None] * (len(tokens) - len(kinds))
+            break
+        kinds.append(_token(token, lookup, name))
+    return kinds
+
+
+def _take(kind: tuple, tokens: list, kinds: list, i: int, args, name: str | None) -> int:
+    """Apply the option at ``tokens[i]``; return the index of the first item it leaves."""
+    option, spelling, text = kind
+    if option is _HELP:
+        # -hh is -h twice; any other text joined to -h or --help is refused
+        if text is None or (spelling == "-h" and text and not text.strip("h")):
+            sys.stdout.write(_help_text(name))
+            raise SystemExit(EXIT_OK)
+        ignored = text.lstrip("h") if spelling == "-h" else text
+        _fail(f"argument -h/--help: ignored explicit argument {ignored!r}", name)
+    stop = i + 1
+    if text is None:
+        if stop == len(tokens) or kinds[stop] is not None:
+            _fail(f"argument {option.name}: expected one argument", name)
+        text = tokens[stop]
+        stop += 1
+    try:
+        value = option.convert(text)
+    except ValueError as exc:
+        _fail(f"argument {option.name}: {exc}", name)
+    if option.choices is not None and value not in option.choices:
+        choices = ", ".join(map(repr, option.choices))
+        _fail(f"argument {option.name}: invalid choice: {value!r} (choose from {choices})", name)
+    setattr(args, option.dest, value)
+    return stop
+
+
+def read_args(argv) -> SimpleNamespace:
+    """Read argv by the command table into one attribute per parameter.
+
+    The program's options come first; the first value names the
+    command, and every item after it is the command's.  ``--name value``
+    and ``--name=value`` both work, a long name may be shortened to any
+    prefix no other name shares, and the last occurrence of an option
+    wins.  ``--`` and every item after it are values that no option
+    takes, so they are refused.  ``-h`` or ``--help`` prints help and
+    exits 0; any other fault exits 2 with a message naming the argument.  The result holds ``seed``, ``command``,
+    ``fn`` (the command's handler) and one attribute per option of the
+    command, its default where it was not given.
+    """
+    tokens = list(argv)
+    kinds = _scan(tokens, _TOP.lookup, None)
+    args = SimpleNamespace(seed=_SEED.default)
+    unknown = []
+    i = 0
+    while i < len(tokens) and isinstance(kinds[i], tuple):
+        if kinds[i][0] is None:
+            unknown.append(tokens[i])
+            i += 1
+        else:
+            i = _take(kinds[i], tokens, kinds, i, args, None)
+    if i == len(tokens) or tokens[i:] == ["--"]:
+        _fail("the following arguments are required: command")
+    name = tokens[i]
+    if name not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _fail(f"argument command: invalid choice: {name!r} (choose from {choices})")
+    command = COMMANDS[name]
+    args.command = name
+    for option in command.options:
+        setattr(args, option.dest, option.default)
+    args.fn = command.fn
+    tokens = tokens[i + 1 :]
+    kinds = _scan(tokens, command.lookup, name)
+    given = set()
+    i = 0
+    while i < len(tokens):
+        if isinstance(kinds[i], tuple) and kinds[i][0] is not None:
+            given.add(kinds[i][0])
+            i = _take(kinds[i], tokens, kinds, i, args, name)
+        else:
+            unknown.append(tokens[i])
+            i += 1
+    missing = [o.name for o in command.options if o.required and o not in given]
+    if missing:
+        _fail(f"the following arguments are required: {', '.join(missing)}", name)
+    if unknown:
+        _fail(f"unrecognized arguments: {' '.join(unknown)}")
+    return args
 
 
 def _compute_error(code: str, message: str) -> int:
@@ -376,9 +600,8 @@ def _compute_error(code: str, message: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     with _DigitLimit(_INPUT_DIGITS):
-        args = parser.parse_args(argv)
+        args = read_args(sys.argv[1:] if argv is None else argv)
     params = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -399,7 +622,7 @@ def main(argv=None) -> int:
         except tuple(_ERROR_CODES) as exc:
             return _compute_error(_ERROR_CODES[type(exc)], str(exc))
         except (ValueError, OSError) as exc:
-            parser.exit(EXIT_USAGE, f"error: {exc}\n")
+            _exit_usage(f"error: {exc}\n")
         except Exception as exc:
             # exit 1 is a negative verdict only, so a fault of the program
             # exits 3 like any other computation that did not finish, naming

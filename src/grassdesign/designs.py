@@ -421,6 +421,25 @@ class NonnegativityReport:
         }
 
 
+def _samples(m: int, count: int, seed: int):
+    """``count`` seeded points ``(ks, 10_000)``, each ks m descending integers in [0, 10,000].
+
+    Each k is what ``random.Random(seed).randint(0, 10_000)`` would draw
+    next: randint takes ``getrandbits(14)`` until the value is at most
+    10,000, and this runs that loop inline, about four times faster.
+    """
+    bits = random.Random(seed).getrandbits
+    for _ in range(count):
+        ks = []
+        for _ in range(m):
+            k = bits(14)
+            while k > 10_000:
+                k = bits(14)
+            ks.append(k)
+        ks.sort(reverse=True)
+        yield ks, 10_000
+
+
 def check_nonnegativity(
     cert: CoefficientFunction,
     grid_depth: int = 20,
@@ -450,13 +469,8 @@ def check_nonnegativity(
             f"the budget of {GRID_POINT_BUDGET} points; lower the grid depth or the sample count"
         )
 
-    def sampled():
-        rng = random.Random(seed)
-        for _ in range(samples):
-            yield sorted((rng.randint(0, 10_000) for _ in range(cert.m)), reverse=True), 10_000
-
     grid = ((ks, grid_depth) for ks in descending_grid(cert.m, grid_depth))
-    points = chain(grid, sampled())
+    points = chain(grid, _samples(cert.m, samples, seed))
     expansion = cert.expansion
     best = None
     violations = []

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, JSON shape, determinism, file formats."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -14,14 +15,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import grassdesign
 from grassdesign import designs, exactlinalg, grassmann, symfunc, zonal
-from grassdesign.cli import _json_text, build_parser, main
+from grassdesign import cli
+from grassdesign.cli import _json_text, main
 from grassdesign.grassmann import great_antipodal, random_subspace, SubspaceConfiguration
 from grassdesign.partitions import RANK_BUDGET, SHAPE_BUDGET, Partition
 
+from argparse_oracle import build_parser
 from seeded_configs import disguised_points, exact_document
 
 
@@ -384,8 +387,15 @@ JSON_VALUES = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(JSON_VALUES)
+@example([1, True, 2, 10**5000])
+@example([0, -1, 2**70])
 def test_emitter_text_is_that_of_json_dumps_indent_2(value):
-    assert _json_text(value) == json.dumps(value, indent=2)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert _json_text(value) == json.dumps(value, indent=2)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize(
@@ -829,7 +839,9 @@ def test_parser_keeps_no_state_between_calls(capsys):
 
 
 def test_help_text_is_that_of_a_fresh_parser(capsys):
-    want = build_parser().format_help()
+    # --help prints the command table's help on every call, and it names
+    # every command, option and help string of the argparse parser
+    want = cli._help_text(None)
     for _ in range(2):
         with pytest.raises(SystemExit) as err:
             main(["--help"])
@@ -837,6 +849,141 @@ def test_help_text_is_that_of_a_fresh_parser(capsys):
         assert capsys.readouterr().out == want
         main(["dims", "--m", "1", "--n", "2"])
         capsys.readouterr()
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    names = set(commands.choices)
+    assert names == set(cli.COMMANDS)
+    for action in parser._actions:
+        names.update(action.option_strings)
+        names.add(action.help)
+    for sub in commands.choices.values():
+        for action in sub._actions:
+            names.update(action.option_strings)
+            names.add(action.help)
+    names.update(a.help for a in commands._choices_actions)
+    names.discard(None)
+    assert [name for name in sorted(names) if name not in want] == []
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_command_help_is_printed_after_the_command(command, capsys):
+    for flag in ("-h", "--help", "--he", "-hh"):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--bogus", flag, "--m", "x"])
+        assert err.value.code == 0
+        out = capsys.readouterr().out
+        assert out == cli._help_text(command)
+        assert out.startswith(f"usage: grassdesign {command} ")
+
+
+# The argv alphabet of the differential test: every option name of the
+# command table and each of its prefixes (ambiguous ones included), the
+# command names, values that are good for some options and bad for
+# others, negative numbers, and items argparse reads in odd ways.
+OPTION_NAMES = sorted({"--help", "--seed"} | {o.name for c in cli.COMMANDS.values() for o in c.options})
+SPELLINGS = st.sampled_from(OPTION_NAMES).flatmap(
+    lambda name: st.sampled_from([name[:k] for k in range(2, len(name) + 1)])
+)
+VALUES = st.sampled_from([
+    "2", "4", "0", "11", "-4", "+3", " 3", "3.5", "x", "", "-", "-1e3", "-.5", ".5", "1e-8",
+    "inf", "nan", "-1", "-0", "E", "F", "one", "bogus", "json", "csv", "2,1", "E+F", "T2",
+    "cfg.json", "1_0", "\u0663", "=", "a=b",
+])
+ODD_ITEMS = st.sampled_from([
+    "-h", "--help", "-hh", "-hx", "-h=", "-h=h", "-hh=x", "--help=x", "--he=", "--", "-", "-x",
+    "--bogus", "---m", "--m 3", "--=1", "--=", "-=", "--seed=", "--mu=", *cli.COMMANDS, "dimz", "",
+])
+ITEMS = st.one_of(SPELLINGS, VALUES, ODD_ITEMS, st.tuples(SPELLINGS, VALUES).map("=".join))
+
+
+def _good_value(option):
+    if option.choices is not None:
+        return st.sampled_from(sorted(option.choices))
+    if option.convert is int:
+        return st.integers(-3, 30).map(str)
+    if option.convert is cli._tolerance:
+        return st.sampled_from(["0", "1e-8", "0.5", "3"])
+    return st.sampled_from(["2,1", "E+F", "cfg.json", "-1", "a b"])
+
+
+@st.composite
+def argvs(draw):
+    """An argv that is mostly good, then mutated: items inserted, deleted or replaced."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    options = cli.COMMANDS[command].options
+    given = [o for o in options if o.required or draw(st.booleans())]
+    given += draw(st.lists(st.sampled_from(options), max_size=2))  # repeated options
+    argv = draw(st.sampled_from([[], ["--seed", "3"], ["--seed=-7"], ["--se", "11"]])) + [command]
+    for option in draw(st.permutations(given)):
+        name = option.name[: draw(st.integers(3, len(option.name)))]
+        value = draw(_good_value(option))
+        argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert":
+            argv.insert(at, draw(ITEMS))
+        elif at < len(argv):
+            argv[at : at + 1] = [] if edit == "delete" else [draw(ITEMS)]
+    return argv
+
+
+ORACLE = build_parser()
+
+
+def _outcome(parse, argv):
+    """("args", attributes) for accepted argv, else ("exit", code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return ("args", vars(parse(list(argv))))
+        except SystemExit as exc:
+            return ("exit", exc.code, out.getvalue(), err.getvalue())
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.one_of(argvs(), st.lists(ITEMS, max_size=8)))
+def test_argv_reader_agrees_with_argparse(argv):
+    want = _outcome(ORACLE.parse_args, argv)
+    got = _outcome(cli.read_args, argv)
+    assert got[:2] == want[:2], (argv, got, want)
+    if got[:2] == ("exit", 0):
+        assert got[2].startswith("usage: grassdesign") and got[3] == ""
+    elif got[0] == "exit":
+        assert got[2] == "" and "\ngrassdesign: error: " in got[3]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "-3", "check-nonneg", "--cert=F", "--m", "2", "--n", "4", "--samples", "-4"],
+        ["--se=5", "dims", "--ma", "1", "--m=1", "--m", "2", "--n", "3"],
+        ["zonal", "--mu", "-.5", "--m", "2", "--n", "4", "--mu==2"],
+        ["antipodal", "--verify", "-x y", "--m", "-0", "--n", "\u0663", "--e", "csv"],
+    ],
+)
+def test_argv_reader_examples(argv):
+    assert vars(cli.read_args(argv)) == vars(ORACLE.parse_args(argv))
+
+
+def test_joined_double_dash_is_text():
+    # the one argv on which the reader departs from argparse, which drops
+    # a joined "--" and stores an empty list, unconverted and unchecked
+    argv = ["bound", "--m", "2", "--n", "4", "--certificate=--"]
+    assert ORACLE.parse_args(argv).certificate == []
+    assert _outcome(cli.read_args, argv)[:2] == ("exit", 2)
+    assert cli.read_args(["zonal", "--mu=--", "--m", "2", "--n", "4"]).mu == "--"
+
+
+def test_cli_imports_no_argument_parser():
+    src = Path(grassdesign.__file__).resolve().parents[1]
+    code = "import sys, grassdesign.cli; print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_computational_errors_exit_three(tmp_path, capsys):

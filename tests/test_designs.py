@@ -391,6 +391,14 @@ def pointwise_nonnegativity(cert, depth, samples, seed) -> tuple:
     return best, best_at, violations, len(points)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_samples_are_the_randint_draws(seed):
+    for m in range(1, 7):
+        rng = random.Random(seed)
+        want = [(sorted((rng.randint(0, 10_000) for _ in range(m)), reverse=True), 10_000) for _ in range(300)]
+        assert list(designs._samples(m, 300, seed)) == want
+
+
 def report_tuple(rep) -> tuple:
     return rep.minimum, rep.argmin, rep.violations, rep.points_checked
 
