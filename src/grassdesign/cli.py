@@ -106,8 +106,11 @@ class _DigitLimit:
 
 
 def _parse_mu(text: str, m: int) -> Partition:
+    items = text.split(",")
+    if not all(v.strip() for v in items):
+        raise ValueError(f"--mu {text!r} has an empty item")
     with _DigitLimit(_INPUT_DIGITS):
-        parts = [int(v) for v in text.split(",") if v.strip() != ""]
+        parts = [int(v) for v in items]
     return Partition(parts, m=m)
 
 
@@ -156,23 +159,20 @@ def _json_text(value, pad: str = "\n") -> str:
     """Exactly ``json.dumps(value, indent=2)``, built by joining strings.
 
     ``indent`` turns off the C encoder, and the pure-Python one yields a
-    token at a time; this takes the same type tests in the same order and
-    returns each container's text whole.  ``pad`` is the newline and
-    indentation of the enclosing level.
+    token at a time; this returns each container's text whole.  An exact
+    dict or list is told by its type, the rest by json's type tests in
+    json's order, and a subclass or tuple is written as the dict or list
+    it holds.  ``pad`` is the newline and indentation of the enclosing
+    level.
     """
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    if isinstance(value, (list, tuple)):
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        body = ("," + inner).join([_key_text(k) + ": " + _json_text(v, inner) for k, v in value.items()])
+        return "{" + inner + body + pad + "}"
+    if kind is list:
         if not value:
             return "[]"
         inner = pad + "  "
@@ -188,12 +188,22 @@ def _json_text(value, pad: str = "\n") -> str:
                 return "[" + inner + ("," + inner).join(parts) + pad + "]"
         body = ("," + inner).join([_json_text(v, inner) for v in value])
         return "[" + inner + body + pad + "]"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, (list, tuple)):
+        return _json_text(list(value), pad)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        body = ("," + inner).join([_key_text(k) + ": " + _json_text(v, inner) for k, v in value.items()])
-        return "{" + inner + body + pad + "}"
+        return _json_text(dict(value.items()), pad)
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 

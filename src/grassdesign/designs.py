@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from math import comb
+from math import comb, lcm
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -50,7 +50,7 @@ from .partitions import (
     row_shape,
 )
 from .scalars import as_rational, is_exact_real, rational, rational_to_str
-from .symfunc import SchurExpansion, ScaledPoints, normalized_schur_at_invariants
+from .symfunc import SchurExpansion, ScaledPoints, add_terms, normalized_schur_at_invariants
 from .zonal import harmonic_dim, zonal_kernel
 from .grassmann import DEFAULT_TOL, EXACT, SubspaceConfiguration
 
@@ -119,10 +119,20 @@ def _defects(config: SubspaceConfiguration, family: Sequence[Partition]) -> list
     expansions = [zonal_kernel(mu, config.n).expansion for mu in family]
     sigmas = sorted({s for e in expansions for s in e.coeffs}, key=Partition.sort_key)
     moments = schur_moments(config, sigmas)
-    return [
-        sum((c * moments[s] for s, c in e.coeffs.items()), rational(0))
-        for e in expansions
-    ]
+    if config.mode != EXACT:
+        return [
+            sum((c * moments[s] for s, c in e.coeffs.items()), rational(0))
+            for e in expansions
+        ]
+    # integer moments over one common denominator, one Fraction per defect
+    common = lcm(*(v.denominator for v in moments.values()))
+    scaled = {s: v.numerator * (common // v.denominator) for s, v in moments.items()}
+    defects = []
+    for e in expansions:
+        den = lcm(*(c.denominator for c in e.coeffs.values()))
+        num = sum(c.numerator * (den // c.denominator) * scaled[s] for s, c in e.coeffs.items())
+        defects.append(rational(num, den * common))
+    return defects
 
 
 def design_defect(config: SubspaceConfiguration, mu: Partition):
@@ -255,12 +265,12 @@ class CoefficientFunction:
 
     @property
     def expansion(self) -> SchurExpansion:
-        """F = sum c_mu Z_mu in normalized Schurs, expanded once."""
+        """F = sum c_mu Z_mu in normalized Schurs, expanded once into one dict."""
         if self._expansion is None:
-            total = SchurExpansion(self.m)
+            total = {}
             for mu, c in self.coeffs.items():
-                total = total + zonal_kernel(mu, self.n).expansion.scaled(c)
-            self._expansion = total
+                add_terms(total, zonal_kernel(mu, self.n).expansion.coeffs.items(), c)
+            self._expansion = SchurExpansion._built(self.m, total)
         return self._expansion
 
     def evaluate_batch(self, points) -> list:
@@ -325,13 +335,13 @@ def kernel_coefficients(poly: SchurExpansion, n: int) -> CoefficientFunction:
     ``poly`` the multiple of Z_mu that cancels its largest shape mu leaves
     only smaller shapes; repeating empties it.
     """
-    rest = poly
+    rest = dict(poly.coeffs)
     out = {}
-    while rest.coeffs:
-        mu = max(rest.coeffs, key=Partition.sort_key)
+    while rest:
+        mu = max(rest, key=Partition.sort_key)
         kernel = zonal_kernel(mu, n).expansion
-        out[mu] = rest.coeffs[mu] / kernel.coeff(mu)
-        rest = rest + kernel.scaled(-out[mu])
+        out[mu] = rest[mu] / kernel.coeff(mu)
+        add_terms(rest, kernel.coeffs.items(), -out[mu])
     return CoefficientFunction(poly.m, n, out)
 
 

@@ -2,13 +2,16 @@
 
 Three kinds of scalar are served:
 
-* generic scalars through the minimal protocol (+, -, *, /, truthiness
-  as zero test), so the same code runs over ``Fraction``, Gaussian
-  rationals and, where sensible, machine floats: determinants and matrix
-  products.  The determinant, by fraction-free elimination, serves the
-  l(mu) x l(mu) integer minor of each term of :func:`zonal.zonal_kernel`;
-  exact Schur values take none (see
-  :func:`symfunc.schur_e_polynomial`);
+* Python integers: the l(mu) x l(mu) minor of each term of
+  :func:`zonal.zonal_kernel`, by closed forms up to 3 x 3 and
+  fraction-free elimination beyond, with no scan of the entries' types
+  and no copy past the selected columns (:func:`minor`).  Exact Schur
+  values take no determinant (see :func:`symfunc.schur_e_polynomial`);
+  the generic determinant over any exact ring is a test oracle in
+  ``tests/exact_oracles.py``;
+* generic scalars through the minimal protocol (+, -, *, truthiness as
+  zero test), so the same code runs over ``Fraction``, Gaussian
+  rationals and machine floats: matrix products;
 * Gaussian integers stored as ``(re, im)`` pairs of Python ints, the
   scalars of the exact pair geometry: the determinant and adjugate of a
   point's Gram matrix (its Gram inverse), by the same fraction-free
@@ -35,41 +38,45 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
 
-def det(rows):
-    """Determinant by Bareiss's fraction-free elimination (Math. Comp. 22, 1968).
+def minor(rows, cols):
+    """Determinant of the square integer matrix of ``rows`` read at the columns ``cols``.
 
-    Each step replaces a_ij by (a_kk a_ij - a_ik a_kj) / p, p the previous
-    pivot; the division is exact, so integer input stays integer (floor
-    division on ints, true division on field scalars), and a zero pivot is
-    swapped for a lower row with a nonzero entry in its column.  O(n^3)
-    ring operations: the l(mu) x l(mu) integer minor of each term of a
-    zonal kernel, built once per kernel.
+    One row per column.  Sizes up to 3 are closed forms.  Larger ones
+    take Bareiss's fraction-free elimination (Math. Comp. 22, 1968) down
+    to a 3 x 3 trailing block: each step replaces the block's a_ij by
+    (p a_ij - a_i0 a_0j) / q, p the pivot and q the one before, an exact
+    integer division, and a zero pivot is swapped for a lower row with a
+    nonzero entry in its column.  By Sylvester's identity that block's
+    determinant is the whole one times q^2.  O(n^3) integer operations:
+    the l(mu) x l(mu) minor of each term of a zonal kernel.
     """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    a = [list(r) for r in rows]
-    exact = all(type(v) is int for r in a for v in r)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot, top = a[k][k], a[k]
-        for row in a[k + 1 :]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                t = pivot * row[j] - lead * top[j]
-                row[j] = t // prev if exact else t / prev
-        prev = pivot
-    return sign * a[-1][-1] if n else 1
+    if len(cols) < 3:
+        if len(cols) == 2:
+            (r, s), (x, y) = rows, cols
+            return r[x] * s[y] - r[y] * s[x]
+        return rows[0][cols[0]] if cols else 1
+    sign = prev = 1
+    if len(cols) > 3:
+        a = list(map(itemgetter(*cols), rows))
+        while len(a) > 3:
+            if not a[0][0]:
+                swap = next((i for i, row in enumerate(a) if row[0]), None)
+                if swap is None:
+                    return 0
+                a[0], a[swap] = a[swap], a[0]
+                sign = -sign
+            (pivot, *top), rest = a[0], a[1:]
+            a = [[(pivot * x - row[0] * t) // prev for x, t in zip(row[1:], top)] for row in rest]
+            prev = pivot
+        rows, cols = a, (0, 1, 2)
+    (r, s, t), (x, y, z) = rows, cols
+    value = r[x] * (s[y] * t[z] - s[z] * t[y]) - r[y] * (s[x] * t[z] - s[z] * t[x]) + r[z] * (s[x] * t[y] - s[y] * t[x])
+    return sign * value // prev**2
 
 
 def mat_mul(a, b):

@@ -23,9 +23,9 @@ from .scalars import rational
 SHAPE_BUDGET = 10_000
 
 # Largest rank m a shape enumeration takes.  Each shape of a kernel costs
-# one l(mu) x l(mu) minor, whatever m, but its Schur norm and the kernel's
-# dimension take O(m^2) factors: at the budget the kernel of (3, 3, 2)
-# builds in about 0.03 s.
+# one l(mu) x l(mu) minor, whatever m, but the kernel's dimension takes
+# O(m^2) factors: at the budget the kernel of (3, 3, 2) builds in about
+# 0.03 s.
 RANK_BUDGET = 64
 
 
@@ -196,14 +196,15 @@ def _shapes(caps: tuple, weight: int, message: str) -> list:
         if not top:  # every later part is 0 as well
             if len(found) == SHAPE_BUDGET:
                 raise ShapeLimitError(message)
-            found.append(Partition._built(prefix + (0,) * (m - i)))
+            found.append(prefix + (0,) * (m - i))
             return
         for p in range(top + 1):
             extend(prefix + (p,), p, remaining - p)
 
     extend((), weight, weight)
-    found.sort(key=Partition.sort_key)
-    return found
+    # built in lex order, so a stable sort by weight gives graded lex
+    found.sort(key=sum)
+    return [Partition._built(parts) for parts in found]
 
 
 def enumerate_up_to_weight(m: int, t: int) -> list:

@@ -53,7 +53,7 @@ from typing import Dict, Iterable, Sequence
 import numpy as np
 
 from .partitions import Partition
-from .scalars import as_rational, is_exact_real, rational, rational_to_str
+from .scalars import as_rational, is_exact_real, rational
 
 
 def _elementary_terms(vals, upto: int, one) -> list:
@@ -302,6 +302,22 @@ def schur_eval(mu: Partition, y: Sequence):
     return schur_norm(mu) * normalized_schur_eval(mu, y)
 
 
+def add_terms(store: dict, terms, factor=1) -> dict:
+    """``store`` plus factor times the (sigma, c) ``terms``, summed in place and returned.
+
+    A shape whose sum stays nonzero keeps its place, one whose sum
+    cancels is dropped, and a new one, or one that cancelled before,
+    goes to the end: float evaluation sums the terms in this order.
+    """
+    for sigma, c in terms:
+        c = store.get(sigma, 0) + factor * c
+        if c:
+            store[sigma] = c
+        else:
+            store.pop(sigma, None)
+    return store
+
+
 class SchurExpansion:
     """Finite linear combination of normalized Schur polynomials.
 
@@ -313,23 +329,21 @@ class SchurExpansion:
 
     def __init__(self, m: int, coeffs: Dict[Partition, object] | Iterable = ()):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        store: Dict[Partition, object] = {}
+        terms = []
         for sigma, c in items:
             if sigma.m != m:
                 raise ValueError(f"ambient mismatch: {sigma} in expansion over {m} variables")
-            c = as_rational(c)
-            if not c:
-                continue
-            if sigma in store:
-                # a sum that cancels is dropped, and the shape re-enters at the
-                # end: float evaluation sums the terms in this order
-                c += store[sigma]
-                if not c:
-                    del store[sigma]
-                    continue
-            store[sigma] = c
+            terms.append((sigma, as_rational(c)))
         self.m = m
-        self.coeffs = store
+        self.coeffs = add_terms({}, terms)
+
+    @classmethod
+    def _built(cls, m: int, coeffs: dict) -> "SchurExpansion":
+        """Nonzero ``Fraction`` coefficients over shapes of ambient m that a builder has made valid, taken as is."""
+        expansion = object.__new__(cls)
+        expansion.m = m
+        expansion.coeffs = coeffs
+        return expansion
 
     def coeff(self, sigma: Partition):
         return self.coeffs.get(sigma, rational(0))
@@ -422,13 +436,7 @@ class SchurExpansion:
         return f"SchurExpansion(m={self.m}, {{{body}}})"
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "terms": [
-                {"partition": s.to_json(), "coeff": rational_to_str(c)}
-                for s, c in self.terms()
-            ],
-        }
+        return {"m": self.m, "terms": [{"partition": list(s.parts), "coeff": str(c)} for s, c in self.terms()]}
 
     @staticmethod
     def from_json(data: dict) -> "SchurExpansion":

@@ -9,7 +9,9 @@ module builds these kernels exactly:
 * ``zonal_kernel``, the general construction: each coefficient over the
   normalized Schur polynomials is one l(mu) x l(mu) integer minor of
   one-variable Jacobi-polynomial coefficients (the bialternant form,
-  whose full m x m determinants are kept in ``tests/closed_forms.py``);
+  whose full m x m determinants are kept in ``tests/closed_forms.py``),
+  taken by :func:`exactlinalg.minor` in one integer pass over the
+  down-set;
 * closed-form expansions for single-column, single-row and hook shapes,
   kept as independent cross-checks of the general construction.
 
@@ -19,23 +21,23 @@ in the tests (``tests/james_constantine.py``, ``tests/closed_forms.py``)
 as oracles.
 
 Dimensions come from the Weyl product formula applied to the associated
-highest weight of the unitary group, in O(m^2) factors.  A kernel's
-terms are scaled in one ``Fraction`` each, and the two products it
-reads more than once, s_sigma(1, .., 1) per shape (the cached
-:func:`symfunc.schur_norm`) and the dimension per (mu, n), are cached
-per process.
+highest weight of the unitary group, in O(m^2) factors, cached per
+(mu, n).  A kernel's terms are scaled in one ``Fraction`` each; the
+s_sigma(1, .., 1) they carry is taken up to a factor that every shape
+shares, in O(l(mu)^2) factors per shape.
 """
 
 from __future__ import annotations
 
-import math
+from fractions import Fraction
+from math import comb, perm, prod
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat, starmap
+from operator import add, ge, sub
 
-from .exactlinalg import det
+from .exactlinalg import minor
 from .partitions import Partition, binom, column_shape, down_set, hook_shape, row_shape
-from .scalars import rational
-from .symfunc import SchurExpansion, schur_norm
+from .symfunc import SchurExpansion
 
 
 def _require_ambient(m: int, n: int):
@@ -64,8 +66,8 @@ def harmonic_dim(mu: Partition, n: int) -> int:
         num *= a - b + j - i
         den *= j - i
     for i, s in enumerate(mu.parts, 1):
-        num *= math.comb(s + n - m - i, s) ** 2
-        den *= math.comb(s + m - i, s) ** 2
+        num *= comb(s + n - m - i, s) ** 2
+        den *= comb(s + m - i, s) ** 2
     if num % den:
         raise ArithmeticError(f"non-integral Weyl product for {mu.parts} at n = {n}")
     return num // den
@@ -91,7 +93,7 @@ class ZonalPolynomial:
                 f"kernel for {mu} sums to {expansion.at_ones()} at ones, expected {dim}"
             )
         for sigma in expansion.coeffs:
-            if not sigma <= mu:
+            if not all(map(ge, mu.parts, sigma.parts)):
                 raise ArithmeticError(f"kernel for {mu} has stray term {sigma}")
         self.mu = mu
         self.n = n
@@ -141,16 +143,24 @@ def zonal_kernel(mu: Partition, n: int) -> ZonalPolynomial:
     L = l(mu), rows i > L have k_i = m - i and vanish past l = k_i, so
     the m x m matrix is block upper triangular: its lower-right block is
     triangular with a diagonal that no sigma changes, and the scaling
-    cancels it.  Only the top-left L x L minor is taken.  Every
-    coefficient is an integer until the expansion is scaled to meet the
-    dimension at the all-ones point.
+    cancels it.  Only the top-left L x L integer minor is taken.
+
+    s_sigma(1) is prod_{i<j} (l_i - l_j) / (j - i) over j <= m; the
+    denominator is shared by every sigma and cancels too.  Past L,
+    l_j = m - j runs through m - L - 1 .. 0, so those pairs give the
+    shared tail Vandermonde and, for each i <= L, the falling factorial
+    l_i! / (l_i - m + L)!.  Every coefficient is an integer until the
+    expansion is scaled to meet the dimension at the all-ones point, one
+    ``Fraction`` per nonzero term, in down-set order.
     """
     m = mu.m
     _require_ambient(m, n)
     shapes = down_set(mu)  # checks the shape budget before the rows below are built
     alpha = n - 2 * m
     length = mu.length
-    ks = [p + m - i for i, p in enumerate(mu.parts[:length], start=1)]
+    tail = m - length
+    offsets = range(m - 1, tail - 1, -1)
+    ks = list(map(add, mu.parts[:length], offsets))
     # row k holds C(k + alpha + l, l) C(k, l) for l = 0..k_1, each entry the
     # last times (k + alpha + l + 1)(k - l) / (l + 1)^2, an exact division
     jacobi = []
@@ -161,13 +171,14 @@ def zonal_kernel(mu: Partition, n: int) -> ZonalPolynomial:
         jacobi.append(row)
     terms = []
     for sigma in shapes:
-        ls = [s + m - j for j, s in enumerate(sigma.parts[:length], start=1)]
-        # s_sigma(1, ..., 1), an integer
-        c = schur_norm(sigma).numerator * det([[row[l] for l in ls] for row in jacobi])
-        terms.append((sigma, -c if sigma.weight % 2 else c))
+        ls = list(map(add, sigma.parts[:length], offsets))
+        c = minor(jacobi, ls) * prod(map(perm, ls, repeat(tail))) * prod(starmap(sub, combinations(ls, 2)))
+        if c:
+            terms.append((sigma, -c if sum(sigma.parts) % 2 else c))
     dim = harmonic_dim(mu, n)
     total = sum(c for _, c in terms)
-    return ZonalPolynomial(mu, n, SchurExpansion(m, [(s, rational(c * dim, total)) for s, c in terms]))
+    coeffs = {sigma: Fraction(c * dim, total) for sigma, c in terms}
+    return ZonalPolynomial(mu, n, SchurExpansion._built(m, coeffs))
 
 
 def zonal_column(i: int, m: int, n: int) -> ZonalPolynomial:

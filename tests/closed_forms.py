@@ -23,11 +23,12 @@ import math
 from itertools import combinations
 from typing import Dict
 
-from grassdesign.exactlinalg import det
 from grassdesign.partitions import Partition, binom, column_shape, down_set, hook_shape
 from grassdesign.scalars import rational
 from grassdesign.symfunc import SchurExpansion, schur_norm
 from grassdesign.zonal import ZonalPolynomial, _require_ambient, harmonic_dim, zonal_kernel
+
+from exact_oracles import det
 
 
 def schur_in_zonal_basis(i: int, m: int, n: int) -> Dict[Partition, object]:

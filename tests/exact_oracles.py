@@ -5,6 +5,9 @@ fraction formed; these helpers are the older, independent routes through
 Gaussian-rational elimination and the Faddeev-LeVerrier and Berkowitz
 recurrences that the tests check it against:
 
+* ``det``: the determinant by Bareiss's fraction-free elimination over
+  any exact ring or field, the oracle for the package's integer minors
+  (``exactlinalg.minor``);
 * ``solve``, ``invert``, ``rank``, ``null_space``: Gaussian elimination
   over an exact field;
 * ``charpoly``: the monic characteristic polynomial by Faddeev-LeVerrier,
@@ -40,7 +43,7 @@ recurrences that the tests check it against:
 
 import math
 
-from grassdesign.exactlinalg import det, mat_mul
+from grassdesign.exactlinalg import mat_mul
 from grassdesign.grassmann import (
     EXACT,
     FLOAT,
@@ -66,6 +69,38 @@ from grassdesign.symfunc import (
     schur_e_polynomial,
     schur_norm,
 )
+
+
+def det(rows):
+    """Determinant by Bareiss's fraction-free elimination (Math. Comp. 22, 1968).
+
+    Each step replaces a_ij by (a_kk a_ij - a_ik a_kj) / p, p the previous
+    pivot; the division is exact, so integer input stays integer (floor
+    division on ints, true division on field scalars), and a zero pivot is
+    swapped for a lower row with a nonzero entry in its column.  O(n^3)
+    ring operations over ints, ``Fraction`` or Gaussian rationals.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant of a non-square matrix")
+    a = [list(r) for r in rows]
+    exact = all(type(v) is int for r in a for v in r)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, top = a[k][k], a[k]
+        for row in a[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                t = pivot * row[j] - lead * top[j]
+                row[j] = t // prev if exact else t / prev
+        prev = pivot
+    return sign * a[-1][-1] if n else 1
 
 
 class SingularMatrixError(ArithmeticError):

@@ -18,11 +18,12 @@ together with the partition helpers only this recursion uses.
 from functools import lru_cache
 from typing import Dict, Optional
 
-from grassdesign.exactlinalg import det
 from grassdesign.partitions import Partition, binom, down_set
 from grassdesign.scalars import as_rational, rational
 from grassdesign.symfunc import SchurExpansion, schur_norm
 from grassdesign.zonal import ZonalPolynomial, _require_ambient, harmonic_dim
+
+from exact_oracles import det
 
 
 class PoleError(ArithmeticError):

@@ -503,6 +503,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["zonal", "--mu", "1,2", "--m", "2", "--n", "4"])  # not a partition
     assert err.value.code == 2
+    # a shape with an empty item is refused, and the message names the text
+    for text in ("", " ", ",,", "2,,1", "2,", ",1"):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(["zonal", "--mu", text, "--m", "2", "--n", "4"])
+        assert err.value.code == 2
+        assert f"--mu {text!r} has an empty item" in capsys.readouterr().err
+    # while 0 is the zero shape
+    code, doc = run_json(capsys, "zonal", "--mu", "0", "--m", "2", "--n", "4")
+    assert code == 0 and doc["result"]["mu"] == [0, 0]
     with pytest.raises(SystemExit) as err:
         main(["dims", "--m", "2", "--n", "4", "--max-weight", "-1"])
     assert err.value.code == 2
@@ -1062,14 +1072,14 @@ def test_check_nonneg_takes_no_determinant_per_point(monkeypatch, capsys):
     cert = designs.certificate_antipodal(3, 7)
     shapes = {s for mu in cert.coeffs for s in zonal.zonal_kernel(mu, 7).expansion.coeffs}
     calls = []
-    real_det = exactlinalg.det
+    real_minor = exactlinalg.minor
 
-    def counting_det(rows):
-        calls.append(len(rows))
-        return real_det(rows)
+    def counting_minor(rows, cols):
+        calls.append(len(cols))
+        return real_minor(rows, cols)
 
-    monkeypatch.setattr(exactlinalg, "det", counting_det)
-    monkeypatch.setattr(zonal, "det", counting_det)
+    monkeypatch.setattr(exactlinalg, "minor", counting_minor)
+    monkeypatch.setattr(zonal, "minor", counting_minor)
     seen = []
     for depth in ("4", "12"):
         symfunc.schur_e_polynomial.cache_clear()

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grassdesign.exactlinalg import det, gaussian_images, gram_adjugate, mat_mul, modulus_bits, split_moduli
+from grassdesign.exactlinalg import gaussian_images, gram_adjugate, mat_mul, minor, modulus_bits, split_moduli
 from grassdesign.scalars import ExactComplex, rational
 
 from exact_oracles import (
     SingularMatrixError,
     _adjoint,
     charpoly,
+    det,
     gaussian_adjugate,
     gaussian_charpoly,
     gaussian_mat_mul,
@@ -86,6 +87,40 @@ def test_det_is_polynomial_at_large_rank():
     rows = [[(i + 1) * (i == j) + (j > i) for j in range(n)] for i in range(n)]
     rows[0], rows[1] = rows[1], rows[0]
     assert det(rows) == -math.factorial(n)
+    assert minor(rows, range(n)) == -math.factorial(n)
+
+
+ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7, 10**12])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(ENTRIES, min_size=n + 2, max_size=n + 2), min_size=n, max_size=n),
+            st.permutations(range(n + 2)),
+        )
+    )
+)
+def test_integer_minor_matches_the_oracle_determinant(case):
+    # mostly zero entries force zero pivots, row swaps and singular blocks
+    rows, order = case
+    cols = order[: len(rows)]
+    value = minor(rows, cols)
+    assert type(value) is int
+    assert value == det([[row[j] for j in cols] for row in rows])
+
+
+def test_integer_minor_swaps_past_zero_pivots():
+    # a zero pivot at the first and at the second elimination step
+    rows = [[0, 1, 2, 3, 9], [0, 0, 1, 4, 1], [5, 0, 0, 1, 2], [1, 2, 3, 4, 5], [2, 0, 1, 0, 3]]
+    for cols in ([0, 1, 2, 3, 4], [4, 2, 0, 3, 1], [1, 2, 3, 4, 0]):
+        assert minor(rows, cols) == det([[row[j] for j in cols] for row in rows]) != 0
+    # one swap flips the sign
+    assert minor([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]], range(4)) == -6
+    # a column of zeros below a zero pivot: singular
+    rows[2][0] = rows[3][0] = rows[4][0] = 0
+    assert minor(rows, [0, 1, 2, 3, 4]) == 0
 
 
 def test_solve_and_invert():

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from grassdesign.cli import main
 from grassdesign.designs import column_family, hook_family, is_T_design, weight_family
-from grassdesign.exactlinalg import det, mat_mul
+from grassdesign.exactlinalg import mat_mul
 from grassdesign.grassmann import (
     EXACT,
     RankDeficiencyError,
@@ -31,7 +31,7 @@ from grassdesign.grassmann import (
 from grassdesign.scalars import ExactComplex, rational
 from grassdesign.zonal import zonal_kernel
 
-from exact_oracles import angle_polynomial, orthogonal_complement
+from exact_oracles import angle_polynomial, det, orthogonal_complement
 
 CONFIGS = {"six-point": six_point_config(), "great-antipodal": great_antipodal(2, 4)}
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grassdesign.exactlinalg import det
 from grassdesign.partitions import Partition, binom, column_shape, enumerate_up_to_weight, row_shape
 from grassdesign.scalars import rational
 from grassdesign.symfunc import (
@@ -31,6 +30,7 @@ from grassdesign.symfunc import (
 from closed_forms import pieri_e1
 from exact_oracles import (
     complete_eval,
+    det,
     elementary_all,
     elementary_eval,
     expansion_values,

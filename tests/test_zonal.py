@@ -240,7 +240,7 @@ class TestKernels:
         # bottleneck of a 4001-term kernel
         started = time.perf_counter()
         kernel = zonal_kernel.__wrapped__(row_shape(4000, 1), 2)
-        assert time.perf_counter() - started < 2
+        assert time.perf_counter() - started < 1
         assert len(kernel.expansion.coeffs) == 4001
 
     def test_rank_forty_kernel_builds(self):
@@ -250,11 +250,22 @@ class TestKernels:
         assert time.perf_counter() - started < 5
         assert kernel == zonal_row(1, 40, 80)
 
+    def test_rank_forty_column_kernel_builds(self):
+        # 41 integer minors of size 40, O(l(mu)^3) each: 1.6 to 1.9 s when
+        # written, on a 2-core Xeon with CPython 3.11
+        started = time.perf_counter()
+        kernel = zonal_kernel.__wrapped__(column_shape(40, 40), 80)
+        assert time.perf_counter() - started < 4
+        assert kernel == zonal_column(40, 40, 80)
+
     @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), m=st.integers(1, 6), gap=st.integers(0, 3))
+    @given(data=st.data(), m=st.integers(1, 7), gap=st.integers(0, 3))
     def test_minors_match_the_full_bialternant(self, data, m, gap):
-        parts = sorted(data.draw(st.lists(st.integers(0, 6), min_size=m, max_size=m)), reverse=True)
-        mu, n = Partition(parts), 2 * m + gap
+        # l(mu) <= 6 and parts up to 8; a rank past the length gives the
+        # minors' tail factors something to do
+        length = data.draw(st.integers(0, min(m, 6)))
+        parts = sorted(data.draw(st.lists(st.integers(0, 8), min_size=length, max_size=length)), reverse=True)
+        mu, n = Partition(parts, m=m), 2 * m + gap
         assert zonal_kernel.__wrapped__(mu, n) == bialternant_kernel(mu, n)
 
     def test_rank_past_the_budget_is_refused(self):
