@@ -6,12 +6,12 @@ the "defects" reported here.  Defects come from Schur moments
 M_sigma = sum over pair classes y of count(y) * X*_sigma(y), computed once
 per test family for the union of its kernels' supports; each defect is
 its kernel's expansion dotted with the moments.  All moments come from
-one batched evaluation at the elementary symmetric values of the pair
-angles, with no root found: exact pairs are grouped into classes by
-those values, read off each pair's characteristic polynomial, and give
-exact rationals, so exact configurations with irrational angles get
-exact defects too; float pairs enter as rows of one array of values,
-evaluated in one numpy pass.  A
+the elementary symmetric values of the pair angles, with no root found:
+exact pairs are grouped into classes by those values, read off each
+pair's characteristic polynomial, and give one integer sum over one
+denominator per sigma, so exact configurations with irrational angles
+get exact defects too; float pairs enter as rows of one array of
+values, evaluated in one numpy pass.  A
 coefficient function c with positive constant term and
 pointwise-nonnegative kernel combination F certifies the cardinality
 bound F(1,..,1)/c_(0) for any configuration averaging the components
@@ -50,7 +50,8 @@ from .partitions import (
     row_shape,
 )
 from .scalars import as_rational, is_exact_real, rational, rational_to_str
-from .symfunc import SchurExpansion, ScaledPoints, add_terms, normalized_schur_at_invariants
+from .symfunc import SchurExpansion, ScaledPoints, _scaled_invariants, add_terms, exact_schur_sum, schur_norm
+from .symfunc import normalized_schur_at_invariants
 from .zonal import harmonic_dim, zonal_kernel
 from .grassmann import DEFAULT_TOL, EXACT, SubspaceConfiguration
 
@@ -100,15 +101,25 @@ def schur_moments(config: SubspaceConfiguration, sigmas: Sequence[Partition]) ->
     """M_sigma = sum over ordered pairs of X*_sigma(y(a, b)), for each sigma.
 
     Every sigma at every pair invariant (e_1, .., e_m), which X*_sigma
-    needs in place of the angles, in one batched evaluation, weighted by
-    the number of ordered pairs each invariant stands for: exact
-    invariants are distinct classes with their counts, float ones single
-    pairs of weight 1 or 2.  No root is found.  The weights stay
-    integers, so exact moments stay ``Fraction`` values.
+    needs in place of the angles, weighted by the number of ordered pairs
+    each invariant stands for: exact invariants are distinct classes with
+    their counts, float ones single pairs of weight 1 or 2.  No root is
+    found.  Float moments come from one batched evaluation.  Exact ones
+    come from one :func:`exact_schur_sum` per sigma on the classes'
+    integer columns: its integers t over one q, dotted with the counts,
+    give one ``Fraction`` per sigma.
     """
     invariants, weights = config.invariant_weights()
-    values = normalized_schur_at_invariants(sigmas, invariants)
-    return dict(zip(sigmas, (values * weights).sum(axis=1).tolist()))
+    if config.mode != EXACT:
+        values = normalized_schur_at_invariants(sigmas, invariants)
+        return dict(zip(sigmas, (values * weights).sum(axis=1).tolist()))
+    stack = _scaled_invariants(invariants)
+    counts = weights.tolist()
+    moments = {}
+    for sigma in sigmas:
+        t, q = exact_schur_sum([(sigma, 1 / schur_norm(sigma))], stack)
+        moments[sigma] = rational(sum(x * c for x, c in zip(t, counts)), q)
+    return moments
 
 
 def _defects(config: SubspaceConfiguration, family: Sequence[Partition]) -> list:

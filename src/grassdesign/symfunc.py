@@ -17,22 +17,23 @@ is the integer s_sigma(a) = d^|sigma| s_sigma(y), and X*_sigma(y) is
 that integer over d^|sigma| and the normalization.  No determinant is
 taken per point, and repeated coordinates need no care.
 
-Points given by their coordinates (d the lcm of their denominators, or
-d as given with integer numerators in :class:`ScaledPoints`) enter as
-columns: numpy object arrays of Python ints, one for d and one per
-e_k(a), each holding its value at every point.  The same
-:func:`_elementary_terms` that float mode runs on float columns builds
-them, and the one evaluator :func:`_evaluate` takes the column stack as
-one vector.  Points given by their e_k alone, through
-:func:`normalized_schur_at_invariants` (d the lcm of the denominators of
-the e_k), stay one vector of ints each: that is how exact pair classes
-enter without their angles, a few dozen classes per configuration at
-most, too few for columns to pay.  :meth:`SchurExpansion.numerators`
-folds its shapes into one e-polynomial, each s_sigma lifted by a power
-of d, evaluates it once on the columns and lifts every point to one
-denominator q: the values are an integer column t over q, with no
-``Fraction`` built.  :meth:`SchurExpansion.evaluate_batch` turns them
-into ``Fraction`` values.
+Exact points enter as one column stack: numpy object arrays of Python
+ints, one for d and one per e_k(a), entry i of every column belonging to
+point i.  Points given by their coordinates (d the lcm of their
+denominators, or d as given with integer numerators in
+:class:`ScaledPoints`) get their columns from the same
+:func:`_elementary_terms` that float mode runs on float columns; points
+given by their e_k alone (d the lcm of the denominators of the e_k), as
+exact pair classes are, get theirs from :func:`_scaled_invariants`.
+One exact evaluator, :func:`exact_schur_sum`, reads that stack: it folds
+weighted shapes into one e-polynomial, each s_sigma lifted by a power of
+d, evaluates it once on the columns and lifts every point to one
+denominator q, so the values are an integer column t over q, with no
+``Fraction`` built.  :func:`normalized_schur_batch` and
+:func:`normalized_schur_at_invariants` call it once per sigma with weight
+1/s_sigma(1), :meth:`SchurExpansion.numerators` once with the
+expansion's weights, and exact Schur moments dot each sigma's t with the
+class counts.
 
 Float mode evaluates the same cached polynomials on numpy columns, one
 column per e_k holding its value at every point: the e_k of the
@@ -123,13 +124,9 @@ def schur_e_polynomial(sigma: Partition) -> tuple:
     return tuple((mono, coeff) for mono, coeff in poly.items() if coeff)
 
 
-def _evaluate(poly, vectors) -> list:
-    """Values of an e-polynomial at each vector v, v[k] standing for e_k."""
-    terms = [(c, [(k, x) for k, x in enumerate(mono) if x]) for mono, c in poly]
-    return [
-        sum(c * math.prod([v[k] ** x for k, x in factors]) for c, factors in terms)
-        for v in vectors
-    ]
+def _evaluate(poly, stack):
+    """Value of an e-polynomial at the column stack, stack[k] standing for e_k."""
+    return sum(c * math.prod([stack[k] ** x for k, x in enumerate(mono) if x]) for mono, c in poly)
 
 
 class ScaledPoints(list):
@@ -185,64 +182,61 @@ def _float_columns(points, upto: int) -> list:
     return _elementary_terms(pts.T, min(upto, pts.shape[1]), np.ones(len(pts)))
 
 
-def _broadcast(value, like):
-    """``value`` as a column the length of ``like`` when ``like`` is a column.
-
-    An e-polynomial that is a bare constant evaluates to one scalar even
-    at a column stack.
-    """
-    if isinstance(like, np.ndarray) and not isinstance(value, np.ndarray):
-        return np.full(len(like), value, dtype=object)
-    return value
-
-
 def _scaled_invariants(invariants) -> list:
-    """Points given by (e_1, .., e_m) of their coordinates, as (d, d e_1, .., d^m e_m).
+    """Points given by (e_1, .., e_m) of their coordinates, as columns (d, d e_1, .., d^m e_m).
 
     d is the lcm of the denominators of the e_k; every d^k e_k is then an
     integer, and a point of coordinates y with these e_k is y = a/d with
-    e_k(a) = d^k e_k.
+    e_k(a) = d^k e_k.  The columns are object arrays of ints, entry i of
+    every column belonging to point i, as :func:`_scaled_points` gives.
     """
-    scaled = []
-    for e in invariants:
+    scaled = np.empty((len(invariants), len(invariants[0]) + 1), dtype=object)
+    for row, e in zip(scaled, invariants):
         d = math.lcm(*(v.denominator for v in e))
-        ints = [v.numerator * (d // v.denominator) * d ** (k - 1) for k, v in enumerate(e, 1)]
-        scaled.append([d] + ints)
-    return scaled
+        row[:] = [d] + [v.numerator * (d // v.denominator) * d ** (k - 1) for k, v in enumerate(e, 1)]
+    return list(scaled.T)
 
 
-def _schur_numerators(sigmas: Sequence[Partition], vectors: list, m: int) -> list:
-    """Integers s_sigma(a) = d^|sigma| s_sigma(y), one row per sigma, one entry per vector.
+def exact_schur_sum(weighted, stack) -> tuple:
+    """sum of w_sigma s_sigma(y) over the (sigma, w_sigma) pairs, as integers t over one q > 0.
 
-    Each vector is (d, e_1(a) .. e_k(a)), with k at least min(top, m) for
-    the largest Jacobi-Trudi index top of the shapes: one invariant class
-    of :func:`_scaled_invariants`, or the column stack of
-    :func:`_scaled_points`, whose entry is then a column.
+    ``stack`` holds exact points y = a/d as the columns (d, e_1(a), ..,
+    e_k(a)) of :func:`_scaled_points` or :func:`_scaled_invariants`, k at
+    least min(top, m) for the largest Jacobi-Trudi index top of the
+    shapes; the weights are exact rationals.  The value at point i is
+    t[i] / q, not reduced, and no ``Fraction`` is built.
     """
-    for sigma in sigmas:
+    # w_sigma s_sigma(y) = w_sigma s_sigma(a) / d^|sigma|: over the common
+    # denominator L d^top, with top the largest weight, the sum is one
+    # integer polynomial in (d, e_1(a), ..), each s_sigma lifted by
+    # d^(top - |sigma|) in the slot of e_0
+    common = math.lcm(*(w.denominator for _, w in weighted))
+    top = max((sigma.weight for sigma, _ in weighted), default=0)
+    folded = {}
+    for sigma, w in weighted:
+        k, lift = w.numerator * (common // w.denominator), top - sigma.weight
+        for mono, c in schur_e_polynomial(sigma):
+            mono = (mono[0] + lift,) + mono[1:]
+            folded[mono] = folded.get(mono, 0) + k * c
+    d = stack[0]
+    # d * 0 keeps t a column when the folded polynomial is a bare constant
+    t = d * 0 + _evaluate([(mono, c) for mono, c in folded.items() if c], stack)
+    # point i sits over common d_i^top; lift every point to the lcm of those
+    powers = {x**top for x in set(d)}
+    scale = math.lcm(*powers)
+    if len(powers) > 1:
+        t = t * (scale // d**top)
+    return t, common * scale
+
+
+def _normalized_exact(sigmas: Sequence[Partition], stack: list, m: int) -> np.ndarray:
+    """X*_sigma at exact points given by the column stack (d, e_1(a), ..), one evaluation per sigma."""
+    out = np.empty((len(sigmas), len(stack[0])), dtype=object)
+    for r, sigma in enumerate(sigmas):
         if sigma.m != m:
             raise ValueError(f"partition ambient {sigma.m} vs point length {m}")
-    return [
-        [_broadcast(s, v[0]) for s, v in zip(_evaluate(schur_e_polynomial(sigma), vectors), vectors)]
-        for sigma in sigmas
-    ]
-
-
-def _entries(value) -> Iterable:
-    """The points' values in one evaluator entry: a column, or a scalar for one point."""
-    return value if isinstance(value, np.ndarray) else (value,)
-
-
-def _normalized_exact(sigmas: Sequence[Partition], vectors: list, m: int) -> np.ndarray:
-    """X*_sigma at scaled exact points: s_sigma(a) over d^|sigma| and the normalization."""
-    out = np.empty((len(sigmas), sum(len(_entries(v[0])) for v in vectors)), dtype=object)
-    for r, (sigma, nums) in enumerate(zip(sigmas, _schur_numerators(sigmas, vectors, m))):
-        norm = schur_norm(sigma)
-        out[r] = [
-            rational(s * norm.denominator, d ** sigma.weight * norm.numerator)
-            for values, v in zip(nums, vectors)
-            for s, d in zip(_entries(values), _entries(v[0]))
-        ]
+        t, q = exact_schur_sum([(sigma, 1 / schur_norm(sigma))], stack)
+        out[r] = [rational(x, q) for x in t]
     return out
 
 
@@ -252,7 +246,7 @@ def _normalized_float(sigmas: Sequence[Partition], columns: list, m: int) -> np.
     for r, sigma in enumerate(sigmas):
         if sigma.m != m:
             raise ValueError(f"partition ambient {sigma.m} vs point length {m}")
-        (out[r],) = _evaluate(schur_e_polynomial(sigma), [columns])
+        out[r] = _evaluate(schur_e_polynomial(sigma), columns)
         out[r] /= float(schur_norm(sigma))
     return out
 
@@ -266,7 +260,7 @@ def normalized_schur_batch(sigmas: Sequence[Partition], points) -> np.ndarray:
     top = _top_index(sigmas)
     scaled = _scaled_points(points, top)
     if scaled is not None:
-        return _normalized_exact(sigmas, [scaled], len(points[0]))
+        return _normalized_exact(sigmas, scaled, len(points[0]))
     return _normalized_float(sigmas, _float_columns(points, top), len(points[0]))
 
 
@@ -365,10 +359,8 @@ class SchurExpansion:
         if scaled is None:
             columns = _normalized_float(sigmas, _float_columns(points, top), self.m).T
             coeffs = list(self.coeffs.values())
-            return [
-                sum((c * v for c, v in zip(coeffs, column)), rational(0)) for column in columns
-            ]
-        t, q = self._numerators(scaled)
+            return [sum((c * v for c, v in zip(coeffs, column)), 0.0) for column in columns]
+        t, q = exact_schur_sum(self._weighted(), scaled)
         return [rational(x, q) for x in t]
 
     def numerators(self, points) -> tuple:
@@ -381,33 +373,11 @@ class SchurExpansion:
         scaled = _scaled_points(points, _top_index(list(self.coeffs)), self.m)
         if scaled is None:
             raise ValueError("integer numerators need exact points")
-        return self._numerators(scaled)
+        return exact_schur_sum(self._weighted(), scaled)
 
-    def _numerators(self, scaled: list) -> tuple:
-        """(t, q) at the columns (d, e_1(a), ..) of :func:`_scaled_points`."""
-        # c_sigma X*_sigma(y) = (c_sigma / norm_sigma) s_sigma(a) / d^|sigma|: over
-        # the common denominator L d^w, with w the largest weight, the sum is
-        # one integer polynomial in (d, e_1(a), ..), each s_sigma lifted by
-        # d^(w - |sigma|) in the slot of e_0
-        sigmas = list(self.coeffs)
-        weights = [c / schur_norm(s) for s, c in self.coeffs.items()]
-        common = math.lcm(*(w.denominator for w in weights))
-        top = max((s.weight for s in sigmas), default=0)
-        folded = {}
-        for sigma, w in zip(sigmas, weights):
-            k = w.numerator * (common // w.denominator)
-            for mono, c in schur_e_polynomial(sigma):
-                mono = (mono[0] + top - sigma.weight,) + mono[1:]
-                folded[mono] = folded.get(mono, 0) + k * c
-        (totals,) = _evaluate([(mono, c) for mono, c in folded.items() if c], [scaled])
-        d = scaled[0]
-        t = _broadcast(totals, d)
-        # point i sits over common d_i^top; lift every point to the lcm of those
-        powers = {x**top for x in set(d)}
-        scale = math.lcm(*powers)
-        if len(powers) > 1:
-            t = t * (scale // d**top)
-        return t, common * scale
+    def _weighted(self) -> list:
+        """(sigma, c_sigma / s_sigma(1)) pairs: the expansion as a weighted sum of s_sigma."""
+        return [(sigma, c / schur_norm(sigma)) for sigma, c in self.coeffs.items()]
 
     def at_ones(self):
         """Sum of the coefficients, over their one common denominator."""

@@ -15,13 +15,14 @@ T5 on G(3, 6); ``zonal`` on a few shapes at m = 2, 3, 4 and on the
 row (600) at m = 1, whose down-set has 601 shapes; ``dims``, once with
 ``--max-weight`` at m = 5; ``bound`` and
 seeded ``check-nonneg`` for the certificates, with a depth-24 grid and
-2,000 samples at m = 4 and a depth-14 grid at m = 6; ``appendix-b``; ``angles``
-on coordinate sets; and ``verify-design`` and ``angles`` on seeded
-disguised configurations and their float copies, with ``verify-design``
+2,000 samples at m = 4 and a depth-14 grid at m = 6; ``appendix-b``, once
+with ``--verify T12``; ``angles`` on coordinate sets; and
+``verify-design`` and ``angles`` on seeded disguised configurations and their float copies, with ``verify-design``
 on two disguised G(4, 8), the first one's pair batch running on 19
 split primes.  Batches that mix antipodal and generic pairs are
 ``verify-design`` and ``angles`` on G(3, 6) with one seeded dense point,
-exact and disguised, on a disguised six-point set and on a
+exact and disguised, also with T8 (many shapes at 24 pair classes whose
+denominators reach 17 bits), on a disguised six-point set and on a
 complement-closed set {V_i, V_i^perp} in G(3, 6); the same commands run
 on the six spans of two of the blocks {e_2i, e_2i+1} of C^8, whose atoms
 have rank 2, exact and disguised.  ``antipodal --verify E+F`` at
@@ -104,7 +105,7 @@ def commands(workdir: Path) -> list:
     # 22,475 points in six chunks, one of which mixes grid and sample denominators
     out.append(["check-nonneg", "--certificate", "F", "--m", "4", "--n", "9", "--depth", "24", "--samples", "2000"])
     out.append(["check-nonneg", "--certificate", "F", "--m", "6", "--n", "12", "--depth", "14"])
-    out += [["appendix-b"], ["appendix-b", "--verify", "E+F"]]
+    out += [["appendix-b"], ["appendix-b", "--verify", "E+F"], ["appendix-b", "--verify", "T12"]]
     for m, n in SHAPES[:2]:
         rows = [[[(1, 0) if j == i else (0, 0) for j in range(n)] for i in idx] for idx in combinations(range(n), m)]
         path = write(workdir, f"coordinate-{m}-{n}.json", exact_document(rows, f"coordinate-{m}-{n}"))
@@ -133,6 +134,8 @@ def commands(workdir: Path) -> list:
     ):
         path = write(workdir, f"{name}.json", exact_document(points, name))
         out += [["verify-design", "--config", path, "--set", family] for family in ("E+F", "T3")]
+        if name.endswith("mixed-3-6"):
+            out.append(["verify-design", "--config", path, "--set", "T8"])
         out.append(["angles", "--config", path])
     out.append(["antipodal", "--m", "5", "--n", "10", "--verify", "E+F"])
     out.append(["antipodal", "--m", "6", "--n", "12", "--verify", "E+F"])

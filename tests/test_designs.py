@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,11 +48,11 @@ from grassdesign.partitions import (
     row_shape,
 )
 from grassdesign.scalars import rational
-from grassdesign.symfunc import SchurExpansion, ScaledPoints
+from grassdesign.symfunc import SchurExpansion, ScaledPoints, schur_norm
 from grassdesign.zonal import zonal_kernel
 
 from closed_forms import schur_in_zonal_basis, zonal_product_column
-from exact_oracles import expansion_values
+from exact_oracles import expansion_values, schur_jacobi_trudi
 
 COEFFICIENTS = st.builds(rational, st.integers(-50, 50), st.integers(1, 30))
 
@@ -175,19 +176,46 @@ class TestSchurMoments:
     )
     def test_design_evaluates_each_sigma_once(self, monkeypatch, config, spec):
         # both modes enter the evaluator by their angle invariants: exact
-        # pairs as classes, float pairs as the rows of one array
+        # pairs as the columns of their classes, one exact_schur_sum per
+        # sigma; float pairs as the rows of one array, one batch for all
         family = parse_family(spec, config.m)
         batched = []
-        batch = designs.normalized_schur_at_invariants
+        batch, exact_sum = designs.normalized_schur_at_invariants, designs.exact_schur_sum
 
         def counting_batch(sigmas, invariants):
             batched.extend(sigmas)
             return batch(sigmas, invariants)
 
+        def counting_sum(weighted, stack):
+            weighted = list(weighted)
+            batched.extend(sigma for sigma, _ in weighted)
+            return exact_sum(weighted, stack)
+
         monkeypatch.setattr(designs, "normalized_schur_at_invariants", counting_batch)
+        monkeypatch.setattr(designs, "exact_schur_sum", counting_sum)
         is_T_design(config, family)
         support = {s for mu in family for s in zonal_kernel(mu, config.n).expansion.coeffs}
         assert Counter(batched) == Counter(support)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4))
+    def test_exact_moments_are_count_weighted_class_sums(self, data, m):
+        # invariant classes with denominators up to 2^17 drawn independently
+        # per entry, so the classes share no d, and random pair counts
+        value = st.integers(1, 2**17).flatmap(lambda q: st.integers(-3 * q, 3 * q).map(lambda p: rational(p, q)))
+        classes = data.draw(st.lists(st.tuples(*[value] * m), min_size=1, max_size=6, unique=True))
+        counts = data.draw(st.lists(st.integers(1, 10**6), min_size=len(classes), max_size=len(classes)))
+        config = SimpleNamespace(mode=EXACT, invariant_weights=lambda: (classes, np.array(counts, dtype=np.int64)))
+        sigmas = enumerate_up_to_weight(m, 5)
+        moments = designs.schur_moments(config, sigmas)
+        assert list(moments) == sigmas
+        for sigma in sigmas:
+            want = sum(
+                (c * schur_jacobi_trudi(sigma, (rational(1),) + e) for e, c in zip(classes, counts)),
+                rational(0),
+            )
+            assert type(moments[sigma]) is Fraction
+            assert moments[sigma] == want / schur_norm(sigma), sigma
 
 
 class TestIsTDesign:
@@ -256,6 +284,11 @@ class TestLPBound:
         rec = lp_bound(certificate_product(2, 5))
         assert [p.parts for p in rec.t_plus] == [(0, 0), (1, 0), (1, 1)]
         assert rec.t_minus == []
+
+    def test_zero_function_follows_the_point_mode(self):
+        zero = CoefficientFunction(2, 4, {})
+        assert type(zero.evaluate((0.5, 0.2))) is float and zero.evaluate((0.5, 0.2)) == 0.0
+        assert type(zero.evaluate((rational(1, 2), 0))) is Fraction and zero.evaluate((rational(1, 2), 0)) == 0
 
     def test_rejects_nonpositive_constant(self):
         cert = CoefficientFunction(2, 4, {column_shape(1, 2): rational(1)})

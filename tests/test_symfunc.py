@@ -17,8 +17,8 @@ from grassdesign.symfunc import (
     _evaluate,
     _scaled_invariants,
     _scaled_points,
-    _schur_numerators,
     _top_index,
+    exact_schur_sum,
     normalized_schur_at_invariants,
     normalized_schur_batch,
     normalized_schur_eval,
@@ -357,6 +357,7 @@ class TestNormalizedSchurBatch:
             normalized_schur_batch([Partition([1, 0])], np.zeros((3, 3)))
 
 
+COEFFICIENTS = st.builds(rational, st.integers(-50, 50), st.integers(1, 30))
 SHAPES = st.integers(1, 5).flatmap(lambda m: st.sampled_from(enumerate_up_to_weight(m, 8)))
 
 
@@ -366,7 +367,7 @@ class TestSchurEPolynomial:
     @staticmethod
     def check(sigma, e):
         # e = (e_0, .., e_m) with e_0 = 1, rational entries
-        value = _evaluate(schur_e_polynomial(sigma), [e])[0]
+        value = _evaluate(schur_e_polynomial(sigma), e)
         assert value == schur_jacobi_trudi(sigma, e), (sigma, e)
         assert value == dual_jacobi_trudi(sigma, e, rational(0)), (sigma, e)
         return value
@@ -377,30 +378,35 @@ class TestSchurEPolynomial:
         y = data.draw(mixed_points(sigma.m, EXACT_COORDINATES))
         value = self.check(sigma, elementary_all(y, sigma.m))
         # the integer core: s_sigma(a) = d^|sigma| s_sigma(y) at y = a/d, on
-        # object-int columns (d, e_1(a), ..) that hold one entry per point
+        # object-int columns (d, e_1(a), ..) that hold one entry per point;
+        # at weight 1 the evaluator gives t = s_sigma(a) over q = d^|sigma|
         top = _top_index([sigma])
         columns = _scaled_points([y], top)
         (row,) = scaled_rows([y], top)
         assert [c.tolist() for c in columns] == [[x] for x in row]
-        ((nums,),) = _schur_numerators([sigma], [columns], sigma.m)
-        assert nums.dtype == object and len(nums) == 1
-        assert nums.tolist() == row_values(schur_e_polynomial(sigma), [row])
-        assert nums.tolist() == [row[0] ** sigma.weight * value]
+        t, q = exact_schur_sum([(sigma, 1)], columns)
+        assert t.dtype == object and len(t) == 1
+        assert q == row[0] ** sigma.weight
+        assert t.tolist() == row_values(schur_e_polynomial(sigma), [row])
+        assert t.tolist() == [row[0] ** sigma.weight * value]
 
     @settings(max_examples=150, deadline=None)
     @given(sigma=SHAPES, data=st.data())
     def test_matches_jacobi_trudi_at_invariants(self, sigma, data):
         invariant = data.draw(st.tuples(*[INVARIANT_VALUES] * sigma.m))
         value = self.check(sigma, (rational(1),) + invariant)
-        scaled = _scaled_invariants([invariant])
-        (d, *_), = scaled
-        assert _schur_numerators([sigma], scaled, sigma.m) == [[d**sigma.weight * value]]
+        columns = _scaled_invariants([invariant])
+        assert all(c.dtype == object and len(c) == 1 for c in columns)
+        d = columns[0][0]
+        t, q = exact_schur_sum([(sigma, 1)], columns)
+        assert q == d**sigma.weight
+        assert t.tolist() == [d**sigma.weight * value]
 
     def test_all_ones_gives_the_weyl_product(self):
         for m in range(1, 6):
             ones = [binom(m, k) for k in range(m + 1)]
             for sigma in enumerate_up_to_weight(m, 8):
-                assert _evaluate(schur_e_polynomial(sigma), [ones]) == [schur_norm(sigma)], sigma
+                assert _evaluate(schur_e_polynomial(sigma), ones) == schur_norm(sigma), sigma
 
     def test_homogeneous_of_the_shape_weight(self):
         for m in range(1, 6):
@@ -416,8 +422,22 @@ class TestSchurEPolynomial:
         assert dict(schur_e_polynomial(Partition([2, 1, 1]))) == {(0, 1, 0, 1): 1}
         assert dict(schur_e_polynomial(Partition([0, 0]))) == {(0, 0, 0): 1}
 
-
-COEFFICIENTS = st.builds(rational, st.integers(-50, 50), st.integers(1, 30))
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4))
+    def test_weighted_sum_over_own_denominators_matches_oracle(self, data, m):
+        # repeated shapes and the zero shape among the weights; every point
+        # over its own d, so t is lifted to the lcm of the d_i^top
+        shapes = st.sampled_from(enumerate_up_to_weight(m, 5))
+        weighted = [(column_shape(0, m), data.draw(COEFFICIENTS))]
+        weighted += data.draw(st.lists(st.tuples(shapes, COEFFICIENTS), max_size=6))
+        points = data.draw(st.lists(mixed_points(m, EXACT_COORDINATES), min_size=1, max_size=5))
+        t, q = exact_schur_sum(weighted, _scaled_points(points, _top_index([s for s, _ in weighted])))
+        assert type(q) is int and q > 0
+        assert t.dtype == object and all(type(x) is int for x in t)
+        for x, y in zip(t, points):
+            e = elementary_all(y, m)
+            want = sum((w * schur_jacobi_trudi(sigma, e) for sigma, w in weighted), rational(0))
+            assert rational(x, q) == want, y
 
 
 def expansions(m):
@@ -442,6 +462,14 @@ class TestSchurExpansion:
         e = SchurExpansion(2, [(Partition([1, 0]), rational(0))])
         assert not e.coeffs
         assert e.evaluate((rational(1, 2), rational(1, 3))) == 0
+
+    def test_zero_expansion_follows_the_point_mode(self):
+        # one float entry makes the evaluation float, even with no term to sum
+        zero = SchurExpansion(2)
+        for value in (zero.evaluate((0.5, 0.2)), *zero.evaluate_batch(np.array([[0.5, 0.2], [1.0, 0.0]]))):
+            assert type(value) is float and value == 0.0
+        for value in (zero.evaluate((rational(1, 2), rational(1, 5))), *zero.evaluate_batch([(1, 0), (2, 1)])):
+            assert type(value) is Fraction and value == 0
 
     def test_constant_expansion(self):
         e = SchurExpansion(2, [(Partition([0, 0]), rational(1))])
