@@ -50,7 +50,7 @@ from .partitions import (
     row_shape,
 )
 from .scalars import as_rational, is_exact_real, rational, rational_to_str
-from .symfunc import SchurExpansion, ScaledPoints, _scaled_invariants, add_terms, exact_schur_sum, schur_norm
+from .symfunc import SchurExpansion, ScaledPoints, _invariant_columns, add_terms, exact_schur_sum, schur_norm
 from .symfunc import normalized_schur_at_invariants
 from .zonal import harmonic_dim, zonal_kernel
 from .grassmann import DEFAULT_TOL, EXACT, SubspaceConfiguration
@@ -113,7 +113,7 @@ def schur_moments(config: SubspaceConfiguration, sigmas: Sequence[Partition]) ->
     if config.mode != EXACT:
         values = normalized_schur_at_invariants(sigmas, invariants)
         return dict(zip(sigmas, (values * weights).sum(axis=1).tolist()))
-    stack = _scaled_invariants(invariants)
+    stack, _ = _invariant_columns(invariants)
     counts = weights.tolist()
     moments = {}
     for sigma in sigmas:

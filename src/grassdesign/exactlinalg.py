@@ -1,6 +1,6 @@
 """Small exact linear-algebra kernels.
 
-Three kinds of scalar are served:
+Four kinds of scalar are served:
 
 * Python integers: the l(mu) x l(mu) minor of each term of
   :func:`zonal.zonal_kernel`, by closed forms up to 3 x 3 and

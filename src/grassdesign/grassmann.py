@@ -99,7 +99,8 @@ def _as_complex_entry(v) -> complex:
             re, im = v
             z = complex(float(re), float(im))
         elif isinstance(v, str):
-            z = complex(as_exact_complex(v))
+            (p, q), (r, t) = gaussian_parts(v)
+            z = complex(p / q, r / t)
         else:
             z = complex(v)
     except TypeError:

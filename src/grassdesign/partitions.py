@@ -38,6 +38,16 @@ def _check_rank(m: int):
         raise ShapeLimitError(f"rank {m} exceeds the budget of {RANK_BUDGET}")
 
 
+def as_index(v) -> int:
+    """An integer part or length: ints and numpy ints pass; bools, floats and text raise ValueError."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ValueError(f"not an integer: {v!r}")
+
+
 class Partition:
     """Weakly decreasing tuple of nonnegative integers of fixed ambient length.
 
@@ -49,8 +59,9 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int], m: Optional[int] = None):
-        parts = tuple(map(int, parts))
+        parts = tuple(map(as_index, parts))
         if m is not None:
+            m = as_index(m)
             if len(parts) > m:
                 raise ValueError(f"{len(parts)} parts exceed ambient length {m}")
             parts = parts + (0,) * (m - len(parts))
@@ -83,9 +94,6 @@ class Partition:
 
     def trimmed(self) -> tuple:
         return self.parts[: self.length]
-
-    def length_index(self) -> int:
-        return self.length
 
     def is_zero(self) -> bool:
         return not self.parts or not self.parts[0]

@@ -2,10 +2,7 @@
 
 Evaluation points are plain sequences of scalars.  Exact entries (ints
 or ``Fraction``) keep every operation exact; a single float entry
-switches the whole evaluation to floating point.  The evaluators,
-:func:`normalized_schur_batch` at coordinates and
-:func:`normalized_schur_at_invariants` at e-vectors, serve both modes and
-decide the mode once per call.
+switches the whole evaluation to floating point.
 
 Both modes work in the e-basis.  Each s_sigma is expanded once, and
 cached, as an integer polynomial in e_1 .. e_m
@@ -17,29 +14,30 @@ is the integer s_sigma(a) = d^|sigma| s_sigma(y), and X*_sigma(y) is
 that integer over d^|sigma| and the normalization.  No determinant is
 taken per point, and repeated coordinates need no care.
 
-Exact points enter as one column stack: numpy object arrays of Python
-ints, one for d and one per e_k(a), entry i of every column belonging to
-point i.  Points given by their coordinates (d the lcm of their
-denominators, or d as given with integer numerators in
-:class:`ScaledPoints`) get their columns from the same
-:func:`_elementary_terms` that float mode runs on float columns; points
-given by their e_k alone (d the lcm of the denominators of the e_k), as
-exact pair classes are, get theirs from :func:`_scaled_invariants`.
-One exact evaluator, :func:`exact_schur_sum`, reads that stack: it folds
+Points reach the evaluators as one column stack, entry i of every
+column belonging to point i, from one builder per input form, which
+also decides the mode: :func:`_columns` for coordinates and
+:func:`_invariant_columns` for e-vectors, as pair classes are given.
+Exact columns are numpy object arrays of Python ints (d, e_1(a), ..),
+with d the lcm of the coordinates' denominators, the d that
+:class:`ScaledPoints` gives, or the lcm of the denominators of the e_k.
+One exact evaluator, :func:`exact_schur_sum`, reads them: it folds
 weighted shapes into one e-polynomial, each s_sigma lifted by a power of
 d, evaluates it once on the columns and lifts every point to one
 denominator q, so the values are an integer column t over q, with no
-``Fraction`` built.  :func:`normalized_schur_batch` and
-:func:`normalized_schur_at_invariants` call it once per sigma with weight
-1/s_sigma(1), :meth:`SchurExpansion.numerators` once with the
-expansion's weights, and exact Schur moments dot each sigma's t with the
-class counts.
+``Fraction`` built.  One sigma loop, :func:`_normalized`, serves
+:func:`normalized_schur_batch` at coordinates and
+:func:`normalized_schur_at_invariants` at e-vectors in both modes,
+calling the exact evaluator once per sigma with weight 1/s_sigma(1);
+:meth:`SchurExpansion.numerators` calls it once with the expansion's
+weights, and exact Schur moments dot each sigma's t with the class
+counts.
 
-Float mode evaluates the same cached polynomials on numpy columns, one
-column per e_k holding its value at every point: the e_k of the
-coordinates, or the e_k as given (float pair invariants enter so).  On
-[0, 1]^m, where |e_k| <= C(m, k), the rounding error of X*_sigma is at
-most a few eps times the number of terms times
+Float mode evaluates the same cached polynomials on float columns
+(1, e_1, .., e_m): the e_k of the coordinates, from the same
+:func:`_elementary_terms`, or the e_k as given (float pair invariants
+enter so).  On [0, 1]^m, where |e_k| <= C(m, k), the rounding error of
+X*_sigma is at most a few eps times the number of terms times
 R_sigma = sum |coefficient| prod C(m, k)^(exponent) / s_sigma(1, .., 1).
 The scalar evaluators delegate to the batch.
 """
@@ -53,7 +51,7 @@ from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
-from .partitions import Partition
+from .partitions import Partition, as_index
 from .scalars import as_rational, is_exact_real, rational
 
 
@@ -87,7 +85,7 @@ def _top_index(sigmas) -> int:
     det(e_(sigma'_i - i + j)), so the e-polynomials of the shapes read no
     e_k past it.
     """
-    return max((s.parts[0] + s.length_index() - 1 for s in sigmas if not s.is_zero()), default=0)
+    return max((s.parts[0] + s.length - 1 for s in sigmas if not s.is_zero()), default=0)
 
 
 @lru_cache(maxsize=None)
@@ -148,14 +146,15 @@ def scaled_point(y) -> tuple:
     return [v.numerator * (d // v.denominator) for v in y], d
 
 
-def _scaled_points(points, upto: int, m: int | None = None):
-    """Exact points y = a/d as columns (d, e_1(a) .. e_upto(a)), object arrays of ints.
+def _columns(points, upto: int, m: int | None = None) -> tuple:
+    """Points as e-columns up to e_upto, and whether they are exact.
 
-    d is the one a :class:`ScaledPoints` gives, else the lcm of y's
-    denominators; entry i of every column belongs to point i.  One walk
-    over the points, floats included, checks that they share a length,
-    which must be ``m`` when it is given.  Returns None when some
-    coordinate is a float.
+    Exact coordinates y = a/d give (d, e_1(a) .. e_upto(a)) as object
+    arrays of ints, d the lcm of y's denominators or the one a
+    :class:`ScaledPoints` gives; any float coordinate gives float columns
+    (1, e_1(y) .. e_upto(y)) for every point.  Entry i of every column
+    belongs to point i.  One walk over the points checks that they share
+    a length, which must be ``m`` when it is given.
     """
     given = isinstance(points, ScaledPoints)
     widths = {len(a) for a, _ in points} if given else {len(y) for y in points}
@@ -163,46 +162,52 @@ def _scaled_points(points, upto: int, m: int | None = None):
         raise ValueError(f"point length {min(widths - {m})} vs ambient {m}")
     if len(widths) != 1:
         raise ValueError("points must be an (N, m) array")
+    if not (given or all(is_exact_real(v) for y in points for v in y)):
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2:
+            raise ValueError("points must be an (N, m) array")
+        return _elementary_terms(pts.T, min(upto, pts.shape[1]), np.ones(len(pts))), False
     if not given:
-        if not all(is_exact_real(v) for y in points for v in y):
-            return None
         points = [scaled_point(y) for y in points]
     numerators = np.empty((len(points), widths.pop()), dtype=object)
     numerators[:] = [a for a, _ in points]
     e = _elementary_terms(numerators.T, min(upto, numerators.shape[1]), 1)
     e[0] = np.array([d for _, d in points], dtype=object)
-    return e
+    return e, True
 
 
-def _float_columns(points, upto: int) -> list:
-    """Float points y as columns (1, e_1(y) .. e_upto(y))."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be an (N, m) array")
-    return _elementary_terms(pts.T, min(upto, pts.shape[1]), np.ones(len(pts)))
+def _invariant_columns(invariants) -> tuple:
+    """Points given by their e-vectors (e_1, .., e_m) as e-columns, and whether they are exact.
 
-
-def _scaled_invariants(invariants) -> list:
-    """Points given by (e_1, .., e_m) of their coordinates, as columns (d, d e_1, .., d^m e_m).
-
-    d is the lcm of the denominators of the e_k; every d^k e_k is then an
-    integer, and a point of coordinates y with these e_k is y = a/d with
-    e_k(a) = d^k e_k.  The columns are object arrays of ints, entry i of
-    every column belonging to point i, as :func:`_scaled_points` gives.
+    Exact values give (d, d e_1, .., d^m e_m) as object arrays of ints, d
+    the lcm of the e_k's denominators: a point with these e_k is y = a/d
+    with e_k(a) = d^k e_k, as :func:`_columns` gives.  A float array, or
+    any float entry, gives float columns (1, e_1, .., e_m).  Entry i of
+    every column belongs to point i.
     """
-    scaled = np.empty((len(invariants), len(invariants[0]) + 1), dtype=object)
-    for row, e in zip(scaled, invariants):
-        d = math.lcm(*(v.denominator for v in e))
-        row[:] = [d] + [v.numerator * (d // v.denominator) * d ** (k - 1) for k, v in enumerate(e, 1)]
-    return list(scaled.T)
+    if not (isinstance(invariants, np.ndarray) and invariants.dtype.kind == "f"):
+        invariants = [tuple(e) for e in invariants]
+        if all(is_exact_real(v) for e in invariants for v in e):
+            widths = {len(e) for e in invariants}
+            if len(widths) != 1:
+                raise ValueError("invariants must be an (N, m) array")
+            scaled = np.empty((len(invariants), widths.pop() + 1), dtype=object)
+            for row, e in zip(scaled, invariants):
+                d = math.lcm(*(v.denominator for v in e))
+                row[:] = [d] + [v.numerator * (d // v.denominator) * d ** (k - 1) for k, v in enumerate(e, 1)]
+            return list(scaled.T), True
+    e = np.asarray(invariants, dtype=float)
+    if e.ndim != 2:
+        raise ValueError("invariants must be an (N, m) array")
+    return [np.ones(len(e)), *e.T], False
 
 
 def exact_schur_sum(weighted, stack) -> tuple:
     """sum of w_sigma s_sigma(y) over the (sigma, w_sigma) pairs, as integers t over one q > 0.
 
     ``stack`` holds exact points y = a/d as the columns (d, e_1(a), ..,
-    e_k(a)) of :func:`_scaled_points` or :func:`_scaled_invariants`, k at
-    least min(top, m) for the largest Jacobi-Trudi index top of the
+    e_k(a)) that :func:`_columns` and :func:`_invariant_columns` build,
+    k at least min(top, m) for the largest Jacobi-Trudi index top of the
     shapes; the weights are exact rationals.  The value at point i is
     t[i] / q, not reduced, and no ``Fraction`` is built.
     """
@@ -229,25 +234,23 @@ def exact_schur_sum(weighted, stack) -> tuple:
     return t, common * scale
 
 
-def _normalized_exact(sigmas: Sequence[Partition], stack: list, m: int) -> np.ndarray:
-    """X*_sigma at exact points given by the column stack (d, e_1(a), ..), one evaluation per sigma."""
-    out = np.empty((len(sigmas), len(stack[0])), dtype=object)
+def _normalized(sigmas: Sequence[Partition], stack: list, exact: bool, m: int) -> np.ndarray:
+    """X*_sigma at the points of an e-column stack, one output row per sigma.
+
+    Exact columns (d, e_1(a), ..) give an object array of ``Fraction``,
+    one :func:`exact_schur_sum` per sigma; float columns (1, e_1(y), ..)
+    give a float array.
+    """
+    out = np.empty((len(sigmas), len(stack[0])), dtype=object if exact else float)
     for r, sigma in enumerate(sigmas):
         if sigma.m != m:
             raise ValueError(f"partition ambient {sigma.m} vs point length {m}")
-        t, q = exact_schur_sum([(sigma, 1 / schur_norm(sigma))], stack)
-        out[r] = [rational(x, q) for x in t]
-    return out
-
-
-def _normalized_float(sigmas: Sequence[Partition], columns: list, m: int) -> np.ndarray:
-    """X*_sigma at float points given by e-columns, columns[k] the e_k of every point."""
-    out = np.empty((len(sigmas), len(columns[0])))
-    for r, sigma in enumerate(sigmas):
-        if sigma.m != m:
-            raise ValueError(f"partition ambient {sigma.m} vs point length {m}")
-        out[r] = _evaluate(schur_e_polynomial(sigma), columns)
-        out[r] /= float(schur_norm(sigma))
+        if exact:
+            t, q = exact_schur_sum([(sigma, 1 / schur_norm(sigma))], stack)
+            out[r] = [rational(x, q) for x in t]
+        else:
+            out[r] = _evaluate(schur_e_polynomial(sigma), stack)
+            out[r] /= float(schur_norm(sigma))
     return out
 
 
@@ -257,11 +260,8 @@ def normalized_schur_batch(sigmas: Sequence[Partition], points) -> np.ndarray:
     When every coordinate is exact the result is an object array of
     ``Fraction``, otherwise a float array.
     """
-    top = _top_index(sigmas)
-    scaled = _scaled_points(points, top)
-    if scaled is not None:
-        return _normalized_exact(sigmas, scaled, len(points[0]))
-    return _normalized_float(sigmas, _float_columns(points, top), len(points[0]))
+    stack, exact = _columns(points, _top_index(sigmas))
+    return _normalized(sigmas, stack, exact, len(points[0]))
 
 
 def normalized_schur_at_invariants(sigmas: Sequence[Partition], invariants) -> np.ndarray:
@@ -273,17 +273,8 @@ def normalized_schur_at_invariants(sigmas: Sequence[Partition], invariants) -> n
     at the points themselves; a float (N, m) array, or any float entry,
     gives a float array.
     """
-    if not (isinstance(invariants, np.ndarray) and invariants.dtype.kind == "f"):
-        invariants = [tuple(e) for e in invariants]
-        if all(is_exact_real(v) for e in invariants for v in e):
-            widths = {len(e) for e in invariants}
-            if len(widths) != 1:
-                raise ValueError("invariants must be an (N, m) array")
-            return _normalized_exact(sigmas, _scaled_invariants(invariants), widths.pop())
-    e = np.asarray(invariants, dtype=float)
-    if e.ndim != 2:
-        raise ValueError("invariants must be an (N, m) array")
-    return _normalized_float(sigmas, [np.ones(len(e)), *e.T], e.shape[1])
+    stack, exact = _invariant_columns(invariants)
+    return _normalized(sigmas, stack, exact, len(stack) - 1)
 
 
 def normalized_schur_eval(mu: Partition, y: Sequence):
@@ -354,14 +345,13 @@ class SchurExpansion:
     def evaluate_batch(self, points) -> list:
         """Values at every point of an (N, m) sequence or :class:`ScaledPoints`, from one batched evaluation."""
         sigmas = list(self.coeffs)
-        top = _top_index(sigmas)
-        scaled = _scaled_points(points, top, self.m)
-        if scaled is None:
-            columns = _normalized_float(sigmas, _float_columns(points, top), self.m).T
-            coeffs = list(self.coeffs.values())
-            return [sum((c * v for c, v in zip(coeffs, column)), 0.0) for column in columns]
-        t, q = exact_schur_sum(self._weighted(), scaled)
-        return [rational(x, q) for x in t]
+        stack, exact = _columns(points, _top_index(sigmas), self.m)
+        if exact:
+            t, q = exact_schur_sum(self._weighted(), stack)
+            return [rational(x, q) for x in t]
+        columns = _normalized(sigmas, stack, False, self.m).T
+        coeffs = list(self.coeffs.values())
+        return [sum((c * v for c, v in zip(coeffs, column)), 0.0) for column in columns]
 
     def numerators(self, points) -> tuple:
         """Values at exact points as (t, q): an object column of integers t over one q > 0.
@@ -370,10 +360,10 @@ class SchurExpansion:
         built.  Points are an (N, m) sequence of exact values or
         :class:`ScaledPoints`.
         """
-        scaled = _scaled_points(points, _top_index(list(self.coeffs)), self.m)
-        if scaled is None:
+        stack, exact = _columns(points, _top_index(list(self.coeffs)), self.m)
+        if not exact:
             raise ValueError("integer numerators need exact points")
-        return exact_schur_sum(self._weighted(), scaled)
+        return exact_schur_sum(self._weighted(), stack)
 
     def _weighted(self) -> list:
         """(sigma, c_sigma / s_sigma(1)) pairs: the expansion as a weighted sum of s_sigma."""
@@ -410,7 +400,7 @@ class SchurExpansion:
 
     @staticmethod
     def from_json(data: dict) -> "SchurExpansion":
-        m = int(data["m"])
+        m = as_index(data["m"])
         return SchurExpansion(
             m,
             [

@@ -453,7 +453,7 @@ def _complete_terms(e: list, m: int, upto: int, one) -> list:
 
 def _jacobi_trudi_index(sigma) -> list:
     """h indices of the Jacobi-Trudi matrix of sigma; -1 reads an appended zero."""
-    ell = sigma.length_index()
+    ell = sigma.length
     return [[max(sigma.parts[i] - i + j, -1) for j in range(ell)] for i in range(ell)]
 
 

@@ -4,6 +4,9 @@ Usage (from the repository root):
 
     PYTHONPATH=src python tests/result_sweep.py > sweep.txt
 
+The 119 lines are pinned in ``tests/result_sweep.txt``, which
+``tests/test_result_sweep.py`` compares with a run in process.
+
 The first hash is the SHA-256 of the canonical JSON of the command's
 ``result`` payload (sorted keys, no spaces), or of its empty stdout.
 The second is the SHA-256 of the whole stdout as written, with the
@@ -15,7 +18,8 @@ T5 on G(3, 6); ``zonal`` on a few shapes at m = 2, 3, 4 and on the
 row (600) at m = 1, whose down-set has 601 shapes; ``dims``, once with
 ``--max-weight`` at m = 5; ``bound`` and
 seeded ``check-nonneg`` for the certificates, with a depth-24 grid and
-2,000 samples at m = 4 and a depth-14 grid at m = 6; ``appendix-b``, once
+2,000 samples at m = 4 and a depth-14 grid at m = 6, and certificate
+``one``, which reads e_1 alone, at m = 4 and m = 6; ``appendix-b``, once
 with ``--verify T12``; ``angles`` on coordinate sets; and
 ``verify-design`` and ``angles`` on seeded disguised configurations and their float copies, with ``verify-design``
 on two disguised G(4, 8), the first one's pair batch running on 19
@@ -30,7 +34,7 @@ have rank 2, exact and disguised.  ``antipodal --verify E+F`` at
 the list.  Files are written to a temporary directory and named in the
 output by file name only.  Two checkouts whose sweeps ``diff`` equal
 give byte-identical results on the whole list.  The file is not
-collected by pytest.
+collected by pytest; :func:`sweep` yields the lines.
 """
 
 import contextlib
@@ -42,6 +46,7 @@ import sys
 import tempfile
 from itertools import combinations
 from pathlib import Path
+from typing import Iterator
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -105,6 +110,9 @@ def commands(workdir: Path) -> list:
     # 22,475 points in six chunks, one of which mixes grid and sample denominators
     out.append(["check-nonneg", "--certificate", "F", "--m", "4", "--n", "9", "--depth", "24", "--samples", "2000"])
     out.append(["check-nonneg", "--certificate", "F", "--m", "6", "--n", "12", "--depth", "14"])
+    # certificate one reads e_1 alone: columns truncated below m
+    out.append(["--seed", "5", "check-nonneg", "--certificate", "one", "--m", "4", "--n", "8", "--samples", "50"])
+    out.append(["check-nonneg", "--certificate", "one", "--m", "6", "--n", "12", "--depth", "14"])
     out += [["appendix-b"], ["appendix-b", "--verify", "E+F"], ["appendix-b", "--verify", "T12"]]
     for m, n in SHAPES[:2]:
         rows = [[[(1, 0) if j == i else (0, 0) for j in range(n)] for i in idx] for idx in combinations(range(n), m)]
@@ -167,12 +175,18 @@ def run(argv: list, tmp: str) -> tuple:
     return code, sha256(result), sha256(masked)
 
 
-def main_sweep() -> None:
+def sweep() -> Iterator[str]:
+    """One ``result-sha256 stdout-sha256 exit argv`` line per command, files named by file name only."""
     with tempfile.TemporaryDirectory() as tmp:
         for argv in commands(Path(tmp)):
             code, result, stdout = run(argv, tmp)
             shown = [Path(a).name if a.startswith(tmp) else a for a in argv]
-            print(result, stdout, code, " ".join(shown), flush=True)
+            yield f"{result} {stdout} {code} {' '.join(shown)}"
+
+
+def main_sweep() -> None:
+    for line in sweep():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,6 +101,37 @@ def test_exact_load_matches_per_entry_route(doc):
         assert (point.inv_num, point.inv_den) == (want["inv_num"], want["inv_den"])
         assert point.basis == want["basis"]
         assert point.to_json() == want["to_json"]
+
+
+BIG = 10**400
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    re=st.tuples(st.integers(-BIG, BIG), st.integers(1, BIG)),
+    im=st.tuples(st.integers(0, BIG), st.integers(1, BIG)),
+    sign=st.sampled_from("+-"),
+)
+def test_float_text_entry_is_the_correctly_rounded_value(re, im, sign):
+    # each part rounded once from its exact value, as float(Fraction) rounds
+    text = f"{re[0]}/{re[1]}{sign}{im[0]}/{im[1]}*i"
+    try:
+        want = complex(float(Fraction(*re)), float(Fraction(*im) if sign == "+" else -Fraction(*im)))
+    except OverflowError:
+        with pytest.raises(ValueError, match="too large for a float"):
+            _as_complex_entry(text)
+        return
+    assert repr(_as_complex_entry(text)) == repr(want)
+
+
+def test_float_load_parses_no_exact_complex(monkeypatch):
+    def no_parse(s):
+        raise AssertionError("an ExactComplex was parsed")
+
+    doc = json.loads(json.dumps(exact_document(disguised_points(2, 5, 4), "texts")))
+    monkeypatch.setattr(ExactComplex, "from_str", staticmethod(no_parse))
+    config = SubspaceConfiguration.from_json(dict(doc, mode=FLOAT))
+    assert config.is_antipodal()
 
 
 def test_float_load_makes_one_svd(monkeypatch):

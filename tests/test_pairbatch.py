@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 from grassdesign import pairbatch
 from grassdesign.exactlinalg import (
     crt_lift,
+    gram_adjugate,
     modulus_bits,
     residues,
     split_moduli,
@@ -122,6 +123,23 @@ def test_batch_matches_per_pair_oracle(config):
         counts[e] = counts.get(e, 0) + (1 if i == j else 2)
     assert config.invariant_classes() == counts
     assert config.pair_invariants() == expected
+
+
+# coordinate points, with no disguise, and the six-point set as given
+PLAIN_CONFIGURATIONS = [great_antipodal(2, 4), great_antipodal(2, 5), six_point_config()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=st.one_of(exact_configurations(), st.sampled_from(PLAIN_CONFIGURATIONS)))
+def test_last_invariant_is_the_cauchy_binet_ratio(config):
+    # the product of a pair's angles: with A the Gaussian-integer rows of a
+    # point and G = A A^H, Cauchy-Binet gives
+    # e_m(y_ab) det G_a det G_b = |det(A_a A_b^H)|^2
+    dets = [gram_adjugate(p.rows)[0] for p in config]
+    for i, j in all_pairs(len(config)):
+        a, b = config[i], config[j]
+        (re, im), _ = gaussian_adjugate(gaussian_mat_mul(a.rows, _adjoint(b.rows)))
+        assert pair_invariant(a, b)[-1] * dets[i] * dets[j] == re**2 + im**2, (i, j)
 
 
 def binomial_invariant(e) -> bool:

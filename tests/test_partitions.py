@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -75,6 +76,30 @@ class TestPartition:
         with pytest.raises(ValueError) as err:
             Partition(parts, m=m)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            # int() would read these as (1, 0), (1, 0), (2, 1) and (2, 1)
+            ([1.9, 0.5], "not an integer: 1.9"),
+            ([True, False], "not an integer: True"),
+            ([2.0, 1], "not an integer: 2.0"),
+            ("21", "not an integer: '2'"),
+        ],
+    )
+    def test_non_integer_parts_raise_naming_the_value(self, parts, message):
+        with pytest.raises(ValueError) as err:
+            Partition(parts)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("m", [True, 2.0, "2"])
+    def test_non_integer_ambient_length_raises(self, m):
+        with pytest.raises(ValueError, match="not an integer"):
+            Partition([1], m=m)
+
+    def test_numpy_integer_parts_pass(self):
+        p = Partition(np.array([3, 1, 0]))
+        assert p.parts == (3, 1, 0) and all(type(x) is int for x in p.parts)
 
     def test_containment_pads_with_zeros(self):
         assert Partition([2, 1]).contains(Partition([2]))

@@ -14,9 +14,9 @@ from grassdesign.scalars import rational
 from grassdesign.symfunc import (
     SchurExpansion,
     ScaledPoints,
+    _columns,
     _evaluate,
-    _scaled_invariants,
-    _scaled_points,
+    _invariant_columns,
     _top_index,
     exact_schur_sum,
     normalized_schur_at_invariants,
@@ -46,14 +46,14 @@ def schur_eval_giambelli(mu, y):
     vals, exact = prepare_point(y)
     m = len(vals)
     conj = mu.conjugate()
-    top = min(conj.parts[0] + conj.length_index() - 1, m)
+    top = min(conj.parts[0] + conj.length - 1, m)
     return dual_jacobi_trudi(mu, elementary_all(vals, top), rational(0) if exact else 0.0)
 
 
 def dual_jacobi_trudi(mu, e, zero):
     """det(e_{mu'_i - i + j}) from e = (e_0, e_1, ..); e_k is zero past mu.m."""
     conj = mu.conjugate()
-    ell = conj.length_index()
+    ell = conj.length
     if ell == 0:
         return e[0]
 
@@ -381,7 +381,8 @@ class TestSchurEPolynomial:
         # object-int columns (d, e_1(a), ..) that hold one entry per point;
         # at weight 1 the evaluator gives t = s_sigma(a) over q = d^|sigma|
         top = _top_index([sigma])
-        columns = _scaled_points([y], top)
+        columns, exact = _columns([y], top)
+        assert exact
         (row,) = scaled_rows([y], top)
         assert [c.tolist() for c in columns] == [[x] for x in row]
         t, q = exact_schur_sum([(sigma, 1)], columns)
@@ -395,7 +396,8 @@ class TestSchurEPolynomial:
     def test_matches_jacobi_trudi_at_invariants(self, sigma, data):
         invariant = data.draw(st.tuples(*[INVARIANT_VALUES] * sigma.m))
         value = self.check(sigma, (rational(1),) + invariant)
-        columns = _scaled_invariants([invariant])
+        columns, exact = _invariant_columns([invariant])
+        assert exact
         assert all(c.dtype == object and len(c) == 1 for c in columns)
         d = columns[0][0]
         t, q = exact_schur_sum([(sigma, 1)], columns)
@@ -431,7 +433,8 @@ class TestSchurEPolynomial:
         weighted = [(column_shape(0, m), data.draw(COEFFICIENTS))]
         weighted += data.draw(st.lists(st.tuples(shapes, COEFFICIENTS), max_size=6))
         points = data.draw(st.lists(mixed_points(m, EXACT_COORDINATES), min_size=1, max_size=5))
-        t, q = exact_schur_sum(weighted, _scaled_points(points, _top_index([s for s, _ in weighted])))
+        columns, _ = _columns(points, _top_index([s for s, _ in weighted]))
+        t, q = exact_schur_sum(weighted, columns)
         assert type(q) is int and q > 0
         assert t.dtype == object and all(type(x) is int for x in t)
         for x, y in zip(t, points):
@@ -509,7 +512,8 @@ class TestSchurExpansion:
         chunk = data.draw(st.lists(st.one_of(scaled_draws(m, depth), scaled_draws(m, 10_000)), min_size=1, max_size=12))
         chunk = ScaledPoints(chunk)
         top = _top_index(list(expansion.coeffs))
-        columns = _scaled_points(chunk, top)
+        columns, exact = _columns(chunk, top)
+        assert exact
         assert [c.tolist() for c in columns] == [list(col) for col in zip(*scaled_rows(chunk, top))]
         t, q = expansion.numerators(chunk)
         assert type(q) is int and q > 0
@@ -552,6 +556,20 @@ class TestSchurExpansion:
             [(Partition([2, 0]), rational(3, 4)), (Partition([1, 1]), rational(-1, 4))],
         )
         assert SchurExpansion.from_json(e.to_json()) == e
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"m": 2.7, "terms": []}, "not an integer: 2.7"),
+            ({"m": True, "terms": []}, "not an integer: True"),
+            ({"m": 2, "terms": [{"partition": [1.5], "coeff": "1"}]}, "not an integer: 1.5"),
+        ],
+    )
+    def test_json_refuses_non_integers(self, data, message):
+        # int() would read m = 2.7 as 2 and the part 1.5 as 1
+        with pytest.raises(ValueError) as err:
+            SchurExpansion.from_json(data)
+        assert str(err.value) == message
 
     def test_addition_merges_terms(self):
         a = SchurExpansion(2, [(Partition([1, 0]), rational(1, 2))])
