@@ -9,7 +9,7 @@ Delsarte-style linear-programming bounds certifying that minimum.
 __version__ = "0.1.0"
 
 from .partitions import Partition, binom, column_shape, hook_shape, row_shape
-from .scalars import ExactComplex, rational
+from .scalars import rational
 from .symfunc import SchurExpansion, normalized_schur_eval, schur_eval
 from .zonal import ZonalPolynomial, harmonic_dim, zonal_kernel
 from .grassmann import (
@@ -42,7 +42,6 @@ from .designs import (
 __all__ = [
     "CoefficientFunction",
     "DesignReport",
-    "ExactComplex",
     "Partition",
     "SchurExpansion",
     "SubspaceConfiguration",

@@ -38,6 +38,7 @@ import math
 import re
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -208,21 +209,23 @@ def _json_text(value, pad: str = "\n") -> str:
 
 
 def _document_text(args, manifest: dict, result: dict, csv_rows=None) -> str:
+    """The document as JSON, or as CSV under ``--emit csv`` when the command has rows.
+
+    ``csv_rows`` is an iterator that builds each row as the writer takes
+    it, so a JSON run never formats one.
+    """
     if getattr(args, "emit", "json") == "csv" and csv_rows is not None:
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in csv_rows:
-            writer.writerow(row)
+        csv.writer(buf).writerows(csv_rows)
         return buf.getvalue()
     return _json_text({"manifest": manifest, "result": result}) + "\n"
 
 
 def _report_rows(report: designs.DesignReport):
-    rows = [["mu", "defect", "dim", "pass"]]
+    yield ["mu", "defect", "dim", "pass"]
     for e in report.entries:
         val = rational_to_str(e.defect) if report.mode == "exact" else repr(float(e.defect))
-        rows.append([" ".join(str(p) for p in e.mu.parts), val, e.dim, e.passed])
-    return rows
+        yield [" ".join(str(p) for p in e.mu.parts), val, e.dim, e.passed]
 
 
 def cmd_zonal(args) -> tuple:
@@ -238,9 +241,7 @@ def cmd_dims(args) -> tuple:
         {"mu": mu.to_json(), "dim": zonal.harmonic_dim(mu, args.n)}
         for mu in enumerate_up_to_weight(args.m, args.max_weight)
     ]
-    csv_rows = [["mu", "dim"]] + [
-        [" ".join(str(p) for p in r["mu"]), r["dim"]] for r in rows
-    ]
+    csv_rows = chain([["mu", "dim"]], ([" ".join(str(p) for p in r["mu"]), r["dim"]] for r in rows))
     return EXIT_OK, {"m": args.m, "n": args.n, "table": rows}, csv_rows
 
 
@@ -255,10 +256,10 @@ def cmd_angles(args) -> tuple:
         "size": len(config),
         "angles": [[angles_to_json(y) for y in row] for row in matrix],
     }
-    csv_rows = [["i", "j", "angles"]]
-    for i, row in enumerate(matrix):
-        for j, y in enumerate(row):
-            csv_rows.append([i, j, " ".join(str(v) for v in angles_to_json(y))])
+    csv_rows = chain(
+        [["i", "j", "angles"]],
+        ([i, j, " ".join(str(v) for v in y)] for i, row in enumerate(result["angles"]) for j, y in enumerate(row)),
+    )
     return EXIT_OK, result, csv_rows
 
 

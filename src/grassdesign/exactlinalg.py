@@ -1,6 +1,6 @@
 """Small exact linear-algebra kernels.
 
-Four kinds of scalar are served:
+Three kinds of scalar are served:
 
 * Python integers: the l(mu) x l(mu) minor of each term of
   :func:`zonal.zonal_kernel`, by closed forms up to 3 x 3 and
@@ -8,10 +8,8 @@ Four kinds of scalar are served:
   and no copy past the selected columns (:func:`minor`).  Exact Schur
   values take no determinant (see :func:`symfunc.schur_e_polynomial`);
   the generic determinant over any exact ring is a test oracle in
-  ``tests/exact_oracles.py``;
-* generic scalars through the minimal protocol (+, -, *, truthiness as
-  zero test), so the same code runs over ``Fraction``, Gaussian
-  rationals and machine floats: matrix products;
+  ``tests/exact_oracles.py``, and so is the matrix product over any
+  scalars;
 * Gaussian integers stored as ``(re, im)`` pairs of Python ints, the
   scalars of the exact pair geometry: the determinant and adjugate of a
   point's Gram matrix (its Gram inverse), by the same fraction-free
@@ -77,25 +75,6 @@ def minor(rows, cols):
     (r, s, t), (x, y, z) = rows, cols
     value = r[x] * (s[y] * t[z] - s[z] * t[y]) - r[y] * (s[x] * t[z] - s[z] * t[x]) + r[z] * (s[x] * t[y] - s[y] * t[x])
     return sign * value // prev**2
-
-
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    if k and any(len(r) != k for r in a):
-        raise ValueError("inner dimension mismatch")
-    width = len(b[0]) if k else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(width):
-            s = 0
-            for t in range(k):
-                x = a[i][t]
-                if x:
-                    s = s + x * b[t][j]
-            row.append(s)
-        out.append(row)
-    return out
 
 
 def gram_adjugate(rows):

@@ -43,13 +43,15 @@ A configuration file is read in one load pass (:func:`_load_points`),
 after its header (m, n, mode, label) is checked and with each point's
 shape checked against the declared (m, n) as it is decoded.  Exact
 entry strings are parsed straight into lowest-terms int pairs and
-scaled into the Gaussian-integer rows, with no ``Fraction`` made; the
-``ExactComplex`` basis is derived from the rows only when asked for.
-Float bases are decoded into one (N, m, n) stack, by a single
+scaled into the Gaussian-integer rows, with no ``Fraction`` made, and
+the rows are all an exact point keeps: its JSON text is written back
+from them by :func:`scalars.gaussian_text`, and its float copy divides
+their integers.  Float bases are decoded into one (N, m, n) stack, by a single
 ``np.array`` call when every entry is an [re, im] pair of JSON numbers,
 and orthonormalized by one stacked SVD; each point keeps read-only
 views into the stacks.  A single :class:`SubspacePoint` runs the same
-decoders with N = 1.
+decoders with N = 1, and :meth:`SubspaceConfiguration.to_float` stacks
+the float copies of all its exact points for one SVD.
 
 Principal angles are returned as descending tuples y with entries in
 [0, 1]; the pair (a, b) is antipodal exactly when every entry is 0 or 1,
@@ -66,9 +68,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import pairbatch
-from .exactlinalg import gram_adjugate, mat_mul
+from .exactlinalg import gram_adjugate
 from .pairbatch import atom_classes, invariant_batch
-from .scalars import EXACT_REAL_TYPES, ExactComplex, as_exact_complex, gaussian_parts, rational, rational_to_str
+from .scalars import EXACT_REAL_TYPES, gaussian_parts, gaussian_text, rational, rational_to_str
 
 EXACT = "exact"
 FLOAT = "float"
@@ -129,13 +131,14 @@ def _check_point_shape(m: int, n: int, declared):
 
 
 class SubspacePoint:
-    """An m-dimensional subspace of C^n spanned by the rows of ``basis``.
+    """An m-dimensional subspace of C^n spanned by the rows of a basis matrix.
 
-    Float points also keep ``frame``, orthonormal columns spanning the
-    subspace.  Exact points have ``frame = None`` and keep instead
-    ``rows``, the Gaussian-integer rows as ``(re, im)`` int pairs, with
-    ``scales``, so that basis row i is rows[i] / scales[i] and scales[i]
-    is the lcm of its denominators, and the inverse of the Gram matrix G
+    Float points keep ``basis``, that matrix as a read-only complex
+    array, and ``frame``, orthonormal columns spanning the subspace.
+    Exact points have ``basis = frame = None`` and keep instead ``rows``,
+    the Gaussian-integer rows as ``(re, im)`` int pairs, with ``scales``,
+    so that basis row i is rows[i] / scales[i] and scales[i] is the lcm
+    of its denominators, and the inverse of the Gram matrix G
     of those rows in lowest terms, G^-1 = ``inv_num`` / ``inv_den``: the
     adjugate and the determinant of G, both from one fraction-free
     Gauss-Jordan elimination (:func:`exactlinalg.gram_adjugate`), divided
@@ -150,7 +153,7 @@ class SubspacePoint:
     on a single basis.
     """
 
-    __slots__ = ("_basis", "mode", "m", "n", "frame", "rows", "scales", "inv_num", "inv_den")
+    __slots__ = ("mode", "m", "n", "basis", "frame", "rows", "scales", "inv_num", "inv_den")
 
     def __init__(self, basis, mode: str = EXACT):
         if mode == EXACT:
@@ -183,7 +186,7 @@ class SubspacePoint:
         self.mode = EXACT
         self.m, self.n = len(rows), len(rows[0])
         self.rows, self.scales = rows, scales
-        self._basis = self.frame = None
+        self.basis = self.frame = None
         if inverse is not None:
             self.inv_num, self.inv_den = inverse
             return
@@ -197,46 +200,19 @@ class SubspacePoint:
     def _set_float(self, basis: np.ndarray, frame: np.ndarray):
         self.mode = FLOAT
         self.m, self.n = basis.shape
-        self._basis, self.frame = basis, frame
+        self.basis, self.frame = basis, frame
         self.rows = self.scales = self.inv_num = self.inv_den = None
-
-    @property
-    def basis(self):
-        """The basis rows: a read-only complex matrix in float mode.
-
-        In exact mode a tuple of ``ExactComplex`` tuples, row i equal to
-        rows[i] / scales[i], derived on first use.
-        """
-        if self._basis is None:
-            self._basis = tuple(
-                tuple(ExactComplex(rational(re, s), rational(im, s)) for re, im in row)
-                for row, s in zip(self.rows, self.scales)
-            )
-        return self._basis
 
     def to_float(self) -> "SubspacePoint":
         if self.mode == FLOAT:
             return self
-        arr = [[complex(v) for v in row] for row in self.basis]
-        return SubspacePoint(arr, mode=FLOAT)
-
-    def recombined(self, coeffs) -> "SubspacePoint":
-        """Same subspace presented by an invertible recombination of rows."""
-        if self.mode == EXACT:
-            cf = [[as_exact_complex(v) for v in row] for row in coeffs]
-            rows = mat_mul(cf, [list(r) for r in self.basis])
-            return SubspacePoint(rows, mode=EXACT)
-        cf = np.array(coeffs, dtype=complex)
-        return SubspacePoint(cf @ self.basis, mode=FLOAT)
+        return _float_points(_float_copies([self]))[0][0]
 
     def to_json(self) -> dict:
         if self.mode == EXACT:
-            return {"rows": [[str(v) for v in row] for row in self.basis]}
-        return {
-            "rows": [
-                [[float(v.real), float(v.imag)] for v in row] for row in self.basis
-            ]
-        }
+            rows = zip(self.rows, self.scales)
+            return {"rows": [[gaussian_text((re, s), (im, s)) for re, im in row] for row, s in rows]}
+        return {"rows": [[[float(v.real), float(v.imag)] for v in row] for row in self.basis]}
 
     def __repr__(self):
         return f"SubspacePoint(m={self.m}, n={self.n}, mode={self.mode})"
@@ -246,8 +222,6 @@ def _exact_entry(v) -> tuple:
     """An exact entry as lowest-terms int pairs ((p, q), (r, t)), the value p/q + (r/t) i."""
     if isinstance(v, str):
         return gaussian_parts(v)
-    if isinstance(v, ExactComplex):
-        return (v.re.numerator, v.re.denominator), (v.im.numerator, v.im.denominator)
     if isinstance(v, EXACT_REAL_TYPES) and not isinstance(v, bool):
         return (v.numerator, v.denominator), (0, 1)
     raise ValueError(f"not a Gaussian rational: {v!r}")
@@ -342,6 +316,24 @@ def _orthonormal_frames(stack: np.ndarray) -> np.ndarray:
     return u
 
 
+def _float_copies(points: list) -> np.ndarray:
+    """The bases of exact points of one shape as one read-only (N, m, n) complex array.
+
+    Each part is an int true division, correctly rounded as
+    ``float(Fraction)`` is.
+    """
+    parts = [x / s for p in points for row, s in zip(p.rows, p.scales) for v in row for x in v]
+    stack = np.array(parts, dtype=float).view(complex).reshape(len(points), points[0].m, points[0].n)
+    stack.setflags(write=False)
+    return stack
+
+
+def _float_points(stack: np.ndarray) -> tuple:
+    """Float points viewing a read-only stack of bases, orthonormalized by one SVD, and their (N, n, m) frames."""
+    frames = _orthonormal_frames(stack)
+    return [SubspacePoint._float(b, f) for b, f in zip(stack, frames)], frames
+
+
 def _load_points(bases: list, mode: str, declared) -> tuple:
     """The load pass of a configuration of a checked mode: its points, and in float mode their (N, n, m) frames.
 
@@ -353,9 +345,7 @@ def _load_points(bases: list, mode: str, declared) -> tuple:
         return [], None
     if mode == EXACT:
         return [SubspacePoint._exact(*_exact_rows(b, declared)) for b in bases], None
-    stack = _float_stack(bases, declared)
-    frames = _orthonormal_frames(stack)
-    return [SubspacePoint._float(b, f) for b, f in zip(stack, frames)], frames
+    return _float_points(_float_stack(bases, declared))
 
 
 class SubspaceConfiguration:
@@ -388,9 +378,13 @@ class SubspaceConfiguration:
         return self.points[k]
 
     def to_float(self) -> "SubspaceConfiguration":
-        return SubspaceConfiguration(
-            [p.to_float() for p in self.points], label=self.label
-        )
+        """The float copy: exact points divided out into one stack and orthonormalized by one SVD."""
+        if self.mode == FLOAT:
+            return self
+        points, frames = _float_points(_float_copies(self.points))
+        config = SubspaceConfiguration(points, label=self.label)
+        config._frames = frames
+        return config
 
     def _invariant_table(self) -> tuple:
         """Distinct invariants and each unordered pair's index into them, from one batch."""
@@ -407,13 +401,6 @@ class SubspaceConfiguration:
         first, second, _, classes = self._invariant_table()
         pairs = zip(first.tolist(), second.tolist(), classes.tolist())
         return {(i, j): values[c] for i, j, c in pairs}
-
-    def pair_invariants(self) -> dict:
-        """Angle invariants (e_1, .., e_m) keyed by index pair (i, j), i <= j.
-
-        Exact mode only; every unordered pair is in one batch, computed once.
-        """
-        return self._per_pair(self._invariant_table()[2])
 
     def invariant_classes(self) -> dict:
         """Multiplicities of angle invariants over all ordered pairs (exact mode), in order of first pair.

@@ -1,10 +1,16 @@
-"""Exact scalar arithmetic: rationals and Gaussian rationals.
+"""Exact scalars: rationals and the text form of Gaussian rationals.
 
 All core computations in this package run over exact rationals, which
-are the standard library's ``fractions.Fraction``.  Gaussian rationals
-(complex numbers with exact rational real and imaginary parts) are
-provided by :class:`ExactComplex`; they are the entry type for exact
-subspace bases.
+are the standard library's ``fractions.Fraction``, or over integers.
+A Gaussian rational p/q + (r/t) i is held as its parts, the int pairs
+((p, q), (r, t)) in lowest terms: :func:`gaussian_parts` reads them off
+its text and :func:`gaussian_text` writes it back, so exact points need
+no complex scalar type.
+
+:class:`ExactComplex`, a Gaussian rational with ``Fraction`` parts, has
+no caller in the package.  Like ``BACKEND`` it stays only because the
+benchmark in ``perfbench/`` reads it, and it goes when the benchmark
+drops those reads.
 """
 
 from __future__ import annotations
@@ -91,11 +97,7 @@ class ExactComplex:
         return f"ExactComplex({self.re}, {self.im})"
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if self.im < 0:
-            return f"{self.re}-{-self.im}*i"
-        return f"{self.re}+{self.im}*i"
+        return gaussian_text((self.re.numerator, self.re.denominator), (self.im.numerator, self.im.denominator))
 
     def __eq__(self, other):
         if isinstance(other, ExactComplex):
@@ -195,9 +197,9 @@ class ExactComplex:
 def gaussian_parts(s: str) -> tuple:
     """The text form of a Gaussian rational as lowest-terms int pairs ((p, q), (r, t)).
 
-    The value is p/q + (r/t) i; the grammar is that of
-    :meth:`ExactComplex.from_str`, surrounding whitespace stripped, and
-    no ``Fraction`` is made.
+    The value is p/q + (r/t) i; the grammar is the one above, with
+    surrounding whitespace stripped and a missing im read as 1, and no
+    ``Fraction`` is made.  Any other text raises ValueError.
     """
     text = s.strip() if isinstance(s, str) else ""
     if match := _COMPLEX.fullmatch(text):
@@ -214,15 +216,21 @@ def gaussian_parts(s: str) -> tuple:
     return re_part, (-r if sign == "-" else r, t)
 
 
-CX_ZERO = ExactComplex(0)
-CX_ONE = ExactComplex(1)
+def _rational_text(p: int, q: int) -> str:
+    """'p' or 'p/q' of p/q in lowest terms, q > 0."""
+    g = math.gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
-def as_exact_complex(x) -> ExactComplex:
-    if isinstance(x, ExactComplex):
-        return x
-    if isinstance(x, EXACT_REAL_TYPES) and not isinstance(x, bool):
-        return ExactComplex(x)
-    if isinstance(x, str):
-        return ExactComplex.from_str(x)
-    raise ValueError(f"not a Gaussian rational: {x!r}")
+def gaussian_text(re: tuple, im: tuple) -> str:
+    """The text form of the Gaussian rational p/q + (r/t) i, given as int pairs (p, q) and (r, t), q, t > 0.
+
+    The inverse of :func:`gaussian_parts`: both parts in lowest terms,
+    the real part always written and a nonzero imaginary one after it as
+    '+im*i' or '-im*i', so i reads '0+1*i'.
+    """
+    text = _rational_text(*re)
+    r, t = im
+    if not r:
+        return text
+    return f"{text}{'-' if r < 0 else '+'}{_rational_text(abs(r), t)}*i"

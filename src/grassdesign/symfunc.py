@@ -147,14 +147,15 @@ def scaled_point(y) -> tuple:
 
 
 def _columns(points, upto: int, m: int | None = None) -> tuple:
-    """Points as e-columns up to e_upto, and whether they are exact.
+    """Points as e-columns up to e_upto, whether they are exact, and their length m.
 
     Exact coordinates y = a/d give (d, e_1(a) .. e_upto(a)) as object
     arrays of ints, d the lcm of y's denominators or the one a
     :class:`ScaledPoints` gives; any float coordinate gives float columns
     (1, e_1(y) .. e_upto(y)) for every point.  Entry i of every column
     belongs to point i.  One walk over the points checks that they share
-    a length, which must be ``m`` when it is given.
+    a length, which must be ``m`` when it is given: the length of the
+    numerators a for :class:`ScaledPoints`.
     """
     given = isinstance(points, ScaledPoints)
     widths = {len(a) for a, _ in points} if given else {len(y) for y in points}
@@ -162,18 +163,19 @@ def _columns(points, upto: int, m: int | None = None) -> tuple:
         raise ValueError(f"point length {min(widths - {m})} vs ambient {m}")
     if len(widths) != 1:
         raise ValueError("points must be an (N, m) array")
+    (width,) = widths
     if not (given or all(is_exact_real(v) for y in points for v in y)):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("points must be an (N, m) array")
-        return _elementary_terms(pts.T, min(upto, pts.shape[1]), np.ones(len(pts))), False
+        return _elementary_terms(pts.T, min(upto, width), np.ones(len(pts))), False, width
     if not given:
         points = [scaled_point(y) for y in points]
-    numerators = np.empty((len(points), widths.pop()), dtype=object)
+    numerators = np.empty((len(points), width), dtype=object)
     numerators[:] = [a for a, _ in points]
-    e = _elementary_terms(numerators.T, min(upto, numerators.shape[1]), 1)
+    e = _elementary_terms(numerators.T, min(upto, width), 1)
     e[0] = np.array([d for _, d in points], dtype=object)
-    return e, True
+    return e, True, width
 
 
 def _invariant_columns(invariants) -> tuple:
@@ -260,8 +262,8 @@ def normalized_schur_batch(sigmas: Sequence[Partition], points) -> np.ndarray:
     When every coordinate is exact the result is an object array of
     ``Fraction``, otherwise a float array.
     """
-    stack, exact = _columns(points, _top_index(sigmas))
-    return _normalized(sigmas, stack, exact, len(points[0]))
+    stack, exact, m = _columns(points, _top_index(sigmas))
+    return _normalized(sigmas, stack, exact, m)
 
 
 def normalized_schur_at_invariants(sigmas: Sequence[Partition], invariants) -> np.ndarray:
@@ -345,7 +347,7 @@ class SchurExpansion:
     def evaluate_batch(self, points) -> list:
         """Values at every point of an (N, m) sequence or :class:`ScaledPoints`, from one batched evaluation."""
         sigmas = list(self.coeffs)
-        stack, exact = _columns(points, _top_index(sigmas), self.m)
+        stack, exact, _ = _columns(points, _top_index(sigmas), self.m)
         if exact:
             t, q = exact_schur_sum(self._weighted(), stack)
             return [rational(x, q) for x in t]
@@ -360,7 +362,7 @@ class SchurExpansion:
         built.  Points are an (N, m) sequence of exact values or
         :class:`ScaledPoints`.
         """
-        stack, exact = _columns(points, _top_index(list(self.coeffs)), self.m)
+        stack, exact, _ = _columns(points, _top_index(list(self.coeffs)), self.m)
         if not exact:
             raise ValueError("integer numerators need exact points")
         return exact_schur_sum(self._weighted(), stack)

@@ -5,6 +5,16 @@ fraction formed; these helpers are the older, independent routes through
 Gaussian-rational elimination and the Faddeev-LeVerrier and Berkowitz
 recurrences that the tests check it against:
 
+* ``CX_ZERO``, ``CX_ONE``, ``as_exact_complex``, ``mat_mul``: Gaussian
+  rationals as ``ExactComplex`` values, and the matrix product over any
+  scalars (+, -, *, truthiness as the zero test);
+* ``exact_basis``, ``exact_complex_point``, ``recombined``: an exact
+  point's basis as ``ExactComplex`` rows, read off its Gaussian-integer
+  rows and scales, an exact point built from such rows through their
+  text, and the same subspace spanned by recombined rows, in both
+  modes;
+* ``pair_invariants``: a configuration's per-pair table of angle
+  invariants, read off its batch;
 * ``det``: the determinant by Bareiss's fraction-free elimination over
   any exact ring or field, the oracle for the package's integer minors
   (``exactlinalg.minor``);
@@ -22,7 +32,8 @@ recurrences that the tests check it against:
   at a time over the integers, against which the multi-modular batch is
   checked;
 * ``per_entry_point``: an exact point built entry by entry through
-  ``ExactComplex`` and ``Fraction``, the route the load pass replaced;
+  ``ExactComplex`` and ``Fraction``, the route the load pass replaced,
+  its text written by ``fraction_text`` from the ``Fraction`` parts;
 * ``same_subspace``, ``orthogonal_complement``, ``is_antipodal_pair``:
   point-level questions answered from the basis rows;
 * ``symmetry_image``: the image of a point under the geodesic symmetry
@@ -43,7 +54,8 @@ recurrences that the tests check it against:
 
 import math
 
-from grassdesign.exactlinalg import mat_mul
+import numpy as np
+
 from grassdesign.grassmann import (
     EXACT,
     FLOAT,
@@ -52,15 +64,7 @@ from grassdesign.grassmann import (
     antipodal_angles,
     principal_angles,
 )
-from grassdesign.scalars import (
-    CX_ONE,
-    CX_ZERO,
-    ExactComplex,
-    as_exact_complex,
-    as_rational,
-    is_exact_real,
-    rational,
-)
+from grassdesign.scalars import EXACT_REAL_TYPES, ExactComplex, as_rational, is_exact_real, rational
 from grassdesign.symfunc import (
     ScaledPoints,
     _elementary_terms,
@@ -69,6 +73,76 @@ from grassdesign.symfunc import (
     schur_e_polynomial,
     schur_norm,
 )
+
+
+CX_ZERO = ExactComplex(0)
+CX_ONE = ExactComplex(1)
+
+
+def as_exact_complex(x) -> ExactComplex:
+    """An ``ExactComplex``, an int or ``Fraction``, or an exact entry string as an ``ExactComplex``."""
+    if isinstance(x, ExactComplex):
+        return x
+    if isinstance(x, EXACT_REAL_TYPES) and not isinstance(x, bool):
+        return ExactComplex(x)
+    if isinstance(x, str):
+        return ExactComplex.from_str(x)
+    raise ValueError(f"not a Gaussian rational: {x!r}")
+
+
+def mat_mul(a, b):
+    """The product of two matrices of any scalars, skipping zero entries of ``a``."""
+    n, k = len(a), len(b)
+    if k and any(len(r) != k for r in a):
+        raise ValueError("inner dimension mismatch")
+    width = len(b[0]) if k else 0
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(width):
+            s = 0
+            for t in range(k):
+                x = a[i][t]
+                if x:
+                    s = s + x * b[t][j]
+            row.append(s)
+        out.append(row)
+    return out
+
+
+def fraction_text(z: ExactComplex) -> str:
+    """The text form of a Gaussian rational, written from its ``Fraction`` parts."""
+    if not z.im:
+        return str(z.re)
+    if z.im < 0:
+        return f"{z.re}-{-z.im}*i"
+    return f"{z.re}+{z.im}*i"
+
+
+def exact_basis(point: SubspacePoint) -> tuple:
+    """An exact point's basis as a tuple of ``ExactComplex`` tuples, row i equal to rows[i] / scales[i]."""
+    return tuple(
+        tuple(ExactComplex(rational(re, s), rational(im, s)) for re, im in row)
+        for row, s in zip(point.rows, point.scales)
+    )
+
+
+def exact_complex_point(rows) -> SubspacePoint:
+    """The exact point spanned by rows of ``ExactComplex`` values (ints and ``Fraction`` too), read from their text."""
+    return SubspacePoint([[str(v) for v in row] for row in rows], mode=EXACT)
+
+
+def recombined(point: SubspacePoint, coeffs) -> SubspacePoint:
+    """The same subspace presented by an invertible recombination of its rows."""
+    if point.mode == EXACT:
+        cf = [[as_exact_complex(v) for v in row] for row in coeffs]
+        return exact_complex_point(mat_mul(cf, [list(r) for r in exact_basis(point)]))
+    return SubspacePoint(np.array(coeffs, dtype=complex) @ point.basis, mode=FLOAT)
+
+
+def pair_invariants(config) -> dict:
+    """Angle invariants (e_1, .., e_m) of an exact configuration keyed by index pair (i, j), i <= j, from its batch."""
+    return config._per_pair(config._invariant_table()[2])
 
 
 def det(rows):
@@ -325,10 +399,11 @@ def angle_polynomial(a: SubspacePoint, b: SubspacePoint) -> list:
     Gram matrices and C the cross-Gram of the rows as given; returns
     backend rationals ascending in degree.
     """
-    cross = _hermitian_products(a.basis, b.basis)
+    a_basis, b_basis = exact_basis(a), exact_basis(b)
+    cross = _hermitian_products(a_basis, b_basis)
     cross_h = [[v.conjugate() for v in col] for col in zip(*cross)]
-    gram_inv_a = invert(_hermitian_products(a.basis, a.basis))
-    gram_inv_b = invert(_hermitian_products(b.basis, b.basis))
+    gram_inv_a = invert(_hermitian_products(a_basis, a_basis))
+    gram_inv_b = invert(_hermitian_products(b_basis, b_basis))
     product = mat_mul(mat_mul(gram_inv_a, cross), mat_mul(gram_inv_b, cross_h))
     poly = []
     for c in charpoly(product):
@@ -387,14 +462,14 @@ def per_entry_point(basis) -> dict:
         "rows": rows,
         "inv_num": [[(re // g, im // g) for re, im in row] for row in adj],
         "inv_den": det // g,
-        "to_json": {"rows": [[str(v) for v in row] for row in exact]},
+        "to_json": {"rows": [[fraction_text(v) for v in row] for row in exact]},
     }
 
 
 def same_subspace(p: SubspacePoint, q: SubspacePoint, tol: float = 1e-8) -> bool:
     _check_pair(p, q)
     if p.mode == EXACT:
-        stacked = [list(r) for r in p.basis] + [list(r) for r in q.basis]
+        stacked = [list(r) for r in exact_basis(p)] + [list(r) for r in exact_basis(q)]
         return rank(stacked) == p.m
     y = principal_angles(p, q)
     return all(v > 1 - tol for v in y)
@@ -404,9 +479,9 @@ def orthogonal_complement(p: SubspacePoint) -> SubspacePoint:
     """The (n - m)-dimensional orthogonal complement (exact mode only)."""
     if p.mode != EXACT:
         raise ValueError("complement helper is exact-mode only")
-    conj_rows = [[v.conjugate() for v in row] for row in p.basis]
+    conj_rows = [[v.conjugate() for v in row] for row in exact_basis(p)]
     kernel = null_space(conj_rows, zero=CX_ZERO, one=CX_ONE)
-    return SubspacePoint(kernel, mode=EXACT)
+    return exact_complex_point(kernel)
 
 
 def is_antipodal_pair(a: SubspacePoint, b: SubspacePoint, tol: float = 1e-8) -> bool:
@@ -432,11 +507,12 @@ def symmetry_image(a: SubspacePoint, b: SubspacePoint) -> SubspacePoint:
     # P_a = A^H G^-1 A for the integer rows A of a
     a_rows = [[ExactComplex(*v) for v in row] for row in a.rows]
     inv = [[ExactComplex(*v) for v in row] for row in a.inv_num]
-    cross = [[_row_inner(rb, ra) for ra in a_rows] for rb in b.basis]
+    b_basis = exact_basis(b)
+    cross = [[_row_inner(rb, ra) for ra in a_rows] for rb in b_basis]
     proj = mat_mul(mat_mul(cross, inv), a_rows)
     twice = rational(2, a.inv_den)
-    rows = [[twice * p - v for p, v in zip(pr, br)] for pr, br in zip(proj, b.basis)]
-    return SubspacePoint(rows, mode=EXACT)
+    rows = [[twice * p - v for p, v in zip(pr, br)] for pr, br in zip(proj, b_basis)]
+    return exact_complex_point(rows)
 
 
 def _complete_terms(e: list, m: int, upto: int, one) -> list:

@@ -4,11 +4,12 @@ Usage (from the repository root):
 
     PYTHONPATH=src python tests/result_sweep.py > sweep.txt
 
-The 119 lines are pinned in ``tests/result_sweep.txt``, which
+The 124 lines are pinned in ``tests/result_sweep.txt``, which
 ``tests/test_result_sweep.py`` compares with a run in process.
 
 The first hash is the SHA-256 of the canonical JSON of the command's
-``result`` payload (sorted keys, no spaces), or of its empty stdout.
+``result`` payload (sorted keys, no spaces), of its whole stdout for
+``--emit csv``, or of its empty stdout.
 The second is the SHA-256 of the whole stdout as written, with the
 value of ``duration_s`` and the temporary directory masked, so that the
 emitted bytes are covered too.
@@ -30,8 +31,10 @@ denominators reach 17 bits), on a disguised six-point set and on a
 complement-closed set {V_i, V_i^perp} in G(3, 6); the same commands run
 on the six spans of two of the blocks {e_2i, e_2i+1} of C^8, whose atoms
 have rank 2, exact and disguised.  ``antipodal --verify E+F`` at
-(5, 10), (6, 12) and (7, 14) and ``zonal`` on (3, 3, 2) at m = 64 end
-the list.  Files are written to a temporary directory and named in the
+(5, 10), (6, 12) and (7, 14) and ``zonal`` on (3, 3, 2) at m = 64
+follow, and ``--emit csv`` ends the list: ``dims``, ``antipodal`` and
+``appendix-b`` with ``--verify E+F``, and ``angles`` and
+``verify-design`` on the disguised six-point set.  Files are written to a temporary directory and named in the
 output by file name only.  Two checkouts whose sweeps ``diff`` equal
 give byte-identical results on the whole list.  The file is not
 collected by pytest; :func:`sweep` yields the lines.
@@ -149,6 +152,17 @@ def commands(workdir: Path) -> list:
     out.append(["antipodal", "--m", "6", "--n", "12", "--verify", "E+F"])
     out.append(["antipodal", "--m", "7", "--n", "14", "--verify", "E+F"])
     out.append(["zonal", "--mu", "3,3,2", "--m", "64", "--n", "128"])
+    six = str(workdir / "disguised-six.json")
+    out += [
+        argv + ["--emit", "csv"]
+        for argv in (
+            ["dims", "--m", "3", "--n", "6"],
+            ["angles", "--config", six],
+            ["verify-design", "--config", six, "--set", "T3"],
+            ["antipodal", "--m", "3", "--n", "6", "--verify", "E+F"],
+            ["appendix-b", "--verify", "E+F"],
+        )
+    ]
     return out
 
 
@@ -169,7 +183,7 @@ def run(argv: list, tmp: str) -> tuple:
             code = exc.code
     text = stdout.getvalue()
     result = text
-    if text:
+    if text and "csv" not in argv:
         result = json.dumps(json.loads(text)["result"], sort_keys=True, separators=(",", ":"))
     masked = DURATION.sub('"duration_s": 0', text.replace(tmp, "TMP"))
     return code, sha256(result), sha256(masked)

@@ -21,7 +21,7 @@ import grassdesign
 from grassdesign import designs, exactlinalg, grassmann, symfunc, zonal
 from grassdesign import cli
 from grassdesign.cli import _json_text, main
-from grassdesign.grassmann import great_antipodal, random_subspace, SubspaceConfiguration
+from grassdesign.grassmann import angles_to_json, great_antipodal, random_subspace, SubspaceConfiguration
 from grassdesign.partitions import RANK_BUDGET, SHAPE_BUDGET, Partition
 
 from argparse_oracle import build_parser
@@ -230,6 +230,25 @@ def test_csv_emission(tmp_path, capsys):
     assert any(line.startswith("1 0,0,15,True") for line in lines)
 
 
+def test_json_runs_format_no_csv_rows(capsys, monkeypatch):
+    # report rows are formatted only as the CSV writer takes them
+    def no_rows(report):
+        raise AssertionError("a CSV row was formatted")
+        yield
+
+    monkeypatch.setattr(cli, "_report_rows", no_rows)
+    assert main(["appendix-b", "--verify", "E+F"]) == 1
+    assert main(["antipodal", "--m", "2", "--n", "4", "--verify", "E+F"]) == 0
+    capsys.readouterr()
+    assert main(["appendix-b", "--verify", "E+F", "--emit", "csv"]) == 3
+    assert "a CSV row was formatted" in capsys.readouterr().err
+    # angle rows reuse the result's text of each angle vector
+    calls = []
+    monkeypatch.setattr(cli, "angles_to_json", lambda y: calls.append(y) or angles_to_json(y))
+    assert main(["appendix-b", "--emit", "csv"]) == 0
+    assert len(calls) == 36
+
+
 def test_result_payload_is_byte_stable(capsys):
     _, first = run(capsys, "zonal", "--mu", "2,1", "--m", "3", "--n", "6")
     _, second = run(capsys, "zonal", "--mu", "2,1", "--m", "3", "--n", "6")
@@ -291,10 +310,10 @@ def test_antipodal_six_twelve_in_time(capsys):
 
 def test_design_path_builds_no_per_pair_table(capsys, monkeypatch):
     # defects and antipodality read the batch's classes alone
-    def no_table(self):
+    def no_table(self, *args):
         raise AssertionError("per-pair table built on the design path")
 
-    monkeypatch.setattr(SubspaceConfiguration, "pair_invariants", no_table)
+    monkeypatch.setattr(SubspaceConfiguration, "_per_pair", no_table)
     monkeypatch.setattr(SubspaceConfiguration, "pair_angles", no_table)
     assert main(["antipodal", "--m", "3", "--n", "6", "--verify", "E+F"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -423,8 +442,9 @@ def disguised_great_antipodal(m, n):
     adjacent coordinates; each point's rows are then mixed by a fixed
     invertible Gaussian-integer matrix.
     """
-    from grassdesign.exactlinalg import mat_mul
     from grassdesign.scalars import ExactComplex, rational
+
+    from exact_oracles import exact_basis, exact_complex_point, mat_mul
 
     unitary = [[ExactComplex(int(i == j)) for j in range(n)] for i in range(n)]
     unitary[0][0] = ExactComplex(rational(3, 5), rational(4, 5))
@@ -435,7 +455,7 @@ def disguised_great_antipodal(m, n):
         unitary = mat_mul(unitary, rot)
     mix = [[ExactComplex(1 + (i == j), i - j) for j in range(m)] for i in range(m)]
     points = [
-        grassmann.SubspacePoint(mat_mul(mix, mat_mul([list(r) for r in p.basis], unitary)))
+        exact_complex_point(mat_mul(mix, mat_mul([list(r) for r in exact_basis(p)], unitary)))
         for p in great_antipodal(m, n)
     ]
     return SubspaceConfiguration(points, label=f"disguised({m},{n})")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grassdesign.exactlinalg import gaussian_images, gram_adjugate, mat_mul, minor, modulus_bits, split_moduli
+from grassdesign.exactlinalg import gaussian_images, gram_adjugate, minor, modulus_bits, split_moduli
 from grassdesign.scalars import ExactComplex, rational
 
 from exact_oracles import (
@@ -19,6 +19,7 @@ from exact_oracles import (
     gaussian_charpoly,
     gaussian_mat_mul,
     invert,
+    mat_mul,
     null_space,
     poly_eval,
     rank,

@@ -1,5 +1,6 @@
 """The load pass of configuration files against point-by-point construction."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassdesign import grassmann
+from grassdesign.cli import main
 from grassdesign.grassmann import (
     EXACT,
     FLOAT,
@@ -20,7 +22,7 @@ from grassdesign.grassmann import (
 )
 from grassdesign.scalars import ExactComplex
 
-from exact_oracles import per_entry_point
+from exact_oracles import exact_basis, per_entry_point
 from seeded_configs import disguised_points, exact_document, float_document
 
 SMALL = st.integers(-4, 4)
@@ -99,7 +101,7 @@ def test_exact_load_matches_per_entry_route(doc):
     for point, want in zip(config, oracle):
         assert point.rows == want["rows"]
         assert (point.inv_num, point.inv_den) == (want["inv_num"], want["inv_den"])
-        assert point.basis == want["basis"]
+        assert point.basis is None and exact_basis(point) == want["basis"]
         assert point.to_json() == want["to_json"]
 
 
@@ -157,14 +159,14 @@ def test_exact_load_parses_no_exact_complex(monkeypatch):
     monkeypatch.setattr(ExactComplex, "from_str", staticmethod(no_parse))
     config = SubspaceConfiguration.from_json(doc)
     assert config.is_antipodal()
-    assert all(p._basis is None for p in config)
+    assert all(p.basis is None for p in config)
 
 
 def test_coordinate_points_take_integer_rows():
     point = grassmann.coordinate_subspace([0, 2], 4)
     assert point.rows == [[(1, 0), (0, 0), (0, 0), (0, 0)], [(0, 0), (0, 0), (1, 0), (0, 0)]]
     assert point.scales == [1, 1]
-    assert point.basis == per_entry_point([["1", "0", "0", "0"], ["0", "0", "1", "0"]])["basis"]
+    assert exact_basis(point) == per_entry_point([["1", "0", "0", "0"], ["0", "0", "1", "0"]])["basis"]
     with pytest.raises(ValueError, match="bad shape"):
         grassmann.coordinate_subspace([], 4)
 
@@ -207,3 +209,97 @@ def test_coordinate_indices_are_checked():
         grassmann.coordinate_subspace([1, 1], 4)
     with pytest.raises(ValueError, match="bad shape"):
         grassmann.coordinate_subspace([0, 0, 1], 2)
+
+
+def test_exact_paths_build_no_exact_complex(tmp_path, capsys, monkeypatch):
+    def no_value(self, *args):
+        raise AssertionError("an ExactComplex was built")
+
+    doc = exact_document(disguised_points(2, 5, 4), "exact")
+    path = tmp_path / "exact.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(ExactComplex, "__init__", no_value)
+    config = SubspaceConfiguration.from_json(json.loads(path.read_text()))
+    assert config.to_json() == doc
+    assert config.to_float().is_antipodal()
+    # a fault inside a command exits 3, so each exit 0 is a full run
+    assert main(["verify-design", "--config", str(path), "--set", "E+F"]) == 0
+    capsys.readouterr()
+    assert main(["angles", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["size"] == 10
+
+
+# entries i, -i, -1/2*i, 3 and 0 over mixed denominators, some of them
+# padded or not in lowest terms, which the written text normalizes
+MIXED_TEXTS = {
+    "m": 2,
+    "n": 4,
+    "label": "mixed-texts",
+    "points": [
+        {"rows": [["i", "-i", "0", "3"], ["1/2", "-1/2*i", "2/3+5/7*i", "0"]]},
+        {"rows": [[" +3 ", "4/8", "-3/4-i", "0"], ["0", "1-i", "0", "-1/6*i"]]},
+        {"rows": [[1, 0, "7/9", "-2/15*i"], ["0", "0", "-i", "11/13+1/26*i"]]},
+    ],
+}
+PINNED_CONFIGS = {
+    "six-point": grassmann.six_point_config,
+    "great-antipodal-3-6": lambda: grassmann.great_antipodal(3, 6),
+    "orthogonal-split-2-6": lambda: grassmann.orthogonal_split_config(2, 6),
+    "disguised-3-6": lambda: SubspaceConfiguration.from_json(exact_document(disguised_points(3, 6, 3), "disguised-3-6")),
+    "mixed-texts": lambda: SubspaceConfiguration.from_json(MIXED_TEXTS),
+}
+# SHA-256 of json.dumps(config.to_json(), indent=2) and of the bytes of the
+# bases of config.to_float(), as written when exact points also kept a
+# basis of Fraction-part Gaussian rationals and converted it entry by entry
+PINNED = {
+    "six-point": (
+        "c830e770b8659674b79b7f16ae340bcfc756f10292ee9fbb8223f662e5567918",
+        "df06fbcd7857ce2234d24ad48867fc2633615f488a01097f5f5a03df2a5712d8",
+    ),
+    "great-antipodal-3-6": (
+        "0f83e2d02f9a037703b7c2f9981ecef1a4e22cc981ab402526bae0031f2c5a04",
+        "84f2e06a56610b3c60194038d2ea7fc33852f15d05a7387fcc2c14343037b1de",
+    ),
+    "orthogonal-split-2-6": (
+        "14e956273b8baf5f44129f687485eea7a9fda3366f2fd57bbe32de30c7f44c80",
+        "035ddb859ebb61c56a9c7052cc1e09c38b71823056e1444f5c823dcc0cfab986",
+    ),
+    "disguised-3-6": (
+        "2e1c1a0576937569d2a491c1c75f98f30ac6238cbdaddac5f115ad89e5380728",
+        "f15d371bc67df331f0622381669b033c7f50c37a3fbf108e7d3666e0ade961af",
+    ),
+    "mixed-texts": (
+        "c74666c7d1c02c5e887c75a6f97eae3501d0714009c3cfbbdc5deb68486394b6",
+        "a255855b4db702f12ffe06c5fcb690d843dff2454632797d0becb74bc9b93c71",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_exact_text_and_float_copy_are_pinned(name):
+    config = PINNED_CONFIGS[name]()
+    text, bases = PINNED[name]
+    assert hashlib.sha256(json.dumps(config.to_json(), indent=2).encode()).hexdigest() == text
+    floats = config.to_float()
+    assert hashlib.sha256(b"".join(p.basis.tobytes() for p in floats)).hexdigest() == bases
+    # the stacked SVD gives each point the frame that its own SVD gives
+    for point, copy in zip(config, floats):
+        alone = point.to_float()
+        assert copy.basis.tobytes() == alone.basis.tobytes()
+        assert copy.frame.tobytes() == alone.frame.tobytes() == SubspacePoint(alone.basis, mode=FLOAT).frame.tobytes()
+        assert not copy.basis.flags.writeable and not copy.frame.flags.writeable
+
+
+def test_float_copy_makes_one_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    config = grassmann.great_antipodal(2, 5)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    floats = config.to_float()
+    assert calls == [(10, 5, 2)]
+    assert floats.to_float().points == floats.points and floats.is_antipodal()

@@ -34,7 +34,15 @@ from grassdesign.grassmann import (
 )
 from grassdesign.scalars import ExactComplex, rational
 
-from exact_oracles import _adjoint, gaussian_adjugate, gaussian_mat_mul, pair_invariant_oracle
+from exact_oracles import (
+    _adjoint,
+    exact_basis,
+    exact_complex_point,
+    gaussian_adjugate,
+    gaussian_mat_mul,
+    pair_invariant_oracle,
+    pair_invariants,
+)
 from seeded_configs import disguised_points, exact_document
 
 BIG_PRIME = 10**9 + 7
@@ -70,7 +78,7 @@ def unitary_image(config, seed):
     points = []
     for pt in config:
         rows = [[sum((v * unitary[k][j] for k, v in enumerate(row)), ExactComplex(0)) for j in range(n)]
-                for row in pt.basis]
+                for row in exact_basis(pt)]
         mixed = []
         for i in range(config.m):
             scale = ExactComplex(rational(rng.randint(1, 9), rng.choice([1, 5, BIG_PRIME])), rng.randint(0, 3))
@@ -79,7 +87,7 @@ def unitary_image(config, seed):
                 c = ExactComplex(rational(rng.randint(-3, 3), rng.choice([1, 2, 7])))
                 mix = [x + c * y for x, y in zip(mix, rows[j])]
             mixed.append(mix)
-        points.append(SubspacePoint(mixed, mode=EXACT))
+        points.append(exact_complex_point(mixed))
     return SubspaceConfiguration(points, label=config.label)
 
 
@@ -102,7 +110,7 @@ def exact_configurations(draw):
     for _ in range(draw(st.integers(2, 4))):
         rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
         try:
-            points.append(SubspacePoint(rows, mode=EXACT))
+            points.append(exact_complex_point(rows))
         except RankDeficiencyError:
             assume(False)
     return SubspaceConfiguration(points, label="random")
@@ -122,7 +130,7 @@ def test_batch_matches_per_pair_oracle(config):
     for (i, j), e in expected.items():
         counts[e] = counts.get(e, 0) + (1 if i == j else 2)
     assert config.invariant_classes() == counts
-    assert config.pair_invariants() == expected
+    assert pair_invariants(config) == expected
 
 
 # coordinate points, with no disguise, and the six-point set as given
@@ -176,7 +184,7 @@ def mixed_configurations(draw):
     m, n = config.m, config.n
     rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
     try:
-        extra = SubspacePoint(rows, mode=EXACT)
+        extra = exact_complex_point(rows)
     except RankDeficiencyError:
         assume(False)
     points.insert(draw(st.integers(0, len(points))), extra)
@@ -238,7 +246,7 @@ def test_certificate_needs_no_extra_prime_past_rank_one():
 
 def line(k) -> SubspacePoint:
     """The line through (k, 0) of G(1, 2), whose Gram inverse is 1 / k^2."""
-    return SubspacePoint([[ExactComplex(k), ExactComplex(0)]], mode=EXACT)
+    return SubspacePoint([[k, 0]], mode=EXACT)
 
 
 def test_rank_one_bound_covers_the_certificate():
@@ -265,7 +273,7 @@ def test_certified_pair_with_no_weight_raises():
     assert len(primes) > 1
     total = math.prod(primes)
     c = total // primes[0] * pow(total // primes[0], -1, primes[0])
-    b = SubspacePoint(a.basis, mode=EXACT)
+    b = SubspacePoint(a.to_json()["rows"], mode=EXACT)
     b.inv_num = [[(c, 0)]]
     with pytest.raises(ArithmeticError, match="outside its range"):
         invariant_batch([a, b], [0], [1])
@@ -316,9 +324,8 @@ def test_int64_sums_at_large_n():
     assert n * (2**bits) ** 2 < 2**63 <= n * (2 ** (bits + 1)) ** 2
     rng = random.Random(3)
     points = [
-        SubspacePoint(
-            [[ExactComplex(rng.randint(-(10**30), 10**30), rng.randint(-(10**30), 10**30)) for _ in range(n)]],
-            mode=EXACT,
+        exact_complex_point(
+            [[ExactComplex(rng.randint(-(10**30), 10**30), rng.randint(-(10**30), 10**30)) for _ in range(n)]]
         )
         for _ in range(3)
     ]
@@ -333,7 +340,7 @@ def test_int64_sums_at_large_n():
 def test_out_of_range_lift_raises():
     # tripling N_a triples every angle: e_1 = 3 m > m lies outside [0, m]
     a = great_antipodal(2, 4)[0]
-    b = SubspacePoint(a.basis, mode=EXACT)
+    b = SubspacePoint(a.to_json()["rows"], mode=EXACT)
     b.inv_num = [[(3 * re, 3 * im) for re, im in row] for row in b.inv_num]
     with pytest.raises(ArithmeticError, match="outside its range"):
         invariant_batch([a, b], [0], [1])
@@ -342,7 +349,7 @@ def test_out_of_range_lift_raises():
 def test_nonzero_imaginary_residue_raises():
     # i N_a makes the pair matrix i M: its power sums are imaginary
     a = great_antipodal(2, 4)[0]
-    b = SubspacePoint(a.basis, mode=EXACT)
+    b = SubspacePoint(a.to_json()["rows"], mode=EXACT)
     b.inv_num = [[(-im, re) for re, im in row] for row in b.inv_num]
     with pytest.raises(ArithmeticError, match="imaginary residue"):
         invariant_batch([b, a], [0], [1])
@@ -357,7 +364,7 @@ def test_certified_pair_with_a_nonreal_trace_raises():
     primes = pairbatch._PairBatch([a, a]).primes
     roots = dict(split_moduli(modulus_bits(a.n), math.prod(primes)))
     (shift,) = crt_lift(np.array([[(1 - roots[p]) % p for p in primes]]), primes)
-    b = SubspacePoint(a.basis, mode=EXACT)
+    b = SubspacePoint(a.to_json()["rows"], mode=EXACT)
     b.inv_num = [[(shift * re - im, shift * im + re) for re, im in row] for row in a.inv_num]
     with recorded("elementary_mod") as newton, pytest.raises(ArithmeticError, match="imaginary residue"):
         invariant_batch([b, a], [0], [1])

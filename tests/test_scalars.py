@@ -1,19 +1,23 @@
 """Exact scalars: Fraction is the rational type, and text round-trips."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from grassdesign.designs import column_family, hook_family, is_T_design
 from grassdesign.grassmann import six_point_config
 from grassdesign.scalars import (
     ExactComplex,
-    as_exact_complex,
     as_rational,
+    gaussian_parts,
+    gaussian_text,
     rational,
     rational_from_str,
 )
+
+from exact_oracles import fraction_text
 
 BIG = 10**12
 
@@ -31,12 +35,45 @@ def test_str_round_trip(re, im):
     assert ExactComplex.from_str(str(z)) == z
 
 
+HUGE = 10**400
+
+# int pairs (p, q), q > 0, not reduced: zero, the unit parts of i, -i and
+# 1 + i, and numerators and denominators of several hundred digits
+int_parts = st.one_of(
+    st.just((0, 1)),
+    st.sampled_from([(1, 1), (-1, 1)]),
+    st.tuples(st.integers(-HUGE, HUGE), st.integers(1, HUGE)),
+)
+
+
+@given(int_parts, int_parts)
+@example((0, 1), (1, 1))
+@example((0, 1), (-1, 1))
+@example((1, 1), (1, 1))
+@example((0, 5), (-2, 4))
+@example((6, 2), (0, 3))
+@example((-9, 12), (10, 4))
+def test_gaussian_text_inverts_gaussian_parts(re, im):
+    text = gaussian_text(re, im)
+    lowest = tuple((p // math.gcd(p, q), q // math.gcd(p, q)) for p, q in (re, im))
+    assert gaussian_parts(text) == lowest
+    # the text that Fraction parts give, as exact points were written before
+    z = ExactComplex(Fraction(*re), Fraction(*im))
+    assert text == fraction_text(z) == str(z)
+
+
+def test_gaussian_text_forms():
+    assert [gaussian_text(*gaussian_parts(t)) for t in ("i", "-i", "1+i", "-1/2*i", "+3", "0", " 4/8-6/8*i ")] == [
+        "0+1*i", "0-1*i", "1+1*i", "0-1/2*i", "3", "0", "1/2-3/4*i"
+    ]
+
+
 @pytest.mark.parametrize("text", ["1/0", "0.5", "1e3", "", "1/2/3", "i1", True, 1.5])
 def test_malformed_scalars_raise_value_error(text):
     with pytest.raises(ValueError):
         rational_from_str(text)
     with pytest.raises(ValueError):
-        as_exact_complex(text)
+        gaussian_parts(text)
 
 
 # outside the grammar "p/q", "re+im*i", "re-im*i" over ASCII digits

@@ -356,6 +356,16 @@ class TestNormalizedSchurBatch:
         with pytest.raises(ValueError):
             normalized_schur_batch([Partition([1, 0])], np.zeros((3, 3)))
 
+    def test_scaled_points_take_the_ambient_from_their_numerators(self):
+        # an (a, d) pair has length 2 whatever the length of a
+        points = ScaledPoints([([1, 1, 0], 2)])
+        with pytest.raises(ValueError, match="partition ambient 2 vs point length 3"):
+            normalized_schur_batch([Partition([1, 1])], points)
+        shapes = [Partition([1, 1, 0]), Partition([2, 1, 0]), Partition([1, 1, 1])]
+        batch = normalized_schur_batch(shapes, points)
+        want = normalized_schur_batch(shapes, [points.point(0)])
+        assert batch.tolist() == want.tolist() == [[rational(1, 12)], [rational(1, 32)], [0]]
+
 
 COEFFICIENTS = st.builds(rational, st.integers(-50, 50), st.integers(1, 30))
 SHAPES = st.integers(1, 5).flatmap(lambda m: st.sampled_from(enumerate_up_to_weight(m, 8)))
@@ -381,7 +391,7 @@ class TestSchurEPolynomial:
         # object-int columns (d, e_1(a), ..) that hold one entry per point;
         # at weight 1 the evaluator gives t = s_sigma(a) over q = d^|sigma|
         top = _top_index([sigma])
-        columns, exact = _columns([y], top)
+        columns, exact, _ = _columns([y], top)
         assert exact
         (row,) = scaled_rows([y], top)
         assert [c.tolist() for c in columns] == [[x] for x in row]
@@ -433,7 +443,7 @@ class TestSchurEPolynomial:
         weighted = [(column_shape(0, m), data.draw(COEFFICIENTS))]
         weighted += data.draw(st.lists(st.tuples(shapes, COEFFICIENTS), max_size=6))
         points = data.draw(st.lists(mixed_points(m, EXACT_COORDINATES), min_size=1, max_size=5))
-        columns, _ = _columns(points, _top_index([s for s, _ in weighted]))
+        columns, _, _ = _columns(points, _top_index([s for s, _ in weighted]))
         t, q = exact_schur_sum(weighted, columns)
         assert type(q) is int and q > 0
         assert t.dtype == object and all(type(x) is int for x in t)
@@ -512,7 +522,7 @@ class TestSchurExpansion:
         chunk = data.draw(st.lists(st.one_of(scaled_draws(m, depth), scaled_draws(m, 10_000)), min_size=1, max_size=12))
         chunk = ScaledPoints(chunk)
         top = _top_index(list(expansion.coeffs))
-        columns, exact = _columns(chunk, top)
+        columns, exact, _ = _columns(chunk, top)
         assert exact
         assert [c.tolist() for c in columns] == [list(col) for col in zip(*scaled_rows(chunk, top))]
         t, q = expansion.numerators(chunk)
