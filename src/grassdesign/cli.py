@@ -229,6 +229,7 @@ def _report_rows(report: designs.DesignReport):
 
 
 def cmd_zonal(args) -> tuple:
+    zonal._require_ambient(args.m, args.n)
     mu = _parse_mu(args.mu, args.m)
     kernel = zonal.zonal_kernel(mu, args.n)
     return EXIT_OK, kernel.to_json(), None

@@ -5,7 +5,8 @@ kernel sum sum_{a,b in X} Z_mu(y(a, b)) vanishes; the component sums are
 the "defects" reported here.  Defects come from Schur moments
 M_sigma = sum over pair classes y of count(y) * X*_sigma(y), computed once
 per test family for the union of its kernels' supports; each defect is
-its kernel's expansion dotted with the moments.  All moments come from
+its kernel's integer numerators dotted with the moments, over the
+kernel's one denominator.  All moments come from
 the elementary symmetric values of the pair angles, with no root found:
 exact pairs are grouped into classes by those values, read off each
 pair's characteristic polynomial, and give one integer sum over one
@@ -52,7 +53,7 @@ from .partitions import (
 from .scalars import as_rational, is_exact_real, rational, rational_to_str
 from .symfunc import SchurExpansion, ScaledPoints, _invariant_columns, add_terms, exact_schur_sum, schur_norm
 from .symfunc import normalized_schur_at_invariants
-from .zonal import harmonic_dim, zonal_kernel
+from .zonal import _require_ambient, harmonic_dim, zonal_kernel
 from .grassmann import DEFAULT_TOL, EXACT, SubspaceConfiguration
 
 # Points per batched evaluation in check_nonnegativity.
@@ -123,27 +124,34 @@ def schur_moments(config: SubspaceConfiguration, sigmas: Sequence[Partition]) ->
 
 
 def _defects(config: SubspaceConfiguration, family: Sequence[Partition]) -> list:
-    """Kernel sums for every shape of the family, from one set of moments."""
+    """Kernel sums for every shape of the family, from one set of moments.
+
+    Each kernel is read as its integer numerators c_sigma over its one
+    denominator, and no kernel ``Fraction`` is built.  Exact defects are
+    sum c_sigma M_sigma over the kernel denominator times the moments'
+    common one, one ``Fraction`` per defect.  Float defects sum
+    (c_sigma / den) M_sigma in down-set order from 0, the int true
+    division giving the same float as the coefficient's ``float(Fraction)``.
+    """
     for mu in family:
         if mu.m != config.m:
             raise ValueError(f"partition ambient {mu.m} vs configuration rank {config.m}")
-    expansions = [zonal_kernel(mu, config.n).expansion for mu in family]
-    sigmas = sorted({s for e in expansions for s in e.coeffs}, key=Partition.sort_key)
+    kernels = [zonal_kernel(mu, config.n) for mu in family]
+    sigmas = sorted({s for k in kernels for s in k.terms}, key=Partition.sort_key)
     moments = schur_moments(config, sigmas)
     if config.mode != EXACT:
-        return [
-            sum((c * moments[s] for s, c in e.coeffs.items()), rational(0))
-            for e in expansions
-        ]
+        defects = []
+        for k in kernels:
+            # a plain loop: sum() compensates float additions from Python 3.12 on
+            defect, den = 0.0, k.den
+            for s, c in k.terms.items():
+                defect += c / den * moments[s]
+            defects.append(defect)
+        return defects
     # integer moments over one common denominator, one Fraction per defect
     common = lcm(*(v.denominator for v in moments.values()))
     scaled = {s: v.numerator * (common // v.denominator) for s, v in moments.items()}
-    defects = []
-    for e in expansions:
-        den = lcm(*(c.denominator for c in e.coeffs.values()))
-        num = sum(c.numerator * (den // c.denominator) * scaled[s] for s, c in e.coeffs.items())
-        defects.append(rational(num, den * common))
-    return defects
+    return [rational(sum(c * scaled[s] for s, c in k.terms.items()), k.den * common) for k in kernels]
 
 
 def design_defect(config: SubspaceConfiguration, mu: Partition):
@@ -363,6 +371,7 @@ def certificate_product(m: int, n: int) -> CoefficientFunction:
     X*_(1^m); its coefficients are strictly positive and the bound equals
     binomial(n, m).
     """
+    _require_ambient(m, n)
     return kernel_coefficients(SchurExpansion(m, {column_shape(m, m): 1}), n)
 
 
@@ -376,10 +385,9 @@ def certificate_antipodal(m: int, n: int) -> CoefficientFunction:
     the closed forms of the constant coefficient, the cancelling Z_(2)
     coefficient and the positive hook coefficients are checked on the result.
     """
+    _require_ambient(m, n)
     if m < 2:
         raise ValueError("antipodal certificate needs rank at least 2")
-    if n < 2 * m:
-        raise ValueError(f"need n >= 2m, got ({m}, {n})")
     big_b = binom(n - 2, m - 1)
     poly = SchurExpansion(
         m,
@@ -408,8 +416,7 @@ def certificate_average(m: int, n: int) -> CoefficientFunction:
     Certifies the n/m bound for configurations averaging every shape of
     weight one.
     """
-    if n < 2 * m:
-        raise ValueError(f"need n >= 2m, got ({m}, {n})")
+    _require_ambient(m, n)
     return kernel_coefficients(SchurExpansion(m, {column_shape(1, m): 1}), n)
 
 

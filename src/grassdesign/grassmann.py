@@ -320,9 +320,21 @@ def _float_copies(points: list) -> np.ndarray:
     """The bases of exact points of one shape as one read-only (N, m, n) complex array.
 
     Each part is an int true division, correctly rounded as
-    ``float(Fraction)`` is.
+    ``float(Fraction)`` is.  An entry beyond the float range raises the
+    float load path's ValueError, naming the entry by its text.
     """
-    parts = [x / s for p in points for row, s in zip(p.rows, p.scales) for v in row for x in v]
+    try:
+        parts = [x / s for p in points for row, s in zip(p.rows, p.scales) for v in row for x in v]
+    except OverflowError:
+        for p in points:
+            for row, s in zip(p.rows, p.scales):
+                for re, im in row:
+                    try:
+                        re / s, im / s
+                    except OverflowError:
+                        entry = gaussian_text((re, s), (im, s))
+                        raise ValueError(f"float matrix entry too large for a float: {entry!r}") from None
+        raise
     stack = np.array(parts, dtype=float).view(complex).reshape(len(points), points[0].m, points[0].n)
     stack.setflags(write=False)
     return stack

@@ -22,21 +22,27 @@ as oracles.
 
 Dimensions come from the Weyl product formula applied to the associated
 highest weight of the unitary group, in O(m^2) factors, cached per
-(mu, n).  A kernel's terms are scaled in one ``Fraction`` each; the
-s_sigma(1, .., 1) they carry is taken up to a factor that every shape
-shares, in O(l(mu)^2) factors per shape.
+(mu, n).  A kernel is held as integer numerators over one positive
+denominator: ``zonal_kernel`` scales its integer terms by the dimension
+over their total, with no ``Fraction`` made, and the s_sigma(1, .., 1)
+they carry is taken up to a factor that every shape shares, in
+O(l(mu)^2) factors per shape.  The closed forms are converted to the
+same form over the lcm of their denominators.  ``to_json`` writes each
+coefficient from one gcd; the ``Fraction`` coefficients that the
+certificate code reads are a view built on first use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, perm, prod
+from math import comb, lcm, perm, prod
 from functools import lru_cache
 from itertools import combinations, repeat, starmap
 from operator import add, ge, sub
 
 from .exactlinalg import minor
 from .partitions import Partition, binom, column_shape, down_set, hook_shape, row_shape
+from .scalars import _rational_text
 from .symfunc import SchurExpansion
 
 
@@ -76,33 +82,57 @@ def harmonic_dim(mu: Partition, n: int) -> int:
 class ZonalPolynomial:
     """Reproducing kernel of one harmonic component, in the X* basis.
 
-    Invariants checked at construction: the expansion is supported on the
-    down-set of mu and evaluates to the component dimension at the all-ones
-    point.
+    Held as integer numerators c_sigma over one positive denominator
+    ``den``: ``terms`` maps each shape of nonzero coefficient to its c_sigma,
+    in down-set (graded lex) order.  Invariants checked at construction:
+    every term lies in the down-set of mu, and the numerators sum to the
+    component dimension times ``den``, the kernel's value at the all-ones
+    point.  :attr:`expansion` is the same kernel with ``Fraction``
+    coefficients, built on first use and kept.
     """
 
-    __slots__ = ("mu", "n", "expansion", "dim")
+    __slots__ = ("mu", "n", "dim", "terms", "den", "_expansion")
 
-    def __init__(self, mu: Partition, n: int, expansion: SchurExpansion):
+    def __init__(self, mu: Partition, n: int, terms: dict, den: int):
         _require_ambient(mu.m, n)
-        if expansion.m != mu.m:
-            raise ValueError("expansion ambient mismatch")
+        if den < 1:
+            raise ArithmeticError(f"kernel for {mu} over denominator {den}, need a positive one")
         dim = harmonic_dim(mu, n)
-        if expansion.at_ones() != dim:
-            raise ArithmeticError(
-                f"kernel for {mu} sums to {expansion.at_ones()} at ones, expected {dim}"
-            )
-        for sigma in expansion.coeffs:
-            if not all(map(ge, mu.parts, sigma.parts)):
+        total = sum(terms.values())
+        if total != dim * den:
+            raise ArithmeticError(f"kernel for {mu} sums to {total}/{den} at ones, expected {dim}")
+        parts = mu.parts
+        for sigma in terms:
+            if len(sigma.parts) != len(parts) or not all(map(ge, parts, sigma.parts)):
                 raise ArithmeticError(f"kernel for {mu} has stray term {sigma}")
         self.mu = mu
         self.n = n
-        self.expansion = expansion
         self.dim = dim
+        self.terms = terms
+        self.den = den
+        self._expansion = None
+
+    @classmethod
+    def from_expansion(cls, mu: Partition, n: int, expansion: SchurExpansion) -> "ZonalPolynomial":
+        """The kernel whose coefficients an exact expansion gives, over the lcm of their denominators."""
+        if expansion.m != mu.m:
+            raise ValueError("expansion ambient mismatch")
+        terms = expansion.terms()
+        den = lcm(*(c.denominator for _, c in terms))
+        return cls(mu, n, {sigma: c.numerator * (den // c.denominator) for sigma, c in terms}, den)
 
     @property
     def m(self) -> int:
         return self.mu.m
+
+    @property
+    def expansion(self) -> SchurExpansion:
+        """The kernel as a :class:`SchurExpansion` of ``Fraction`` coefficients, built once."""
+        if self._expansion is None:
+            den = self.den
+            coeffs = {sigma: Fraction(c, den) for sigma, c in self.terms.items()}
+            self._expansion = SchurExpansion._built(self.m, coeffs)
+        return self._expansion
 
     def coeff(self, sigma: Partition):
         return self.expansion.coeff(sigma)
@@ -117,16 +147,23 @@ class ZonalPolynomial:
             isinstance(other, ZonalPolynomial)
             and self.mu == other.mu
             and self.n == other.n
-            and self.expansion == other.expansion
+            and self.terms.keys() == other.terms.keys()
+            and all(c * other.den == other.terms[s] * self.den for s, c in self.terms.items())
         )
 
     def __repr__(self):
         return f"ZonalPolynomial(mu={self.mu.parts}, n={self.n})"
 
     def to_json(self) -> dict:
-        out = self.expansion.to_json()
-        out.update({"mu": self.mu.to_json(), "n": self.n, "dim": self.dim})
-        return out
+        """Shapes in graded lex order, each coefficient written 'p' or 'p/q' as ``str(Fraction)`` writes it."""
+        den = self.den
+        return {
+            "m": self.m,
+            "terms": [{"partition": list(s.parts), "coeff": _rational_text(c, den)} for s, c in self.terms.items()],
+            "mu": self.mu.to_json(),
+            "n": self.n,
+            "dim": self.dim,
+        }
 
 
 @lru_cache(maxsize=None)
@@ -149,9 +186,11 @@ def zonal_kernel(mu: Partition, n: int) -> ZonalPolynomial:
     denominator is shared by every sigma and cancels too.  Past L,
     l_j = m - j runs through m - L - 1 .. 0, so those pairs give the
     shared tail Vandermonde and, for each i <= L, the falling factorial
-    l_i! / (l_i - m + L)!.  Every coefficient is an integer until the
-    expansion is scaled to meet the dimension at the all-ones point, one
-    ``Fraction`` per nonzero term, in down-set order.
+    l_i! / (l_i - m + L)!.  Every term c_sigma is an integer, and the
+    kernel meets the dimension at the all-ones point as the numerators
+    c_sigma dim over the total sum c_sigma, in down-set order, both signs
+    flipped when the total is negative; no ``Fraction`` is made.  A zero
+    total raises ArithmeticError.
     """
     m = mu.m
     _require_ambient(m, n)
@@ -175,10 +214,10 @@ def zonal_kernel(mu: Partition, n: int) -> ZonalPolynomial:
         c = minor(jacobi, ls) * prod(map(perm, ls, repeat(tail))) * prod(starmap(sub, combinations(ls, 2)))
         if c:
             terms.append((sigma, -c if sum(sigma.parts) % 2 else c))
-    dim = harmonic_dim(mu, n)
     total = sum(c for _, c in terms)
-    coeffs = {sigma: Fraction(c * dim, total) for sigma, c in terms}
-    return ZonalPolynomial(mu, n, SchurExpansion._built(m, coeffs))
+    dim = harmonic_dim(mu, n)
+    scale = dim if total > 0 else -dim
+    return ZonalPolynomial(mu, n, {sigma: c * scale for sigma, c in terms}, abs(total))
 
 
 def zonal_column(i: int, m: int, n: int) -> ZonalPolynomial:
@@ -193,7 +232,7 @@ def zonal_column(i: int, m: int, n: int) -> ZonalPolynomial:
         if (i - j) % 2:
             coeff = -coeff
         terms.append((column_shape(j, m), coeff))
-    return ZonalPolynomial(column_shape(i, m), n, SchurExpansion(m, terms))
+    return ZonalPolynomial.from_expansion(column_shape(i, m), n, SchurExpansion(m, terms))
 
 
 def zonal_row(i: int, m: int, n: int) -> ZonalPolynomial:
@@ -208,7 +247,7 @@ def zonal_row(i: int, m: int, n: int) -> ZonalPolynomial:
         if (i - j) % 2:
             coeff = -coeff
         terms.append((row_shape(j, m), coeff))
-    return ZonalPolynomial(row_shape(i, m), n, SchurExpansion(m, terms))
+    return ZonalPolynomial.from_expansion(row_shape(i, m), n, SchurExpansion(m, terms))
 
 
 def zonal_hook(i: int, m: int, n: int) -> ZonalPolynomial:
@@ -240,4 +279,4 @@ def zonal_hook(i: int, m: int, n: int) -> ZonalPolynomial:
             c1 = -c1
         terms.append((hook_shape(j, m), c2))
         terms.append((column_shape(j, m), c1))
-    return ZonalPolynomial(hook_shape(i, m), n, SchurExpansion(m, terms))
+    return ZonalPolynomial.from_expansion(hook_shape(i, m), n, SchurExpansion(m, terms))

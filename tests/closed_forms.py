@@ -156,13 +156,13 @@ def down_set_size(kappa: Partition) -> int:
     )
 
 
-def bialternant_kernel(mu: Partition, n: int) -> ZonalPolynomial:
-    """Kernel of mu on G(m, n) from the full m x m bialternant determinant of each term.
+def bialternant_terms(mu: Partition, n: int) -> list:
+    """The integer terms (sigma, c_sigma) of the kernel of mu on G(m, n), one full m x m bialternant each.
 
     With alpha = n - 2m, k_i = mu_i + m - i and l_j = sigma_j + m - j, the
     coefficient of X*_sigma is proportional to
     (-1)^{|sigma|} s_sigma(1) det[binom(k_i + alpha + l_j, l_j) binom(k_i, l_j)]
-    (Roy, J. Algebraic Combin. 2010), scaled to the dimension at ones.
+    (Roy, J. Algebraic Combin. 2010).
     """
     m = mu.m
     _require_ambient(m, n)
@@ -175,6 +175,12 @@ def bialternant_kernel(mu: Partition, n: int) -> ZonalPolynomial:
             [[math.comb(k + alpha + l, l) * math.comb(k, l) for l in ls] for k in ks]
         )
         terms.append((sigma, -c if sigma.weight % 2 else c))
+    return terms
+
+
+def bialternant_kernel(mu: Partition, n: int) -> ZonalPolynomial:
+    """Kernel of mu on G(m, n) from :func:`bialternant_terms`, scaled to the dimension at ones."""
+    terms = bialternant_terms(mu, n)
     total = sum(c for _, c in terms)
     dim = harmonic_dim(mu, n)
-    return ZonalPolynomial(mu, n, SchurExpansion(m, [(s, rational(c * dim, total)) for s, c in terms]))
+    return ZonalPolynomial.from_expansion(mu, n, SchurExpansion(mu.m, [(s, rational(c * dim, total)) for s, c in terms]))

@@ -170,4 +170,4 @@ def zonal_james_constantine(mu: Partition, n: int) -> ZonalPolynomial:
     total = tilde.at_ones()
     if not total:
         raise PoleError(f"degenerate unnormalized kernel for {mu} at n = {n}")
-    return ZonalPolynomial(mu, n, tilde.scaled(rational(harmonic_dim(mu, n)) / total))
+    return ZonalPolynomial.from_expansion(mu, n, tilde.scaled(rational(harmonic_dim(mu, n)) / total))

@@ -4,7 +4,7 @@ Usage (from the repository root):
 
     PYTHONPATH=src python tests/result_sweep.py > sweep.txt
 
-The 124 lines are pinned in ``tests/result_sweep.txt``, which
+The 128 lines are pinned in ``tests/result_sweep.txt``, which
 ``tests/test_result_sweep.py`` compares with a run in process.
 
 The first hash is the SHA-256 of the canonical JSON of the command's
@@ -32,9 +32,13 @@ complement-closed set {V_i, V_i^perp} in G(3, 6); the same commands run
 on the six spans of two of the blocks {e_2i, e_2i+1} of C^8, whose atoms
 have rank 2, exact and disguised.  ``antipodal --verify E+F`` at
 (5, 10), (6, 12) and (7, 14) and ``zonal`` on (3, 3, 2) at m = 64
-follow, and ``--emit csv`` ends the list: ``dims``, ``antipodal`` and
+follow, then ``--emit csv``: ``dims``, ``antipodal`` and
 ``appendix-b`` with ``--verify E+F``, and ``angles`` and
-``verify-design`` on the disguised six-point set.  Files are written to a temporary directory and named in the
+``verify-design`` on the disguised six-point set.  ``zonal`` ends the
+list on (1) at m = 2 and 3 and on (3) and (3, 2, 1, 1) at m = 4,
+kernels whose integer total is negative and whose coefficients are not
+all integers.
+Files are written to a temporary directory and named in the
 output by file name only.  Two checkouts whose sweeps ``diff`` equal
 give byte-identical results on the whole list.  The file is not
 collected by pytest; :func:`sweep` yields the lines.
@@ -81,6 +85,14 @@ ZONAL = [
     (3, 8, "3,2,1"),
     (4, 8, "2,1,1"),
     (4, 9, "2,2,1,1"),
+]
+# (m, n, mu) of kernels with fractional coefficients whose integer
+# total, before the scaling to the dimension, is negative
+SIGNED_ZONAL = [
+    (2, 6, "1"),
+    (3, 8, "1"),
+    (4, 10, "3"),
+    (4, 10, "3,2,1,1"),
 ]
 SHAPES = [(2, 4), (3, 6), (3, 7), (4, 8)]
 # the spans of two of the blocks {e_2i, e_2i+1} of C^8: atoms of rank 2
@@ -163,6 +175,7 @@ def commands(workdir: Path) -> list:
             ["appendix-b", "--verify", "E+F"],
         )
     ]
+    out += [["zonal", "--mu", mu, "--m", str(m), "--n", str(n)] for m, n, mu in SIGNED_ZONAL]
     return out
 
 

@@ -513,6 +513,19 @@ def test_tolerance_only_on_verify_design(argv, capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["zonal", "--mu", "0"]]
+    + [[command, "--certificate", c] for command in ("bound", "check-nonneg") for c in ("E", "F", "one")],
+    ids=lambda argv: "-".join(argv[::2]),
+)
+def test_rank_zero_is_refused_before_any_shape(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--m", "0", "--n", "0"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == "error: rank must be positive, got 0\n"
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["bound", "--certificate", "bogus", "--m", "2", "--n", "4"])
@@ -826,6 +839,22 @@ def test_shape_limit_exits_three_fast(argv, tmp_path, capsys):
     assert err["error"]["code"] == "shape-limit"
     assert str(SHAPE_BUDGET) in err["error"]["message"]
     assert elapsed < 2
+
+
+def test_zonal_command_makes_no_fraction(monkeypatch, capsys):
+    # the kernel is built and written from its integer numerators over one
+    # denominator; a Fraction in zonal would raise
+    def refuse(*args):
+        raise AssertionError("zonal made a Fraction")
+
+    for cached in (zonal.zonal_kernel, zonal.harmonic_dim):
+        cached.cache_clear()
+    monkeypatch.setattr(zonal, "Fraction", refuse)
+    code, doc = run_json(capsys, "zonal", "--mu", "3,2,1,1", "--m", "4", "--n", "10")
+    monkeypatch.undo()
+    kernel = zonal.zonal_kernel(Partition([3, 2, 1, 1]), 10)
+    assert code == 0
+    assert [t["coeff"] for t in doc["result"]["terms"]] == [str(c) for _, c in kernel.expansion.terms()]
 
 
 def test_long_row_stays_under_the_shape_budget(capsys):

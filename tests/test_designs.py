@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grassdesign import designs
+from grassdesign import designs, zonal
 from grassdesign.designs import (
     DEFAULT_TOL,
     CoefficientFunction,
@@ -196,6 +196,31 @@ class TestSchurMoments:
         is_T_design(config, family)
         support = {s for mu in family for s in zonal_kernel(mu, config.n).expansion.coeffs}
         assert Counter(batched) == Counter(support)
+
+    def test_defects_read_kernels_with_no_fraction_view(self, monkeypatch):
+        # both modes read each kernel's integer numerators over its one
+        # denominator, and the Fraction view is never built
+        zonal_kernel.cache_clear()
+        monkeypatch.setattr(zonal, "Fraction", None)
+        exact = great_antipodal(3, 6)
+        family = column_family(3) + hook_family(3)
+        assert is_T_design(exact, family).design and is_T_design(exact.to_float(), family).design
+        assert all(zonal_kernel(mu, 6)._expansion is None for mu in family)
+
+    @pytest.mark.parametrize(
+        "config, spec",
+        [(random_float_config(2, 6, 30), "T4"), (great_antipodal(3, 6).to_float(), "E+F")],
+        ids=["random-2-6", "great-antipodal-3-6"],
+    )
+    def test_float_defects_are_the_bytes_of_the_fraction_coefficients(self, config, spec):
+        # the reference: each Fraction coefficient times its moment, summed
+        # in down-set order from Fraction(0)
+        family = parse_family(spec, config.m)
+        expansions = [zonal_kernel(mu, config.n).expansion for mu in family]
+        moments = designs.schur_moments(config, sorted({s for e in expansions for s in e.coeffs}, key=Partition.sort_key))
+        for entry, e in zip(is_T_design(config, family).entries, expansions):
+            want = sum((c * moments[s] for s, c in e.coeffs.items()), rational(0))
+            assert type(entry.defect) is float and entry.defect.hex() == want.hex()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), m=st.integers(1, 4))

@@ -126,6 +126,16 @@ def test_float_text_entry_is_the_correctly_rounded_value(re, im, sign):
     assert repr(_as_complex_entry(text)) == repr(want)
 
 
+def test_float_copy_of_an_entry_past_the_float_range_is_a_value_error():
+    # the float load path's message, naming the exact entry by its text
+    huge = "1" + "0" * 400
+    with pytest.raises(ValueError, match=f"^float matrix entry too large for a float: '{huge}'$"):
+        SubspacePoint([[huge, "0", "0"]]).to_float()
+    config = SubspaceConfiguration([SubspacePoint([["1", "0", "0"]]), SubspacePoint([["0", f"1/3-{huge}*i", "0"]])])
+    with pytest.raises(ValueError, match=f"^float matrix entry too large for a float: '1/3-{huge}\\*i'$"):
+        config.to_float()
+
+
 def test_float_load_parses_no_exact_complex(monkeypatch):
     def no_parse(s):
         raise AssertionError("an ExactComplex was parsed")

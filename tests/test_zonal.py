@@ -4,9 +4,10 @@ import inspect
 import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grassdesign.partitions import (
     RANK_BUDGET,
@@ -18,9 +19,11 @@ from grassdesign.partitions import (
     hook_shape,
     row_shape,
 )
+from grassdesign import zonal
 from grassdesign.scalars import rational
 from grassdesign.symfunc import normalized_schur_eval
 from grassdesign.zonal import (
+    ZonalPolynomial,
     harmonic_dim,
     zonal_column,
     zonal_hook,
@@ -28,7 +31,7 @@ from grassdesign.zonal import (
     zonal_row,
 )
 
-from closed_forms import bialternant_kernel, highest_weight, schur_in_zonal_basis, weyl_dim, zonal_product_column
+from closed_forms import bialternant_kernel, bialternant_terms, highest_weight, schur_in_zonal_basis, weyl_dim, zonal_product_column
 from james_constantine import (
     PoleError,
     generalized_binomial,
@@ -47,6 +50,37 @@ def closed_dim_row(i, n):
 
 def closed_dim_hook(i, n):
     return i * i * (n + 3) * (n - 2 * i + 1) * binom(n + 1, i + 1) ** 2 / (n - i + 2) ** 2
+
+
+# shapes of weight <= 8 per rank m <= 4, and (mu, n) with 2m <= n <= 2m + 5
+SHAPES_UP_TO_8 = {m: enumerate_up_to_weight(m, 8) for m in range(1, 5)}
+KERNEL_CASES = st.integers(1, 4).flatmap(
+    lambda m: st.tuples(st.sampled_from(SHAPES_UP_TO_8[m]), st.integers(2 * m, 2 * m + 5))
+)
+
+
+def closed_form_kernels(mu, n):
+    """The closed-form kernels that apply to mu: column, row and hook."""
+    m, parts, weight = mu.m, mu.parts, mu.weight
+    out = []
+    if all(p <= 1 for p in parts):
+        out.append(zonal_column(weight, m, n))
+    if not any(parts[1:]):
+        out.append(zonal_row(weight, m, n))
+    if parts[0] == 2 and all(p <= 1 for p in parts[1:]):
+        out.append(zonal_hook(weight - 1, m, n))
+    return out
+
+
+def integer_total_sign(kernel):
+    """Sign of the integer total sum c_sigma that zonal_kernel scales by.
+
+    The top term's minor is triangular with a positive diagonal (k_i < k_j
+    gives binom(k_i, k_j) = 0), so c_mu is (-1)^|mu| times a positive
+    number, and the numerator c_mu dim / total carries the total's sign.
+    """
+    top = kernel.terms[kernel.mu]
+    return (-1) ** kernel.mu.weight * (1 if top > 0 else -1)
 
 
 def seeded_range_points(m, count, seed):
@@ -327,6 +361,60 @@ class TestKernels:
             assert c1 == -c0 * n
         with pytest.raises(ValueError):
             zonal_column(2, 1, 4)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=KERNEL_CASES)
+    @example(case=(Partition([1, 0]), 6))
+    @example(case=(Partition([1, 1]), 6))
+    def test_integer_form_matches_its_fraction_view(self, case):
+        mu, n = case
+        kernel = zonal_kernel(mu, n)
+        view = kernel.expansion
+        assert view.coeffs == {s: Fraction(c, kernel.den) for s, c in kernel.terms.items()}
+        # to_json writes the payload that str(Fraction) writes from the view, keys in order
+        terms = [{"partition": list(s.parts), "coeff": str(c)} for s, c in view.terms()]
+        want = {"m": mu.m, "terms": terms, "mu": list(mu.parts), "n": n, "dim": kernel.dim}
+        assert list(kernel.to_json().items()) == list(want.items())
+        for closed in closed_form_kernels(mu, n):
+            assert closed.expansion == view
+        if mu.weight <= 4:
+            assert zonal_james_constantine(mu, n).expansion == view
+
+    def test_property_examples_cover_both_signs_of_the_integer_total(self):
+        negative, positive = zonal_kernel(Partition([1, 0]), 6), zonal_kernel(Partition([1, 1]), 6)
+        assert integer_total_sign(negative) == -1 and integer_total_sign(positive) == 1
+        for kernel in (negative, positive):
+            # the full bialternant's total has the sign of the minors' one
+            total = sum(c for _, c in bialternant_terms(kernel.mu, 6))
+            assert integer_total_sign(kernel) == (1 if total > 0 else -1)
+            # and the coefficients are not all integers
+            assert any(c % kernel.den for c in kernel.terms.values())
+
+    def test_invariants_are_checked_in_integers(self):
+        mu, n = Partition([2, 1]), 4
+        kernel = zonal_kernel(mu, n)
+        terms, den = dict(kernel.terms), kernel.den
+        assert ZonalPolynomial(mu, n, terms, den) == kernel
+        zero = column_shape(0, 2)
+        # a changed coefficient misses the dimension at the all-ones point
+        with pytest.raises(ArithmeticError, match="at ones"):
+            ZonalPolynomial(mu, n, terms | {zero: terms[zero] + 1}, den)
+        # a term outside the down-set, with the sum at ones kept
+        for stray in (row_shape(3, 2), Partition([1, 1, 0])):
+            moved = terms | {zero: terms[zero] - 5, stray: 5}
+            with pytest.raises(ArithmeticError, match="stray term"):
+                ZonalPolynomial(mu, n, moved, den)
+        # a zero or negative denominator is an ArithmeticError of its own, not a ZeroDivisionError
+        for bad in (0, -den):
+            with pytest.raises(ArithmeticError, match="need a positive one") as err:
+                ZonalPolynomial(mu, n, terms, bad)
+            assert type(err.value) is ArithmeticError
+
+    def test_zero_integer_total_is_an_arithmetic_error(self, monkeypatch):
+        monkeypatch.setattr(zonal, "minor", lambda rows, cols: 0)
+        with pytest.raises(ArithmeticError, match="need a positive one") as err:
+            zonal_kernel.__wrapped__(Partition([2, 1]), 4)
+        assert type(err.value) is ArithmeticError
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
