@@ -50,7 +50,7 @@ from .grassmann import (
     SubspaceConfiguration,
     angles_to_json,
 )
-from .partitions import Partition, ShapeLimitError
+from .partitions import Partition, ShapeLimitError, enumerate_up_to_weight
 from .scalars import rational_to_str
 
 EXIT_OK = 0
@@ -64,6 +64,7 @@ _ERROR_CODES = {
     PointLimitError: "point-limit",
     ShapeLimitError: "shape-limit",
     designs.GridLimitError: "grid-limit",
+    zonal.FloatRangeError: "float-range",
 }
 
 CERTIFICATES = {
@@ -236,8 +237,7 @@ def cmd_zonal(args) -> tuple:
 
 
 def cmd_dims(args) -> tuple:
-    from .partitions import enumerate_up_to_weight
-
+    zonal._require_ambient(args.m, args.n)
     rows = [
         {"mu": mu.to_json(), "dim": zonal.harmonic_dim(mu, args.n)}
         for mu in enumerate_up_to_weight(args.m, args.max_weight)
@@ -305,6 +305,7 @@ def cmd_bound(args) -> tuple:
 
 
 def cmd_antipodal(args) -> tuple:
+    zonal._require_ambient(args.m, args.n)
     config = grassmann.great_antipodal(args.m, args.n)
     result = {
         "label": config.label,

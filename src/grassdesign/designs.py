@@ -2,18 +2,15 @@
 
 A finite configuration X averages a harmonic component exactly when the
 kernel sum sum_{a,b in X} Z_mu(y(a, b)) vanishes; the component sums are
-the "defects" reported here.  Defects come from Schur moments
-M_sigma = sum over pair classes y of count(y) * X*_sigma(y), computed once
-per test family for the union of its kernels' supports; each defect is
-its kernel's integer numerators dotted with the moments, over the
-kernel's one denominator.  All moments come from
-the elementary symmetric values of the pair angles, with no root found:
-exact pairs are grouped into classes by those values, read off each
-pair's characteristic polynomial, and give one integer sum over one
-denominator per sigma, so exact configurations with irrational angles
-get exact defects too; float pairs enter as rows of one array of
-values, evaluated in one numpy pass.  A
-coefficient function c with positive constant term and
+the "defects" reported here.  Defects come from the pair invariants,
+the elementary symmetric values of the pair angles, with no root found
+and no kernel expanded: :func:`zonal.kernel_sums` reads each shape as
+one m x m determinant of a Jacobi-h table per pair class.  Exact pairs
+are grouped into classes by their invariants, read off each pair's
+characteristic polynomial, and give one integer table per class, so
+exact configurations with irrational angles get exact defects too; float
+pairs enter as the rows of one array of invariants and share one table
+evaluation.  A coefficient function c with positive constant term and
 pointwise-nonnegative kernel combination F certifies the cardinality
 bound F(1,..,1)/c_(0) for any configuration averaging the components
 where c is positive.
@@ -36,7 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from math import comb, lcm
+from math import comb
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -51,9 +48,8 @@ from .partitions import (
     row_shape,
 )
 from .scalars import as_rational, is_exact_real, rational, rational_to_str
-from .symfunc import SchurExpansion, ScaledPoints, _invariant_columns, add_terms, exact_schur_sum, schur_norm
-from .symfunc import normalized_schur_at_invariants
-from .zonal import _require_ambient, harmonic_dim, zonal_kernel
+from .symfunc import SchurExpansion, ScaledPoints, add_terms
+from .zonal import _require_ambient, harmonic_dim, kernel_sums, zonal_kernel
 from .grassmann import DEFAULT_TOL, EXACT, SubspaceConfiguration
 
 # Points per batched evaluation in check_nonnegativity.
@@ -98,69 +94,13 @@ def parse_family(spec: str, m: int) -> List[Partition]:
     raise ValueError(f"unknown test set {spec!r} (use E, F, E+F or T<t>)")
 
 
-def schur_moments(config: SubspaceConfiguration, sigmas: Sequence[Partition]) -> dict:
-    """M_sigma = sum over ordered pairs of X*_sigma(y(a, b)), for each sigma.
-
-    Every sigma at every pair invariant (e_1, .., e_m), which X*_sigma
-    needs in place of the angles, weighted by the number of ordered pairs
-    each invariant stands for: exact invariants are distinct classes with
-    their counts, float ones single pairs of weight 1 or 2.  No root is
-    found.  Float moments come from one batched evaluation.  Exact ones
-    come from one :func:`exact_schur_sum` per sigma on the classes'
-    integer columns: its integers t over one q, dotted with the counts,
-    give one ``Fraction`` per sigma.
-    """
-    invariants, weights = config.invariant_weights()
-    if config.mode != EXACT:
-        values = normalized_schur_at_invariants(sigmas, invariants)
-        return dict(zip(sigmas, (values * weights).sum(axis=1).tolist()))
-    stack, _ = _invariant_columns(invariants)
-    counts = weights.tolist()
-    moments = {}
-    for sigma in sigmas:
-        t, q = exact_schur_sum([(sigma, 1 / schur_norm(sigma))], stack)
-        moments[sigma] = rational(sum(x * c for x, c in zip(t, counts)), q)
-    return moments
-
-
-def _defects(config: SubspaceConfiguration, family: Sequence[Partition]) -> list:
-    """Kernel sums for every shape of the family, from one set of moments.
-
-    Each kernel is read as its integer numerators c_sigma over its one
-    denominator, and no kernel ``Fraction`` is built.  Exact defects are
-    sum c_sigma M_sigma over the kernel denominator times the moments'
-    common one, one ``Fraction`` per defect.  Float defects sum
-    (c_sigma / den) M_sigma in down-set order from 0, the int true
-    division giving the same float as the coefficient's ``float(Fraction)``.
-    """
-    for mu in family:
-        if mu.m != config.m:
-            raise ValueError(f"partition ambient {mu.m} vs configuration rank {config.m}")
-    kernels = [zonal_kernel(mu, config.n) for mu in family]
-    sigmas = sorted({s for k in kernels for s in k.terms}, key=Partition.sort_key)
-    moments = schur_moments(config, sigmas)
-    if config.mode != EXACT:
-        defects = []
-        for k in kernels:
-            # a plain loop: sum() compensates float additions from Python 3.12 on
-            defect, den = 0.0, k.den
-            for s, c in k.terms.items():
-                defect += c / den * moments[s]
-            defects.append(defect)
-        return defects
-    # integer moments over one common denominator, one Fraction per defect
-    common = lcm(*(v.denominator for v in moments.values()))
-    scaled = {s: v.numerator * (common // v.denominator) for s, v in moments.items()}
-    return [rational(sum(c * scaled[s] for s, c in k.terms.items()), k.den * common) for k in kernels]
-
-
 def design_defect(config: SubspaceConfiguration, mu: Partition):
     """Kernel sum over all ordered pairs of the configuration, diagonal included.
 
     Exact for every exact configuration, rational angles or not; the
     diagonal alone contributes |X| times the component dimension.
     """
-    return _defects(config, [mu])[0]
+    return kernel_sums([mu], config.n, *config.invariant_weights())[0]
 
 
 @dataclass
@@ -226,10 +166,8 @@ def is_T_design(
     Float verdicts use |defect| <= tol * |X|^2 * dim, scaling the slack
     with the kernel magnitude.
     """
-    report = DesignReport(
-        label=config.label, mode=config.mode, tol=tol, size=len(config)
-    )
-    for mu, defect in zip(family, _defects(config, family)):
+    report = DesignReport(label=config.label, mode=config.mode, tol=tol, size=len(config))
+    for mu, defect in zip(family, kernel_sums(family, config.n, *config.invariant_weights())):
         dim = harmonic_dim(mu, config.n)
         if mu.is_zero():
             passed = True

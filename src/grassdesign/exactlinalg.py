@@ -44,9 +44,10 @@ import numpy as np
 def minor(rows, cols):
     """Determinant of the square integer matrix of ``rows`` read at the columns ``cols``.
 
-    One row per column.  Sizes up to 3 are closed forms.  Larger ones
-    take Bareiss's fraction-free elimination (Math. Comp. 22, 1968) down
-    to a 3 x 3 trailing block: each step replaces the block's a_ij by
+    One row per column.  Sizes up to 3 are closed forms, which divide
+    nothing, so they also take float columns read at index arrays.  Larger
+    ones take Bareiss's fraction-free elimination (Math. Comp. 22, 1968)
+    down to a 3 x 3 trailing block: each step replaces the block's a_ij by
     (p a_ij - a_i0 a_0j) / q, p the pivot and q the one before, an exact
     integer division, and a zero pivot is swapped for a lower row with a
     nonzero entry in its column.  By Sylvester's identity that block's
@@ -74,7 +75,7 @@ def minor(rows, cols):
         rows, cols = a, (0, 1, 2)
     (r, s, t), (x, y, z) = rows, cols
     value = r[x] * (s[y] * t[z] - s[z] * t[y]) - r[y] * (s[x] * t[z] - s[z] * t[x]) + r[z] * (s[x] * t[y] - s[y] * t[x])
-    return sign * value // prev**2
+    return sign * value if prev == 1 else sign * value // prev**2
 
 
 def gram_adjugate(rows):

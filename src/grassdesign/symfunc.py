@@ -15,31 +15,25 @@ that integer over d^|sigma| and the normalization.  No determinant is
 taken per point, and repeated coordinates need no care.
 
 Points reach the evaluators as one column stack, entry i of every
-column belonging to point i, from one builder per input form, which
-also decides the mode: :func:`_columns` for coordinates and
-:func:`_invariant_columns` for e-vectors, as pair classes are given.
-Exact columns are numpy object arrays of Python ints (d, e_1(a), ..),
-with d the lcm of the coordinates' denominators, the d that
-:class:`ScaledPoints` gives, or the lcm of the denominators of the e_k.
-One exact evaluator, :func:`exact_schur_sum`, reads them: it folds
-weighted shapes into one e-polynomial, each s_sigma lifted by a power of
-d, evaluates it once on the columns and lifts every point to one
-denominator q, so the values are an integer column t over q, with no
-``Fraction`` built.  One sigma loop, :func:`_normalized`, serves
-:func:`normalized_schur_batch` at coordinates and
-:func:`normalized_schur_at_invariants` at e-vectors in both modes,
-calling the exact evaluator once per sigma with weight 1/s_sigma(1);
-:meth:`SchurExpansion.numerators` calls it once with the expansion's
-weights, and exact Schur moments dot each sigma's t with the class
-counts.
+column belonging to point i, built by :func:`_columns`, which also
+decides the mode.  Exact columns are numpy object arrays of Python ints
+(d, e_1(a), ..), with d the lcm of the coordinates' denominators or the
+d that :class:`ScaledPoints` gives.  One exact evaluator,
+:func:`exact_schur_sum`, reads them: it folds weighted shapes into one
+e-polynomial, each s_sigma lifted by a power of d, evaluates it once on
+the columns and lifts every point to one denominator q, so the values
+are an integer column t over q, with no ``Fraction`` built.
+:func:`normalized_schur_batch` calls it once per sigma with weight
+1/s_sigma(1), and :meth:`SchurExpansion.numerators` once with the
+expansion's weights.  Design defects take none of this: they read pair
+invariants through :func:`zonal.kernel_sums`.
 
 Float mode evaluates the same cached polynomials on float columns
-(1, e_1, .., e_m): the e_k of the coordinates, from the same
-:func:`_elementary_terms`, or the e_k as given (float pair invariants
-enter so).  On [0, 1]^m, where |e_k| <= C(m, k), the rounding error of
-X*_sigma is at most a few eps times the number of terms times
-R_sigma = sum |coefficient| prod C(m, k)^(exponent) / s_sigma(1, .., 1).
-The scalar evaluators delegate to the batch.
+(1, e_1, .., e_m), the e_k of the coordinates from the same
+:func:`_elementary_terms`.  On [0, 1]^m, where |e_k| <= C(m, k), the
+rounding error of X*_sigma is at most a few eps times the number of
+terms times R_sigma = sum |coefficient| prod C(m, k)^(exponent) /
+s_sigma(1, .., 1).  The scalar evaluators delegate to the batch.
 """
 
 from __future__ import annotations
@@ -178,37 +172,11 @@ def _columns(points, upto: int, m: int | None = None) -> tuple:
     return e, True, width
 
 
-def _invariant_columns(invariants) -> tuple:
-    """Points given by their e-vectors (e_1, .., e_m) as e-columns, and whether they are exact.
-
-    Exact values give (d, d e_1, .., d^m e_m) as object arrays of ints, d
-    the lcm of the e_k's denominators: a point with these e_k is y = a/d
-    with e_k(a) = d^k e_k, as :func:`_columns` gives.  A float array, or
-    any float entry, gives float columns (1, e_1, .., e_m).  Entry i of
-    every column belongs to point i.
-    """
-    if not (isinstance(invariants, np.ndarray) and invariants.dtype.kind == "f"):
-        invariants = [tuple(e) for e in invariants]
-        if all(is_exact_real(v) for e in invariants for v in e):
-            widths = {len(e) for e in invariants}
-            if len(widths) != 1:
-                raise ValueError("invariants must be an (N, m) array")
-            scaled = np.empty((len(invariants), widths.pop() + 1), dtype=object)
-            for row, e in zip(scaled, invariants):
-                d = math.lcm(*(v.denominator for v in e))
-                row[:] = [d] + [v.numerator * (d // v.denominator) * d ** (k - 1) for k, v in enumerate(e, 1)]
-            return list(scaled.T), True
-    e = np.asarray(invariants, dtype=float)
-    if e.ndim != 2:
-        raise ValueError("invariants must be an (N, m) array")
-    return [np.ones(len(e)), *e.T], False
-
-
 def exact_schur_sum(weighted, stack) -> tuple:
     """sum of w_sigma s_sigma(y) over the (sigma, w_sigma) pairs, as integers t over one q > 0.
 
     ``stack`` holds exact points y = a/d as the columns (d, e_1(a), ..,
-    e_k(a)) that :func:`_columns` and :func:`_invariant_columns` build,
+    e_k(a)) that :func:`_columns` builds,
     k at least min(top, m) for the largest Jacobi-Trudi index top of the
     shapes; the weights are exact rationals.  The value at point i is
     t[i] / q, not reduced, and no ``Fraction`` is built.
@@ -236,13 +204,13 @@ def exact_schur_sum(weighted, stack) -> tuple:
     return t, common * scale
 
 
-def _normalized(sigmas: Sequence[Partition], stack: list, exact: bool, m: int) -> np.ndarray:
-    """X*_sigma at the points of an e-column stack, one output row per sigma.
+def normalized_schur_batch(sigmas: Sequence[Partition], points) -> np.ndarray:
+    """X*_sigma at every point of an (N, m) sequence, one output row per sigma.
 
-    Exact columns (d, e_1(a), ..) give an object array of ``Fraction``,
-    one :func:`exact_schur_sum` per sigma; float columns (1, e_1(y), ..)
-    give a float array.
+    Exact coordinates give an object array of ``Fraction``, one
+    :func:`exact_schur_sum` per sigma; any float one a float array.
     """
+    stack, exact, m = _columns(points, _top_index(sigmas))
     out = np.empty((len(sigmas), len(stack[0])), dtype=object if exact else float)
     for r, sigma in enumerate(sigmas):
         if sigma.m != m:
@@ -254,29 +222,6 @@ def _normalized(sigmas: Sequence[Partition], stack: list, exact: bool, m: int) -
             out[r] = _evaluate(schur_e_polynomial(sigma), stack)
             out[r] /= float(schur_norm(sigma))
     return out
-
-
-def normalized_schur_batch(sigmas: Sequence[Partition], points) -> np.ndarray:
-    """X*_sigma at every point of an (N, m) sequence, one output row per sigma.
-
-    When every coordinate is exact the result is an object array of
-    ``Fraction``, otherwise a float array.
-    """
-    stack, exact, m = _columns(points, _top_index(sigmas))
-    return _normalized(sigmas, stack, exact, m)
-
-
-def normalized_schur_at_invariants(sigmas: Sequence[Partition], invariants) -> np.ndarray:
-    """X*_sigma at points given by their invariants (e_1, .., e_m), one output row per sigma.
-
-    X*_sigma is symmetric, so the e_k of a point determine its value: no
-    coordinate, and no root, is needed.  Tuples of exact values give the
-    same object array of ``Fraction`` as :func:`normalized_schur_batch`
-    at the points themselves; a float (N, m) array, or any float entry,
-    gives a float array.
-    """
-    stack, exact = _invariant_columns(invariants)
-    return _normalized(sigmas, stack, exact, len(stack) - 1)
 
 
 def normalized_schur_eval(mu: Partition, y: Sequence):
@@ -351,7 +296,7 @@ class SchurExpansion:
         if exact:
             t, q = exact_schur_sum(self._weighted(), stack)
             return [rational(x, q) for x in t]
-        columns = _normalized(sigmas, stack, False, self.m).T
+        columns = normalized_schur_batch(sigmas, points).T
         coeffs = list(self.coeffs.values())
         return [sum((c * v for c, v in zip(coeffs, column)), 0.0) for column in columns]
 
@@ -370,16 +315,6 @@ class SchurExpansion:
     def _weighted(self) -> list:
         """(sigma, c_sigma / s_sigma(1)) pairs: the expansion as a weighted sum of s_sigma."""
         return [(sigma, c / schur_norm(sigma)) for sigma, c in self.coeffs.items()]
-
-    def at_ones(self):
-        """Sum of the coefficients, over their one common denominator."""
-        coeffs = self.coeffs.values()
-        common = math.lcm(*(c.denominator for c in coeffs))
-        return rational(sum(c.numerator * (common // c.denominator) for c in coeffs), common)
-
-    def scaled(self, factor) -> "SchurExpansion":
-        factor = as_rational(factor)
-        return SchurExpansion(self.m, [(s, c * factor) for s, c in self.coeffs.items()])
 
     def __add__(self, other: "SchurExpansion") -> "SchurExpansion":
         if other.m != self.m:

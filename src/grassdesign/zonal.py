@@ -12,6 +12,9 @@ module builds these kernels exactly:
   whose full m x m determinants are kept in ``tests/closed_forms.py``),
   taken by :func:`exactlinalg.minor` in one integer pass over the
   down-set;
+* ``kernel_sums``, the design defects: per shape one m x m minor of a
+  Jacobi-h table per pair class, G[k][j] = sum_r c_(k, r) h_(r - m + j),
+  from the same Jacobi rows and the class's e-values, no kernel expanded;
 * closed-form expansions for single-column, single-row and hook shapes,
   kept as independent cross-checks of the general construction.
 
@@ -35,14 +38,16 @@ certificate code reads are a view built on first use.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm, perm, prod
+from math import comb, inf, isfinite, lcm, perm, prod
 from functools import lru_cache
 from itertools import combinations, repeat, starmap
-from operator import add, ge, sub
+from operator import add, ge, mul, sub
+
+import numpy as np
 
 from .exactlinalg import minor
 from .partitions import Partition, binom, column_shape, down_set, hook_shape, row_shape
-from .scalars import _rational_text
+from .scalars import _rational_text, rational
 from .symfunc import SchurExpansion
 
 
@@ -166,6 +171,19 @@ class ZonalPolynomial:
         }
 
 
+def _jacobi_row(k: int, alpha: int, width: int) -> list:
+    """C(k + alpha + l, l) C(k, l) for l = 0..width - 1, zero past l = k.
+
+    Times (-1)^(k - l), entry l is the y^l coefficient c_(k, l) of the
+    Jacobi polynomial P_k^(alpha, 0)(2y - 1).  Each entry is the last
+    times (k + alpha + l + 1)(k - l) / (l + 1)^2, an exact division.
+    """
+    row = [1]
+    for l in range(width - 1):
+        row.append(row[-1] * (k + alpha + l + 1) * (k - l) // (l + 1) ** 2)
+    return row
+
+
 @lru_cache(maxsize=None)
 def zonal_kernel(mu: Partition, n: int) -> ZonalPolynomial:
     """Kernel of the component mu on G(m, n), the one cached construction.
@@ -175,8 +193,7 @@ def zonal_kernel(mu: Partition, n: int) -> ZonalPolynomial:
     alpha = n - 2m, k_i = mu_i + m - i and l_j = sigma_j + m - j, the
     coefficient of X*_sigma is proportional to
     (-1)^{|sigma|} s_sigma(1) det[binom(k_i + alpha + l_j, l_j) binom(k_i, l_j)],
-    where (-1)^{k - l} binom(k + alpha + l, l) binom(k, l) is the y^l
-    coefficient of the Jacobi polynomial P_k^{(alpha, 0)}(2y - 1).  With
+    the Jacobi coefficients of :func:`_jacobi_row`.  With
     L = l(mu), rows i > L have k_i = m - i and vanish past l = k_i, so
     the m x m matrix is block upper triangular: its lower-right block is
     triangular with a diagonal that no sigma changes, and the scaling
@@ -200,14 +217,7 @@ def zonal_kernel(mu: Partition, n: int) -> ZonalPolynomial:
     tail = m - length
     offsets = range(m - 1, tail - 1, -1)
     ks = list(map(add, mu.parts[:length], offsets))
-    # row k holds C(k + alpha + l, l) C(k, l) for l = 0..k_1, each entry the
-    # last times (k + alpha + l + 1)(k - l) / (l + 1)^2, an exact division
-    jacobi = []
-    for k in ks:
-        row = [1]
-        for l in range(ks[0]):
-            row.append(row[-1] * (k + alpha + l + 1) * (k - l) // (l + 1) ** 2)
-        jacobi.append(row)
+    jacobi = [_jacobi_row(k, alpha, ks[0] + 1) for k in ks]
     terms = []
     for sigma in shapes:
         ls = list(map(add, sigma.parts[:length], offsets))
@@ -218,6 +228,120 @@ def zonal_kernel(mu: Partition, n: int) -> ZonalPolynomial:
     dim = harmonic_dim(mu, n)
     scale = dim if total > 0 else -dim
     return ZonalPolynomial(mu, n, {sigma: c * scale for sigma, c in terms}, abs(total))
+
+
+class FloatRangeError(ArithmeticError):
+    """A float kernel sum is not a finite float."""
+
+
+def _exact_tables(invariants: list, m: int, alpha: int, top: int) -> list:
+    """(d, table) of each exact point y = a/d given by (e_1, .., e_m), d the lcm of their denominators.
+
+    Column j (0-based) holds at row k the integer d^(k - m + 1 + j) G[k][j]
+    = sum_r (-1)^(k - r) c_(k, r) H_(r - m + 1 + j) d^(k - r), H_s = h_s(a)
+    from the signed (-1)^(k - 1) e_k(a) = (-1)^(k - 1) d^k e_k, by Horner
+    in -d, one :func:`_jacobi_row` at a time.
+    """
+    points = []
+    for e in invariants:
+        d = lcm(*(v.denominator for v in e))
+        signed = [v.numerator * (d // v.denominator) * (-d) ** (k - 1) for k, v in enumerate(e, 1)]
+        h = [1]
+        for _ in range(top):
+            h.append(sum(map(mul, signed, reversed(h))))
+        points.append((d, h, [[0] * (top + 1) for _ in range(m)]))
+    for k in range(top + 1):
+        row = _jacobi_row(k, alpha, k + 1)
+        for d, h, table in points:
+            for j, column in enumerate(table):
+                acc = 0
+                for c, v in zip(row[m - 1 - j :], h):
+                    acc = acc * -d + c * v
+                column[k] = acc
+    return [(d, table) for d, _, table in points]
+
+
+def _float_table(invariants: np.ndarray, alpha: int, top: int) -> np.ndarray:
+    """The Jacobi-h tables of float points, G[k][j] of point p at [j, k, p].
+
+    Row k is L(P_k), L_j(q) = sum_r q_r h_(r - m + j), by the three-term
+    recurrence of P_k (DLMF 18.9.2), as sums of the c_(k, r) lose every
+    digit past about weight 20.  L(1) = (0, .., 0, 1); L(y q) is L(q)
+    shifted left, last entry sum_i (-1)^(i - 1) e_i L_(m + 1 - i)(q).
+    """
+    size, m = invariants.shape
+    # (-1)^(i - 1) e_i in row m - i, against the entry L_(m + 1 - i) it multiplies
+    signed = (invariants * np.where(np.arange(m) % 2, -1.0, 1.0)).T[::-1]
+    table = np.zeros((top + 1, m, size))
+    table[0, -1] = 1.0
+    for k in range(top):
+        s, cur = 2 * k + alpha, table[k]
+        shifted = np.vstack([cur[1:], (signed * cur).sum(axis=0)])
+        if not k:
+            table[1] = (alpha + 2) * shifted - cur
+            continue
+        # a P_(k+1) = (b (2y - 1) + (s + 1) alpha^2) P_k - 2 (k + alpha) k (s + 2) P_(k-1)
+        a, b = 2 * (k + 1) * (k + alpha + 1) * s, (s + 1) * (s + 2) * s
+        table[k + 1] = 2 * b / a * shifted + ((s + 1) * alpha**2 - b) / a * cur
+        table[k + 1] -= 2 * (k + alpha) * k * (s + 2) / a * table[k - 1]
+    return table.transpose(1, 0, 2)
+
+
+def kernel_sums(family, n: int, invariants, weights) -> list:
+    """sum_y w_y Z_mu(y) for each mu, over points y given by their invariants (e_1, .., e_m).
+
+    Exact invariants are tuples of ints or ``Fraction``, float ones the
+    rows of an (N, m) array; ``weights`` are their pair counts.  With
+    k_i = mu_i + m - i, c_(k, r) the y^r coefficient of P_k^(n - 2m, 0)(2y - 1)
+    and G_y[k][j] = sum_r c_(k, r) h_(r - m + j)(y), j = 1..m, Z_mu(y) =
+    dim_mu det(G_y[k_i][j]) / det(G_1[k_i][j]): by Jacobi-Trudi both are
+    Roy's bialternant det(P_(k_i)(y_j)) / V(y) (Macdonald, Symmetric
+    Functions and Hall Polynomials, ch. I, sections 2-3); the h_s come
+    from the e_k.  Exact points y = a/d give d^|mu| det(G_y) as minors of
+    :func:`_exact_tables`, lifted to one denominator, one ``Fraction`` per
+    sum; float points share :func:`_float_table`, read by closed-form
+    minors for m <= 3 and ``np.linalg.det`` beyond.  det(G_1) is exact; a
+    non-finite float sum raises FloatRangeError naming its shape.
+    """
+    if not family:
+        return []
+    exact = not isinstance(invariants, np.ndarray)
+    m = len(invariants[0]) if exact else invariants.shape[1]
+    if {mu.m for mu in family} != {m}:
+        raise ValueError(f"partition ambients {sorted({mu.m for mu in family})} vs invariants of length {m}")
+    _require_ambient(m, n)
+    alpha = n - 2 * m
+    rows = [tuple(p + m - i for i, p in enumerate(mu.parts, 1)) for mu in family]
+    top = max(ks[0] for ks in rows)
+    ones = tuple(comb(m, k) for k in range(1, m + 1))
+    if exact:
+        counts = np.asarray(weights).tolist()
+        (_, ones), *tables = _exact_tables([ones, *invariants], m, alpha, top)
+        common = lcm(*(d for d, _ in tables))
+        sums = []
+        for mu, ks in zip(family, rows):
+            total = sum(c * minor(t, ks) * (common // d) ** mu.weight for c, (d, t) in zip(counts, tables))
+            sums.append(rational(harmonic_dim(mu, n) * total, common**mu.weight * minor(ones, ks)))
+        return sums
+    ((_, ones),) = _exact_tables([ones], m, alpha, top)
+    weights = np.asarray(weights, dtype=float)
+    totals = []
+    step = max(1, 2**20 // (len(weights) * m * m))  # shapes per pass: about 2^20 block entries
+    with np.errstate(all="ignore"):
+        table = _float_table(invariants, alpha, top)
+        for start in range(0, len(rows), step):
+            index = np.array(rows[start : start + step])
+            dets = minor(table, tuple(index.T)) if m <= 3 else np.linalg.det(np.transpose(table[:, index], (1, 3, 2, 0)))
+            totals += (dets @ weights).tolist()
+    sums = []
+    for mu, ks, t in zip(family, rows, totals):
+        try:
+            sums.append(harmonic_dim(mu, n) / minor(ones, ks) * t)
+        except OverflowError:
+            sums.append(inf)
+        if not isfinite(sums[-1]):
+            raise FloatRangeError(f"the float kernel sum for {list(mu.parts)} is not a finite float; use exact entries")
+    return sums
 
 
 def zonal_column(i: int, m: int, n: int) -> ZonalPolynomial:

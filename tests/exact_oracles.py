@@ -49,7 +49,16 @@ recurrences that the tests check it against:
 * ``scaled_rows``, ``row_values``, ``expansion_values``: exact points
   as one row (d, e_1(a), .., e_k(a)) each and e-polynomials evaluated
   row by row, the per-point layout that the package's object-int
-  columns replaced.
+  columns replaced;
+* ``expansion_at_ones``, ``scaled_expansion``: a ``SchurExpansion``'s
+  value at the all-ones point and its multiple by a rational;
+* ``invariant_columns``, ``normalized_schur_at_invariants``,
+  ``schur_moments``, ``moment_defects``: design defects by the route
+  that :func:`zonal.kernel_sums` replaced.  Each kernel is expanded over
+  its down-set, every s_sigma of the union is evaluated at the pair
+  invariants as its e-polynomial, and each defect is the kernel's
+  coefficients dotted with the count-weighted Schur moments, exact or
+  float.
 """
 
 import math
@@ -64,15 +73,20 @@ from grassdesign.grassmann import (
     antipodal_angles,
     principal_angles,
 )
+from grassdesign.partitions import Partition
 from grassdesign.scalars import EXACT_REAL_TYPES, ExactComplex, as_rational, is_exact_real, rational
 from grassdesign.symfunc import (
+    SchurExpansion,
     ScaledPoints,
     _elementary_terms,
+    _evaluate,
     _top_index,
+    exact_schur_sum,
     scaled_point,
     schur_e_polynomial,
     schur_norm,
 )
+from grassdesign.zonal import zonal_kernel
 
 
 CX_ZERO = ExactComplex(0)
@@ -618,3 +632,106 @@ def expansion_values(expansion, points) -> list:
         scale = c / schur_norm(sigma)
         values = [v + scale * rational(s, row[0] ** sigma.weight) for v, s, row in zip(values, nums, rows)]
     return values
+
+
+def expansion_at_ones(expansion):
+    """Sum of a SchurExpansion's coefficients, over their one common denominator."""
+    coeffs = expansion.coeffs.values()
+    common = math.lcm(*(c.denominator for c in coeffs))
+    return rational(sum(c.numerator * (common // c.denominator) for c in coeffs), common)
+
+
+def scaled_expansion(expansion, factor):
+    """A SchurExpansion times an exact rational."""
+    factor = as_rational(factor)
+    return SchurExpansion(expansion.m, [(s, c * factor) for s, c in expansion.coeffs.items()])
+
+
+def invariant_columns(invariants) -> tuple:
+    """Points given by their e-vectors (e_1, .., e_m) as e-columns, and whether they are exact.
+
+    Exact values give (d, d e_1, .., d^m e_m) as object arrays of ints, d
+    the lcm of the e_k's denominators: a point with these e_k is y = a/d
+    with e_k(a) = d^k e_k.  A float array, or any float entry, gives
+    float columns (1, e_1, .., e_m).  Entry i of every column belongs to
+    point i.
+    """
+    if not (isinstance(invariants, np.ndarray) and invariants.dtype.kind == "f"):
+        invariants = [tuple(e) for e in invariants]
+        if all(is_exact_real(v) for e in invariants for v in e):
+            widths = {len(e) for e in invariants}
+            if len(widths) != 1:
+                raise ValueError("invariants must be an (N, m) array")
+            scaled = np.empty((len(invariants), widths.pop() + 1), dtype=object)
+            for row, e in zip(scaled, invariants):
+                d = math.lcm(*(v.denominator for v in e))
+                row[:] = [d] + [v.numerator * (d // v.denominator) * d ** (k - 1) for k, v in enumerate(e, 1)]
+            return list(scaled.T), True
+    e = np.asarray(invariants, dtype=float)
+    if e.ndim != 2:
+        raise ValueError("invariants must be an (N, m) array")
+    return [np.ones(len(e)), *e.T], False
+
+
+def normalized_schur_at_invariants(sigmas, invariants) -> np.ndarray:
+    """X*_sigma at points given by their invariants (e_1, .., e_m), one output row per sigma.
+
+    Tuples of exact values give an object array of ``Fraction``; a float
+    (N, m) array, or any float entry, gives a float array.
+    """
+    stack, exact = invariant_columns(invariants)
+    out = np.empty((len(sigmas), len(stack[0])), dtype=object if exact else float)
+    for r, sigma in enumerate(sigmas):
+        if sigma.m != len(stack) - 1:
+            raise ValueError(f"partition ambient {sigma.m} vs point length {len(stack) - 1}")
+        if exact:
+            t, q = exact_schur_sum([(sigma, 1 / schur_norm(sigma))], stack)
+            out[r] = [rational(x, q) for x in t]
+        else:
+            out[r] = _evaluate(schur_e_polynomial(sigma), stack)
+            out[r] /= float(schur_norm(sigma))
+    return out
+
+
+def schur_moments(config, sigmas) -> dict:
+    """M_sigma = sum over ordered pairs of X*_sigma(y(a, b)), for each sigma.
+
+    Exact invariants are distinct classes with their counts, float ones
+    single pairs of weight 1 or 2.  Exact moments take one
+    ``exact_schur_sum`` per sigma on the classes' integer columns.
+    """
+    invariants, weights = config.invariant_weights()
+    if config.mode != EXACT:
+        values = normalized_schur_at_invariants(sigmas, invariants)
+        return dict(zip(sigmas, (values * weights).sum(axis=1).tolist()))
+    stack, _ = invariant_columns(invariants)
+    counts = weights.tolist()
+    moments = {}
+    for sigma in sigmas:
+        t, q = exact_schur_sum([(sigma, 1 / schur_norm(sigma))], stack)
+        moments[sigma] = rational(sum(x * c for x, c in zip(t, counts)), q)
+    return moments
+
+
+def moment_defects(config, family) -> list:
+    """Kernel sums for every shape of the family, from one set of Schur moments.
+
+    Each kernel is read as its integer numerators c_sigma over its one
+    denominator.  Exact defects are sum c_sigma M_sigma over the kernel
+    denominator times the moments' common one; float defects sum
+    (c_sigma / den) M_sigma in down-set order from 0.
+    """
+    kernels = [zonal_kernel(mu, config.n) for mu in family]
+    sigmas = sorted({s for k in kernels for s in k.terms}, key=Partition.sort_key)
+    moments = schur_moments(config, sigmas)
+    if config.mode != EXACT:
+        defects = []
+        for k in kernels:
+            defect, den = 0.0, k.den
+            for s, c in k.terms.items():
+                defect += c / den * moments[s]
+            defects.append(defect)
+        return defects
+    common = math.lcm(*(v.denominator for v in moments.values()))
+    scaled = {s: v.numerator * (common // v.denominator) for s, v in moments.items()}
+    return [rational(sum(c * scaled[s] for s, c in k.terms.items()), k.den * common) for k in kernels]

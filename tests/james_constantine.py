@@ -23,7 +23,7 @@ from grassdesign.scalars import as_rational, rational
 from grassdesign.symfunc import SchurExpansion, schur_norm
 from grassdesign.zonal import ZonalPolynomial, _require_ambient, harmonic_dim
 
-from exact_oracles import det
+from exact_oracles import det, expansion_at_ones, scaled_expansion
 
 
 class PoleError(ArithmeticError):
@@ -167,7 +167,7 @@ def zonal_james_constantine(mu: Partition, n: int) -> ZonalPolynomial:
             val = -val
         terms.append((sigma, val))
     tilde = SchurExpansion(m, terms)
-    total = tilde.at_ones()
+    total = expansion_at_ones(tilde)
     if not total:
         raise PoleError(f"degenerate unnormalized kernel for {mu} at n = {n}")
-    return ZonalPolynomial.from_expansion(mu, n, tilde.scaled(rational(harmonic_dim(mu, n)) / total))
+    return ZonalPolynomial.from_expansion(mu, n, scaled_expansion(tilde, rational(harmonic_dim(mu, n)) / total))

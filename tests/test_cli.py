@@ -25,7 +25,7 @@ from grassdesign.grassmann import angles_to_json, great_antipodal, random_subspa
 from grassdesign.partitions import RANK_BUDGET, SHAPE_BUDGET, Partition
 
 from argparse_oracle import build_parser
-from seeded_configs import disguised_points, exact_document
+from seeded_configs import dense_point, disguised_points, exact_document, float_document
 
 
 def run(capsys, *argv):
@@ -515,7 +515,7 @@ def test_tolerance_only_on_verify_design(argv, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["zonal", "--mu", "0"]]
+    [["zonal", "--mu", "0"], ["dims"], ["antipodal"]]
     + [[command, "--certificate", c] for command in ("bound", "check-nonneg") for c in ("E", "F", "one")],
     ids=lambda argv: "-".join(argv[::2]),
 )
@@ -1170,3 +1170,49 @@ def test_irrational_angles_get_exact_defects(tmp_path, capsys):
     path.write_text(json.dumps(config))
     assert main(["angles", "--config", str(path)]) == 3
     assert json.loads(capsys.readouterr().err)["error"]["code"] == "irrational-angles"
+
+
+def _verify_both_modes(capsys, tmp_path, points, spec):
+    """Exit code, result and stderr of verify-design --set spec on the exact points and their float copy."""
+    out = []
+    for document in (exact_document, float_document):
+        path = tmp_path / f"{document.__name__}.json"
+        path.write_text(json.dumps(document(points, "rank one")))
+        code = main(["verify-design", "--config", str(path), "--set", spec])
+        captured = capsys.readouterr()
+        out.append((code, json.loads(captured.out)["result"] if captured.out else None, captured.err))
+    return out
+
+
+def test_rank_one_float_copy_at_T400_answers_as_the_exact_copy(capsys, tmp_path):
+    # the float table follows the Jacobi recurrence, so no entry of it
+    # leaves the float range here, and each pass flag is the exact one
+    points = [dense_point(1, 3, s) for s in range(4)]
+    (code, exact, _), (float_code, approx, _) = _verify_both_modes(capsys, tmp_path, points, "T400")
+    assert code == float_code == 1
+    assert [e["pass"] for e in approx["entries"]] == [e["pass"] for e in exact["entries"]]
+
+
+def test_float_sum_past_the_float_range_exits_three(capsys, tmp_path):
+    # rank 1 in C^300: the dimension of the shape (k) passes 1e308 at k = 226
+    one = (Fraction(1), Fraction(0))
+    points = [[[one if j == i else (Fraction(0), Fraction(0)) for j in range(300)]] for i in range(2)]
+    (code, _, _), (float_code, result, err) = _verify_both_modes(capsys, tmp_path, points, "T230")
+    assert code == 1
+    assert float_code == 3 and result is None
+    error = json.loads(err)["error"]
+    assert error == {"code": "float-range", "message": "the float kernel sum for [226] is not a finite float; use exact entries"}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_T_sets_build_no_kernel_and_no_schur_polynomial(monkeypatch, capsys, tmp_path, mode):
+    def refused(*args):
+        raise AssertionError("the design path built a kernel or a Schur polynomial")
+
+    for module, name in ((zonal, "zonal_kernel"), (designs, "zonal_kernel"), (symfunc, "schur_e_polynomial")):
+        monkeypatch.setattr(module, name, refused)
+    document = exact_document if mode == "exact" else float_document
+    path = tmp_path / "disguised.json"
+    path.write_text(json.dumps(document(disguised_points(2, 4, 1), "disguised")))
+    code, doc = run_json(capsys, "verify-design", "--config", str(path), "--set", "T6")
+    assert code == 1 and doc["result"]["mode"] == mode

@@ -52,7 +52,8 @@ from grassdesign.symfunc import SchurExpansion, ScaledPoints, schur_norm
 from grassdesign.zonal import zonal_kernel
 
 from closed_forms import schur_in_zonal_basis, zonal_product_column
-from exact_oracles import expansion_values, schur_jacobi_trudi
+from exact_oracles import expansion_values, moment_defects, schur_jacobi_trudi, schur_moments
+from seeded_configs import coordinate_points, dense_point, disguise, exact_document
 
 COEFFICIENTS = st.builds(rational, st.integers(-50, 50), st.integers(1, 30))
 
@@ -175,64 +176,45 @@ class TestSchurMoments:
         ids=["float-random-2-6", "exact-six-point"],
     )
     def test_design_evaluates_each_sigma_once(self, monkeypatch, config, spec):
-        # both modes enter the evaluator by their angle invariants: exact
-        # pairs as the columns of their classes, one exact_schur_sum per
-        # sigma; float pairs as the rows of one array, one batch for all
+        # each shape is one minor per exact table: the points' classes and
+        # the all-ones point; float pairs take one batched minor for every
+        # shape and pair, and each shape one exact minor at the ones
         family = parse_family(spec, config.m)
-        batched = []
-        batch, exact_sum = designs.normalized_schur_at_invariants, designs.exact_schur_sum
+        calls = []
+        real_minor = zonal.minor
 
-        def counting_batch(sigmas, invariants):
-            batched.extend(sigmas)
-            return batch(sigmas, invariants)
+        def counting_minor(rows, cols):
+            calls.append(cols)
+            return real_minor(rows, cols)
 
-        def counting_sum(weighted, stack):
-            weighted = list(weighted)
-            batched.extend(sigma for sigma, _ in weighted)
-            return exact_sum(weighted, stack)
-
-        monkeypatch.setattr(designs, "normalized_schur_at_invariants", counting_batch)
-        monkeypatch.setattr(designs, "exact_schur_sum", counting_sum)
+        monkeypatch.setattr(zonal, "minor", counting_minor)
         is_T_design(config, family)
-        support = {s for mu in family for s in zonal_kernel(mu, config.n).expansion.coeffs}
-        assert Counter(batched) == Counter(support)
+        if config.mode == EXACT:
+            assert len(calls) == len(family) * (len(config.invariant_classes()) + 1)
+        else:
+            assert len(calls) == 1 + len(family)
 
     def test_defects_read_kernels_with_no_fraction_view(self, monkeypatch):
-        # both modes read each kernel's integer numerators over its one
-        # denominator, and the Fraction view is never built
+        # neither mode builds a kernel: defects come from the Jacobi-h tables
         zonal_kernel.cache_clear()
         monkeypatch.setattr(zonal, "Fraction", None)
         exact = great_antipodal(3, 6)
         family = column_family(3) + hook_family(3)
         assert is_T_design(exact, family).design and is_T_design(exact.to_float(), family).design
-        assert all(zonal_kernel(mu, 6)._expansion is None for mu in family)
-
-    @pytest.mark.parametrize(
-        "config, spec",
-        [(random_float_config(2, 6, 30), "T4"), (great_antipodal(3, 6).to_float(), "E+F")],
-        ids=["random-2-6", "great-antipodal-3-6"],
-    )
-    def test_float_defects_are_the_bytes_of_the_fraction_coefficients(self, config, spec):
-        # the reference: each Fraction coefficient times its moment, summed
-        # in down-set order from Fraction(0)
-        family = parse_family(spec, config.m)
-        expansions = [zonal_kernel(mu, config.n).expansion for mu in family]
-        moments = designs.schur_moments(config, sorted({s for e in expansions for s in e.coeffs}, key=Partition.sort_key))
-        for entry, e in zip(is_T_design(config, family).entries, expansions):
-            want = sum((c * moments[s] for s, c in e.coeffs.items()), rational(0))
-            assert type(entry.defect) is float and entry.defect.hex() == want.hex()
+        assert zonal_kernel.cache_info().misses == 0
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), m=st.integers(1, 4))
     def test_exact_moments_are_count_weighted_class_sums(self, data, m):
-        # invariant classes with denominators up to 2^17 drawn independently
-        # per entry, so the classes share no d, and random pair counts
+        # the oracle's moments; invariant classes with denominators up to
+        # 2^17 drawn independently per entry, so the classes share no d,
+        # and random pair counts
         value = st.integers(1, 2**17).flatmap(lambda q: st.integers(-3 * q, 3 * q).map(lambda p: rational(p, q)))
         classes = data.draw(st.lists(st.tuples(*[value] * m), min_size=1, max_size=6, unique=True))
         counts = data.draw(st.lists(st.integers(1, 10**6), min_size=len(classes), max_size=len(classes)))
         config = SimpleNamespace(mode=EXACT, invariant_weights=lambda: (classes, np.array(counts, dtype=np.int64)))
         sigmas = enumerate_up_to_weight(m, 5)
-        moments = designs.schur_moments(config, sigmas)
+        moments = schur_moments(config, sigmas)
         assert list(moments) == sigmas
         for sigma in sigmas:
             want = sum(
@@ -241,6 +223,64 @@ class TestSchurMoments:
             )
             assert type(moments[sigma]) is Fraction
             assert moments[sigma] == want / schur_norm(sigma), sigma
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4))
+    def test_table_sums_equal_the_moment_oracle_at_any_invariants(self, data, m):
+        # the same free classes and counts, most of them the invariants of
+        # no pair, at every shape of weight <= 5
+        value = st.integers(1, 2**17).flatmap(lambda q: st.integers(-3 * q, 3 * q).map(lambda p: rational(p, q)))
+        classes = data.draw(st.lists(st.tuples(*[value] * m), min_size=1, max_size=6, unique=True))
+        counts = np.array(data.draw(st.lists(st.integers(1, 10**6), min_size=len(classes), max_size=len(classes))))
+        n = data.draw(st.integers(2 * m, 2 * m + 3))
+        config = SimpleNamespace(mode=EXACT, n=n, invariant_weights=lambda: (classes, counts))
+        family = enumerate_up_to_weight(m, 5)
+        sums = zonal.kernel_sums(family, n, classes, counts)
+        assert all(type(s) is Fraction for s in sums)
+        assert sums == moment_defects(config, family)
+
+
+@st.composite
+def seeded_exact_configs(draw):
+    """Exact configurations of 2 to 4 seeded points, m <= 4: dense, disguised coordinate, or mixed."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(2 * m, 2 * m + 2))
+    kind = draw(st.sampled_from(["dense", "disguised", "mixed"]))
+    seeds = draw(st.lists(st.integers(0, 10**6), min_size=2, max_size=4, unique=True))
+    coordinate = coordinate_points(m, n)[: len(seeds)]
+    points = {
+        "dense": [dense_point(m, n, s) for s in seeds],
+        "disguised": disguise(coordinate, seeds[0]),
+        "mixed": coordinate[:-1] + [dense_point(m, n, seeds[-1])],
+    }[kind]
+    return SubspaceConfiguration.from_json(exact_document(points, kind))
+
+
+class TestKernelSums:
+    @settings(max_examples=40, deadline=None)
+    @given(config=seeded_exact_configs(), t=st.integers(0, 8))
+    def test_table_equals_the_moment_oracle(self, config, t):
+        family = weight_family(config.m, t)
+        report = is_T_design(config, family)
+        assert [e.defect for e in report.entries] == moment_defects(config, family)
+        assert all(type(e.defect) is Fraction for e in report.entries)
+
+    @pytest.mark.parametrize(
+        "config",
+        [six_point_config(), great_antipodal(2, 4), great_antipodal(3, 6)],
+        ids=lambda c: c.label,
+    )
+    def test_float_copies_track_exact_defects(self, config):
+        # within 1e-10 |X|^2 dim through T12, and every pass flag as in
+        # exact mode through T20
+        family = weight_family(config.m, 20)
+        exact = is_T_design(config, family).entries
+        approx = is_T_design(config.to_float(), family).entries
+        scale = len(config) ** 2
+        for e, f in zip(exact, approx):
+            assert type(f.defect) is float and f.passed == e.passed, e.mu
+            if e.mu.weight <= 12:
+                assert abs(f.defect - float(e.defect)) <= 1e-10 * scale * e.dim, e.mu
 
 
 class TestIsTDesign:
