@@ -89,7 +89,7 @@ def parse_family(spec: str, m: int) -> List[Partition]:
         return hook_family(m)
     if key in ("E+F", "F+E"):
         return column_family(m) + hook_family(m)
-    if key.startswith("T") and key[1:].isdigit():
+    if key.startswith("T") and key[1:].isascii() and key[1:].isdigit():
         return weight_family(m, int(key[1:]))
     raise ValueError(f"unknown test set {spec!r} (use E, F, E+F or T<t>)")
 

@@ -12,9 +12,10 @@ module builds these kernels exactly:
   whose full m x m determinants are kept in ``tests/closed_forms.py``),
   taken by :func:`exactlinalg.minor` in one integer pass over the
   down-set;
-* ``kernel_sums``, the design defects: per shape one m x m minor of a
-  Jacobi-h table per pair class, G[k][j] = sum_r c_(k, r) h_(r - m + j),
-  from the same Jacobi rows and the class's e-values, no kernel expanded;
+* ``kernel_sums``, the design defects and every kernel value
+  (``ZonalPolynomial.evaluate``): per shape one m x m minor of a Jacobi-h
+  table per point class, built from its e-values by one three-term
+  recurrence in both modes, no kernel expanded;
 * closed-form expansions for single-column, single-row and hook shapes,
   kept as independent cross-checks of the general construction.
 
@@ -41,14 +42,14 @@ from fractions import Fraction
 from math import comb, inf, isfinite, lcm, perm, prod
 from functools import lru_cache
 from itertools import combinations, repeat, starmap
-from operator import add, ge, mul, sub
+from operator import add, ge, sub
 
 import numpy as np
 
 from .exactlinalg import minor
 from .partitions import Partition, binom, column_shape, down_set, hook_shape, row_shape
-from .scalars import _rational_text, rational
-from .symfunc import SchurExpansion
+from .scalars import _rational_text, is_exact_real, rational
+from .symfunc import SchurExpansion, _elementary_terms
 
 
 def _require_ambient(m: int, n: int):
@@ -143,7 +144,9 @@ class ZonalPolynomial:
         return self.expansion.coeff(sigma)
 
     def evaluate(self, y):
-        return self.expansion.evaluate(y)
+        """Z_mu(y) by :func:`kernel_sums` at the invariants of y: a ``Fraction`` at exact y, a float otherwise."""
+        e = tuple(_elementary_terms(y, len(y), 1)[1:])  # kernel_sums refuses a length other than m
+        return kernel_sums([self.mu], self.n, [e] if all(map(is_exact_real, y)) else np.array([e], dtype=float), [1])[0]
 
     __call__ = evaluate
 
@@ -234,57 +237,44 @@ class FloatRangeError(ArithmeticError):
     """A float kernel sum is not a finite float."""
 
 
-def _exact_tables(invariants: list, m: int, alpha: int, top: int) -> list:
-    """(d, table) of each exact point y = a/d given by (e_1, .., e_m), d the lcm of their denominators.
+def _jacobi_h_table(scaled: np.ndarray, d, alpha: int, top: int) -> np.ndarray:
+    """The d-scaled Jacobi-h rows T_k[j] = d^(k - m + 1 + j) G_y[k][j], k = 0..top, of every point y, at [j, k, p].
 
-    Column j (0-based) holds at row k the integer d^(k - m + 1 + j) G[k][j]
-    = sum_r (-1)^(k - r) c_(k, r) H_(r - m + 1 + j) d^(k - r), H_s = h_s(a)
-    from the signed (-1)^(k - 1) e_k(a) = (-1)^(k - 1) d^k e_k, by Horner
-    in -d, one :func:`_jacobi_row` at a time.
+    Row p of ``scaled`` holds d^i e_i(y) at column i - 1: object ints for
+    exact points y = a/d, d the lcm of the e_i's denominators and ``d``
+    their scales, or floats with d = 1.  G_y[k] is
+    L(P_k), L_j(q) = sum_r q_r h_(r - m + 1 + j), and P_k follows its
+    three-term recurrence (DLMF 18.9.2), never the large c_(k, r):
+    L(1) = (0, .., 0, 1), and L(y q) is L(q) shifted up one place, the
+    last entry sum_i (-1)^(i - 1) e_i L_(m - i)(q).  Scaled, the shift of
+    T_k is at scale k + 1, T_k and T_(k-1) are lifted by d and d^2, and
+    the division by a is exact on ints.
     """
-    points = []
-    for e in invariants:
-        d = lcm(*(v.denominator for v in e))
-        signed = [v.numerator * (d // v.denominator) * (-d) ** (k - 1) for k, v in enumerate(e, 1)]
-        h = [1]
-        for _ in range(top):
-            h.append(sum(map(mul, signed, reversed(h))))
-        points.append((d, h, [[0] * (top + 1) for _ in range(m)]))
-    for k in range(top + 1):
-        row = _jacobi_row(k, alpha, k + 1)
-        for d, h, table in points:
-            for j, column in enumerate(table):
-                acc = 0
-                for c, v in zip(row[m - 1 - j :], h):
-                    acc = acc * -d + c * v
-                column[k] = acc
-    return [(d, table) for d, _, table in points]
-
-
-def _float_table(invariants: np.ndarray, alpha: int, top: int) -> np.ndarray:
-    """The Jacobi-h tables of float points, G[k][j] of point p at [j, k, p].
-
-    Row k is L(P_k), L_j(q) = sum_r q_r h_(r - m + j), by the three-term
-    recurrence of P_k (DLMF 18.9.2), as sums of the c_(k, r) lose every
-    digit past about weight 20.  L(1) = (0, .., 0, 1); L(y q) is L(q)
-    shifted left, last entry sum_i (-1)^(i - 1) e_i L_(m + 1 - i)(q).
-    """
-    size, m = invariants.shape
-    # (-1)^(i - 1) e_i in row m - i, against the entry L_(m + 1 - i) it multiplies
-    signed = (invariants * np.where(np.arange(m) % 2, -1.0, 1.0)).T[::-1]
-    table = np.zeros((top + 1, m, size))
-    table[0, -1] = 1.0
+    size, m = scaled.shape
+    signed = scaled.T[::-1].copy()  # d^i e_i in row m - i, against the entry T_k[m - i] it multiplies
+    signed[m % 2 :: 2] *= -1  # times (-1)^(i - 1)
+    divide = np.floor_divide if signed.dtype == object else np.true_divide
+    table = np.zeros((top + 1, m, size), dtype=signed.dtype)
+    table[0, -1] = 1
     for k in range(top):
         s, cur = 2 * k + alpha, table[k]
-        shifted = np.vstack([cur[1:], (signed * cur).sum(axis=0)])
+        shifted = np.concatenate([cur[1:], (signed * cur).sum(axis=0, keepdims=True)])
         if not k:
-            table[1] = (alpha + 2) * shifted - cur
+            table[1] = (alpha + 2) * shifted - d * cur
             continue
         # a P_(k+1) = (b (2y - 1) + (s + 1) alpha^2) P_k - 2 (k + alpha) k (s + 2) P_(k-1)
         a, b = 2 * (k + 1) * (k + alpha + 1) * s, (s + 1) * (s + 2) * s
-        table[k + 1] = 2 * b / a * shifted + ((s + 1) * alpha**2 - b) / a * cur
-        table[k + 1] -= 2 * (k + alpha) * k * (s + 2) / a * table[k - 1]
+        step = 2 * b * shifted + ((s + 1) * alpha**2 - b) * d * cur - 2 * (k + alpha) * k * (s + 2) * d * d * table[k - 1]
+        divide(step, a, out=table[k + 1])
     return table.transpose(1, 0, 2)
+
+
+def _exact_table(points: list, alpha: int, top: int) -> tuple:
+    """The scales d of exact points given by (e_1, .., e_m), and their tables as lists [p][j][k]."""
+    scales = [lcm(*(v.denominator for v in e)) for e in points]
+    scaled = [[v.numerator * (d // v.denominator) * d**i for i, v in enumerate(e)] for e, d in zip(points, scales)]
+    table = _jacobi_h_table(np.array(scaled, dtype=object), np.array(scales, dtype=object), alpha, top)
+    return scales, table.transpose(2, 0, 1).tolist()
 
 
 def kernel_sums(family, n: int, invariants, weights) -> list:
@@ -297,11 +287,17 @@ def kernel_sums(family, n: int, invariants, weights) -> list:
     dim_mu det(G_y[k_i][j]) / det(G_1[k_i][j]): by Jacobi-Trudi both are
     Roy's bialternant det(P_(k_i)(y_j)) / V(y) (Macdonald, Symmetric
     Functions and Hall Polynomials, ch. I, sections 2-3); the h_s come
-    from the e_k.  Exact points y = a/d give d^|mu| det(G_y) as minors of
-    :func:`_exact_tables`, lifted to one denominator, one ``Fraction`` per
-    sum; float points share :func:`_float_table`, read by closed-form
-    minors for m <= 3 and ``np.linalg.det`` beyond.  det(G_1) is exact; a
-    non-finite float sum raises FloatRangeError naming its shape.
+    from the e_k.  :func:`_jacobi_h_table` builds the table in both modes,
+    and its minors at the rows k_i are d^|mu| det(G_y): one
+    :func:`exactlinalg.minor` per exact class, lifted to the lcm of the
+    classes' d, or closed forms batched over float points for m <= 3 and
+    ``np.linalg.det`` beyond.  At y = 1, h_s = C(s + m - 1, m - 1) makes
+    G_1[k] a unit anti-triangular combination of the Taylor coefficients
+    P_k^(r)(1) / r! = C(k + alpha + r, r) C(k + alpha, alpha + r)
+    (DLMF 18.6.1, 18.9.15), r = m - 1 .. 0, whose exact minor is det(G_1).
+    Each sum is one division by lcm^|mu| det(G_1): a ``Fraction`` in exact
+    mode, a float that raises FloatRangeError naming its shape when it is
+    not finite.
     """
     if not family:
         return []
@@ -313,30 +309,31 @@ def kernel_sums(family, n: int, invariants, weights) -> list:
     alpha = n - 2 * m
     rows = [tuple(p + m - i for i, p in enumerate(mu.parts, 1)) for mu in family]
     top = max(ks[0] for ks in rows)
-    ones = tuple(comb(m, k) for k in range(1, m + 1))
+    ones = [[comb(k + alpha + r, r) * comb(k + alpha, alpha + r) for k in range(top + 1)] for r in range(m - 1, -1, -1)]
     if exact:
-        counts = np.asarray(weights).tolist()
-        (_, ones), *tables = _exact_tables([ones, *invariants], m, alpha, top)
-        common = lcm(*(d for d, _ in tables))
-        sums = []
-        for mu, ks in zip(family, rows):
-            total = sum(c * minor(t, ks) * (common // d) ** mu.weight for c, (d, t) in zip(counts, tables))
-            sums.append(rational(harmonic_dim(mu, n) * total, common**mu.weight * minor(ones, ks)))
-        return sums
-    ((_, ones),) = _exact_tables([ones], m, alpha, top)
-    weights = np.asarray(weights, dtype=float)
-    totals = []
-    step = max(1, 2**20 // (len(weights) * m * m))  # shapes per pass: about 2^20 block entries
-    with np.errstate(all="ignore"):
-        table = _float_table(invariants, alpha, top)
-        for start in range(0, len(rows), step):
-            index = np.array(rows[start : start + step])
-            dets = minor(table, tuple(index.T)) if m <= 3 else np.linalg.det(np.transpose(table[:, index], (1, 3, 2, 0)))
-            totals += (dets @ weights).tolist()
+        scales, tables = _exact_table(invariants, alpha, top)
+        common = lcm(*scales)
+        lifted = list(zip(np.asarray(weights).tolist(), (common // d for d in scales), tables))
+        totals = [sum(c * minor(t, ks) * lift**mu.weight for c, lift, t in lifted) for mu, ks in zip(family, rows)]
+    else:
+        common = 1
+        weights = np.asarray(weights, dtype=float)
+        totals = []
+        step = max(1, 2**20 // (len(weights) * m * m))  # shapes per pass: about 2^20 block entries
+        with np.errstate(all="ignore"):
+            table = _jacobi_h_table(invariants, 1.0, alpha, top)
+            for start in range(0, len(rows), step):
+                index = np.array(rows[start : start + step])
+                dets = minor(table, tuple(index.T)) if m <= 3 else np.linalg.det(np.transpose(table[:, index], (1, 3, 2, 0)))
+                totals += (dets @ weights).tolist()
     sums = []
-    for mu, ks, t in zip(family, rows, totals):
+    for mu, ks, total in zip(family, rows, totals):
+        dim, q = harmonic_dim(mu, n), common**mu.weight * minor(ones, ks)
+        if exact:
+            sums.append(rational(dim * total, q))
+            continue
         try:
-            sums.append(harmonic_dim(mu, n) / minor(ones, ks) * t)
+            sums.append(dim / q * total)
         except OverflowError:
             sums.append(inf)
         if not isfinite(sums[-1]):

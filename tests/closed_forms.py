@@ -76,9 +76,10 @@ class ColumnProductExpansion:
         return out
 
     def evaluate(self, y):
+        """The four-term sum at y, each kernel by its Schur expansion, not by the package's Jacobi-h table."""
         total = rational(0)
         for sigma, c in self.terms().items():
-            total = total + c * zonal_kernel(sigma, self.n).evaluate(y)
+            total = total + c * zonal_kernel(sigma, self.n).expansion.evaluate(y)
         return total
 
 

@@ -58,10 +58,15 @@ recurrences that the tests check it against:
   its down-set, every s_sigma of the union is evaluated at the pair
   invariants as its e-polynomial, and each defect is the kernel's
   coefficients dotted with the count-weighted Schur moments, exact or
-  float.
+  float;
+* ``horner_tables``: the d-scaled Jacobi-h tables of exact points summed
+  from the Jacobi coefficients c_(k, r) by Horner in -d, O(top^2) per
+  point and column, the reference for the package's three-term
+  recurrence.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -86,7 +91,7 @@ from grassdesign.symfunc import (
     schur_e_polynomial,
     schur_norm,
 )
-from grassdesign.zonal import zonal_kernel
+from grassdesign.zonal import _jacobi_row, zonal_kernel
 
 
 CX_ZERO = ExactComplex(0)
@@ -735,3 +740,30 @@ def moment_defects(config, family) -> list:
     common = math.lcm(*(v.denominator for v in moments.values()))
     scaled = {s: v.numerator * (common // v.denominator) for s, v in moments.items()}
     return [rational(sum(c * scaled[s] for s, c in k.terms.items()), k.den * common) for k in kernels]
+
+
+def horner_tables(invariants: list, m: int, alpha: int, top: int) -> list:
+    """(d, table) of each exact point y = a/d given by (e_1, .., e_m), d the lcm of their denominators.
+
+    Column j (0-based) holds at row k the integer d^(k - m + 1 + j) G[k][j]
+    = sum_r (-1)^(k - r) c_(k, r) H_(r - m + 1 + j) d^(k - r), H_s = h_s(a)
+    from the signed (-1)^(k - 1) e_k(a) = (-1)^(k - 1) d^k e_k, by Horner
+    in -d, one :func:`_jacobi_row` at a time.
+    """
+    points = []
+    for e in invariants:
+        d = math.lcm(*(v.denominator for v in e))
+        signed = [v.numerator * (d // v.denominator) * (-d) ** (k - 1) for k, v in enumerate(e, 1)]
+        h = [1]
+        for _ in range(top):
+            h.append(sum(map(operator.mul, signed, reversed(h))))
+        points.append((d, h, [[0] * (top + 1) for _ in range(m)]))
+    for k in range(top + 1):
+        row = _jacobi_row(k, alpha, k + 1)
+        for d, h, table in points:
+            for j, column in enumerate(table):
+                acc = 0
+                for c, v in zip(row[m - 1 - j :], h):
+                    acc = acc * -d + c * v
+                column[k] = acc
+    return [(d, table) for d, _, table in points]

@@ -4,7 +4,7 @@ Usage (from the repository root):
 
     PYTHONPATH=src python tests/result_sweep.py > sweep.txt
 
-The 130 lines are pinned in ``tests/result_sweep.txt``, which
+The 132 lines are pinned in ``tests/result_sweep.txt``, which
 ``tests/test_result_sweep.py`` compares with a run in process.
 
 The first hash is the SHA-256 of the canonical JSON of the command's
@@ -38,7 +38,8 @@ follow, then ``--emit csv``: ``dims``, ``antipodal`` and
 list on (1) at m = 2 and 3 and on (3) and (3, 2, 1, 1) at m = 4,
 kernels whose integer total is negative and whose coefficients are not
 all integers, followed by the whole T-sets ``appendix-b --verify T40``
-and ``antipodal --verify T8`` at (4, 8).
+and ``antipodal --verify T8`` at (4, 8), and the deep recurrences of
+``antipodal --verify T2000`` at (1, 2) and ``T1000`` at (1, 5).
 Files are written to a temporary directory and named in the
 output by file name only.  Two checkouts whose sweeps ``diff`` equal
 give byte-identical results on the whole list.  The file is not
@@ -179,6 +180,9 @@ def commands(workdir: Path) -> list:
     out += [["zonal", "--mu", mu, "--m", str(m), "--n", str(n)] for m, n, mu in SIGNED_ZONAL]
     out.append(["appendix-b", "--verify", "T40"])
     out.append(["antipodal", "--m", "4", "--n", "8", "--verify", "T8"])
+    # deep Jacobi recurrences at alpha = 0 and alpha = 3
+    out.append(["antipodal", "--m", "1", "--n", "2", "--verify", "T2000"])
+    out.append(["antipodal", "--m", "1", "--n", "5", "--verify", "T1000"])
     return out
 
 

@@ -626,6 +626,13 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main(["verify-design", "--config", str(path), "--set", "E", "--tol", tol])
         assert err.value.code == 2, tol
+    # test sets are T and ASCII digits: a superscript or Arabic-Indic digit names none
+    for family in ("T\u00b2", "T\u0663"):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(["verify-design", "--config", str(path), "--set", family])
+        assert err.value.code == 2, family
+        assert f"unknown test set {family!r}" in capsys.readouterr().err
 
 
 def test_malformed_exact_entries_exit_two(tmp_path, capsys):

@@ -6,6 +6,7 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -32,7 +33,7 @@ from grassdesign.zonal import (
 )
 
 from closed_forms import bialternant_kernel, bialternant_terms, highest_weight, schur_in_zonal_basis, weyl_dim, zonal_product_column
-from exact_oracles import expansion_at_ones
+from exact_oracles import expansion_at_ones, horner_tables
 from james_constantine import (
     PoleError,
     generalized_binomial,
@@ -340,6 +341,17 @@ class TestKernels:
         assert k.evaluate((1, 0)) == 0
         assert k.evaluate((0, 0)) == -15
         assert k.evaluate((1, 1)) == 15
+        for point in ((1, 0, 0), (0.5,)):
+            with pytest.raises(ValueError, match=f"ambients \\[2\\] vs invariants of length {len(point)}"):
+                k.evaluate(point)
+
+    def test_float_values_keep_their_digits_at_weight_thirty(self):
+        # the float X* expansion of Z_(30) gave -3.5e10 at (0.7, 0.3)
+        k = zonal_kernel(Partition([30, 0]), 4)
+        exact = k.evaluate((rational(7, 10), rational(3, 10)))
+        assert type(exact) is Fraction and exact == k.expansion.evaluate((rational(7, 10), rational(3, 10)))
+        value = k.evaluate((0.7, 0.3))
+        assert type(value) is float and abs(value - exact) <= 1e-12 * k.dim
 
     def test_frozen_hook_kernel(self):
         k = zonal_kernel(Partition([2, 1]), 4)
@@ -426,6 +438,65 @@ class TestKernels:
             zonal_row(-1, 2, 5)
 
 
+class TestJacobiHTable:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4), alpha=st.integers(0, 3), top=st.integers(0, 40))
+    def test_recurrence_equals_the_horner_sums(self, data, m, alpha, top):
+        # free invariants, most of them the invariants of no pair, with
+        # denominators up to 2^17 drawn independently per entry, zero and
+        # negative values included
+        value = st.integers(1, 2**17).flatmap(lambda q: st.integers(-3 * q, 3 * q).map(lambda p: rational(p, q)))
+        points = data.draw(st.lists(st.tuples(*[value] * m), min_size=1, max_size=4))
+        scales, tables = zonal._exact_table(points, alpha, top)
+        assert list(zip(scales, tables)) == horner_tables(points, m, alpha, top)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 4), alpha=st.integers(0, 3), top=st.integers(1, 40), data=st.data())
+    def test_float_recurrence_is_exact_at_integer_invariants(self, m, alpha, top, data):
+        # while every entry is below 2^30, each product of a step is below
+        # 2^53 (a, b < 2^21 at k <= 40, alpha <= 3), so the float rows equal
+        # the exact ones
+        points = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * m), min_size=1, max_size=4))
+        _, tables = zonal._exact_table(points, alpha, top)
+        exact = np.array(tables, dtype=object).transpose(1, 2, 0)
+        approx = zonal._jacobi_h_table(np.array(points, dtype=float), 1.0, alpha, top)
+        small = np.cumprod([np.abs(exact[:, k]).max() < 2**30 for k in range(top + 1)]).sum()
+        assert small >= 2
+        assert (approx[:, :small] == exact[:, :small].astype(float)).all()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_kernel_sums_meet_the_dimension_at_the_all_ones_point(self, m):
+        # det(G_1) comes from the Taylor coefficients of P_k at 1; the
+        # table of the all-ones point itself must give the same minors
+        ones = tuple(binom(m, k) for k in range(1, m + 1))
+        family = enumerate_up_to_weight(m, 12 if m < 4 else 8)
+        for n in range(2 * m, 2 * m + 4):
+            dims = [harmonic_dim(mu, n) for mu in family]
+            assert zonal.kernel_sums(family, n, [ones], [1]) == dims
+            approx = zonal.kernel_sums(family, n, np.array([ones], dtype=float), [1])
+            assert all(abs(a - d) <= 1e-9 * d for a, d in zip(approx, dims))
+
+    def test_deep_row_at_rank_one_takes_one_step_per_row(self, monkeypatch):
+        # T9999 at m = 1: one recurrence step per row, no Jacobi
+        # coefficient row summed; an antipodal pair on the projective
+        # line sums to 4 dim at even degree and to 0 at odd
+        tops = []
+        table = zonal._jacobi_h_table
+
+        def counted(scaled, d, alpha, top):
+            tops.append(top)
+            return table(scaled, d, alpha, top)
+
+        def refused(*args):
+            raise AssertionError("kernel sums read no Jacobi coefficient row")
+
+        monkeypatch.setattr(zonal, "_jacobi_h_table", counted)
+        monkeypatch.setattr(zonal, "_jacobi_row", refused)
+        sums = zonal.kernel_sums([Partition([9998]), Partition([9999])], 2, [(0,), (1,)], [2, 2])
+        assert tops == [9999]
+        assert sums == [4 * 19997, 0]
+
+
 class TestChangeOfBasis:
     def test_frozen_values(self):
         d = schur_in_zonal_basis(1, 2, 4)
@@ -447,8 +518,10 @@ class TestChangeOfBasis:
                 d = schur_in_zonal_basis(i, m, n)
                 for pt in seeded_range_points(m, 5, seed=40 + i + m):
                     lhs = normalized_schur_eval(column_shape(i, m), pt)
-                    rhs = sum(c * zonal_kernel(s, n).evaluate(pt) for s, c in d.items())
-                    assert lhs == rhs
+                    kernels = [(zonal_kernel(s, n), c) for s, c in d.items()]
+                    # both routes to each kernel value: the Jacobi-h table and the Schur expansion
+                    assert lhs == sum(c * k.evaluate(pt) for k, c in kernels)
+                    assert lhs == sum(c * k.expansion.evaluate(pt) for k, c in kernels)
 
     def test_inverse_matrix_identity(self):
         # kernel-to-Schur coefficients against Schur-to-kernel coefficients
