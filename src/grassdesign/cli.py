@@ -85,44 +85,97 @@ def _tolerance(text: str) -> float:
 # int/str conversion while the document is built and written; inputs
 # are still read under the default limit of 4,300 digits.
 _INPUT_DIGITS = sys.int_info.default_max_str_digits
+_PAST_LIMIT = re.compile(r"Exceeds the limit \(\d+ digits\) for integer string conversion: value has (\d+) digits")
+
+
+def _past_limit(exc: ValueError) -> str | None:
+    """int()'s error for an input integer of too many digits, reworded to state the limit; None for any other error.
+
+    Python's own text ends by naming ``sys.set_int_max_str_digits()``,
+    which a command-line user cannot call.
+    """
+    past = _PAST_LIMIT.match(str(exc))
+    return past and f"integer of {past[1]} digits is past the limit of {_INPUT_DIGITS} digits"
 
 
 class _DigitLimit:
     """Python's int/str conversion limit set to ``limit`` (0: none) inside a ``with`` block.
 
-    A class: a ``contextlib.contextmanager`` generator added about 10 us
+    Given the ``name`` of the input read inside the block, an integer of
+    too many digits raises a ValueError that names it and the limit.  A
+    class: a ``contextlib.contextmanager`` generator added about 10 us
     to each small command, which enters three of these.
     """
 
-    __slots__ = ("limit", "previous")
+    __slots__ = ("limit", "name", "previous")
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int, name: str | None = None):
         self.limit = limit
+        self.name = name
 
     def __enter__(self):
         self.previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(self.limit)
 
-    def __exit__(self, *exc):
+    def __exit__(self, kind, exc, tb):
         sys.set_int_max_str_digits(self.previous)
+        if self.name is not None and kind is ValueError and (reason := _past_limit(exc)):
+            raise ValueError(f"{self.name}: {reason}") from None
 
 
 def _parse_mu(text: str, m: int) -> Partition:
     items = text.split(",")
     if not all(v.strip() for v in items):
         raise ValueError(f"--mu {text!r} has an empty item")
-    with _DigitLimit(_INPUT_DIGITS):
+    with _DigitLimit(_INPUT_DIGITS, "argument --mu"):
         parts = [int(v) for v in items]
     return Partition(parts, m=m)
 
 
+class _Literal(str):
+    """The text of a JSON integer literal, read but not converted."""
+
+
+_ROW_ENTRY = re.compile(r"points\[\d+\]\.rows\[\d+\]\[\d+\]")
+_LONG_RUN = re.compile(f"[0-9]{{{_INPUT_DIGITS + 1},}}")
+
+
+def _long_entry(text: str) -> str | None:
+    """The path of the first entry of a configuration's JSON text with more than _INPUT_DIGITS digits in a row.
+
+    Such an entry is an integer literal, which fails the JSON load, or a
+    row entry, whose text fails the load pass; None when there is none.
+    """
+    try:
+        data = json.loads(text, parse_int=_Literal)
+    except (ValueError, RecursionError):
+        return None
+    stack = [("", data)]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, dict):
+            stack += [(f"{path}.{k}" if path else k, v) for k, v in reversed(value.items())]
+        elif isinstance(value, list):
+            stack += [(f"{path}[{i}]", v) for i, v in reversed(list(enumerate(value)))]
+        elif isinstance(value, str) and (isinstance(value, _Literal) or _ROW_ENTRY.fullmatch(path)):
+            if _LONG_RUN.search(value):
+                return path
+    return None
+
+
 def _load_config(path: str) -> SubspaceConfiguration:
     with _DigitLimit(_INPUT_DIGITS), open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
         try:
-            data = json.load(fh)
+            return SubspaceConfiguration.from_json(json.loads(text))
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
-        return SubspaceConfiguration.from_json(data)
+        except ValueError as exc:
+            reason = _past_limit(exc)
+            if reason is None:
+                raise
+            entry = _long_entry(text)
+            raise ValueError(f"{path}: {f'entry {entry}: ' if entry else ''}{reason}") from None
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -264,8 +317,8 @@ def cmd_angles(args) -> tuple:
     return EXIT_OK, result, csv_rows
 
 
-def _verify(config: SubspaceConfiguration, family_spec: str, tol: float):
-    with _DigitLimit(_INPUT_DIGITS):
+def _verify(config: SubspaceConfiguration, family_spec: str, tol: float, option: str):
+    with _DigitLimit(_INPUT_DIGITS, f"argument {option}"):
         family = designs.parse_family(family_spec, config.m)
     report = designs.is_T_design(config, family, tol=tol)
     code = EXIT_OK if report.design else EXIT_VERIFY_FAILED
@@ -280,14 +333,14 @@ def _with_report(config: SubspaceConfiguration, family_spec: str | None, result:
     """
     if not family_spec:
         return EXIT_OK, result, None
-    code, report = _verify(config, family_spec, designs.DEFAULT_TOL)
+    code, report = _verify(config, family_spec, designs.DEFAULT_TOL, "--verify")
     result["report"] = report.to_json()
     return code, result, _report_rows(report)
 
 
 def cmd_verify_design(args) -> tuple:
     config = _load_config(args.config)
-    code, report = _verify(config, args.set, args.tol)
+    code, report = _verify(config, args.set, args.tol, "--set")
     return code, report.to_json(), _report_rows(report)
 
 
@@ -545,7 +598,7 @@ def _take(kind: tuple, tokens: list, kinds: list, i: int, args, name: str | None
     try:
         value = option.convert(text)
     except ValueError as exc:
-        _fail(f"argument {option.name}: {exc}", name)
+        _fail(f"argument {option.name}: {_past_limit(exc) or exc}", name)
     if option.choices is not None and value not in option.choices:
         choices = ", ".join(map(repr, option.choices))
         _fail(f"argument {option.name}: invalid choice: {value!r} (choose from {choices})", name)

@@ -13,7 +13,8 @@ basis matrix whose rows span it.  Two modes coexist:
   (e_1, .., e_m) of the angles with no root found.  A configuration
   counts its classes first from its atoms
   (:func:`pairbatch.atom_classes`): pairwise antipodal points are sums
-  of orthogonal atoms of C^n, certified exactly, and a pair's invariant
+  of orthogonal atoms of C^n, read off the rows of a coordinate-aligned
+  set and certified exactly for any other, and a pair's invariant
   follows from the total rank of the atoms it shares, with no pair
   product.  Any failed check, and any request for the pairs themselves,
   evaluates every pair in one multi-modular batch
@@ -418,9 +419,12 @@ class SubspaceConfiguration:
         """Multiplicities of angle invariants over all ordered pairs (exact mode), in order of first pair.
 
         Counted once, from the atoms of an antipodal set
-        (:func:`pairbatch.atom_classes`) when no pair batch has run yet and
-        every exact check passes; otherwise from the batch's classes.
-        Neither builds a per-pair table.
+        (:func:`pairbatch.atom_classes`) when no pair batch has run yet:
+        read off the rows of a coordinate-aligned set, whose rows have one
+        nonzero entry each, or refined and certified exactly for any other;
+        and from the batch's classes when a check fails.  The atom counts
+        are float64 products of the membership matrix, exact since its
+        entries are 0 or atom ranks.  None builds a per-pair table.
         """
         if self._classes is None:
             if self.mode != EXACT:

@@ -33,27 +33,34 @@ A whole configuration is first tried through its atoms
 their projectors commute, and then C^n splits into orthogonal atoms
 W_1 .. W_k with each point the sum V_a of the atoms in a set J_a; a
 pair's invariant is (C(w, 1), .., C(w, m)) with w the total rank of
-J_a & J_b (Chen-Nagano, Trans. AMS 308, 1988).  The atoms are refined
-by the points in order, every decision taken on images modulo one word
+J_a & J_b (Chen-Nagano, Trans. AMS 308, 1988).  The N x k membership
+matrix H of the points in the atoms has two sources.  When every row of
+every point has one nonzero entry, the set is coordinate-aligned: V_a
+is span{e_c : c in I_a}, I_a the supports of its rows, every projector
+is diagonal, and the atoms are the n coordinate lines, so H is read off
+the rows and w = |I_a & I_b| is the Johnson-scheme relation.  No prime,
+image or certification is needed.  Any other set refines the atoms by
+the points in order, every decision taken on images modulo one word
 prime p = 1 mod 4, under the ring map Z[i] -> F_p that sends i to a
 square root of -1.  Per chunk of points, each atom vector gets a code
 per point: orthogonal to V_a, in V_a, or neither.  An atom with no
 "neither" is regrouped by its vectors' code signatures, with no
-arithmetic on the vectors; this is every atom of a coordinate-aligned
-set, whose standard basis vectors are common eigenvectors of all its
-projectors.  Any other atom is split in Python integers at the first
-point where it is not whole.  The atoms are then certified
-exactly, the orthogonality in Python integers and each point's atoms
-by one residue product modulo primes enough for an exact zero test,
-and the classes are counted from the membership matrix in row chunks.
-Any failed check returns None, and the configuration goes to
-:func:`invariant_batch` instead.
+arithmetic on the vectors, since they are then taken to be common
+eigenvectors of those projectors.  Any other atom is split in Python
+integers at the first point where it is not whole.  The atoms are then
+certified exactly, the orthogonality in Python integers and each point's
+atoms by one residue product modulo primes enough for an exact zero
+test, and H follows.  Any failed check returns None, and the
+configuration goes to :func:`invariant_batch` instead.  Both sources
+count the classes from w = H diag(r) H^T in row chunks of float64
+products on BLAS, exact since every entry is 0 or an atom rank and
+every w is at most n.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -297,8 +304,9 @@ def _refine(points, p: int, s: int, projectors, dens: np.ndarray):
     they share one signature, and needs no split.  An atom with a
     code-2 vector is split exactly (:func:`_split`) at the first point
     where it is not whole, and the scan of all atoms resumes after that
-    point.  A coordinate-aligned set, coded 0 or 1 throughout, thus
-    takes one scan per chunk and no split.
+    point.  Coordinate points, coded 0 or 1 at every standard basis
+    vector, only regroup atoms; a set of nothing else never gets here,
+    its atoms being read off its rows (:func:`_row_supports`).
     ``projectors(lo, hi)`` gives the images of D P_a for the points
     lo .. hi - 1, and ``dens`` the images of D.
     """
@@ -365,18 +373,22 @@ def _membership(atoms: list, rows: np.ndarray, pairs: list) -> np.ndarray:
 def _count(member: np.ndarray, ranks: np.ndarray, m: int) -> dict:
     """Invariant counts over ordered pairs from w = H diag(r) H^T, in order of first pair.
 
-    Rows are taken in chunks, so no N x N array is formed.  The first
-    occurrence of a w in row-major order of the symmetric w matrix lies
-    on or above the diagonal, so it is the value's first pair.
+    The products run in float64, so on BLAS, and are exact: every entry
+    of H and of diag(r) H^T is 0 or an atom rank, and every w is at most
+    n < 2^53.  Rows are taken in chunks of a fixed entry budget, so no
+    N x N array is formed.  The first occurrence of a w in row-major
+    order of the symmetric w matrix lies on or above the diagonal, so it
+    is the value's first pair.
     """
     size = len(member)
-    member = member.astype(np.int64)
+    member = member.astype(np.float64)
     weighted = (member * ranks).T
     counts = np.zeros(m + 1, dtype=np.int64)
     first: dict = {}
-    step = max(1, PAIR_CHUNK_ELEMENTS // size)
+    # float64 rows of one chunk: BLAS wants a wider budget than int64 pair arrays
+    step = max(1, 8 * PAIR_CHUNK_ELEMENTS // size)
     for lo in range(0, size, step):
-        w = (member[lo : lo + step] @ weighted).ravel()
+        w = (member[lo : lo + step] @ weighted).astype(np.int64).ravel()
         found = np.bincount(w, minlength=m + 1)
         counts += found
         for v in np.flatnonzero(found).tolist():
@@ -388,22 +400,46 @@ def _count(member: np.ndarray, ranks: np.ndarray, m: int) -> dict:
     }
 
 
+def _row_supports(points: Sequence):
+    """The (N, n) membership of coordinate-aligned points, each the span of e_c over its rows' supports; None for any other set.
+
+    A set is coordinate-aligned when every row of every point has
+    exactly one nonzero entry.  Its rows being independent, the supports
+    of a point's rows are m distinct coordinates I_a.
+    """
+    size, m, n = len(points), points[0].m, points[0].n
+    entries = chain.from_iterable(chain.from_iterable(pt.rows for pt in points))
+    nonzero = np.fromiter(map((0, 0).__ne__, entries), bool, size * m * n).reshape(size, m, n)
+    if not (nonzero.sum(axis=-1) == 1).all():
+        return None
+    return nonzero.any(axis=1)
+
+
 def atom_classes(points: Sequence):
     """Invariant counts over ordered pairs of exact points, from their atoms; None when a check fails.
 
     The counts, keys and order are those of the classes of
-    :func:`invariant_batch` over all pairs i <= j.  The atoms come from
-    :func:`_refine`, modulo the first of the primes of
-    :func:`exactlinalg.split_moduli`.  They are certified when vectors of
-    different atoms are orthogonal (Python integers) and every point
+    :func:`invariant_batch` over all pairs i <= j.  The membership H of
+    the points in the atoms has two sources.  A coordinate-aligned set
+    (:func:`_row_supports`) reads it off its rows: each point is
+    span{e_c : c in I_a} with diagonal projectors, so the atoms are the
+    n coordinate lines and every pair is antipodal with w = |I_a & I_b|,
+    by inspection, with no prime, image or certification.  Any other set
+    takes the atoms from :func:`_refine`, modulo the first of the primes
+    of :func:`exactlinalg.split_moduli`.  They are certified when vectors
+    of different atoms are orthogonal (Python integers) and every point
     meets atoms of total rank m.  A row a and an atom vector b have an
     inner product with parts of size at most L = 2 n max|a| max|b|, so
     one whose image vanishes modulo primes of product above 2 L^2 is 0.
     With the ranks summing to n, the atoms span C^n; so V_a, orthogonal
     to every atom outside J_a, is the sum of the atoms in J_a, and every
-    pair is antipodal with w = sum of r_j over J_a & J_b.
+    pair is antipodal with w = sum of r_j over J_a & J_b.  Both count
+    through :func:`_count`.
     """
     size, m, n = len(points), points[0].m, points[0].n
+    member = _row_supports(points)
+    if member is not None:
+        return _count(member, np.ones(n), m)
     bits = modulus_bits(n)
     values = _parts(pt.rows for pt in points)
     shape, first = (size, m, n), split_moduli(bits, 1)

@@ -4,7 +4,7 @@ Usage (from the repository root):
 
     PYTHONPATH=src python tests/result_sweep.py > sweep.txt
 
-The 132 lines are pinned in ``tests/result_sweep.txt``, which
+The 135 lines are pinned in ``tests/result_sweep.txt``, which
 ``tests/test_result_sweep.py`` compares with a run in process.
 
 The first hash is the SHA-256 of the canonical JSON of the command's
@@ -39,7 +39,11 @@ list on (1) at m = 2 and 3 and on (3) and (3, 2, 1, 1) at m = 4,
 kernels whose integer total is negative and whose coefficients are not
 all integers, followed by the whole T-sets ``appendix-b --verify T40``
 and ``antipodal --verify T8`` at (4, 8), and the deep recurrences of
-``antipodal --verify T2000`` at (1, 2) and ``T1000`` at (1, 5).
+``antipodal --verify T2000`` at (1, 2) and ``T1000`` at (1, 5).  Last
+come ``antipodal --verify E+F`` at (8, 16), whose 12,870 points are
+counted in many row chunks, and ``verify-design --set E+F`` and
+``angles`` on G(3, 6) with rows scaled by 3 + 4i, -i and 2 in descending
+coordinate order, both read off their rows.
 Files are written to a temporary directory and named in the
 output by file name only.  Two checkouts whose sweeps ``diff`` equal
 give byte-identical results on the whole list.  The file is not
@@ -68,6 +72,7 @@ from seeded_configs import (  # noqa: E402
     disguised_points,
     exact_document,
     float_document,
+    scaled_coordinate_points,
     six_points,
 )
 
@@ -183,6 +188,11 @@ def commands(workdir: Path) -> list:
     # deep Jacobi recurrences at alpha = 0 and alpha = 3
     out.append(["antipodal", "--m", "1", "--n", "2", "--verify", "T2000"])
     out.append(["antipodal", "--m", "1", "--n", "5", "--verify", "T1000"])
+    # coordinate-aligned sets, counted from their rows' supports: G(8, 16)
+    # over many row chunks, and G(3, 6) with rows scaled by 3 + 4i, -i, 2
+    out.append(["antipodal", "--m", "8", "--n", "16", "--verify", "E+F"])
+    path = write(workdir, "scaled-coordinate-3-6.json", exact_document(scaled_coordinate_points(3, 6), "scaled-coordinate-3-6"))
+    out += [["verify-design", "--config", path, "--set", "E+F"], ["angles", "--config", path]]
     return out
 
 

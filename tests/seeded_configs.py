@@ -5,11 +5,15 @@ chains of (3, 4, 5) Givens rotations over shuffled coordinate orders
 followed by Gaussian phases such as (3 + 4i)/5, and recombines each
 point's rows by a seeded unimodular Gaussian-integer matrix.  Angles and
 defects are those of the original points; the entries are dense
-Gaussian rationals.  :func:`disguised_points` disguises the coordinate
-m-subspaces of C^n, :func:`block_points` spans unions of coordinate
-blocks, :func:`dense_point` draws a seeded point with small
-Gaussian-integer entries, and :func:`complement_closed_points` takes
-each V and V^perp from the rows of one seeded unitary.  Values are
+Gaussian rationals.  :func:`recombine` takes only the second step, so
+coordinate subspaces keep their span but lose their unit rows, and
+:func:`scaled_coordinate_points` keeps one nonzero entry per row but
+not the value 1 or the coordinate order.
+:func:`disguised_points` disguises the coordinate m-subspaces of C^n,
+:func:`block_points` spans unions of coordinate blocks,
+:func:`dense_point` draws a seeded point with small Gaussian-integer
+entries, and :func:`complement_closed_points` takes each V and V^perp
+from the rows of one seeded unitary.  Values are
 (re, im) pairs of ``Fraction`` and nothing here calls the package, so a
 document is the same bytes whatever the package does.
 """
@@ -63,22 +67,42 @@ def _unimodular(m: int, rng: random.Random) -> list:
     return [[_dot(row, col) for col in zip(*upper)] for row in lower]
 
 
+def _recombined(rows: list, rng: random.Random) -> list:
+    """The rows recombined by a seeded unimodular Gaussian-integer matrix: another basis of their span."""
+    mix = _unimodular(len(rows), rng)
+    return [[_dot(row, col) for col in zip(*rows)] for row in mix]
+
+
 def disguise(points: list, seed: int) -> list:
     """The points, each a list of rows of (re, im) pairs, disguised from ``seed``."""
     rng = random.Random(seed)
     unitary = _unitary(len(points[0][0]), rng)
-    out = []
-    for rows in points:
-        moved = [[_dot(row, col) for col in zip(*unitary)] for row in rows]
-        mix = _unimodular(len(rows), rng)
-        out.append([[_dot(row, col) for col in zip(*moved)] for row in mix])
-    return out
+    return [_recombined([[_dot(row, col) for col in zip(*unitary)] for row in rows], rng) for rows in points]
+
+
+def recombine(points: list, seed: int) -> list:
+    """The same subspaces, each point's rows recombined from ``seed``: no unitary, so coordinate subspaces stay coordinate."""
+    rng = random.Random(seed)
+    return [_recombined(rows, rng) for rows in points]
 
 
 def coordinate_points(m: int, n: int) -> list:
     """Bases of the coordinate m-subspaces of C^n, in lexicographic subset order."""
     zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
     return [[[one if j == i else zero for j in range(n)] for i in idx] for idx in combinations(range(n), m)]
+
+
+# the nonzero entries of scaled_coordinate_points: 3 + 4i, -i and 2
+SCALES = ((Fraction(3), Fraction(4)), (Fraction(0), Fraction(-1)), (Fraction(2), Fraction(0)))
+
+
+def scaled_coordinate_points(m: int, n: int) -> list:
+    """The coordinate m-subspaces of C^n in lexicographic order, rows c e_j with j descending and c cycling through SCALES."""
+    zero = (Fraction(0), Fraction(0))
+    return [
+        [[SCALES[(a + r) % len(SCALES)] if j == i else zero for j in range(n)] for r, i in enumerate(reversed(idx))]
+        for a, idx in enumerate(combinations(range(n), m))
+    ]
 
 
 def block_points(blocks: list, subsets: list) -> list:

@@ -2,8 +2,10 @@
 
 Pairwise antipodal points are sums of orthogonal atoms of C^n, and a
 pair's invariant follows from the total rank of the atoms they share
-(:func:`pairbatch.atom_classes`).  Every configuration that fails one of
-the exact checks goes to the pair batch instead, once.
+(:func:`pairbatch.atom_classes`).  A coordinate-aligned set reads its
+atoms off its rows; any other set refines and certifies them.  Every
+configuration that fails one of the exact checks goes to the pair batch
+instead, once.
 """
 
 import math
@@ -35,6 +37,8 @@ from seeded_configs import (
     disguise,
     disguised_points,
     exact_document,
+    recombine,
+    scaled_coordinate_points,
     six_points,
 )
 
@@ -141,7 +145,10 @@ def test_non_antipodal_and_mixed_sets_fall_back_once(base, disguised, seed, extr
         config = configuration(points)
     except RankDeficiencyError:
         assume(False)
-    assert pairbatch.atom_classes(config.points) is None
+    # no coordinate-aligned set: the atoms are refined, then the batch runs once
+    with mock.patch.object(pairbatch, "_refine", wraps=pairbatch._refine) as refine:
+        assert pairbatch.atom_classes(config.points) is None
+    assert refine.call_count == 1
     with counted_batches() as batches:
         got = config.invariant_classes()
         assert config.invariant_classes() == got
@@ -151,8 +158,9 @@ def test_non_antipodal_and_mixed_sets_fall_back_once(base, disguised, seed, extr
 
 def test_counts_are_the_johnson_scheme_relations():
     # ordered pairs of m-subsets of n with w in common number
-    # C(n, m) C(m, w) C(n - m, m - w), first met at w = m, m - 1, .., 0
-    for m, n in ((1, 2), (2, 4), (2, 6), (3, 6), (3, 7), (4, 8)):
+    # C(n, m) C(m, w) C(n - m, m - w), first met at w = m, m - 1, .., 0;
+    # the 924 points of (6, 12) take several row chunks
+    for m, n in ((1, 2), (2, 4), (2, 6), (3, 6), (3, 7), (4, 8), (6, 12)):
         got = pairbatch.atom_classes(great_antipodal(m, n).points)
         assert list(got.items()) == [
             (tuple(rational(math.comb(w, k)) for k in range(1, m + 1)), math.comb(n, m) * math.comb(m, w) * math.comb(n - m, m - w))
@@ -161,7 +169,8 @@ def test_counts_are_the_johnson_scheme_relations():
 
 
 def test_counts_identical_across_chunk_sizes(monkeypatch):
-    # a disguised set splits its atoms, a coordinate set regroups them
+    # a disguised set splits its atoms, a coordinate set reads them off
+    # its rows; both count in row chunks
     default = pairbatch.PAIR_CHUNK_ELEMENTS
     for config in (configuration(disguised_points(3, 6, 3)), great_antipodal(3, 6)):
         monkeypatch.setattr(pairbatch, "PAIR_CHUNK_ELEMENTS", default)
@@ -188,11 +197,14 @@ def refinement_trace(monkeypatch, config) -> tuple:
 
 
 def test_refinement_regroups_coordinate_atoms_and_stops_at_lines(monkeypatch):
-    # great_antipodal(2, 6) in lexicographic order: every standard basis
-    # vector is a common eigenvector, so {0,1}, {0,2}, {0,3} and {0,4}
-    # regroup the atoms into six lines with no split; with one point per
-    # chunk, no point after {0,4} is reached
-    splits, chunks = refinement_trace(monkeypatch, great_antipodal(2, 6))
+    # great_antipodal(2, 6) in lexicographic order, its rows recombined so
+    # that the set is not read off its rows: every standard basis vector is
+    # still a common eigenvector, so {0,1}, {0,2}, {0,3} and {0,4} regroup
+    # the atoms into six lines with no split; with one point per chunk, no
+    # point after {0,4} is reached
+    config = configuration(recombine(coordinate_points(2, 6), 1))
+    assert pairbatch._row_supports(config.points) is None
+    splits, chunks = refinement_trace(monkeypatch, config)
     assert splits == []
     assert chunks == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
@@ -229,15 +241,45 @@ def test_split_moduli():
 
 
 def test_atoms_of_rank_above_one_are_found():
-    # blocks {0, 1}, {2, 3}, {4, 5} of C^6: no point separates a block, so
-    # the three atoms have rank 2
-    points = block_points([[0, 1], [2, 3], [4, 5]], [[0], [1], [2], [0]])
+    # blocks {0, 1}, {2, 3}, {4, 5} of C^6, disguised: no point separates a
+    # block, so the refinement ends at three atoms of rank 2
+    points = disguise(block_points([[0, 1], [2, 3], [4, 5]], [[0], [1], [2], [0]]), 3)
     calls = []
     count = pairbatch._count
     with mock.patch.object(pairbatch, "_count", lambda member, ranks, m: calls.append(ranks.tolist()) or count(member, ranks, m)):
         got = pairbatch.atom_classes(configuration(points).points)
     assert calls == [[2, 2, 2]]
     assert list(got.items()) == [((rational(2), rational(1)), 6), ((rational(0), rational(0)), 10)]
+
+
+def test_coordinate_aligned_sets_are_read_off_their_rows():
+    # one nonzero entry per row: no refinement and no images of any prime
+    blocks = block_points([[0, 1], [2, 3], [4, 5]], [[0], [1], [2]])
+    for config in (great_antipodal(3, 6), configuration(scaled_coordinate_points(2, 5)), configuration(blocks)):
+        want = batch_classes(config)
+        refine = mock.patch.object(pairbatch, "_refine", side_effect=AssertionError("refined"))
+        images = mock.patch.object(pairbatch, "gaussian_images", side_effect=AssertionError("images"))
+        with refine, images:
+            got = config.invariant_classes()
+        assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 5), (3, 6)])
+def test_scaled_unsorted_coordinate_rows_count_as_their_disguised_copy(shape):
+    # rows (3+4i) e_j, -i e_j and 2 e_j, j descending, with -i written as
+    # a file would hold it
+    points = scaled_coordinate_points(*shape)
+    doc = exact_document(points, "scaled")
+    for point in doc["points"]:
+        point["rows"] = [[{"0-1*i": "-i"}.get(v, v) for v in row] for row in point["rows"]]
+    assert {v for point in doc["points"] for row in point["rows"] for v in row} == {"0", "3+4*i", "-i", "2"}
+    config = SubspaceConfiguration.from_json(doc)
+    assert pairbatch._row_supports(config.points) is not None
+    got = pairbatch.atom_classes(config.points)
+    disguised = configuration(disguise(points, 5))
+    assert pairbatch._row_supports(disguised.points) is None
+    for want in (pairbatch.atom_classes(disguised.points), batch_classes(config), batch_classes(disguised)):
+        assert list(got.items()) == list(want.items())
 
 
 EXACT_SETS = {

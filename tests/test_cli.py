@@ -785,21 +785,29 @@ def test_integers_past_the_digit_limit_are_written(capsys):
         sys.set_int_max_str_digits(limit)
 
 
-@pytest.mark.parametrize("command", ["dims", "zonal", "verify-design"])
+@pytest.mark.parametrize("command", ["dims", "zonal", "verify-design", "json-integer", "test-set"])
 def test_input_integer_past_the_digit_limit_is_a_usage_error(command, tmp_path, capsys):
+    # the message names the argument or the config entry and the limit,
+    # not the Python call that would lift it
     huge = "1" + "0" * 4400
     path = tmp_path / "point.json"
     path.write_text(json.dumps({"m": 1, "n": 2, "mode": "exact", "points": [{"rows": [[huge, "0"]]}]}))
-    argv = {
-        "dims": ["dims", "--m", "1", "--n", huge],
-        "zonal": ["zonal", "--mu", huge, "--m", "1", "--n", "2"],
-        "verify-design": ["verify-design", "--config", str(path), "--set", "E"],
+    literal = tmp_path / "literal.json"
+    literal.write_text('{"m": 1, "n": 2, "mode": "float", "points": [{"rows": [[[0, 1], [' + huge + ", 0]]]}]}")
+    argv, name = {
+        "dims": (["dims", "--m", "1", "--n", huge], "argument --n"),
+        "zonal": (["zonal", "--mu", huge, "--m", "1", "--n", "2"], "argument --mu"),
+        "verify-design": (["verify-design", "--config", str(path), "--set", "E"], f"{path}: entry points[0].rows[0][0]"),
+        "json-integer": (["verify-design", "--config", str(literal), "--set", "E"], f"{literal}: entry points[0].rows[0][1][0]"),
+        "test-set": (["antipodal", "--m", "1", "--n", "2", "--verify", "T" + huge], "argument --verify"),
     }[command]
     limit = sys.get_int_max_str_digits()
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {name}: integer of 4401 digits is past the limit of 4300 digits\n")
     assert sys.get_int_max_str_digits() == limit
 
 
