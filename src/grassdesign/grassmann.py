@@ -11,26 +11,25 @@ basis matrix whose rows span it.  Two modes coexist:
   eigenvalues of the integer matrix N_a C N_b C^H, C the cross-Gram,
   whose elementary symmetric values give the pair invariant
   (e_1, .., e_m) of the angles with no root found.  A configuration
-  counts its classes first from its atoms
-  (:func:`pairbatch.atom_classes`): pairwise antipodal points are sums
-  of orthogonal atoms of C^n, read off the rows of a coordinate-aligned
-  set and certified exactly for any other, and a pair's invariant
-  follows from the total rank of the atoms it shares, with no pair
-  product.  Any failed check, and any request for the pairs themselves,
+  decides once where its pair classes come from
+  (:meth:`SubspaceConfiguration._pair_source`).  Pairwise antipodal
+  points are sums of orthogonal atoms of C^n, read off the rows of a
+  coordinate-aligned set and certified exactly for any other
+  (:func:`pairbatch.atoms`); a pair's invariant follows from the total
+  rank of the atoms it shares, so the counts and the per-pair table are
+  both read off the atoms, with no pair product.  Any failed check
   evaluates every pair in one multi-modular batch
-  (:func:`pairbatch.invariant_batch`: the int64 images of the points
-  under the two maps Z[i] -> F_p, i -> s and i -> -s, modulo word-size
-  primes p = 1 mod 4, the form the atoms use too; antipodal pairs
-  certified by the trace identity D tr M = tr M^2 and read off tr M,
-  the others lifted by Chinese remaindering once per distinct class),
-  whose classes are counted without a per-pair table.  Defects,
-  antipodality and the tightness tests read only invariants, so they
-  hold for any exact configuration.  Angles themselves, for display,
-  are read off each distinct invariant once (:func:`invariant_angles`:
-  the angles times the lcm d of its denominators are the integer roots
-  of an integer polynomial, found by bisection and divided out exactly),
-  which succeeds only on rational spectra; every bundled configuration
-  has one;
+  (:func:`pairbatch.invariant_batch`: int64 images of the points modulo
+  word-size primes p = 1 mod 4, antipodal pairs certified by the trace
+  identity D tr M = tr M^2, the others lifted by Chinese remaindering
+  once per distinct class).  Classes are ordered by descending
+  invariant.  Defects, antipodality and the tightness tests read only
+  invariants, so they hold for any exact configuration.  Angles
+  themselves, for display, are read off each distinct invariant once
+  (:func:`invariant_angles`: the angles times the lcm d of its
+  denominators are the integer roots of an integer polynomial, found by
+  bisection and divided out exactly), which succeeds only on rational
+  spectra; every bundled configuration has one;
 * float mode stores complex entries and orthonormalizes each point
   through a thin SVD (which also reveals the rank).  A configuration
   forms the cross-Grams G = F_a^H F_b of the orthonormal frames of all
@@ -70,7 +69,7 @@ import numpy as np
 
 from . import pairbatch
 from .exactlinalg import gram_adjugate
-from .pairbatch import atom_classes, invariant_batch
+from .pairbatch import atom_counts, atom_table, atoms, invariant_batch
 from .scalars import EXACT_REAL_TYPES, gaussian_parts, gaussian_text, rational, rational_to_str
 
 EXACT = "exact"
@@ -364,7 +363,7 @@ def _load_points(bases: list, mode: str, declared) -> tuple:
 class SubspaceConfiguration:
     """Ordered list of points sharing one ambient G(m, n) and one mode."""
 
-    __slots__ = ("points", "label", "m", "n", "mode", "_pairs", "_invariants", "_classes", "_frames")
+    __slots__ = ("points", "label", "m", "n", "mode", "_pairs", "_source", "_classes", "_frames")
 
     def __init__(self, points: Sequence[SubspacePoint], label: str = ""):
         points = list(points)
@@ -379,7 +378,7 @@ class SubspaceConfiguration:
         self.points = points
         self.label = label
         self.m, self.n, self.mode = first.m, first.n, first.mode
-        self._pairs = self._invariants = self._classes = self._frames = None
+        self._pairs = self._source = self._classes = self._frames = None
 
     def __len__(self):
         return len(self.points)
@@ -399,43 +398,37 @@ class SubspaceConfiguration:
         config._frames = frames
         return config
 
-    def _invariant_table(self) -> tuple:
-        """Distinct invariants and each unordered pair's index into them, from one batch."""
+    def _pair_source(self) -> tuple:
+        """Where the pair classes come from, decided once: ``(atoms, table)``, one of them None.
+
+        ``atoms`` is the membership and ranks of :func:`pairbatch.atoms`;
+        else ``table`` is the batch's ``(invariants, classes)`` over all
+        pairs i <= j.
+        """
         if self.mode != EXACT:
             raise ValueError("angle invariants are exact-mode only")
-        if self._invariants is None:
-            first, second = _pair_indices(len(self.points))
-            invariants, classes = invariant_batch(self.points, first, second)
-            self._invariants = (first, second, invariants, classes)
-        return self._invariants
-
-    def _per_pair(self, values: list) -> dict:
-        """values[c] for each unordered pair (i, j) of invariant class c."""
-        first, second, _, classes = self._invariant_table()
-        pairs = zip(first.tolist(), second.tolist(), classes.tolist())
-        return {(i, j): values[c] for i, j, c in pairs}
+        if self._source is None:
+            found = atoms(self.points)
+            table = None if found else invariant_batch(self.points, *_pair_indices(len(self.points)))
+            self._source = (found, table)
+        return self._source
 
     def invariant_classes(self) -> dict:
-        """Multiplicities of angle invariants over all ordered pairs (exact mode), in order of first pair.
+        """Multiplicities of angle invariants over all ordered pairs (exact mode), by descending invariant.
 
-        Counted once, from the atoms of an antipodal set
-        (:func:`pairbatch.atom_classes`) when no pair batch has run yet:
-        read off the rows of a coordinate-aligned set, whose rows have one
-        nonzero entry each, or refined and certified exactly for any other;
-        and from the batch's classes when a check fails.  The atom counts
-        are float64 products of the membership matrix, exact since its
-        entries are 0 or atom ranks.  None builds a per-pair table.
+        Counted once from the pair source (:meth:`_pair_source`): off the
+        atoms by :func:`pairbatch.atom_counts`, with no per-pair table, or
+        from the batch's classes.
         """
         if self._classes is None:
-            if self.mode != EXACT:
-                raise ValueError("angle invariants are exact-mode only")
-            if self._invariants is None:
-                self._classes = atom_classes(self.points)
-            if self._classes is None:
-                first, second, invariants, classes = self._invariant_table()
-                diagonal = classes[first == second]
+            found, table = self._pair_source()
+            if found:
+                self._classes = atom_counts(*found, self.m)
+            else:
+                invariants, classes = table
+                first, second = _pair_indices(len(self.points))
                 size = len(invariants)
-                counts = 2 * np.bincount(classes, minlength=size) - np.bincount(diagonal, minlength=size)
+                counts = 2 * np.bincount(classes, minlength=size) - np.bincount(classes[first == second], minlength=size)
                 self._classes = dict(zip(invariants, counts.tolist()))
         return dict(self._classes)
 
@@ -484,19 +477,21 @@ class SubspaceConfiguration:
     def pair_angles(self) -> dict:
         """Principal angles keyed by index pair (i, j), i <= j, computed once.
 
-        Exact angles are read off each distinct pair invariant once; float angles
-        are read off the singular values of the chunked cross-Grams.
+        Exact angles are read off each distinct invariant of the pair
+        source's table once (:func:`pairbatch.atom_table` or the batch's);
+        float angles off the singular values of the chunked cross-Grams.
         """
         if self._pairs is None:
+            first, second = _pair_indices(len(self.points))
             if self.mode == FLOAT:
-                first, second = _pair_indices(len(self.points))
                 angles = np.concatenate([_gram_angles(g) for g in self._float_grams(first, second)])
-                self._pairs = dict(zip(zip(first.tolist(), second.tolist()), map(tuple, angles.tolist())))
+                values = map(tuple, angles.tolist())
             else:
-                # classes come in first-pair order, so the first pair that
-                # has an irrational angle is the one reported
-                invariants = self._invariant_table()[2]
-                self._pairs = self._per_pair([invariant_angles(e) for e in invariants])
+                found, table = self._pair_source()
+                invariants, classes = atom_table(*found, self.m) if found else table
+                angles = [invariant_angles(e) for e in invariants]
+                values = (angles[c] for c in classes.tolist())
+            self._pairs = dict(zip(zip(first.tolist(), second.tolist()), values))
         return self._pairs
 
     def angle_matrix(self) -> list:

@@ -28,33 +28,24 @@ invariants, not of pairs.  A lifted value outside its range, a
 certified pair with no w, or a trace or power sum whose two images
 differ (a nonzero imaginary residue) raises.
 
-A whole configuration is first tried through its atoms
-(:func:`atom_classes`).  Its points are pairwise antipodal exactly when
-their projectors commute, and then C^n splits into orthogonal atoms
-W_1 .. W_k with each point the sum V_a of the atoms in a set J_a; a
-pair's invariant is (C(w, 1), .., C(w, m)) with w the total rank of
-J_a & J_b (Chen-Nagano, Trans. AMS 308, 1988).  The N x k membership
-matrix H of the points in the atoms has two sources.  When every row of
-every point has one nonzero entry, the set is coordinate-aligned: V_a
-is span{e_c : c in I_a}, I_a the supports of its rows, every projector
-is diagonal, and the atoms are the n coordinate lines, so H is read off
-the rows and w = |I_a & I_b| is the Johnson-scheme relation.  No prime,
-image or certification is needed.  Any other set refines the atoms by
-the points in order, every decision taken on images modulo one word
-prime p = 1 mod 4, under the ring map Z[i] -> F_p that sends i to a
-square root of -1.  Per chunk of points, each atom vector gets a code
-per point: orthogonal to V_a, in V_a, or neither.  An atom with no
-"neither" is regrouped by its vectors' code signatures, with no
-arithmetic on the vectors, since they are then taken to be common
-eigenvectors of those projectors.  Any other atom is split in Python
-integers at the first point where it is not whole.  The atoms are then
-certified exactly, the orthogonality in Python integers and each point's
-atoms by one residue product modulo primes enough for an exact zero
-test, and H follows.  Any failed check returns None, and the
-configuration goes to :func:`invariant_batch` instead.  Both sources
-count the classes from w = H diag(r) H^T in row chunks of float64
-products on BLAS, exact since every entry is 0 or an atom rank and
-every w is at most n.
+A whole configuration is first tried through its atoms (:func:`atoms`).
+Its points are pairwise antipodal exactly when their projectors commute,
+and then C^n splits into orthogonal atoms W_1 .. W_k of ranks r_j, each
+point the sum V_a of the atoms in a set J_a; a pair's invariant is
+(C(w, 1), .., C(w, m)) with w the total rank of J_a & J_b (Chen-Nagano,
+Trans. AMS 308, 1988).  The N x k membership H of the points in the
+atoms is read off the rows of a coordinate-aligned set, one nonzero
+entry per row, whose atoms are the n coordinate lines and whose w are
+the Johnson-scheme relations |I_a & I_b|.  Any other set has its pairs
+(0, j) checked by the trace identity modulo one word prime, then its
+atoms refined by the points in order on images modulo that prime, and
+certified exactly.  Any failed check returns None, and the
+configuration goes to :func:`invariant_batch` instead.  Otherwise both
+the class counts (:func:`atom_counts`) and the per-pair table
+(:func:`atom_table`) are read off w = H diag(r) H^T, in row blocks of
+float64 products on BLAS, exact since every entry is 0 or an atom rank
+and every w is at most n.  Classes of either source are ordered by
+descending invariant.
 """
 
 from __future__ import annotations
@@ -159,21 +150,13 @@ class _PairBatch:
 
 
 def invariant_batch(points: Sequence, first, second) -> tuple:
-    """Pair invariants of the exact pairs (points[first[t]], points[second[t]]).
+    """Pair invariants of the exact pairs (points[first[t]], points[second[t]]), multi-modular as above.
 
-    Multi-modular: the matrix M = N_a C N_b C^H of a pair, C the
-    cross-Gram of the integer rows and G^-1 = N / D the reduced Gram
-    inverses, has the angles times D = D_a D_b as eigenvalues.  It is
-    formed from the images of the points modulo word-size primes
-    p = 1 mod 4 in int64, all primes and a chunk of pairs at once.  A
-    pair with D tr M = tr M^2 is antipodal, and its invariant is read
-    off w = tr M / D.  For the other pairs,
-    e_k(M) = D^k e_k come from the power sums by Newton's identities;
-    they are grouped by (D, residues) and each group is lifted once by
-    Chinese remaindering, exact because the primes exceed twice the
-    range of every e_k(M).  Returns ``(invariants, classes)``: the
-    distinct invariants in order of their first pair, and each pair's
-    index into them as an int array.
+    A pair with D tr M = tr M^2 is antipodal and read off w = tr M / D;
+    the others are grouped by (D, residues of e_k(M)) and each group is
+    lifted once.  Returns ``(invariants, classes)``: the distinct
+    invariants by descending value, and each pair's index into them as
+    an int array.
     """
     first = np.asarray(first, dtype=np.int64)
     second = np.asarray(second, dtype=np.int64)
@@ -182,7 +165,7 @@ def invariant_batch(points: Sequence, first, second) -> tuple:
     batch = _PairBatch(points)
     m = batch.m
     step = max(1, PAIR_CHUNK_ELEMENTS // (2 * len(batch.primes) * m * points[0].n))
-    groups: dict = {}  # key bytes -> group, in order of first pair
+    groups: dict = {}  # key bytes -> group
     labels = []
     for lo in range(0, len(first), step):
         # a certified pair is labelled w in 0..m, any other m + 1 + its group
@@ -193,16 +176,24 @@ def invariant_batch(points: Sequence, first, second) -> tuple:
             found = np.fromiter((groups.setdefault(r, len(groups)) for r in rows), np.int64, len(chunk))
             chunk_labels[chunk_labels < 0] = m + 1 + found
         labels.append(chunk_labels)
-    values = [tuple(rational(math.comb(w, k)) for k in range(1, m + 1)) for w in range(m + 1)]
+    values = [_binomial(w, m) for w in range(m + 1)]
     if groups:
         values += batch.invariants(np.frombuffer(b"".join(groups), dtype=np.int64).reshape(len(groups), -1))
-    labels, first_at, inverse = np.unique(np.concatenate(labels), return_index=True, return_inverse=True)
-    # in order of first pair; groups of different D may share an invariant
-    classes: dict = {}
-    merge = np.empty(len(labels), dtype=np.int64)
-    for at in np.argsort(first_at).tolist():
-        merge[at] = classes.setdefault(values[labels[at]], len(classes))
-    return list(classes), np.take(merge, inverse)
+    # groups of different D may share an invariant
+    return _ranked(values, np.concatenate(labels))
+
+
+def _binomial(w: int, m: int) -> tuple:
+    """The invariant (C(w, 1), .., C(w, m)) of an antipodal pair sharing rank w."""
+    return tuple(rational(math.comb(w, k)) for k in range(1, m + 1))
+
+
+def _ranked(values: list, labels: np.ndarray) -> tuple:
+    """The distinct values[labels] by descending value, and each label's index into them."""
+    used = np.bincount(labels, minlength=len(values)).astype(bool)
+    invariants = sorted({e for e, u in zip(values, used.tolist()) if u}, reverse=True)
+    index = {e: c for c, e in enumerate(invariants)}
+    return invariants, np.array([index.get(e, -1) for e in values])[labels]
 
 
 def _inner(u, v) -> tuple:
@@ -370,34 +361,41 @@ def _membership(atoms: list, rows: np.ndarray, pairs: list) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _count(member: np.ndarray, ranks: np.ndarray, m: int) -> dict:
-    """Invariant counts over ordered pairs from w = H diag(r) H^T, in order of first pair.
+def _weights(member: np.ndarray, ranks: np.ndarray):
+    """Row blocks of w = H diag(r) H^T as int64, each a chunk of rows lo .. hi - 1 against the columns j >= lo.
 
-    The products run in float64, so on BLAS, and are exact: every entry
-    of H and of diag(r) H^T is 0 or an atom rank, and every w is at most
-    n < 2^53.  Rows are taken in chunks of a fixed entry budget, so no
-    N x N array is formed.  The first occurrence of a w in row-major
-    order of the symmetric w matrix lies on or above the diagonal, so it
-    is the value's first pair.
+    The float64 products run on BLAS and are exact: every entry of H and
+    of diag(r) H^T is 0 or an atom rank, and every w is at most
+    n < 2^53.  Chunks have a fixed entry budget, so no N x N array is
+    formed.
     """
     size = len(member)
     member = member.astype(np.float64)
     weighted = (member * ranks).T
-    counts = np.zeros(m + 1, dtype=np.int64)
-    first: dict = {}
     # float64 rows of one chunk: BLAS wants a wider budget than int64 pair arrays
     step = max(1, 8 * PAIR_CHUNK_ELEMENTS // size)
     for lo in range(0, size, step):
-        w = (member[lo : lo + step] @ weighted).astype(np.int64).ravel()
-        found = np.bincount(w, minlength=m + 1)
-        counts += found
-        for v in np.flatnonzero(found).tolist():
-            if v not in first:
-                first[v] = lo * size + int(np.argmax(w == v))
-    return {
-        tuple(rational(math.comb(w, j)) for j in range(1, m + 1)): int(counts[w])
-        for w in sorted(first, key=first.get)
-    }
+        # bound to a name before it is converted and counted: with the
+        # product written inside np.bincount(...), the counting loop once
+        # took 1.45-9.5 s at (8, 16) against 0.4 s (numpy 2.4.6, fresh
+        # processes), for a cause not pinned down
+        w = member[lo : lo + step] @ weighted[:, lo:]
+        yield w.astype(np.int64)
+
+
+def atom_counts(member: np.ndarray, ranks: np.ndarray, m: int) -> dict:
+    """Invariant counts over ordered pairs from the atoms' membership H and ranks r, by descending invariant."""
+    counts = np.zeros(m + 1, dtype=np.int64)
+    for w in _weights(member, ranks):
+        # a block's own square holds its ordered pairs once, a later column both (i, j) and (j, i)
+        counts += 2 * np.bincount(w.ravel(), minlength=m + 1) - np.bincount(w[:, : len(w)].ravel(), minlength=m + 1)
+    return {_binomial(w, m): int(counts[w]) for w in range(m, -1, -1) if counts[w]}
+
+
+def atom_table(member: np.ndarray, ranks: np.ndarray, m: int) -> tuple:
+    """The ``(invariants, classes)`` of :func:`invariant_batch` over all pairs i <= j, read off the atoms' w blocks."""
+    w = np.concatenate([w[np.triu(np.ones(w.shape, dtype=bool))] for w in _weights(member, ranks)])
+    return _ranked([_binomial(v, m) for v in range(m + 1)], w)
 
 
 def _row_supports(points: Sequence):
@@ -415,53 +413,59 @@ def _row_supports(points: Sequence):
     return nonzero.any(axis=1)
 
 
-def atom_classes(points: Sequence):
-    """Invariant counts over ordered pairs of exact points, from their atoms; None when a check fails.
+def atoms(points: Sequence):
+    """The (N, k) membership H of exact points in their atoms and the k atom ranks r; None when a check fails.
 
-    The counts, keys and order are those of the classes of
-    :func:`invariant_batch` over all pairs i <= j.  The membership H of
-    the points in the atoms has two sources.  A coordinate-aligned set
-    (:func:`_row_supports`) reads it off its rows: each point is
-    span{e_c : c in I_a} with diagonal projectors, so the atoms are the
-    n coordinate lines and every pair is antipodal with w = |I_a & I_b|,
-    by inspection, with no prime, image or certification.  Any other set
-    takes the atoms from :func:`_refine`, modulo the first of the primes
-    of :func:`exactlinalg.split_moduli`.  They are certified when vectors
-    of different atoms are orthogonal (Python integers) and every point
-    meets atoms of total rank m.  A row a and an atom vector b have an
+    Every pair is then antipodal with w = sum of r_j over J_a & J_b.  A
+    coordinate-aligned set (:func:`_row_supports`) reads H off its rows:
+    each point is span{e_c : c in I_a} with diagonal projectors, so the
+    atoms are the n coordinate lines, with no prime, image or
+    certification.  Any other set is checked on the pairs (0, j) first,
+    modulo the first of the primes of :func:`exactlinalg.split_moduli`:
+    a pair whose images break the trace identity D tr M = tr M^2 of
+    :func:`invariant_batch` is not antipodal.  Then its atoms come from
+    :func:`_refine`, modulo the same prime, and are certified when
+    vectors of different atoms are orthogonal (Python integers) and
+    every point meets atoms of total rank m.  A row a and an atom vector b have an
     inner product with parts of size at most L = 2 n max|a| max|b|, so
     one whose image vanishes modulo primes of product above 2 L^2 is 0.
     With the ranks summing to n, the atoms span C^n; so V_a, orthogonal
-    to every atom outside J_a, is the sum of the atoms in J_a, and every
-    pair is antipodal with w = sum of r_j over J_a & J_b.  Both count
-    through :func:`_count`.
+    to every atom outside J_a, is the sum of the atoms in J_a.
     """
     size, m, n = len(points), points[0].m, points[0].n
     member = _row_supports(points)
     if member is not None:
-        return _count(member, np.ones(n), m)
+        return member, np.ones(n, dtype=np.int64)
     bits = modulus_bits(n)
     values = _parts(pt.rows for pt in points)
     shape, first = (size, m, n), split_moduli(bits, 1)
     p, s = first[0]
     image, conj = gaussian_images(values, first, shape)
     inv = gaussian_images(_parts(pt.inv_num for pt in points), first, (size, m, m))[0, 0]
+    dens = residues([pt.inv_den for pt in points], [p])[0]
+    # M = N_0 C N_j C^H with C = A_0 A_j^H, the image of A^H being the
+    # transposed image of conj(A)
+    left = inv[0] @ (image[0, 0] @ conj[0].swapaxes(-1, -2) % p) % p
+    mats = (left @ (inv @ (image[0] @ conj[0, 0].T % p) % p) % p)[None]
+    q = np.full((1, 1, 1, 1), p)
+    if (dens[0] * dens % p * trace_mod(mats, None, q) % p != trace_mod(mats, mats, q)).any():
+        return None
 
     def projectors(lo, hi):
         # D P_a = A^H N A, with A^H the transposed image of conj(A)
         return conj[0, lo:hi].swapaxes(-1, -2) @ inv[lo:hi] % p @ image[0, lo:hi] % p
 
-    atoms = _refine(points, p, s, projectors, residues([pt.inv_den for pt in points], [p])[0])
-    if atoms is None:
+    found = _refine(points, p, s, projectors, dens)
+    if found is None:
         return None
-    labelled = [(j, v) for j, atom in enumerate(atoms) for v in atom]
+    labelled = [(j, v) for j, atom in enumerate(found) for v in atom]
     for at, (j, u) in enumerate(labelled):
         if any(k != j and _inner(u, v) != (0, 0) for k, v in labelled[at + 1 :]):
             return None
     top_b = max(abs(x) for _, v in labelled for pair in v for x in pair)
     pairs = split_moduli(bits, 2 * (2 * n * max(max(values), -min(values)) * top_b) ** 2)
-    member = _membership(atoms, image if pairs == first else gaussian_images(values, pairs, shape)[0], pairs)
-    ranks = np.array([len(atom) for atom in atoms], dtype=np.int64)
+    member = _membership(found, image if pairs == first else gaussian_images(values, pairs, shape)[0], pairs)
+    ranks = np.array([len(atom) for atom in found], dtype=np.int64)
     if not (member @ ranks == m).all():
         return None
-    return _count(member, ranks, m)
+    return member, ranks

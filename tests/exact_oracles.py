@@ -14,7 +14,7 @@ recurrences that the tests check it against:
   text, and the same subspace spanned by recombined rows, in both
   modes;
 * ``pair_invariants``: a configuration's per-pair table of angle
-  invariants, read off its batch;
+  invariants, read off one pair batch and not off the atoms;
 * ``det``: the determinant by Bareiss's fraction-free elimination over
   any exact ring or field, the oracle for the package's integer minors
   (``exactlinalg.minor``);
@@ -39,7 +39,7 @@ recurrences that the tests check it against:
 * ``symmetry_image``: the image of a point under the geodesic symmetry
   2 P_a - I at another, in both modes; "s_a(b) = b for every pair" is
   the antipodality of an exact set, which the atom path of
-  ``pairbatch.atom_classes`` certifies;
+  ``pairbatch.atoms`` certifies;
 * ``prepare_point``, ``elementary_all``, ``complete_all``,
   ``elementary_eval``, ``complete_eval``: scalar symmetric-function
   evaluators, one point at a time;
@@ -75,9 +75,11 @@ from grassdesign.grassmann import (
     FLOAT,
     SubspacePoint,
     _check_pair,
+    _pair_indices,
     antipodal_angles,
     principal_angles,
 )
+from grassdesign.pairbatch import invariant_batch
 from grassdesign.partitions import Partition
 from grassdesign.scalars import EXACT_REAL_TYPES, ExactComplex, as_rational, is_exact_real, rational
 from grassdesign.symfunc import (
@@ -160,8 +162,10 @@ def recombined(point: SubspacePoint, coeffs) -> SubspacePoint:
 
 
 def pair_invariants(config) -> dict:
-    """Angle invariants (e_1, .., e_m) of an exact configuration keyed by index pair (i, j), i <= j, from its batch."""
-    return config._per_pair(config._invariant_table()[2])
+    """Angle invariants (e_1, .., e_m) of an exact configuration keyed by index pair (i, j), i <= j, from one batch."""
+    first, second = _pair_indices(len(config))
+    invariants, classes = invariant_batch(config.points, first, second)
+    return {(i, j): invariants[c] for i, j, c in zip(first.tolist(), second.tolist(), classes.tolist())}
 
 
 def det(rows):

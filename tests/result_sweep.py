@@ -4,7 +4,7 @@ Usage (from the repository root):
 
     PYTHONPATH=src python tests/result_sweep.py > sweep.txt
 
-The 135 lines are pinned in ``tests/result_sweep.txt``, which
+The 136 lines are pinned in ``tests/result_sweep.txt``, which
 ``tests/test_result_sweep.py`` compares with a run in process.
 
 The first hash is the SHA-256 of the canonical JSON of the command's
@@ -43,7 +43,8 @@ and ``antipodal --verify T8`` at (4, 8), and the deep recurrences of
 come ``antipodal --verify E+F`` at (8, 16), whose 12,870 points are
 counted in many row chunks, and ``verify-design --set E+F`` and
 ``angles`` on G(3, 6) with rows scaled by 3 + 4i, -i and 2 in descending
-coordinate order, both read off their rows.
+coordinate order, both read off their rows, and ``angles`` on the first
+disguised G(4, 8), whose 2,485 pairs are read off its atoms.
 Files are written to a temporary directory and named in the
 output by file name only.  Two checkouts whose sweeps ``diff`` equal
 give byte-identical results on the whole list.  The file is not
@@ -193,6 +194,8 @@ def commands(workdir: Path) -> list:
     out.append(["antipodal", "--m", "8", "--n", "16", "--verify", "E+F"])
     path = write(workdir, "scaled-coordinate-3-6.json", exact_document(scaled_coordinate_points(3, 6), "scaled-coordinate-3-6"))
     out += [["verify-design", "--config", path, "--set", "E+F"], ["angles", "--config", path]]
+    # the 2,485 pairs of a disguised G(4, 8), read off its atoms
+    out.append(["angles", "--config", str(workdir / "disguised-4-8.json")])
     return out
 
 

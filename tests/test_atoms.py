@@ -1,9 +1,10 @@
-"""Antipodal configurations counted through their atoms, against the pair batch.
+"""Antipodal configurations counted and tabulated through their atoms, against the pair batch.
 
 Pairwise antipodal points are sums of orthogonal atoms of C^n, and a
 pair's invariant follows from the total rank of the atoms they share
-(:func:`pairbatch.atom_classes`).  A coordinate-aligned set reads its
-atoms off its rows; any other set refines and certifies them.  Every
+(:func:`pairbatch.atoms`).  A coordinate-aligned set reads its atoms off
+its rows; any other set refines and certifies them.  Both the counts and
+the per-pair table come from the atoms, with no pair batch.  Every
 configuration that fails one of the exact checks goes to the pair batch
 instead, once.
 """
@@ -23,13 +24,14 @@ from grassdesign.exactlinalg import _is_prime, split_moduli
 from grassdesign.grassmann import (
     RankDeficiencyError,
     SubspaceConfiguration,
+    antipodal_invariant,
     great_antipodal,
     orthogonal_split_config,
     six_point_config,
 )
 from grassdesign.scalars import rational
 
-from exact_oracles import same_subspace, symmetry_image
+from exact_oracles import pair_invariant_oracle, same_subspace, symmetry_image
 from seeded_configs import (
     block_points,
     coordinate_points,
@@ -50,13 +52,25 @@ def configuration(points, label="test") -> SubspaceConfiguration:
 
 
 def batch_classes(config) -> dict:
-    """Ordered-pair counts of the batch's classes over all pairs i <= j, in order of first pair."""
+    """Ordered-pair counts of the batch's classes over all pairs i <= j, by descending invariant."""
     first, second = grassmann._pair_indices(len(config))
     invariants, classes = pairbatch.invariant_batch(config.points, first, second)
     counts = {e: 0 for e in invariants}
     for i, j, c in zip(first.tolist(), second.tolist(), classes.tolist()):
         counts[invariants[c]] += 1 if i == j else 2
     return counts
+
+
+def atom_counts(config) -> dict:
+    """The invariant counts of a configuration's atoms, which must certify."""
+    return pairbatch.atom_counts(*pairbatch.atoms(config.points), config.m)
+
+
+def batch_angles(config) -> list:
+    """The angles of every pair i <= j, in pair order, read off one pair batch."""
+    invariants, classes = pairbatch.invariant_batch(config.points, *grassmann._pair_indices(len(config)))
+    angles = [grassmann.invariant_angles(e) for e in invariants]
+    return [angles[c] for c in classes.tolist()]
 
 
 @contextmanager
@@ -113,12 +127,21 @@ def test_atom_counts_equal_batch_counts_on_unions_of_atoms(points, disguised, se
     if disguised:
         points = disguise(points, seed)
     config = configuration(points)
-    assert pairbatch.atom_classes(config.points) is not None
+    found = pairbatch.atoms(config.points)
+    assert found is not None
     with counted_batches() as batches:
         got = config.invariant_classes()
+        angles = config.pair_angles()
     assert batches == []
     want = batch_classes(config)
     assert list(got.items()) == list(want.items())
+    # the atoms' per-pair table is the batch's, class indices included
+    first, second = grassmann._pair_indices(len(config))
+    invariants, classes = pairbatch.atom_table(*found, config.m)
+    want_invariants, want_classes = pairbatch.invariant_batch(config.points, first, second)
+    assert invariants == want_invariants and classes.tolist() == want_classes.tolist()
+    assert list(angles) == list(zip(first.tolist(), second.tolist()))
+    assert list(angles.values()) == batch_angles(config)
 
 
 @settings(max_examples=30, deadline=None)
@@ -145,23 +168,39 @@ def test_non_antipodal_and_mixed_sets_fall_back_once(base, disguised, seed, extr
         config = configuration(points)
     except RankDeficiencyError:
         assume(False)
-    # no coordinate-aligned set: the atoms are refined, then the batch runs once
+    # no coordinate-aligned set: a pair (0, j) that is not antipodal fails
+    # before the atoms are refined; else they are refined and fail there;
+    # then the batch runs once
+    with_first = [pair_invariant_oracle(config[0], b) for b in config]
     with mock.patch.object(pairbatch, "_refine", wraps=pairbatch._refine) as refine:
-        assert pairbatch.atom_classes(config.points) is None
-    assert refine.call_count == 1
+        assert pairbatch.atoms(config.points) is None
+    assert refine.call_count == all(map(antipodal_invariant, with_first))
     with counted_batches() as batches:
         got = config.invariant_classes()
         assert config.invariant_classes() == got
+        if base == "six":
+            assert list(config.pair_angles().values()) == batch_angles(config)
     assert len(batches) == 1
     assert list(got.items()) == list(batch_classes(config).items())
 
 
+def test_a_pair_with_the_first_point_that_is_not_antipodal_fails_before_refining():
+    # two dense lines of C^400: the trace identity on the images of the
+    # pair (0, 1) fails, so no atom is refined
+    config = configuration([dense_point(1, 400, s) for s in (0, 1)])
+    with mock.patch.object(pairbatch, "_refine", side_effect=AssertionError("refined")):
+        assert pairbatch.atoms(config.points) is None
+        with counted_batches() as batches:
+            assert len(config.pair_angles()) == 3
+    assert len(batches) == 1
+
+
 def test_counts_are_the_johnson_scheme_relations():
     # ordered pairs of m-subsets of n with w in common number
-    # C(n, m) C(m, w) C(n - m, m - w), first met at w = m, m - 1, .., 0;
+    # C(n, m) C(m, w) C(n - m, m - w), in descending order w = m, .., 0;
     # the 924 points of (6, 12) take several row chunks
     for m, n in ((1, 2), (2, 4), (2, 6), (3, 6), (3, 7), (4, 8), (6, 12)):
-        got = pairbatch.atom_classes(great_antipodal(m, n).points)
+        got = atom_counts(great_antipodal(m, n))
         assert list(got.items()) == [
             (tuple(rational(math.comb(w, k)) for k in range(1, m + 1)), math.comb(n, m) * math.comb(m, w) * math.comb(n - m, m - w))
             for w in range(m, -1, -1)
@@ -170,15 +209,18 @@ def test_counts_are_the_johnson_scheme_relations():
 
 def test_counts_identical_across_chunk_sizes(monkeypatch):
     # a disguised set splits its atoms, a coordinate set reads them off
-    # its rows; both count in row chunks
+    # its rows; both count and tabulate in row chunks
     default = pairbatch.PAIR_CHUNK_ELEMENTS
     for config in (configuration(disguised_points(3, 6, 3)), great_antipodal(3, 6)):
         monkeypatch.setattr(pairbatch, "PAIR_CHUNK_ELEMENTS", default)
-        want = pairbatch.atom_classes(config.points)
+        want = atom_counts(config)
+        want_invariants, want_classes = pairbatch.atom_table(*pairbatch.atoms(config.points), config.m)
         for elements in (1, 7, 100, default):
             monkeypatch.setattr(pairbatch, "PAIR_CHUNK_ELEMENTS", elements)
-            got = pairbatch.atom_classes(config.points)
+            got = atom_counts(config)
             assert list(got.items()) == list(want.items())
+            invariants, classes = pairbatch.atom_table(*pairbatch.atoms(config.points), config.m)
+            assert invariants == want_invariants and classes.tolist() == want_classes.tolist()
 
 
 def refinement_trace(monkeypatch, config) -> tuple:
@@ -192,7 +234,7 @@ def refinement_trace(monkeypatch, config) -> tuple:
 
     monkeypatch.setattr(pairbatch, "_split", lambda point, *rest: splits.append(point) or split(point, *rest))
     monkeypatch.setattr(pairbatch, "_refine", counting_refine)
-    assert pairbatch.atom_classes(config.points) is not None
+    assert pairbatch.atoms(config.points) is not None
     return [config.points.index(p) for p in splits], chunks
 
 
@@ -219,13 +261,17 @@ def test_refinement_splits_where_points_reduce_atoms_and_stops_at_lines(monkeypa
 
 
 def test_a_split_that_is_not_invariant_fails_before_certification():
-    # the dense second point meets the atom span{e_0, e_1} of the first
-    # without reducing it: the parts in V_a and in its complement have
-    # ranks adding up to more than 2
-    points = coordinate_points(2, 4)[:1] + [dense_point(2, 4, 5)] + coordinate_points(2, 4)[1:]
-    config = configuration(points)
+    # every pair (0, j) of the six-point set is antipodal, so its atoms are
+    # refined: its four coordinate planes leave the lines e_0 .. e_3, and
+    # the fifth point, span{e_0 + i e_1, e_2}, meets the line e_0 without
+    # reducing it: the parts in V_a and in its complement have rank 2
+    config = configuration(six_points())
+    splits, split = [], pairbatch._split
     with mock.patch.object(pairbatch, "_membership", side_effect=AssertionError("certified")):
-        assert pairbatch.atom_classes(config.points) is None
+        with mock.patch.object(pairbatch, "_split", lambda point, *rest: splits.append((point, split(point, *rest))) or splits[-1][1]):
+            assert pairbatch.atoms(config.points) is None
+    point, parts = splits[-1]
+    assert point is config[4] and parts is None
 
 
 def test_split_moduli():
@@ -244,11 +290,9 @@ def test_atoms_of_rank_above_one_are_found():
     # blocks {0, 1}, {2, 3}, {4, 5} of C^6, disguised: no point separates a
     # block, so the refinement ends at three atoms of rank 2
     points = disguise(block_points([[0, 1], [2, 3], [4, 5]], [[0], [1], [2], [0]]), 3)
-    calls = []
-    count = pairbatch._count
-    with mock.patch.object(pairbatch, "_count", lambda member, ranks, m: calls.append(ranks.tolist()) or count(member, ranks, m)):
-        got = pairbatch.atom_classes(configuration(points).points)
-    assert calls == [[2, 2, 2]]
+    member, ranks = pairbatch.atoms(configuration(points).points)
+    assert ranks.tolist() == [2, 2, 2]
+    got = pairbatch.atom_counts(member, ranks, 2)
     assert list(got.items()) == [((rational(2), rational(1)), 6), ((rational(0), rational(0)), 10)]
 
 
@@ -261,7 +305,9 @@ def test_coordinate_aligned_sets_are_read_off_their_rows():
         images = mock.patch.object(pairbatch, "gaussian_images", side_effect=AssertionError("images"))
         with refine, images:
             got = config.invariant_classes()
+            angles = config.pair_angles()
         assert list(got.items()) == list(want.items())
+        assert list(angles.values()) == batch_angles(config)
 
 
 @pytest.mark.parametrize("shape", [(1, 3), (2, 5), (3, 6)])
@@ -275,11 +321,34 @@ def test_scaled_unsorted_coordinate_rows_count_as_their_disguised_copy(shape):
     assert {v for point in doc["points"] for row in point["rows"] for v in row} == {"0", "3+4*i", "-i", "2"}
     config = SubspaceConfiguration.from_json(doc)
     assert pairbatch._row_supports(config.points) is not None
-    got = pairbatch.atom_classes(config.points)
+    got = atom_counts(config)
     disguised = configuration(disguise(points, 5))
     assert pairbatch._row_supports(disguised.points) is None
-    for want in (pairbatch.atom_classes(disguised.points), batch_classes(config), batch_classes(disguised)):
+    for want in (atom_counts(disguised), batch_classes(config), batch_classes(disguised)):
         assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("make", [lambda: great_antipodal(6, 12), lambda: configuration(disguised_points(4, 8, 5))])
+def test_pair_angles_of_antipodal_sets_run_no_batch(make):
+    # 426,426 pairs over several row chunks, and the 2,485 pairs of a
+    # disguised G(4, 8), each read off the atoms
+    config = make()
+    with counted_batches() as batches:
+        angles = config.pair_angles()
+    assert batches == []
+    assert list(angles) == list(zip(*(x.tolist() for x in grassmann._pair_indices(len(config)))))
+    assert list(angles.values()) == batch_angles(config)
+
+
+@pytest.mark.parametrize("make", [lambda: configuration(disguised_points(3, 6, 3)), six_point_config])
+def test_invariant_classes_do_not_depend_on_call_order(make):
+    before, after = make(), make()
+    want = before.invariant_classes()
+    after.pair_angles()
+    before.pair_angles()
+    for config in (before, after):
+        assert list(config.invariant_classes().items()) == list(want.items())
+    assert list(want) == sorted(want, reverse=True)
 
 
 EXACT_SETS = {
@@ -301,5 +370,5 @@ def test_geodesic_symmetries_fix_every_point_exactly_when_the_atoms_certify(name
     # s_a(b) = b, for s_a = 2 P_a - I, holds when P_a and P_b commute
     config = EXACT_SETS[name]()
     fixed = all(same_subspace(symmetry_image(a, b), b) for i, a in enumerate(config) for b in config.points[i + 1 :])
-    assert fixed == (pairbatch.atom_classes(config.points) is not None)
+    assert fixed == (pairbatch.atoms(config.points) is not None)
     assert fixed == (name.startswith(("great", "disguised-2", "rank")))

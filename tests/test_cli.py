@@ -309,11 +309,12 @@ def test_antipodal_six_twelve_in_time(capsys):
 
 
 def test_design_path_builds_no_per_pair_table(capsys, monkeypatch):
-    # defects and antipodality read the batch's classes alone
-    def no_table(self, *args):
+    # defects and antipodality read the atoms' class counts alone
+    def no_table(*args):
         raise AssertionError("per-pair table built on the design path")
 
-    monkeypatch.setattr(SubspaceConfiguration, "_per_pair", no_table)
+    monkeypatch.setattr(grassmann, "atom_table", no_table)
+    monkeypatch.setattr(grassmann, "invariant_batch", no_table)
     monkeypatch.setattr(SubspaceConfiguration, "pair_angles", no_table)
     assert main(["antipodal", "--m", "3", "--n", "6", "--verify", "E+F"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -1058,6 +1059,42 @@ def test_cli_imports_no_argument_parser():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_commands_import_no_masked_arrays(tmp_path):
+    # a plain np.unique(x) imports numpy.ma on its first call, tens of
+    # milliseconds at start-up; no command of these kinds may make one
+    points = disguised_points(2, 4, 1)
+    exact = tmp_path / "disguised.json"
+    exact.write_text(json.dumps(exact_document(points, "disguised")))
+    floats = tmp_path / "disguised-float.json"
+    floats.write_text(json.dumps(float_document(points, "disguised-float")))
+    commands = [
+        ["antipodal", "--m", "2", "--n", "4", "--verify", "E+F"],
+        ["appendix-b", "--verify", "E+F"],
+        *(argv for path in (exact, floats) for argv in (
+            ["angles", "--config", str(path)],
+            ["verify-design", "--config", str(path), "--set", "E+F"],
+        )),
+        ["check-nonneg", "--certificate", "F", "--m", "2", "--n", "4", "--depth", "6"],
+        ["zonal", "--mu", "2,1", "--m", "2", "--n", "4"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from grassdesign.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        print(main(argv), file=sys.stderr)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = Path(grassdesign.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # appendix-b's six-point set is no E+F design
+    assert proc.stderr.split() == ["0", "1", "0", "0", "0", "0", "0", "0"]
 
 
 def test_computational_errors_exit_three(tmp_path, capsys):
