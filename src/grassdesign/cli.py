@@ -299,16 +299,28 @@ def cmd_dims(args) -> tuple:
     return EXIT_OK, {"m": args.m, "n": args.n, "table": rows}, csv_rows
 
 
+def _angle_rows(config: SubspaceConfiguration) -> list:
+    """The angle matrix as JSON rows, each angle vector formatted once.
+
+    The matrix holds one tuple per unordered pair, and exact pair tables
+    share one tuple per angle class, so each tuple's text is built once
+    and shared by the entries that hold it.
+    """
+    matrix = config.angle_matrix()
+    distinct = {id(y): y for row in matrix for y in row}
+    texts = {key: angles_to_json(y) for key, y in distinct.items()}
+    return [[texts[id(y)] for y in row] for row in matrix]
+
+
 def cmd_angles(args) -> tuple:
     config = _load_config(args.config)
-    matrix = config.angle_matrix()
     result = {
         "label": config.label,
         "m": config.m,
         "n": config.n,
         "mode": config.mode,
         "size": len(config),
-        "angles": [[angles_to_json(y) for y in row] for row in matrix],
+        "angles": _angle_rows(config),
     }
     csv_rows = chain(
         [["i", "j", "angles"]],
@@ -370,11 +382,10 @@ def cmd_antipodal(args) -> tuple:
 
 def cmd_appendix_b(args) -> tuple:
     config = grassmann.six_point_config()
-    matrix = config.angle_matrix()
     result = {
         "label": config.label,
         "size": len(config),
-        "angles": [[angles_to_json(y) for y in row] for row in matrix],
+        "angles": _angle_rows(config),
     }
     return _with_report(config, args.verify, result)
 

@@ -17,7 +17,10 @@ where c is positive.
 
 Each certificate is its defining polynomial written in normalized
 Schurs, converted to kernel coefficients by one triangular change of
-basis (:func:`kernel_coefficients`).  Three are built exactly:
+basis (:func:`kernel_coefficients`), run fraction-free on the kernels'
+integer numerators; its expansion in normalized Schurs is summed the
+same way, so no ``Fraction`` view of a kernel is built.  Three are
+built exactly:
 
 * the product of all principal angles, X*_(1^m) (bound binomial(n, m),
   tight on the maximum antipodal configurations),
@@ -33,7 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from math import comb
+from math import comb, gcd, lcm
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -222,12 +225,21 @@ class CoefficientFunction:
 
     @property
     def expansion(self) -> SchurExpansion:
-        """F = sum c_mu Z_mu in normalized Schurs, expanded once into one dict."""
+        """F = sum c_mu Z_mu in normalized Schurs, expanded once into one dict.
+
+        Each c_mu Z_mu is the kernel's integer numerators times c_mu's
+        numerator, lifted to the common denominator q of the products
+        c_mu den_mu; the sums are integers over q, one ``Fraction`` per
+        shape at the end.  Shapes keep the order of a ``Fraction`` sum by
+        :func:`add_terms`, since a sum over q cancels where that one does.
+        """
         if self._expansion is None:
+            kernels = [(c, zonal_kernel(mu, self.n)) for mu, c in self.coeffs.items()]
+            q = lcm(*(c.denominator * k.den for c, k in kernels))
             total = {}
-            for mu, c in self.coeffs.items():
-                add_terms(total, zonal_kernel(mu, self.n).expansion.coeffs.items(), c)
-            self._expansion = SchurExpansion._built(self.m, total)
+            for c, k in kernels:
+                add_terms(total, k.terms.items(), c.numerator * (q // (c.denominator * k.den)))
+            self._expansion = SchurExpansion._built(self.m, {sigma: rational(t, q) for sigma, t in total.items()})
         return self._expansion
 
     def evaluate_batch(self, points) -> list:
@@ -286,19 +298,34 @@ def lp_bound(cert: CoefficientFunction) -> BoundRecord:
 
 
 def kernel_coefficients(poly: SchurExpansion, n: int) -> CoefficientFunction:
-    """Coefficients c_mu with sum c_mu Z_mu = poly, by triangular elimination.
+    """Coefficients c_mu with sum c_mu Z_mu = poly, by fraction-free triangular elimination.
 
     Z_mu is X*_mu plus shapes of smaller weight, so subtracting from
     ``poly`` the multiple of Z_mu that cancels its largest shape mu leaves
-    only smaller shapes; repeating empties it.
+    only smaller shapes; repeating empties it.  The remainder is integer
+    numerators r over one positive denominator q, and Z_mu is its kernel's
+    numerators K over den.  With a = r[mu] and b = K[mu], c_mu is
+    a den / (q b) and the remainder becomes (b r - a K) / (q b), signs
+    flipped when b < 0: den cancels, and the content of the new
+    numerators and denominator is divided out.  Each c_mu is one
+    ``Fraction``.
     """
-    rest = dict(poly.coeffs)
+    q = lcm(*(c.denominator for c in poly.coeffs.values()))
+    rest = {sigma: c.numerator * (q // c.denominator) for sigma, c in poly.coeffs.items()}
     out = {}
     while rest:
         mu = max(rest, key=Partition.sort_key)
-        kernel = zonal_kernel(mu, n).expansion
-        out[mu] = rest[mu] / kernel.coeff(mu)
-        add_terms(rest, kernel.coeffs.items(), -out[mu])
+        kernel = zonal_kernel(mu, n)
+        a, b = rest[mu], kernel.terms[mu]
+        if b < 0:
+            a, b = -a, -b
+        out[mu] = rational(a * kernel.den, q * b)
+        rest = add_terms({sigma: b * r for sigma, r in rest.items()}, kernel.terms.items(), -a)
+        q *= b
+        g = gcd(q, *rest.values())
+        if g > 1:
+            q //= g
+            rest = {sigma: r // g for sigma, r in rest.items()}
     return CoefficientFunction(poly.m, n, out)
 
 

@@ -553,9 +553,17 @@ class SubspaceConfiguration:
 
 
 def _pair_indices(k: int) -> tuple:
-    """Index arrays (first, second) of the unordered pairs i <= j of k points, in pair order."""
-    first = np.fromiter((i for i in range(k) for _ in range(i, k)), np.int64)
-    second = np.fromiter((j for i in range(k) for j in range(i, k)), np.int64)
+    """Index arrays (first, second) of the unordered pairs i <= j of k points, in pair order.
+
+    Row i holds the k - i pairs (i, i) .. (i, k - 1) from offset
+    o_i = k + (k - 1) + .. + (k - i + 1), so pair t of row i has
+    j = t - (o_i - i).  Both arrays come from repeats of the row lengths,
+    with no Python loop and no k x k mask.
+    """
+    lengths = np.arange(k, 0, -1, dtype=np.int64)
+    first = np.repeat(np.arange(k, dtype=np.int64), lengths)
+    second = np.arange(len(first), dtype=np.int64)
+    second -= np.repeat(np.cumsum(lengths) - lengths - np.arange(k), lengths)
     return first, second
 
 

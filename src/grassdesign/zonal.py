@@ -32,13 +32,13 @@ over their total, with no ``Fraction`` made, and the s_sigma(1, .., 1)
 they carry is taken up to a factor that every shape shares, in
 O(l(mu)^2) factors per shape.  The closed forms are converted to the
 same form over the lcm of their denominators.  ``to_json`` writes each
-coefficient from one gcd; the ``Fraction`` coefficients that the
-certificate code reads are a view built on first use.
+coefficient from one gcd, and the certificate code
+(:func:`designs.kernel_coefficients`, ``CoefficientFunction.expansion``)
+reads the numerators too, so no ``Fraction`` view of a kernel is built.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, inf, isfinite, lcm, perm, prod
 from functools import lru_cache
 from itertools import combinations, repeat, starmap
@@ -93,11 +93,10 @@ class ZonalPolynomial:
     in down-set (graded lex) order.  Invariants checked at construction:
     every term lies in the down-set of mu, and the numerators sum to the
     component dimension times ``den``, the kernel's value at the all-ones
-    point.  :attr:`expansion` is the same kernel with ``Fraction``
-    coefficients, built on first use and kept.
+    point.  The certificate code reads the numerators as they are.
     """
 
-    __slots__ = ("mu", "n", "dim", "terms", "den", "_expansion")
+    __slots__ = ("mu", "n", "dim", "terms", "den")
 
     def __init__(self, mu: Partition, n: int, terms: dict, den: int):
         _require_ambient(mu.m, n)
@@ -116,7 +115,6 @@ class ZonalPolynomial:
         self.dim = dim
         self.terms = terms
         self.den = den
-        self._expansion = None
 
     @classmethod
     def from_expansion(cls, mu: Partition, n: int, expansion: SchurExpansion) -> "ZonalPolynomial":
@@ -130,18 +128,6 @@ class ZonalPolynomial:
     @property
     def m(self) -> int:
         return self.mu.m
-
-    @property
-    def expansion(self) -> SchurExpansion:
-        """The kernel as a :class:`SchurExpansion` of ``Fraction`` coefficients, built once."""
-        if self._expansion is None:
-            den = self.den
-            coeffs = {sigma: Fraction(c, den) for sigma, c in self.terms.items()}
-            self._expansion = SchurExpansion._built(self.m, coeffs)
-        return self._expansion
-
-    def coeff(self, sigma: Partition):
-        return self.expansion.coeff(sigma)
 
     def evaluate(self, y):
         """Z_mu(y) by :func:`kernel_sums` at the invariants of y: a ``Fraction`` at exact y, a float otherwise."""

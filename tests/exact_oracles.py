@@ -15,6 +15,9 @@ recurrences that the tests check it against:
   modes;
 * ``pair_invariants``: a configuration's per-pair table of angle
   invariants, read off one pair batch and not off the atoms;
+* ``pair_indices_oracle``: the index arrays of the pairs i <= j of k
+  points from Python generators, the form that the package's repeats of
+  the row lengths replaced;
 * ``det``: the determinant by Bareiss's fraction-free elimination over
   any exact ring or field, the oracle for the package's integer minors
   (``exactlinalg.minor``);
@@ -52,6 +55,12 @@ recurrences that the tests check it against:
   columns replaced;
 * ``expansion_at_ones``, ``scaled_expansion``: a ``SchurExpansion``'s
   value at the all-ones point and its multiple by a rational;
+* ``kernel_expansion``, ``kernel_coeff``, ``fraction_kernel_coefficients``,
+  ``fraction_certificate_expansion``: a kernel as a ``SchurExpansion`` of
+  ``Fraction`` coefficients, the view the package kept before its
+  certificate code read the kernels' integer numerators, and the
+  triangular elimination and the expansion of sum c_mu Z_mu run on that
+  view in ``Fraction`` arithmetic;
 * ``invariant_columns``, ``normalized_schur_at_invariants``,
   ``schur_moments``, ``moment_defects``: design defects by the route
   that :func:`zonal.kernel_sums` replaced.  Each kernel is expanded over
@@ -88,6 +97,7 @@ from grassdesign.symfunc import (
     _elementary_terms,
     _evaluate,
     _top_index,
+    add_terms,
     exact_schur_sum,
     scaled_point,
     schur_e_polynomial,
@@ -166,6 +176,13 @@ def pair_invariants(config) -> dict:
     first, second = _pair_indices(len(config))
     invariants, classes = invariant_batch(config.points, first, second)
     return {(i, j): invariants[c] for i, j, c in zip(first.tolist(), second.tolist(), classes.tolist())}
+
+
+def pair_indices_oracle(k: int) -> tuple:
+    """Index arrays (first, second) of the unordered pairs i <= j of k points, row by row from generators."""
+    first = np.fromiter((i for i in range(k) for _ in range(i, k)), np.int64)
+    second = np.fromiter((j for i in range(k) for j in range(i, k)), np.int64)
+    return first, second
 
 
 def det(rows):
@@ -654,6 +671,36 @@ def scaled_expansion(expansion, factor):
     """A SchurExpansion times an exact rational."""
     factor = as_rational(factor)
     return SchurExpansion(expansion.m, [(s, c * factor) for s, c in expansion.coeffs.items()])
+
+
+def kernel_expansion(kernel) -> SchurExpansion:
+    """A kernel's integer numerators over its denominator as a ``SchurExpansion`` of ``Fraction`` coefficients, in down-set order."""
+    return SchurExpansion._built(kernel.m, {sigma: rational(c, kernel.den) for sigma, c in kernel.terms.items()})
+
+
+def kernel_coeff(kernel, sigma):
+    """A kernel's coefficient of X*_sigma as a ``Fraction``, 0 off its terms."""
+    return rational(kernel.terms.get(sigma, 0), kernel.den)
+
+
+def fraction_kernel_coefficients(poly, n: int) -> dict:
+    """c_mu with sum c_mu Z_mu = poly, by triangular elimination in ``Fraction`` arithmetic on the kernels' views."""
+    rest = dict(poly.coeffs)
+    out = {}
+    while rest:
+        mu = max(rest, key=Partition.sort_key)
+        kernel = kernel_expansion(zonal_kernel(mu, n))
+        out[mu] = rest[mu] / kernel.coeff(mu)
+        add_terms(rest, kernel.coeffs.items(), -out[mu])
+    return out
+
+
+def fraction_certificate_expansion(cert) -> SchurExpansion:
+    """sum c_mu Z_mu of a ``CoefficientFunction``, summed in ``Fraction`` arithmetic over the kernels' views."""
+    total = {}
+    for mu, c in cert.coeffs.items():
+        add_terms(total, kernel_expansion(zonal_kernel(mu, cert.n)).coeffs.items(), c)
+    return SchurExpansion._built(cert.m, total)
 
 
 def invariant_columns(invariants) -> tuple:

@@ -4,7 +4,7 @@ Usage (from the repository root):
 
     PYTHONPATH=src python tests/result_sweep.py > sweep.txt
 
-The 136 lines are pinned in ``tests/result_sweep.txt``, which
+The 146 lines are pinned in ``tests/result_sweep.txt``, which
 ``tests/test_result_sweep.py`` compares with a run in process.
 
 The first hash is the SHA-256 of the canonical JSON of the command's
@@ -44,7 +44,9 @@ come ``antipodal --verify E+F`` at (8, 16), whose 12,870 points are
 counted in many row chunks, and ``verify-design --set E+F`` and
 ``angles`` on G(3, 6) with rows scaled by 3 + 4i, -i and 2 in descending
 coordinate order, both read off their rows, and ``angles`` on the first
-disguised G(4, 8), whose 2,485 pairs are read off its atoms.
+disguised G(4, 8), whose 2,485 pairs are read off its atoms.  The list
+ends with ``bound`` for E, F and ``one`` at (5, 10), (6, 12) and
+(6, 13), and a seeded ``check-nonneg`` for E at (5, 10).
 Files are written to a temporary directory and named in the
 output by file name only.  Two checkouts whose sweeps ``diff`` equal
 give byte-identical results on the whole list.  The file is not
@@ -196,6 +198,9 @@ def commands(workdir: Path) -> list:
     out += [["verify-design", "--config", path, "--set", "E+F"], ["angles", "--config", path]]
     # the 2,485 pairs of a disguised G(4, 8), read off its atoms
     out.append(["angles", "--config", str(workdir / "disguised-4-8.json")])
+    # certificates beyond m = 4
+    out += [["bound", "--certificate", c, "--m", str(m), "--n", str(n)] for m, n in ((5, 10), (6, 12), (6, 13)) for c in CERTIFICATES]
+    out.append(["--seed", "5", "check-nonneg", "--certificate", "E", "--m", "5", "--n", "10", "--samples", "50"])
     return out
 
 

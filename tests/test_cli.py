@@ -25,6 +25,7 @@ from grassdesign.grassmann import angles_to_json, great_antipodal, random_subspa
 from grassdesign.partitions import RANK_BUDGET, SHAPE_BUDGET, Partition
 
 from argparse_oracle import build_parser
+from exact_oracles import kernel_expansion
 from seeded_configs import dense_point, disguised_points, exact_document, float_document
 
 
@@ -242,11 +243,12 @@ def test_json_runs_format_no_csv_rows(capsys, monkeypatch):
     capsys.readouterr()
     assert main(["appendix-b", "--verify", "E+F", "--emit", "csv"]) == 3
     assert "a CSV row was formatted" in capsys.readouterr().err
-    # angle rows reuse the result's text of each angle vector
+    # angle rows reuse the result's text of each angle vector, and each
+    # distinct exact vector is formatted once
     calls = []
     monkeypatch.setattr(cli, "angles_to_json", lambda y: calls.append(y) or angles_to_json(y))
     assert main(["appendix-b", "--emit", "csv"]) == 0
-    assert len(calls) == 36
+    assert sorted(calls) == sorted(grassmann.six_point_config().angle_classes())
 
 
 def test_result_payload_is_byte_stable(capsys):
@@ -781,7 +783,7 @@ def test_integers_past_the_digit_limit_are_written(capsys):
         assert [row["dim"] for row in dims["table"]] == [zonal.harmonic_dim(Partition([k], m=1), n) for k in range(3)]
         assert len(str(dims["table"][2]["dim"])) > 4300
         assert kernel["dim"] == want.dim
-        assert [Fraction(t["coeff"]) for t in kernel["terms"]] == [c for _, c in want.expansion.terms()]
+        assert [Fraction(t["coeff"]) for t in kernel["terms"]] == [c for _, c in kernel_expansion(want).terms()]
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -859,18 +861,20 @@ def test_shape_limit_exits_three_fast(argv, tmp_path, capsys):
 
 def test_zonal_command_makes_no_fraction(monkeypatch, capsys):
     # the kernel is built and written from its integer numerators over one
-    # denominator; a Fraction in zonal would raise
+    # denominator; zonal imports no Fraction, and a rational in zonal
+    # would raise
     def refuse(*args):
         raise AssertionError("zonal made a Fraction")
 
     for cached in (zonal.zonal_kernel, zonal.harmonic_dim):
         cached.cache_clear()
-    monkeypatch.setattr(zonal, "Fraction", refuse)
+    assert not hasattr(zonal, "Fraction")
+    monkeypatch.setattr(zonal, "rational", refuse)
     code, doc = run_json(capsys, "zonal", "--mu", "3,2,1,1", "--m", "4", "--n", "10")
     monkeypatch.undo()
     kernel = zonal.zonal_kernel(Partition([3, 2, 1, 1]), 10)
     assert code == 0
-    assert [t["coeff"] for t in doc["result"]["terms"]] == [str(c) for _, c in kernel.expansion.terms()]
+    assert [t["coeff"] for t in doc["result"]["terms"]] == [str(c) for _, c in kernel_expansion(kernel).terms()]
 
 
 def test_long_row_stays_under_the_shape_budget(capsys):
@@ -1167,11 +1171,40 @@ def test_unexpected_errors_exit_three_as_internal(capsys, monkeypatch, module, n
     assert message.endswith("in broken)") and "test_cli.py:" in message
 
 
+def test_bound_builds_no_fraction_per_kernel_term(capsys):
+    # the elimination reads the kernels' integer numerators: a few
+    # Fractions per coefficient c_mu, fewer than the kernels have terms.
+    # Every Fraction is counted: constructed ones go through __new__, and
+    # results of Fraction arithmetic do too, or through _from_coprime_ints
+    # on Pythons that have it
+    zonal.zonal_kernel.cache_clear()
+    built = []
+    originals = {name: vars(Fraction)[name] for name in ("__new__", "_from_coprime_ints") if name in vars(Fraction)}
+
+    def spy(original):
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return original.__func__(cls, *args, **kwargs)
+
+        return type(original)(counted)
+
+    for name, original in originals.items():
+        setattr(Fraction, name, spy(original))
+    try:
+        code, doc = run_json(capsys, "bound", "--certificate", "F", "--m", "8", "--n", "16")
+    finally:
+        for name, original in originals.items():
+            setattr(Fraction, name, original)
+    assert code == 0 and doc["result"]["bound"] == "12870"
+    cert = designs.certificate_antipodal(8, 16)
+    assert len(built) < sum(len(zonal.zonal_kernel(mu, 16).terms) for mu in cert.coeffs)
+
+
 def test_check_nonneg_takes_no_determinant_per_point(monkeypatch, capsys):
     argv = ["check-nonneg", "--certificate", "F", "--m", "3", "--n", "7"]
     run(capsys, *argv, "--depth", "1")  # builds the kernels, so only evaluation is counted
     cert = designs.certificate_antipodal(3, 7)
-    shapes = {s for mu in cert.coeffs for s in zonal.zonal_kernel(mu, 7).expansion.coeffs}
+    shapes = {s for mu in cert.coeffs for s in kernel_expansion(zonal.zonal_kernel(mu, 7)).coeffs}
     calls = []
     real_minor = exactlinalg.minor
 

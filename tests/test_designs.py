@@ -52,7 +52,15 @@ from grassdesign.symfunc import SchurExpansion, ScaledPoints, schur_norm
 from grassdesign.zonal import zonal_kernel
 
 from closed_forms import schur_in_zonal_basis, zonal_product_column
-from exact_oracles import expansion_values, moment_defects, schur_jacobi_trudi, schur_moments
+from exact_oracles import (
+    expansion_values,
+    fraction_certificate_expansion,
+    fraction_kernel_coefficients,
+    kernel_expansion,
+    moment_defects,
+    schur_jacobi_trudi,
+    schur_moments,
+)
 from seeded_configs import coordinate_points, dense_point, disguise, exact_document
 
 COEFFICIENTS = st.builds(rational, st.integers(-50, 50), st.integers(1, 30))
@@ -124,7 +132,7 @@ def oracle_defects(config, family):
         kernel = zonal_kernel(mu, config.n)
         total = rational(0) if config.mode == EXACT else 0.0
         for y, count in classes.items():
-            total = total + count * kernel.expansion.evaluate(y)
+            total = total + count * kernel_expansion(kernel).evaluate(y)
         out.append(total)
     return out
 
@@ -197,7 +205,7 @@ class TestSchurMoments:
     def test_defects_read_kernels_with_no_fraction_view(self, monkeypatch):
         # neither mode builds a kernel: defects come from the Jacobi-h tables
         zonal_kernel.cache_clear()
-        monkeypatch.setattr(zonal, "Fraction", None)
+        monkeypatch.setattr(zonal, "ZonalPolynomial", None)
         exact = great_antipodal(3, 6)
         family = column_family(3) + hook_family(3)
         assert is_T_design(exact, family).design and is_T_design(exact.to_float(), family).design
@@ -367,8 +375,27 @@ class TestKernelCoefficients:
         for m in (1, 2, 3):
             for n in (2 * m, 2 * m + 3):
                 for mu in enumerate_up_to_weight(m, 4):
-                    cert = kernel_coefficients(zonal_kernel(mu, n).expansion, n)
+                    cert = kernel_coefficients(kernel_expansion(zonal_kernel(mu, n)), n)
                     assert cert.coeffs == {mu: 1}, (mu, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4))
+    def test_integer_elimination_and_expansion_equal_the_fraction_oracle(self, data, m):
+        # random exact polynomials over the shapes of weight <= 6, their
+        # coefficients drawn with denominators up to 2^17
+        n = data.draw(st.integers(2 * m, 2 * m + 4))
+        value = st.integers(1, 2**17).flatmap(lambda q: st.integers(-3 * q, 3 * q).map(lambda p: rational(p, q)))
+        shapes = data.draw(st.lists(st.sampled_from(enumerate_up_to_weight(m, 6)), min_size=1, max_size=8, unique=True))
+        poly = SchurExpansion(m, [(sigma, data.draw(value)) for sigma in shapes])
+        cert = kernel_coefficients(poly, n)
+        want = fraction_kernel_coefficients(poly, n)
+        assert cert.coeffs == want
+        assert all(type(c) is Fraction for c in cert.coeffs.values())
+        expansion, oracle = cert.expansion, fraction_certificate_expansion(cert)
+        # equal coefficients, in the order of the Fraction sum, which float evaluation follows
+        assert list(expansion.coeffs.items()) == list(oracle.coeffs.items())
+        assert all(type(c) is Fraction for c in expansion.coeffs.values())
+        assert expansion == poly
 
     def test_certificates_match_column_change_of_basis(self):
         for m in range(1, 5):

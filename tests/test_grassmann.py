@@ -17,6 +17,7 @@ from grassdesign.grassmann import (
     RankDeficiencyError,
     SubspaceConfiguration,
     SubspacePoint,
+    _pair_indices,
     coordinate_subspace,
     great_antipodal,
     invariant_angles,
@@ -32,6 +33,7 @@ from exact_oracles import (
     elementary_all,
     is_antipodal_pair,
     orthogonal_complement,
+    pair_indices_oracle,
     pair_invariants,
     recombined,
     same_subspace,
@@ -368,6 +370,12 @@ class TestFloatPairLayer:
             got, got_weights = again.invariant_weights()
             assert np.array_equal(got, invariants) and np.array_equal(got_weights, weights)
             assert again.pair_angles() == angles
+
+    def test_pair_indices_equal_the_generator_form(self):
+        for k in range(65):
+            got, want = _pair_indices(k), pair_indices_oracle(k)
+            for a, b in zip(got, want):
+                assert a.dtype == np.int64 and np.array_equal(a, b), k
 
     def test_weights_count_ordered_pairs(self):
         config = float_random_config(2, 5, 7)

@@ -34,6 +34,7 @@ from exact_oracles import (
     det,
     exact_basis,
     exact_complex_point,
+    kernel_expansion,
     mat_mul,
     orthogonal_complement,
     pair_invariants,
@@ -192,7 +193,7 @@ def test_exact_defects_match_float_defects(config):
     eps = np.finfo(float).eps
     for e, f in zip(exact, approx):
         assert e.mu == f.mu
-        spread = sum(abs(c) for c in zonal_kernel(e.mu, config.n).expansion.coeffs.values())
+        spread = sum(abs(c) for c in kernel_expansion(zonal_kernel(e.mu, config.n)).coeffs.values())
         c = 16 * (float(spread) / e.dim + 2 * config.m * e.mu.weight**2)
         assert abs(float(e.defect) - f.defect) <= c * eps * len(config) ** 2 * e.dim
 

@@ -33,7 +33,7 @@ from grassdesign.zonal import (
 )
 
 from closed_forms import bialternant_kernel, bialternant_terms, highest_weight, schur_in_zonal_basis, weyl_dim, zonal_product_column
-from exact_oracles import expansion_at_ones, horner_tables
+from exact_oracles import expansion_at_ones, horner_tables, kernel_coeff, kernel_expansion
 from james_constantine import (
     PoleError,
     generalized_binomial,
@@ -238,25 +238,25 @@ class TestKernels:
         for m, n in ((1, 3), (2, 4), (3, 7)):
             k = zonal_kernel(Partition([0] * m), n)
             assert k.dim == 1
-            assert k.expansion.terms() == [(Partition([0] * m), rational(1))]
+            assert kernel_expansion(k).terms() == [(Partition([0] * m), rational(1))]
 
     def test_normalization_invariant(self):
         for m in (1, 2, 3):
             for n in range(2 * m, 9):
                 for mu in enumerate_up_to_weight(m, 4):
                     k = zonal_james_constantine(mu, n)
-                    assert expansion_at_ones(k.expansion) == harmonic_dim(mu, n)
+                    assert expansion_at_ones(kernel_expansion(k)) == harmonic_dim(mu, n)
 
     def test_support_inside_down_set(self):
         k = zonal_kernel(Partition([2, 1]), 5)
-        for sigma in k.expansion.coeffs:
+        for sigma in kernel_expansion(k).coeffs:
             assert sigma <= Partition([2, 1])
 
     def test_large_shape_builds(self):
         # the constructor checks the dimension at ones and the support
         k = zonal_kernel(Partition([5, 4, 3]), 9)
         assert k.dim == harmonic_dim(Partition([5, 4, 3]), 9)
-        assert Partition([5, 4, 3]) in k.expansion.coeffs
+        assert Partition([5, 4, 3]) in kernel_expansion(k).coeffs
 
     def test_deep_shape_builds_without_recursion(self):
         # no step of the construction recurses on the shape, so a weight-80
@@ -277,7 +277,7 @@ class TestKernels:
         started = time.perf_counter()
         kernel = zonal_kernel.__wrapped__(row_shape(4000, 1), 2)
         assert time.perf_counter() - started < 1
-        assert len(kernel.expansion.coeffs) == 4001
+        assert len(kernel_expansion(kernel).coeffs) == 4001
 
     def test_rank_forty_kernel_builds(self):
         # one 1 x 1 minor per term: l((1)) = 1 whatever the rank
@@ -336,8 +336,8 @@ class TestKernels:
     def test_frozen_degree_one_kernel(self):
         # m = 2, n = 4: Z = 30 X*_(1) - 15
         k = zonal_kernel(Partition([1, 0]), 4)
-        assert k.coeff(column_shape(1, 2)) == 30
-        assert k.coeff(column_shape(0, 2)) == -15
+        assert kernel_coeff(k, column_shape(1, 2)) == 30
+        assert kernel_coeff(k, column_shape(0, 2)) == -15
         assert k.evaluate((1, 0)) == 0
         assert k.evaluate((0, 0)) == -15
         assert k.evaluate((1, 1)) == 15
@@ -349,18 +349,18 @@ class TestKernels:
         # the float X* expansion of Z_(30) gave -3.5e10 at (0.7, 0.3)
         k = zonal_kernel(Partition([30, 0]), 4)
         exact = k.evaluate((rational(7, 10), rational(3, 10)))
-        assert type(exact) is Fraction and exact == k.expansion.evaluate((rational(7, 10), rational(3, 10)))
+        assert type(exact) is Fraction and exact == kernel_expansion(k).evaluate((rational(7, 10), rational(3, 10)))
         value = k.evaluate((0.7, 0.3))
         assert type(value) is float and abs(value - exact) <= 1e-12 * k.dim
 
     def test_frozen_hook_kernel(self):
         k = zonal_kernel(Partition([2, 1]), 4)
         assert k.dim == 175
-        assert k.coeff(hook_shape(2, 2)) == 1400
-        assert k.coeff(row_shape(2, 2)) == -1050
-        assert k.coeff(column_shape(1, 2)) == 1050
-        assert k.coeff(column_shape(2, 2)) == -1050
-        assert k.coeff(column_shape(0, 2)) == -175
+        assert kernel_coeff(k, hook_shape(2, 2)) == 1400
+        assert kernel_coeff(k, row_shape(2, 2)) == -1050
+        assert kernel_coeff(k, column_shape(1, 2)) == 1050
+        assert kernel_coeff(k, column_shape(2, 2)) == -1050
+        assert kernel_coeff(k, column_shape(0, 2)) == -175
         assert k.evaluate((1, 0)) == 0
         assert k.evaluate((rational(1, 2), rational(0))) == 0
 
@@ -369,8 +369,8 @@ class TestKernels:
         # proportional to n*y - 1
         for n in (2, 4, 6):
             k = zonal_kernel(Partition([1]), n)
-            c1 = k.coeff(column_shape(1, 1))
-            c0 = k.coeff(column_shape(0, 1))
+            c1 = kernel_coeff(k, column_shape(1, 1))
+            c0 = kernel_coeff(k, column_shape(0, 1))
             assert c1 == -c0 * n
         with pytest.raises(ValueError):
             zonal_column(2, 1, 4)
@@ -382,16 +382,16 @@ class TestKernels:
     def test_integer_form_matches_its_fraction_view(self, case):
         mu, n = case
         kernel = zonal_kernel(mu, n)
-        view = kernel.expansion
+        view = kernel_expansion(kernel)
         assert view.coeffs == {s: Fraction(c, kernel.den) for s, c in kernel.terms.items()}
         # to_json writes the payload that str(Fraction) writes from the view, keys in order
         terms = [{"partition": list(s.parts), "coeff": str(c)} for s, c in view.terms()]
         want = {"m": mu.m, "terms": terms, "mu": list(mu.parts), "n": n, "dim": kernel.dim}
         assert list(kernel.to_json().items()) == list(want.items())
         for closed in closed_form_kernels(mu, n):
-            assert closed.expansion == view
+            assert kernel_expansion(closed) == view
         if mu.weight <= 4:
-            assert zonal_james_constantine(mu, n).expansion == view
+            assert kernel_expansion(zonal_james_constantine(mu, n)) == view
 
     def test_property_examples_cover_both_signs_of_the_integer_total(self):
         negative, positive = zonal_kernel(Partition([1, 0]), 6), zonal_kernel(Partition([1, 1]), 6)
@@ -521,14 +521,14 @@ class TestChangeOfBasis:
                     kernels = [(zonal_kernel(s, n), c) for s, c in d.items()]
                     # both routes to each kernel value: the Jacobi-h table and the Schur expansion
                     assert lhs == sum(c * k.evaluate(pt) for k, c in kernels)
-                    assert lhs == sum(c * k.expansion.evaluate(pt) for k, c in kernels)
+                    assert lhs == sum(c * kernel_expansion(k).evaluate(pt) for k, c in kernels)
 
     def test_inverse_matrix_identity(self):
         # kernel-to-Schur coefficients against Schur-to-kernel coefficients
         for m in range(1, 5):
             for n in range(2 * m, 11):
                 a = [
-                    [zonal_column(i, m, n).coeff(column_shape(j, m)) for j in range(m + 1)]
+                    [kernel_coeff(zonal_column(i, m, n), column_shape(j, m)) for j in range(m + 1)]
                     for i in range(m + 1)
                 ]
                 d = [
