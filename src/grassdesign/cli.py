@@ -341,9 +341,10 @@ def _with_report(config: SubspaceConfiguration, family_spec: str | None, result:
     """Add the defect report of a bundled configuration when one is asked for.
 
     The bundled configurations are exact, so a design is decided by
-    vanishing defects; the report names the default tolerance.
+    vanishing defects; the report names the default tolerance.  An
+    empty ``--verify`` is a test set too, and an unknown one.
     """
-    if not family_spec:
+    if family_spec is None:
         return EXIT_OK, result, None
     code, report = _verify(config, family_spec, designs.DEFAULT_TOL, "--verify")
     result["report"] = report.to_json()

@@ -6,11 +6,11 @@ the "defects" reported here.  Defects come from the pair invariants,
 the elementary symmetric values of the pair angles, with no root found
 and no kernel expanded: :func:`zonal.kernel_sums` reads each shape as
 one m x m determinant of a Jacobi-h table per pair class.  Exact pairs
-are grouped into classes by their invariants, read off each pair's
-characteristic polynomial, and give one integer table per class, so
-exact configurations with irrational angles get exact defects too; float
-pairs enter as the rows of one array of invariants and share one table
-evaluation.  A coefficient function c with positive constant term and
+are grouped into classes by their invariants, read off the atoms of a
+pairwise antipodal set or from the multi-modular pair batch, and give
+one integer table per class, so exact configurations with irrational
+angles get exact defects too; float pairs enter as the rows of one
+array of invariants and share one table evaluation.  A coefficient function c with positive constant term and
 pointwise-nonnegative kernel combination F certifies the cardinality
 bound F(1,..,1)/c_(0) for any configuration averaging the components
 where c is positive.
@@ -97,15 +97,6 @@ def parse_family(spec: str, m: int) -> List[Partition]:
     raise ValueError(f"unknown test set {spec!r} (use E, F, E+F or T<t>)")
 
 
-def design_defect(config: SubspaceConfiguration, mu: Partition):
-    """Kernel sum over all ordered pairs of the configuration, diagonal included.
-
-    Exact for every exact configuration, rational angles or not; the
-    diagonal alone contributes |X| times the component dimension.
-    """
-    return kernel_sums([mu], config.n, *config.invariant_weights())[0]
-
-
 @dataclass
 class DefectEntry:
     mu: Partition
@@ -140,12 +131,6 @@ class DesignReport:
     @property
     def design(self) -> bool:
         return all(e.passed for e in self.entries)
-
-    def entry(self, mu: Partition) -> DefectEntry:
-        for e in self.entries:
-            if e.mu == mu:
-                return e
-        raise KeyError(f"{mu} not in report")
 
     def to_json(self) -> dict:
         return {
@@ -219,10 +204,6 @@ class CoefficientFunction:
             total = total + c * harmonic_dim(mu, self.n)
         return total
 
-    def evaluate(self, y):
-        """Pointwise value of F = sum c_mu Z_mu."""
-        return self.evaluate_batch([y])[0]
-
     @property
     def expansion(self) -> SchurExpansion:
         """F = sum c_mu Z_mu in normalized Schurs, expanded once into one dict.
@@ -241,10 +222,6 @@ class CoefficientFunction:
                 add_terms(total, k.terms.items(), c.numerator * (q // (c.denominator * k.den)))
             self._expansion = SchurExpansion._built(self.m, {sigma: rational(t, q) for sigma, t in total.items()})
         return self._expansion
-
-    def evaluate_batch(self, points) -> list:
-        """Values of F at every point, from its expansion in normalized Schurs."""
-        return self.expansion.evaluate_batch(points)
 
     def to_json(self) -> dict:
         return {
@@ -479,69 +456,3 @@ def check_nonnegativity(
     return NonnegativityReport(
         minimum=rational(*best), argmin=best_at, points_checked=count, violations=violations
     )
-
-
-@dataclass
-class TightnessVerdict:
-    """Both sides of a tightness equivalence, checked to agree."""
-
-    design: bool
-    geometry: bool
-    report: DesignReport
-
-    @property
-    def holds(self) -> bool:
-        return self.design  # == geometry, enforced at construction
-
-    def to_json(self) -> dict:
-        return {"design": self.design, "geometry": self.geometry}
-
-
-def _require_cardinality(config: SubspaceConfiguration):
-    expected = int(binom(config.n, config.m))
-    if len(config) != expected:
-        raise ValueError(
-            f"tightness test needs exactly binomial({config.n},{config.m}) = "
-            f"{expected} points, got {len(config)} (the design bound)"
-        )
-
-
-def classify_tight_E(
-    config: SubspaceConfiguration, tol: float = DEFAULT_TOL
-) -> TightnessVerdict:
-    """Column-family design property vs vanishing last angles, at the bound size.
-
-    For configurations of exactly binomial(n, m) points the two sides are
-    equivalent; a disagreement is raised as an internal error.
-    """
-    _require_cardinality(config)
-    report = is_T_design(config, column_family(config.m), tol=tol)
-    if config.mode == EXACT:
-        # the last angle vanishes exactly when the angle product e_m does;
-        # the |X| diagonal pairs have every angle 1, so they must be the
-        # only ordered pairs with e_m != 0
-        classes = config.invariant_classes().items()
-        geometry = sum(c for e, c in classes if e[-1]) == len(config)
-    else:
-        pairs = config.pair_angles().items()
-        geometry = all(abs(y[-1]) <= tol for (i, j), y in pairs if i != j)
-    if report.design != geometry:
-        raise ArithmeticError(
-            "design and geometry verdicts disagree; tolerance too tight?"
-        )
-    return TightnessVerdict(design=report.design, geometry=geometry, report=report)
-
-
-def classify_tight_EF(
-    config: SubspaceConfiguration, tol: float = DEFAULT_TOL
-) -> TightnessVerdict:
-    """Column-plus-hook design property vs all angles in {0, 1}, at the bound size."""
-    _require_cardinality(config)
-    family = column_family(config.m) + hook_family(config.m)
-    report = is_T_design(config, family, tol=tol)
-    geometry = config.is_antipodal(tol)
-    if report.design != geometry:
-        raise ArithmeticError(
-            "design and geometry verdicts disagree; tolerance too tight?"
-        )
-    return TightnessVerdict(design=report.design, geometry=geometry, report=report)

@@ -3,11 +3,15 @@
 Three kinds of scalar are served:
 
 * Python integers: the l(mu) x l(mu) minor of each term of
-  :func:`zonal.zonal_kernel`, by closed forms up to 3 x 3 and
-  fraction-free elimination beyond, with no scan of the entries' types
-  and no copy past the selected columns (:func:`minor`).  Exact Schur
-  values take no determinant (see :func:`symfunc.schur_e_polynomial`);
-  the generic determinant over any exact ring is a test oracle in
+  :func:`zonal.zonal_kernel`, and in :func:`zonal.kernel_sums` the
+  m x m minor of each exact pair class's Jacobi-h table and of the table
+  at the all-ones point, by closed forms up to 3 x 3 and fraction-free
+  elimination beyond, with no scan of the entries' types and no copy
+  past the selected columns (:func:`minor`).  The closed forms also
+  take float tables read at index arrays, which ``kernel_sums`` passes
+  for all float pairs at once when m <= 3.  Exact Schur values take no
+  determinant (see :func:`symfunc.schur_e_polynomial`); the generic
+  determinant over any exact ring is a test oracle in
   ``tests/exact_oracles.py``, and so is the matrix product over any
   scalars;
 * Gaussian integers stored as ``(re, im)`` pairs of Python ints, the
@@ -52,7 +56,8 @@ def minor(rows, cols):
     integer division, and a zero pivot is swapped for a lower row with a
     nonzero entry in its column.  By Sylvester's identity that block's
     determinant is the whole one times q^2.  O(n^3) integer operations:
-    the l(mu) x l(mu) minor of each term of a zonal kernel.
+    the l(mu) x l(mu) minor of each term of a zonal kernel, and the
+    m x m minors of :func:`zonal.kernel_sums`.
     """
     if len(cols) < 3:
         if len(cols) == 2:

@@ -23,9 +23,9 @@ basis matrix whose rows span it.  Two modes coexist:
   word-size primes p = 1 mod 4, antipodal pairs certified by the trace
   identity D tr M = tr M^2, the others lifted by Chinese remaindering
   once per distinct class).  Classes are ordered by descending
-  invariant.  Defects, antipodality and the tightness tests read only
-  invariants, so they hold for any exact configuration.  Angles
-  themselves, for display, are read off each distinct invariant once
+  invariant.  Defects and antipodality read only invariants, so they
+  hold for any exact configuration.  Angles themselves, for display,
+  are read off each distinct invariant once
   (:func:`invariant_angles`: the angles times the lcm d of its
   denominators are the integer roots of an integer polynomial, found by
   bisection and divided out exactly), which succeeds only on rational
@@ -76,7 +76,7 @@ EXACT = "exact"
 FLOAT = "float"
 
 RANK_TOL = 1e-10
-DEFAULT_TOL = 1e-8  # float tolerance of antipodality tests and design defects
+DEFAULT_TOL = 1e-8  # float tolerance of design defects
 
 # Most points great_antipodal builds: C(16, 8), the set G(8, 16).  Its
 # C(n, m) points are counted before any is built.
@@ -202,11 +202,6 @@ class SubspacePoint:
         self.m, self.n = basis.shape
         self.basis, self.frame = basis, frame
         self.rows = self.scales = self.inv_num = self.inv_den = None
-
-    def to_float(self) -> "SubspacePoint":
-        if self.mode == FLOAT:
-            return self
-        return _float_points(_float_copies([self]))[0][0]
 
     def to_json(self) -> dict:
         if self.mode == EXACT:
@@ -390,7 +385,11 @@ class SubspaceConfiguration:
         return self.points[k]
 
     def to_float(self) -> "SubspaceConfiguration":
-        """The float copy: exact points divided out into one stack and orthonormalized by one SVD."""
+        """The float copy: exact points divided out into one stack and orthonormalized by one SVD.
+
+        No command runs it; it stays as the library's way to float mode
+        for an exact configuration whose angles are irrational.
+        """
         if self.mode == FLOAT:
             return self
         points, frames = _float_points(_float_copies(self.points))
@@ -495,25 +494,34 @@ class SubspaceConfiguration:
         return self._pairs
 
     def angle_matrix(self) -> list:
-        """Full pairwise principal-angle matrix, diagonal included."""
-        pairs = self.pair_angles()
+        """Full pairwise principal-angle matrix, diagonal included, holding the tuples of :meth:`pair_angles`.
+
+        Row i is the column-i entries of the rows above it, then the k - i
+        angle vectors of the pairs (i, i) .. (i, k - 1), which the table
+        holds consecutively in pair order; no pair is looked up.
+        """
+        values = list(self.pair_angles().values())
         k = len(self.points)
-        return [[pairs[min(i, j), max(i, j)] for j in range(k)] for i in range(k)]
+        rows, start = [], 0
+        for i in range(k):
+            rows.append([row[i] for row in rows] + values[start : start + k - i])
+            start += k - i
+        return rows
 
     def angle_classes(self) -> dict:
-        """Multiplicities of angle vectors over all ordered pairs."""
+        """Multiplicities of angle vectors over all ordered pairs.
+
+        No command runs it; it stays because the benchmark in
+        ``perfbench/`` reads it and traces it.
+        """
         return _ordered_counts(self.pair_angles())
 
-    def is_antipodal(self, tol: float = DEFAULT_TOL) -> bool:
-        """True when every pair of points is antipodal.
+    def is_antipodal(self) -> bool:
+        """True when every pair of points of an exact configuration is antipodal.
 
-        Exact configurations decide it from the pair invariants, with no
-        angle found.
+        Decided from the pair invariants, with no angle found.
         """
-        if self.mode == EXACT:
-            return all(antipodal_invariant(e) for e in self.invariant_classes())
-        grams = self._float_grams(*_pair_indices(len(self.points)))
-        return all(antipodal_angles(y, FLOAT, tol) for g in grams for y in _gram_angles(g).tolist())
+        return all(antipodal_invariant(e) for e in self.invariant_classes())
 
     def to_json(self) -> dict:
         return {
@@ -575,13 +583,6 @@ def _ordered_counts(table: dict) -> dict:
     return counts
 
 
-def _check_pair(a: SubspacePoint, b: SubspacePoint):
-    if (a.m, a.n) != (b.m, b.n):
-        raise ValueError(f"ambient mismatch: ({a.m},{a.n}) vs ({b.m},{b.n})")
-    if a.mode != b.mode:
-        raise ValueError(f"mode mismatch: {a.mode} vs {b.mode}")
-
-
 def _cross_grams(adjoint: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """A^H F for frames A and F side by side in columns, A given conjugated as ``adjoint``.
 
@@ -620,19 +621,6 @@ def _gram_invariants(grams: np.ndarray) -> np.ndarray:
         total = sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1))
         e.append(total / k)
     return np.stack(e[1:], axis=1)
-
-
-def pair_invariant(a: SubspacePoint, b: SubspacePoint) -> tuple:
-    """Elementary symmetric values (e_1, .., e_m) of an exact pair's angles.
-
-    A batch of one pair through :func:`invariant_batch`.  No root is
-    found, so the invariant exists whether or not the angles are rational.
-    """
-    _check_pair(a, b)
-    if a.mode != EXACT:
-        raise ValueError("angle invariants are exact-mode only")
-    invariants, _ = invariant_batch([a, b], [0], [1])
-    return invariants[0]
 
 
 def _taylor_shift(q: list, z: int) -> list:
@@ -698,26 +686,6 @@ def antipodal_invariant(e: tuple) -> bool:
     )
 
 
-def principal_angles(a: SubspacePoint, b: SubspacePoint) -> tuple:
-    """Descending eigenvalues of the composed projectors, m of them.
-
-    Exact mode reads them off :func:`pair_invariant` by
-    :func:`invariant_angles`; an irrational spectrum raises
-    :class:`IrrationalAnglesError`.
-    """
-    _check_pair(a, b)
-    if a.mode == FLOAT:
-        return tuple(_gram_angles(_cross_grams(a.frame.conj(), b.frame)[None])[0].tolist())
-    return invariant_angles(pair_invariant(a, b))
-
-
-def antipodal_angles(y: tuple, mode: str, tol: float = DEFAULT_TOL) -> bool:
-    """True when every angle in y lies in {0, 1} (within tol in float mode)."""
-    if mode == EXACT:
-        return all(v == 0 or v == 1 for v in y)
-    return all(min(abs(v), abs(1 - v)) <= tol for v in y)
-
-
 @lru_cache(maxsize=None)
 def _identity(m: int) -> list:
     """The m x m identity as rows of (re, im) pairs, shared by the coordinate points of that m."""
@@ -772,16 +740,6 @@ def great_antipodal(m: int, n: int) -> SubspaceConfiguration:
     return SubspaceConfiguration(pts, label=f"great-antipodal({m},{n})")
 
 
-def orthogonal_split_config(m: int, n: int) -> SubspaceConfiguration:
-    """The n/m coordinate blocks of size m; requires m to divide n."""
-    if m < 1 or n % m:
-        raise ValueError(f"{m} does not divide {n}")
-    pts = [
-        coordinate_subspace(range(k * m, (k + 1) * m), n) for k in range(n // m)
-    ]
-    return SubspaceConfiguration(pts, label=f"orthogonal-split({m},{n})")
-
-
 def six_point_config() -> SubspaceConfiguration:
     """Six exact planes in C^4: a minimum-size design that is not antipodal.
 
@@ -800,15 +758,6 @@ def six_point_config() -> SubspaceConfiguration:
         SubspacePoint._exact([[(1, 0), (0, -1), (0, 0), (0, 0)], e3], [1, 1]),
     ]
     return SubspaceConfiguration(pts, label="six-point(2,4)")
-
-
-def random_subspace(m: int, n: int, seed: int = 0) -> SubspacePoint:
-    """Haar-ish float point from a seeded complex Gaussian basis."""
-    if n < 2 * m:
-        raise ValueError(f"need n >= 2m, got ({m}, {n})")
-    rng = np.random.default_rng(seed)
-    mtx = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-    return SubspacePoint(mtx, mode=FLOAT)
 
 
 def angles_to_json(y: tuple) -> list:

@@ -52,7 +52,7 @@ class Partition:
     """Weakly decreasing tuple of nonnegative integers of fixed ambient length.
 
     Equality is strict, i.e. ``Partition([1, 0])`` differs from
-    ``Partition([1])``; compare :meth:`trimmed` tuples to ignore trailing
+    ``Partition([1])``; compare ``parts[:length]`` to ignore trailing
     zeros.
     """
 
@@ -91,9 +91,6 @@ class Partition:
     def length(self) -> int:
         """Number of nonzero parts, which is also the index past the last one."""
         return len(self.parts) - self.parts.count(0)
-
-    def trimmed(self) -> tuple:
-        return self.parts[: self.length]
 
     def is_zero(self) -> bool:
         return not self.parts or not self.parts[0]

@@ -188,7 +188,8 @@ class ExactComplex:
         """Parse 're', 're+im*i', 're-im*i' or 'im*i' with rational parts 'p/q'.
 
         A missing im reads as 1, as in 'i', '-i' and '1+i'; any other text
-        raises ValueError.
+        raises ValueError.  The package parses entries with
+        :func:`gaussian_parts`; this stays as the class's text codec.
         """
         (p, q), (r, t) = gaussian_parts(s)
         return ExactComplex(Fraction(p, q), Fraction(r, t))

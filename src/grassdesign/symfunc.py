@@ -1,10 +1,12 @@
 """Symmetric polynomial evaluation and the normalized-Schur basis.
 
-Evaluation points are plain sequences of scalars.  Exact entries (ints
-or ``Fraction``) keep every operation exact; a single float entry
-switches the whole evaluation to floating point.
+The package evaluates Schur polynomials at one kind of point: exact
+points y = a/d given as :class:`ScaledPoints`, the grid and samples on
+which ``check-nonneg`` evaluates a certificate.  Design defects take
+none of this: they read pair invariants through
+:func:`zonal.kernel_sums`.
 
-Both modes work in the e-basis.  Each s_sigma is expanded once, and
+Evaluation works in the e-basis.  Each s_sigma is expanded once, and
 cached, as an integer polynomial in e_1 .. e_m
 (:func:`schur_e_polynomial`): the dual Jacobi-Trudi determinant
 det(e_(sigma'_i - i + j)) over monomial entries.  A point y is written
@@ -14,26 +16,17 @@ is the integer s_sigma(a) = d^|sigma| s_sigma(y), and X*_sigma(y) is
 that integer over d^|sigma| and the normalization.  No determinant is
 taken per point, and repeated coordinates need no care.
 
-Points reach the evaluators as one column stack, entry i of every
-column belonging to point i, built by :func:`_columns`, which also
-decides the mode.  Exact columns are numpy object arrays of Python ints
-(d, e_1(a), ..), with d the lcm of the coordinates' denominators or the
-d that :class:`ScaledPoints` gives.  One exact evaluator,
-:func:`exact_schur_sum`, reads them: it folds weighted shapes into one
-e-polynomial, each s_sigma lifted by a power of d, evaluates it once on
-the columns and lifts every point to one denominator q, so the values
-are an integer column t over q, with no ``Fraction`` built.
-:func:`normalized_schur_batch` calls it once per sigma with weight
-1/s_sigma(1), and :meth:`SchurExpansion.numerators` once with the
-expansion's weights.  Design defects take none of this: they read pair
-invariants through :func:`zonal.kernel_sums`.
-
-Float mode evaluates the same cached polynomials on float columns
-(1, e_1, .., e_m), the e_k of the coordinates from the same
-:func:`_elementary_terms`.  On [0, 1]^m, where |e_k| <= C(m, k), the
-rounding error of X*_sigma is at most a few eps times the number of
-terms times R_sigma = sum |coefficient| prod C(m, k)^(exponent) /
-s_sigma(1, .., 1).  The scalar evaluators delegate to the batch.
+Points reach the evaluator as one column stack, entry i of every
+column belonging to point i, built by :func:`_columns`: numpy object
+arrays of Python ints (d, e_1(a), ..), with each d as the
+:class:`ScaledPoints` give it.  :func:`exact_schur_sum` reads them: it
+folds weighted shapes into one e-polynomial, each s_sigma lifted by a
+power of d, evaluates it once on the columns and lifts every point to
+one denominator q, so the values are an integer column t over q, with
+no ``Fraction`` built.  :meth:`SchurExpansion.numerators` calls it once
+with the expansion's weights.  Evaluators at single points, at
+``Fraction`` tuples and at float points are test oracles
+(``tests/exact_oracles.py``).
 """
 
 from __future__ import annotations
@@ -41,12 +34,12 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable
 
 import numpy as np
 
-from .partitions import Partition, as_index
-from .scalars import as_rational, is_exact_real, rational
+from .partitions import Partition
+from .scalars import as_rational, rational
 
 
 def _elementary_terms(vals, upto: int, one) -> list:
@@ -124,8 +117,8 @@ def _evaluate(poly, stack):
 class ScaledPoints(list):
     """Exact points y = a / d as (a, d) pairs: integer numerators a, positive d.
 
-    The batched evaluators take it in place of ``Fraction`` tuples and use
-    each d as given, with no lcm of the coordinates' denominators.
+    :meth:`SchurExpansion.numerators` takes exact points in this form and
+    uses each d as given, with no lcm of the coordinates' denominators.
     """
 
     def point(self, i: int) -> tuple:
@@ -134,52 +127,30 @@ class ScaledPoints(list):
         return tuple(rational(k, d) for k in a)
 
 
-def scaled_point(y) -> tuple:
-    """(a, d) with y = a / d for an exact point y, d the lcm of its denominators."""
-    d = math.lcm(*(v.denominator for v in y))
-    return [v.numerator * (d // v.denominator) for v in y], d
+def _columns(points: ScaledPoints, upto: int, m: int) -> list:
+    """Exact points y = a/d as the e-columns (d, e_1(a) .. e_upto(a)), object arrays of ints.
 
-
-def _columns(points, upto: int, m: int | None = None) -> tuple:
-    """Points as e-columns up to e_upto, whether they are exact, and their length m.
-
-    Exact coordinates y = a/d give (d, e_1(a) .. e_upto(a)) as object
-    arrays of ints, d the lcm of y's denominators or the one a
-    :class:`ScaledPoints` gives; any float coordinate gives float columns
-    (1, e_1(y) .. e_upto(y)) for every point.  Entry i of every column
-    belongs to point i.  One walk over the points checks that they share
-    a length, which must be ``m`` when it is given: the length of the
-    numerators a for :class:`ScaledPoints`.
+    Entry i of every column belongs to point i, and each d is the one the
+    :class:`ScaledPoints` give.  Every a must have length m.
     """
-    given = isinstance(points, ScaledPoints)
-    widths = {len(a) for a, _ in points} if given else {len(y) for y in points}
-    if m is not None and widths - {m}:
-        raise ValueError(f"point length {min(widths - {m})} vs ambient {m}")
-    if len(widths) != 1:
-        raise ValueError("points must be an (N, m) array")
-    (width,) = widths
-    if not (given or all(is_exact_real(v) for y in points for v in y)):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2:
-            raise ValueError("points must be an (N, m) array")
-        return _elementary_terms(pts.T, min(upto, width), np.ones(len(pts))), False, width
-    if not given:
-        points = [scaled_point(y) for y in points]
-    numerators = np.empty((len(points), width), dtype=object)
+    wrong = {len(a) for a, _ in points} - {m}
+    if wrong:
+        raise ValueError(f"point length {min(wrong)} vs ambient {m}")
+    numerators = np.empty((len(points), m), dtype=object)
     numerators[:] = [a for a, _ in points]
-    e = _elementary_terms(numerators.T, min(upto, width), 1)
+    e = _elementary_terms(numerators.T, min(upto, m), 1)
     e[0] = np.array([d for _, d in points], dtype=object)
-    return e, True, width
+    return e
 
 
 def exact_schur_sum(weighted, stack) -> tuple:
     """sum of w_sigma s_sigma(y) over the (sigma, w_sigma) pairs, as integers t over one q > 0.
 
     ``stack`` holds exact points y = a/d as the columns (d, e_1(a), ..,
-    e_k(a)) that :func:`_columns` builds,
-    k at least min(top, m) for the largest Jacobi-Trudi index top of the
-    shapes; the weights are exact rationals.  The value at point i is
-    t[i] / q, not reduced, and no ``Fraction`` is built.
+    e_k(a)) that :func:`_columns` builds, k at least min(top, m) for the
+    largest Jacobi-Trudi index top of the shapes; the weights are exact
+    rationals.  The value at point i is t[i] / q, not reduced, and no
+    ``Fraction`` is built.
     """
     # w_sigma s_sigma(y) = w_sigma s_sigma(a) / d^|sigma|: over the common
     # denominator L d^top, with top the largest weight, the sum is one
@@ -204,42 +175,13 @@ def exact_schur_sum(weighted, stack) -> tuple:
     return t, common * scale
 
 
-def normalized_schur_batch(sigmas: Sequence[Partition], points) -> np.ndarray:
-    """X*_sigma at every point of an (N, m) sequence, one output row per sigma.
-
-    Exact coordinates give an object array of ``Fraction``, one
-    :func:`exact_schur_sum` per sigma; any float one a float array.
-    """
-    stack, exact, m = _columns(points, _top_index(sigmas))
-    out = np.empty((len(sigmas), len(stack[0])), dtype=object if exact else float)
-    for r, sigma in enumerate(sigmas):
-        if sigma.m != m:
-            raise ValueError(f"partition ambient {sigma.m} vs point length {m}")
-        if exact:
-            t, q = exact_schur_sum([(sigma, 1 / schur_norm(sigma))], stack)
-            out[r] = [rational(x, q) for x in t]
-        else:
-            out[r] = _evaluate(schur_e_polynomial(sigma), stack)
-            out[r] /= float(schur_norm(sigma))
-    return out
-
-
-def normalized_schur_eval(mu: Partition, y: Sequence):
-    """Schur polynomial scaled to equal 1 at the all-ones point."""
-    return normalized_schur_batch([mu], [tuple(y)])[0, 0]
-
-
-def schur_eval(mu: Partition, y: Sequence):
-    """Schur polynomial s_mu(y), i.e. X*_mu(y) times :func:`schur_norm`."""
-    return schur_norm(mu) * normalized_schur_eval(mu, y)
-
-
 def add_terms(store: dict, terms, factor=1) -> dict:
     """``store`` plus factor times the (sigma, c) ``terms``, summed in place and returned.
 
     A shape whose sum stays nonzero keeps its place, one whose sum
     cancels is dropped, and a new one, or one that cancelled before,
-    goes to the end: float evaluation sums the terms in this order.
+    goes to the end: the float evaluation oracle of the tests sums the
+    terms in this order.
     """
     for sigma, c in terms:
         c = store.get(sigma, 0) + factor * c
@@ -286,40 +228,18 @@ class SchurExpansion:
     def terms(self):
         return [(sigma, self.coeffs[sigma]) for sigma in self.support()]
 
-    def evaluate(self, y: Sequence):
-        return self.evaluate_batch([y])[0]
-
-    def evaluate_batch(self, points) -> list:
-        """Values at every point of an (N, m) sequence or :class:`ScaledPoints`, from one batched evaluation."""
-        sigmas = list(self.coeffs)
-        stack, exact, _ = _columns(points, _top_index(sigmas), self.m)
-        if exact:
-            t, q = exact_schur_sum(self._weighted(), stack)
-            return [rational(x, q) for x in t]
-        columns = normalized_schur_batch(sigmas, points).T
-        coeffs = list(self.coeffs.values())
-        return [sum((c * v for c, v in zip(coeffs, column)), 0.0) for column in columns]
-
-    def numerators(self, points) -> tuple:
+    def numerators(self, points: ScaledPoints) -> tuple:
         """Values at exact points as (t, q): an object column of integers t over one q > 0.
 
         The value at point i is t[i] / q, not reduced; no ``Fraction`` is
-        built.  Points are an (N, m) sequence of exact values or
-        :class:`ScaledPoints`.
+        built.
         """
-        stack, exact, _ = _columns(points, _top_index(list(self.coeffs)), self.m)
-        if not exact:
-            raise ValueError("integer numerators need exact points")
+        stack = _columns(points, _top_index(list(self.coeffs)), self.m)
         return exact_schur_sum(self._weighted(), stack)
 
     def _weighted(self) -> list:
         """(sigma, c_sigma / s_sigma(1)) pairs: the expansion as a weighted sum of s_sigma."""
         return [(sigma, c / schur_norm(sigma)) for sigma, c in self.coeffs.items()]
-
-    def __add__(self, other: "SchurExpansion") -> "SchurExpansion":
-        if other.m != self.m:
-            raise ValueError("ambient mismatch in expansion sum")
-        return SchurExpansion(self.m, list(self.coeffs.items()) + list(other.coeffs.items()))
 
     def __eq__(self, other):
         return (
@@ -331,17 +251,3 @@ class SchurExpansion:
     def __repr__(self):
         body = ", ".join(f"{s.parts}: {c}" for s, c in self.terms())
         return f"SchurExpansion(m={self.m}, {{{body}}})"
-
-    def to_json(self) -> dict:
-        return {"m": self.m, "terms": [{"partition": list(s.parts), "coeff": str(c)} for s, c in self.terms()]}
-
-    @staticmethod
-    def from_json(data: dict) -> "SchurExpansion":
-        m = as_index(data["m"])
-        return SchurExpansion(
-            m,
-            [
-                (Partition(t["partition"], m=m), as_rational(t["coeff"]))
-                for t in data["terms"]
-            ],
-        )

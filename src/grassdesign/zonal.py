@@ -12,17 +12,18 @@ module builds these kernels exactly:
   whose full m x m determinants are kept in ``tests/closed_forms.py``),
   taken by :func:`exactlinalg.minor` in one integer pass over the
   down-set;
-* ``kernel_sums``, the design defects and every kernel value
-  (``ZonalPolynomial.evaluate``): per shape one m x m minor of a Jacobi-h
-  table per point class, built from its e-values by one three-term
-  recurrence in both modes, no kernel expanded;
+* ``kernel_sums``, the design defects: per shape one m x m minor of a
+  Jacobi-h table per point class, built from its e-values by one
+  three-term recurrence in both modes, no kernel expanded;
 * closed-form expansions for single-column, single-row and hook shapes,
-  kept as independent cross-checks of the general construction.
+  kept as independent cross-checks of the general construction, which
+  the benchmark in ``perfbench/`` runs on each such kernel it builds.
 
 The James-Constantine recursion, the column change of basis, the
 four-term product Z_(1) Z_(1^i) and the full Weyl dimension formula live
 in the tests (``tests/james_constantine.py``, ``tests/closed_forms.py``)
-as oracles.
+as oracles, as does a kernel's value at a single point, which
+``kernel_sums`` gives at the point's invariants.
 
 Dimensions come from the Weyl product formula applied to the associated
 highest weight of the unitary group, in O(m^2) factors, cached per
@@ -48,8 +49,8 @@ import numpy as np
 
 from .exactlinalg import minor
 from .partitions import Partition, binom, column_shape, down_set, hook_shape, row_shape
-from .scalars import _rational_text, is_exact_real, rational
-from .symfunc import SchurExpansion, _elementary_terms
+from .scalars import _rational_text, rational
+from .symfunc import SchurExpansion
 
 
 def _require_ambient(m: int, n: int):
@@ -118,7 +119,10 @@ class ZonalPolynomial:
 
     @classmethod
     def from_expansion(cls, mu: Partition, n: int, expansion: SchurExpansion) -> "ZonalPolynomial":
-        """The kernel whose coefficients an exact expansion gives, over the lcm of their denominators."""
+        """The kernel whose coefficients an exact expansion gives, over the lcm of their denominators.
+
+        The closed forms below build their kernels through it.
+        """
         if expansion.m != mu.m:
             raise ValueError("expansion ambient mismatch")
         terms = expansion.terms()
@@ -128,13 +132,6 @@ class ZonalPolynomial:
     @property
     def m(self) -> int:
         return self.mu.m
-
-    def evaluate(self, y):
-        """Z_mu(y) by :func:`kernel_sums` at the invariants of y: a ``Fraction`` at exact y, a float otherwise."""
-        e = tuple(_elementary_terms(y, len(y), 1)[1:])  # kernel_sums refuses a length other than m
-        return kernel_sums([self.mu], self.n, [e] if all(map(is_exact_real, y)) else np.array([e], dtype=float), [1])[0]
-
-    __call__ = evaluate
 
     def __eq__(self, other):
         return (
@@ -328,7 +325,7 @@ def kernel_sums(family, n: int, invariants, weights) -> list:
 
 
 def zonal_column(i: int, m: int, n: int) -> ZonalPolynomial:
-    """Closed-form kernel for the single-column shape (1^i)."""
+    """Closed-form kernel for the single-column shape (1^i), a cross-check that the benchmark runs."""
     _require_ambient(m, n)
     if not 0 <= i <= m:
         raise ValueError(f"column height {i} outside 0..{m}")
@@ -343,7 +340,7 @@ def zonal_column(i: int, m: int, n: int) -> ZonalPolynomial:
 
 
 def zonal_row(i: int, m: int, n: int) -> ZonalPolynomial:
-    """Closed-form kernel for the single-row shape (i)."""
+    """Closed-form kernel for the single-row shape (i), a cross-check that the benchmark runs."""
     _require_ambient(m, n)
     if i < 0:
         raise ValueError(f"row length {i} negative")
@@ -358,7 +355,7 @@ def zonal_row(i: int, m: int, n: int) -> ZonalPolynomial:
 
 
 def zonal_hook(i: int, m: int, n: int) -> ZonalPolynomial:
-    """Closed-form kernel for the hook shape (2, 1^{i-1})."""
+    """Closed-form kernel for the hook shape (2, 1^{i-1}), a cross-check that the benchmark runs."""
     _require_ambient(m, n)
     if not 1 <= i <= m:
         raise ValueError(f"hook height {i} outside 1..{m}")

@@ -28,7 +28,7 @@ from grassdesign.scalars import rational
 from grassdesign.symfunc import SchurExpansion, schur_norm
 from grassdesign.zonal import ZonalPolynomial, _require_ambient, harmonic_dim, zonal_kernel
 
-from exact_oracles import det, kernel_expansion
+from exact_oracles import det, evaluate, kernel_expansion
 
 
 def schur_in_zonal_basis(i: int, m: int, n: int) -> Dict[Partition, object]:
@@ -79,7 +79,7 @@ class ColumnProductExpansion:
         """The four-term sum at y, each kernel by its Schur expansion, not by the package's Jacobi-h table."""
         total = rational(0)
         for sigma, c in self.terms().items():
-            total = total + c * kernel_expansion(zonal_kernel(sigma, self.n)).evaluate(y)
+            total = total + c * evaluate(kernel_expansion(zonal_kernel(sigma, self.n)), y)
         return total
 
 

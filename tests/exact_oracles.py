@@ -71,39 +71,58 @@ recurrences that the tests check it against:
 * ``horner_tables``: the d-scaled Jacobi-h tables of exact points summed
   from the Jacobi coefficients c_(k, r) by Horner in -d, O(top^2) per
   point and column, the reference for the package's three-term
-  recurrence.
+  recurrence;
+* entry points that left the package because no command reaches them,
+  each a second way to a quantity that the command line computes
+  another way: ``check_pair``, ``pair_invariant`` and
+  ``principal_angles``, one pair at a time; ``antipodal_angles`` and
+  ``float_antipodal``, antipodality read off angles; ``float_point``,
+  one exact point's float copy; ``angle_matrix_lookup``, the angle
+  matrix by one pair-table lookup per entry; ``scaled_point``,
+  ``point_columns``, ``normalized_schur_batch``,
+  ``normalized_schur_eval`` and ``schur_eval``, Schur values at
+  ``Fraction`` tuples and float points; ``evaluate_batch`` and
+  ``evaluate``, an expansion, a certificate or a kernel at points;
+  ``design_defect``, one shape's defect; and ``classify_tight_E``,
+  ``classify_tight_EF`` with ``TightnessVerdict``, the tightness
+  equivalences at the bound size, design side against geometry side.
 """
 
 import math
 import operator
+from dataclasses import dataclass
 
 import numpy as np
 
+from grassdesign.designs import CoefficientFunction, DesignReport, column_family, hook_family, is_T_design
 from grassdesign.grassmann import (
+    DEFAULT_TOL,
     EXACT,
     FLOAT,
     SubspacePoint,
-    _check_pair,
+    _cross_grams,
+    _float_copies,
+    _float_points,
+    _gram_angles,
     _pair_indices,
-    antipodal_angles,
-    principal_angles,
+    invariant_angles,
 )
 from grassdesign.pairbatch import invariant_batch
-from grassdesign.partitions import Partition
+from grassdesign.partitions import Partition, binom
 from grassdesign.scalars import EXACT_REAL_TYPES, ExactComplex, as_rational, is_exact_real, rational
 from grassdesign.symfunc import (
     SchurExpansion,
     ScaledPoints,
+    _columns,
     _elementary_terms,
     _evaluate,
     _top_index,
     add_terms,
     exact_schur_sum,
-    scaled_point,
     schur_e_polynomial,
     schur_norm,
 )
-from grassdesign.zonal import _jacobi_row, zonal_kernel
+from grassdesign.zonal import ZonalPolynomial, _jacobi_row, kernel_sums, zonal_kernel
 
 
 CX_ZERO = ExactComplex(0)
@@ -507,7 +526,7 @@ def per_entry_point(basis) -> dict:
 
 
 def same_subspace(p: SubspacePoint, q: SubspacePoint, tol: float = 1e-8) -> bool:
-    _check_pair(p, q)
+    check_pair(p, q)
     if p.mode == EXACT:
         stacked = [list(r) for r in exact_basis(p)] + [list(r) for r in exact_basis(q)]
         return rank(stacked) == p.m
@@ -538,7 +557,7 @@ def _row_inner(u, v) -> ExactComplex:
 
 def symmetry_image(a: SubspacePoint, b: SubspacePoint) -> SubspacePoint:
     """Image of b under the geodesic symmetry at a (reflection 2P_a - I)."""
-    _check_pair(a, b)
+    check_pair(a, b)
     if a.mode == FLOAT:
         qa = a.frame
         cols = b.basis.T
@@ -818,3 +837,216 @@ def horner_tables(invariants: list, m: int, alpha: int, top: int) -> list:
                     acc = acc * -d + c * v
                 column[k] = acc
     return [(d, table) for d, _, table in points]
+
+
+def check_pair(a: SubspacePoint, b: SubspacePoint):
+    """Refuse a pair of points of different ambients or modes."""
+    if (a.m, a.n) != (b.m, b.n):
+        raise ValueError(f"ambient mismatch: ({a.m},{a.n}) vs ({b.m},{b.n})")
+    if a.mode != b.mode:
+        raise ValueError(f"mode mismatch: {a.mode} vs {b.mode}")
+
+
+def pair_invariant(a: SubspacePoint, b: SubspacePoint) -> tuple:
+    """Elementary symmetric values (e_1, .., e_m) of an exact pair's angles, a batch of one pair.
+
+    No root is found, so the invariant exists whether or not the angles
+    are rational.
+    """
+    check_pair(a, b)
+    if a.mode != EXACT:
+        raise ValueError("angle invariants are exact-mode only")
+    invariants, _ = invariant_batch([a, b], [0], [1])
+    return invariants[0]
+
+
+def principal_angles(a: SubspacePoint, b: SubspacePoint) -> tuple:
+    """Descending eigenvalues of the composed projectors, m of them, for one pair.
+
+    Exact mode reads them off :func:`pair_invariant` by
+    ``invariant_angles``, which raises on an irrational spectrum; float
+    mode takes the singular values of the frames' cross-Gram.
+    """
+    check_pair(a, b)
+    if a.mode == FLOAT:
+        return tuple(_gram_angles(_cross_grams(a.frame.conj(), b.frame)[None])[0].tolist())
+    return invariant_angles(pair_invariant(a, b))
+
+
+def antipodal_angles(y: tuple, mode: str, tol: float = DEFAULT_TOL) -> bool:
+    """True when every angle in y lies in {0, 1} (within tol in float mode)."""
+    if mode == EXACT:
+        return all(v == 0 or v == 1 for v in y)
+    return all(min(abs(v), abs(1 - v)) <= tol for v in y)
+
+
+def float_antipodal(config, tol: float = DEFAULT_TOL) -> bool:
+    """True when every pair of a float configuration is antipodal within tol, from its pair angles."""
+    return all(antipodal_angles(y, FLOAT, tol) for y in config.pair_angles().values())
+
+
+def float_point(point: SubspacePoint) -> SubspacePoint:
+    """A point's float copy: an exact point's integers divided out and orthonormalized."""
+    if point.mode == FLOAT:
+        return point
+    return _float_points(_float_copies([point]))[0][0]
+
+
+def angle_matrix_lookup(config) -> list:
+    """The angle matrix by one lookup of the pair table per entry, the form that rows in pair order replaced."""
+    pairs = config.pair_angles()
+    k = len(config)
+    return [[pairs[min(i, j), max(i, j)] for j in range(k)] for i in range(k)]
+
+
+def scaled_point(y) -> tuple:
+    """(a, d) with y = a / d for an exact point y, d the lcm of its denominators."""
+    d = math.lcm(*(v.denominator for v in y))
+    return [v.numerator * (d // v.denominator) for v in y], d
+
+
+def point_columns(points, upto: int, m: int | None = None) -> tuple:
+    """Points as e-columns up to e_upto, whether they are exact, and their length.
+
+    Exact coordinates, as ``ScaledPoints`` or as tuples of ints and
+    ``Fraction`` lifted by :func:`scaled_point`, go through the package's
+    ``_columns``; any float coordinate gives float columns
+    (1, e_1(y) .. e_upto(y)) for every point.  The points must share a
+    length, which must be ``m`` when it is given.
+    """
+    given = isinstance(points, ScaledPoints)
+    widths = {len(a) for a, _ in points} if given else {len(y) for y in points}
+    if m is not None and widths - {m}:
+        raise ValueError(f"point length {min(widths - {m})} vs ambient {m}")
+    if len(widths) != 1:
+        raise ValueError("points must be an (N, m) array")
+    (width,) = widths
+    if given or all(is_exact_real(v) for y in points for v in y):
+        scaled = points if given else ScaledPoints(map(scaled_point, points))
+        return _columns(scaled, upto, width), True, width
+    pts = np.asarray(points, dtype=float)
+    return _elementary_terms(pts.T, min(upto, width), np.ones(len(pts))), False, width
+
+
+def normalized_schur_batch(sigmas, points) -> np.ndarray:
+    """X*_sigma at every point of an (N, m) sequence, one output row per sigma.
+
+    Exact coordinates give an object array of ``Fraction``, one
+    ``exact_schur_sum`` per sigma; any float one a float array, the
+    e-polynomial evaluated on float columns.
+    """
+    stack, exact, m = point_columns(points, _top_index(sigmas))
+    out = np.empty((len(sigmas), len(stack[0])), dtype=object if exact else float)
+    for r, sigma in enumerate(sigmas):
+        if sigma.m != m:
+            raise ValueError(f"partition ambient {sigma.m} vs point length {m}")
+        if exact:
+            t, q = exact_schur_sum([(sigma, 1 / schur_norm(sigma))], stack)
+            out[r] = [rational(x, q) for x in t]
+        else:
+            out[r] = _evaluate(schur_e_polynomial(sigma), stack)
+            out[r] /= float(schur_norm(sigma))
+    return out
+
+
+def normalized_schur_eval(mu, y):
+    """Schur polynomial scaled to equal 1 at the all-ones point."""
+    return normalized_schur_batch([mu], [tuple(y)])[0, 0]
+
+
+def schur_eval(mu, y):
+    """Schur polynomial s_mu(y), X*_mu(y) times ``schur_norm``."""
+    return schur_norm(mu) * normalized_schur_eval(mu, y)
+
+
+def evaluate_batch(f, points) -> list:
+    """Values of a ``SchurExpansion``, or of a ``CoefficientFunction`` by its expansion, at every point.
+
+    Exact points give ``Fraction`` values from one ``exact_schur_sum``;
+    any float coordinate gives floats, the terms summed in the
+    expansion's order.
+    """
+    if isinstance(f, CoefficientFunction):
+        f = f.expansion
+    sigmas = list(f.coeffs)
+    stack, exact, _ = point_columns(points, _top_index(sigmas), f.m)
+    if exact:
+        t, q = exact_schur_sum(f._weighted(), stack)
+        return [rational(x, q) for x in t]
+    columns = normalized_schur_batch(sigmas, points).T
+    coeffs = list(f.coeffs.values())
+    return [sum((c * v for c, v in zip(coeffs, column)), 0.0) for column in columns]
+
+
+def evaluate(f, y):
+    """Value at one point y of an expansion or a certificate, or of a kernel Z_mu.
+
+    A kernel is summed by ``kernel_sums`` at the invariants of y: a
+    ``Fraction`` at exact y, a float otherwise.
+    """
+    if isinstance(f, ZonalPolynomial):
+        e = tuple(_elementary_terms(y, len(y), 1)[1:])  # kernel_sums refuses a length other than m
+        invariants = [e] if all(map(is_exact_real, y)) else np.array([e], dtype=float)
+        return kernel_sums([f.mu], f.n, invariants, [1])[0]
+    return evaluate_batch(f, [y])[0]
+
+
+def design_defect(config, mu):
+    """Kernel sum over all ordered pairs of the configuration, diagonal included, for one shape.
+
+    Exact for every exact configuration, rational angles or not; the
+    diagonal alone contributes |X| times the component dimension.
+    """
+    return kernel_sums([mu], config.n, *config.invariant_weights())[0]
+
+
+@dataclass
+class TightnessVerdict:
+    """Both sides of a tightness equivalence, checked to agree."""
+
+    design: bool
+    geometry: bool
+    report: DesignReport
+
+
+def _require_cardinality(config):
+    expected = int(binom(config.n, config.m))
+    if len(config) != expected:
+        raise ValueError(
+            f"tightness test needs exactly binomial({config.n},{config.m}) = "
+            f"{expected} points, got {len(config)} (the design bound)"
+        )
+
+
+def _verdict(report: DesignReport, geometry: bool) -> TightnessVerdict:
+    if report.design != geometry:
+        raise ArithmeticError("design and geometry verdicts disagree; tolerance too tight?")
+    return TightnessVerdict(design=report.design, geometry=geometry, report=report)
+
+
+def classify_tight_E(config, tol: float = DEFAULT_TOL) -> TightnessVerdict:
+    """Column-family design property vs vanishing last angles, at the bound size.
+
+    For configurations of exactly binomial(n, m) points the two sides are
+    equivalent; a disagreement is raised.
+    """
+    _require_cardinality(config)
+    report = is_T_design(config, column_family(config.m), tol=tol)
+    if config.mode == EXACT:
+        # the last angle vanishes exactly when the angle product e_m does;
+        # the |X| diagonal pairs have every angle 1, so they must be the
+        # only ordered pairs with e_m != 0
+        classes = config.invariant_classes().items()
+        geometry = sum(c for e, c in classes if e[-1]) == len(config)
+    else:
+        pairs = config.pair_angles().items()
+        geometry = all(abs(y[-1]) <= tol for (i, j), y in pairs if i != j)
+    return _verdict(report, geometry)
+
+
+def classify_tight_EF(config, tol: float = DEFAULT_TOL) -> TightnessVerdict:
+    """Column-plus-hook design property vs all angles in {0, 1}, at the bound size."""
+    _require_cardinality(config)
+    report = is_T_design(config, column_family(config.m) + hook_family(config.m), tol=tol)
+    geometry = config.is_antipodal() if config.mode == EXACT else float_antipodal(config, tol)
+    return _verdict(report, geometry)

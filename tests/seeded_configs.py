@@ -14,13 +14,21 @@ not the value 1 or the coordinate order.
 :func:`dense_point` draws a seeded point with small Gaussian-integer
 entries, and :func:`complement_closed_points` takes each V and V^perp
 from the rows of one seeded unitary.  Values are
-(re, im) pairs of ``Fraction`` and nothing here calls the package, so a
-document is the same bytes whatever the package does.
+(re, im) pairs of ``Fraction`` and no document builder calls the
+package, so a document is the same bytes whatever the package does.
+
+Two fixtures build package objects instead: :func:`random_subspace`, a
+float point from a seeded complex Gaussian basis, and
+:func:`orthogonal_split_config`, the exact coordinate blocks of C^n.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
+
+from grassdesign.grassmann import FLOAT, SubspaceConfiguration, SubspacePoint, coordinate_subspace
 
 _PHASES = [(3, 4), (4, 3), (-3, 4), (-4, 3), (3, -4), (4, -3), (-3, -4), (-4, -3)]
 
@@ -167,3 +175,20 @@ def float_document(points: list, label: str) -> dict:
     doc["mode"] = "float"
     doc["points"] = [{"rows": [[[float(v[0]), float(v[1])] for v in row] for row in p]} for p in points]
     return doc
+
+
+def random_subspace(m: int, n: int, seed: int = 0) -> SubspacePoint:
+    """Haar-ish float point from a seeded complex Gaussian basis."""
+    if n < 2 * m:
+        raise ValueError(f"need n >= 2m, got ({m}, {n})")
+    rng = np.random.default_rng(seed)
+    mtx = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    return SubspacePoint(mtx, mode=FLOAT)
+
+
+def orthogonal_split_config(m: int, n: int) -> SubspaceConfiguration:
+    """The n/m coordinate blocks of size m; requires m to divide n."""
+    if m < 1 or n % m:
+        raise ValueError(f"{m} does not divide {n}")
+    pts = [coordinate_subspace(range(k * m, (k + 1) * m), n) for k in range(n // m)]
+    return SubspaceConfiguration(pts, label=f"orthogonal-split({m},{n})")

@@ -14,7 +14,6 @@ from grassdesign.designs import (
     certificate_average,
     certificate_product,
     column_family,
-    design_defect,
     hook_family,
     is_T_design,
     lp_bound,
@@ -23,8 +22,6 @@ from grassdesign.designs import (
 from grassdesign.grassmann import (
     SubspaceConfiguration,
     great_antipodal,
-    orthogonal_split_config,
-    random_subspace,
     six_point_config,
 )
 from grassdesign.partitions import (
@@ -45,8 +42,9 @@ from grassdesign.zonal import (
 )
 
 from closed_forms import schur_in_zonal_basis, zonal_product_column
-from exact_oracles import expansion_at_ones, is_antipodal_pair, kernel_coeff, kernel_expansion
+from exact_oracles import design_defect, evaluate, expansion_at_ones, is_antipodal_pair, kernel_coeff, kernel_expansion
 from james_constantine import zonal_james_constantine
+from seeded_configs import orthogonal_split_config, random_subspace
 
 
 def criterion(number, limit_s, description):
@@ -190,7 +188,7 @@ def test_criterion_08_product_identity():
                             reverse=True,
                         )
                     )
-                    assert z1.evaluate(pt) * zi.evaluate(pt) == pe.evaluate(pt), (m, n, i)
+                    assert evaluate(z1, pt) * evaluate(zi, pt) == pe.evaluate(pt), (m, n, i)
 
 
 @criterion(9, 30, "kernel normalization and the column dimension-sum square")

@@ -26,7 +26,6 @@ from grassdesign.grassmann import (
     SubspaceConfiguration,
     antipodal_invariant,
     great_antipodal,
-    orthogonal_split_config,
     six_point_config,
 )
 from grassdesign.scalars import rational
@@ -39,6 +38,7 @@ from seeded_configs import (
     disguise,
     disguised_points,
     exact_document,
+    orthogonal_split_config,
     recombine,
     scaled_coordinate_points,
     six_points,

@@ -21,12 +21,12 @@ import grassdesign
 from grassdesign import designs, exactlinalg, grassmann, symfunc, zonal
 from grassdesign import cli
 from grassdesign.cli import _json_text, main
-from grassdesign.grassmann import angles_to_json, great_antipodal, random_subspace, SubspaceConfiguration
+from grassdesign.grassmann import angles_to_json, great_antipodal, SubspaceConfiguration
 from grassdesign.partitions import RANK_BUDGET, SHAPE_BUDGET, Partition
 
 from argparse_oracle import build_parser
 from exact_oracles import kernel_expansion
-from seeded_configs import dense_point, disguised_points, exact_document, float_document
+from seeded_configs import dense_point, disguised_points, exact_document, float_document, random_subspace
 
 
 def run(capsys, *argv):
@@ -636,6 +636,19 @@ def test_usage_errors_exit_two(tmp_path, capsys):
             main(["verify-design", "--config", str(path), "--set", family])
         assert err.value.code == 2, family
         assert f"unknown test set {family!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["antipodal", "--m", "2", "--n", "4"], ["appendix-b"]], ids=["antipodal", "appendix-b"])
+@pytest.mark.parametrize("family", ["", " "], ids=["empty", "blank"])
+def test_verify_of_an_empty_test_set_exits_two(argv, family, capsys):
+    # an empty --verify names a test set, an unknown one, as an empty
+    # verify-design --set does; it does not mean "no report"
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--verify", family])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown test set {family!r}" in captured.err
 
 
 def test_malformed_exact_entries_exit_two(tmp_path, capsys):

@@ -21,24 +21,26 @@ from grassdesign.grassmann import (
     coordinate_subspace,
     great_antipodal,
     invariant_angles,
-    orthogonal_split_config,
-    principal_angles,
-    random_subspace,
     six_point_config,
 )
 from grassdesign.partitions import binom
 from grassdesign.scalars import rational
 
 from exact_oracles import (
+    angle_matrix_lookup,
     elementary_all,
+    float_antipodal,
+    float_point,
     is_antipodal_pair,
     orthogonal_complement,
     pair_indices_oracle,
     pair_invariants,
+    principal_angles,
     recombined,
     same_subspace,
     symmetry_image,
 )
+from seeded_configs import orthogonal_split_config, random_subspace
 from test_cli import disguised_great_antipodal
 
 HALF = rational(1, 2)
@@ -91,7 +93,7 @@ class TestSubspacePoint:
 
     def test_mode_mismatch_rejected(self):
         a = coordinate_subspace([0, 1], 4)
-        b = a.to_float()
+        b = float_point(a)
         with pytest.raises(ValueError):
             principal_angles(a, b)
 
@@ -324,7 +326,7 @@ class TestConfigurations:
     def test_mixed_modes_rejected(self):
         a = coordinate_subspace([0, 1], 4)
         with pytest.raises(ValueError):
-            SubspaceConfiguration([a, a.to_float()])
+            SubspaceConfiguration([a, float_point(a)])
 
     def test_json_round_trip_exact(self):
         x = six_point_config()
@@ -409,10 +411,32 @@ class TestFloatPairLayer:
                 assert abs(float(want) - got) <= bound, (pair, exact[pair], row)
 
     def test_float_antipodality_from_chunks(self):
-        assert great_antipodal(3, 6).to_float().is_antipodal()
-        assert disguised_great_antipodal(2, 5).to_float().is_antipodal(tol=1e-12)
-        assert not six_point_config().to_float().is_antipodal()
+        assert float_antipodal(great_antipodal(3, 6).to_float())
+        assert float_antipodal(disguised_great_antipodal(2, 5).to_float(), tol=1e-12)
+        assert not float_antipodal(six_point_config().to_float())
 
+
+
+ANGLE_MATRIX_CONFIGS = {
+    "six-point": six_point_config,
+    "great-antipodal-2-5": lambda: great_antipodal(2, 5),
+    "exact-k1": lambda: SubspaceConfiguration([coordinate_subspace([0], 2)]),
+    "float-six-point": lambda: six_point_config().to_float(),
+    "float-random": lambda: SubspaceConfiguration([random_subspace(2, 5, seed=s) for s in range(5)]),
+    "float-k1": lambda: SubspaceConfiguration([random_subspace(1, 2, seed=7)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANGLE_MATRIX_CONFIGS))
+def test_angle_matrix_rows_hold_the_pair_table_tuples(name):
+    # rows built in pair order hold the very tuples that one lookup per
+    # entry finds, so a display formats each shared tuple once
+    config = ANGLE_MATRIX_CONFIGS[name]()
+    matrix = config.angle_matrix()
+    want = angle_matrix_lookup(config)
+    assert matrix == want
+    assert all(got is expected for row, wanted in zip(matrix, want) for got, expected in zip(row, wanted))
+    assert [len(row) for row in matrix] == [len(config)] * len(config)
 
 class TestRandomSubspace:
     def test_self_angles(self):

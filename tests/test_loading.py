@@ -22,8 +22,8 @@ from grassdesign.grassmann import (
 )
 from grassdesign.scalars import ExactComplex
 
-from exact_oracles import exact_basis, per_entry_point
-from seeded_configs import disguised_points, exact_document, float_document
+from exact_oracles import exact_basis, float_antipodal, float_point, per_entry_point
+from seeded_configs import disguised_points, exact_document, float_document, orthogonal_split_config
 
 SMALL = st.integers(-4, 4)
 PADDING = st.sampled_from(["", " ", "\t", "  \n"])
@@ -130,7 +130,7 @@ def test_float_copy_of_an_entry_past_the_float_range_is_a_value_error():
     # the float load path's message, naming the exact entry by its text
     huge = "1" + "0" * 400
     with pytest.raises(ValueError, match=f"^float matrix entry too large for a float: '{huge}'$"):
-        SubspacePoint([[huge, "0", "0"]]).to_float()
+        float_point(SubspacePoint([[huge, "0", "0"]]))
     config = SubspaceConfiguration([SubspacePoint([["1", "0", "0"]]), SubspacePoint([["0", f"1/3-{huge}*i", "0"]])])
     with pytest.raises(ValueError, match=f"^float matrix entry too large for a float: '1/3-{huge}\\*i'$"):
         config.to_float()
@@ -143,7 +143,7 @@ def test_float_load_parses_no_exact_complex(monkeypatch):
     doc = json.loads(json.dumps(exact_document(disguised_points(2, 5, 4), "texts")))
     monkeypatch.setattr(ExactComplex, "from_str", staticmethod(no_parse))
     config = SubspaceConfiguration.from_json(dict(doc, mode=FLOAT))
-    assert config.is_antipodal()
+    assert float_antipodal(config)
 
 
 def test_float_load_makes_one_svd(monkeypatch):
@@ -231,7 +231,7 @@ def test_exact_paths_build_no_exact_complex(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ExactComplex, "__init__", no_value)
     config = SubspaceConfiguration.from_json(json.loads(path.read_text()))
     assert config.to_json() == doc
-    assert config.to_float().is_antipodal()
+    assert float_antipodal(config.to_float())
     # a fault inside a command exits 3, so each exit 0 is a full run
     assert main(["verify-design", "--config", str(path), "--set", "E+F"]) == 0
     capsys.readouterr()
@@ -254,7 +254,7 @@ MIXED_TEXTS = {
 PINNED_CONFIGS = {
     "six-point": grassmann.six_point_config,
     "great-antipodal-3-6": lambda: grassmann.great_antipodal(3, 6),
-    "orthogonal-split-2-6": lambda: grassmann.orthogonal_split_config(2, 6),
+    "orthogonal-split-2-6": lambda: orthogonal_split_config(2, 6),
     "disguised-3-6": lambda: SubspaceConfiguration.from_json(exact_document(disguised_points(3, 6, 3), "disguised-3-6")),
     "mixed-texts": lambda: SubspaceConfiguration.from_json(MIXED_TEXTS),
 }
@@ -294,7 +294,7 @@ def test_exact_text_and_float_copy_are_pinned(name):
     assert hashlib.sha256(b"".join(p.basis.tobytes() for p in floats)).hexdigest() == bases
     # the stacked SVD gives each point the frame that its own SVD gives
     for point, copy in zip(config, floats):
-        alone = point.to_float()
+        alone = float_point(point)
         assert copy.basis.tobytes() == alone.basis.tobytes()
         assert copy.frame.tobytes() == alone.frame.tobytes() == SubspacePoint(alone.basis, mode=FLOAT).frame.tobytes()
         assert not copy.basis.flags.writeable and not copy.frame.flags.writeable
@@ -312,4 +312,4 @@ def test_float_copy_makes_one_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     floats = config.to_float()
     assert calls == [(10, 5, 2)]
-    assert floats.to_float().points == floats.points and floats.is_antipodal()
+    assert floats.to_float().points == floats.points and float_antipodal(floats)

@@ -29,7 +29,6 @@ from grassdesign.grassmann import (
     SubspacePoint,
     great_antipodal,
     invariant_batch,
-    pair_invariant,
     six_point_config,
 )
 from grassdesign.scalars import ExactComplex, rational
@@ -40,6 +39,7 @@ from exact_oracles import (
     exact_complex_point,
     gaussian_adjugate,
     gaussian_mat_mul,
+    pair_invariant,
     pair_invariant_oracle,
     pair_invariants,
 )

@@ -19,11 +19,8 @@ from grassdesign.grassmann import (
     EXACT,
     RankDeficiencyError,
     SubspaceConfiguration,
-    antipodal_angles,
     antipodal_invariant,
     great_antipodal,
-    orthogonal_split_config,
-    pair_invariant,
     six_point_config,
 )
 from grassdesign.scalars import ExactComplex, rational
@@ -31,15 +28,18 @@ from grassdesign.zonal import zonal_kernel
 
 from exact_oracles import (
     angle_polynomial,
+    antipodal_angles,
     det,
     exact_basis,
     exact_complex_point,
     kernel_expansion,
     mat_mul,
     orthogonal_complement,
+    pair_invariant,
     pair_invariants,
     recombined,
 )
+from seeded_configs import orthogonal_split_config
 
 CONFIGS = {"six-point": six_point_config(), "great-antipodal": great_antipodal(2, 4)}
 
